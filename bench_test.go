@@ -1,10 +1,12 @@
 package crono
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"crono/internal/core"
+	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/sim"
 )
@@ -29,6 +31,15 @@ func benchInput(b core.Benchmark) core.Input {
 	}
 }
 
+// benchReport runs one benchmark and returns only the platform report.
+func benchReport(b core.Benchmark, pl exec.Platform, in core.Input, threads int) (*exec.Report, error) {
+	res, err := b.Run(context.Background(), pl, core.Request{Input: in, Threads: threads})
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
+}
+
 func newBenchSim(b *testing.B, mutate func(*sim.Config)) *sim.Machine {
 	b.Helper()
 	cfg := sim.Default()
@@ -50,7 +61,7 @@ func BenchmarkFig1(b *testing.B) {
 		in := benchInput(bench)
 		b.Run(bench.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := bench.RunReport(newBenchSim(b, nil), in, benchThreads)
+				rep, err := benchReport(bench, newBenchSim(b, nil), in, benchThreads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +79,7 @@ func BenchmarkFig1ThreadSweep(b *testing.B) {
 	for _, p := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := bench.RunReport(newBenchSim(b, nil), in, p)
+				rep, err := benchReport(bench, newBenchSim(b, nil), in, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +97,7 @@ func BenchmarkFig5VertexScaling(b *testing.B) {
 		in := core.Input{G: graph.UniformSparse(n, 8, 100, 1), Source: 0}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunReport(newBenchSim(b, nil), in, benchThreads); err != nil {
+				if _, err := benchReport(bench, newBenchSim(b, nil), in, benchThreads); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,7 +113,7 @@ func BenchmarkFig7OOO(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := newBenchSim(b, func(c *sim.Config) { c.CoreType = sim.OutOfOrder })
-				rep, err := bench.RunReport(m, in, benchThreads)
+				rep, err := benchReport(bench, m, in, benchThreads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +130,7 @@ func BenchmarkFig9Native(b *testing.B) {
 		in := benchInput(bench)
 		b.Run(bench.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunReport(NewNative(), in, 4); err != nil {
+				if _, err := benchReport(bench, NewNative(), in, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,7 +146,7 @@ func BenchmarkTab4GraphTypes(b *testing.B) {
 		in := core.Input{G: g, Source: 0}
 		b.Run(string(kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := bench.RunReport(newBenchSim(b, nil), in, benchThreads)
+				rep, err := benchReport(bench, newBenchSim(b, nil), in, benchThreads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -154,7 +165,7 @@ func BenchmarkAblationDirectory(b *testing.B) {
 		b.Run(fmt.Sprintf("pointers%d", ptrs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := newBenchSim(b, func(c *sim.Config) { c.DirPointers = ptrs })
-				rep, err := bench.RunReport(m, in, benchThreads)
+				rep, err := benchReport(bench, m, in, benchThreads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -173,7 +184,7 @@ func BenchmarkAblationLocalityAware(b *testing.B) {
 		b.Run(fmt.Sprintf("enabled=%v", la), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := newBenchSim(b, func(c *sim.Config) { c.LocalityAware = la })
-				rep, err := bench.RunReport(m, in, benchThreads)
+				rep, err := benchReport(bench, m, in, benchThreads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,7 +204,7 @@ func BenchmarkAblationParallelization(b *testing.B) {
 		in := benchInput(bench)
 		b.Run(bench.Parallelization, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunReport(newBenchSim(b, nil), in, benchThreads); err != nil {
+				if _, err := benchReport(bench, newBenchSim(b, nil), in, benchThreads); err != nil {
 					b.Fatal(err)
 				}
 			}

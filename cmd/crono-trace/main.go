@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,10 +67,11 @@ func doRecord(path, benchName, kind string, threads, n int, seed int64) error {
 		in.G = graph.Generate(graph.Kind(kind), n, seed)
 	}
 	rec := trace.NewRecorder()
-	rep, err := b.RunReport(rec, in, threads)
+	res, err := b.Run(context.Background(), rec, core.Request{Input: in, Threads: threads})
 	if err != nil {
 		return err
 	}
+	rep := res.Report
 	tr := rec.Trace()
 	f, err := os.Create(path)
 	if err != nil {

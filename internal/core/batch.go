@@ -33,8 +33,8 @@ type BFSBatchResult struct {
 // means "reached from sources[i]", so one edge traversal advances all
 // sources at once (the multi-source BFS of Then et al., the kernel
 // behind the service's cross-request batching). The frontier worklist
-// holds vertices with any newly arrived bits; rounds follow the same
-// seal/ctrl/copy choreography as the other frontier kernels. Per-source
+// holds vertices with any newly arrived bits; rounds end through
+// worklist.endRound like every frontier kernel's. Per-source
 // levels are bit-identical to BFSRef's — bit arrival rounds are exactly
 // the single-source BFS levels, and OR-propagation is schedule-
 // independent.
@@ -73,7 +73,6 @@ func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 		levels[i][src] = 0
 	}
 	wl := newWorklist(threads, seed)
-	ctrl := ctrlContinue
 
 	rVis := pl.Alloc("bfsb.visited", n, 8)
 	rCur := pl.Alloc("bfsb.front", n, 8)
@@ -127,27 +126,9 @@ func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 				}
 			}
 			ctx.Active(found - (hi - lo))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				total := wl.seal()
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case total == 0:
-					st = ctrlDone
-				}
-				atomic.StoreInt32(&ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
+			if wl.endRound(ctx, bar, rFront, untilEmpty) != ctrlContinue {
 				return
 			}
-			if c := atomic.LoadInt32(&ctrl); c != ctrlContinue {
-				return
-			}
-			wl.copyOut(ctx, rFront)
-			ctx.Barrier(bar)
 			// Settle phase: fold the pending bits of my chunk of the new
 			// frontier into visited, record per-source arrival levels,
 			// and stage the bits as the next round's front. Worklist
@@ -187,19 +168,10 @@ func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 		Level:   levels,
 		Visited: make([]int, k),
 		Levels:  make([]int, k),
+		Report:  rep,
 	}
-	res.Report = rep
 	for i := 0; i < k; i++ {
-		maxLvl := int32(0)
-		for _, l := range levels[i] {
-			if l >= 0 {
-				res.Visited[i]++
-				if l > maxLvl {
-					maxLvl = l
-				}
-			}
-		}
-		res.Levels[i] = int(maxLvl) + 1
+		res.Visited[i], res.Levels[i] = bfsSummary(levels[i])
 	}
 	return res, nil
 }

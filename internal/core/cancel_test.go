@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,33 +35,104 @@ func TestEveryKernelRespectsPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestKernelCancelMidFlight: canceling during a long kernel run aborts it
-// at the next checkpoint instead of running to completion.
-func TestKernelCancelMidFlight(t *testing.T) {
-	g := graph.UniformSparse(3000, 8, 50, 7)
-	ctx, cancel := context.WithCancel(context.Background())
+// pollCtx is a context whose Err turns non-nil at its n-th poll. The
+// platforms never wait on Done — they poll Err once before starting the
+// threads and then at every Ctx.Checkpoint — so a run under pollCtx
+// starts, executes some rounds and is canceled mid-flight at a point
+// fixed by poll count, not by wall clock.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+	err  error
+}
 
-	done := make(chan error, 1)
-	go func() {
-		// Effectively unbounded iterations: only cancellation ends it soon.
-		_, err := PageRank(ctx, native.New(), g, 4, 1_000_000)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+func cancelAtPoll(n int64, err error) *pollCtx {
+	c := &pollCtx{Context: context.Background(), err: err}
+	c.left.Store(n)
+	return c
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return c.err
+	}
+	return nil
+}
+
+// midFlightCases lists kernels on inputs deep enough to poll many times:
+// a long path makes a frontier traversal run one round per vertex, and
+// the BFS and CONN_COMP repairs are seeded so that they redo (nearly)
+// the whole of it.
+func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) {
+	const n = 400
+	var edges []graph.Edge
+	for v := int32(0); v+1 < n; v++ {
+		edges = append(edges, graph.Edge{From: v, To: v + 1, Weight: 1})
+	}
+	path := graph.FromEdges(n, edges, true)
+	// A shortcut 0-2 at the head of the path puts every level from 1 on
+	// below the repair cutoff.
+	d := &graph.EdgeDelta{
+		Inserts: []graph.Edge{{From: 0, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 1}},
+	}
+	if err := d.Canonicalize(n); err != nil {
+		t.Fatal(err)
+	}
+	next := graph.ApplyDelta(path, d)
+	level := BFSRef(path, 0)
+	// Two half-path components; joining them re-labels the upper half
+	// one hop per round.
+	labels := make([]int32, n)
+	for v := n / 2; v < n; v++ {
+		labels[v] = n / 2
+	}
+	join := &graph.EdgeDelta{Inserts: []graph.Edge{
+		{From: n/2 - 1, To: n / 2, Weight: 1}, {From: n / 2, To: n/2 - 1, Weight: 1},
+	}}
+	// COMM converges in a few rounds on a path; a small-world graph with
+	// singleton communities and a delta naming every vertex (deletes of
+	// absent edges) keeps it moving for about ten.
+	social := graph.Generate(graph.KindSocial, 600, 5)
+	comm := make([]int32, social.N)
+	all := &graph.EdgeDelta{}
+	for v := range comm {
+		comm[v] = int32(v)
+		if v%2 == 1 {
+			all.Deletes = append(all.Deletes, graph.Edge{From: int32(v - 1), To: int32(v)})
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("PageRank ignored cancellation")
+	}
+	return map[string]func(context.Context) (any, error){
+		"PageRank": func(ctx context.Context) (any, error) {
+			return PageRank(ctx, native.New(), path, 4, 1_000_000)
+		},
+		"BFSBatch": func(ctx context.Context) (any, error) {
+			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
+		},
+		"BFSIncremental": func(ctx context.Context) (any, error) {
+			return BFSIncremental(ctx, native.New(), next, 0, 4, level, d)
+		},
+		"ComponentsIncremental": func(ctx context.Context) (any, error) {
+			return ComponentsIncremental(ctx, native.New(), path, 4, labels, join)
+		},
+		"CommunityIncremental": func(ctx context.Context) (any, error) {
+			return CommunityIncremental(ctx, native.New(), social, 4, 1_000_000, comm, all)
+		},
 	}
 }
 
-// TestKernelDeadlineMidFlight: a deadline aborts TSP's recursive search,
-// which unwinds through the aborted flag rather than a loop boundary.
+// TestKernelCancelMidFlight: canceling during a kernel run aborts it at
+// the next checkpoint instead of running to completion, and no partial
+// result escapes.
+func TestKernelCancelMidFlight(t *testing.T) {
+	testMidFlight(t, context.Canceled)
+}
+
+// TestKernelDeadlineMidFlight is the same table under an expiring
+// deadline, plus TSP, whose recursive search unwinds through the aborted
+// flag rather than a loop boundary.
 func TestKernelDeadlineMidFlight(t *testing.T) {
+	testMidFlight(t, context.DeadlineExceeded)
+
 	cities := graph.Cities(16, 9) // several seconds of search uncanceled
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -70,6 +143,27 @@ func TestKernelDeadlineMidFlight(t *testing.T) {
 	}
 	if e := time.Since(start); e > 10*time.Second {
 		t.Fatalf("TSP took %s to honor a 20ms deadline", e)
+	}
+}
+
+func testMidFlight(t *testing.T, want error) {
+	for name, run := range midFlightCases(t) {
+		t.Run(name, func(t *testing.T) {
+			// Poll 1 is RunCtx's entry check and four threads poll once a
+			// round, so the 10th poll lands in the third round.
+			const live = 9
+			ctx := cancelAtPoll(live, want)
+			res, err := run(ctx)
+			if !errors.Is(err, want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+			if !reflect.ValueOf(res).IsNil() {
+				t.Fatalf("partial result %+v returned for an aborted run", res)
+			}
+			if left := ctx.left.Load(); left >= 0 {
+				t.Fatalf("run ended after %d polls without ever seeing the cancellation", live-left)
+			}
+		})
 	}
 }
 

@@ -184,19 +184,6 @@ type Benchmark struct {
 	Run func(ctx context.Context, pl exec.Platform, req Request) (*Result, error)
 }
 
-// RunReport executes the kernel with a background context and returns
-// only the platform report.
-//
-// Deprecated: use Run with a context and a Request; it cancels cleanly
-// and keeps the kernel's typed payload.
-func (b Benchmark) RunReport(pl exec.Platform, in Input, threads int) (*exec.Report, error) {
-	res, err := b.Run(context.Background(), pl, Request{Input: in, Threads: threads})
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // Suite lists all ten benchmarks in paper order.
 func Suite() []Benchmark {
 	return wrapSuite([]Benchmark{

@@ -422,14 +422,6 @@ func TestSuiteRunsAllBenchmarks(t *testing.T) {
 		if rep.TotalInstructions() == 0 {
 			t.Fatalf("%s: no instructions recorded", b.Name)
 		}
-		// The deprecated shim keeps returning the bare report.
-		shim, err := b.RunReport(native.New(), in, 4)
-		if err != nil {
-			t.Fatalf("%s: RunReport shim: %v", b.Name, err)
-		}
-		if shim == nil || shim.Threads != 4 {
-			t.Fatalf("%s: bad shim report %+v", b.Name, shim)
-		}
 	}
 }
 

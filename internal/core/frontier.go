@@ -8,35 +8,21 @@ import (
 	"crono/internal/graph"
 )
 
-// This file implements the frontier execution strategy (StrategyFrontier)
-// shared by BFSFrontier, SSSPFrontier, ComponentsFrontier and
-// CommunityFrontier: instead of scanning every thread's whole static
-// vertex range each round for frontier members (the paper-faithful scan
-// style), threads accumulate discovered vertices in private buffers and
-// merge them into one shared compact worklist at each barrier. Work per
-// round is then proportional to the frontier, not to n — the explicit-
-// worklist lever the GAP benchmark suite and Dhulipala et al. identify
-// as the biggest single win for these kernels on sparse frontiers.
+// This file implements the frontier execution strategy (StrategyFrontier):
+// instead of scanning every thread's whole static vertex range each round
+// for frontier members (the paper-faithful scan style), threads accumulate
+// discovered vertices in private buffers and merge them into one shared
+// compact worklist at each barrier. Work per round is then proportional to
+// the frontier, not to n — the explicit-worklist lever the GAP benchmark
+// suite and Dhulipala et al. identify as the biggest single win for these
+// kernels on sparse frontiers.
 //
-// Every frontier kernel follows the same round choreography:
-//
-//	process my chunk of wl.frontier(), wl.push(tid, ...) discoveries
-//	Barrier A   — all pushes for the round are published
-//	tid 0:  wl.seal() (always, before any control decision), then fold
-//	        Checkpoint + termination into one ctrl word
-//	Barrier B   — offsets, new frontier array and ctrl are published
-//	tid != 0: Checkpoint — return on cancellation
-//	ctrl says stop -> return;  otherwise wl.copyOut(...)
-//	Barrier C   — frontier contents are complete
-//
-// Cancellation discipline: only thread 0 polls Checkpoint before the
-// copy phase, and it seals first, so copy offsets are always from the
-// current round even when the run is dying. Threads that pass Barrier B
-// on the abort channel poll Checkpoint before touching the worklist, so
-// no thread ever copies with stale offsets; a straggler survives at most
-// one round past the abort and its partial state is discarded by RunCtx.
+// A round is: process my chunk of wl.frontier(), wl.push(tid, ...) the
+// discoveries, then wl.endRound — the one function that owns the merge
+// barriers and the cancellation discipline. The expansion loops stay
+// hand-written per kernel; only the round end is shared.
 
-// ctrl words published by thread 0 between Barrier A and Barrier B.
+// ctrl words: the verdict thread 0 publishes at the end of a round.
 const (
 	ctrlContinue int32 = iota
 	ctrlDone
@@ -52,6 +38,7 @@ type worklist struct {
 	next  [][]int32
 	off   []int
 	spare []int32
+	ctrl  int32 // this round's verdict, thread 0 -> all (endRound)
 }
 
 func newWorklist(threads int, seed []int32) *worklist {
@@ -101,8 +88,12 @@ func (w *worklist) resetIota(threads, n int) {
 	}
 }
 
-// frontier returns the current shared worklist. Valid between Barrier C
-// of one round and Barrier A of the next.
+// seed appends v to the initial frontier: between prepare (or a reset)
+// and the run, for start states built one vertex at a time.
+func (w *worklist) seed(v int32) { w.cur = append(w.cur, v) }
+
+// frontier returns the current shared worklist. Valid from one endRound
+// to the next.
 func (w *worklist) frontier() []int32 { return w.cur }
 
 // push records a discovered vertex in tid's private buffer.
@@ -110,9 +101,8 @@ func (w *worklist) push(tid int, v int32) { w.next[tid] = append(w.next[tid], v)
 
 // seal computes the per-thread copy offsets and installs a fresh (or
 // recycled) frontier array of the merged size, returning that size.
-// Thread 0 only, between Barrier A and Barrier B. The outgoing array is
-// kept as the recycle candidate for the next seal; by then no thread
-// references it.
+// The outgoing array is kept as the recycle candidate for the next seal;
+// by then no thread references it.
 func (w *worklist) seal() int {
 	total := 0
 	for t := range w.next {
@@ -130,7 +120,7 @@ func (w *worklist) seal() int {
 }
 
 // copyOut copies tid's buffer into its sealed slot of the shared
-// frontier and resets the buffer. Between Barrier B and Barrier C.
+// frontier and resets the buffer.
 func (w *worklist) copyOut(ctx exec.Ctx, r exec.Region) {
 	tid := ctx.TID()
 	if n := len(w.next[tid]); n > 0 {
@@ -138,6 +128,59 @@ func (w *worklist) copyOut(ctx exec.Ctx, r exec.Region) {
 		ctx.StoreSpan(r.At(w.off[tid]), n, 4)
 		w.next[tid] = w.next[tid][:0]
 	}
+}
+
+// endRound closes a round for every thread; it is the only caller of seal
+// and copyOut:
+//
+//	Barrier A — all pushes for the round are published
+//	tid 0:      seal (always, before any control decision), poll Checkpoint
+//	            and, if the run is live, ask decide(total) for the verdict
+//	Barrier B — offsets, the new frontier array and the verdict are published
+//	tid != 0:   poll Checkpoint
+//	ctrlDone or ctrlAbort -> stop; any other verdict -> copyOut
+//	Barrier C — frontier contents are complete
+//
+// It returns the verdict; on ctrlDone and ctrlAbort the caller returns
+// without touching the worklist again.
+//
+// Cancellation discipline: only thread 0 polls before the copy phase, and
+// it seals first, so copy offsets are always from the current round even
+// when the run is dying. Threads that pass Barrier B on the abort channel
+// poll before touching the worklist, so no thread ever copies with stale
+// offsets; a straggler survives at most one round past the abort and its
+// partial state is discarded by RunCtx.
+func (w *worklist) endRound(ctx exec.Ctx, bar exec.Barrier, rFront exec.Region, decide func(total int) int32) int32 {
+	tid := ctx.TID()
+	ctx.Barrier(bar)
+	if tid == 0 {
+		total := w.seal()
+		st := ctrlAbort
+		if ctx.Checkpoint() == nil {
+			st = decide(total)
+		}
+		atomic.StoreInt32(&w.ctrl, st)
+	}
+	ctx.Barrier(bar)
+	if tid != 0 && ctx.Checkpoint() != nil {
+		return ctrlAbort
+	}
+	st := atomic.LoadInt32(&w.ctrl)
+	if st == ctrlDone || st == ctrlAbort {
+		return st
+	}
+	w.copyOut(ctx, rFront)
+	ctx.Barrier(bar)
+	return st
+}
+
+// untilEmpty is the decide rule of kernels that run until the worklist
+// drains.
+func untilEmpty(total int) int32 {
+	if total == 0 {
+		return ctrlDone
+	}
+	return ctrlContinue
 }
 
 // BFSFrontier runs level-synchronous breadth-first search with the
@@ -159,8 +202,7 @@ type bfsFrontierRun struct {
 	threads int
 	level   []int32
 	wl      worklist
-	ctrl    int32
-	depth   int
+	base    int32 // level of the seed frontier
 
 	rLvl, rOff, rTgt, rFront exec.Region
 	bar                      exec.Barrier
@@ -173,18 +215,23 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
 	}
-	n := g.N
 	k := s.bfsFrontier()
-	k.g = g
-	k.threads = threads
-	k.level = grow32(k.level, n, s.detached())
+	k.level = grow32(k.level, g.N, s.detached())
 	for i := range k.level {
 		k.level[i] = -1
 	}
 	k.level[src] = 0
 	k.wl.reset(threads, int32(src))
-	k.ctrl = ctrlContinue
-	k.depth = 0
+	return k.execute(goCtx, pl, g, threads, 0, s)
+}
+
+// execute runs the frontier BFS from the state the caller seeded: k.level
+// holds every level known exact (-1 elsewhere) and k.wl the vertices at
+// level base. A full run seeds the source at level 0; a repair seeds the
+// last level its delta cannot have changed (BFSIncremental).
+func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*BFSResult, error) {
+	n := g.N
+	k.g, k.threads, k.base = g, threads, base
 	k.rLvl = pl.Alloc("bfsf.level", n, 4)
 	k.rOff = pl.Alloc("bfsf.offsets", n+1, 8)
 	k.rTgt = pl.Alloc("bfsf.targets", g.M(), 4)
@@ -199,25 +246,35 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 		return nil, err
 	}
 
-	visited := 0
-	for _, l := range k.level {
-		if l >= 0 {
-			visited++
-		}
-	}
 	res := &k.res
 	if s.detached() {
 		res = &BFSResult{}
 	}
-	*res = BFSResult{Level: k.level, Visited: visited, Levels: k.depth + 1, Report: rep}
+	visited, levels := bfsSummary(k.level)
+	*res = BFSResult{Level: k.level, Visited: visited, Levels: levels, Report: rep}
 	return res, nil
+}
+
+// bfsSummary derives a BFS result's summary fields from its final level
+// array: Visited counts reached vertices and Levels is max(level)+1.
+func bfsSummary(level []int32) (visited, levels int) {
+	deepest := int32(0)
+	for _, l := range level {
+		if l >= 0 {
+			visited++
+			if l > deepest {
+				deepest = l
+			}
+		}
+	}
+	return visited, int(deepest) + 1
 }
 
 func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 	g, level, wl, threads := k.g, k.level, &k.wl, k.threads
 	rLvl, rOff, rTgt, rFront, bar := k.rLvl, k.rOff, k.rTgt, k.rFront, k.bar
 	tid := ctx.TID()
-	cur := int32(0)
+	cur := k.base
 	for {
 		f := wl.frontier()
 		lo, hi := chunk(tid, threads, len(f))
@@ -244,29 +301,9 @@ func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 			}
 		}
 		ctx.Active(found - (hi - lo)) // discoveries join, explored leave
-		ctx.Barrier(bar)
-		if tid == 0 {
-			total := wl.seal()
-			st := ctrlContinue
-			switch {
-			case ctx.Checkpoint() != nil:
-				st = ctrlAbort
-			case total == 0:
-				st = ctrlDone
-			default:
-				k.depth++
-			}
-			atomic.StoreInt32(&k.ctrl, st)
-		}
-		ctx.Barrier(bar)
-		if tid != 0 && ctx.Checkpoint() != nil {
+		if wl.endRound(ctx, bar, rFront, untilEmpty) != ctrlContinue {
 			return
 		}
-		if c := atomic.LoadInt32(&k.ctrl); c != ctrlContinue {
-			return
-		}
-		wl.copyOut(ctx, rFront)
-		ctx.Barrier(bar)
 		cur++
 	}
 }
@@ -290,7 +327,6 @@ type componentsFrontierRun struct {
 	labels  []int32
 	mark    []int32 // 1 while the vertex sits in a buffer or the worklist
 	wl      worklist
-	ctrl    int32
 	iters   int
 
 	rLbl, rOff, rTgt, rMark, rFront exec.Region
@@ -307,8 +343,6 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 	}
 	n := g.N
 	k := s.componentsFrontier()
-	k.g = g
-	k.threads = threads
 	k.labels = grow32(k.labels, n, s.detached())
 	k.mark = grow32(k.mark, n, false)
 	for v := 0; v < n; v++ {
@@ -316,8 +350,17 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 		k.mark[v] = 1
 	}
 	k.wl.resetIota(threads, n)
-	k.ctrl = ctrlContinue
-	k.iters = 0
+	return k.execute(goCtx, pl, g, threads, s)
+}
+
+// execute runs min-label propagation from the state the caller seeded:
+// k.labels is the starting labeling and k.wl (mirrored by k.mark) the
+// vertices whose label may still improve a neighbor's. A full run seeds
+// every vertex with its own id; a repair seeds the previous labels and
+// the tails of the inserted edges (ComponentsIncremental).
+func (k *componentsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, s *Scratch) (*ComponentsResult, error) {
+	n := g.N
+	k.g, k.threads, k.iters = g, threads, 0
 	k.rLbl = pl.Alloc("ccf.labels", n, 4)
 	k.rOff = pl.Alloc("ccf.offsets", n+1, 8)
 	k.rTgt = pl.Alloc("ccf.targets", g.M(), 4)
@@ -333,27 +376,39 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 		return nil, err
 	}
 
-	// Labels converge to the minimum vertex id of each component, so the
-	// representatives are exactly the fixpoints labels[v] == v — counting
-	// them needs no set allocation.
-	comps := 0
-	for v, l := range k.labels {
-		if l == int32(v) {
-			comps++
-		}
-	}
 	res := &k.res
 	if s.detached() {
 		res = &ComponentsResult{}
 	}
-	*res = ComponentsResult{Labels: k.labels, Components: comps, Iterations: k.iters + 1, Report: rep}
+	*res = ComponentsResult{Labels: k.labels, Components: countRoots(k.labels), Iterations: k.iters + 1, Report: rep}
 	return res, nil
+}
+
+// countRoots counts the components of a converged labeling. Labels
+// converge to the minimum vertex id of each component, so the
+// representatives are exactly the fixpoints labels[v] == v — counting
+// them needs no set allocation.
+func countRoots(labels []int32) int {
+	comps := 0
+	for v, l := range labels {
+		if l == int32(v) {
+			comps++
+		}
+	}
+	return comps
 }
 
 func (k *componentsFrontierRun) run(ctx exec.Ctx) {
 	g, labels, mark, wl, threads := k.g, k.labels, k.mark, &k.wl, k.threads
 	rLbl, rOff, rTgt, rMark, rFront, bar := k.rLbl, k.rOff, k.rTgt, k.rMark, k.rFront, k.bar
 	tid := ctx.TID()
+	decide := func(total int) int32 {
+		if total == 0 {
+			return ctrlDone
+		}
+		k.iters++
+		return ctrlContinue
+	}
 	for {
 		f := wl.frontier()
 		lo, hi := chunk(tid, threads, len(f))
@@ -389,28 +444,8 @@ func (k *componentsFrontierRun) run(ctx exec.Ctx) {
 			}
 		}
 		ctx.Active(found - (hi - lo))
-		ctx.Barrier(bar)
-		if tid == 0 {
-			total := wl.seal()
-			st := ctrlContinue
-			switch {
-			case ctx.Checkpoint() != nil:
-				st = ctrlAbort
-			case total == 0:
-				st = ctrlDone
-			default:
-				k.iters++
-			}
-			atomic.StoreInt32(&k.ctrl, st)
-		}
-		ctx.Barrier(bar)
-		if tid != 0 && ctx.Checkpoint() != nil {
+		if wl.endRound(ctx, bar, rFront, decide) != ctrlContinue {
 			return
 		}
-		if c := atomic.LoadInt32(&k.ctrl); c != ctrlContinue {
-			return
-		}
-		wl.copyOut(ctx, rFront)
-		ctx.Barrier(bar)
 	}
 }

@@ -114,6 +114,19 @@ func (k *ssspFrontierRun) run(ctx exec.Ctx) {
 	rDist, rOff, rTgt, rWgt := k.rDist, k.rOff, k.rTgt, k.rWgt
 	rExist, rMins, rChg, rFront, bar := k.rExist, k.rMins, k.rChg, k.rFront, k.bar
 	tid := ctx.TID()
+	// Round verdict: sweep the band again while any thread relaxed into
+	// it; at the band fixpoint, open the next band.
+	decide := func(int) int32 {
+		any := int32(0)
+		for t := 0; t < threads; t++ {
+			ctx.Load(rChg.At(t))
+			any |= changed[t]
+		}
+		if any == 0 {
+			return ctrlNewBand
+		}
+		return ctrlContinue
+	}
 	newBand := true
 	for {
 		f := wl.frontier()
@@ -214,33 +227,10 @@ func (k *ssspFrontierRun) run(ctx exec.Ctx) {
 		}
 		ctx.Active(marked - settled)
 		ctx.Store(rChg.At(tid))
-		ctx.Barrier(bar)
-		if tid == 0 {
-			wl.seal()
-			any := int32(0)
-			for t := 0; t < threads; t++ {
-				ctx.Load(rChg.At(t))
-				any |= changed[t]
-			}
-			st := ctrlContinue // sweep the band again
-			switch {
-			case ctx.Checkpoint() != nil:
-				st = ctrlAbort
-			case any == 0:
-				st = ctrlNewBand // band fixpoint: open the next band
-			}
-			atomic.StoreInt32(&k.ctrl, st)
-		}
-		ctx.Barrier(bar)
-		if tid != 0 && ctx.Checkpoint() != nil {
-			return
-		}
-		c := atomic.LoadInt32(&k.ctrl)
+		c := wl.endRound(ctx, bar, rFront, decide)
 		if c == ctrlAbort {
 			return
 		}
-		wl.copyOut(ctx, rFront)
-		ctx.Barrier(bar)
 		newBand = c == ctrlNewBand
 	}
 }

@@ -25,8 +25,8 @@ import (
 //     most-frequent component from a sample, then finish linking only
 //     the vertices outside it.
 //
-// Both keep the seal/ctrl/copy cancellation choreography (or the
-// phase-barrier equivalent) and produce results bit-identical to the
+// BFSHybrid ends its rounds through worklist.endRound, ComponentsAfforest
+// polls at its phase barriers, and both produce results bit-identical to the
 // scan kernels' oracles: BFS levels are fully determined by the
 // level-synchronous structure, and min-hooking union-find converges to
 // the minimum vertex id of each component regardless of schedule.
@@ -35,8 +35,8 @@ import (
 // lives in variants.go (PageRankPull) and is dispatched here via Suite.
 
 // Direction-switch thresholds, from Beamer et al.'s direction-optimizing
-// BFS as tuned in the GAP benchmark suite. Thread 0 decides at the
-// worklist seal barrier, where it already sees the merged frontier:
+// BFS as tuned in the GAP benchmark suite. Thread 0 decides at the end
+// of the round, where it already sees the merged frontier:
 // switch push->pull when the edges incident to the next frontier exceed
 // 1/HybridAlpha of the edges incident to still-unexplored vertices
 // (an exhaustive push scan would touch more edges than a pull probe is
@@ -59,8 +59,8 @@ const (
 // which every unvisited vertex scans its in-neighbors for one on the
 // current level and claims itself on the first hit. Discoveries are
 // pushed to the worklist in both directions, so the frontier, the
-// switch statistics and the seal/ctrl/copy cancellation choreography
-// stay exact across flips. Levels are identical to BFS's and BFSRef's —
+// switch statistics and the endRound cancellation discipline stay
+// exact across flips. Levels are identical to BFS's and BFSRef's —
 // the level-synchronous structure fully determines them.
 func BFSHybrid(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
@@ -74,12 +74,10 @@ func BFSHybrid(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 	}
 	level[src] = 0
 	wl := newWorklist(threads, []int32{int32(src)})
-	ctrl := ctrlContinue
 	dir := dirPush
-	depth := 0
 
 	// Per-thread out-degree sums of this round's discoveries: thread 0
-	// folds them at the seal barrier into mf (edges incident to the next
+	// folds them at the end of the round into mf (edges incident to the next
 	// frontier) and keeps mu (edges incident to unexplored vertices) as a
 	// running remainder. Both are heuristic inputs only — they never
 	// affect results, just which direction the next round runs.
@@ -97,6 +95,29 @@ func BFSHybrid(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
 		tid := ctx.TID()
+		decide := func(total int) int32 {
+			mf := int64(0)
+			for t := 0; t < threads; t++ {
+				ctx.Load(rDeg.At(t))
+				mf += frontDeg[t]
+			}
+			unexplored -= mf
+			if total == 0 {
+				return ctrlDone
+			}
+			// Direction decision for the next round, on the GAP
+			// thresholds. Hysteresis comes from the two distinct
+			// conditions: a dense frontier flips to pull, and only a
+			// clearly sparse one flips back.
+			next := atomic.LoadInt32(&dir)
+			if next == dirPush && mf > unexplored/HybridAlpha {
+				next = dirPull
+			} else if next == dirPull && int64(total)*HybridBeta < int64(n) {
+				next = dirPush
+			}
+			atomic.StoreInt32(&dir, next)
+			return ctrlContinue
+		}
 		cur := int32(0)
 		for {
 			found := 0
@@ -161,60 +182,17 @@ func BFSHybrid(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 			}
 			frontDeg[tid] = deg
 			ctx.Store(rDeg.At(tid))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				total := wl.seal()
-				mf := int64(0)
-				for t := 0; t < threads; t++ {
-					ctx.Load(rDeg.At(t))
-					mf += frontDeg[t]
-				}
-				unexplored -= mf
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case total == 0:
-					st = ctrlDone
-				default:
-					depth++
-					// Direction decision for the next round, on the GAP
-					// thresholds. Hysteresis comes from the two distinct
-					// conditions: a dense frontier flips to pull, and
-					// only a clearly sparse one flips back.
-					next := atomic.LoadInt32(&dir)
-					if next == dirPush && mf > unexplored/HybridAlpha {
-						next = dirPull
-					} else if next == dirPull && int64(total)*HybridBeta < int64(n) {
-						next = dirPush
-					}
-					atomic.StoreInt32(&dir, next)
-				}
-				atomic.StoreInt32(&ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
+			if wl.endRound(ctx, bar, rFront, decide) != ctrlContinue {
 				return
 			}
-			if c := atomic.LoadInt32(&ctrl); c != ctrlContinue {
-				return
-			}
-			wl.copyOut(ctx, rFront)
-			ctx.Barrier(bar)
 			cur++
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	visited := 0
-	for _, l := range level {
-		if l >= 0 {
-			visited++
-		}
-	}
-	return &BFSResult{Level: level, Visited: visited, Levels: depth + 1, Report: rep}, nil
+	visited, levels := bfsSummary(level)
+	return &BFSResult{Level: level, Visited: visited, Levels: levels, Report: rep}, nil
 }
 
 // Afforest tuning constants: the number of per-vertex neighbor links in
@@ -391,13 +369,9 @@ func ComponentsAfforest(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 		return nil, err
 	}
 
-	seen := make(map[int32]bool)
-	for _, l := range parent {
-		seen[l] = true
-	}
 	return &ComponentsResult{
 		Labels:     parent,
-		Components: len(seen),
+		Components: countRoots(parent),
 		// Link phases executed: the neighbor rounds plus the finish pass.
 		Iterations: afforestNeighborRounds + 1,
 		Report:     rep,

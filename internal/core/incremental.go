@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"crono/internal/exec"
 	"crono/internal/graph"
@@ -13,11 +12,10 @@ import (
 
 // This file implements incremental recompute for the dynamic-graph
 // subsystem: kernels that repair a previous result after an edge delta
-// instead of recomputing from scratch. Each reuses the frontier
-// strategy's seal/merge/copy choreography (see frontier.go) — the only
-// difference from the full kernels is the seed state and the initial
-// worklist, both derived from the previous version's result and the
-// delta.
+// instead of recomputing from scratch. None has a parallel body of its
+// own: each validates its inputs, derives a seed state and an initial
+// worklist from the previous version's result and the delta, and hands
+// them to the run state the full frontier kernel executes.
 //
 // Not every kernel has an incremental form, and not every delta is
 // worth repairing; IncrementalOK is the single decision rule. Callers
@@ -66,6 +64,23 @@ func IncrementalOK(kernel string, inserts, deletes, edges int) bool {
 	}
 }
 
+// checkDelta rejects a nil delta or one naming a vertex outside [0,n).
+// The repairs index per-vertex arrays by delta endpoints, and the public
+// facade hands them deltas that never went through Canonicalize.
+func checkDelta(d *graph.EdgeDelta, n int) error {
+	if d == nil {
+		return errors.New("core: nil edge delta")
+	}
+	for _, es := range [2][]graph.Edge{d.Inserts, d.Deletes} {
+		for _, e := range es {
+			if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+				return fmt.Errorf("core: delta edge %d->%d outside [0,%d)", e.From, e.To, n)
+			}
+		}
+	}
+	return nil
+}
+
 // repairCutoff returns the smallest BFS level that an edge delta can
 // influence: min over delta edges (u,v) with oldLevel[u] >= 0 of
 // oldLevel[u]+1, or MaxInt32 when no delta edge leaves a reachable
@@ -74,16 +89,12 @@ func IncrementalOK(kernel string, inserts, deletes, edges int) bool {
 // below the cutoff keeps its exact level.
 func repairCutoff(oldLevel []int32, d *graph.EdgeDelta) int32 {
 	cut := int32(math.MaxInt32)
-	consider := func(from int32) {
-		if l := oldLevel[from]; l >= 0 && l+1 < cut {
-			cut = l + 1
+	for _, es := range [2][]graph.Edge{d.Inserts, d.Deletes} {
+		for _, e := range es {
+			if l := oldLevel[e.From]; l >= 0 && l+1 < cut {
+				cut = l + 1
+			}
 		}
-	}
-	for _, e := range d.Inserts {
-		consider(e.From)
-	}
-	for _, e := range d.Deletes {
-		consider(e.From)
 	}
 	return cut
 }
@@ -97,7 +108,15 @@ func repairCutoff(oldLevel []int32, d *graph.EdgeDelta) int32 {
 // result is bit-identical to a full recompute on g — the property test
 // in incremental_test.go pins this across the generator matrix.
 func BFSIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta) (*BFSResult, error) {
+	return bfsIncremental(goCtx, pl, g, src, threads, oldLevel, d, nil)
+}
+
+// bfsIncremental is BFSIncremental with an optional scratch workspace.
+func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta, s *Scratch) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
+		return nil, err
+	}
+	if err := checkDelta(d, g.N); err != nil {
 		return nil, err
 	}
 	if len(oldLevel) != g.N {
@@ -106,112 +125,25 @@ func BFSIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, 
 	if oldLevel[src] != 0 {
 		return nil, fmt.Errorf("core: seed has source %d at level %d, want 0", src, oldLevel[src])
 	}
-	n := g.N
-	level := make([]int32, n)
-	copy(level, oldLevel)
-	cut := repairCutoff(level, d)
-
-	if cut == math.MaxInt32 {
-		// No delta edge leaves a reachable vertex: the reachable region —
-		// and therefore every level — is untouched.
-		rep, err := pl.RunCtx(goCtx, threads, func(exec.Ctx) {})
-		if err != nil {
-			return nil, err
+	// Keep the levels below the cutoff, reset the suspect region and seed
+	// the frontier with the last level known exact (ascending, so the seed
+	// is deterministic). When no delta edge leaves a reachable vertex the
+	// cutoff is MaxInt32: nothing is reset, the seed is empty and the run
+	// ends after one empty round with every level untouched.
+	cut := repairCutoff(oldLevel, d)
+	k := s.bfsFrontier()
+	k.level = grow32(k.level, g.N, s.detached())
+	k.wl.prepare(threads, 0)
+	for v, l := range oldLevel {
+		switch {
+		case l >= cut:
+			l = -1
+		case l == cut-1:
+			k.wl.seed(int32(v))
 		}
-		return bfsResultFromLevels(level, rep), nil
+		k.level[v] = l
 	}
-
-	// Reset the suspect region and seed the frontier with the last level
-	// that is known exact. Ascending order keeps the seed deterministic.
-	seed := make([]int32, 0, 64)
-	for v := 0; v < n; v++ {
-		if level[v] >= cut {
-			level[v] = -1
-		} else if level[v] == cut-1 {
-			seed = append(seed, int32(v))
-		}
-	}
-	wl := newWorklist(threads, seed)
-	ctrl := ctrlContinue
-
-	rLvl := pl.Alloc("bfsi.level", n, 4)
-	rOff := pl.Alloc("bfsi.offsets", n+1, 8)
-	rTgt := pl.Alloc("bfsi.targets", g.M(), 4)
-	rFront := pl.Alloc("bfsi.frontier", n, 4)
-	bar := pl.NewBarrier(threads)
-
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
-		tid := ctx.TID()
-		cur := cut - 1
-		for {
-			f := wl.frontier()
-			lo, hi := chunk(tid, threads, len(f))
-			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-			found := 0
-			for i := lo; i < hi; i++ {
-				v := int(f[i])
-				ctx.Load(rOff.At(v))
-				ts, _ := g.Neighbors(v)
-				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-				for _, u := range ts {
-					ctx.AtomicLoad(rLvl.At(int(u)))
-					ctx.Compute(1)
-					if atomic.LoadInt32(&level[u]) != -1 {
-						continue
-					}
-					if atomic.CompareAndSwapInt32(&level[u], -1, cur+1) {
-						ctx.AtomicRMW(rLvl.At(int(u)))
-						found++
-						wl.push(tid, u)
-					}
-				}
-			}
-			ctx.Active(found - (hi - lo))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				total := wl.seal()
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case total == 0:
-					st = ctrlDone
-				}
-				atomic.StoreInt32(&ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
-				return
-			}
-			if c := atomic.LoadInt32(&ctrl); c != ctrlContinue {
-				return
-			}
-			wl.copyOut(ctx, rFront)
-			ctx.Barrier(bar)
-			cur++
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return bfsResultFromLevels(level, rep), nil
-}
-
-// bfsResultFromLevels derives the summary fields from a final level
-// array, matching what the full kernels report: Visited counts reached
-// vertices and Levels is max(level)+1.
-func bfsResultFromLevels(level []int32, rep *exec.Report) *BFSResult {
-	visited := 0
-	deepest := int32(0)
-	for _, l := range level {
-		if l >= 0 {
-			visited++
-			if l > deepest {
-				deepest = l
-			}
-		}
-	}
-	return &BFSResult{Level: level, Visited: visited, Levels: int(deepest) + 1, Report: rep}
+	return k.execute(goCtx, pl, g, threads, cut-1, s)
 }
 
 // ComponentsIncremental repairs a connected-components labeling after an
@@ -224,339 +156,86 @@ func bfsResultFromLevels(level []int32, rep *exec.Report) *BFSResult {
 // removing an edge can split a component, which min-label propagation
 // cannot undo.
 func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, oldLabels []int32, d *graph.EdgeDelta) (*ComponentsResult, error) {
-	if len(d.Deletes) != 0 {
-		return nil, ErrNoIncremental
-	}
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
+	}
+	if err := checkDelta(d, g.N); err != nil {
+		return nil, err
+	}
+	if len(d.Deletes) != 0 {
+		return nil, ErrNoIncremental
 	}
 	if len(oldLabels) != g.N {
 		return nil, fmt.Errorf("core: seed labels for %d vertices, graph has %d", len(oldLabels), g.N)
 	}
-	n := g.N
-	labels := make([]int32, n)
-	copy(labels, oldLabels)
-
-	// Seed: tails of the inserted edges, ascending and deduplicated (the
-	// canonical delta is sorted by (From, To)).
-	seed := make([]int32, 0, len(d.Inserts))
+	k := &componentsFrontierRun{
+		labels: append([]int32(nil), oldLabels...),
+		mark:   make([]int32, g.N),
+	}
+	k.wl.prepare(threads, 0)
 	for _, e := range d.Inserts {
-		if len(seed) == 0 || seed[len(seed)-1] != e.From {
-			seed = append(seed, e.From)
+		if k.mark[e.From] == 0 {
+			k.mark[e.From] = 1
+			k.wl.seed(e.From)
 		}
 	}
-	if len(seed) == 0 {
-		rep, err := pl.RunCtx(goCtx, threads, func(exec.Ctx) {})
-		if err != nil {
-			return nil, err
-		}
-		return componentsResultFromLabels(labels, 0, rep), nil
-	}
-	mark := make([]int32, n)
-	for _, v := range seed {
-		mark[v] = 1
-	}
-	wl := newWorklist(threads, seed)
-	ctrl := ctrlContinue
-	iters := 0
-
-	rLbl := pl.Alloc("cci.labels", n, 4)
-	rOff := pl.Alloc("cci.offsets", n+1, 8)
-	rTgt := pl.Alloc("cci.targets", g.M(), 4)
-	rMark := pl.Alloc("cci.mark", n, 4)
-	rFront := pl.Alloc("cci.frontier", n, 4)
-	bar := pl.NewBarrier(threads)
-
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
-		tid := ctx.TID()
-		for {
-			f := wl.frontier()
-			lo, hi := chunk(tid, threads, len(f))
-			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-			found := 0
-			for i := lo; i < hi; i++ {
-				v := int(f[i])
-				atomic.StoreInt32(&mark[v], 0)
-				ctx.AtomicStore(rMark.At(v))
-				ctx.AtomicLoad(rLbl.At(v))
-				lv := atomic.LoadInt32(&labels[v])
-				ctx.Load(rOff.At(v))
-				ts, _ := g.Neighbors(v)
-				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-				for _, u := range ts {
-					ctx.AtomicLoad(rLbl.At(int(u)))
-					ctx.Compute(1)
-					for {
-						lu := atomic.LoadInt32(&labels[u])
-						if lv >= lu {
-							break
-						}
-						if atomic.CompareAndSwapInt32(&labels[u], lu, lv) {
-							ctx.AtomicRMW(rLbl.At(int(u)))
-							if atomic.CompareAndSwapInt32(&mark[u], 0, 1) {
-								ctx.AtomicRMW(rMark.At(int(u)))
-								found++
-								wl.push(tid, u)
-							}
-							break
-						}
-					}
-				}
-			}
-			ctx.Active(found - (hi - lo))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				total := wl.seal()
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case total == 0:
-					st = ctrlDone
-				default:
-					iters++
-				}
-				atomic.StoreInt32(&ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
-				return
-			}
-			if c := atomic.LoadInt32(&ctrl); c != ctrlContinue {
-				return
-			}
-			wl.copyOut(ctx, rFront)
-			ctx.Barrier(bar)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return componentsResultFromLabels(labels, iters+1, rep), nil
-}
-
-func componentsResultFromLabels(labels []int32, iters int, rep *exec.Report) *ComponentsResult {
-	seen := make(map[int32]bool)
-	for _, l := range labels {
-		seen[l] = true
-	}
-	return &ComponentsResult{Labels: labels, Components: len(seen), Iterations: iters, Report: rep}
+	return k.execute(goCtx, pl, g, threads, nil)
 }
 
 // CommunityIncremental re-optimizes a community assignment after an
 // edge delta in the delta-PageRank style: bounded re-iteration seeded
-// from the affected region. Per-vertex and per-community weighted
-// degrees are rebuilt from the post-delta graph (they are O(n+m) sums),
-// the previous assignment is kept as the starting point, and only the
-// delta endpoints and their neighbors enter the initial worklist; the
-// usual CommunityFrontier move rounds then run for at most maxPasses.
-// COMM is a heuristic, so unlike BFS/CC the repaired partition is valid
-// but not guaranteed identical to a from-scratch run — Modularity is
-// recomputed from the final assignment either way.
+// from the affected region. The previous assignment is kept as the
+// starting point and only the delta endpoints and their neighbors enter
+// the initial worklist; the usual CommunityFrontier move rounds then
+// run for at most maxPasses. COMM is a heuristic, so unlike BFS/CC the
+// repaired partition is valid but not guaranteed identical to a
+// from-scratch run — Modularity is recomputed from the final assignment
+// either way.
 func CommunityIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int, oldComm []int32, d *graph.EdgeDelta) (*CommunityResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
 	}
-	if len(oldComm) != g.N {
-		return nil, fmt.Errorf("core: seed communities for %d vertices, graph has %d", len(oldComm), g.N)
-	}
-	if maxPasses < 1 {
-		maxPasses = 1
+	if err := checkDelta(d, g.N); err != nil {
+		return nil, err
 	}
 	n := g.N
-	comm := make([]int32, n)
-	copy(comm, oldComm)
-	for v, c := range comm {
+	if len(oldComm) != n {
+		return nil, fmt.Errorf("core: seed communities for %d vertices, graph has %d", len(oldComm), n)
+	}
+	for v, c := range oldComm {
 		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("core: seed community %d of vertex %d out of range [0,%d)", c, v, n)
 		}
 	}
-	k := make([]int64, n)
-	ktot := make([]int64, n)
-	var m2i int64
-	for v := 0; v < n; v++ {
-		_, ws := g.Neighbors(v)
-		for _, w := range ws {
-			k[v] += int64(w)
-		}
-		ktot[comm[v]] += k[v]
-		m2i += k[v]
+	k := &communityFrontierRun{
+		comm: append([]int32(nil), oldComm...),
+		mark: make([]int32, n),
 	}
-	if m2i == 0 {
-		rep, err := pl.RunCtx(goCtx, threads, func(exec.Ctx) {})
-		if err != nil {
-			return nil, err
-		}
-		return communityResultFromComm(g, comm, 0, rep), nil
-	}
-	m2 := float64(m2i)
-
 	// Seed: every delta endpoint plus its current out-neighborhood — the
-	// vertices whose best community can have changed.
-	mark := make([]int32, n)
-	enqueue := func(v int32) {
-		mark[v] = 1
-	}
-	for _, e := range d.Inserts {
-		enqueue(e.From)
-		enqueue(e.To)
-	}
-	for _, e := range d.Deletes {
-		enqueue(e.From)
-		enqueue(e.To)
+	// vertices whose best community can have changed. Endpoints are marked
+	// first (1) so that only they are expanded; neighbors get 2.
+	for _, es := range [2][]graph.Edge{d.Inserts, d.Deletes} {
+		for _, e := range es {
+			k.mark[e.From], k.mark[e.To] = 1, 1
+		}
 	}
 	for v := 0; v < n; v++ {
-		if mark[v] != 1 {
+		if k.mark[v] != 1 {
 			continue
 		}
 		ts, _ := g.Neighbors(v)
 		for _, u := range ts {
-			if mark[u] == 0 {
-				mark[u] = 2 // neighbor of an endpoint; not itself expanded
+			if k.mark[u] == 0 {
+				k.mark[u] = 2
 			}
 		}
 	}
-	seed := make([]int32, 0, 64)
+	k.wl.prepare(threads, 0)
 	for v := 0; v < n; v++ {
-		if mark[v] != 0 {
-			mark[v] = 1
-			seed = append(seed, int32(v))
+		if k.mark[v] != 0 {
+			k.mark[v] = 1
+			k.wl.seed(int32(v))
 		}
 	}
-	wl := newWorklist(threads, seed)
-	ctrl := ctrlContinue
-	passes := 0
-
-	rComm := pl.Alloc("commi.community", n, 4)
-	rKtot := pl.Alloc("commi.ktot", n, 8)
-	rOff := pl.Alloc("commi.offsets", n+1, 8)
-	rTgt := pl.Alloc("commi.targets", g.M(), 4)
-	rWgt := pl.Alloc("commi.weights", g.M(), 4)
-	rMark := pl.Alloc("commi.mark", n, 4)
-	rFront := pl.Alloc("commi.frontier", n, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
-	bar := pl.NewBarrier(threads)
-
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
-		tid := ctx.TID()
-		nbrW := make(map[int32]int64, 16)
-		nbrC := make([]int32, 0, 16)
-		for {
-			f := wl.frontier()
-			lo, hi := chunk(tid, threads, len(f))
-			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-			found := 0
-			for i := lo; i < hi; i++ {
-				v := int(f[i])
-				atomic.StoreInt32(&mark[v], 0)
-				ctx.AtomicStore(rMark.At(v))
-				ctx.AtomicLoad(rComm.At(v))
-				cur := atomic.LoadInt32(&comm[v])
-				clear(nbrW)
-				nbrC = nbrC[:0]
-				ctx.Load(rOff.At(v))
-				ts, ws := g.Neighbors(v)
-				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-				ctx.LoadSpan(rWgt.At(int(g.Offsets[v])), len(ts), 4)
-				for e, u := range ts {
-					ctx.AtomicLoad(rComm.At(int(u)))
-					ctx.Compute(1)
-					cu := atomic.LoadInt32(&comm[u])
-					if _, seen := nbrW[cu]; !seen {
-						nbrC = append(nbrC, cu)
-					}
-					nbrW[cu] += int64(ws[e])
-				}
-				kv := float64(k[v])
-				ctx.AtomicLoad(rKtot.At(int(cur)))
-				stay := float64(nbrW[cur]) - float64(atomic.LoadInt64(&ktot[cur])-k[v])*kv/m2
-				best, bestGain := cur, stay
-				for _, c := range nbrC {
-					if c == cur {
-						continue
-					}
-					ctx.AtomicLoad(rKtot.At(int(c)))
-					ctx.Compute(2)
-					gain := float64(nbrW[c]) - float64(atomic.LoadInt64(&ktot[c]))*kv/m2
-					if gain > bestGain+communityEps {
-						best, bestGain = c, gain
-					}
-				}
-				if best != cur {
-					a, b := cur, best
-					if a > b {
-						a, b = b, a
-					}
-					ctx.Lock(locks[a])
-					ctx.Lock(locks[b])
-					ctx.AtomicLoad(rKtot.At(int(cur)))
-					ctx.AtomicLoad(rKtot.At(int(best)))
-					atomic.AddInt64(&ktot[cur], -k[v])
-					atomic.AddInt64(&ktot[best], k[v])
-					ctx.AtomicRMW(rKtot.At(int(cur)))
-					ctx.AtomicRMW(rKtot.At(int(best)))
-					atomic.StoreInt32(&comm[v], best)
-					ctx.AtomicStore(rComm.At(v))
-					ctx.Unlock(locks[b])
-					ctx.Unlock(locks[a])
-					if atomic.CompareAndSwapInt32(&mark[v], 0, 1) {
-						ctx.AtomicRMW(rMark.At(v))
-						found++
-						wl.push(tid, int32(v))
-					}
-					for _, u := range ts {
-						if atomic.CompareAndSwapInt32(&mark[u], 0, 1) {
-							ctx.AtomicRMW(rMark.At(int(u)))
-							found++
-							wl.push(tid, u)
-						}
-					}
-				}
-			}
-			ctx.Active(found - (hi - lo))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				total := wl.seal()
-				passes++
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case total == 0 || passes >= maxPasses:
-					st = ctrlDone
-				}
-				atomic.StoreInt32(&ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
-				return
-			}
-			if c := atomic.LoadInt32(&ctrl); c != ctrlContinue {
-				return
-			}
-			wl.copyOut(ctx, rFront)
-			ctx.Barrier(bar)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return communityResultFromComm(g, comm, passes, rep), nil
-}
-
-func communityResultFromComm(g *graph.CSR, comm []int32, passes int, rep *exec.Report) *CommunityResult {
-	seen := make(map[int32]bool)
-	for _, c := range comm {
-		seen[c] = true
-	}
-	return &CommunityResult{
-		Community:   comm,
-		Communities: len(seen),
-		Modularity:  Modularity(g, comm),
-		Passes:      passes,
-		Report:      rep,
-	}
+	return k.execute(goCtx, pl, g, threads, maxPasses)
 }

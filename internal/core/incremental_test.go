@@ -101,9 +101,9 @@ func TestBFSIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 	}
 }
 
-// TestBFSIncrementalUntouchedReachableRegion pins the cutoff fast path:
-// a delta entirely outside the reachable region leaves every level
-// untouched without running any BFS rounds.
+// TestBFSIncrementalUntouchedReachableRegion pins the MaxInt32 cutoff:
+// a delta entirely outside the reachable region seeds an empty frontier
+// and leaves every level untouched.
 func TestBFSIncrementalUntouchedReachableRegion(t *testing.T) {
 	// 0->1 reachable chain; 2,3 unreachable from 0.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1, Weight: 1}}, false)
@@ -263,20 +263,72 @@ func TestIncrementalOK(t *testing.T) {
 	}
 }
 
-// TestBFSIncrementalSeedValidation pins the defensive checks on the
-// seed result.
+// TestBFSIncrementalSeedValidation pins the defensive checks of all
+// three repairs: the public facade passes seeds and deltas through
+// unvalidated, so a malformed one must come back as an error, never as
+// an out-of-range index or a nil dereference.
 func TestBFSIncrementalSeedValidation(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1, Weight: 1}}, true)
-	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 1, To: 2, Weight: 1}}}
-	if err := d.Canonicalize(g.N); err != nil {
+	good := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 1, To: 2, Weight: 1}}}
+	if err := good.Canonicalize(g.N); err != nil {
 		t.Fatal(err)
 	}
-	next := graph.ApplyDelta(g, d)
-	if _, err := BFSIncremental(context.Background(), native.New(), next, 0, 2, make([]int32, 2), d); err == nil {
-		t.Fatal("accepted a seed of the wrong length")
+	next := graph.ApplyDelta(g, good)
+	level := BFSRef(g, 0)
+	labels := ComponentsRef(g)
+	comm := []int32{0, 0, 2, 3}
+
+	deltas := []struct {
+		name string
+		d    *graph.EdgeDelta
+	}{
+		{"nil delta", nil},
+		{"insert tail out of range", &graph.EdgeDelta{Inserts: []graph.Edge{{From: 4, To: 1, Weight: 1}}}},
+		{"insert head negative", &graph.EdgeDelta{Inserts: []graph.Edge{{From: 1, To: -1, Weight: 1}}}},
+		{"delete tail negative", &graph.EdgeDelta{Deletes: []graph.Edge{{From: -2, To: 1}}}},
+		{"delete head out of range", &graph.EdgeDelta{Deletes: []graph.Edge{{From: 1, To: 9}}}},
 	}
-	bad := []int32{5, -1, -1, -1} // source not at level 0
-	if _, err := BFSIncremental(context.Background(), native.New(), next, 0, 2, bad, d); err == nil {
-		t.Fatal("accepted a seed whose source level is not 0")
+	kernels := []struct {
+		name string
+		run  func(seed []int32, d *graph.EdgeDelta) error
+		seed []int32
+		bad  map[string][]int32
+	}{
+		{"BFS", func(seed []int32, d *graph.EdgeDelta) error {
+			_, err := BFSIncremental(context.Background(), native.New(), next, 0, 2, seed, d)
+			return err
+		}, level, map[string][]int32{
+			"wrong length":          make([]int32, 2),
+			"source not at level 0": {5, -1, -1, -1},
+		}},
+		{"CONN_COMP", func(seed []int32, d *graph.EdgeDelta) error {
+			_, err := ComponentsIncremental(context.Background(), native.New(), next, 2, seed, d)
+			return err
+		}, labels, map[string][]int32{
+			"wrong length": make([]int32, 2),
+		}},
+		{"COMM", func(seed []int32, d *graph.EdgeDelta) error {
+			_, err := CommunityIncremental(context.Background(), native.New(), next, 2, 4, seed, d)
+			return err
+		}, comm, map[string][]int32{
+			"wrong length":           make([]int32, 2),
+			"community out of range": {0, 0, 4, 3},
+			"community negative":     {0, -1, 2, 3},
+		}},
+	}
+	for _, k := range kernels {
+		if err := k.run(k.seed, good); err != nil {
+			t.Errorf("%s: rejected a valid seed and delta: %v", k.name, err)
+		}
+		for _, tc := range deltas {
+			if err := k.run(k.seed, tc.d); err == nil || errors.Is(err, ErrNoIncremental) {
+				t.Errorf("%s: %s: err = %v, want a validation error", k.name, tc.name, err)
+			}
+		}
+		for name, seed := range k.bad {
+			if err := k.run(seed, good); err == nil {
+				t.Errorf("%s: accepted a seed with %s", k.name, name)
+			}
+		}
 	}
 }

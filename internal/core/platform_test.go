@@ -178,10 +178,11 @@ func TestSimulatorReportsArePopulated(t *testing.T) {
 		Source: 0,
 	}
 	for _, b := range Suite() {
-		rep, err := b.RunReport(simMachine(t, 16), in, 4)
+		res, err := b.Run(context.Background(), simMachine(t, 16), Request{Input: in, Threads: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
+		rep := res.Report
 		if rep.Time == 0 {
 			t.Fatalf("%s: zero completion time", b.Name)
 		}

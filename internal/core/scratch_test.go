@@ -203,3 +203,46 @@ func TestWarmRunsAllocZero(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmSeededRepairAllocs: a seeded run shares the full kernel's run
+// state, so a warm BFS repair with a serving-mode scratch allocates only
+// what it detaches — the level array and the result struct — and nothing
+// in zero-alloc mode.
+func TestWarmSeededRepairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	g := graph.SocialNet(2000, 8, 11)
+	old := BFSRef(g, 0)
+	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 0, To: 1999, Weight: 1}}}
+	if err := d.Canonicalize(g.N); err != nil {
+		t.Fatal(err)
+	}
+	next := graph.ApplyDelta(g, d)
+	want := BFSRef(next, 0)
+	goCtx := context.Background()
+	pl := native.NewReusable()
+	defer pl.Close()
+	for _, c := range []struct {
+		detach bool
+		allocs float64
+	}{{true, 2}, {false, 0}} {
+		s := NewScratch()
+		s.DetachResults = c.detach
+		repair := func() {
+			res, err := bfsIncremental(goCtx, pl, next, 0, 4, old, d, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Level[1999] != want[1999] {
+				t.Fatalf("level[1999] = %d, want %d", res.Level[1999], want[1999])
+			}
+		}
+		for i := 0; i < 3; i++ {
+			repair()
+		}
+		if n := testing.AllocsPerRun(10, repair); n != c.allocs {
+			t.Errorf("warm repair (DetachResults=%v) allocates %.0f objects per run, want %.0f", c.detach, n, c.allocs)
+		}
+	}
+}

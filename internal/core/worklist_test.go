@@ -12,14 +12,14 @@ import (
 
 // TestWorklistRecycleProperty drives the worklist through randomized
 // shrink-then-grow frontier schedules — the shape hybrid BFS produces
-// when a dense region drains into a thin cut and re-expands — under the
-// real seal/copyOut barrier choreography, and checks two invariants of
-// the recycling in seal():
+// when a dense region drains into a thin cut and re-expands — through
+// endRound, the real round-end choreography, and checks two invariants
+// of the recycling in seal():
 //
 //  1. the array installed as the new frontier never aliases the frontier
 //     threads processed this round (the recycled spare is always the
 //     array retired one full round earlier, which no thread references);
-//  2. after copyOut, the merged frontier is exactly the per-thread
+//  2. after endRound, the merged frontier is exactly the per-thread
 //     pushes concatenated in tid order.
 func TestWorklistRecycleProperty(t *testing.T) {
 	f := func(seed int64, pRaw uint8) bool {
@@ -69,9 +69,8 @@ func TestWorklistRecycleProperty(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					wl.push(tid, int32((r+1)<<16|i))
 				}
-				ctx.Barrier(bar)
-				if tid == 0 {
-					total := wl.seal()
+				// decide runs on thread 0 between seal and the copy phase.
+				decide := func(total int) int32 {
 					if total != want {
 						ok = false
 					}
@@ -83,10 +82,11 @@ func TestWorklistRecycleProperty(t *testing.T) {
 					if len(f) > 0 && (len(wl.spare) == 0 || &wl.spare[0] != &f[0]) {
 						ok = false // retired array should be the recycle candidate
 					}
+					return ctrlContinue
 				}
-				ctx.Barrier(bar)
-				wl.copyOut(ctx, rFront)
-				ctx.Barrier(bar)
+				if wl.endRound(ctx, bar, rFront, decide) != ctrlContinue {
+					return
+				}
 				if tid == 0 {
 					// Invariant 2: merged contents in tid order.
 					nf := wl.frontier()

@@ -3,10 +3,13 @@ package racecheck
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"crono/internal/core"
+	"crono/internal/exec"
 	"crono/internal/graph"
+	"crono/internal/native"
 )
 
 // sweepCase is one cell of the zero-race pin matrix.
@@ -50,7 +53,99 @@ func sweepCases() []sweepCase {
 			}
 		}
 	}
+	// The entry points outside the registry run the frontier bodies from
+	// other start states: one frontier column each.
+	for _, b := range seededEntryPoints() {
+		for _, k := range kinds {
+			for _, th := range threadCounts {
+				cases = append(cases, sweepCase{b, core.StrategyFrontier, k, th})
+			}
+		}
+	}
 	return cases
+}
+
+// seededEntryPoints wraps BFSBatch and the three incremental repairs as
+// sweep cells. Each repair is seeded from a full result on req.G plus a
+// small random delta, and runs on the mutated graph.
+func seededEntryPoints() []core.Benchmark {
+	// delta draws a few fresh inserts and, when asked, deletes of
+	// existing edges; the seed is fixed, so cells are reproducible.
+	delta := func(g *graph.CSR, deletes int) (*graph.EdgeDelta, *graph.CSR, error) {
+		rng := rand.New(rand.NewSource(7))
+		d := &graph.EdgeDelta{}
+		for len(d.Inserts) < 3 {
+			if a, b := int32(rng.Intn(g.N)), int32(rng.Intn(g.N)); a != b {
+				d.Inserts = append(d.Inserts, graph.Edge{From: a, To: b, Weight: 1 + int32(rng.Intn(8))})
+			}
+		}
+		for v := 0; v < g.N && len(d.Deletes) < deletes; v += 5 {
+			if ts, _ := g.Neighbors(v); len(ts) > 0 {
+				d.Deletes = append(d.Deletes, graph.Edge{From: int32(v), To: ts[len(ts)-1]})
+			}
+		}
+		// Canonicalize rejects the rare draw that repeats an insert or
+		// inserts a deleted edge; the fixed seed avoids both here.
+		if err := d.Canonicalize(g.N); err != nil {
+			return nil, nil, err
+		}
+		return d, graph.ApplyDelta(g, d), nil
+	}
+	wrap := func(name string, run func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error)) core.Benchmark {
+		return core.Benchmark{Name: name, Run: func(ctx context.Context, pl exec.Platform, req core.Request) (*core.Result, error) {
+			rep, err := run(ctx, pl, req)
+			if err != nil {
+				return nil, err
+			}
+			return &core.Result{Report: rep}, nil
+		}}
+	}
+	return []core.Benchmark{
+		wrap("BFSBatch", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
+			r, err := core.BFSBatch(ctx, pl, req.G, []int{0, 1, req.G.N - 1, 1}, req.Threads)
+			if err != nil {
+				return nil, err
+			}
+			return r.Report, nil
+		}),
+		wrap("BFSIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
+			d, next, err := delta(req.G, 2)
+			if err != nil {
+				return nil, err
+			}
+			r, err := core.BFSIncremental(ctx, pl, next, req.Source, req.Threads, core.BFSRef(req.G, req.Source), d)
+			if err != nil {
+				return nil, err
+			}
+			return r.Report, nil
+		}),
+		wrap("ComponentsIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
+			d, next, err := delta(req.G, 0)
+			if err != nil {
+				return nil, err
+			}
+			r, err := core.ComponentsIncremental(ctx, pl, next, req.Threads, core.ComponentsRef(req.G), d)
+			if err != nil {
+				return nil, err
+			}
+			return r.Report, nil
+		}),
+		wrap("CommunityIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
+			full, err := core.CommunityFrontier(ctx, native.New(), req.G, 1, core.DefaultCommunityPasses)
+			if err != nil {
+				return nil, err
+			}
+			d, next, err := delta(req.G, 2)
+			if err != nil {
+				return nil, err
+			}
+			r, err := core.CommunityIncremental(ctx, pl, next, req.Threads, core.DefaultCommunityPasses, full.Community, d)
+			if err != nil {
+				return nil, err
+			}
+			return r.Report, nil
+		}),
+	}
 }
 
 // TestKernelSweepZeroRaces pins the absence of annotation-level races

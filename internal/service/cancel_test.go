@@ -20,7 +20,7 @@ func TestDeadlinedRunFreesWorkerSlot(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueLen = 4
 	s, ts := newTestServer(t, cfg)
-	gr := createGraph(t, ts.URL, "sparse", 20000, 1)
+	gr := createGraph(t, ts.URL, "sparse", 4000, 1)
 
 	resp := postJSON(t, ts.URL+"/v1/run", runRequest{
 		Graph:     gr.ID,

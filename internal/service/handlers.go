@@ -677,7 +677,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if meta.order == graph.OrderNone {
 			// Reordered runs opt out of incremental repair: the cached
 			// parent payload is in original vertex ids while the repair
-			// choreography would walk the permuted CSR.
+			// would walk the permuted CSR.
 			meta.inc = s.incrementalSeed(bench, ver, g, &req)
 		}
 	}
@@ -725,8 +725,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // incrementalSeed decides whether this run can repair the parent
 // version's result instead of recomputing, and if so returns the seed.
 // The conditions: the version has a parent, the strategy is frontier
-// (incremental kernels extend the frontier choreography; scan stays
-// paper-faithful full recompute), the kernel+delta shape passes
+// (a repair is a seeded frontier run; scan stays paper-faithful full
+// recompute), the kernel+delta shape passes
 // core.IncrementalOK, and the parent's result — same kernel, same
 // parameters, parent version ID — is still in the cache.
 func (s *Server) incrementalSeed(bench core.Benchmark, ver *Version, g *graph.CSR, req *runRequest) *incrementalSeed {
