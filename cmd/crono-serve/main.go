@@ -73,7 +73,6 @@ func main() {
 	flag.IntVar(&cfg.MaxVertices, "max-vertices", cfg.MaxVertices, "largest accepted graph")
 	flag.IntVar(&cfg.SimCores, "sim-cores", cfg.SimCores, "default simulated core count (perfect square)")
 	flag.DurationVar(&cfg.DefaultTimeout, "timeout", cfg.DefaultTimeout, "default per-request deadline")
-	flag.DurationVar(&cfg.BatchWindow, "batchwindow", cfg.BatchWindow, "how long the first BFS request of a batch group waits for same-shape companions before its multi-source pass fires; negative disables cross-request batching")
 	flag.DurationVar(&ht.read, "read-timeout", ht.read, "full-request read deadline (headers+body); slow readers time out instead of holding connections")
 	flag.DurationVar(&ht.write, "write-timeout", ht.write, "response write deadline; keep above the run timeout cap or long runs are cut off")
 	flag.DurationVar(&ht.idle, "idle-timeout", ht.idle, "keep-alive idle connection deadline")

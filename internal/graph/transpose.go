@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // The transpose cache fields live on CSR (see graph.go) so every consumer
 // of a graph — the hybrid BFS pull rounds, the in-CSR PageRank, the
 // Afforest finish phase — shares one lazily built reverse-adjacency copy.
@@ -12,15 +14,21 @@ package graph
 // on the same graph version) pay the O(N+M) construction exactly once.
 // Safe for concurrent use. The returned graph must not be modified.
 //
-// For an undirected graph (every edge stored in both directions) the
-// transpose has the same edge set as g, but callers should not rely on
-// pointer identity: InCSR always materializes a distinct CSR rather than
-// paying an O(M log deg) symmetry check up front.
+// An undirected graph (every edge stored in both directions with one
+// weight) is its own transpose, and InCSR returns g itself: the freshly
+// built transpose is compared with g array by array — neighbor lists are
+// sorted, so equal arrays are exactly symmetry — and dropped when they
+// match, so a symmetric graph never holds a second copy of its edges.
+// The compare is linear; an IsSymmetric probe would cost O(M log deg).
 func (g *CSR) InCSR() *CSR {
 	g.trMu.Lock()
 	defer g.trMu.Unlock()
 	if g.tr == nil {
-		g.tr = transpose(g)
+		t := transpose(g)
+		if slices.Equal(t.Offsets, g.Offsets) && slices.Equal(t.Targets, g.Targets) && slices.Equal(t.Weights, g.Weights) {
+			t = g
+		}
+		g.tr = t
 	}
 	return g.tr
 }

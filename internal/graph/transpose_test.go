@@ -17,6 +17,9 @@ func TestInCSRReversesEdges(t *testing.T) {
 		{From: 4, To: 2, Weight: 5},
 	}, false)
 	in := g.InCSR()
+	if in == g {
+		t.Fatal("InCSR of a directed graph returned g itself")
+	}
 	if err := in.Validate(); err != nil {
 		t.Fatalf("transpose invalid: %v", err)
 	}
@@ -37,18 +40,38 @@ func TestInCSRReversesEdges(t *testing.T) {
 	}
 }
 
-// TestInCSRSymmetric checks that an undirected graph's transpose carries
-// the same edge set (both are symmetric closures of the same edges).
+// TestInCSRSymmetric checks that an undirected graph is its own
+// transpose: InCSR returns g itself and keeps no second copy of the
+// edges, for every CRONO input family.
 func TestInCSRSymmetric(t *testing.T) {
-	g := Generate(KindSparse, 200, 11)
-	in := g.InCSR()
-	if in.M() != g.M() {
-		t.Fatalf("transpose m=%d, want %d", in.M(), g.M())
-	}
-	for _, e := range g.Edges() {
-		if w, ok := in.EdgeWeight(int(e.From), int(e.To)); !ok || w != e.Weight {
-			t.Fatalf("undirected edge %d->%d not preserved by transpose", e.From, e.To)
+	for _, kind := range []Kind{KindSparse, KindSocial, KindRoadCA} {
+		g := Generate(kind, 200, 11)
+		if in := g.InCSR(); in != g {
+			t.Fatalf("%s: InCSR of an undirected graph returned a copy, want g itself", kind)
 		}
+		if g.InCSR().InCSR() != g {
+			t.Fatalf("%s: transpose of the aliased transpose is not g", kind)
+		}
+	}
+}
+
+// TestInCSRAsymmetricWeights checks a graph that is symmetric in
+// structure but not in weights: its transpose carries the reversed
+// weights, so it must be a distinct CSR.
+func TestInCSRAsymmetricWeights(t *testing.T) {
+	g := FromEdges(3, []Edge{
+		{From: 0, To: 1, Weight: 2}, {From: 1, To: 0, Weight: 5},
+		{From: 1, To: 2, Weight: 4}, {From: 2, To: 1, Weight: 4},
+	}, false)
+	in := g.InCSR()
+	if in == g {
+		t.Fatal("InCSR aliased a graph whose reverse edges carry other weights")
+	}
+	if w, ok := in.EdgeWeight(1, 0); !ok || w != 2 {
+		t.Fatalf("transpose edge 1->0 weight %d (%v), want 2 (the weight of 0->1)", w, ok)
+	}
+	if w, ok := in.EdgeWeight(0, 1); !ok || w != 5 {
+		t.Fatalf("transpose edge 0->1 weight %d (%v), want 5 (the weight of 1->0)", w, ok)
 	}
 }
 

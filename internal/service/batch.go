@@ -7,242 +7,205 @@ import (
 	"time"
 
 	"crono/internal/core"
-	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
 )
 
 // This file implements cross-request run batching: concurrent /v1/run
 // BFS requests that differ only in source vertex — same graph version,
-// same strategy, same thread count — are coalesced into one bit-parallel
-// multi-source kernel pass (core.BFSBatch, one uint64 visited word per
-// vertex) and fanned back out per source. A burst of K distinct-source
-// requests thus costs ceil(K/core.BFSBatchWidth) graph traversals
-// instead of K.
+// strategy and thread count — can share one bit-parallel multi-source
+// pass (core.BFSBatch) that is fanned back out per source.
+//
+// The batcher is work-conserving: the first request of a key opens a
+// group and submits it to the worker pool at once, and later same-key
+// requests join it only until a worker dequeues it. The collection
+// window is therefore the queue wait — zero on an idle pool, as long as
+// the backlog under saturation — and no request ever waits on a timer.
+// At dequeue planBatch decides from the size of the group how its
+// members run.
 //
 // The collector sits *inside* the result cache's compute path: each
-// request still owns its per-source cache key in Cache.Do (so identical
-// sources coalesce at the cache layer and results are cached per source,
-// exactly as for unbatched runs), but instead of executing directly the
-// compute joins a batch group. The first joiner arms a BatchWindow
-// timer; the group fires when the timer expires or the width limit is
-// reached, whichever comes first. The pass runs under a server-owned
-// context with the default deadline, so one member's cancellation never
-// kills the traversal the other members are waiting on.
+// request still owns its per-source key in Cache.Do, so identical
+// sources coalesce there and results are cached per source, exactly as
+// for ungrouped runs.
 
-// batchMember is one waiting request: its source vertex and the channel
-// the finished pass delivers its per-source result on.
-type batchMember struct {
-	source int
-	ch     chan batchOut
-}
-
-// batchOut is what a pass delivers to each member.
-type batchOut struct {
-	cr  *cachedRun
-	err error
-}
-
-// batchGroup accumulates members for one (version, kernel, strategy,
-// threads) key until it fires.
+// batchGroup accumulates the members of one (version, kernel, strategy,
+// threads) key between its submission to the pool and its dequeue.
 type batchGroup struct {
 	key     string
 	bench   core.Benchmark
-	g       *graph.CSR
-	req     runRequest // first joiner's request; Source varies per member
 	meta    runMeta    // graph/version identity (inc is always nil here)
-	timer   *time.Timer
-	members []*batchMember
+	members []*pending // their requests differ in Source only
 }
 
-// batcher collects open batch groups. A group is keyed by everything in
-// the run cache key except the source vertex, so members are guaranteed
-// to want the same kernel on the same input with the same options. The
-// collection window is computed per group from queue pressure
-// (adaptiveBatchWindow), not stored here.
+// batcher holds the open groups: those a worker has not dequeued yet and
+// that still have room. A group is keyed by everything in the run cache
+// key except the source vertex, so members are guaranteed to want the
+// same kernel on the same input with the same options.
 type batcher struct {
 	mu     sync.Mutex
 	groups map[string]*batchGroup
 }
 
-func newBatcher() *batcher {
-	return &batcher{groups: make(map[string]*batchGroup)}
-}
-
-// batchKey derives the group key: the cache-key fields minus the source.
-func batchKey(versionID string, bench core.Benchmark, req *runRequest) string {
-	return fmt.Sprintf("batch|%s|%s|st=%s|t=%d", versionID, bench.Name, req.Strategy, req.Threads)
-}
-
-// batchable reports whether a run request may join a batch group:
-// batching is on, the kernel has a bit-parallel multi-source form (BFS),
-// the run is native (sim runs are timing experiments — perturbing them
-// with unrelated sources would corrupt the measurement), the strategy is
-// not the paper-fidelity scan, the run is not reordered (the batch pass
-// runs over the original layout), and the run is not an incremental
-// repair (those seed from a specific parent result).
-func (s *Server) batchable(bench core.Benchmark, req *runRequest, meta *runMeta, g *graph.CSR) bool {
-	return s.cfg.BatchWindow > 0 &&
-		bench.Name == "BFS" &&
-		req.Platform == "native" &&
-		req.Strategy != string(core.StrategyScan) &&
-		meta.order == graph.OrderNone &&
-		meta.inc == nil &&
-		g != nil
-}
-
-// maxBatchWindowScale caps the adaptive batch window at this multiple of
-// the configured base.
-const maxBatchWindowScale = 8
-
-// adaptiveBatchWindow scales a base batch window with queue pressure:
-// with an idle pool the window stays at the base (batching must not add
-// latency when the server could just run the request), and as the queue
-// deepens the window stretches — each multiple of worker parallelism
-// queued adds one base-window of patience, clamped at
-// maxBatchWindowScale× — because under saturation wider batches are how
-// the backlog drains (K sources per traversal instead of 1).
-func adaptiveBatchWindow(base time.Duration, depth, workers int) time.Duration {
-	if base <= 0 || workers < 1 {
-		return base
+// seal closes grp to further joiners and returns its members. Only the
+// one owner of the group calls it: the worker that dequeued it, or the
+// creator whose submission failed.
+func (b *batcher) seal(grp *batchGroup) []*pending {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.groups[grp.key] == grp {
+		delete(b.groups, grp.key)
 	}
-	scale := 1 + depth/workers
-	if scale > maxBatchWindowScale {
-		scale = maxBatchWindowScale
+	return grp.members
+}
+
+// The constants planBatch decides by, each from a row of the sizing
+// table in DESIGN.md §5b "Batching" (BFSBatch pass against single-source
+// runs, 2 threads).
+const (
+	// breakEvenFrontier: on social n=16384 a pass costs 3.4 ms per source
+	// at k=3 against 4.0 ms for one frontier run (4.7 at k=2).
+	breakEvenFrontier = 3
+	// breakEvenHybrid: a hybrid run costs 1.5 ms there, which a pass
+	// reliably undercuts only from k≈10 (1.46 ms per source).
+	breakEvenHybrid = 10
+	// deepBFSDepth: on road-ca n=65536 (depth 65) a pass costs 7.6–10 ms
+	// per source at k=16 and 4.8–5.4 at k=64 against 3.8–6.7 ms for one
+	// frontier run — no k wins. The shallow rows are 3–5 levels deep, the
+	// road families 43–68; the bound sits between the two clusters.
+	deepBFSDepth = 16
+)
+
+// planBatch decides how the k members of a group run, from the strategy
+// they asked for and the version's BFS depth estimate: one bit-parallel
+// pass only when the version is shallow and k is at or above the
+// break-even for that strategy. The reason is echoed as "plan" in the
+// reply.
+func planBatch(k int, strategy string, depth int) (batch bool, reason string) {
+	breakEven := breakEvenFrontier
+	if strategy == string(core.StrategyHybrid) {
+		breakEven = breakEvenHybrid
 	}
-	return base * time.Duration(scale)
+	switch {
+	case depth > deepBFSDepth:
+		return false, fmt.Sprintf("single:deep(depth=%d)", depth)
+	case k == 1:
+		return false, "single:alone"
+	case k < breakEven:
+		return false, fmt.Sprintf("single:below-break-even(k=%d<%d)", k, breakEven)
+	}
+	return true, fmt.Sprintf("batch:k=%d", k)
 }
 
-// batchWindow is the adaptive window for the current pool state.
-func (s *Server) batchWindow() time.Duration {
-	return adaptiveBatchWindow(s.cfg.BatchWindow, int(s.pool.Depth()), s.cfg.Workers)
+// batchable reports whether a run request may join a batch group. The
+// shape must allow it: BFS (the kernel with a multi-source form), native
+// (a sim run is a timing experiment unrelated sources would corrupt),
+// not the paper-fidelity scan, not reordered (a pass runs over the
+// original layout) and not an incremental repair (seeded from one
+// parent result). A request of that shape joins only if a full group
+// would run as a pass on its version; otherwise plan says why not.
+func (s *Server) batchable(bench core.Benchmark, req *runRequest, meta *runMeta) (join bool, plan string) {
+	if bench.Name != "BFS" || req.Platform != "native" || req.Strategy == string(core.StrategyScan) ||
+		meta.order != graph.OrderNone || meta.inc != nil {
+		return false, ""
+	}
+	return planBatch(core.BFSBatchWidth, req.Strategy, meta.ver.BFSDepth())
 }
 
-// joinBatch enrolls the request in its batch group (creating and arming
-// it if absent) and blocks until the pass delivers this source's result
-// or ctx expires. It runs inside Cache.Do's compute slot for the
-// request's own per-source key, so its return value is cached per
-// source like any other run result.
-func (s *Server) joinBatch(ctx context.Context, bench core.Benchmark, g *graph.CSR, req *runRequest, meta *runMeta) (any, error) {
-	m := &batchMember{source: req.Source, ch: make(chan batchOut, 1)}
-	key := batchKey(meta.versionID, bench, req)
+// joinBatch enrolls the request in the open group of its key, opening
+// and submitting one if there is none, and blocks until a worker
+// delivers this source's result or ctx expires. It runs inside
+// Cache.Do's compute slot for the request's own per-source key, so its
+// return value is cached per source like any other run result.
+func (s *Server) joinBatch(ctx context.Context, bench core.Benchmark, req *runRequest, meta *runMeta) (any, error) {
+	m := newPending(ctx, req)
+	key := fmt.Sprintf("%s|%s|st=%s|t=%d", meta.versionID, bench.Name, req.Strategy, req.Threads)
 
 	b := s.batches
 	b.mu.Lock()
 	grp := b.groups[key]
-	// A group still resident at full width is mid-fire (its timer lost the
-	// Stop race below); start a fresh group rather than overflowing it.
-	// The stale timer callback's map identity check keeps it from touching
-	// the replacement.
-	if grp == nil || len(grp.members) >= core.BFSBatchWidth {
-		grp = &batchGroup{key: key, bench: bench, g: g, req: *req, meta: *meta}
+	created := grp == nil
+	if created {
+		grp = &batchGroup{key: key, bench: bench, meta: *meta}
 		b.groups[key] = grp
-		grp.timer = time.AfterFunc(s.batchWindow(), func() {
-			b.mu.Lock()
-			if b.groups[key] == grp {
-				delete(b.groups, key)
-			}
-			b.mu.Unlock()
-			s.runBatch(grp)
-		})
 	}
 	grp.members = append(grp.members, m)
-	if len(grp.members) >= core.BFSBatchWidth {
-		// Width reached: fire now instead of waiting out the window. The
-		// timer may already be mid-fire; the map check in its callback
-		// makes the detach race-free (only one path runs the group).
-		if grp.timer.Stop() {
-			delete(b.groups, key)
-			b.mu.Unlock()
-			s.runBatch(grp)
-			b.mu.Lock()
-		}
+	if len(grp.members) == core.BFSBatchWidth {
+		delete(b.groups, key) // full: the next same-key request opens a new group
 	}
 	b.mu.Unlock()
 
-	select {
-	case out := <-m.ch:
-		return out.cr, out.err
-	case <-ctx.Done():
-		// The pass keeps running for the remaining members; this source's
-		// result is simply not cached (Do drops errored computes).
-		return nil, ctx.Err()
+	if created {
+		// The group outlives any one member's request, so it is queued
+		// under no request's context.
+		if err := s.pool.Submit(context.Background(), func() { s.runGroup(grp) }); err != nil {
+			for _, o := range b.seal(grp) {
+				o.ch <- runOut{err: err}
+			}
+		}
+	}
+	return s.await(m, bench.Name)
+}
+
+// runGroup is the dequeue of a group on a pool worker: it closes the
+// group, answers members whose context is already done without running
+// them, and runs the rest as planBatch decides. Singles run one after
+// another on this worker — a group never re-enters the pool.
+func (s *Server) runGroup(grp *batchGroup) {
+	members := s.batches.seal(grp)
+	live := members[:0]
+	for _, m := range members {
+		if err := m.ctx.Err(); err != nil {
+			m.ch <- runOut{err: err}
+			continue
+		}
+		live = append(live, m)
+	}
+	if len(live) == 0 {
+		return
+	}
+	ver := grp.meta.ver
+	batch, plan := planBatch(len(live), live[0].req.Strategy, ver.BFSDepth())
+	if batch {
+		s.runPass(grp, live, plan)
+		return
+	}
+	for _, m := range live {
+		m.ch <- s.runOne(m, grp.bench, core.Input{G: ver.Graph(), Source: m.req.Source}, &grp.meta, plan)
 	}
 }
 
-// runBatch executes one multi-source pass on the worker pool and fans
-// the per-source results out to the members. It runs under a
-// server-owned context with the default deadline — member requests'
-// deadlines only govern their own waits.
-func (s *Server) runBatch(grp *batchGroup) {
-	sources := make([]int, len(grp.members))
-	for i, m := range grp.members {
-		sources[i] = m.source
-	}
+// runPass executes one multi-source pass and fans the per-source results
+// out to the members. It runs under a server-owned context with the
+// default deadline, so one member's cancellation never kills the
+// traversal the others are waiting on.
+func (s *Server) runPass(grp *batchGroup, members []*pending, plan string) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 	defer cancel()
-
-	var (
-		res  *core.BFSBatchResult
-		err  error
-		wall time.Duration
-		done = make(chan struct{})
-	)
-	if serr := s.pool.Submit(ctx, func() {
-		defer close(done)
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		start := time.Now()
-		res, err = core.BFSBatch(ctx, native.New(), grp.g, sources, grp.req.Threads)
-		wall = time.Since(start)
-	}); serr != nil {
-		grp.deliverError(serr)
-		return
+	sources := make([]int, len(members))
+	for i, m := range members {
+		sources[i] = m.req.Source
 	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.m.runErrors(grp.bench.Name, errReason(ctx.Err())).Inc()
-		grp.deliverError(ctx.Err())
-		return
-	}
+	s.inflight.Add(1)
+	start := time.Now()
+	res, err := core.BFSBatch(ctx, native.New(), grp.meta.ver.Graph(), sources, members[0].req.Threads)
+	wall := time.Since(start)
+	s.inflight.Add(-1)
 	if err != nil {
-		s.m.runErrors(grp.bench.Name, errReason(err)).Inc()
-		grp.deliverError(err)
+		for _, m := range members {
+			m.ch <- runOut{err: err}
+		}
 		return
 	}
-
-	s.m.runs(grp.bench.Name).Inc()
-	s.m.latency(grp.bench.Name, grp.req.Platform).Observe(wall.Seconds())
+	name := grp.bench.Name
+	s.m.runs(name).Inc()
+	s.m.latency(name, members[0].req.Platform).Observe(wall.Seconds())
 	s.m.batchPasses.Inc()
-	s.m.batched(grp.bench.Name).Add(uint64(len(grp.members)))
-
-	rep := res.Report
-	for i, m := range grp.members {
-		resp := &runResponse{
-			Kernel:            grp.bench.Name,
-			Platform:          rep.Platform,
-			Threads:           rep.Threads,
-			Graph:             grp.meta.graphID,
-			GraphVersion:      grp.meta.versionID,
-			Batched:           true,
-			TimeUnit:          "ns",
-			Time:              rep.Time,
-			TotalInstructions: rep.TotalInstructions(),
-			Variability:       rep.Variability(),
-			Breakdown:         make(map[string]uint64, exec.NumComponents),
-			WallSeconds:       wall.Seconds(),
-		}
-		for c := exec.CompCompute; c < exec.NumComponents; c++ {
-			resp.Breakdown[c.String()] = rep.Breakdown[c]
-		}
-		m.ch <- batchOut{cr: &cachedRun{resp: resp, level: res.Level[i]}}
-	}
-}
-
-// deliverError fails every member with the same error.
-func (g *batchGroup) deliverError(err error) {
-	for _, m := range g.members {
-		m.ch <- batchOut{err: err}
+	s.m.batched(name).Add(uint64(len(members)))
+	for i, m := range members {
+		resp := newRunResponse(name, res.Report, &grp.meta, wall, start.Sub(m.accepted))
+		resp.Batched, resp.Plan = true, plan
+		s.m.queueWait(name).Observe(resp.QueueWaitSeconds)
+		m.ch <- runOut{cr: &cachedRun{resp: resp, level: res.Level[i]}}
 	}
 }

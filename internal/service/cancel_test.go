@@ -1,65 +1,200 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"crono/internal/core"
+	"crono/internal/graph"
+	"crono/internal/native"
 )
+
+// longRuns lists runs that outlast their deadline many times over:
+// PageRank on the simulator with a million iterations is hours of work
+// uncanceled, and the two BFS rows take tens of milliseconds
+// single-threaded against a 1 ms deadline. Those are lone members of a
+// batch group — the path that used to run under a server-owned context
+// and keep its worker until the whole pass had finished.
+var longRuns = []struct {
+	name      string
+	kind      string
+	n         int
+	req       runRequest
+	timeoutMS int
+}{
+	{"PageRank sim", "sparse", 4000, runRequest{Kernel: "PageRank", Platform: "sim", Threads: 8, Iters: 1_000_000}, 100},
+	{"BFS frontier", "social", 1 << 16, runRequest{Kernel: "BFS", Strategy: "frontier", Threads: 1, Source: 1}, 1},
+	{"BFS hybrid", "social", 1 << 16, runRequest{Kernel: "BFS", Strategy: "hybrid", Threads: 1, Source: 1}, 1},
+}
+
+// waitDrained waits for the pool to empty: the handler has already
+// returned, but the worker may still be inside the kernel until its next
+// checkpoint.
+func waitDrained(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, "the worker slot to be freed", func() bool { return s.pool.Depth() == 0 })
+}
 
 // TestDeadlinedRunFreesWorkerSlot is the end-to-end cancellation check: a
 // /v1/run whose deadline expires mid-kernel must (a) answer 504 without
 // waiting for the kernel, (b) abort the kernel at its next checkpoint so
-// the single worker slot drains long before the run's natural completion,
-// and (c) leave a crono_run_errors_total{...,reason="deadline"} series in
-// /metrics. The kernel is PageRank on the simulator with a million
-// iterations — hours of work uncanceled — so the slot freeing within
-// seconds can only be the cooperative abort.
+// the single worker slot drains long before the run's natural completion
+// — no completed kernel run is ever counted — and (c) leave a
+// crono_run_errors_total{...,reason="deadline"} series in /metrics.
 func TestDeadlinedRunFreesWorkerSlot(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cfg.QueueLen = 4
-	s, ts := newTestServer(t, cfg)
-	gr := createGraph(t, ts.URL, "sparse", 4000, 1)
+	for _, tc := range longRuns {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Workers = 1
+			cfg.QueueLen = 4
+			s, ts := newTestServer(t, cfg)
+			gr := createGraph(t, ts.URL, tc.kind, tc.n, 1)
 
-	resp := postJSON(t, ts.URL+"/v1/run", runRequest{
-		Graph:     gr.ID,
-		Kernel:    "PageRank",
-		Platform:  "sim",
-		Threads:   8,
-		Iters:     1_000_000,
-		TimeoutMS: 100,
-	})
-	var e errorResponse
-	decodeBody(t, resp, &e)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d (%s), want 504", resp.StatusCode, e.Error.Message)
+			req := tc.req
+			req.Graph, req.TimeoutMS = gr.ID, tc.timeoutMS
+			resp := postJSON(t, ts.URL+"/v1/run", req)
+			var e errorResponse
+			decodeBody(t, resp, &e)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status %d (%s), want 504", resp.StatusCode, e.Error.Message)
+			}
+			waitDrained(t, s)
+			if n := s.m.runs(req.Kernel).Value(); n != 0 {
+				t.Fatalf("%d kernel runs completed for a request that was deadlined", n)
+			}
+
+			// The freed slot must be immediately usable: a small run on the
+			// sole worker succeeds.
+			resp = postJSON(t, ts.URL+"/v1/run", runRequest{
+				Graph: gr.ID, Kernel: "PageRank", Threads: 2, Iters: 2,
+			})
+			var ok runResponse
+			decodeBody(t, resp, &ok)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("follow-up run after abort: status %d", resp.StatusCode)
+			}
+
+			m := fetchMetrics(t, ts.URL)
+			series := `crono_run_errors_total{kernel="` + req.Kernel + `",reason="deadline"}`
+			if v := metricValue(t, m, series); v < 1 {
+				t.Fatalf("%s = %v, want >= 1", series, v)
+			}
+		})
+	}
+}
+
+// pollCtx is a context whose Err turns non-nil at its n-th poll. Neither
+// the pool, the batcher nor the platforms wait on its Done — they poll
+// Err: the pool or the batcher once at dequeue, the platform once before
+// starting the threads and then at every checkpoint — so a run under it
+// is canceled mid-flight at a point fixed by poll count, not wall clock.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCanceledMidFlight: a run whose request is canceled while its
+// kernel is executing stops at the next checkpoint, delivers the
+// cancellation and no result, and is not counted as a completed run —
+// on the direct path and as the lone member of a batch group alike.
+func TestRunCanceledMidFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name, kernel, strategy string
+		kind                   graph.Kind
+		grouped                bool
+	}{
+		{"SSSP_DIJK direct", "SSSP_DIJK", "frontier", graph.KindSparse, false},
+		{"BFS frontier on a deep version, direct", "BFS", "frontier", graph.KindRoadCA, false},
+		{"BFS frontier in a group", "BFS", "frontier", graph.KindSparse, true},
+		{"BFS hybrid in a group", "BFS", "hybrid", graph.KindSparse, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(DefaultConfig())
+			defer s.Close()
+			g := graph.Generate(tc.kind, 4096, 1)
+			sg, err := s.store.Put(g, "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bench := mustBench(t, tc.kernel)
+			req := &runRequest{Platform: "native", Strategy: tc.strategy, Threads: 2, Source: 1}
+			meta := &runMeta{graphID: sg.ID, versionID: sg.Head().ID, ver: sg.Head(), order: graph.OrderNone}
+			in := core.Input{G: g, Source: req.Source}
+			join, plan := s.batchable(bench, req, meta)
+			if join != tc.grouped {
+				t.Fatalf("batchable = %t (%q), want %t", join, plan, tc.grouped)
+			}
+
+			// Polls 1 and 2 are the dequeue and the platform's entry check;
+			// two threads poll once a round, so the 4th poll lands in the
+			// first or second round of a traversal that has at least four.
+			ctx := &pollCtx{Context: context.Background()}
+			ctx.left.Store(3)
+			var val any
+			if join {
+				val, err = s.joinBatch(ctx, bench, req, meta)
+			} else {
+				val, err = s.execute(ctx, bench, in, req, meta, plan)
+			}
+			if !errors.Is(err, context.Canceled) || val != nil {
+				t.Fatalf("got (%v, %v), want the cancellation and no result", val, err)
+			}
+			if left := ctx.left.Load(); left >= 0 {
+				t.Fatalf("run ended with %d polls to spare: it never saw the cancellation", left+1)
+			}
+			if n := s.m.runs(tc.kernel).Value(); n != 0 {
+				t.Fatalf("%d completed runs counted for a canceled one", n)
+			}
+			if n := s.m.runErrors(tc.kernel, "canceled").Value(); n != 1 {
+				t.Fatalf("canceled run errors = %d, want 1", n)
+			}
+			waitDrained(t, s)
+		})
+	}
+}
+
+// TestLoneHybridRunsHybridKernel: a lone "strategy":"hybrid" BFS must be
+// answered by BFSHybrid, not by the batch kernel or the frontier one:
+// its single-threaded instruction count equals a direct hybrid run's and
+// differs from a direct frontier run's.
+func TestLoneHybridRunsHybridKernel(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "social", 4096, 5)
+	resp := postJSON(t, ts.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "BFS", Strategy: "hybrid", Threads: 1, Source: 7})
+	var rr runResponse
+	decodeBody(t, resp, &rr)
+	if rr.Batched || rr.Plan != "single:alone" || rr.QueueWaitSeconds < 0 {
+		t.Fatalf("lone hybrid BFS: %+v", rr)
 	}
 
-	// The handler already returned, but the worker may still be inside the
-	// kernel until the next checkpoint. It must drain promptly.
-	deadline := time.Now().Add(15 * time.Second)
-	for s.pool.Depth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool depth still %d 15s after the 100ms deadline: worker slot not freed", s.pool.Depth())
+	_, ver, _ := s.store.Resolve(gr.ID)
+	direct := func(st core.Strategy) uint64 {
+		res, err := mustBench(t, "BFS").Run(context.Background(), native.New(), core.Request{
+			Input: core.Input{G: ver.Graph(), Source: 7}, Strategy: st, Threads: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		return res.Report.TotalInstructions()
 	}
-
-	// The freed slot must be immediately usable: a small run on the sole
-	// worker succeeds.
-	resp = postJSON(t, ts.URL+"/v1/run", runRequest{
-		Graph: gr.ID, Kernel: "PageRank", Threads: 2, Iters: 2,
-	})
-	var ok runResponse
-	decodeBody(t, resp, &ok)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("follow-up run after abort: status %d", resp.StatusCode)
+	hybrid, frontier := direct(core.StrategyHybrid), direct(core.StrategyFrontier)
+	if hybrid == frontier {
+		t.Fatalf("hybrid and frontier both count %d instructions: the comparison proves nothing", hybrid)
 	}
-
-	m := fetchMetrics(t, ts.URL)
-	if v := metricValue(t, m, `crono_run_errors_total{kernel="PageRank",reason="deadline"}`); v < 1 {
-		t.Fatalf("crono_run_errors_total deadline series = %v, want >= 1", v)
+	if rr.TotalInstructions != hybrid {
+		t.Fatalf("served totalInstructions = %d, want %d (direct hybrid; direct frontier counts %d)", rr.TotalInstructions, hybrid, frontier)
 	}
 }
 
@@ -160,16 +295,55 @@ func TestPreCanceledRequestCountsCanceled(t *testing.T) {
 		resp.Body.Close()
 		t.Fatal("expected client-side timeout, got response")
 	}
-
-	deadline := time.Now().Add(15 * time.Second)
-	for s.pool.Depth() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool depth still %d after client disconnect", s.pool.Depth())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitDrained(t, s)
 	m := fetchMetrics(t, ts.URL)
 	if v := metricValue(t, m, `crono_run_errors_total{kernel="PageRank",reason="canceled"}`); v < 1 {
 		t.Fatalf("crono_run_errors_total canceled series = %v, want >= 1", v)
+	}
+}
+
+// TestGroupMemberDoneAtDequeueIsNotRun: a batch-group member whose client has
+// gone away by the time a worker dequeues the group is answered with its
+// own cancellation and never run, while the member queued beside it is
+// served.
+func TestGroupMemberDoneAtDequeueIsNotRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	s, ts := newTestServer(t, cfg)
+	gr := createGraph(t, ts.URL, "sparse", 2000, 1)
+	release := holdWorkers(t, s)
+
+	gone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", strings.NewReader(
+			`{"graph":"`+gr.ID+`","kernel":"BFS","threads":2,"source":1}`))
+		resp, err := (&http.Client{Timeout: 100 * time.Millisecond}).Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		gone <- err
+	}()
+	waitFor(t, "the first member to join", func() bool { return openMembers(s) == 1 })
+	stays := make(chan *http.Response, 1)
+	go func() { stays <- runFrom(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 2}) }()
+	waitFor(t, "the second member to join", func() bool { return openMembers(s) == 2 })
+	if err := <-gone; err == nil {
+		t.Fatal("expected client-side timeout, got response")
+	}
+	waitFor(t, "the server to see the client go", func() bool { return s.m.runErrors("BFS", "canceled").Value() == 1 })
+	release()
+
+	resp := <-stays
+	if resp == nil {
+		t.FailNow()
+	}
+	var rr runResponse
+	decodeBody(t, resp, &rr)
+	if resp.StatusCode != http.StatusOK || rr.Plan != "single:alone" {
+		t.Fatalf("surviving member: status %d, %+v; want a lone single", resp.StatusCode, rr)
+	}
+	waitDrained(t, s)
+	if n := s.m.runs("BFS").Value(); n != 1 {
+		t.Fatalf("%d BFS runs completed, want 1 (the member that went away must not run)", n)
 	}
 }

@@ -177,8 +177,11 @@ type runResponse struct {
 	Cached bool `json:"cached"`
 	// Batched is true when the result was computed by a shared
 	// multi-source kernel pass that coalesced this request with other
-	// in-flight sources on the same graph version (see Config.BatchWindow).
+	// queued sources on the same graph version.
 	Batched bool `json:"batched,omitempty"`
+	// Plan is the batcher's decision for a BFS of batchable shape and its
+	// reason (see planBatch), e.g. "single:alone" or "batch:k=28".
+	Plan string `json:"plan,omitempty"`
 	// Order is the resolved vertex ordering the kernel ran under ("auto"
 	// resolves to the concrete policy). Omitted for unordered runs.
 	Order string `json:"order,omitempty"`
@@ -189,8 +192,12 @@ type runResponse struct {
 	Variability       float64           `json:"variability"`
 	Breakdown         map[string]uint64 `json:"breakdown"`
 	// WallSeconds is the service-side execution latency of the kernel.
-	WallSeconds float64        `json:"wallSeconds"`
-	Sim         *simRunDetails `json:"sim,omitempty"`
+	WallSeconds float64 `json:"wallSeconds"`
+	// QueueWaitSeconds is the time from the handler accepting the compute
+	// to the kernel starting: the pool queue, including any time in an
+	// open batch group. Cached replies repeat the original run's value.
+	QueueWaitSeconds float64        `json:"queueWaitSeconds"`
+	Sim              *simRunDetails `json:"sim,omitempty"`
 }
 
 // simRunDetails carries simulator-only statistics.
@@ -695,10 +702,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	val, started, err := s.cache.Do(ctx, key, func() (any, error) {
-		if s.batchable(bench, &req, &meta, in.G) {
-			return s.joinBatch(ctx, bench, in.G, &req, &meta)
+		join, plan := s.batchable(bench, &req, &meta)
+		if join {
+			return s.joinBatch(ctx, bench, &req, &meta)
 		}
-		return s.execute(ctx, bench, in, &req, &meta)
+		return s.execute(ctx, bench, in, &req, &meta, plan)
 	})
 	if err != nil {
 		switch {
@@ -822,10 +830,64 @@ func runIncremental(ctx context.Context, pl exec.Platform, bench core.Benchmark,
 	return res, err
 }
 
-// execute builds the platform, runs the kernel on the worker pool and
-// shapes the response. It is called exactly once per cache key by
-// Cache.Do; concurrent identical requests coalesce onto its result.
-func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Input, req *runRequest, meta *runMeta) (any, error) {
+// pending is one accepted run waiting for a worker: the request, its
+// context, when the handler accepted the compute (where its queue wait
+// starts) and where the worker delivers the result.
+type pending struct {
+	ctx      context.Context
+	req      *runRequest
+	accepted time.Time
+	ch       chan runOut
+}
+
+// runOut is what a worker delivers for one pending run.
+type runOut struct {
+	cr  *cachedRun
+	err error
+}
+
+func newPending(ctx context.Context, req *runRequest) *pending {
+	return &pending{ctx: ctx, req: req, accepted: time.Now(), ch: make(chan runOut, 1)}
+}
+
+// await blocks until the worker delivers p's result or p's context ends,
+// and accounts a run that produced none (a failed pool admission is a
+// shed, which the handler counts). A context that ends first stops no
+// shared pass; this result is just not cached (Do drops errored computes).
+func (s *Server) await(p *pending, kernel string) (any, error) {
+	var err error
+	select {
+	case out := <-p.ch:
+		if out.err == nil {
+			return out.cr, nil
+		}
+		err = out.err
+	case <-p.ctx.Done():
+		err = p.ctx.Err()
+	}
+	if !errors.Is(err, ErrSaturated) && !errors.Is(err, ErrPoolClosed) {
+		s.m.runErrors(kernel, errReason(err)).Inc()
+	}
+	return nil, err
+}
+
+// execute submits the run to the worker pool and waits for its result.
+// It is called exactly once per cache key by Cache.Do; concurrent
+// identical requests coalesce onto its result.
+func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Input, req *runRequest, meta *runMeta, plan string) (any, error) {
+	p := newPending(ctx, req)
+	if err := s.pool.Submit(ctx, func() { p.ch <- s.runOne(p, bench, in, meta, plan) }); err != nil {
+		return nil, err
+	}
+	return s.await(p, bench.Name)
+}
+
+// runOne is the worker-side body of every single-source run: it builds
+// the platform, runs the kernel under the request's own context and
+// shapes the response. Batch-group members below break-even come through
+// here too, on the worker that dequeued their group.
+func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *runMeta, plan string) runOut {
+	ctx, req := p.ctx, p.req
 	var pl exec.Platform
 	switch req.Platform {
 	case "native":
@@ -838,7 +900,7 @@ func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Inpu
 		}
 		m, err := sim.New(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("sim config: %w", err)
+			return runOut{err: fmt.Errorf("sim config: %w", err)}
 		}
 		pl = m
 	}
@@ -852,91 +914,56 @@ func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Inpu
 		Delta:     req.Delta,
 		Target:    req.Target,
 	}
-	var (
-		res         *core.Result
-		runErr      error
-		incremental bool
-		wall        time.Duration
-		done        = make(chan struct{})
-	)
-	if err := s.pool.Submit(ctx, func() {
-		defer close(done)
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		start := time.Now()
-		// Materialize the reordered CSR on the worker, not the handler:
-		// the first run on a (version, order) pays the permutation build
-		// (memoized in the store), later runs get it for free.
-		if meta.order != graph.OrderNone && meta.ver != nil {
-			ro, roErr := meta.ver.Ordered(meta.order)
-			if roErr != nil {
-				runErr = roErr
-				return
-			}
-			creq.Reorder = ro
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	start := time.Now()
+	// Materialize the reordered CSR on the worker, not the handler: the
+	// first run on a (version, order) pays the permutation build (memoized
+	// in the store), later runs get it for free.
+	if meta.order != graph.OrderNone && meta.ver != nil {
+		ro, err := meta.ver.Ordered(meta.order)
+		if err != nil {
+			return runOut{err: err}
 		}
-		// Native runs borrow a pooled scratch in serving mode: internal
-		// kernel buffers (worklists, marks, band minima) are reused across
-		// requests while result-bearing arrays stay freshly allocated, so
-		// cache entries never alias pooled memory.
-		if in.G != nil && req.Platform == "native" {
-			sc := s.scratches.Get(in.G.N)
-			sc.DetachResults = true
-			creq.Scratch = sc
-			defer s.scratches.Put(sc)
-		}
-		// The request context reaches the kernel's Checkpoint polls: a
-		// canceled or deadlined request aborts the run within one kernel
-		// round, freeing this worker slot long before the kernel would
-		// have completed.
-		if meta.inc != nil {
-			res, runErr = runIncremental(ctx, pl, bench, creq, meta.inc)
-			incremental = res != nil && runErr == nil
-		}
-		if res == nil && runErr == nil {
-			res, runErr = bench.Run(ctx, pl, creq)
-		}
-		wall = time.Since(start)
-	}); err != nil {
-		return nil, err
+		creq.Reorder = ro
 	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// The kernel aborts at its next checkpoint; the worker discards
-		// the partial run and the queue slot frees itself.
-		s.m.runErrors(bench.Name, errReason(ctx.Err())).Inc()
-		return nil, ctx.Err()
+	// Native runs borrow a pooled scratch in serving mode: internal kernel
+	// buffers (worklists, marks, band minima) are reused across requests
+	// while result-bearing arrays stay freshly allocated, so cache entries
+	// never alias pooled memory.
+	if in.G != nil && req.Platform == "native" {
+		sc := s.scratches.Get(in.G.N)
+		sc.DetachResults = true
+		creq.Scratch = sc
+		defer s.scratches.Put(sc)
 	}
-	if runErr != nil {
-		s.m.runErrors(bench.Name, errReason(runErr)).Inc()
-		return nil, runErr
+	// The request context reaches the kernel's Checkpoint polls: a
+	// canceled or deadlined request aborts the run within one kernel
+	// round, freeing this worker slot long before the kernel would have
+	// completed.
+	var res *core.Result
+	var err error
+	if meta.inc != nil {
+		res, err = runIncremental(ctx, pl, bench, creq, meta.inc)
 	}
-	rep := res.Report
+	incremental := res != nil && err == nil
+	if res == nil && err == nil {
+		res, err = bench.Run(ctx, pl, creq)
+	}
+	wall := time.Since(start)
+	if err != nil {
+		return runOut{err: err}
+	}
 	s.m.runs(bench.Name).Inc()
 	s.m.latency(bench.Name, req.Platform).Observe(wall.Seconds())
 	if incremental {
 		s.m.incremental(bench.Name).Inc()
 	}
 
-	resp := &runResponse{
-		Kernel:            bench.Name,
-		Platform:          rep.Platform,
-		Threads:           rep.Threads,
-		Graph:             meta.graphID,
-		GraphVersion:      meta.versionID,
-		Incremental:       incremental,
-		Order:             orderLabel(meta.order),
-		TimeUnit:          "ns",
-		Time:              rep.Time,
-		TotalInstructions: rep.TotalInstructions(),
-		Variability:       rep.Variability(),
-		Breakdown:         make(map[string]uint64, exec.NumComponents),
-		WallSeconds:       wall.Seconds(),
-	}
-	for c := exec.CompCompute; c < exec.NumComponents; c++ {
-		resp.Breakdown[c.String()] = rep.Breakdown[c]
-	}
+	rep := res.Report
+	resp := newRunResponse(bench.Name, rep, meta, wall, start.Sub(p.accepted))
+	s.m.queueWait(bench.Name).Observe(resp.QueueWaitSeconds)
+	resp.Incremental, resp.Plan = incremental, plan
 	if rep.Platform == "sim" {
 		resp.TimeUnit = "cycles"
 		energy := make(map[string]float64, exec.NumEnergyComponents)
@@ -959,5 +986,29 @@ func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Inpu
 	case res.Community != nil:
 		cr.comm = res.Community.Community
 	}
-	return cr, nil
+	return runOut{cr: cr}
+}
+
+// newRunResponse shapes the reply fields every run shares, single or
+// batched.
+func newRunResponse(kernel string, rep *exec.Report, meta *runMeta, wall, queued time.Duration) *runResponse {
+	resp := &runResponse{
+		Kernel:            kernel,
+		Platform:          rep.Platform,
+		Threads:           rep.Threads,
+		Graph:             meta.graphID,
+		GraphVersion:      meta.versionID,
+		Order:             orderLabel(meta.order),
+		TimeUnit:          "ns",
+		Time:              rep.Time,
+		TotalInstructions: rep.TotalInstructions(),
+		Variability:       rep.Variability(),
+		Breakdown:         make(map[string]uint64, exec.NumComponents),
+		WallSeconds:       wall.Seconds(),
+		QueueWaitSeconds:  queued.Seconds(),
+	}
+	for c := exec.CompCompute; c < exec.NumComponents; c++ {
+		resp.Breakdown[c.String()] = rep.Breakdown[c]
+	}
+	return resp
 }

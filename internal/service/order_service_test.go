@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 	"testing"
-	"time"
 
 	"crono/internal/core"
 	"crono/internal/graph"
@@ -148,50 +147,23 @@ func TestOrderedRunSkipsIncremental(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchWindow pins the pressure scaling: an idle pool keeps
-// the base window (batching must not tax a quiet server), queue depth
-// stretches it one base per multiple of worker parallelism, and the
-// stretch clamps at maxBatchWindowScale×.
-func TestAdaptiveBatchWindow(t *testing.T) {
-	base := 2 * time.Millisecond
-	cases := []struct {
-		depth, workers int
-		want           time.Duration
-	}{
-		{0, 4, base},        // empty queue: no added latency
-		{3, 4, base},        // below one worker-round: still base
-		{4, 4, 2 * base},    // one full round queued
-		{12, 4, 4 * base},   // deeper backlog, wider window
-		{1000, 4, 8 * base}, // saturated: clamped at the max scale
-		{64, 1, 8 * base},   // single worker saturates fast
-		{8, 0, base},        // degenerate workers guard
-	}
-	for _, c := range cases {
-		if got := adaptiveBatchWindow(base, c.depth, c.workers); got != c.want {
-			t.Errorf("adaptiveBatchWindow(%v, %d, %d) = %v, want %v",
-				base, c.depth, c.workers, got, c.want)
-		}
-	}
-	if got := adaptiveBatchWindow(-time.Millisecond, 100, 4); got != -time.Millisecond {
-		t.Errorf("negative base (batching disabled) must pass through, got %v", got)
-	}
-	if got := adaptiveBatchWindow(0, 100, 4); got != 0 {
-		t.Errorf("zero base must pass through, got %v", got)
-	}
-}
-
 // TestBatchableExcludesOrdered: an ordered BFS request must not join a
-// multi-source batch pass (the pass runs over the original layout).
+// batch group (a pass runs over the original layout), on a version
+// shallow enough that the same request unordered does.
 func TestBatchableExcludesOrdered(t *testing.T) {
 	s := New(DefaultConfig())
 	defer s.Close()
 	g := graph.SocialNet(64, 4, 1)
+	sg, err := s.store.Put(g, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
 	bench := mustBench(t, "BFS")
 	req := &runRequest{Platform: "native", Strategy: "frontier", Threads: 2}
-	if !s.batchable(bench, req, &runMeta{order: graph.OrderNone}, g) {
-		t.Fatal("plain frontier BFS must be batchable")
+	if join, _ := s.batchable(bench, req, &runMeta{ver: sg.Head(), order: graph.OrderNone}); !join {
+		t.Fatal("plain frontier BFS on a shallow version must be batchable")
 	}
-	if s.batchable(bench, req, &runMeta{order: graph.OrderDegree}, g) {
-		t.Fatal("ordered run joined a batch group")
+	if join, plan := s.batchable(bench, req, &runMeta{ver: sg.Head(), order: graph.OrderDegree}); join || plan != "" {
+		t.Fatalf("ordered run: batchable = %t, %q; want no group and no batch plan", join, plan)
 	}
 }

@@ -56,12 +56,6 @@ type Config struct {
 	// specify one (must be a perfect square; 64 keeps sim latency low,
 	// the paper's 256 is available per request).
 	SimCores int
-	// BatchWindow is how long the first BFS run request of a batchable
-	// shape (same graph version, strategy and threads; native; not scan;
-	// not incremental) waits for companions before executing, so that up
-	// to 64 concurrent sources share one bit-parallel kernel pass. Zero
-	// means the default; negative disables cross-request batching.
-	BatchWindow time.Duration
 }
 
 // DefaultConfig returns production-leaning defaults.
@@ -79,7 +73,6 @@ func DefaultConfig() Config {
 		DefaultTimeout:   30 * time.Second,
 		MaxTimeout:       5 * time.Minute,
 		SimCores:         64,
-		BatchWindow:      2 * time.Millisecond,
 	}
 }
 
@@ -118,9 +111,6 @@ func (c *Config) sanitize() {
 	if c.SimCores < 1 {
 		c.SimCores = d.SimCores
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = d.BatchWindow
-	}
 }
 
 // serverMetrics bundles every registered instrument.
@@ -131,6 +121,7 @@ type serverMetrics struct {
 	runs        func(kernel string) *Counter
 	runErrors   func(kernel, reason string) *Counter
 	latency     func(kernel, platform string) *Histogram
+	queueWait   func(kernel string) *Histogram
 	patches     func(result string) *Counter
 	incremental func(kernel string) *Counter
 	cacheHit    *Counter
@@ -169,7 +160,7 @@ func New(cfg Config) *Server {
 		store:   NewStore(cfg.MaxGraphs),
 		pool:    NewPool(cfg.Workers, cfg.QueueLen),
 		cache:   NewCache(cfg.CacheEntries),
-		batches: newBatcher(),
+		batches: &batcher{groups: make(map[string]*batchGroup)},
 		mux:     http.NewServeMux(),
 	}
 	s.m = s.newMetrics()
@@ -204,6 +195,12 @@ func (s *Server) newMetrics() *serverMetrics {
 			"Wall-clock kernel execution latency.",
 			DefaultLatencyBuckets,
 			Label{"kernel", kernel}, Label{"platform", platform})
+	}
+	m.queueWait = func(kernel string) *Histogram {
+		return reg.Histogram("crono_queue_wait_seconds",
+			"Time from a handler accepting a run to its kernel starting: "+
+				"the pool queue, including time in an open batch group.",
+			DefaultLatencyBuckets, Label{"kernel", kernel})
 	}
 	m.patches = func(result string) *Counter {
 		return reg.Counter("crono_patch_requests_total",

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crono/internal/core"
 	"crono/internal/graph"
 )
 
@@ -58,6 +59,8 @@ type Version struct {
 	dense     *graph.Dense
 	autoOnce  sync.Once
 	auto      graph.Order
+	depthOnce sync.Once
+	depth     int
 	orderMu   sync.Mutex // guards orders map shape; entries synchronize themselves
 	orders    map[graph.Order]*orderedVersion
 }
@@ -130,6 +133,28 @@ func (v *Version) Ordered(o graph.Order) (*graph.Reordered, error) {
 func (v *Version) AutoOrder() graph.Order {
 	v.autoOnce.Do(func() { v.auto = graph.PickOrder(v.Graph()) })
 	return v.auto
+}
+
+// BFSDepth estimates how deep a BFS of this version runs: the level count
+// of one sequential BFS from the max-degree vertex. The batcher reads it
+// to tell small-world graphs, where sources share frontier vertices and a
+// multi-source pass pays off, from road-like ones, where it never does
+// (see planBatch). Memoized like AutoOrder, and computed per version
+// rather than inherited: a patch can bridge or cut a long path.
+func (v *Version) BFSDepth() int {
+	v.depthOnce.Do(func() {
+		g := v.Graph()
+		src := 0
+		for u := 1; u < g.N; u++ {
+			if g.Degree(u) > g.Degree(src) {
+				src = u
+			}
+		}
+		for _, l := range core.BFSRef(g, src) {
+			v.depth = max(v.depth, int(l))
+		}
+	})
+	return v.depth
 }
 
 // StoredGraph is one resident lineage: a chain of immutable versions

@@ -45,11 +45,6 @@ func StartInProcess(sc *Scenario) (base string, shutdown func(), err error) {
 		if s.IdleTimeoutMs > 0 {
 			idle = time.Duration(s.IdleTimeoutMs) * time.Millisecond
 		}
-		if s.BatchWindowMs != 0 {
-			// A negative scenario value maps to a negative duration, which
-			// the service treats as batching disabled.
-			cfg.BatchWindow = time.Duration(s.BatchWindowMs) * time.Millisecond
-		}
 	}
 	svc := service.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

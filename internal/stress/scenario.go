@@ -64,11 +64,6 @@ type ServerConfig struct {
 	ReadTimeoutMs  int   `json:"readTimeoutMs,omitempty"`
 	WriteTimeoutMs int   `json:"writeTimeoutMs,omitempty"`
 	IdleTimeoutMs  int   `json:"idleTimeoutMs,omitempty"`
-	// BatchWindowMs tunes cross-request run batching: how long the first
-	// BFS request of a batch group waits for same-shape companions before
-	// its kernel pass fires. 0 keeps the service default; a negative value
-	// disables batching so a scenario can pin unbatched behavior.
-	BatchWindowMs int `json:"batchWindowMs,omitempty"`
 }
 
 // GraphSpec declares one generated input graph.
