@@ -697,14 +697,13 @@ func timeInterleaved(ctx context.Context, bench core.Benchmark, reps int, reqs [
 }
 
 // measureWarm measures the steady-state allocation cost of the kernel's
-// fast strategy: a reusable platform plus a reused scratch, three
+// fast strategy: one native platform plus a reused scratch, three
 // warm-up runs to grow every buffer, then allocs/op via
 // testing.AllocsPerRun and bytes/op via the MemStats.TotalAlloc delta
 // over ten runs.
 func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, st core.Strategy, threads int) (float64, uint64, error) {
 	g.InCSR() // the pull kernels' transpose is preprocessing, not per-run cost
-	pl := native.NewReusable()
-	defer pl.Close()
+	pl := native.New()
 	req := core.Request{
 		Input:    core.Input{G: g},
 		Threads:  threads,

@@ -163,10 +163,12 @@ type (
 // largest graph it serves and are reused across runs.
 func NewScratch() *Scratch { return core.NewScratch() }
 
-// NewReusableNative returns a native platform that keeps its worker
-// goroutines alive between runs — the zero-allocation steady-state
-// companion to Scratch. Close it to release the workers.
-func NewReusableNative() *native.Reusable { return native.NewReusable() }
+// NewReusableNative is NewNative returning the concrete type. There is
+// one native platform and every instance is reusable; the name and the
+// concrete return type (for its Close, which only marks the platform
+// closed — nothing needs releasing) survive because the repository
+// benchmark under bench/ is written against them.
+func NewReusableNative() *native.Platform { return native.New() }
 
 // Result types of the ten kernels.
 type (
@@ -183,7 +185,10 @@ type (
 )
 
 // NewNative returns the real-machine platform: kernels run on host
-// goroutines at full speed.
+// goroutines at full speed. A platform runs one region at a time and
+// may be reused for any number of runs; each Run's report is the
+// caller's to keep. It holds no goroutines between runs, so it is
+// simply dropped when no longer needed.
 func NewNative() Platform { return native.New() }
 
 // DefaultSimConfig returns the paper's Table II machine configuration.

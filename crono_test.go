@@ -171,12 +171,11 @@ func TestFacadeVariants(t *testing.T) {
 
 // TestFacadeReorderAndScratch drives the layout and allocation knobs
 // through the public facade: a reordered run returns bit-identical
-// levels in original vertex ids, and a pooled scratch plus reusable
+// levels in original vertex ids, and a pooled scratch plus one
 // platform replay the same request without fresh buffers.
 func TestFacadeReorderAndScratch(t *testing.T) {
 	g := GenerateGraph(GraphSocial, 400, 9)
-	pl := NewReusableNative()
-	defer pl.Close()
+	pl := NewNative()
 
 	base, err := Run(context.Background(), pl, "BFS", RunRequest{
 		Input: BenchmarkInput{G: g}, Threads: 2, Strategy: StrategyFrontier,

@@ -241,7 +241,7 @@ func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *gra
 		k.body = k.run
 	}
 
-	rep, err := pl.RunCtx(goCtx, threads, k.body)
+	rep, err := s.run(goCtx, pl, threads, k.body)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +371,7 @@ func (k *componentsFrontierRun) execute(goCtx context.Context, pl exec.Platform,
 		k.body = k.run
 	}
 
-	rep, err := pl.RunCtx(goCtx, threads, k.body)
+	rep, err := s.run(goCtx, pl, threads, k.body)
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 		k.body = k.run
 	}
 
-	rep, err := pl.RunCtx(goCtx, threads, k.body)
+	rep, err := s.run(goCtx, pl, threads, k.body)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"sync"
 
@@ -20,8 +21,8 @@ import (
 //     but never shared across concurrent requests; pool instances with
 //     ScratchPool (or sync.Pool) instead.
 //   - With DetachResults unset (the zero-alloc mode), returned results
-//     alias scratch-owned memory and are valid only until the next run
-//     on the same Scratch.
+//     — the run report included — alias scratch-owned memory and are
+//     valid only until the next run on the same Scratch.
 //   - With DetachResults set (the serving mode), result-bearing arrays
 //     (levels, distances, labels, ranks) and result structs are freshly
 //     allocated per run — safe to cache indefinitely — while the
@@ -58,8 +59,10 @@ type Scratch struct {
 	ccf   *componentsFrontierRun
 	prp   *pageRankPullRun
 
-	// res is the reusable typed-Run result wrapper.
+	// res is the reusable typed-Run result wrapper and rep the reusable
+	// run report (zero-alloc mode only).
 	res Result
+	rep exec.Report
 }
 
 // NewScratch returns an empty scratch workspace.
@@ -70,6 +73,24 @@ func NewScratch() *Scratch { return &Scratch{} }
 // allocate-per-run behavior, where results are always independently
 // owned.
 func (s *Scratch) detached() bool { return s == nil || s.DetachResults }
+
+// run executes body on pl for a scratch-aware kernel. In the zero-alloc
+// mode, on a platform that can fill a caller's report (the native one),
+// the report is scratch-owned like every other result the mode returns:
+// valid until the next run on s. Otherwise — nil or detached scratch,
+// or any other platform — it is RunCtx and the report is fresh.
+func (s *Scratch) run(goCtx context.Context, pl exec.Platform, threads int, body func(exec.Ctx)) (*exec.Report, error) {
+	into, ok := pl.(interface {
+		RunInto(context.Context, int, func(exec.Ctx), *exec.Report) error
+	})
+	if !ok || s.detached() {
+		return pl.RunCtx(goCtx, threads, body)
+	}
+	if err := into.RunInto(goCtx, threads, body, &s.rep); err != nil {
+		return nil, err
+	}
+	return &s.rep, nil
+}
 
 // barrierFor returns a reusable barrier for the platform and party
 // count, allocating only when either changed since the last run.

@@ -177,8 +177,7 @@ func TestWarmRunsAllocZero(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pl := native.NewReusable()
-			defer pl.Close()
+			pl := native.New()
 			b, err := ByName(c.name)
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +185,7 @@ func TestWarmRunsAllocZero(t *testing.T) {
 			req := c.req
 			req.Scratch = NewScratch()
 			// Warm-up: grows every buffer, caches the body closure and the
-			// barrier, spins up the worker fleet.
+			// barrier, builds the platform's per-thread state.
 			for i := 0; i < 3; i++ {
 				if _, err := b.Run(goCtx, pl, req); err != nil {
 					t.Fatal(err)
@@ -206,8 +205,8 @@ func TestWarmRunsAllocZero(t *testing.T) {
 
 // TestWarmSeededRepairAllocs: a seeded run shares the full kernel's run
 // state, so a warm BFS repair with a serving-mode scratch allocates only
-// what it detaches — the level array and the result struct — and nothing
-// in zero-alloc mode.
+// what it detaches — the level array, the result struct and the report
+// with its two per-thread slices — and nothing in zero-alloc mode.
 func TestWarmSeededRepairAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
@@ -221,12 +220,11 @@ func TestWarmSeededRepairAllocs(t *testing.T) {
 	next := graph.ApplyDelta(g, d)
 	want := BFSRef(next, 0)
 	goCtx := context.Background()
-	pl := native.NewReusable()
-	defer pl.Close()
+	pl := native.New()
 	for _, c := range []struct {
 		detach bool
 		allocs float64
-	}{{true, 2}, {false, 0}} {
+	}{{true, 5}, {false, 0}} {
 		s := NewScratch()
 		s.DetachResults = c.detach
 		repair := func() {
@@ -244,5 +242,60 @@ func TestWarmSeededRepairAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(10, repair); n != c.allocs {
 			t.Errorf("warm repair (DetachResults=%v) allocates %.0f objects per run, want %.0f", c.detach, n, c.allocs)
 		}
+	}
+}
+
+// TestReportOwnershipFollowsScratchMode: on one shared platform a
+// result's Report follows the same aliasing rule as its arrays. With no
+// scratch or a detached one ("safe to cache indefinitely") the first
+// run's report must survive a second run; only the zero-alloc mode
+// reuses it, and that is what makes its warm runs allocation-free.
+func TestReportOwnershipFollowsScratchMode(t *testing.T) {
+	g := graph.SocialNet(2000, 8, 11)
+	goCtx := context.Background()
+	pl := native.New()
+	detached := NewScratch()
+	detached.DetachResults = true
+	for _, c := range []struct {
+		name    string
+		s       *Scratch
+		aliases bool
+	}{
+		{"nil scratch", nil, false},
+		{"detached scratch", detached, false},
+		{"aliasing scratch", NewScratch(), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			first, err := bfsFrontier(goCtx, pl, g, 0, 4, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := first.Report
+			wantTime, wantInstr := rep.Time, append([]uint64(nil), rep.Instructions...)
+			second, err := bfsFrontier(goCtx, pl, g, 1000, 4, c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if aliased := second.Report == rep; aliased != c.aliases {
+				t.Fatalf("second run reused the first run's report: %v, want %v", aliased, c.aliases)
+			}
+			if c.aliases {
+				if raceEnabled {
+					return
+				}
+				if n := testing.AllocsPerRun(10, func() { bfsFrontier(goCtx, pl, g, 1000, 4, c.s) }); n != 0 { //nolint:errcheck // checked above
+					t.Fatalf("warm aliasing run allocates %.0f objects, want 0", n)
+				}
+				return
+			}
+			if rep.Time != wantTime {
+				t.Fatalf("first report's Time changed from %d to %d", wantTime, rep.Time)
+			}
+			for tid, n := range wantInstr {
+				if rep.Instructions[tid] != n {
+					t.Fatalf("first report's Instructions[%d] changed from %d to %d", tid, n, rep.Instructions[tid])
+				}
+			}
+		})
 	}
 }

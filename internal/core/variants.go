@@ -569,7 +569,7 @@ func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads
 		k.body = k.run
 	}
 
-	rep, err := pl.RunCtx(goCtx, threads, k.body)
+	rep, err := s.run(goCtx, pl, threads, k.body)
 	if err != nil {
 		return nil, err
 	}

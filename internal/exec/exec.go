@@ -117,7 +117,10 @@ type Ctx interface {
 	Checkpoint() error
 }
 
-// Platform creates platform resources and runs parallel regions.
+// Platform creates platform resources and runs parallel regions. A
+// platform runs one region at a time: resources may be created at any
+// point, but Run/RunCtx calls on one platform must not overlap. Use one
+// platform per concurrent run.
 type Platform interface {
 	// Name identifies the platform ("native" or "sim").
 	Name() string
@@ -396,7 +399,8 @@ type Report struct {
 	// ThreadTime is each thread's busy time in platform units (virtual
 	// cycles on the simulator, wall nanoseconds natively).
 	ThreadTime []uint64
-	// ActiveTrace samples the number of active vertices over time.
+	// ActiveTrace samples the number of active vertices over time
+	// (simulator only).
 	ActiveTrace []ActiveSample
 	// Cache carries cache statistics (simulator only).
 	Cache CacheStats

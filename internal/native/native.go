@@ -7,27 +7,46 @@ package native
 
 import (
 	"context"
-	"sort"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crono/internal/exec"
 )
 
-// activeTracePoints caps the length of the reconstructed active-vertex
-// trace returned in reports.
-const activeTracePoints = 2048
-
-// Platform is a native goroutine execution platform. The zero value is
+// Platform is the native goroutine execution platform. The zero value is
 // ready to use.
+//
+// A platform is reusable by construction: per-thread state and the
+// per-thread start functions are built once per thread count and kept
+// across runs, so a warm run allocates nothing but the report it returns
+// (and not even that through RunInto). Threads are goroutines spawned at
+// the start of a run and joined before it returns; nothing outlives a
+// run, so a platform needs no Close and may be dropped or pooled freely.
+//
+// One run at a time: a RunCtx that overlaps another on the same platform
+// is refused with an error. Use one platform per concurrent run.
 type Platform struct {
-	// MeasureLockWait, when set, times every lock acquisition and
-	// attributes waiting to the Synchronization breakdown component.
-	// It adds two clock reads per lock, so it is off by default.
-	MeasureLockWait bool
-
 	allocMu sync.Mutex
 	next    exec.Addr
+
+	running atomic.Bool
+	closed  atomic.Bool
+
+	// ctxs[t] is thread t's context and thunks[t] the function its
+	// goroutine runs; both are grown on demand by ensure and then fixed.
+	ctxs   []*ctx
+	thunks []func()
+	wg     sync.WaitGroup
+
+	// The run in progress. Written before the threads are spawned, read
+	// by them; aborted is set by the first Checkpoint that observes the
+	// cancellation of cause.
+	body    func(exec.Ctx)
+	cause   context.Context
+	threads int
+	aborted atomic.Bool
 }
 
 var _ exec.Platform = (*Platform)(nil)
@@ -58,149 +77,160 @@ type nativeLock struct{ mu sync.Mutex }
 // NewLock implements exec.Platform.
 func (p *Platform) NewLock() exec.Lock { return &nativeLock{} }
 
-// nativeBarrier is a reusable generation-based barrier. Each generation
-// is a channel closed by the last arriver; waiters also select on the
-// run's abort channel so a canceled run releases every waiter instead of
-// deadlocking on threads that already exited at a checkpoint.
-type nativeBarrier struct {
+// barrier is a generation-counting barrier on a sync.Cond, so crossings
+// allocate nothing. It holds no platform or run state: a waiter takes
+// the run from its own ctx, and publishes the barrier it parks on there
+// so an aborting run can wake it (see Platform.trip). A barrier outlives
+// the run that made it and may be reused by later runs.
+type barrier struct {
 	mu      sync.Mutex
+	cond    sync.Cond
 	parties int
 	waiting int
-	relCh   chan struct{}
+	gen     uint64
 }
 
 // NewBarrier implements exec.Platform.
 func (p *Platform) NewBarrier(parties int) exec.Barrier {
-	return &nativeBarrier{parties: parties, relCh: make(chan struct{})}
+	b := &barrier{parties: parties}
+	b.cond.L = &b.mu
+	return b
 }
 
-func (b *nativeBarrier) wait(abort <-chan struct{}) {
+func (b *barrier) wait(c *ctx) {
 	b.mu.Lock()
-	ch := b.relCh
+	gen := b.gen
 	b.waiting++
 	if b.waiting == b.parties {
 		b.waiting = 0
-		b.relCh = make(chan struct{})
+		b.gen++
+		b.cond.Broadcast()
 		b.mu.Unlock()
-		close(ch)
 		return
 	}
+	// Publish before reading aborted: trip sets aborted and then reads
+	// parked, so either this thread sees the abort or trip sees b, and
+	// trip's broadcast needs b.mu, which is free only once Wait parked.
+	c.parked.Store(b)
+	for b.gen == gen && !c.p.aborted.Load() {
+		b.cond.Wait()
+	}
+	c.parked.Store(nil)
+	if b.gen == gen {
+		// Aborted before the generation completed: withdraw the arrival
+		// so a barrier reused after an aborted run still needs a full
+		// complement of parties.
+		b.waiting--
+	}
 	b.mu.Unlock()
-	select {
-	case <-ch:
-	case <-abort:
-		// Withdraw the arrival unless the generation completed anyway:
-		// leaving it counted would let a barrier reused after an aborted
-		// run release with fewer than parties arrivals.
-		b.mu.Lock()
-		if b.relCh == ch {
-			b.waiting--
+}
+
+// trip marks the run aborted and wakes every thread parked at a barrier.
+// The work is bounded by the thread count: each thread names the one
+// barrier it is parked on, and only those are broadcast.
+func (p *Platform) trip() {
+	if !p.aborted.CompareAndSwap(false, true) {
+		return
+	}
+	for _, c := range p.ctxs[:p.threads] {
+		if b := c.parked.Load(); b != nil {
+			b.mu.Lock()
+			b.cond.Broadcast()
+			b.mu.Unlock()
 		}
-		b.mu.Unlock()
 	}
 }
 
-// pad separates per-thread hot counters onto distinct cache lines.
-type threadState struct {
-	instr    uint64
-	busyNs   uint64
-	syncNs   uint64
-	samples  []exec.ActiveSample
-	_padding [64]byte //nolint:unused // false-sharing guard
-}
-
+// ctx is one thread's execution context and counters. It persists
+// across runs; each is its own allocation with a trailing pad so the
+// hot counters of two threads never share a cache line.
 type ctx struct {
+	p       *Platform
 	tid     int
 	threads int
-	p       *Platform
-	run     *runState
-	st      *threadState
-}
 
-type runState struct {
-	startNs int64
-	measure bool
-	// cause is the run's context; Checkpoint polls cause.Err.
-	cause context.Context
-	// abort is closed by the first thread whose Checkpoint observes
-	// cancellation; barrier waits select on it.
-	abort chan struct{}
-	once  sync.Once
-}
+	instr  uint64
+	busyNs uint64
+	syncNs uint64
+	// parked is the barrier this thread is blocked on, if any.
+	parked atomic.Pointer[barrier]
 
-func (r *runState) trip() { r.once.Do(func() { close(r.abort) }) }
+	_ [64]byte // false-sharing guard
+}
 
 var _ exec.Ctx = (*ctx)(nil)
 
 func (c *ctx) TID() int     { return c.tid }
 func (c *ctx) Threads() int { return c.threads }
 
-func (c *ctx) Load(exec.Addr)  { c.st.instr++ }
-func (c *ctx) Store(exec.Addr) { c.st.instr++ }
-func (c *ctx) Compute(n int)   { c.st.instr += uint64(n) }
+func (c *ctx) Load(exec.Addr)  { c.instr++ }
+func (c *ctx) Store(exec.Addr) { c.instr++ }
+func (c *ctx) Compute(n int)   { c.instr += uint64(n) }
 
 // Atomic annotations cost exactly what their plain counterparts do
 // natively: one instruction. The acquire/release semantics only matter
 // to synchronization-aware platforms (internal/racecheck).
-func (c *ctx) AtomicLoad(exec.Addr)  { c.st.instr++ }
-func (c *ctx) AtomicStore(exec.Addr) { c.st.instr++ }
-func (c *ctx) AtomicRMW(exec.Addr)   { c.st.instr++ }
+func (c *ctx) AtomicLoad(exec.Addr)  { c.instr++ }
+func (c *ctx) AtomicStore(exec.Addr) { c.instr++ }
+func (c *ctx) AtomicRMW(exec.Addr)   { c.instr++ }
 
 func (c *ctx) LoadSpan(_ exec.Addr, elems, _ int) {
 	if elems > 0 {
-		c.st.instr += uint64(elems)
+		c.instr += uint64(elems)
 	}
 }
 
 func (c *ctx) StoreSpan(_ exec.Addr, elems, _ int) {
 	if elems > 0 {
-		c.st.instr += uint64(elems)
+		c.instr += uint64(elems)
 	}
 }
 
 func (c *ctx) Lock(l exec.Lock) {
-	c.st.instr++
-	nl := l.(*nativeLock)
-	if c.run.measure {
-		t0 := time.Now()
-		nl.mu.Lock()
-		c.st.syncNs += uint64(time.Since(t0))
-		return
-	}
-	nl.mu.Lock()
+	c.instr++
+	l.(*nativeLock).mu.Lock()
 }
 
 func (c *ctx) Unlock(l exec.Lock) {
-	c.st.instr++
+	c.instr++
 	l.(*nativeLock).mu.Unlock()
 }
 
 func (c *ctx) Barrier(b exec.Barrier) {
-	nb := b.(*nativeBarrier)
 	t0 := time.Now()
-	nb.wait(c.run.abort)
-	c.st.syncNs += uint64(time.Since(t0))
+	b.(*barrier).wait(c)
+	c.syncNs += uint64(time.Since(t0))
 }
 
 // Checkpoint implements exec.Ctx: a non-blocking poll of the run context.
 func (c *ctx) Checkpoint() error {
-	if err := c.run.cause.Err(); err != nil {
-		c.run.trip()
+	if err := c.p.cause.Err(); err != nil {
+		c.p.trip()
 		return err
 	}
 	return nil
 }
 
-// Active records the delta against wall time; the global active-vertex
-// series is reconstructed by prefix sum when the run completes.
-func (c *ctx) Active(delta int) {
-	if delta == 0 {
-		return
+// Active is a no-op: the active-vertex trace (Figure 2) is read from the
+// simulator, and sampling it natively would put a clock read and an
+// append on a per-vertex path.
+func (c *ctx) Active(int) {}
+
+// ensure grows the per-thread contexts and thunks to the given
+// parallelism. A thunk reads the run's body from the platform, so one
+// func value per thread serves every run and spawning it allocates
+// nothing.
+func (p *Platform) ensure(threads int) {
+	for tid := len(p.ctxs); tid < threads; tid++ {
+		c := &ctx{p: p, tid: tid}
+		p.ctxs = append(p.ctxs, c)
+		p.thunks = append(p.thunks, func() {
+			t0 := time.Now()
+			p.body(c)
+			c.busyNs = uint64(time.Since(t0))
+			p.wg.Done()
+		})
 	}
-	c.st.samples = append(c.st.samples, exec.ActiveSample{
-		Time:   uint64(time.Now().UnixNano() - c.run.startNs),
-		Active: int64(delta),
-	})
 }
 
 // Run implements exec.Platform. It measures the parallel region only.
@@ -209,94 +239,88 @@ func (p *Platform) Run(threads int, body func(exec.Ctx)) *exec.Report {
 	return rep
 }
 
-// RunCtx implements exec.Platform. On cancellation all threads unwind at
-// their next checkpoint (barrier waiters are released first) and the
-// partial report is discarded.
+// RunCtx implements exec.Platform: RunInto on a fresh report, which is
+// the caller's to keep.
 func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)) (*exec.Report, error) {
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
-	if err := goCtx.Err(); err != nil {
+	rep := &exec.Report{}
+	if err := p.RunInto(goCtx, threads, body, rep); err != nil {
 		return nil, err
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	run := &runState{
-		measure: p.MeasureLockWait,
-		cause:   goCtx,
-		abort:   make(chan struct{}),
-	}
-	states := make([]threadState, threads)
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	start := time.Now()
-	run.startNs = start.UnixNano()
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer wg.Done()
-			t0 := time.Now()
-			body(&ctx{tid: tid, threads: threads, p: p, run: run, st: &states[tid]})
-			states[tid].busyNs = uint64(time.Since(t0))
-		}(t)
-	}
-	wg.Wait()
-	if err := goCtx.Err(); err != nil {
-		return nil, err
-	}
-	elapsed := uint64(time.Since(start))
-
-	rep := &exec.Report{
-		Platform:     p.Name(),
-		Threads:      threads,
-		Time:         elapsed,
-		HostNs:       elapsed,
-		Instructions: make([]uint64, threads),
-		ThreadTime:   make([]uint64, threads),
-	}
-	var trace []exec.ActiveSample
-	var syncNs uint64
-	for t := range states {
-		rep.Instructions[t] = states[t].instr
-		rep.ThreadTime[t] = states[t].busyNs
-		syncNs += states[t].syncNs
-		trace = append(trace, states[t].samples...)
-	}
-	rep.ActiveTrace = reconstructTrace(trace, activeTracePoints)
-	rep.Breakdown[exec.CompSync] = syncNs
-	total := elapsed * uint64(threads)
-	if total > syncNs {
-		rep.Breakdown[exec.CompCompute] = total - syncNs
 	}
 	return rep, nil
 }
 
-// reconstructTrace merges per-thread delta samples by time, prefix-sums
-// them into the global gauge and downsamples to maxPoints entries.
-func reconstructTrace(deltas []exec.ActiveSample, maxPoints int) []exec.ActiveSample {
-	if len(deltas) == 0 {
-		return nil
+// RunInto is RunCtx writing into a report the caller supplies, reusing
+// the capacity of its slices: with a report kept across runs a warm run
+// performs zero heap allocations. On cancellation all threads unwind at
+// their next checkpoint (barrier waiters are released first), rep is
+// left untouched and the context's error is returned.
+func (p *Platform) RunInto(goCtx context.Context, threads int, body func(exec.Ctx), rep *exec.Report) error {
+	if goCtx == nil {
+		goCtx = context.Background()
 	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Time < deltas[j].Time })
-	var run int64
-	for i := range deltas {
-		run += deltas[i].Active
-		deltas[i].Active = run
+	if err := goCtx.Err(); err != nil {
+		return err
 	}
-	if len(deltas) <= maxPoints {
-		return deltas
+	if !p.running.CompareAndSwap(false, true) {
+		return errors.New("native: platform already has a run in progress (one run at a time per platform)")
 	}
-	step := (len(deltas) + maxPoints - 1) / maxPoints
-	// A fresh slice: writing through deltas[:0] would clobber entries the
-	// loop has yet to read once step > 1.
-	out := make([]exec.ActiveSample, 0, maxPoints+1)
-	for i := 0; i < len(deltas); i += step {
-		out = append(out, deltas[i])
+	defer p.running.Store(false)
+	if p.closed.Load() {
+		return errors.New("native: platform closed")
 	}
-	// Always keep the final sample so the trace ends at the true gauge
-	// value rather than a stale strided point.
-	if (len(deltas)-1)%step != 0 {
-		out = append(out, deltas[len(deltas)-1])
+	if threads < 1 {
+		threads = 1
 	}
-	return out
+	p.ensure(threads)
+	for _, c := range p.ctxs[:threads] {
+		c.threads, c.instr, c.busyNs, c.syncNs = threads, 0, 0, 0
+	}
+	p.body, p.cause, p.threads = body, goCtx, threads
+	p.aborted.Store(false)
+
+	start := time.Now()
+	p.wg.Add(threads)
+	for _, thunk := range p.thunks[:threads] {
+		go thunk()
+	}
+	p.wg.Wait()
+	// A kept or pooled platform must not pin the last kernel's state.
+	p.body, p.cause = nil, nil
+	if err := goCtx.Err(); err != nil {
+		return err
+	}
+	elapsed := uint64(time.Since(start))
+
+	*rep = exec.Report{
+		Platform:     p.Name(),
+		Threads:      threads,
+		Time:         elapsed,
+		HostNs:       elapsed,
+		Instructions: grow(rep.Instructions, threads),
+		ThreadTime:   grow(rep.ThreadTime, threads),
+	}
+	var syncNs uint64
+	for t, c := range p.ctxs[:threads] {
+		rep.Instructions[t] = c.instr
+		rep.ThreadTime[t] = c.busyNs
+		syncNs += c.syncNs
+	}
+	rep.Breakdown[exec.CompSync] = syncNs
+	if total := elapsed * uint64(threads); total > syncNs {
+		rep.Breakdown[exec.CompCompute] = total - syncNs
+	}
+	return nil
 }
+
+// grow returns a length-n slice, buf resliced when its capacity suffices.
+func grow(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// Close marks the platform closed: later runs are refused. It releases
+// nothing — no goroutine or resource outlives a run — and exists because
+// the repository benchmark (bench/) calls it.
+func (p *Platform) Close() { p.closed.Store(true) }

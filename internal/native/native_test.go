@@ -1,6 +1,9 @@
 package native
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,21 +23,26 @@ func TestAllocAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestRunCountsInstructions(t *testing.T) {
-	p := New()
-	r := p.Alloc("x", 64, 4)
-	rep := p.Run(3, func(c exec.Ctx) {
+// annotate issues 1+1+5+10+3 = 20 instructions' worth of annotations.
+func annotate(r exec.Region) func(exec.Ctx) {
+	return func(c exec.Ctx) {
 		c.Load(r.At(0))
 		c.Store(r.At(1))
 		c.Compute(5)
 		c.LoadSpan(r.At(0), 10, 4)
 		c.StoreSpan(r.At(0), 3, 4)
-	})
+		c.Active(1) // discarded natively
+	}
+}
+
+func TestRunCountsInstructions(t *testing.T) {
+	p := New()
+	rep := p.Run(3, annotate(p.Alloc("x", 64, 4)))
 	if rep.Threads != 3 {
 		t.Fatalf("threads %d", rep.Threads)
 	}
 	for tid, n := range rep.Instructions {
-		if n != 1+1+5+10+3 {
+		if n != 20 {
 			t.Fatalf("thread %d counted %d instructions, want 20", tid, n)
 		}
 	}
@@ -44,13 +52,36 @@ func TestRunCountsInstructions(t *testing.T) {
 	if len(rep.ThreadTime) != 3 {
 		t.Fatal("missing per-thread times")
 	}
+	if rep.ActiveTrace != nil {
+		t.Fatal("native run produced an active-vertex trace")
+	}
+}
+
+// TestReusableCountsInstructions: a second run on the same platform
+// starts from zeroed counters, and the first run's report is the
+// caller's — the second run must not write into it.
+func TestReusableCountsInstructions(t *testing.T) {
+	p := New()
+	body := annotate(p.Alloc("x", 64, 4))
+	first := p.Run(3, body)
+	second := p.Run(2, body)
+	if first == second || len(first.Instructions) != 3 || len(second.Instructions) != 2 {
+		t.Fatalf("reports alias or have wrong shape: %+v / %+v", first, second)
+	}
+	for _, rep := range []*exec.Report{first, second} {
+		for tid, n := range rep.Instructions {
+			if n != 20 {
+				t.Fatalf("%d-thread run: thread %d counted %d instructions, want 20", rep.Threads, tid, n)
+			}
+		}
+	}
 }
 
 func TestLocksProvideMutualExclusion(t *testing.T) {
 	p := New()
 	l := p.NewLock()
 	counter := 0
-	rep := p.Run(8, func(c exec.Ctx) {
+	p.Run(8, func(c exec.Ctx) {
 		for i := 0; i < 1000; i++ {
 			c.Lock(l)
 			counter++
@@ -60,14 +91,13 @@ func TestLocksProvideMutualExclusion(t *testing.T) {
 	if counter != 8000 {
 		t.Fatalf("counter %d, want 8000 (lost updates)", counter)
 	}
-	_ = rep
 }
 
-func TestBarrierSynchronizesPhases(t *testing.T) {
-	p := New()
-	bar := p.NewBarrier(4)
+// crossPhases runs ten two-barrier rounds on bar's four parties and
+// reports whether any thread saw a phase other than its own.
+func crossPhases(p *Platform, bar exec.Barrier) (escaped bool) {
 	var phase atomic.Int32
-	fail := atomic.Bool{}
+	var fail atomic.Bool
 	p.Run(4, func(c exec.Ctx) {
 		for round := int32(1); round <= 10; round++ {
 			phase.Store(round)
@@ -78,61 +108,44 @@ func TestBarrierSynchronizesPhases(t *testing.T) {
 			c.Barrier(bar)
 		}
 	})
-	if fail.Load() {
+	return fail.Load()
+}
+
+func TestBarrierSynchronizesPhases(t *testing.T) {
+	p := New()
+	if crossPhases(p, p.NewBarrier(4)) {
 		t.Fatal("thread escaped a barrier early")
 	}
 }
 
-func TestActiveTraceReconstruction(t *testing.T) {
+// TestReusableBarrierSynchronizesPhases: a barrier outlives the run
+// that made it (core.Scratch caches one per platform and thread count).
+func TestReusableBarrierSynchronizesPhases(t *testing.T) {
 	p := New()
-	rep := p.Run(4, func(c exec.Ctx) {
-		for i := 0; i < 100; i++ {
-			c.Active(1)
+	bar := p.NewBarrier(4)
+	for run := 0; run < 3; run++ {
+		if crossPhases(p, bar) {
+			t.Fatalf("run %d: thread escaped a reused barrier early", run)
 		}
-		for i := 0; i < 100; i++ {
-			c.Active(-1)
-		}
-	})
-	if len(rep.ActiveTrace) == 0 {
-		t.Fatal("no trace")
-	}
-	// Prefix-sum reconstruction: the gauge peaks at one thread's worth
-	// of increments at minimum (a single-CPU host may serialize the
-	// threads completely) and at 4 threads' worth at most; the series
-	// must be time ordered and return to zero.
-	var peak int64
-	for i, s := range rep.ActiveTrace {
-		if s.Active > peak {
-			peak = s.Active
-		}
-		if i > 0 && s.Time < rep.ActiveTrace[i-1].Time {
-			t.Fatal("trace not time ordered")
-		}
-	}
-	if peak < 100 || peak > 400 {
-		t.Fatalf("peak gauge %d, want within [100,400]", peak)
-	}
-	if last := rep.ActiveTrace[len(rep.ActiveTrace)-1].Active; last != 0 {
-		t.Fatalf("final gauge %d, want 0", last)
 	}
 }
 
-func TestMeasureLockWait(t *testing.T) {
+func TestReusableGrowsAndShrinksThreads(t *testing.T) {
 	p := New()
-	p.MeasureLockWait = true
-	l := p.NewLock()
-	rep := p.Run(4, func(c exec.Ctx) {
-		for i := 0; i < 200; i++ {
-			c.Lock(l)
-			for s := 0; s < 100; s++ {
-				c.Compute(1)
+	for _, threads := range []int{2, 8, 1, 4} {
+		var ran atomic.Int32
+		rep := p.Run(threads, func(c exec.Ctx) {
+			if c.Threads() != threads {
+				t.Errorf("ctx threads %d, want %d", c.Threads(), threads)
 			}
-			c.Unlock(l)
+			ran.Add(1)
+		})
+		if int(ran.Load()) != threads || rep.Threads != threads {
+			t.Fatalf("run with %d threads executed %d bodies", threads, ran.Load())
 		}
-	})
-	// With a single contended lock, some wait should be visible.
-	if rep.Breakdown[exec.CompSync] == 0 {
-		t.Skip("no lock contention observed on this host")
+		if len(rep.Instructions) != threads {
+			t.Fatalf("report has %d instruction slots, want %d", len(rep.Instructions), threads)
+		}
 	}
 }
 
@@ -148,19 +161,155 @@ func TestRunClampsThreadCount(t *testing.T) {
 	}
 }
 
-// TestBarrierAbortedWaiterDoesNotCorruptReuse regression: a waiter
-// released via the abort channel must withdraw its arrival. On the
-// pre-fix barrier the stale count makes the reused barrier release with
-// fewer than parties arrivals.
+func TestRunCtxPreCanceled(t *testing.T) {
+	p := New()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	rep, err := p.RunCtx(ctx, 4, func(exec.Ctx) { ran = true })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep != nil {
+		t.Fatalf("report %+v returned for canceled run", rep)
+	}
+	if ran {
+		t.Fatal("body ran despite pre-canceled context")
+	}
+}
+
+func TestRunCtxNilContextMeansBackground(t *testing.T) {
+	p := New()
+	//nolint:staticcheck // nil context is part of the documented contract
+	rep, err := p.RunCtx(nil, 2, func(c exec.Ctx) { c.Compute(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || rep.Threads != 2 {
+		t.Fatalf("bad report %+v", rep)
+	}
+}
+
+func TestRunDelegatesToNeverCanceledRunCtx(t *testing.T) {
+	p := New()
+	rep := p.Run(3, func(c exec.Ctx) {
+		if c.Checkpoint() != nil {
+			t.Error("Checkpoint fired under Run")
+		}
+		c.Compute(1)
+	})
+	if rep == nil || rep.Threads != 3 {
+		t.Fatalf("bad report %+v", rep)
+	}
+}
+
+// TestRunCtxCancelReleasesBarrierWaiters cancels a run whose threads
+// cross one barrier in a tight loop, so the abort lands on every mix of
+// parked, arriving and departing threads.
+func TestRunCtxCancelReleasesBarrierWaiters(t *testing.T) {
+	p := New()
+	bar := p.NewBarrier(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.RunCtx(ctx, 8, func(c exec.Ctx) {
+			if c.TID() == 0 {
+				close(started)
+			}
+			for {
+				c.Compute(1)
+				c.Barrier(bar)
+				if c.Checkpoint() != nil {
+					return
+				}
+			}
+		})
+		done <- err
+	}()
+
+	<-started
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not abort within 10s: barrier waiters not released")
+	}
+}
+
+// TestReusableCancellationReleasesBarrierWaiters: after thousands of
+// runs that each made their own barrier (nothing may accumulate per
+// barrier), a canceled run whose other threads are all parked at a
+// barrier must release every one of them — thread 0 never arrives, so
+// only the abort broadcast can — and leave the platform and that same
+// barrier usable by the next run.
+func TestReusableCancellationReleasesBarrierWaiters(t *testing.T) {
+	const threads = 4
+	p := New()
+	for i := 0; i < 2000; i++ {
+		bar := p.NewBarrier(threads)
+		p.Run(threads, func(c exec.Ctx) { c.Barrier(bar) })
+	}
+
+	bar := p.NewBarrier(threads)
+	goCtx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.RunCtx(goCtx, threads, func(c exec.Ctx) {
+			if c.TID() != 0 {
+				c.Barrier(bar)
+				return
+			}
+			for c.Checkpoint() == nil {
+				runtime.Gosched()
+			}
+		})
+		done <- err
+	}()
+	for _, c := range p.ctxs[1:threads] {
+		for c.parked.Load() == nil {
+			runtime.Gosched()
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation did not release the barrier waiters")
+	}
+
+	var ran atomic.Int32
+	p.Run(threads, func(c exec.Ctx) {
+		c.Barrier(bar)
+		ran.Add(1)
+	})
+	if ran.Load() != threads {
+		t.Fatalf("post-abort run executed %d bodies, want %d", ran.Load(), threads)
+	}
+}
+
+// TestBarrierAbortedWaiterDoesNotCorruptReuse pins the withdrawal at the
+// barrier itself, without a schedule to get lucky on: a lone arrival
+// released by an abort must not stay counted, or the reused two-party
+// barrier releases with one arrival.
 func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
-	b := New().NewBarrier(2).(*nativeBarrier)
-	aborted := make(chan struct{})
-	close(aborted)
-	b.wait(aborted) // lone arrival, released by the dead run's abort
+	p := New()
+	p.ensure(2)
+	b := p.NewBarrier(2).(*barrier)
+	p.aborted.Store(true)
+	b.wait(p.ctxs[0]) // lone arrival, released by the dead run's abort
+	p.aborted.Store(false)
 
 	released := make(chan struct{})
 	go func() {
-		b.wait(nil)
+		b.wait(p.ctxs[1])
 		close(released)
 	}()
 	select {
@@ -168,7 +317,7 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 		t.Fatal("reused barrier released with one arrival out of two")
 	case <-time.After(50 * time.Millisecond):
 	}
-	b.wait(nil) // second arrival completes the generation
+	b.wait(p.ctxs[0]) // second arrival completes the generation
 	select {
 	case <-released:
 	case <-time.After(2 * time.Second):
@@ -176,24 +325,85 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	}
 }
 
-// TestReconstructTraceKeepsLastSample regression: with a non-divisible
-// downsampling step the final sample is off-stride and must still be
-// kept, and the output must not alias the prefix-summed input.
-func TestReconstructTraceKeepsLastSample(t *testing.T) {
-	// 8 samples, maxPoints 3 -> step 3 -> strided indices 0, 3, 6; the
-	// final sample at index 7 must be appended.
-	deltas := make([]exec.ActiveSample, 8)
-	for i := range deltas {
-		deltas[i] = exec.ActiveSample{Time: uint64(i), Active: 1}
+// TestConcurrentRunRefused: a platform runs one region at a time. The
+// overlapping RunCtx gets an error and the run in progress is unharmed.
+func TestConcurrentRunRefused(t *testing.T) {
+	p := New()
+	inside, release := make(chan struct{}), make(chan struct{})
+	first := make(chan *exec.Report, 1)
+	go func() {
+		first <- p.Run(2, func(c exec.Ctx) {
+			c.Compute(7)
+			if c.TID() == 0 {
+				close(inside)
+			}
+			<-release
+		})
+	}()
+	<-inside
+	rep, err := p.RunCtx(context.Background(), 2, func(c exec.Ctx) { c.Compute(1000) })
+	if err == nil || rep != nil {
+		t.Fatalf("overlapping run accepted: report %+v, err %v", rep, err)
 	}
-	out := reconstructTrace(deltas, 3)
-	want := []exec.ActiveSample{{Time: 0, Active: 1}, {Time: 3, Active: 4}, {Time: 6, Active: 7}, {Time: 7, Active: 8}}
-	if len(out) != len(want) {
-		t.Fatalf("trace has %d points %v, want %d", len(out), out, len(want))
+	close(release)
+	got := <-first
+	if got == nil || got.Instructions[0] != 7 || got.Instructions[1] != 7 {
+		t.Fatalf("first run's counters disturbed by the refused run: %+v", got)
 	}
-	for i, w := range want {
-		if out[i] != w {
-			t.Fatalf("trace[%d] = %+v, want %+v", i, out[i], w)
+	if _, err := p.RunCtx(context.Background(), 2, func(exec.Ctx) {}); err != nil {
+		t.Fatalf("platform unusable after a refused run: %v", err)
+	}
+}
+
+// TestNoGoroutineOutlivesRun: platforms are dropped without Close all
+// over the repository (one per service run), so a run must leave no
+// goroutine behind.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		New().Run(4, func(c exec.Ctx) { c.Compute(1) })
+	}
+	// wg.Done is a thread's last statement; give the exits a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 100 platforms ran, %d before", n, base)
+	}
+}
+
+func TestReusableClosedRejectsRuns(t *testing.T) {
+	p := New()
+	p.Run(2, func(exec.Ctx) {})
+	p.Close()
+	p.Close() // idempotent
+	if _, err := p.RunCtx(context.Background(), 2, func(exec.Ctx) {}); err == nil {
+		t.Fatal("closed platform accepted a run")
+	}
+}
+
+func TestReusableWarmRunAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	p := New()
+	bar := p.NewBarrier(4)
+	body := func(c exec.Ctx) {
+		for i := 0; i < 8; i++ {
+			c.Compute(1)
+			c.Barrier(bar)
 		}
+		c.Active(1)
+	}
+	var rep exec.Report
+	run := func() {
+		if err := p.RunInto(context.Background(), 4, body, &rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: per-thread state and the report's slices
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("warm RunInto allocates %.0f objects per run, want 0", n)
 	}
 }
