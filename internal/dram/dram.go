@@ -3,7 +3,7 @@
 // queueing) and 100 ns access latency.
 //
 // Queueing uses the same utilization-based analytical model as the NoC
-// (see internal/noc): the controller tracks cumulative channel occupancy
+// (noc.QueueDelay): the controller tracks cumulative channel occupancy
 // against the virtual-time horizon it has observed and charges
 // rho/(1-rho) * service/2 per access. A strict next-free calendar would
 // misbehave under lax-synchronization clock skew.
@@ -15,9 +15,6 @@ import (
 
 	"crono/internal/noc"
 )
-
-// maxRho caps utilization in the queueing formula.
-const maxRho = 0.95
 
 // Controller is one memory controller. Access is safe for concurrent
 // use: channel occupancy, horizon and statistics live in atomics, so
@@ -63,15 +60,11 @@ func (c *Controller) Access(start uint64, bytes int) (done, queued uint64) {
 	// reservation, then reserve (Add returns the post-add value).
 	horizon := noc.MaxTo(&c.horizon, start)
 	busy := c.busy.Add(occupancy) - occupancy
-	if busy > 0 && horizon > 0 {
-		rho := float64(busy) / float64(horizon)
-		if rho > maxRho {
-			rho = maxRho
-		}
-		queued = uint64(rho/(1-rho)*float64(occupancy)/2 + 0.5)
-	}
+	queued = noc.QueueDelay(busy, horizon, occupancy)
 	c.accesses.Add(1)
-	c.queuedCy.Add(queued)
+	if queued != 0 {
+		c.queuedCy.Add(queued)
+	}
 	return start + queued + occupancy + c.LatencyCycles, queued
 }
 

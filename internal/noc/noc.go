@@ -11,16 +11,41 @@
 // their packets — a strict per-link reservation calendar would let a
 // virtual-time front-runner block laggards that are arriving "in its
 // past" and serialize the whole machine.
+//
+// # The integer pre-test of QueueDelay
+//
+// QueueDelay is called once per hop of every packet, and most hops cross
+// a nearly idle link where the formula rounds to 0. Those calls are
+// answered by an integer comparison that cannot change a result. With
+// d = busy*(service+1) and h = horizon, x = rho/(1-rho)*service/2 is
+// below 1/2 exactly when d < h, and the float path returns
+// uint64(x + 0.5). The pre-test returns 0 only when d < h - h>>20, that
+// is d/h < 1 - 2^-20, which puts the exact x below (1 - 2^-20)/2. The
+// float path reaches x through two conversions, two divisions, a
+// subtraction and a multiplication (halving is exact), each within one
+// part in 2^53 of its exact result, so what it computes stays below
+// 1/2 - 2^-22, the sum with 0.5 below 1, and the conversion yields 0:
+// the margin is over 2^28 times the accumulated rounding error. rho is
+// below 1/2 there, so the cap does not apply. A product d that does not
+// fit 64 bits skips the pre-test. Every other call takes the float
+// path, with the operation order it always had.
 package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
 // maxRho caps the utilization used in the queueing formula so a saturated
 // link models a deep (but finite) queue.
 const maxRho = 0.95
+
+// zeroMarginBits is the margin of QueueDelay's integer pre-test: it
+// answers 0 only when busy*(service+1) is more than 2^-zeroMarginBits of
+// the horizon short of the point where the formula starts rounding up to
+// one cycle (see the package comment).
+const zeroMarginBits = 20
 
 // Routing selects the dimension-ordered routing policy.
 type Routing int
@@ -67,9 +92,9 @@ type Mesh struct {
 	// latest virtual time the link has observed.
 	linkBusy    []atomic.Uint64
 	linkHorizon []atomic.Uint64
-	queued      atomic.Uint64
+	queued      atomic.Uint64 // total queueing delay charged (DebugStats)
 	policy      Routing
-	packets     atomic.Uint64
+	packets     atomic.Uint64 // packets routed under RouteOblivious, which alternates on it
 }
 
 // Directions of mesh links.
@@ -166,8 +191,15 @@ func (m *Mesh) Flits(bits int) int {
 // QueueDelay returns the utilization-based queueing estimate for a
 // resource with the given cumulative busy time, observation horizon and
 // per-request service time: rho/(1-rho) * service/2, with rho capped.
+//
+// Calls that price a nearly idle resource, which is most of them, are
+// answered 0 by an integer pre-test; the package comment shows why it
+// cannot disagree with the float path.
 func QueueDelay(busy, horizon, service uint64) uint64 {
 	if busy == 0 || horizon == 0 {
+		return 0
+	}
+	if hi, demand := bits.Mul64(busy, service+1); hi == 0 && service+1 != 0 && demand < horizon-horizon>>zeroMarginBits {
 		return 0
 	}
 	rho := float64(busy) / float64(horizon)
@@ -178,7 +210,7 @@ func QueueDelay(busy, horizon, service uint64) uint64 {
 }
 
 // Traverse sends a packet of the given bits from tile a to tile b
-// starting at cycle start, following XY routing and charging a
+// starting at cycle start, following the routing policy and charging a
 // utilization-based queueing delay on every traversed link. It returns
 // the head-arrival cycle at b and the number of flit-hops consumed (for
 // router/link energy accounting).
@@ -187,59 +219,53 @@ func (m *Mesh) Traverse(a, b int, bits int, start uint64) (arrival uint64, flitH
 		return start, 0
 	}
 	flits := uint64(m.Flits(bits))
-	pkt := m.packets.Add(1)
-	yFirst := m.policy == RouteYX || (m.policy == RouteOblivious && pkt%2 == 1)
+	yFirst := m.policy == RouteYX
+	if m.policy == RouteOblivious {
+		yFirst = m.packets.Add(1)%2 == 1
+	}
+	// A dimension-ordered route is two straight legs, so the coordinates
+	// are worked out once and each hop is an add on the tile index.
+	w := m.Width
+	dx, dy := b%w-a%w, b/w-a/w
+	x := leg{hops: dx, step: 1, dir: dirEast}
+	if dx < 0 {
+		x = leg{hops: -dx, step: -1, dir: dirWest}
+	}
+	y := leg{hops: dy, step: w, dir: dirSouth}
+	if dy < 0 {
+		y = leg{hops: -dy, step: -w, dir: dirNorth}
+	}
+	first, second := x, y
+	if yFirst {
+		first, second = y, x
+	}
 	t := start
 	cur := a
-	for cur != b {
-		next, dir := m.dimNext(cur, b, yFirst)
-		idx := cur*4 + dir
-		// Same arithmetic as the serialized model: raise the horizon,
-		// price the queueing delay against the utilization *before* this
-		// packet's reservation, then reserve. Add returns the post-add
-		// value, so subtracting flits recovers the pre-reservation busy.
-		horizon := MaxTo(&m.linkHorizon[idx], t)
-		busy := m.linkBusy[idx].Add(flits) - flits
-		wait := QueueDelay(busy, horizon, flits)
-		m.queued.Add(wait)
-		t += wait + m.HopCycles
-		flitHops += int(flits)
-		cur = next
-	}
-	return t, flitHops
-}
-
-// dimNext returns the next tile and outgoing link direction under
-// dimension-ordered routing (X first unless yFirst) from cur toward dst.
-func (m *Mesh) dimNext(cur, dst int, yFirst bool) (next, dir int) {
-	cx, cy := m.XY(cur)
-	dx, dy := m.XY(dst)
-	if yFirst {
-		switch {
-		case cy < dy:
-			return cur + m.Width, dirSouth
-		case cy > dy:
-			return cur - m.Width, dirNorth
-		case cx < dx:
-			return cur + 1, dirEast
-		default:
-			return cur - 1, dirWest
+	var queued uint64
+	for n, l := 0, first; n < 2; n, l = n+1, second {
+		for i := 0; i < l.hops; i++ {
+			idx := cur*4 + l.dir
+			// Same arithmetic as the serialized model: raise the horizon,
+			// price the queueing delay against the utilization *before* this
+			// packet's reservation, then reserve. Add returns the post-add
+			// value, so subtracting flits recovers the pre-reservation busy.
+			horizon := MaxTo(&m.linkHorizon[idx], t)
+			busy := m.linkBusy[idx].Add(flits) - flits
+			wait := QueueDelay(busy, horizon, flits)
+			queued += wait
+			t += wait + m.HopCycles
+			cur += l.step
 		}
 	}
-	switch {
-	case cx < dx:
-		return cur + 1, dirEast
-	case cx > dx:
-		return cur - 1, dirWest
-	case cy < dy:
-		return cur + m.Width, dirSouth
-	default:
-		return cur - m.Width, dirNorth
+	if queued != 0 {
+		m.queued.Add(queued)
 	}
+	return t, (x.hops + y.hops) * int(flits)
 }
 
-// xyNext is dimNext with the default XY order (kept for tests).
-func (m *Mesh) xyNext(cur, dst int) (next, dir int) { return m.dimNext(cur, dst, false) }
+// leg is one straight run of a dimension-ordered route: hops links, each
+// leaving its tile in direction dir and advancing the tile index by step.
+type leg struct{ hops, step, dir int }
 
 // RoundTrip is the uncontended round-trip latency between tiles a and b
 // (used for invalidation estimates): two traversals at hop latency.

@@ -68,6 +68,25 @@
 // synchronization time — encoding the paper's Section V-G conclusion
 // that OOO cores cannot hide on-chip communication.
 //
+// # Host cost of a reference
+//
+// What a simulated reference costs the host is arithmetic, not
+// scheduling: goroutine hand-off, the window throttle and selects are
+// under 3% of a run. An L1 hit takes the core lock and one tag lookup. A
+// miss adds two mesh traversals (noc.Traverse: two atomics and one
+// noc.QueueDelay per hop, most of them answered by its integer pre-test),
+// the home lock, and per-line state kept in two dense tables indexed by
+// line number (tables.go): a core's 2-bit miss dispositions in 4,096-line
+// pages and a home's lineStat slots in 512-entry chunks at the slice-local
+// index the L2 tag array uses. Both allocate on first touch and read as
+// zero until then, so a warm hit or miss allocates nothing
+// (TestWarmAccessDoesNotAllocate). A Lock/Unlock pair is four traversals
+// to and from tile 0 over the most loaded links plus two futex-line
+// accesses, and only the two accesses count as instructions, which is why
+// lock-per-edge PageRank costs several times more host time per simulated
+// instruction than the other kernels. DESIGN.md section 4 has the
+// measured shares.
+//
 // # Known simplifications
 //
 //   - The L1-I cache is not simulated structurally; instruction fetches

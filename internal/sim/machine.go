@@ -20,13 +20,6 @@ import (
 // trace returned in reports.
 const activeTracePoints = 2048
 
-// Line dispositions for miss classification (Section IV-D).
-const (
-	dispEvicted     = 1 // previously evicted for room -> capacity miss
-	dispInvalidated = 2 // invalidated/downgraded by another core -> sharing miss
-	dispPresent     = 3 // currently (or last known) resident
-)
-
 // reuseSaturation caps the per-line reuse counters of locality-aware
 // mode: the counters are uint8, so an unchecked increment wraps at 255
 // and a high threshold would demote a hot line back to remote service
@@ -97,9 +90,6 @@ type Machine struct {
 	nows   []atomic.Uint64
 	winMin atomic.Uint64
 
-	dbgThrottleSlow  atomic.Uint64
-	dbgThrottleSleep atomic.Uint64
-
 	// run is the cancellation state of the in-flight parallel region.
 	// A Machine executes one Run at a time (Run resets nows/winMin), so a
 	// plain field suffices.
@@ -116,20 +106,19 @@ type Machine struct {
 // take it briefly, always nested inside a home-stripe lock.
 type coreShard struct {
 	l1    *cache.Locked
-	disp  map[uint64]byte  // line dispositions for miss classification
+	disp  dispTable        // line dispositions for miss classification
 	reuse map[uint64]uint8 // locality-aware touch counters
 }
 
 // homeShard is one home tile's slice of shared model state. The embedded
 // mutex of l2 is the home-stripe lock; it guards l2, the directory
-// stripe and the lineStat map together. Exactly the lines with
+// stripe and the lineStat table together. Exactly the lines with
 // line % Cores == tile are homed here, so one lock covers every
 // structure a home-tile transaction touches.
 type homeShard struct {
 	l2    *cache.Locked
 	dir   *coherence.Dir
-	lines map[uint64]*lineStat // per-line home-serialization stats
-	arena lineStatArena        // slab storage behind the lines map
+	lines lineStatTable // per-line home-serialization stats
 }
 
 var _ exec.Platform = (*Machine)(nil)
@@ -174,7 +163,6 @@ func New(cfg Config) (*Machine, error) {
 		if cs.l1, err = cache.NewLocked(cfg.L1DSizeB, cfg.L1DWays, cfg.LineBytes); err != nil {
 			return nil, err
 		}
-		cs.disp = make(map[uint64]byte)
 		if cfg.LocalityAware {
 			cs.reuse = make(map[uint64]uint8)
 		}
@@ -183,7 +171,6 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		hs.dir = dirs.StripeAt(c)
-		hs.lines = make(map[uint64]*lineStat)
 	}
 	for i := 0; i < cfg.MemControllers; i++ {
 		if m.mcs[i], err = dram.New(cfg.ClockHz, cfg.DRAMBandwidthBs, cfg.DRAMLatencyNs); err != nil {
@@ -290,45 +277,6 @@ type lineStat struct {
 	count   uint64 // transactions served
 }
 
-// lineStatBlock is the lineStatArena slab size: large enough to
-// amortize slab allocation over a graph-sized working set, small enough
-// not to waste memory on tiny runs.
-const lineStatBlock = 512
-
-// lineStatArena is a slab allocator for lineStat entries. The miss path
-// creates one entry per distinct line homed on the tile — for graph
-// kernels that is millions of map inserts each formerly paired with its
-// own tiny heap allocation. Slabs cut that to one allocation per
-// lineStatBlock entries. Handed-out pointers stay valid forever: slabs
-// are append-only and never moved or shrunk. Caller holds the
-// home-stripe lock; entries are zero-valued exactly like &lineStat{}.
-type lineStatArena struct {
-	slabs [][]lineStat
-	used  int // entries used in the newest slab
-}
-
-func (a *lineStatArena) get() *lineStat {
-	if len(a.slabs) == 0 || a.used == lineStatBlock {
-		a.slabs = append(a.slabs, make([]lineStat, lineStatBlock))
-		a.used = 0
-	}
-	ls := &a.slabs[len(a.slabs)-1][a.used]
-	a.used++
-	return ls
-}
-
-// lineStat returns (allocating from the tile's arena if needed) the
-// stats of a line homed on this shard. Caller holds the home-stripe
-// lock.
-func (hs *homeShard) lineStat(line uint64) *lineStat {
-	ls := hs.lines[line]
-	if ls == nil {
-		ls = hs.arena.get()
-		hs.lines[line] = ls
-	}
-	return ls
-}
-
 // lineWait returns the L2Home-Waiting estimate for a request to line
 // arriving at time t and updates the horizon.
 func (ls *lineStat) lineWait(t uint64) uint64 {
@@ -433,7 +381,6 @@ func (c *ctx) throttle() {
 	if c.now <= m.winMin.Load()+w {
 		return
 	}
-	m.dbgThrottleSlow.Add(1)
 	// Exponential backoff: with hundreds of simulated threads on few
 	// host CPUs, hundreds of waiters polling at a fixed fine interval
 	// would starve the very laggard they are waiting for.
@@ -459,17 +406,11 @@ func (c *ctx) throttle() {
 		if c.now <= min+w {
 			return
 		}
-		m.dbgThrottleSleep.Add(1)
 		time.Sleep(backoff)
 		if backoff < maxBackoff {
 			backoff *= 2
 		}
 	}
-}
-
-// DebugThrottle reports window-throttle engagement counters.
-func (m *Machine) DebugThrottle() (slowChecks, sleeps uint64) {
-	return m.dbgThrottleSlow.Load(), m.dbgThrottleSleep.Load()
 }
 
 func (c *ctx) TID() int     { return c.tid }
@@ -607,7 +548,7 @@ func (c *ctx) access(addr exec.Addr, write bool) {
 		if st == cache.Invalid {
 			// True L1 miss: classify per Section IV-D.
 			cl := exec.MissCold
-			switch cs.disp[line] {
+			switch cs.disp.get(line) {
 			case dispEvicted:
 				cl = exec.MissCapacity
 			case dispInvalidated:
@@ -632,7 +573,8 @@ func (c *ctx) access(addr exec.Addr, write bool) {
 
 	// Home serialization: requests to the same line queue up
 	// (L2Home-Waiting).
-	ls := hs.lineStat(line)
+	idx := m.l2Index(line)
+	ls := hs.lines.at(idx)
 	wait := ls.lineWait(t)
 	busy := t + wait
 	txnStart := busy
@@ -645,7 +587,7 @@ func (c *ctx) access(addr exec.Addr, write bool) {
 
 	// Off-chip fill on L2 miss.
 	var offchip uint64
-	if hs.l2.Lookup(m.l2Index(line)) == cache.Invalid {
+	if hs.l2.Lookup(idx) == cache.Invalid {
 		c.stats.L2Misses++
 		t2 := c.fillFromDRAM(hs, line, home, t)
 		offchip = t2 - t
@@ -684,7 +626,7 @@ func (c *ctx) access(addr exec.Addr, write bool) {
 	}
 	cs.l1.Lock()
 	v, evicted := cs.l1.Insert(line, grant)
-	cs.disp[line] = dispPresent
+	cs.disp.set(line, dispPresent)
 	cs.l1.Unlock()
 	hs.l2.Unlock()
 
@@ -771,7 +713,7 @@ func (c *ctx) dropL2Victim(hs *homeShard, v cache.Victim, home int) {
 		cs := &m.cores[core]
 		cs.l1.Lock()
 		if st := cs.l1.Invalidate(line); st != cache.Invalid {
-			cs.disp[line] = dispEvicted
+			cs.disp.set(line, dispEvicted)
 			if st == cache.Modified {
 				dirty = true
 			}
@@ -812,7 +754,7 @@ func (c *ctx) dropL1Victim(cs *coreShard, v cache.Victim) {
 	hs.l2.Lock()
 	hs.dir.Evict(line, c.core)
 	cs.l1.Lock()
-	cs.disp[line] = dispEvicted
+	cs.disp.set(line, dispEvicted)
 	cs.l1.Unlock()
 	if v.State == cache.Modified {
 		c.energy.FlitHops += uint64(m.mesh.Hops(c.core, home) * m.mesh.Flits(m.cfg.CtrlPacketBits+8*m.cfg.LineBytes))
@@ -844,7 +786,7 @@ func (c *ctx) applyCoherence(hs *homeShard, line uint64, home int, act coherence
 		fs.l1.Lock()
 		if write {
 			if st := fs.l1.Invalidate(line); st != cache.Invalid {
-				fs.disp[line] = dispInvalidated
+				fs.disp.set(line, dispInvalidated)
 			}
 		} else {
 			fs.l1.SetState(line, cache.Shared)
@@ -863,7 +805,7 @@ func (c *ctx) applyCoherence(hs *homeShard, line uint64, home int, act coherence
 		ss := &m.cores[s]
 		ss.l1.Lock()
 		if st := ss.l1.Invalidate(line); st != cache.Invalid {
-			ss.disp[line] = dispInvalidated
+			ss.disp.set(line, dispInvalidated)
 		}
 		ss.l1.Unlock()
 	}
@@ -882,7 +824,7 @@ func (c *ctx) applyCoherence(hs *homeShard, line uint64, home int, act coherence
 			bs := &m.cores[core]
 			bs.l1.Lock()
 			if st := bs.l1.Invalidate(line); st != cache.Invalid {
-				bs.disp[line] = dispInvalidated
+				bs.disp.set(line, dispInvalidated)
 				c.energy.FlitHops += uint64(2*m.mesh.Hops(home, core)) * flits
 			}
 			bs.l1.Unlock()
@@ -924,7 +866,7 @@ func (c *ctx) prefetchNextLine(cs *coreShard, line uint64) {
 	}
 	cs.l1.Lock()
 	v, evicted := cs.l1.Insert(nl, grant)
-	cs.disp[nl] = dispPresent
+	cs.disp.set(nl, dispPresent)
 	cs.l1.Unlock()
 	hs.l2.Unlock()
 	c.energy.L2Accesses++
@@ -946,7 +888,8 @@ func (c *ctx) remoteAccess(line uint64, write bool) {
 	t, fh := m.mesh.Traverse(c.core, home, m.cfg.CtrlPacketBits, start)
 	c.energy.FlitHops += uint64(fh)
 	hs.l2.Lock()
-	ls := hs.lineStat(line)
+	idx := m.l2Index(line)
+	ls := hs.lines.at(idx)
 	wait := ls.lineWait(t)
 	busy := t + wait
 	txnStart := busy
@@ -955,7 +898,7 @@ func (c *ctx) remoteAccess(line uint64, write bool) {
 	c.energy.DirAccesses++
 	c.stats.L2Accesses++
 	var offchip uint64
-	if hs.l2.Lookup(m.l2Index(line)) == cache.Invalid {
+	if hs.l2.Lookup(idx) == cache.Invalid {
 		c.stats.L2Misses++
 		t2 := c.fillFromDRAM(hs, line, home, t)
 		offchip = t2 - t
@@ -964,7 +907,7 @@ func (c *ctx) remoteAccess(line uint64, write bool) {
 	var act coherence.Action
 	if write {
 		act = hs.dir.RemoteWrite(line)
-		hs.l2.SetState(m.l2Index(line), cache.Modified)
+		hs.l2.SetState(idx, cache.Modified)
 	} else {
 		act = hs.dir.RemoteRead(line)
 	}
@@ -1237,11 +1180,4 @@ func reconstructTrace(deltas []exec.ActiveSample, maxPoints int) []exec.ActiveSa
 		out = append(out, deltas[len(deltas)-1])
 	}
 	return out
-}
-
-// DebugMesh exposes NoC contention counters for diagnostics: total
-// queueing delay charged, the busiest link's cumulative flit-cycles, and
-// that link's index (tile*4 + direction).
-func (m *Machine) DebugMesh() (queuedCycles, busiestBusy uint64, busiestLink int) {
-	return m.mesh.DebugStats()
 }
