@@ -14,8 +14,13 @@ const execPath = "crono/internal/exec"
 // transitively) import exec — in which case no checker has anything to
 // say about it.
 type execTypes struct {
-	// ctx is the underlying interface of exec.Ctx.
-	ctx *types.Interface
+	// thread is the named struct exec.Ctx points to: the concrete
+	// per-thread handle kernels annotate through.
+	thread *types.Named
+	// hooks are the interfaces a platform implements behind a Thread
+	// (exec.Model and exec.Sync). Between them they carry the contract's
+	// whole method set, so platform-internal calls match by name too.
+	hooks []*types.Interface
 	// barrier and lock are the named opaque handle types.
 	barrier types.Type
 	lock    types.Type
@@ -31,8 +36,15 @@ func resolveExec(pkg *types.Package) *execTypes {
 	}
 	e := &execTypes{}
 	if o := ep.Scope().Lookup("Ctx"); o != nil {
-		if iface, ok := o.Type().Underlying().(*types.Interface); ok {
-			e.ctx = iface
+		if ptr, ok := types.Unalias(o.Type()).(*types.Pointer); ok {
+			e.thread, _ = types.Unalias(ptr.Elem()).(*types.Named)
+		}
+	}
+	for _, name := range []string{"Model", "Sync"} {
+		if o := ep.Scope().Lookup(name); o != nil {
+			if iface, ok := o.Type().Underlying().(*types.Interface); ok {
+				e.hooks = append(e.hooks, iface)
+			}
 		}
 	}
 	if o := ep.Scope().Lookup("Barrier"); o != nil {
@@ -44,10 +56,30 @@ func resolveExec(pkg *types.Package) *execTypes {
 	if o := ep.Scope().Lookup("Region"); o != nil {
 		e.region = o.Type()
 	}
-	if e.ctx == nil {
+	if e.thread == nil || len(e.hooks) != 2 {
 		return nil
 	}
 	return e
+}
+
+// isCtx reports whether t is the kernel-facing handle (exec.Thread or a
+// pointer to it) or a platform type standing behind one: anything that
+// implements exec.Model or exec.Sync.
+func (e *execTypes) isCtx(t types.Type) bool {
+	t = types.Unalias(t)
+	elem := t
+	if ptr, ok := t.(*types.Pointer); ok {
+		elem = types.Unalias(ptr.Elem())
+	}
+	if types.Identical(elem, e.thread) {
+		return true
+	}
+	for _, h := range e.hooks {
+		if types.Implements(t, h) || types.Implements(types.NewPointer(t), h) {
+			return true
+		}
+	}
+	return false
 }
 
 func findImport(pkg *types.Package, path string, seen map[*types.Package]bool) *types.Package {
@@ -66,10 +98,10 @@ func findImport(pkg *types.Package, path string, seen map[*types.Package]bool) *
 	return nil
 }
 
-// ctxMethod reports whether call is a method call on a value whose
-// static type is (or implements) exec.Ctx, returning the method name.
-// Both the interface itself and the platform implementations match, so
-// the invariants hold in kernels and in platform-internal code alike.
+// ctxMethod reports whether call is a method call on an exec.Ctx or on a
+// value whose static type implements one of the platform hooks behind
+// it, returning the method name. Both match, so the invariants hold in
+// kernels and in platform-internal code alike.
 func (e *execTypes) ctxMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -79,8 +111,7 @@ func (e *execTypes) ctxMethod(info *types.Info, call *ast.CallExpr) (string, boo
 	if !ok || selection.Kind() != types.MethodVal {
 		return "", false
 	}
-	recv := selection.Recv()
-	if types.Implements(recv, e.ctx) || types.Implements(types.NewPointer(recv), e.ctx) {
+	if e.isCtx(selection.Recv()) {
 		return sel.Sel.Name, true
 	}
 	return "", false
@@ -120,9 +151,10 @@ type funcInfo struct {
 	node ast.Node
 	// body is the statement block.
 	body *ast.BlockStmt
-	// recvImplementsCtx marks methods declared on a platform Ctx
-	// implementation itself; checkers that police kernel-side usage
-	// skip those, since they are the machinery being called.
+	// recvImplementsCtx marks methods declared on exec.Thread or on a
+	// platform's Model/Sync implementation; checkers that police
+	// kernel-side usage skip those, since they are the machinery being
+	// called.
 	recvImplementsCtx bool
 }
 
@@ -139,7 +171,7 @@ func functions(pkg *Package, e *execTypes) []funcInfo {
 				}
 				fi := funcInfo{name: fn.Name.Name, node: fn, body: fn.Body}
 				if fn.Recv != nil && len(fn.Recv.List) == 1 {
-					if tv, ok := pkg.Info.Types[fn.Recv.List[0].Type]; ok && types.Implements(tv.Type, e.ctx) {
+					if tv, ok := pkg.Info.Types[fn.Recv.List[0].Type]; ok && e.isCtx(tv.Type) {
 						fi.recvImplementsCtx = true
 					}
 				}

@@ -36,10 +36,7 @@ func Betweenness(goCtx context.Context, pl exec.Platform, d *graph.Dense, thread
 	st := newAPSPState(pl, d, threads)
 	cent := make([]int64, n)
 	rCent := pl.Alloc("betw.centrality", n, 8)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {

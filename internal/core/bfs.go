@@ -45,10 +45,7 @@ func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int
 	rOff := pl.Alloc("bfs.offsets", n+1, 8)
 	rTgt := pl.Alloc("bfs.targets", g.M(), 4)
 	rChg := pl.Alloc("bfs.changed", threads, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {

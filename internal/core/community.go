@@ -75,10 +75,7 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 	rOff := pl.Alloc("comm.offsets", n+1, 8)
 	rTgt := pl.Alloc("comm.targets", g.M(), 4)
 	rWgt := pl.Alloc("comm.weights", g.M(), 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 	moved := make([]int64, threads)
 	inW := make([]int64, threads) // per-thread intra-community weight

@@ -40,10 +40,7 @@ func ConnectedComponents(goCtx context.Context, pl exec.Platform, g *graph.CSR, 
 	rOff := pl.Alloc("cc.offsets", n+1, 8)
 	rTgt := pl.Alloc("cc.targets", g.M(), 4)
 	rChg := pl.Alloc("cc.changed", threads, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 	done := int32(0)
 

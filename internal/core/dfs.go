@@ -44,10 +44,7 @@ func DFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int
 	rOff := pl.Alloc("dfs.offsets", n+1, 8)
 	rTgt := pl.Alloc("dfs.targets", g.M(), 4)
 	rStack := pl.Alloc("dfs.stack", n, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	stackLock := pl.NewLock()
 
 	// Claim the source up front so the parallel region starts with one

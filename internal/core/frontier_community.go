@@ -90,10 +90,7 @@ func (k *communityFrontierRun) execute(goCtx context.Context, pl exec.Platform, 
 	k.rWgt = pl.Alloc("commf.weights", g.M(), 4)
 	k.rMark = pl.Alloc("commf.mark", n, 4)
 	k.rFront = pl.Alloc("commf.frontier", n, 4)
-	k.locks = make([]exec.Lock, n)
-	for i := range k.locks {
-		k.locks[i] = pl.NewLock()
-	}
+	k.locks = exec.NewLocks(pl, n)
 	k.bar = pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, k.run)

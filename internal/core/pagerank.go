@@ -50,10 +50,7 @@ func PageRank(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, it
 	rNext := pl.Alloc("pr.next", n, 8)
 	rOff := pl.Alloc("pr.offsets", n+1, 8)
 	rTgt := pl.Alloc("pr.targets", g.M(), 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {

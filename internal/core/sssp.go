@@ -54,10 +54,7 @@ func SSSP(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads in
 	rWgt := pl.Alloc("sssp.weights", g.M(), 4)
 	rExist := pl.Alloc("sssp.exist", n, 4)
 	rMins := pl.Alloc("sssp.mins", threads, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {

@@ -38,10 +38,7 @@ func TriangleCount(goCtx context.Context, pl exec.Platform, g *graph.CSR, thread
 	rTri := pl.Alloc("tri.counts", n, 8)
 	rOff := pl.Alloc("tri.offsets", n+1, 8)
 	rTgt := pl.Alloc("tri.targets", g.M(), 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {

@@ -89,10 +89,7 @@ func SSSPDelta(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 	rWgt := pl.Alloc("dsssp.weights", g.M(), 4)
 	rExist := pl.Alloc("dsssp.exist", n, 4)
 	rMins := pl.Alloc("dsssp.mins", threads, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
@@ -254,10 +251,7 @@ func BFSTarget(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, targe
 	rOff := pl.Alloc("bfst.offsets", n+1, 8)
 	rTgt := pl.Alloc("bfst.targets", g.M(), 4)
 	rChg := pl.Alloc("bfst.changed", threads, 4)
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
@@ -367,10 +361,7 @@ func BetweennessBrandes(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 		rLoc[t] = pl.Alloc(fmt.Sprintf("brandes.local.%d", t), 4*n, 8)
 	}
 	capt := pl.NewLock()
-	locks := make([]exec.Lock, n)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, n)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
 		tid := ctx.TID()

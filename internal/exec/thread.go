@@ -1,0 +1,232 @@
+package exec
+
+// Ctx is the per-thread execution context handed to a kernel body: a
+// pointer to the run's Thread for that thread. It is a concrete type, not
+// an interface, so every annotation a kernel issues is a direct call the
+// compiler inlines into the kernel's loop.
+//
+// Instruction accounting (feeds the paper's Variability metric, Eq. 2):
+// Load, Store, AtomicLoad, AtomicStore, AtomicRMW, Lock and Unlock each
+// count as one instruction and Compute(n) counts as n instructions.
+type Ctx = *Thread
+
+// Model is the memory and compute half of what a platform plugs in behind
+// a Thread: the simulator's timing model, the race detector, the trace
+// recorder. Its methods receive exactly the annotation stream the kernel
+// issues, in order, and do their own instruction accounting. The native
+// platform attaches no Model; see Thread.
+type Model interface {
+	// Load annotates a read of the datum at addr.
+	Load(addr Addr)
+	// Store annotates a write of the datum at addr.
+	Store(addr Addr)
+	// AtomicLoad annotates an atomic read of the datum at addr (a
+	// sync/atomic load in the real computation). Timing and instruction
+	// accounting are identical to Load; the distinction exists for
+	// synchronization-aware tooling: an atomic load is an acquire — it
+	// observes every atomic write to the same address — so crono-race
+	// treats it as ordered after those writes instead of racing them.
+	AtomicLoad(addr Addr)
+	// AtomicStore annotates an atomic write of the datum at addr, as
+	// AtomicLoad for Store. An atomic store is a release.
+	AtomicStore(addr Addr)
+	// AtomicRMW annotates an atomic read-modify-write of the datum at
+	// addr (a successful CompareAndSwap, Add or Swap). It is an
+	// acquire-release and counts as a write. Kernels annotate only
+	// successful CAS claims, matching the convention that a failed
+	// attempt leaves no architectural store to model.
+	AtomicRMW(addr Addr)
+	// LoadSpan annotates a sequential read of elems contiguous elements
+	// of elemSize bytes starting at addr (e.g. scanning a neighbor
+	// list). It is semantically identical to elems Load calls; the
+	// simulator models one cache transaction per touched line and
+	// single-cycle hits for the rest, which is also what per-element
+	// calls produce, just much faster.
+	LoadSpan(addr Addr, elems, elemSize int)
+	// StoreSpan annotates a sequential write, as LoadSpan.
+	StoreSpan(addr Addr, elems, elemSize int)
+	// Compute annotates n units of pure computation (ALU work).
+	Compute(n int)
+	// Active adjusts the global count of active vertices by delta.
+	// It drives the active-vertex telemetry behind Figure 2.
+	Active(delta int)
+}
+
+// Sync is the synchronization half, which every platform supplies.
+type Sync interface {
+	// Lock acquires l, modelling an atomic lock acquisition.
+	Lock(l Lock)
+	// Unlock releases l.
+	Unlock(l Lock)
+	// Barrier blocks until all parties of b arrive.
+	Barrier(b Barrier)
+	// Checkpoint polls for cooperative cancellation. Kernels call it at
+	// phase boundaries (a BFS level, a PageRank iteration, a captured
+	// vertex) so the hot loop stays annotation-only. A non-nil return is
+	// the run context's error; the kernel body must return immediately
+	// without further synchronization — once any thread observes the
+	// abort, the platform releases every barrier waiter of the run so
+	// all threads reach their own next Checkpoint.
+	Checkpoint() error
+}
+
+// Thread is one thread of a run. A platform builds one per thread from
+// the hooks it implements and passes its address to the kernel body.
+//
+// With a Model attached every annotation is forwarded to it, after one
+// predictable nil test. With none — the native platform — an annotation
+// is the instruction accounting and nothing else: a counter bump inlined
+// into the kernel loop, 1 per access, atomic or lock operation, n per
+// Compute(n), elems per span with elems > 0, nothing for Active. That is
+// the paper's real-machine setup, where the instrumentation exists only
+// under the simulator.
+//
+// The counter is written on every annotation, so a Thread is its own
+// allocation and ends in a pad: two threads' counters never share a line.
+type Thread struct {
+	tid, threads int
+	model        Model
+	sync         Sync
+	instr        uint64
+
+	_ [LineSize]byte // false-sharing guard
+}
+
+// NewThread returns thread tid of a run of the given parallelism. model
+// may be nil (see Thread); sync must not be.
+func NewThread(tid, threads int, model Model, sync Sync) *Thread {
+	return &Thread{tid: tid, threads: threads, model: model, sync: sync}
+}
+
+// Begin readies a Thread kept across runs for a run of the given
+// parallelism: the model-free instruction count restarts at zero.
+func (t *Thread) Begin(threads int) { t.threads, t.instr = threads, 0 }
+
+// Instructions returns what the Thread has counted since Begin. It is
+// zero for a Thread with a Model, which keeps its own count.
+func (t *Thread) Instructions() uint64 { return t.instr }
+
+// Model returns the attached Model, nil on the native platform.
+func (t *Thread) Model() Model { return t.model }
+
+// TID returns this thread's index in [0, Threads()).
+func (t *Thread) TID() int { return t.tid }
+
+// Threads returns the number of threads in the current run.
+func (t *Thread) Threads() int { return t.threads }
+
+// Load annotates a read of the datum at addr.
+func (t *Thread) Load(addr Addr) {
+	if t.model != nil {
+		t.model.Load(addr)
+		return
+	}
+	t.instr++
+}
+
+// Store annotates a write of the datum at addr.
+func (t *Thread) Store(addr Addr) {
+	if t.model != nil {
+		t.model.Store(addr)
+		return
+	}
+	t.instr++
+}
+
+// AtomicLoad annotates an atomic read; see Model.
+func (t *Thread) AtomicLoad(addr Addr) {
+	if t.model != nil {
+		t.model.AtomicLoad(addr)
+		return
+	}
+	t.instr++
+}
+
+// AtomicStore annotates an atomic write; see Model.
+func (t *Thread) AtomicStore(addr Addr) {
+	if t.model != nil {
+		t.model.AtomicStore(addr)
+		return
+	}
+	t.instr++
+}
+
+// AtomicRMW annotates a successful atomic read-modify-write; see Model.
+func (t *Thread) AtomicRMW(addr Addr) {
+	if t.model != nil {
+		t.model.AtomicRMW(addr)
+		return
+	}
+	t.instr++
+}
+
+// LoadSpan annotates a sequential read of elems elements; see Model.
+func (t *Thread) LoadSpan(addr Addr, elems, elemSize int) {
+	if t.model != nil {
+		t.model.LoadSpan(addr, elems, elemSize)
+		return
+	}
+	t.instr += uint64(max(elems, 0))
+}
+
+// StoreSpan annotates a sequential write, as LoadSpan.
+func (t *Thread) StoreSpan(addr Addr, elems, elemSize int) {
+	if t.model != nil {
+		t.model.StoreSpan(addr, elems, elemSize)
+		return
+	}
+	t.instr += uint64(max(elems, 0))
+}
+
+// Compute annotates n units of pure computation (ALU work).
+func (t *Thread) Compute(n int) {
+	if t.model != nil {
+		t.model.Compute(n)
+		return
+	}
+	t.instr += uint64(n)
+}
+
+// Active adjusts the global count of active vertices by delta.
+func (t *Thread) Active(delta int) {
+	if t.model != nil {
+		t.model.Active(delta)
+	}
+}
+
+// Lock acquires l.
+func (t *Thread) Lock(l Lock) {
+	if t.model == nil {
+		t.instr++
+	}
+	t.sync.Lock(l)
+}
+
+// Unlock releases l.
+func (t *Thread) Unlock(l Lock) {
+	if t.model == nil {
+		t.instr++
+	}
+	t.sync.Unlock(l)
+}
+
+// Barrier blocks until all parties of b arrive.
+func (t *Thread) Barrier(b Barrier) { t.sync.Barrier(b) }
+
+// Checkpoint polls for cooperative cancellation; see Sync.
+func (t *Thread) Checkpoint() error { return t.sync.Checkpoint() }
+
+// NewLocks creates n locks on pl, one per vertex in the kernels that
+// guard each vertex with its own. A platform that can make them in one
+// allocation offers NewLocks(n); otherwise they are n NewLock calls in
+// index order, which is what the simulator's lock placement sees.
+func NewLocks(pl Platform, n int) []Lock {
+	if bulk, ok := pl.(interface{ NewLocks(n int) []Lock }); ok {
+		return bulk.NewLocks(n)
+	}
+	locks := make([]Lock, n)
+	for i := range locks {
+		locks[i] = pl.NewLock()
+	}
+	return locks
+}

@@ -1,8 +1,13 @@
 // Package native implements the exec.Platform on real host hardware using
 // goroutines. It is the reproduction of the paper's "real machine setup"
-// (Section IV-C / Figure 9): kernels run at full speed, annotation calls
-// reduce to per-thread counters, and locks and barriers map to Go
-// synchronization primitives.
+// (Section IV-C / Figure 9): locks and barriers map to Go synchronization
+// primitives, and the platform attaches no exec.Model to its threads, so
+// an annotation is exec.Thread's own instruction counter bumped inline in
+// the kernel loop: no call, no dispatch, and of the address only
+// Region.At's sign test. BenchmarkAnnotate measures it (1.6 ns for a
+// Load on the reference host, the latency of an add through memory, which
+// a kernel's own loads overlap); DESIGN §2 has what that is worth per
+// kernel.
 package native
 
 import (
@@ -34,9 +39,9 @@ type Platform struct {
 	running atomic.Bool
 	closed  atomic.Bool
 
-	// ctxs[t] is thread t's context and thunks[t] the function its
-	// goroutine runs; both are grown on demand by ensure and then fixed.
-	ctxs   []*ctx
+	// thr[t] is thread t's state and thunks[t] the function its goroutine
+	// runs; both are grown on demand by ensure and then fixed.
+	thr    []*thread
 	thunks []func()
 	wg     sync.WaitGroup
 
@@ -77,9 +82,20 @@ type nativeLock struct{ mu sync.Mutex }
 // NewLock implements exec.Platform.
 func (p *Platform) NewLock() exec.Lock { return &nativeLock{} }
 
+// NewLocks makes n locks in one slab for exec.NewLocks: a per-vertex
+// lock array costs two allocations instead of n+1.
+func (p *Platform) NewLocks(n int) []exec.Lock {
+	slab := make([]nativeLock, n)
+	locks := make([]exec.Lock, n)
+	for i := range slab {
+		locks[i] = &slab[i]
+	}
+	return locks
+}
+
 // barrier is a generation-counting barrier on a sync.Cond, so crossings
 // allocate nothing. It holds no platform or run state: a waiter takes
-// the run from its own ctx, and publishes the barrier it parks on there
+// the run from its own thread, and publishes the barrier it parks on there
 // so an aborting run can wake it (see Platform.trip). A barrier outlives
 // the run that made it and may be reused by later runs.
 type barrier struct {
@@ -97,7 +113,7 @@ func (p *Platform) NewBarrier(parties int) exec.Barrier {
 	return b
 }
 
-func (b *barrier) wait(c *ctx) {
+func (b *barrier) wait(c *thread) {
 	b.mu.Lock()
 	gen := b.gen
 	b.waiting++
@@ -132,7 +148,7 @@ func (p *Platform) trip() {
 	if !p.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	for _, c := range p.ctxs[:p.threads] {
+	for _, c := range p.thr[:p.threads] {
 		if b := c.parked.Load(); b != nil {
 			b.mu.Lock()
 			b.cond.Broadcast()
@@ -141,69 +157,36 @@ func (p *Platform) trip() {
 	}
 }
 
-// ctx is one thread's execution context and counters. It persists
-// across runs; each is its own allocation with a trailing pad so the
-// hot counters of two threads never share a cache line.
-type ctx struct {
-	p       *Platform
-	tid     int
-	threads int
+// thread is one thread's platform state: the exec.Sync behind its
+// exec.Thread, and its timers. It persists across runs; each is its own
+// allocation with a trailing pad, as the Thread is. The instruction count
+// is not here: with no exec.Model attached the Thread keeps it, inline in
+// the kernel.
+type thread struct {
+	p *Platform
+	t *exec.Thread
 
-	instr  uint64
 	busyNs uint64
 	syncNs uint64
 	// parked is the barrier this thread is blocked on, if any.
 	parked atomic.Pointer[barrier]
 
-	_ [64]byte // false-sharing guard
+	_ [exec.LineSize]byte // false-sharing guard
 }
 
-var _ exec.Ctx = (*ctx)(nil)
+var _ exec.Sync = (*thread)(nil)
 
-func (c *ctx) TID() int     { return c.tid }
-func (c *ctx) Threads() int { return c.threads }
+func (c *thread) Lock(l exec.Lock)   { l.(*nativeLock).mu.Lock() }
+func (c *thread) Unlock(l exec.Lock) { l.(*nativeLock).mu.Unlock() }
 
-func (c *ctx) Load(exec.Addr)  { c.instr++ }
-func (c *ctx) Store(exec.Addr) { c.instr++ }
-func (c *ctx) Compute(n int)   { c.instr += uint64(n) }
-
-// Atomic annotations cost exactly what their plain counterparts do
-// natively: one instruction. The acquire/release semantics only matter
-// to synchronization-aware platforms (internal/racecheck).
-func (c *ctx) AtomicLoad(exec.Addr)  { c.instr++ }
-func (c *ctx) AtomicStore(exec.Addr) { c.instr++ }
-func (c *ctx) AtomicRMW(exec.Addr)   { c.instr++ }
-
-func (c *ctx) LoadSpan(_ exec.Addr, elems, _ int) {
-	if elems > 0 {
-		c.instr += uint64(elems)
-	}
-}
-
-func (c *ctx) StoreSpan(_ exec.Addr, elems, _ int) {
-	if elems > 0 {
-		c.instr += uint64(elems)
-	}
-}
-
-func (c *ctx) Lock(l exec.Lock) {
-	c.instr++
-	l.(*nativeLock).mu.Lock()
-}
-
-func (c *ctx) Unlock(l exec.Lock) {
-	c.instr++
-	l.(*nativeLock).mu.Unlock()
-}
-
-func (c *ctx) Barrier(b exec.Barrier) {
+func (c *thread) Barrier(b exec.Barrier) {
 	t0 := time.Now()
 	b.(*barrier).wait(c)
 	c.syncNs += uint64(time.Since(t0))
 }
 
-// Checkpoint implements exec.Ctx: a non-blocking poll of the run context.
-func (c *ctx) Checkpoint() error {
+// Checkpoint implements exec.Sync: a non-blocking poll of the run context.
+func (c *thread) Checkpoint() error {
 	if err := c.p.cause.Err(); err != nil {
 		c.p.trip()
 		return err
@@ -211,22 +194,18 @@ func (c *ctx) Checkpoint() error {
 	return nil
 }
 
-// Active is a no-op: the active-vertex trace (Figure 2) is read from the
-// simulator, and sampling it natively would put a clock read and an
-// append on a per-vertex path.
-func (c *ctx) Active(int) {}
-
-// ensure grows the per-thread contexts and thunks to the given
+// ensure grows the per-thread state and thunks to the given
 // parallelism. A thunk reads the run's body from the platform, so one
 // func value per thread serves every run and spawning it allocates
 // nothing.
 func (p *Platform) ensure(threads int) {
-	for tid := len(p.ctxs); tid < threads; tid++ {
-		c := &ctx{p: p, tid: tid}
-		p.ctxs = append(p.ctxs, c)
+	for tid := len(p.thr); tid < threads; tid++ {
+		c := &thread{p: p}
+		c.t = exec.NewThread(tid, threads, nil, c)
+		p.thr = append(p.thr, c)
 		p.thunks = append(p.thunks, func() {
 			t0 := time.Now()
-			p.body(c)
+			p.body(c.t)
 			c.busyNs = uint64(time.Since(t0))
 			p.wg.Done()
 		})
@@ -272,8 +251,9 @@ func (p *Platform) RunInto(goCtx context.Context, threads int, body func(exec.Ct
 		threads = 1
 	}
 	p.ensure(threads)
-	for _, c := range p.ctxs[:threads] {
-		c.threads, c.instr, c.busyNs, c.syncNs = threads, 0, 0, 0
+	for _, c := range p.thr[:threads] {
+		c.t.Begin(threads)
+		c.busyNs, c.syncNs = 0, 0
 	}
 	p.body, p.cause, p.threads = body, goCtx, threads
 	p.aborted.Store(false)
@@ -300,8 +280,8 @@ func (p *Platform) RunInto(goCtx context.Context, threads int, body func(exec.Ct
 		ThreadTime:   grow(rep.ThreadTime, threads),
 	}
 	var syncNs uint64
-	for t, c := range p.ctxs[:threads] {
-		rep.Instructions[t] = c.instr
+	for t, c := range p.thr[:threads] {
+		rep.Instructions[t] = c.t.Instructions()
 		rep.ThreadTime[t] = c.busyNs
 		syncNs += c.syncNs
 	}

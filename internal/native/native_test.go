@@ -23,14 +23,23 @@ func TestAllocAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
-// annotate issues 1+1+5+10+3 = 20 instructions' worth of annotations.
+// annotateInstr is what one call of annotate's body counts: 1 per access
+// and atomic, 5 for the Compute, 10+3 for the spans.
+const annotateInstr = 1 + 1 + 1 + 1 + 1 + 5 + 10 + 3
+
+// annotate issues each of the nine annotations once.
 func annotate(r exec.Region) func(exec.Ctx) {
 	return func(c exec.Ctx) {
 		c.Load(r.At(0))
 		c.Store(r.At(1))
+		c.AtomicLoad(r.At(2))
+		c.AtomicStore(r.At(3))
+		c.AtomicRMW(r.At(4))
 		c.Compute(5)
 		c.LoadSpan(r.At(0), 10, 4)
 		c.StoreSpan(r.At(0), 3, 4)
+		c.LoadSpan(r.At(0), 0, 4) // an empty span counts nothing
+		c.StoreSpan(r.At(0), -1, 4)
 		c.Active(1) // discarded natively
 	}
 }
@@ -42,8 +51,8 @@ func TestRunCountsInstructions(t *testing.T) {
 		t.Fatalf("threads %d", rep.Threads)
 	}
 	for tid, n := range rep.Instructions {
-		if n != 20 {
-			t.Fatalf("thread %d counted %d instructions, want 20", tid, n)
+		if n != annotateInstr {
+			t.Fatalf("thread %d counted %d instructions, want %d", tid, n, annotateInstr)
 		}
 	}
 	if rep.Time == 0 {
@@ -70,8 +79,8 @@ func TestReusableCountsInstructions(t *testing.T) {
 	}
 	for _, rep := range []*exec.Report{first, second} {
 		for tid, n := range rep.Instructions {
-			if n != 20 {
-				t.Fatalf("%d-thread run: thread %d counted %d instructions, want 20", rep.Threads, tid, n)
+			if n != annotateInstr {
+				t.Fatalf("%d-thread run: thread %d counted %d instructions, want %d", rep.Threads, tid, n, annotateInstr)
 			}
 		}
 	}
@@ -270,7 +279,7 @@ func TestReusableCancellationReleasesBarrierWaiters(t *testing.T) {
 		})
 		done <- err
 	}()
-	for _, c := range p.ctxs[1:threads] {
+	for _, c := range p.thr[1:threads] {
 		for c.parked.Load() == nil {
 			runtime.Gosched()
 		}
@@ -304,12 +313,12 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	p.ensure(2)
 	b := p.NewBarrier(2).(*barrier)
 	p.aborted.Store(true)
-	b.wait(p.ctxs[0]) // lone arrival, released by the dead run's abort
+	b.wait(p.thr[0]) // lone arrival, released by the dead run's abort
 	p.aborted.Store(false)
 
 	released := make(chan struct{})
 	go func() {
-		b.wait(p.ctxs[1])
+		b.wait(p.thr[1])
 		close(released)
 	}()
 	select {
@@ -317,7 +326,7 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 		t.Fatal("reused barrier released with one arrival out of two")
 	case <-time.After(50 * time.Millisecond):
 	}
-	b.wait(p.ctxs[0]) // second arrival completes the generation
+	b.wait(p.thr[0]) // second arrival completes the generation
 	select {
 	case <-released:
 	case <-time.After(2 * time.Second):
@@ -389,12 +398,19 @@ func TestReusableWarmRunAllocsZero(t *testing.T) {
 	}
 	p := New()
 	bar := p.NewBarrier(4)
+	l := p.NewLock()
+	annotations := annotate(p.Alloc("x", 64, 4))
+	// Every annotation and every synchronization call, each round.
 	body := func(c exec.Ctx) {
 		for i := 0; i < 8; i++ {
-			c.Compute(1)
+			annotations(c)
+			c.Lock(l)
+			c.Unlock(l)
 			c.Barrier(bar)
+			if c.Checkpoint() != nil {
+				return
+			}
 		}
-		c.Active(1)
 	}
 	var rep exec.Report
 	run := func() {
@@ -405,5 +421,78 @@ func TestReusableWarmRunAllocsZero(t *testing.T) {
 	run() // warm-up: per-thread state and the report's slices
 	if n := testing.AllocsPerRun(20, run); n != 0 {
 		t.Fatalf("warm RunInto allocates %.0f objects per run, want 0", n)
+	}
+	for tid, n := range rep.Instructions {
+		if want := uint64(8 * (annotateInstr + 2)); n != want {
+			t.Fatalf("thread %d counted %d instructions, want %d", tid, n, want)
+		}
+	}
+}
+
+// TestNewLocksSlab: exec.NewLocks on the native platform makes a
+// per-vertex lock array in two allocations, and its handles are distinct
+// working locks.
+func TestNewLocksSlab(t *testing.T) {
+	p := New()
+	locks := exec.NewLocks(p, 64)
+	if len(locks) != 64 || locks[0] == locks[1] {
+		t.Fatalf("%d locks, first two equal: %v", len(locks), locks[0] == locks[1])
+	}
+	counter := 0
+	p.Run(4, func(c exec.Ctx) {
+		for i := 0; i < 500; i++ {
+			c.Lock(locks[7])
+			counter++
+			c.Unlock(locks[7])
+		}
+	})
+	if counter != 2000 {
+		t.Fatalf("counter %d, want 2000: slab lock does not exclude", counter)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(10, func() { exec.NewLocks(p, 4096) }); n > 2 {
+		t.Fatalf("NewLocks(4096) allocates %.0f objects, want at most 2", n)
+	}
+}
+
+// BenchmarkAnnotate is what one annotation costs natively, issued through
+// exec.Ctx exactly as a kernel issues it: with no exec.Model attached each
+// is exec.Thread's counter bump inlined into the loop below, and of the
+// address expression feeding it only Region.At's sign test is left. The
+// figure is the latency of one add through memory, which a kernel's own
+// loads overlap.
+func BenchmarkAnnotate(b *testing.B) {
+	p := New()
+	r := p.Alloc("x", 1<<16, 4)
+	for _, bc := range []struct {
+		name string
+		body func(c exec.Ctx, n int)
+	}{
+		{"Load", func(c exec.Ctx, n int) {
+			for i := 0; i < n; i++ {
+				c.Load(r.At(i & 0xffff))
+			}
+		}},
+		{"AtomicLoad+Compute", func(c exec.Ctx, n int) {
+			for i := 0; i < n; i++ {
+				c.AtomicLoad(r.At(i & 0xffff))
+				c.Compute(2)
+			}
+		}},
+		{"LoadSpan", func(c exec.Ctx, n int) {
+			for i := 0; i < n; i++ {
+				c.LoadSpan(r.At(i&0xfff), i&15, 4)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p.Run(1, func(c exec.Ctx) {
+				b.ResetTimer()
+				bc.body(c, b.N)
+				b.StopTimer()
+			})
+		})
 	}
 }

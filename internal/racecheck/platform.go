@@ -140,16 +140,26 @@ type srun struct {
 	runErr   error
 }
 
+// sctx is one thread's exec.Model and exec.Sync on the scheduler.
 type sctx struct {
 	run *srun
 	tid int
 }
 
-// callerPC captures the kernel's annotation call site: the caller of
-// the exec.Ctx method invoking this helper.
+var (
+	_ exec.Model = (*sctx)(nil)
+	_ exec.Sync  = (*sctx)(nil)
+)
+
+// callerPC captures the kernel's annotation call site as a return
+// address, the form site hands to runtime.CallersFrames. Above this
+// helper sit the exec.Model method invoking it and the exec.Thread method
+// that forwarded to that; the latter is inlined into the kernel, which
+// runtime.Callers counts as a frame all the same.
 func callerPC() uintptr {
-	pc, _, _, _ := runtime.Caller(2)
-	return pc
+	var pc [1]uintptr
+	runtime.Callers(4, pc[:])
+	return pc[0]
 }
 
 // RunCtx implements exec.Platform. The scheduler runs on the calling
@@ -179,7 +189,8 @@ func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx
 		r.resume[t] = make(chan struct{})
 		go func(t int) {
 			<-r.resume[t]
-			body(&sctx{run: r, tid: t})
+			c := &sctx{run: r, tid: t}
+			body(exec.NewThread(t, threads, c, c))
 			r.events <- event{tid: t, kind: evDone}
 		}(t)
 	}
@@ -320,9 +331,6 @@ func (c *sctx) yield(ev event) {
 	c.run.events <- ev
 	<-c.run.resume[c.tid]
 }
-
-func (c *sctx) TID() int     { return c.tid }
-func (c *sctx) Threads() int { return c.run.threads }
 
 func (c *sctx) Load(a exec.Addr) {
 	c.run.instr[c.tid]++

@@ -239,6 +239,30 @@ func TestWrapNameAndRegions(t *testing.T) {
 	}
 }
 
+// TestWrapSitesNameTheKernel: under the proxy the annotation reaches the
+// detector through exec.Thread (inlined into the kernel) and the wctx
+// decorator; the reported site must still be the kernel's own line. The
+// race is between two annotations only — no real memory is shared — so
+// the Go race detector has nothing to say about this test.
+func TestWrapSitesNameTheKernel(t *testing.T) {
+	ck := Wrap(native.New())
+	r := ck.Alloc("wrap.cell", 1, 8)
+	ck.Run(2, func(ctx exec.Ctx) {
+		ctx.Store(r.At(0))
+		ctx.LoadSpan(r.At(0), 1, 8)
+	})
+	races := ck.Races()
+	if len(races) == 0 {
+		t.Fatal("two unordered stores to one datum reported no race")
+	}
+	here := regexp.MustCompile(`^racecheck_test\.go:\d+$`)
+	for _, race := range races {
+		if !here.MatchString(race.Prior.Site) || !here.MatchString(race.Current.Site) {
+			t.Errorf("sites %q/%q do not name the kernel body in this file", race.Prior.Site, race.Current.Site)
+		}
+	}
+}
+
 func TestStandaloneReportShape(t *testing.T) {
 	pl := New()
 	if pl.Name() != "racecheck" {

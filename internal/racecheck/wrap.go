@@ -111,17 +111,23 @@ func (c *Checker) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 	}
 	c.mu.Unlock()
 	return c.inner.RunCtx(goCtx, threads, func(ic exec.Ctx) {
-		body(&wctx{inner: ic, c: c})
+		w := &wctx{inner: ic, c: c}
+		body(exec.NewThread(ic.TID(), ic.Threads(), w, w))
 	})
 }
 
+// wctx decorates the inner platform's thread: it is the exec.Model and
+// exec.Sync of the Thread the kernel sees, and forwards each annotation
+// to the inner Thread once the detector has observed it.
 type wctx struct {
 	inner exec.Ctx
 	c     *Checker
 }
 
-func (w *wctx) TID() int     { return w.inner.TID() }
-func (w *wctx) Threads() int { return w.inner.Threads() }
+var (
+	_ exec.Model = (*wctx)(nil)
+	_ exec.Sync  = (*wctx)(nil)
+)
 
 func (w *wctx) Load(a exec.Addr) {
 	pc := callerPC()

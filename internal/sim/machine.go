@@ -355,7 +355,10 @@ type ctx struct {
 	samples []exec.ActiveSample
 }
 
-var _ exec.Ctx = (*ctx)(nil)
+var (
+	_ exec.Model = (*ctx)(nil)
+	_ exec.Sync  = (*ctx)(nil)
+)
 
 // blockedClock marks a thread that is waiting on real synchronization (a
 // barrier or a contended lock) or has finished; such threads are excluded
@@ -413,10 +416,7 @@ func (c *ctx) throttle() {
 	}
 }
 
-func (c *ctx) TID() int     { return c.tid }
-func (c *ctx) Threads() int { return c.threads }
-
-// Checkpoint implements exec.Ctx: a non-blocking poll of the run context.
+// Checkpoint implements exec.Sync: a non-blocking poll of the run context.
 // Simulated time is not charged; cancellation is a harness-control event,
 // not part of the modeled kernel.
 func (c *ctx) Checkpoint() error {
@@ -451,13 +451,13 @@ func (c *ctx) AtomicLoad(a exec.Addr)  { c.access(a, false) }
 func (c *ctx) AtomicStore(a exec.Addr) { c.access(a, true) }
 func (c *ctx) AtomicRMW(a exec.Addr)   { c.access(a, true) }
 
-// LoadSpan implements exec.Ctx: one full cache transaction per touched
+// LoadSpan implements exec.Model: one full cache transaction per touched
 // line, plus single-cycle L1 hits for the remaining elements — exactly
 // what per-element Load calls produce for a sequential scan, but without
 // running the full model per element.
 func (c *ctx) LoadSpan(a exec.Addr, elems, elemSize int) { c.span(a, elems, elemSize, false) }
 
-// StoreSpan implements exec.Ctx, as LoadSpan for writes.
+// StoreSpan implements exec.Model, as LoadSpan for writes.
 func (c *ctx) StoreSpan(a exec.Addr, elems, elemSize int) { c.span(a, elems, elemSize, true) }
 
 func (c *ctx) span(a exec.Addr, elems, elemSize int, write bool) {
@@ -966,7 +966,7 @@ func (c *ctx) mcpTransact() {
 	c.now = t2
 }
 
-// Lock implements exec.Ctx: a synchronization trip to the central sync
+// Lock implements exec.Sync: a synchronization trip to the central sync
 // manager plus a utilization-based hand-off wait reflecting how busy
 // this particular lock is in virtual time.
 func (c *ctx) Lock(l exec.Lock) {
@@ -993,7 +993,7 @@ func (c *ctx) Lock(l exec.Lock) {
 	sl.acquiredAt = c.now
 }
 
-// Unlock implements exec.Ctx.
+// Unlock implements exec.Sync.
 func (c *ctx) Unlock(l exec.Lock) {
 	sl, ok := l.(*simLock)
 	if !ok {
@@ -1009,7 +1009,7 @@ func (c *ctx) Unlock(l exec.Lock) {
 	sl.mu.Unlock()
 }
 
-// Barrier implements exec.Ctx: all parties reconcile to the maximum
+// Barrier implements exec.Sync: all parties reconcile to the maximum
 // arrival time plus a mesh-wide release broadcast.
 func (c *ctx) Barrier(b exec.Barrier) {
 	sb, ok := b.(*simBarrier)
@@ -1054,7 +1054,7 @@ func (c *ctx) Barrier(b exec.Barrier) {
 	c.publish()
 }
 
-// Active implements exec.Ctx telemetry: deltas are recorded against this
+// Active implements exec.Model telemetry: deltas are recorded against this
 // thread's virtual clock and the global active-vertex series is
 // reconstructed by prefix sum when the run completes, so the trace is
 // independent of how the host scheduler interleaved the goroutines.
@@ -1102,7 +1102,7 @@ func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 		ctxs[t] = &ctx{m: m, tid: t, core: m.placeThread(t, threads), threads: threads}
 		go func(c *ctx) {
 			defer wg.Done()
-			body(c)
+			body(exec.NewThread(c.tid, threads, c, c))
 			// A finished thread must not hold the window back.
 			m.nows[c.tid].Store(blockedClock)
 		}(ctxs[t])

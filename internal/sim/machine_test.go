@@ -219,7 +219,7 @@ func TestBarrierReconcilesClocks(t *testing.T) {
 	}
 }
 
-func nowOf(c exec.Ctx) uint64 { return c.(*ctx).now }
+func nowOf(c exec.Ctx) uint64 { return c.Model().(*ctx).now }
 
 func TestBarrierChargesWaitersSync(t *testing.T) {
 	m := mustMachine(t, smallConfig())

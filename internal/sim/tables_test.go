@@ -69,7 +69,7 @@ func TestDispositionSequence(t *testing.T) {
 			c.Barrier(bar)
 			return
 		}
-		stats := &c.(*ctx).stats
+		stats := &c.Model().(*ctx).stats
 		for line := 0; line < 5; line++ {
 			c.Load(r.At(line * 16)) // five cold misses; the fifth evicts line 0
 		}
@@ -229,6 +229,25 @@ func BenchmarkAccessHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Load(r.At(i % 64 * 16))
 	}
+}
+
+// BenchmarkAnnotateSim is BenchmarkAccessHit issued the way a kernel
+// issues it, through the exec.Ctx in front of the model, beside the same
+// hit issued on the model directly: the difference is the nil test and
+// the interface call exec.Thread puts in front of a modelled access.
+func BenchmarkAnnotateSim(b *testing.B) {
+	c, r := warmThread(b, 64)
+	b.Run("model", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Load(r.At(i % 64 * 16))
+		}
+	})
+	b.Run("ctx", func(b *testing.B) {
+		th := exec.NewThread(0, 1, c, c)
+		for i := 0; i < b.N; i++ {
+			th.Load(r.At(i % 64 * 16))
+		}
+	})
 }
 
 // BenchmarkAccessMiss is one L1 capacity miss served by the L2: the

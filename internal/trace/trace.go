@@ -120,11 +120,19 @@ func (r *Recorder) NewBarrier(parties int) exec.Barrier {
 	return b
 }
 
+// recCtx decorates the inner native thread: it is the exec.Model and
+// exec.Sync of the Thread the kernel sees, recording each annotation and
+// then forwarding it.
 type recCtx struct {
-	exec.Ctx
+	inner  exec.Ctx
 	r      *Recorder
 	stream *[]record
 }
+
+var (
+	_ exec.Model = (*recCtx)(nil)
+	_ exec.Sync  = (*recCtx)(nil)
+)
 
 func (c *recCtx) emit(op byte, a, b uint64) {
 	*c.stream = append(*c.stream, record{op: op, a: a, b: b})
@@ -132,68 +140,72 @@ func (c *recCtx) emit(op byte, a, b uint64) {
 
 func (c *recCtx) Load(a exec.Addr) {
 	c.emit(opLoad, a, 0)
-	c.Ctx.Load(a)
+	c.inner.Load(a)
 }
 
 func (c *recCtx) Store(a exec.Addr) {
 	c.emit(opStore, a, 0)
-	c.Ctx.Store(a)
+	c.inner.Store(a)
 }
 
 func (c *recCtx) AtomicLoad(a exec.Addr) {
 	c.emit(opAtomicLoad, a, 0)
-	c.Ctx.AtomicLoad(a)
+	c.inner.AtomicLoad(a)
 }
 
 func (c *recCtx) AtomicStore(a exec.Addr) {
 	c.emit(opAtomicStore, a, 0)
-	c.Ctx.AtomicStore(a)
+	c.inner.AtomicStore(a)
 }
 
 func (c *recCtx) AtomicRMW(a exec.Addr) {
 	c.emit(opAtomicRMW, a, 0)
-	c.Ctx.AtomicRMW(a)
+	c.inner.AtomicRMW(a)
 }
 
 func (c *recCtx) LoadSpan(a exec.Addr, elems, elemSize int) {
 	c.emit(opLoadSpan, a, uint64(elems)<<32|uint64(uint32(elemSize)))
-	c.Ctx.LoadSpan(a, elems, elemSize)
+	c.inner.LoadSpan(a, elems, elemSize)
 }
 
 func (c *recCtx) StoreSpan(a exec.Addr, elems, elemSize int) {
 	c.emit(opStoreSpan, a, uint64(elems)<<32|uint64(uint32(elemSize)))
-	c.Ctx.StoreSpan(a, elems, elemSize)
+	c.inner.StoreSpan(a, elems, elemSize)
 }
 
 func (c *recCtx) Compute(n int) {
 	if n > 0 {
 		c.emit(opCompute, uint64(n), 0)
 	}
-	c.Ctx.Compute(n)
+	c.inner.Compute(n)
 }
 
 func (c *recCtx) Lock(l exec.Lock) {
 	rl := l.(*recLock)
 	c.emit(opLock, c.r.lockIDs[l], 0)
-	c.Ctx.Lock(rl.inner)
+	c.inner.Lock(rl.inner)
 }
 
 func (c *recCtx) Unlock(l exec.Lock) {
 	rl := l.(*recLock)
 	c.emit(opUnlock, c.r.lockIDs[l], 0)
-	c.Ctx.Unlock(rl.inner)
+	c.inner.Unlock(rl.inner)
 }
 
 func (c *recCtx) Barrier(b exec.Barrier) {
 	rb := b.(*recBarrier)
 	c.emit(opBarrier, c.r.barIDs[b], 0)
-	c.Ctx.Barrier(rb.inner)
+	c.inner.Barrier(rb.inner)
 }
 
 func (c *recCtx) Active(delta int) {
 	c.emit(opActive, uint64(int64(delta)), 0)
-	c.Ctx.Active(delta)
+	c.inner.Active(delta)
 }
+
+// Checkpoint is control flow, not an annotation event: forwarded, not
+// recorded.
+func (c *recCtx) Checkpoint() error { return c.inner.Checkpoint() }
 
 // Run implements exec.Platform: the kernel executes natively while each
 // thread's annotations are captured.
@@ -202,9 +214,7 @@ func (r *Recorder) Run(threads int, body func(exec.Ctx)) *exec.Report {
 	return rep
 }
 
-// RunCtx implements exec.Platform. Checkpoint polling is inherited from
-// the inner native context (checkpoints are control flow, not annotation
-// events, so they are not recorded). A canceled recording leaves the
+// RunCtx implements exec.Platform. A canceled recording leaves the
 // partial streams behind; do not Trace() an aborted run.
 func (r *Recorder) RunCtx(ctx context.Context, threads int, body func(exec.Ctx)) (*exec.Report, error) {
 	if threads < 1 {
@@ -212,7 +222,8 @@ func (r *Recorder) RunCtx(ctx context.Context, threads int, body func(exec.Ctx))
 	}
 	r.streams = make([][]record, threads)
 	return r.inner.RunCtx(ctx, threads, func(inner exec.Ctx) {
-		body(&recCtx{Ctx: inner, r: r, stream: &r.streams[inner.TID()]})
+		c := &recCtx{inner: inner, r: r, stream: &r.streams[inner.TID()]}
+		body(exec.NewThread(inner.TID(), threads, c, c))
 	})
 }
 
@@ -236,10 +247,7 @@ func Replay(pl exec.Platform, tr *Trace) (*exec.Report, error) {
 	for _, reg := range tr.Regions {
 		pl.Alloc(reg.Name, int(reg.Elems), int(reg.ElemSize))
 	}
-	locks := make([]exec.Lock, tr.Locks)
-	for i := range locks {
-		locks[i] = pl.NewLock()
-	}
+	locks := exec.NewLocks(pl, tr.Locks)
 	bars := make([]exec.Barrier, len(tr.Barriers))
 	for i, parties := range tr.Barriers {
 		bars[i] = pl.NewBarrier(parties)
