@@ -1,12 +1,12 @@
 // Command crono-bench times the graph-division kernels and emits a
 // perf-trajectory JSON artifact. It has two modes:
 //
-//   - native (default): times the scan, frontier and hybrid execution
-//     strategies on the native platform and writes BENCH_kernels.json;
-//     BFS specs large enough to carry a full batch additionally time one
-//     64-source bit-parallel pass against the same sources run one at a
-//     time. It is the regression guard for the frontier/hybrid fast
-//     paths and the batched kernel.
+//   - native (default): times the scan and frontier execution strategies
+//     on the native platform and writes BENCH_kernels.json; BFS specs
+//     large enough to carry a full batch additionally time one 64-source
+//     bit-parallel pass against the same sources run one at a time. It
+//     is the regression guard for the frontier fast paths and the
+//     batched kernel.
 //   - sim: times the simulator's sharded memory system against the
 //     -serialized global-lock baseline (Config.SerialMemory) on the same
 //     kernels and writes BENCH_sim.json. It is the regression guard for
@@ -27,10 +27,10 @@
 // Each -spec entry is kernel:graph:n; each -assert entry is
 // kernel:graph:minSpeedup or kernel:graph:column:minSpeedup, where
 // column names the speedup to floor — "frontier" (the default for the
-// three-field form), "hybrid" (scan vs hybrid), "batched" (sequential
-// single-source runs vs one bit-parallel pass, native BFS only),
-// "degree"/"rcm" (the kernel's fast strategy unordered vs on the
-// reordered CSR, host wall-clock), "degreesim"/"rcmsim" (the same
+// three-field form), "batched" (sequential single-source runs vs one
+// bit-parallel pass, native BFS only), "degree"/"rcm" (the frontier
+// strategy unordered vs on the reordered CSR, host wall-clock),
+// "degreesim"/"rcmsim" (the same
 // head-to-head in deterministic simulated cycles on the futuristic
 // multicore — the noise-immune columns CI floors ordering wins on) or
 // "autodelta" (SSSP_DIJK frontier with the fixed default band width vs
@@ -39,7 +39,7 @@
 // three-field form is meaningful).
 //
 // Native mode also measures the warm-path allocation discipline: for the
-// scratch-aware kernels it reruns the fast strategy on the reusable
+// scratch-aware kernels it reruns the frontier strategy on the reusable
 // platform with a reused core.Scratch and records allocs/op and
 // bytes/op after warm-up. Each -assertallocs entry is
 // kernel:graph:maxAllocsPerOp (0 = the zero-allocation gate).
@@ -72,8 +72,8 @@ import (
 // defaultSpec sizes each kernel so the whole run stays in CI-smoke
 // territory at -reps 1 while the road-network BFS entry is big enough
 // (1M vertices) to expose the asymptotic scan-vs-frontier gap. The
-// social-graph BFS entry is where the hybrid direction switch and the
-// bit-parallel batched kernel show their wins: small-world frontiers
+// social-graph BFS entry is where the push-to-pull direction switch and
+// the bit-parallel batched kernel show their wins: small-world frontiers
 // overlap, which is exactly what both exploit.
 // PageRank:social is the ordering showcase: pull-mode PageRank gathers
 // over the in-edges of every vertex, so hub packing (degree ordering)
@@ -98,10 +98,6 @@ type benchResult struct {
 	// Speedup is scan time over frontier time; > 1 means the frontier
 	// strategy is faster.
 	Speedup float64 `json:"speedup"`
-	// HybridNs times the direction-optimizing strategy on the same spec;
-	// HybridSpeedup is scan time over hybrid time.
-	HybridNs      uint64  `json:"hybridNs"`
-	HybridSpeedup float64 `json:"hybridSpeedup"`
 	// The batched columns are present only for BFS specs with at least
 	// BFSBatchWidth vertices: BatchedSeqNs runs BFSBatchWidth evenly
 	// spaced sources one at a time through the frontier kernel,
@@ -111,13 +107,11 @@ type benchResult struct {
 	BatchedSeqNs   uint64  `json:"batchedSeqNs,omitempty"`
 	BatchedNs      uint64  `json:"batchedNs,omitempty"`
 	BatchedSpeedup float64 `json:"batchedSpeedup,omitempty"`
-	// The ordering columns time the kernel's fast strategy (frontier, or
-	// hybrid for PageRank — recorded in OrderBase) on pre-reordered CSRs;
-	// the reorder itself is preprocessing and is not timed. Speedups are
-	// the unordered fast-strategy time over the ordered time, so > 1
-	// means the cache-aware layout pays for the same work. Present only
-	// for orderable kernels.
-	OrderBase     string  `json:"orderBase,omitempty"`
+	// The ordering columns time the frontier strategy on pre-reordered
+	// CSRs; the reorder itself is preprocessing and is not timed. Speedups
+	// are the unordered time over the ordered time, so > 1 means the
+	// cache-aware layout pays for the same work. Present only for
+	// orderable kernels.
 	DegreeNs      uint64  `json:"degreeNs,omitempty"`
 	DegreeSpeedup float64 `json:"degreeSpeedup,omitempty"`
 	RCMNs         uint64  `json:"rcmNs,omitempty"`
@@ -145,7 +139,7 @@ type benchResult struct {
 	FixedDeltaNs     uint64  `json:"fixedDeltaNs,omitempty"`
 	AutoDeltaSpeedup float64 `json:"autoDeltaSpeedup,omitempty"`
 	// The warm columns measure the steady-state allocation discipline of
-	// the fast strategy on the reusable platform with a reused scratch:
+	// the frontier strategy on the reusable platform with a reused scratch:
 	// allocations and bytes per run after warm-up (testing.AllocsPerRun /
 	// MemStats.TotalAlloc deltas). Present only for the scratch-aware
 	// kernels; WarmMeasured distinguishes a true zero from absent.
@@ -210,16 +204,16 @@ type assertion struct {
 	kernel string
 	graph  string
 	// column selects which speedup the floor applies to: "frontier"
-	// (scan/frontier, the three-field default), "hybrid" (scan/hybrid),
-	// "batched" (sequential/bit-parallel, BFS only), "degree"/"rcm"
-	// (unordered/ordered fast strategy, wall-clock), "degreesim"/"rcmsim"
+	// (scan/frontier, the three-field default), "batched"
+	// (sequential/bit-parallel, BFS only), "degree"/"rcm"
+	// (unordered/ordered frontier, wall-clock), "degreesim"/"rcmsim"
 	// (the same in deterministic simulated cycles) or "autodelta"
 	// (fixed/auto SSSP band width).
 	column string
 	min    float64
 }
 
-// allocAssertion is one -assertallocs entry: the warm fast-path run of
+// allocAssertion is one -assertallocs entry: the warm frontier run of
 // the named spec must allocate at most max allocations per op.
 type allocAssertion struct {
 	kernel string
@@ -334,10 +328,6 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 		if err != nil {
 			return false, fmt.Errorf("%s/%s frontier: %w", sp.kernel, sp.graph, err)
 		}
-		hybridNs, err := timeStrategy(ctx, bench, g, core.StrategyHybrid, threads, reps)
-		if err != nil {
-			return false, fmt.Errorf("%s/%s hybrid: %w", sp.kernel, sp.graph, err)
-		}
 		r := benchResult{
 			Kernel:     sp.kernel,
 			Graph:      sp.graph,
@@ -346,26 +336,21 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 			Threads:    threads,
 			ScanNs:     scanNs,
 			FrontierNs: frontierNs,
-			HybridNs:   hybridNs,
 		}
 		r.Speedup = speedup(scanNs, frontierNs)
-		r.HybridSpeedup = speedup(scanNs, hybridNs)
-		fmt.Fprintf(os.Stderr, "  scan %d ns, frontier %d ns (%.2fx), hybrid %d ns (%.2fx)\n",
-			scanNs, frontierNs, r.Speedup, hybridNs, r.HybridSpeedup)
+		fmt.Fprintf(os.Stderr, "  scan %d ns, frontier %d ns (%.2fx)\n", scanNs, frontierNs, r.Speedup)
 		if core.Orderable(sp.kernel) {
-			st, _ := fastStrategy(sp.kernel, frontierNs, hybridNs)
-			r.OrderBase = string(st)
 			// Interleaved head-to-head: the unordered baseline is re-timed
 			// alongside the ordered arms rather than reusing the strategy
 			// sweep's number from minutes earlier.
-			reqs := []core.Request{{Input: core.Input{G: g}, Threads: threads, Strategy: st}}
+			reqs := []core.Request{{Input: core.Input{G: g}, Threads: threads, Strategy: core.StrategyFrontier}}
 			for _, o := range graph.Orders() {
 				ro, err := graph.Reorder(g, o)
 				if err != nil {
 					return false, fmt.Errorf("%s/%s reorder %s: %w", sp.kernel, sp.graph, o, err)
 				}
 				reqs = append(reqs, core.Request{
-					Input: core.Input{G: g}, Threads: threads, Strategy: st, Reorder: ro,
+					Input: core.Input{G: g}, Threads: threads, Strategy: core.StrategyFrontier, Reorder: ro,
 				})
 			}
 			times, err := timeInterleaved(ctx, bench, reps, reqs)
@@ -382,8 +367,8 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 					r.RCMNs, r.RCMSpeedup = ns, speedup(baseNs, ns)
 				}
 			}
-			fmt.Fprintf(os.Stderr, "  %s base %d ns, degree %d ns (%.2fx), rcm %d ns (%.2fx)\n",
-				r.OrderBase, baseNs, r.DegreeNs, r.DegreeSpeedup, r.RCMNs, r.RCMSpeedup)
+			fmt.Fprintf(os.Stderr, "  base %d ns, degree %d ns (%.2fx), rcm %d ns (%.2fx)\n",
+				baseNs, r.DegreeNs, r.DegreeSpeedup, r.RCMNs, r.RCMSpeedup)
 
 			// Deterministic replay of the head-to-head on the simulated
 			// machine; one rep is enough, the cycle counts are stable.
@@ -396,7 +381,7 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 				gs = graph.Generate(graph.Kind(sp.graph), nSim, seed)
 			}
 			r.OrderSimN = nSim
-			if r.SimBaseCycles, err = simOrderCycles(ctx, bench, gs, st, nil); err != nil {
+			if r.SimBaseCycles, err = simOrderCycles(ctx, bench, gs, nil); err != nil {
 				return false, fmt.Errorf("%s/%s sim base: %w", sp.kernel, sp.graph, err)
 			}
 			for _, o := range graph.Orders() {
@@ -404,7 +389,7 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 				if err != nil {
 					return false, fmt.Errorf("%s/%s sim reorder %s: %w", sp.kernel, sp.graph, o, err)
 				}
-				cycles, err := simOrderCycles(ctx, bench, gs, st, ro)
+				cycles, err := simOrderCycles(ctx, bench, gs, ro)
 				if err != nil {
 					return false, fmt.Errorf("%s/%s sim order %s: %w", sp.kernel, sp.graph, o, err)
 				}
@@ -436,15 +421,15 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 			fmt.Fprintf(os.Stderr, "  fixed delta %d ns, auto delta %d ns (%.2fx, width %d)\n",
 				fixedNs, autoNs, r.AutoDeltaSpeedup, core.AutoSSSPDelta(g))
 		}
-		if st, ok := warmStrategy(sp.kernel); ok {
-			allocs, bytes, err := measureWarm(ctx, bench, g, st, threads)
+		if warmKernel(sp.kernel) {
+			allocs, bytes, err := measureWarm(ctx, bench, g, threads)
 			if err != nil {
 				return false, fmt.Errorf("%s/%s warm: %w", sp.kernel, sp.graph, err)
 			}
 			r.WarmMeasured = true
 			r.WarmAllocsPerOp = allocs
 			r.WarmBytesPerOp = bytes
-			fmt.Fprintf(os.Stderr, "  warm %s: %.1f allocs/op, %d bytes/op\n", st, allocs, bytes)
+			fmt.Fprintf(os.Stderr, "  warm: %.1f allocs/op, %d bytes/op\n", allocs, bytes)
 		}
 		if sp.kernel == "BFS" && g.N >= core.BFSBatchWidth {
 			seqNs, batchNs, err := timeBatched(ctx, g, threads, reps)
@@ -489,26 +474,14 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 	return failed, nil
 }
 
-// fastStrategy picks the strategy the ordering columns time: hybrid for
-// PageRank (the pull kernel is its fast path), frontier for everything
-// else, together with that strategy's unordered baseline time.
-func fastStrategy(kernel string, frontierNs, hybridNs uint64) (core.Strategy, uint64) {
-	if kernel == "PageRank" {
-		return core.StrategyHybrid, hybridNs
-	}
-	return core.StrategyFrontier, frontierNs
-}
-
-// warmStrategy names the fast strategy with a scratch-aware zero-alloc
-// path, if the kernel has one.
-func warmStrategy(kernel string) (core.Strategy, bool) {
+// warmKernel reports whether the kernel's frontier strategy has a
+// scratch-aware zero-alloc path.
+func warmKernel(kernel string) bool {
 	switch kernel {
-	case "BFS", "SSSP_DIJK", "CONN_COMP":
-		return core.StrategyFrontier, true
-	case "PageRank", "PAGERANK_PULL":
-		return core.StrategyHybrid, true
+	case "BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "PAGERANK_PULL":
+		return true
 	}
-	return "", false
+	return false
 }
 
 // runSim times the sharded simulator memory system against the
@@ -657,13 +630,13 @@ const simOrderN = 16384
 
 // simOrderCycles runs one deterministic rep of the kernel on the default
 // simulated machine and returns the modeled completion time in cycles.
-func simOrderCycles(ctx context.Context, bench core.Benchmark, g *graph.CSR, st core.Strategy, ro *graph.Reordered) (uint64, error) {
+func simOrderCycles(ctx context.Context, bench core.Benchmark, g *graph.CSR, ro *graph.Reordered) (uint64, error) {
 	m, err := sim.New(sim.Default())
 	if err != nil {
 		return 0, err
 	}
 	res, err := bench.Run(ctx, m, core.Request{
-		Input: core.Input{G: g}, Threads: 16, Strategy: st, Reorder: ro,
+		Input: core.Input{G: g}, Threads: 16, Strategy: core.StrategyFrontier, Reorder: ro,
 	})
 	if err != nil {
 		return 0, err
@@ -697,17 +670,17 @@ func timeInterleaved(ctx context.Context, bench core.Benchmark, reps int, reqs [
 }
 
 // measureWarm measures the steady-state allocation cost of the kernel's
-// fast strategy: one native platform plus a reused scratch, three
+// frontier strategy: one native platform plus a reused scratch, three
 // warm-up runs to grow every buffer, then allocs/op via
 // testing.AllocsPerRun and bytes/op via the MemStats.TotalAlloc delta
 // over ten runs.
-func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, st core.Strategy, threads int) (float64, uint64, error) {
+func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, threads int) (float64, uint64, error) {
 	g.InCSR() // the pull kernels' transpose is preprocessing, not per-run cost
 	pl := native.New()
 	req := core.Request{
 		Input:    core.Input{G: g},
 		Threads:  threads,
-		Strategy: st,
+		Strategy: core.StrategyFrontier,
 		Scratch:  core.NewScratch(),
 	}
 	for i := 0; i < 3; i++ {
@@ -852,9 +825,9 @@ func parseAsserts(s string) ([]assertion, error) {
 		case 4:
 			column = f[2]
 			switch column {
-			case "frontier", "hybrid", "batched", "degree", "rcm", "degreesim", "rcmsim", "autodelta":
+			case "frontier", "batched", "degree", "rcm", "degreesim", "rcmsim", "autodelta":
 			default:
-				return nil, fmt.Errorf("assert %q: unknown column %q (want frontier, hybrid, batched, degree, rcm, degreesim, rcmsim or autodelta)", part, column)
+				return nil, fmt.Errorf("assert %q: unknown column %q (want frontier, batched, degree, rcm, degreesim, rcmsim or autodelta)", part, column)
 			}
 		default:
 			return nil, fmt.Errorf("assert %q: want kernel:graph:minSpeedup or kernel:graph:column:minSpeedup", part)
@@ -881,8 +854,6 @@ func findSpeedup(rs []benchResult, kernel, g, column string) (float64, bool) {
 			continue
 		}
 		switch column {
-		case "hybrid":
-			return r.HybridSpeedup, true
 		case "batched":
 			if r.BatchedSpeedup == 0 {
 				return 0, false

@@ -66,11 +66,11 @@ func TestParseAsserts(t *testing.T) {
 	if len(as) != 1 || as[0].min != 2.0 || as[0].column != "frontier" {
 		t.Fatalf("asserts %+v", as)
 	}
-	as, err = parseAsserts("BFS:road-ca:hybrid:1.5, BFS:social:batched:4, COMM:social:frontier:1.1")
+	as, err = parseAsserts("BFS:road-ca:rcmsim:1.5, BFS:social:batched:4, COMM:social:frontier:1.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 3 || as[0].column != "hybrid" || as[1].column != "batched" || as[2].column != "frontier" {
+	if len(as) != 3 || as[0].column != "rcmsim" || as[1].column != "batched" || as[2].column != "frontier" {
 		t.Fatalf("four-field asserts %+v", as)
 	}
 	if as[1].min != 4 {
@@ -81,7 +81,7 @@ func TestParseAsserts(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"BFS:road-ca", "BFS:road-ca:0", "BFS:road-ca:-1", "BFS:road-ca:x",
-		"BFS:road-ca:warp:2.0", "BFS:road-ca:hybrid:0", "BFS:road-ca:hybrid:2.0:extra",
+		"BFS:road-ca:warp:2.0", "BFS:road-ca:hybrid:2.0", "BFS:road-ca:batched:0", "BFS:road-ca:batched:2.0:extra",
 	} {
 		if _, err := parseAsserts(bad); err == nil {
 			t.Errorf("parseAsserts(%q) accepted", bad)
@@ -91,14 +91,14 @@ func TestParseAsserts(t *testing.T) {
 
 func TestFindSpeedup(t *testing.T) {
 	rs := []benchResult{
-		{Kernel: "BFS", Graph: "sparse", Speedup: 2.5, HybridSpeedup: 3.5, BatchedSpeedup: 8},
-		{Kernel: "COMM", Graph: "social", Speedup: 1.5, HybridSpeedup: 1.4},
+		{Kernel: "BFS", Graph: "sparse", Speedup: 2.5, RCMSimSpeedup: 3.5, BatchedSpeedup: 8},
+		{Kernel: "COMM", Graph: "social", Speedup: 1.5},
 	}
 	if got, ok := findSpeedup(rs, "BFS", "sparse", "frontier"); !ok || got != 2.5 {
 		t.Fatalf("findSpeedup frontier = %g, %v", got, ok)
 	}
-	if got, ok := findSpeedup(rs, "BFS", "sparse", "hybrid"); !ok || got != 3.5 {
-		t.Fatalf("findSpeedup hybrid = %g, %v", got, ok)
+	if got, ok := findSpeedup(rs, "BFS", "sparse", "rcmsim"); !ok || got != 3.5 {
+		t.Fatalf("findSpeedup rcmsim = %g, %v", got, ok)
 	}
 	if got, ok := findSpeedup(rs, "BFS", "sparse", "batched"); !ok || got != 8 {
 		t.Fatalf("findSpeedup batched = %g, %v", got, ok)

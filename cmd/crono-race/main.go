@@ -10,12 +10,12 @@
 //
 //	crono-race                                    # all kernels, all strategies
 //	crono-race -spec BFS:road-tx:frontier
-//	crono-race -spec BFS:sparse:scan,COMM:sparse:hybrid -threads 2 -n 128
+//	crono-race -spec BFS:sparse:scan,COMM:sparse:frontier -threads 2 -n 128
 //	crono-race -json
 //
 // Each -spec entry is kernel:graph:strategy; strategy "all" (the
-// default when omitted) expands to scan, frontier and hybrid for the
-// kernels that honor the knob. The kernel name "all" expands to the
+// default when omitted) expands to scan and frontier for the kernels
+// that honor the knob. The kernel name "all" expands to the
 // whole suite plus the variants. Exit status is 1 when races were
 // found, 2 on usage or execution errors.
 package main
@@ -161,7 +161,7 @@ func parseSpecs(s string) ([]spec, error) {
 		}
 
 		for _, b := range kernels {
-			strategies := []core.Strategy{core.StrategyScan, core.StrategyFrontier, core.StrategyHybrid}
+			strategies := []core.Strategy{core.StrategyScan, core.StrategyFrontier}
 			if stratName != "all" {
 				st := core.Strategy(stratName)
 				if !st.Valid() {

@@ -42,7 +42,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "generator seed")
 		cities    = flag.Int("cities", 12, "TSP city count")
 		source    = flag.Int("source", 0, "source vertex for SSSP/BFS/DFS")
-		strategy  = flag.String("strategy", "scan", "execution strategy for BFS/PAGE_RANK/SSSP_DIJK/CONN_COMP/COMM: scan (paper-faithful), frontier (compact worklist) or hybrid (direction-optimizing push-pull BFS, pull PageRank, Afforest components)")
+		strategy  = flag.String("strategy", "scan", "execution strategy for BFS/PageRank/SSSP_DIJK/CONN_COMP/COMM: scan (paper-faithful) or frontier (worklist rounds with push-pull BFS, Afforest components, pull PageRank; hybrid is accepted as a name for it)")
 		order     = flag.String("order", "none", "cache-aware vertex reordering: none, degree (hub packing), rcm (bandwidth reduction) or auto (pick from degree skew); results come back in original vertex ids")
 		cores     = flag.Int("cores", 256, "simulated core count (sim platform)")
 		ooo       = flag.Bool("ooo", false, "simulate out-of-order cores")

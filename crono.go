@@ -102,8 +102,8 @@ type RunRequest = core.Request
 type RunResult = core.Result
 
 // Strategy selects how the graph-division kernels (BFS, SSSP_DIJK,
-// CONN_COMP, COMM) execute: the paper-faithful full-range scan or the
-// compact-worklist frontier fast path. See core.Strategy.
+// CONN_COMP, PageRank, COMM) execute: the paper-faithful full-range scan
+// or the frontier fast path. See core.Strategy.
 type Strategy = core.Strategy
 
 // Execution strategies.
@@ -112,14 +112,12 @@ const (
 	// exactly as the paper's pthreads code does. Default for RunRequest
 	// and the experiment harness, keeping paper fidelity.
 	StrategyScan Strategy = core.StrategyScan
-	// StrategyFrontier processes only a compact worklist each round —
-	// asymptotically cheaper on sparse frontiers. Default for the
-	// serving layer.
+	// StrategyFrontier is one fast kernel per problem: worklist rounds
+	// (BFS switching to pull rounds while the frontier is dense), Afforest
+	// connected components and pull PageRank over the in-edge CSR.
+	// Results match the scan oracles. Default for the serving layer.
 	StrategyFrontier Strategy = core.StrategyFrontier
-	// StrategyHybrid picks direction-optimizing / sampled executions:
-	// push-pull BFS, pull PageRank over the in-edge CSR, Afforest
-	// connected components. Kernels without a hybrid form fall back to
-	// their frontier executions. Results match the scan oracles.
+	// StrategyHybrid is an accepted name for StrategyFrontier.
 	StrategyHybrid Strategy = core.StrategyHybrid
 )
 
@@ -298,19 +296,12 @@ func Community(pl Platform, g *Graph, threads, maxPasses int) (*CommunityResult,
 	return core.Community(context.Background(), pl, g, threads, maxPasses)
 }
 
-// BFSFrontier runs breadth-first search with the frontier strategy
-// (compact worklist, CAS claims). Levels match BFS exactly.
+// BFSFrontier runs breadth-first search with the frontier strategy:
+// push rounds over a compact worklist with CAS claims, switching to pull
+// rounds over the in-edge CSR while the frontier is dense. Levels match
+// BFS exactly.
 func BFSFrontier(pl Platform, g *Graph, source, threads int) (*BFSResult, error) {
 	return core.BFSFrontier(context.Background(), pl, g, source, threads)
-}
-
-// BFSHybrid runs direction-optimizing breadth-first search: push rounds
-// over the compact frontier worklist switch to pull rounds over the
-// in-edge CSR when the frontier's edge mass makes probing unexplored
-// vertices cheaper, and back when the frontier thins. Levels match BFS
-// exactly.
-func BFSHybrid(pl Platform, g *Graph, source, threads int) (*BFSResult, error) {
-	return core.BFSHybrid(context.Background(), pl, g, source, threads)
 }
 
 // SSSPFrontier runs single-source shortest paths with the frontier
@@ -321,19 +312,12 @@ func SSSPFrontier(pl Platform, g *Graph, source, threads int, delta int32) (*SSS
 }
 
 // ComponentsFrontier runs connected components with the frontier
-// strategy (push-based min-label propagation). Labels match
-// ConnectedComponents exactly.
+// strategy, Afforest: lock-free min-hooking union-find, two
+// neighbor-sampling rounds, and sampled short-circuiting of the giant
+// component so most vertices' remaining edges are never inspected.
+// Labels match ConnectedComponents exactly.
 func ComponentsFrontier(pl Platform, g *Graph, threads int) (*ComponentsResult, error) {
 	return core.ComponentsFrontier(context.Background(), pl, g, threads)
-}
-
-// ComponentsAfforest runs connected components with the Afforest
-// strategy: lock-free min-hooking union-find, two neighbor-sampling
-// rounds, and sampled short-circuiting of the giant component so most
-// vertices' remaining edges are never inspected. Labels match
-// ConnectedComponents exactly.
-func ComponentsAfforest(pl Platform, g *Graph, threads int) (*ComponentsResult, error) {
-	return core.ComponentsAfforest(context.Background(), pl, g, threads)
 }
 
 // CommunityFrontier runs Louvain community detection with the frontier

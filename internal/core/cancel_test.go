@@ -59,11 +59,22 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
+// midFlightCase is a kernel run and the number of polls to let pass
+// before canceling it: enough that the run has started, too few for it
+// to finish.
+type midFlightCase struct {
+	live int64
+	run  func(context.Context) (any, error)
+}
+
 // midFlightCases lists kernels on inputs deep enough to poll many times:
 // a long path makes a frontier traversal run one round per vertex, and
-// the BFS and CONN_COMP repairs are seeded so that they redo (nearly)
-// the whole of it.
-func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) {
+// the BFS repair is seeded so that it redoes (nearly) the whole of it.
+// Poll 1 is RunCtx's entry check and four threads poll once a round, so
+// the 10th poll lands in the third round. The CONN_COMP repair has one
+// poll per thread, between its link and compress phases; it is canceled
+// there, after joining two components.
+func midFlightCases(t *testing.T) map[string]midFlightCase {
 	const n = 400
 	var edges []graph.Edge
 	for v := int32(0); v+1 < n; v++ {
@@ -80,8 +91,7 @@ func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) 
 	}
 	next := graph.ApplyDelta(path, d)
 	level := BFSRef(path, 0)
-	// Two half-path components; joining them re-labels the upper half
-	// one hop per round.
+	// Two half-path components; joining them re-labels the upper half.
 	labels := make([]int32, n)
 	for v := n / 2; v < n; v++ {
 		labels[v] = n / 2
@@ -101,22 +111,22 @@ func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) 
 			all.Deletes = append(all.Deletes, graph.Edge{From: int32(v - 1), To: int32(v)})
 		}
 	}
-	return map[string]func(context.Context) (any, error){
-		"PageRank": func(ctx context.Context) (any, error) {
+	return map[string]midFlightCase{
+		"PageRank": {9, func(ctx context.Context) (any, error) {
 			return PageRank(ctx, native.New(), path, 4, 1_000_000)
-		},
-		"BFSBatch": func(ctx context.Context) (any, error) {
+		}},
+		"BFSBatch": {9, func(ctx context.Context) (any, error) {
 			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
-		},
-		"BFSIncremental": func(ctx context.Context) (any, error) {
+		}},
+		"BFSIncremental": {9, func(ctx context.Context) (any, error) {
 			return BFSIncremental(ctx, native.New(), next, 0, 4, level, d)
-		},
-		"ComponentsIncremental": func(ctx context.Context) (any, error) {
+		}},
+		"ComponentsIncremental": {2, func(ctx context.Context) (any, error) {
 			return ComponentsIncremental(ctx, native.New(), path, 4, labels, join)
-		},
-		"CommunityIncremental": func(ctx context.Context) (any, error) {
+		}},
+		"CommunityIncremental": {9, func(ctx context.Context) (any, error) {
 			return CommunityIncremental(ctx, native.New(), social, 4, 1_000_000, comm, all)
-		},
+		}},
 	}
 }
 
@@ -147,13 +157,10 @@ func TestKernelDeadlineMidFlight(t *testing.T) {
 }
 
 func testMidFlight(t *testing.T, want error) {
-	for name, run := range midFlightCases(t) {
+	for name, tc := range midFlightCases(t) {
 		t.Run(name, func(t *testing.T) {
-			// Poll 1 is RunCtx's entry check and four threads poll once a
-			// round, so the 10th poll lands in the third round.
-			const live = 9
-			ctx := cancelAtPoll(live, want)
-			res, err := run(ctx)
+			ctx := cancelAtPoll(tc.live, want)
+			res, err := tc.run(ctx)
 			if !errors.Is(err, want) {
 				t.Fatalf("err = %v, want %v", err, want)
 			}
@@ -161,7 +168,7 @@ func testMidFlight(t *testing.T, want error) {
 				t.Fatalf("partial result %+v returned for an aborted run", res)
 			}
 			if left := ctx.left.Load(); left >= 0 {
-				t.Fatalf("run ended after %d polls without ever seeing the cancellation", live-left)
+				t.Fatalf("run ended after %d polls without ever seeing the cancellation", tc.live-left)
 			}
 		})
 	}

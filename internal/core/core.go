@@ -40,17 +40,15 @@ type Input struct {
 //
 // StrategyScan is the paper-faithful style of the original CRONO
 // pthreads code: every round, every thread scans its whole static
-// vertex range for members of the current frontier. StrategyFrontier
-// replaces the scans with an explicit compact worklist (per-thread
-// next-frontier buffers merged at each barrier), which is asymptotically
-// cheaper when frontiers are sparse — road-class graphs see order-of-
-// magnitude wins. StrategyHybrid layers direction optimization on top:
-// BFS flips between frontier push and in-CSR pull rounds on frontier
-// density, CONN_COMP runs a sampled Afforest union-find, and PageRank
-// pulls contributions over the transpose. All strategies produce
-// identical results for BFS, SSSP_DIJK and CONN_COMP; COMM keeps the
-// same move rule but replaces the modularity-plateau stop with worklist
-// exhaustion.
+// vertex range for members of the current frontier. StrategyFrontier is
+// one fast kernel per problem: BFS runs over an explicit compact worklist
+// (per-thread next-frontier buffers merged at each barrier) and flips to
+// in-CSR pull rounds while the frontier is dense, SSSP_DIJK and COMM run
+// over the worklist, CONN_COMP runs Afforest's sampled union-find and
+// PageRank pulls contributions over the transpose. Both strategies
+// produce identical results for BFS, SSSP_DIJK and CONN_COMP; COMM keeps
+// the same move rule but replaces the modularity-plateau stop with
+// worklist exhaustion.
 //
 // Kernels without a frontier formulation (the matrix, branch-and-bound
 // and fixed-iteration kernels) ignore the knob, like any other option
@@ -60,20 +58,26 @@ type Strategy string
 const (
 	// StrategyScan is the paper-fidelity full-range scan execution.
 	StrategyScan Strategy = "scan"
-	// StrategyFrontier is the compact-worklist execution.
+	// StrategyFrontier is the fast execution: worklists, direction
+	// optimization, Afforest and pull PageRank.
 	StrategyFrontier Strategy = "frontier"
-	// StrategyHybrid is the direction-optimizing / sampled execution:
-	// BFS switches push and pull per round on frontier density
-	// (BFSHybrid), CONN_COMP runs Afforest-style sampled union-find
-	// (ComponentsAfforest), and PageRank pulls over the in-CSR
-	// (PageRankPull). SSSP_DIJK and COMM have no direction-optimized
-	// formulation and fall back to their frontier executions.
+	// StrategyHybrid is an accepted name for StrategyFrontier; Canonical
+	// maps it there.
 	StrategyHybrid Strategy = "hybrid"
 )
 
 // Valid reports whether s names a known strategy.
 func (s Strategy) Valid() bool {
 	return s == StrategyScan || s == StrategyFrontier || s == StrategyHybrid
+}
+
+// Canonical returns the strategy s executes as: StrategyFrontier for its
+// alias StrategyHybrid, s itself otherwise.
+func (s Strategy) Canonical() Strategy {
+	if s == StrategyHybrid {
+		return StrategyFrontier
+	}
+	return s
 }
 
 // Request bundles one kernel execution's input and options. Zero-valued
@@ -85,8 +89,8 @@ type Request struct {
 	// Threads is the parallelism degree (minimum and default 1).
 	Threads int
 	// Strategy selects scan or frontier execution for the kernels that
-	// support both (BFS, SSSP_DIJK, CONN_COMP, COMM). The zero value is
-	// StrategyScan, keeping paper-fidelity the default.
+	// support both (BFS, SSSP_DIJK, CONN_COMP, PageRank, COMM). The zero
+	// value is StrategyScan, keeping paper-fidelity the default.
 	Strategy Strategy
 	// Iters is the PageRank iteration count (PageRank and PAGERANK_PULL;
 	// default DefaultPageRankIters).
@@ -132,6 +136,7 @@ func (r Request) WithDefaults() Request {
 	if r.Strategy == "" {
 		r.Strategy = StrategyScan
 	}
+	r.Strategy = r.Strategy.Canonical()
 	return r
 }
 
@@ -140,8 +145,8 @@ func (r Request) WithDefaults() Request {
 // the knob entirely.
 func (r Request) strategyErr() error {
 	if !r.Strategy.Valid() {
-		return fmt.Errorf("core: unknown strategy %q (want %q, %q or %q)",
-			r.Strategy, StrategyScan, StrategyFrontier, StrategyHybrid)
+		return fmt.Errorf("core: unknown strategy %q (want %q or %q)",
+			r.Strategy, StrategyScan, StrategyFrontier)
 	}
 	return nil
 }
@@ -201,7 +206,7 @@ func Suite() []Benchmark {
 					r   *SSSPResult
 					err error
 				)
-				if req.Strategy == StrategyFrontier || req.Strategy == StrategyHybrid {
+				if req.Strategy == StrategyFrontier {
 					delta := req.Delta
 					if autoDelta {
 						delta = AutoSSSPDelta(req.G)
@@ -251,12 +256,9 @@ func Suite() []Benchmark {
 					r   *BFSResult
 					err error
 				)
-				switch req.Strategy {
-				case StrategyHybrid:
-					r, err = BFSHybrid(ctx, pl, req.G, req.Source, req.Threads)
-				case StrategyFrontier:
+				if req.Strategy == StrategyFrontier {
 					r, err = bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
-				default:
+				} else {
 					r, err = BFS(ctx, pl, req.G, req.Source, req.Threads)
 				}
 				if err != nil {
@@ -300,12 +302,9 @@ func Suite() []Benchmark {
 					r   *ComponentsResult
 					err error
 				)
-				switch req.Strategy {
-				case StrategyHybrid:
-					r, err = ComponentsAfforest(ctx, pl, req.G, req.Threads)
-				case StrategyFrontier:
+				if req.Strategy == StrategyFrontier {
 					r, err = componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
-				default:
+				} else {
 					r, err = ConnectedComponents(ctx, pl, req.G, req.Threads)
 				}
 				if err != nil {
@@ -338,7 +337,7 @@ func Suite() []Benchmark {
 					r   *PageRankResult
 					err error
 				)
-				if req.Strategy == StrategyHybrid {
+				if req.Strategy == StrategyFrontier {
 					r, err = pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
 				} else {
 					r, err = PageRank(ctx, pl, req.G, req.Threads, req.Iters)
@@ -362,7 +361,7 @@ func Suite() []Benchmark {
 					r   *CommunityResult
 					err error
 				)
-				if req.Strategy == StrategyFrontier || req.Strategy == StrategyHybrid {
+				if req.Strategy == StrategyFrontier {
 					r, err = CommunityFrontier(ctx, pl, req.G, req.Threads, req.MaxPasses)
 				} else {
 					r, err = Community(ctx, pl, req.G, req.Threads, req.MaxPasses)

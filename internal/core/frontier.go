@@ -183,12 +183,39 @@ func untilEmpty(total int) int32 {
 	return ctrlContinue
 }
 
-// BFSFrontier runs level-synchronous breadth-first search with the
-// frontier strategy: each level processes only the compact worklist of
-// current-level vertices, claiming unvisited neighbors with lock-free
-// compare-and-swap instead of per-vertex locks. Levels are identical to
-// BFS's — the level-synchronous structure fully determines them — so
-// the two strategies are result-interchangeable.
+// Direction-switch thresholds of the frontier BFS, from Beamer et al.'s
+// direction-optimizing BFS as tuned in the GAP benchmark suite. Thread 0
+// decides at the end of each round, where it already sees the merged
+// frontier. Push->pull needs the edges incident to the next frontier (mf)
+// to exceed 1/HybridAlpha of the edges incident to still-unexplored
+// vertices — an exhaustive push scan would touch more edges than a pull
+// probe is likely to — and to exceed n: a pull round sweeps all n levels,
+// so it cannot beat a push round touching fewer than n edges. Pull->push
+// happens when the frontier shrinks below n/HybridBeta vertices, where a
+// pull round's O(n) sweep stops paying.
+const (
+	HybridAlpha = 14
+	HybridBeta  = 24
+)
+
+// round directions of the frontier BFS, chosen by thread 0 in decide.
+const (
+	dirPush int32 = iota
+	dirPull
+)
+
+// BFSFrontier runs level-synchronous, direction-optimizing breadth-first
+// search with the frontier strategy. A push round processes the compact
+// worklist of current-level vertices, claiming unvisited out-neighbors
+// with lock-free compare-and-swap instead of per-vertex locks. Once the
+// frontier is dense (HybridAlpha) the rounds flip to a bottom-up pull
+// over the in-CSR, in which every unvisited vertex probes its
+// in-neighbors for one on the current level and claims itself on the
+// first hit, and they flip back when it thins (HybridBeta). Discoveries
+// are pushed to the worklist in both directions, so the frontier, the
+// switch statistics and the endRound discipline stay exact across flips.
+// Levels are identical to BFS's — the level-synchronous structure fully
+// determines them — so the strategies are result-interchangeable.
 func BFSFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*BFSResult, error) {
 	return bfsFrontier(goCtx, pl, g, src, threads, nil)
 }
@@ -196,18 +223,29 @@ func BFSFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 // bfsFrontierRun is the reusable state of one BFSFrontier execution.
 // With a Scratch it persists across runs so warm runs allocate nothing:
 // the level array, the worklist buffers, the barrier and the kernel body
-// closure are all reused; only regions (value types) are re-placed.
+// and decide method values are all reused; only regions (value types)
+// are re-placed.
 type bfsFrontierRun struct {
 	g       *graph.CSR
+	in      *graph.CSR // g's transpose, fetched by the first pull round
 	threads int
 	level   []int32
 	wl      worklist
 	base    int32 // level of the seed frontier
 
-	rLvl, rOff, rTgt, rFront exec.Region
-	bar                      exec.Barrier
-	body                     func(exec.Ctx)
-	res                      BFSResult
+	// Direction state. Each thread stores its own frontDeg slot before
+	// endRound; everything else is thread 0's, in decide. Like the
+	// worklist offsets it is round bookkeeping, not annotated.
+	frontDeg   []int64 // out-degree sum of each thread's discoveries this round
+	unexplored int64   // edges incident to undiscovered vertices (over-estimated for a seeded run)
+	dir        int32   // direction of the current round
+	pulls      int     // pull rounds run
+
+	rLvl, rOff, rTgt, rFront, rInOff, rInTgt exec.Region
+	bar                                      exec.Barrier
+	body                                     func(exec.Ctx)
+	decide                                   func(total int) int32
+	res                                      BFSResult
 }
 
 // bfsFrontier is BFSFrontier with an optional scratch workspace.
@@ -231,14 +269,22 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 // last level its delta cannot have changed (BFSIncremental).
 func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*BFSResult, error) {
 	n := g.N
-	k.g, k.threads, k.base = g, threads, base
+	k.g, k.in, k.threads, k.base = g, nil, threads, base
+	k.frontDeg = grow64(k.frontDeg, threads, false)
+	k.unexplored = int64(g.M())
+	for _, v := range k.wl.frontier() {
+		k.unexplored -= int64(g.Degree(int(v)))
+	}
+	k.dir, k.pulls = dirPush, 0
 	k.rLvl = pl.Alloc("bfsf.level", n, 4)
 	k.rOff = pl.Alloc("bfsf.offsets", n+1, 8)
 	k.rTgt = pl.Alloc("bfsf.targets", g.M(), 4)
 	k.rFront = pl.Alloc("bfsf.frontier", n, 4)
+	k.rInOff = pl.Alloc("bfsf.inoffsets", n+1, 8)
+	k.rInTgt = pl.Alloc("bfsf.intargets", g.M(), 4)
 	k.bar = s.barrierFor(pl, threads)
 	if k.body == nil {
-		k.body = k.run
+		k.body, k.decide = k.run, k.decideRound
 	}
 
 	rep, err := s.run(goCtx, pl, threads, k.body)
@@ -276,176 +322,101 @@ func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 	tid := ctx.TID()
 	cur := k.base
 	for {
-		f := wl.frontier()
-		lo, hi := chunk(tid, threads, len(f))
-		ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-		found := 0
-		for i := lo; i < hi; i++ {
-			v := int(f[i])
-			ctx.Load(rOff.At(v))
-			ts, _ := g.Neighbors(v)
-			ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-			for _, u := range ts {
-				ctx.AtomicLoad(rLvl.At(int(u)))
-				ctx.Compute(1)
-				if atomic.LoadInt32(&level[u]) != -1 {
-					continue
-				}
-				// Lock-free claim: the CAS plays the role of the scan
-				// kernel's per-vertex atomic lock.
-				if atomic.CompareAndSwapInt32(&level[u], -1, cur+1) {
-					ctx.AtomicRMW(rLvl.At(int(u)))
-					found++
-					wl.push(tid, u)
+		found, deg := 0, int64(0)
+		if k.dir == dirPush {
+			f := wl.frontier()
+			lo, hi := chunk(tid, threads, len(f))
+			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
+			for i := lo; i < hi; i++ {
+				v := int(f[i])
+				ctx.Load(rOff.At(v))
+				ts, _ := g.Neighbors(v)
+				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
+				for _, u := range ts {
+					ctx.AtomicLoad(rLvl.At(int(u)))
+					ctx.Compute(1)
+					if atomic.LoadInt32(&level[u]) != -1 {
+						continue
+					}
+					// Lock-free claim: the CAS plays the role of the scan
+					// kernel's per-vertex atomic lock.
+					if atomic.CompareAndSwapInt32(&level[u], -1, cur+1) {
+						ctx.AtomicRMW(rLvl.At(int(u)))
+						found++
+						deg += int64(g.Degree(int(u)))
+						wl.push(tid, u)
+					}
 				}
 			}
+			ctx.Active(found - (hi - lo)) // discoveries join, explored leave
+		} else {
+			// Pull round: every unvisited vertex in my static chunk probes
+			// its in-neighbors for a parent on the current level, stopping
+			// at the first hit. My chunk is mine alone, so the level store
+			// needs no CAS — but it stays atomic because other threads'
+			// probes read it.
+			in, rInOff, rInTgt := k.in, k.rInOff, k.rInTgt
+			flo, fhi := chunk(tid, threads, len(wl.frontier()))
+			lo, hi := chunk(tid, threads, g.N)
+			for v := lo; v < hi; v++ {
+				ctx.AtomicLoad(rLvl.At(v))
+				ctx.Compute(1)
+				if atomic.LoadInt32(&level[v]) != -1 {
+					continue
+				}
+				ctx.Load(rInOff.At(v))
+				ts, _ := in.Neighbors(v)
+				for j, u := range ts {
+					ctx.Load(rInTgt.At(int(in.Offsets[v]) + j))
+					ctx.AtomicLoad(rLvl.At(int(u)))
+					ctx.Compute(1)
+					if atomic.LoadInt32(&level[u]) == cur {
+						atomic.StoreInt32(&level[v], cur+1)
+						ctx.AtomicStore(rLvl.At(v))
+						found++
+						deg += int64(g.Degree(v))
+						wl.push(tid, int32(v))
+						break
+					}
+				}
+			}
+			ctx.Active(found - (fhi - flo))
 		}
-		ctx.Active(found - (hi - lo)) // discoveries join, explored leave
-		if wl.endRound(ctx, bar, rFront, untilEmpty) != ctrlContinue {
+		k.frontDeg[tid] = deg
+		if wl.endRound(ctx, bar, rFront, k.decide) != ctrlContinue {
 			return
 		}
 		cur++
 	}
 }
 
-// ComponentsFrontier runs connected components with the frontier
-// strategy: push-based min-label propagation over a worklist that starts
-// as all vertices and shrinks to the still-settling ones. A vertex whose
-// label improves is re-enqueued (deduplicated by a mark flag), so each
-// round touches only the active part of the graph instead of sweeping
-// all n vertices. Labels converge to the minimum vertex id of each
-// component, exactly as ConnectedComponents and ComponentsRef do.
-func ComponentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int) (*ComponentsResult, error) {
-	return componentsFrontier(goCtx, pl, g, threads, nil)
-}
-
-// componentsFrontierRun is the reusable state of one ComponentsFrontier
-// execution (see bfsFrontierRun).
-type componentsFrontierRun struct {
-	g       *graph.CSR
-	threads int
-	labels  []int32
-	mark    []int32 // 1 while the vertex sits in a buffer or the worklist
-	wl      worklist
-	iters   int
-
-	rLbl, rOff, rTgt, rMark, rFront exec.Region
-	bar                             exec.Barrier
-	body                            func(exec.Ctx)
-	res                             ComponentsResult
-}
-
-// componentsFrontier is ComponentsFrontier with an optional scratch
-// workspace.
-func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, s *Scratch) (*ComponentsResult, error) {
-	if err := validate(g, 0, threads); err != nil {
-		return nil, err
+// decideRound is the frontier BFS's round verdict, run by thread 0 in
+// endRound: done once the frontier is empty, otherwise the direction of
+// the next round by the HybridAlpha/HybridBeta rule. Hysteresis comes from
+// the two distinct conditions: a dense frontier flips to pull, and only a
+// clearly sparse one flips back. The in-CSR is fetched for the first pull
+// round only, so a run that never pulls never builds a transpose.
+func (k *bfsFrontierRun) decideRound(total int) int32 {
+	mf := int64(0)
+	for _, d := range k.frontDeg {
+		mf += d
 	}
-	n := g.N
-	k := s.componentsFrontier()
-	k.labels = grow32(k.labels, n, s.detached())
-	k.mark = grow32(k.mark, n, false)
-	for v := 0; v < n; v++ {
-		k.labels[v] = int32(v)
-		k.mark[v] = 1
+	k.unexplored -= mf
+	if total == 0 {
+		return ctrlDone
 	}
-	k.wl.resetIota(threads, n)
-	return k.execute(goCtx, pl, g, threads, s)
-}
-
-// execute runs min-label propagation from the state the caller seeded:
-// k.labels is the starting labeling and k.wl (mirrored by k.mark) the
-// vertices whose label may still improve a neighbor's. A full run seeds
-// every vertex with its own id; a repair seeds the previous labels and
-// the tails of the inserted edges (ComponentsIncremental).
-func (k *componentsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, s *Scratch) (*ComponentsResult, error) {
-	n := g.N
-	k.g, k.threads, k.iters = g, threads, 0
-	k.rLbl = pl.Alloc("ccf.labels", n, 4)
-	k.rOff = pl.Alloc("ccf.offsets", n+1, 8)
-	k.rTgt = pl.Alloc("ccf.targets", g.M(), 4)
-	k.rMark = pl.Alloc("ccf.mark", n, 4)
-	k.rFront = pl.Alloc("ccf.frontier", n, 4)
-	k.bar = s.barrierFor(pl, threads)
-	if k.body == nil {
-		k.body = k.run
+	n := int64(k.g.N)
+	switch {
+	case k.dir == dirPush && mf > k.unexplored/HybridAlpha && mf > n:
+		k.dir = dirPull
+	case k.dir == dirPull && int64(total)*HybridBeta < n:
+		k.dir = dirPush
 	}
-
-	rep, err := s.run(goCtx, pl, threads, k.body)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &k.res
-	if s.detached() {
-		res = &ComponentsResult{}
-	}
-	*res = ComponentsResult{Labels: k.labels, Components: countRoots(k.labels), Iterations: k.iters + 1, Report: rep}
-	return res, nil
-}
-
-// countRoots counts the components of a converged labeling. Labels
-// converge to the minimum vertex id of each component, so the
-// representatives are exactly the fixpoints labels[v] == v — counting
-// them needs no set allocation.
-func countRoots(labels []int32) int {
-	comps := 0
-	for v, l := range labels {
-		if l == int32(v) {
-			comps++
+	if k.dir == dirPull {
+		k.pulls++
+		if k.in == nil {
+			k.in = k.g.InCSR()
 		}
 	}
-	return comps
-}
-
-func (k *componentsFrontierRun) run(ctx exec.Ctx) {
-	g, labels, mark, wl, threads := k.g, k.labels, k.mark, &k.wl, k.threads
-	rLbl, rOff, rTgt, rMark, rFront, bar := k.rLbl, k.rOff, k.rTgt, k.rMark, k.rFront, k.bar
-	tid := ctx.TID()
-	decide := func(total int) int32 {
-		if total == 0 {
-			return ctrlDone
-		}
-		k.iters++
-		return ctrlContinue
-	}
-	for {
-		f := wl.frontier()
-		lo, hi := chunk(tid, threads, len(f))
-		ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-		found := 0
-		for i := lo; i < hi; i++ {
-			v := int(f[i])
-			atomic.StoreInt32(&mark[v], 0)
-			ctx.AtomicStore(rMark.At(v))
-			ctx.AtomicLoad(rLbl.At(v))
-			lv := atomic.LoadInt32(&labels[v])
-			ctx.Load(rOff.At(v))
-			ts, _ := g.Neighbors(v)
-			ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-			for _, u := range ts {
-				ctx.AtomicLoad(rLbl.At(int(u)))
-				ctx.Compute(1)
-				for {
-					lu := atomic.LoadInt32(&labels[u])
-					if lv >= lu {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&labels[u], lu, lv) {
-						ctx.AtomicRMW(rLbl.At(int(u)))
-						if atomic.CompareAndSwapInt32(&mark[u], 0, 1) {
-							ctx.AtomicRMW(rMark.At(int(u)))
-							found++
-							wl.push(tid, u)
-						}
-						break
-					}
-				}
-			}
-		}
-		ctx.Active(found - (hi - lo))
-		if wl.endRound(ctx, bar, rFront, decide) != ctrlContinue {
-			return
-		}
-	}
+	return ctrlContinue
 }

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
+	"crono/internal/racecheck"
 )
 
 // closeEnough compares two modularity values up to float summation
@@ -241,6 +246,103 @@ func TestFrontierOnSimulator(t *testing.T) {
 	}
 }
 
+// TestBFSFrontierPullSwitch pins the direction rule on the run state's
+// pull-round count. A pull round sweeps all n vertices, so it is taken
+// only when the frontier's out-edges exceed n as well as the unexplored
+// edges over HybridAlpha: never on road-ca, whose frontiers stay thin,
+// and at least once on the small-world and uniform graphs. The switch
+// inputs are per-level sums, so the count does not depend on the
+// schedule.
+func TestBFSFrontierPullSwitch(t *testing.T) {
+	sizes := []int{512, 4096, 32768, 131072}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	for _, kind := range []graph.Kind{graph.KindRoadCA, graph.KindSocial, graph.KindSparse} {
+		for _, n := range sizes {
+			g := graph.Generate(kind, n, 7)
+			s := NewScratch()
+			res, err := bfsFrontier(context.Background(), native.New(), g, 0, 2, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pulls := s.bfsf.pulls
+			if (kind == graph.KindRoadCA) != (pulls == 0) {
+				t.Errorf("%s n=%d: %d pull rounds over %d levels", kind, n, pulls, res.Levels)
+			}
+		}
+	}
+}
+
+// TestBFSFrontierLevelsAcrossMatrix: whichever directions a run takes,
+// its levels are BFSRef's — fresh from a source and seeded by
+// BFSIncremental after a delta, at 1, 2 and 8 threads, natively and on
+// the simulator, over every generator.
+func TestBFSFrontierLevelsAcrossMatrix(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	for _, kind := range graph.Kinds {
+		for _, onSim := range []bool{false, true} {
+			n := 3000
+			if onSim {
+				n = 400
+			}
+			g := graph.Generate(kind, n, 3)
+			d := randomDelta(g, rng, 24, 8)
+			if err := d.Canonicalize(g.N); err != nil {
+				t.Fatal(err)
+			}
+			next := graph.ApplyDelta(g, d)
+			want, wantNext := BFSRef(g, 0), BFSRef(next, 0)
+			for _, p := range []int{1, 2, 8} {
+				pl := exec.Platform(native.New())
+				if onSim {
+					pl = simMachine(t, 16)
+				}
+				name := fmt.Sprintf("%s/sim=%t/t%d", kind, onSim, p)
+				s := NewScratch()
+				fresh, err := bfsFrontier(ctx, pl, g, 0, p, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(fresh.Level, want) {
+					t.Fatalf("%s: fresh levels differ from BFSRef", name)
+				}
+				if pulls := s.bfsf.pulls; (kind == graph.KindSocial || kind == graph.KindSparse) && pulls == 0 {
+					t.Fatalf("%s: no pull round, so the matrix does not cover the pull loop", name)
+				}
+				seeded, err := BFSIncremental(ctx, pl, next, 0, p, want, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(seeded.Level, wantNext) {
+					t.Fatalf("%s: seeded levels differ from BFSRef", name)
+				}
+			}
+		}
+	}
+}
+
+// TestRaceSweepCellsTakePullRounds: the BFS cells of the racecheck
+// sweep (sparse n=40, generator seed 1, 2 and 3 threads) and crono-race's
+// default (n=64, 3 threads) run pull rounds, so the happens-before check
+// covers the pull loop and its direction switches, and stays race-free.
+func TestRaceSweepCellsTakePullRounds(t *testing.T) {
+	for _, c := range []struct{ n, threads int }{{40, 2}, {40, 3}, {64, 3}} {
+		g := graph.Generate(graph.KindSparse, c.n, 1)
+		pl, s := racecheck.New(), NewScratch()
+		if _, err := bfsFrontier(context.Background(), pl, g, 0, c.threads, s); err != nil {
+			t.Fatal(err)
+		}
+		if s.bfsf.pulls == 0 {
+			t.Errorf("n=%d t%d: no pull round", c.n, c.threads)
+		}
+		if races := pl.Races(); len(races) != 0 {
+			t.Errorf("n=%d t%d: %d races, first %v", c.n, c.threads, len(races), races[0])
+		}
+	}
+}
+
 // TestFrontierStrategyDispatch exercises the Suite dispatch path: the
 // same Request with Strategy flipped must route to the frontier kernels
 // and still satisfy the oracles; invalid strategies must error.
@@ -261,8 +363,8 @@ func TestFrontierStrategyDispatch(t *testing.T) {
 			t.Fatalf("%s accepted unknown strategy", name)
 		}
 	}
-	// PageRank consumes the knob only for hybrid (pull form); the other
-	// values are ignored like any unused option.
+	// PageRank runs the pull form for frontier (and its hybrid alias) and
+	// the paper's push form otherwise.
 	pr, err := ByName("PageRank")
 	if err != nil {
 		t.Fatal(err)

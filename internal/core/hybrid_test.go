@@ -23,10 +23,15 @@ func batchSources(n, k int) []int {
 	return src
 }
 
-// TestHybridMatchesOracleOnGeneratorMatrix cross-checks the hybrid
-// kernels against the sequential oracles on every stock generator:
-// direction-optimizing BFS and Afforest CC must be bit-identical, and a
-// full-width BFSBatch must reproduce every per-source BFS exactly.
+// The tests named Hybrid cover the direction-optimizing side of the
+// frontier kernels — BFS pull rounds over the in-CSR, Afforest CC, pull
+// PageRank — and the bit-parallel BFSBatch.
+
+// TestHybridMatchesOracleOnGeneratorMatrix cross-checks the
+// direction-optimizing kernels against the sequential oracles on every
+// stock generator: frontier BFS (subtest BFSHybrid) and Afforest CC must
+// be bit-identical, and a full-width BFSBatch must reproduce every
+// per-source BFS exactly.
 func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 	const n = 3000
 	for _, kind := range graph.Kinds {
@@ -37,7 +42,7 @@ func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("BFSHybrid", func(t *testing.T) {
 				ref := BFSRef(g, 0)
-				res, err := BFSHybrid(ctx, native.New(), g, 0, 8)
+				res, err := BFSFrontier(ctx, native.New(), g, 0, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,14 +56,14 @@ func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				if res.Levels != scan.Levels || res.Visited != scan.Visited {
-					t.Fatalf("hybrid (levels=%d visited=%d) != scan (levels=%d visited=%d)",
+					t.Fatalf("frontier (levels=%d visited=%d) != scan (levels=%d visited=%d)",
 						res.Levels, res.Visited, scan.Levels, scan.Visited)
 				}
 			})
 
 			t.Run("Afforest", func(t *testing.T) {
 				ref := ComponentsRef(g)
-				res, err := ComponentsAfforest(ctx, native.New(), g, 8)
+				res, err := ComponentsFrontier(ctx, native.New(), g, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +120,7 @@ func randomDirectedGraph(seed int64) *graph.CSR {
 }
 
 // TestHybridDirectedGraphs checks the in-CSR paths on graphs where the
-// transpose differs from the forward graph: hybrid BFS levels follow
+// transpose differs from the forward graph: frontier BFS levels follow
 // out-edges only, Afforest labels are the weak components, and pull
 // PageRank matches the push oracle.
 func TestHybridDirectedGraphs(t *testing.T) {
@@ -124,7 +129,7 @@ func TestHybridDirectedGraphs(t *testing.T) {
 		g := randomDirectedGraph(seed)
 
 		ref := BFSRef(g, 0)
-		bres, err := BFSHybrid(ctx, native.New(), g, 0, 4)
+		bres, err := BFSFrontier(ctx, native.New(), g, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +140,7 @@ func TestHybridDirectedGraphs(t *testing.T) {
 		}
 
 		ccRef := ComponentsRef(g)
-		cres, err := ComponentsAfforest(ctx, native.New(), g, 4)
+		cres, err := ComponentsFrontier(ctx, native.New(), g, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,14 +177,14 @@ func TestHybridDirectedGraphs(t *testing.T) {
 	}
 }
 
-// TestHybridPropertyRandomGraphs property-tests the hybrid kernels
-// against the oracles across random graphs and thread counts.
+// TestHybridPropertyRandomGraphs property-tests the direction-optimizing
+// kernels against the oracles across random graphs and thread counts.
 func TestHybridPropertyRandomGraphs(t *testing.T) {
 	t.Run("BFSHybrid", func(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := BFSHybrid(context.Background(), native.New(), g, 0, p)
+			res, err := BFSFrontier(context.Background(), native.New(), g, 0, p)
 			if err != nil {
 				return false
 			}
@@ -200,7 +205,7 @@ func TestHybridPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := ComponentsAfforest(context.Background(), native.New(), g, p)
+			res, err := ComponentsFrontier(context.Background(), native.New(), g, p)
 			if err != nil {
 				return false
 			}
@@ -243,7 +248,7 @@ func TestHybridPropertyRandomGraphs(t *testing.T) {
 	})
 }
 
-// TestHybridShrinkGrowFrontier runs hybrid BFS on a barbell graph — a
+// TestHybridShrinkGrowFrontier runs frontier BFS on a barbell graph — a
 // dense clique, a long thin path, a second dense clique — whose frontier
 // collapses to one vertex and then re-expands. This drives the
 // push->pull->push direction flips and the worklist's shrink-then-grow
@@ -267,7 +272,7 @@ func TestHybridShrinkGrowFrontier(t *testing.T) {
 
 	ref := BFSRef(g, 0)
 	for _, p := range []int{1, 3, 8} {
-		res, err := BFSHybrid(context.Background(), native.New(), g, 0, p)
+		res, err := BFSFrontier(context.Background(), native.New(), g, 0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,28 +287,28 @@ func TestHybridShrinkGrowFrontier(t *testing.T) {
 	}
 }
 
-// TestHybridOnSimulator spot-checks that the hybrid kernels run
+// TestHybridOnSimulator spot-checks that the direction-optimizing kernels run
 // unchanged on the timing simulator and still match the oracles.
 func TestHybridOnSimulator(t *testing.T) {
 	g := graph.UniformSparse(160, 4, 30, 42)
 	ctx := context.Background()
 
 	bfsRef := BFSRef(g, 0)
-	bres, err := BFSHybrid(ctx, simMachine(t, 16), g, 0, 8)
+	bres, err := BFSFrontier(ctx, simMachine(t, 16), g, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range bfsRef {
 		if bres.Level[v] != bfsRef[v] {
-			t.Fatalf("sim hybrid BFS level[%d] = %d, oracle %d", v, bres.Level[v], bfsRef[v])
+			t.Fatalf("sim frontier BFS level[%d] = %d, oracle %d", v, bres.Level[v], bfsRef[v])
 		}
 	}
 	if bres.Report.Time <= 0 {
-		t.Fatal("sim hybrid BFS report has no simulated time")
+		t.Fatal("sim frontier BFS report has no simulated time")
 	}
 
 	ccRef := ComponentsRef(g)
-	cres, err := ComponentsAfforest(ctx, simMachine(t, 16), g, 8)
+	cres, err := ComponentsFrontier(ctx, simMachine(t, 16), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,17 +368,17 @@ func TestBFSBatchValidation(t *testing.T) {
 	}
 }
 
-// TestHybridCancellation checks the hybrid kernels unwind cleanly on a
+// TestHybridCancellation checks the direction-optimizing kernels unwind cleanly on a
 // pre-canceled context.
 func TestHybridCancellation(t *testing.T) {
 	g := graph.Generate(graph.KindSocial, 2000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BFSHybrid(ctx, native.New(), g, 0, 4); err == nil {
-		t.Error("BFSHybrid ignored canceled context")
+	if _, err := BFSFrontier(ctx, native.New(), g, 0, 4); err == nil {
+		t.Error("BFSFrontier ignored canceled context")
 	}
-	if _, err := ComponentsAfforest(ctx, native.New(), g, 4); err == nil {
-		t.Error("ComponentsAfforest ignored canceled context")
+	if _, err := ComponentsFrontier(ctx, native.New(), g, 4); err == nil {
+		t.Error("ComponentsFrontier ignored canceled context")
 	}
 	if _, err := BFSBatch(ctx, native.New(), g, batchSources(g.N, 8), 4); err == nil {
 		t.Error("BFSBatch ignored canceled context")

@@ -12,10 +12,11 @@ import (
 
 // This file implements incremental recompute for the dynamic-graph
 // subsystem: kernels that repair a previous result after an edge delta
-// instead of recomputing from scratch. None has a parallel body of its
-// own: each validates its inputs, derives a seed state and an initial
-// worklist from the previous version's result and the delta, and hands
-// them to the run state the full frontier kernel executes.
+// instead of recomputing from scratch. Each validates its inputs, derives
+// a seed state from the previous version's result and the delta, and
+// hands it to the run state of the full frontier kernel: the BFS and COMM
+// repairs seed its worklist, the CONN_COMP repair seeds Afforest's
+// union-find forest.
 //
 // Not every kernel has an incremental form, and not every delta is
 // worth repairing; IncrementalOK is the single decision rule. Callers
@@ -39,9 +40,9 @@ const incrementalMaxDeltaRatio = 8
 //   - BFS repairs any insert/delete batch (the level-cutoff argument in
 //     BFSIncremental covers both).
 //   - CONN_COMP repairs insert-only batches: inserting edges only merges
-//     components, so min-label propagation from the new edges' tails
-//     converges to the same least fixpoint as a full run. A delete can
-//     split a component, which label propagation cannot detect.
+//     components, so uniting the components of each new edge's endpoints
+//     gives what a full run gives. A delete can split a component, which
+//     a union cannot undo.
 //   - COMM re-optimizes the affected neighborhood (bounded re-iteration);
 //     deletes are fine because the move rule only needs current weights.
 //
@@ -148,13 +149,15 @@ func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, 
 
 // ComponentsIncremental repairs a connected-components labeling after an
 // insert-only edge delta: g is the post-delta graph, oldLabels the
-// pre-delta labels. The old labels already satisfy label[v] <= label[u]
-// for every pre-existing edge (u,v); only the inserted edges can
-// violate the min-label fixpoint, so propagation seeded from their
-// tails converges to the same least fixpoint a full run reaches —
-// bit-identical labels. Deltas with deletes return ErrNoIncremental:
-// removing an edge can split a component, which min-label propagation
-// cannot undo.
+// pre-delta labels. The old labels are already a union-find forest of
+// depth one — every vertex points at its component's least vertex, a
+// root — so the repair is Afforest's link and compress over that forest:
+// the threads link the endpoints of their share of the inserted edges
+// and, only if some link merged two components, compress every label to
+// its new root. It never reads an adjacency list, so a directed graph
+// needs no transpose, and min-hooking makes the labels bit-identical to a
+// full run. Deltas with deletes return ErrNoIncremental: removing an edge
+// can split a component, which a union cannot undo.
 func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, oldLabels []int32, d *graph.EdgeDelta) (*ComponentsResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -168,18 +171,21 @@ func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR
 	if len(oldLabels) != g.N {
 		return nil, fmt.Errorf("core: seed labels for %d vertices, graph has %d", len(oldLabels), g.N)
 	}
-	k := &componentsFrontierRun{
-		labels: append([]int32(nil), oldLabels...),
-		mark:   make([]int32, g.N),
-	}
-	k.wl.prepare(threads, 0)
-	for _, e := range d.Inserts {
-		if k.mark[e.From] == 0 {
-			k.mark[e.From] = 1
-			k.wl.seed(e.From)
+	// A label above its vertex or naming a non-root would let a find chase
+	// a cycle; min-id component labels satisfy neither.
+	for v, l := range oldLabels {
+		if l < 0 || int(l) > v || oldLabels[l] != l {
+			return nil, fmt.Errorf("core: seed label %d of vertex %d is not the least vertex of a component", l, v)
 		}
 	}
-	return k.execute(goCtx, pl, g, threads, nil)
+	k := &afforestRun{g: g, threads: threads, parent: append([]int32(nil), oldLabels...)}
+	k.rPar = pl.Alloc("ccaf.parent", g.N, 4)
+	k.bar = pl.NewBarrier(threads)
+	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) { k.repair(ctx, d.Inserts) })
+	if err != nil {
+		return nil, err
+	}
+	return &ComponentsResult{Labels: k.parent, Components: countRoots(k.parent), Iterations: 1, Report: rep}, nil
 }
 
 // CommunityIncremental re-optimizes a community assignment after an

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crono/internal/graph"
@@ -174,6 +175,45 @@ func TestComponentsIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 	}
 }
 
+// TestComponentsIncrementalMergesDirectedComponents drives the repair
+// through merges the generator graphs rarely produce: a directed forest
+// of many weak components, joined a few one-way inserts at a time, so
+// that vertices reachable only against edge direction must be relabeled.
+func TestComponentsIncrementalMergesDirectedComponents(t *testing.T) {
+	const n = 600
+	rng := rand.New(rand.NewSource(5))
+	var edges []graph.Edge
+	for v := 1; v < n; v++ {
+		if v%8 != 0 { // a tree edge toward a random earlier vertex of the same block
+			edges = append(edges, graph.Edge{From: int32(v), To: int32(v - 1 - rng.Intn(v%8)), Weight: 1})
+		}
+	}
+	for _, threads := range []int{1, 2, 8} {
+		g := graph.FromEdges(n, edges, false)
+		old := ComponentsRef(g)
+		for trial := 0; trial < 6; trial++ {
+			d := randomDelta(g, rng, 5, 0)
+			if err := d.Canonicalize(n); err != nil {
+				t.Fatal(err)
+			}
+			next := graph.ApplyDelta(g, d)
+			res, err := ComponentsIncremental(context.Background(), native.New(), next, threads, old, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ComponentsRef(next)
+			if !slices.Equal(res.Labels, want) {
+				t.Fatalf("%d threads, trial %d: repaired labels differ from the oracle's", threads, trial)
+			}
+			if res.Components != countRoots(want) || res.Components == countRoots(old) {
+				t.Fatalf("%d threads, trial %d: %d components (before %d, oracle %d), want a merge",
+					threads, trial, res.Components, countRoots(old), countRoots(want))
+			}
+			g, old = next, res.Labels
+		}
+	}
+}
+
 // TestComponentsIncrementalRejectsDeletes pins the fallback contract: a
 // delete can split a component, so the repair must refuse and send the
 // caller to full recompute.
@@ -305,7 +345,9 @@ func TestBFSIncrementalSeedValidation(t *testing.T) {
 			_, err := ComponentsIncremental(context.Background(), native.New(), next, 2, seed, d)
 			return err
 		}, labels, map[string][]int32{
-			"wrong length": make([]int32, 2),
+			"wrong length":           make([]int32, 2),
+			"label above its vertex": {1, 1, 2, 3},
+			"label names a non-root": {0, 0, 1, 3},
 		}},
 		{"COMM", func(seed []int32, d *graph.EdgeDelta) error {
 			_, err := CommunityIncremental(context.Background(), native.New(), next, 2, 4, seed, d)

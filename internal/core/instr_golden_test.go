@@ -23,6 +23,7 @@ var updateInstrGolden = flag.Bool("update-instr-golden", false,
 // annotation stream each kernel issues: every Suite and Variants entry
 // under every strategy it dispatches on, the batched BFS and the three
 // incremental repairs, on small seeded sparse, road-ca and social graphs.
+// A hybrid request is checked against the frontier count it aliases.
 // The golden was generated before exec.Ctx became a concrete type; any
 // change to how an annotation is counted natively moves a number here.
 func TestNativeInstructionGolden(t *testing.T) {
@@ -62,7 +63,20 @@ func TestNativeInstructionGolden(t *testing.T) {
 					req.G = small
 				}
 				res, err := b.Run(ctx, native.New(), req)
-				record(b.Name+"/"+string(kind)+"/"+string(s), err, func() *exec.Report { return res.Report })
+				name := b.Name + "/" + string(kind) + "/" + string(s)
+				if s != StrategyHybrid {
+					record(name, err, func() *exec.Report { return res.Report })
+					continue
+				}
+				// The alias is not in the golden: it must count exactly
+				// what the frontier run it canonicalizes to counted.
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				frontier := b.Name + "/" + string(kind) + "/" + string(StrategyFrontier)
+				if count := res.Report.Instructions[0]; count != got[frontier] {
+					t.Errorf("%s: %d native instructions, %s counted %d", name, count, frontier, got[frontier])
+				}
 			}
 		}
 

@@ -115,12 +115,12 @@ func TestReorderedRunsMatchUnordered(t *testing.T) {
 		name       string
 		strategies []Strategy
 	}{
-		{"BFS", []Strategy{StrategyScan, StrategyFrontier, StrategyHybrid}},
+		{"BFS", []Strategy{StrategyScan, StrategyFrontier}},
 		{"SSSP_DIJK", []Strategy{StrategyScan, StrategyFrontier}},
-		{"CONN_COMP", []Strategy{StrategyScan, StrategyFrontier, StrategyHybrid}},
+		{"CONN_COMP", []Strategy{StrategyScan, StrategyFrontier}},
 		{"DFS", []Strategy{StrategyScan}},
 		{"TRI_CNT", []Strategy{StrategyScan}},
-		{"PageRank", []Strategy{StrategyScan, StrategyHybrid}},
+		{"PageRank", []Strategy{StrategyScan, StrategyFrontier}},
 		{"SSSP_DELTA", []Strategy{StrategyScan}},
 		{"BFS_TARGET", []Strategy{StrategyScan}},
 		{"BETW_BRANDES", []Strategy{StrategyScan}},

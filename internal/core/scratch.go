@@ -56,7 +56,7 @@ type Scratch struct {
 	// Per-kernel reusable run states, created on first use.
 	bfsf  *bfsFrontierRun
 	ssspf *ssspFrontierRun
-	ccf   *componentsFrontierRun
+	ccf   *afforestRun
 	prp   *pageRankPullRun
 
 	// res is the reusable typed-Run result wrapper and rep the reusable
@@ -129,13 +129,13 @@ func (s *Scratch) ssspFrontier() *ssspFrontierRun {
 	return s.ssspf
 }
 
-// componentsFrontier returns the reusable ComponentsFrontier state.
-func (s *Scratch) componentsFrontier() *componentsFrontierRun {
+// afforest returns the reusable ComponentsFrontier state.
+func (s *Scratch) afforest() *afforestRun {
 	if s == nil {
-		return &componentsFrontierRun{}
+		return &afforestRun{}
 	}
 	if s.ccf == nil {
-		s.ccf = &componentsFrontierRun{}
+		s.ccf = &afforestRun{}
 	}
 	return s.ccf
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"crono/internal/graph"
@@ -241,6 +242,43 @@ func TestWarmSeededRepairAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(10, repair); n != c.allocs {
 			t.Errorf("warm repair (DetachResults=%v) allocates %.0f objects per run, want %.0f", c.detach, n, c.allocs)
+		}
+	}
+}
+
+// TestWarmAfforestAllocs: the frontier CONN_COMP keeps its parent and
+// sample arrays in the scratch, so a warm run with a serving-mode scratch
+// allocates only what it detaches — the label array, the result struct
+// and the report with its two per-thread slices — and nothing in
+// zero-alloc mode. Either way its labels are the oracle's.
+func TestWarmAfforestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	g := graph.SocialNet(2000, 8, 11)
+	want := ComponentsRef(g)
+	goCtx := context.Background()
+	pl := native.New()
+	for _, c := range []struct {
+		detach bool
+		allocs float64
+	}{{true, 5}, {false, 0}} {
+		s := NewScratch()
+		s.DetachResults = c.detach
+		run := func() {
+			res, err := componentsFrontier(goCtx, pl, g, 4, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Labels, want) {
+				t.Fatal("labels differ from ComponentsRef")
+			}
+		}
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		if n := testing.AllocsPerRun(10, run); n != c.allocs {
+			t.Errorf("warm Afforest (DetachResults=%v) allocates %.0f objects per run, want %.0f", c.detach, n, c.allocs)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestWorklistRecycleProperty drives the worklist through randomized
-// shrink-then-grow frontier schedules — the shape hybrid BFS produces
+// shrink-then-grow frontier schedules — the shape direction-optimizing BFS produces
 // when a dense region drains into a thin cut and re-expands — through
 // endRound, the real round-end choreography, and checks two invariants
 // of the recycling in seal():

@@ -23,8 +23,9 @@ type sweepCase struct {
 // sweepCases enumerates every shipped kernel × strategy × generator ×
 // thread-count cell checked for freedom from annotation-level races.
 // Strategy-less kernels (matrix, cities and the variants) run once per
-// generator cell; graph-division kernels run under all three
-// strategies. Inputs are tiny — the deterministic scheduler yields at
+// generator cell; graph-division kernels run under scan, frontier and
+// the hybrid name, which must reach the frontier kernels through the
+// same dispatch. Inputs are tiny — the deterministic scheduler yields at
 // every annotation, so cost scales with annotation count, and a race in
 // the access pattern shows up at any size.
 func sweepCases() []sweepCase {
@@ -120,11 +121,22 @@ func seededEntryPoints() []core.Benchmark {
 			return r.Report, nil
 		}),
 		wrap("ComponentsIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
-			d, next, err := delta(req.G, 0)
+			d, _, err := delta(req.G, 0)
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.ComponentsIncremental(ctx, pl, next, req.Threads, core.ComponentsRef(req.G), d)
+			// A one-way edge from every other component's root to vertex 0
+			// merges them all, so the compress phase runs too.
+			old := core.ComponentsRef(req.G)
+			for v, l := range old {
+				if l == int32(v) && l != old[0] {
+					d.Inserts = append(d.Inserts, graph.Edge{From: l, To: 0, Weight: 1})
+				}
+			}
+			if err := d.Canonicalize(req.G.N); err != nil {
+				return nil, err
+			}
+			r, err := core.ComponentsIncremental(ctx, pl, graph.ApplyDelta(req.G, d), req.Threads, old, d)
 			if err != nil {
 				return nil, err
 			}

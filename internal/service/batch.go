@@ -12,8 +12,8 @@ import (
 )
 
 // This file implements cross-request run batching: concurrent /v1/run
-// BFS requests that differ only in source vertex — same graph version,
-// strategy and thread count — can share one bit-parallel multi-source
+// frontier BFS requests that differ only in source vertex — same graph
+// version and thread count — can share one bit-parallel multi-source
 // pass (core.BFSBatch) that is fanned back out per source.
 //
 // The batcher is work-conserving: the first request of a key opens a
@@ -29,8 +29,8 @@ import (
 // sources coalesce there and results are cached per source, exactly as
 // for ungrouped runs.
 
-// batchGroup accumulates the members of one (version, kernel, strategy,
-// threads) key between its submission to the pool and its dequeue.
+// batchGroup accumulates the members of one (version, kernel, threads)
+// key between its submission to the pool and its dequeue.
 type batchGroup struct {
 	key     string
 	bench   core.Benchmark
@@ -63,12 +63,10 @@ func (b *batcher) seal(grp *batchGroup) []*pending {
 // table in DESIGN.md §5b "Batching" (BFSBatch pass against single-source
 // runs, 2 threads).
 const (
-	// breakEvenFrontier: on social n=16384 a pass costs 3.4 ms per source
-	// at k=3 against 4.0 ms for one frontier run (4.7 at k=2).
-	breakEvenFrontier = 3
-	// breakEvenHybrid: a hybrid run costs 1.5 ms there, which a pass
-	// reliably undercuts only from k≈10 (1.46 ms per source).
-	breakEvenHybrid = 10
+	// breakEven: on social n=16384 a frontier run costs 0.74–1.24 ms, which
+	// a pass undercuts only from k=16 (0.81 ms per source; 1.0–1.2 at
+	// k=12).
+	breakEven = 16
 	// deepBFSDepth: on road-ca n=65536 (depth 65) a pass costs 7.6–10 ms
 	// per source at k=16 and 4.8–5.4 at k=64 against 3.8–6.7 ms for one
 	// frontier run — no k wins. The shallow rows are 3–5 levels deep, the
@@ -76,16 +74,11 @@ const (
 	deepBFSDepth = 16
 )
 
-// planBatch decides how the k members of a group run, from the strategy
-// they asked for and the version's BFS depth estimate: one bit-parallel
-// pass only when the version is shallow and k is at or above the
-// break-even for that strategy. The reason is echoed as "plan" in the
-// reply.
-func planBatch(k int, strategy string, depth int) (batch bool, reason string) {
-	breakEven := breakEvenFrontier
-	if strategy == string(core.StrategyHybrid) {
-		breakEven = breakEvenHybrid
-	}
+// planBatch decides how the k members of a group run, from the version's
+// BFS depth estimate: one bit-parallel pass only when the version is
+// shallow and k is at or above the break-even. The reason is echoed as
+// "plan" in the reply.
+func planBatch(k, depth int) (batch bool, reason string) {
 	switch {
 	case depth > deepBFSDepth:
 		return false, fmt.Sprintf("single:deep(depth=%d)", depth)
@@ -109,7 +102,7 @@ func (s *Server) batchable(bench core.Benchmark, req *runRequest, meta *runMeta)
 		meta.order != graph.OrderNone || meta.inc != nil {
 		return false, ""
 	}
-	return planBatch(core.BFSBatchWidth, req.Strategy, meta.ver.BFSDepth())
+	return planBatch(core.BFSBatchWidth, meta.ver.BFSDepth())
 }
 
 // joinBatch enrolls the request in the open group of its key, opening
@@ -119,7 +112,7 @@ func (s *Server) batchable(bench core.Benchmark, req *runRequest, meta *runMeta)
 // return value is cached per source like any other run result.
 func (s *Server) joinBatch(ctx context.Context, bench core.Benchmark, req *runRequest, meta *runMeta) (any, error) {
 	m := newPending(ctx, req)
-	key := fmt.Sprintf("%s|%s|st=%s|t=%d", meta.versionID, bench.Name, req.Strategy, req.Threads)
+	key := fmt.Sprintf("%s|%s|t=%d", meta.versionID, bench.Name, req.Threads)
 
 	b := s.batches
 	b.mu.Lock()
@@ -165,7 +158,7 @@ func (s *Server) runGroup(grp *batchGroup) {
 		return
 	}
 	ver := grp.meta.ver
-	batch, plan := planBatch(len(live), live[0].req.Strategy, ver.BFSDepth())
+	batch, plan := planBatch(len(live), ver.BFSDepth())
 	if batch {
 		s.runPass(grp, live, plan)
 		return

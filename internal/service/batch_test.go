@@ -129,12 +129,13 @@ func cachedLevels(t *testing.T, s *Server, versionID, strategy string, src int) 
 	return v.(*cachedRun).level
 }
 
-// TestBatchedRunsCoalesce queues a burst of 70 distinct-source hybrid BFS
-// requests behind a held worker: the first 64 fill one group and run as
-// one bit-parallel pass, the other 6 form a group below the hybrid
-// break-even and run the kernel they asked for. Every result, batched or
-// not, is bit-identical to the sequential reference and cached per
-// source, and nothing is left running afterwards.
+// TestBatchedRunsCoalesce queues a burst of 70 distinct-source BFS
+// requests behind a held worker, under the "hybrid" name so the alias is
+// grouped and cached as the frontier strategy it stands for: the first 64
+// fill one group and run as one bit-parallel pass, the other 6 form a
+// group below the break-even and run the frontier kernel. Every result,
+// batched or not, is bit-identical to the sequential reference and cached
+// per source, and nothing is left running afterwards.
 func TestBatchedRunsCoalesce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -158,7 +159,7 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 		switch {
 		case rr.Batched && rr.Plan == "batch:k=64":
 			batched++
-		case !rr.Batched && rr.Plan == "single:below-break-even(k=6<10)":
+		case !rr.Batched && rr.Plan == "single:below-break-even(k=6<16)":
 		default:
 			t.Fatalf("response %d: batched=%t plan=%q", i, rr.Batched, rr.Plan)
 		}
@@ -168,7 +169,7 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 		if rr.QueueWaitSeconds <= 0 {
 			t.Fatalf("response %d queued behind a held worker reports queueWaitSeconds %v", i, rr.QueueWaitSeconds)
 		}
-		if got, want := cachedLevels(t, s, ver.ID, "hybrid", sources[i]), core.BFSRef(ver.Graph(), sources[i]); !slices.Equal(got, want) {
+		if got, want := cachedLevels(t, s, ver.ID, "frontier", sources[i]), core.BFSRef(ver.Graph(), sources[i]); !slices.Equal(got, want) {
 			t.Fatalf("source %d (batched=%t): levels differ from the sequential reference", sources[i], rr.Batched)
 		}
 	}
@@ -209,19 +210,22 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 	}
 }
 
-// TestBatchedRunMatchesUnbatched queues five frontier sources (above the
-// frontier break-even of 3) into one pass and checks each batched result
-// against the same request served alone by an idle server.
+// TestBatchedRunMatchesUnbatched queues sixteen frontier sources (the
+// break-even) into one pass and checks each batched result against the
+// same request served alone by an idle server.
 func TestBatchedRunMatchesUnbatched(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	s, ts := newTestServer(t, cfg)
 	gr := createGraph(t, ts.URL, "social", 3000, 9)
-	sources := []int{1, 2, 3, 4, 5}
+	sources := make([]int, breakEven)
+	for i := range sources {
+		sources[i] = i + 1
+	}
 
 	out := heldBurst(t, s, ts.URL, gr.ID, "", sources, func() bool { return openMembers(s) == len(sources) })
 	for i, rr := range out {
-		if !rr.Batched || rr.Plan != "batch:k=5" || rr.TotalInstructions == 0 || rr.TimeUnit != "ns" {
+		if !rr.Batched || rr.Plan != fmt.Sprintf("batch:k=%d", breakEven) || rr.TotalInstructions == 0 || rr.TimeUnit != "ns" {
 			t.Fatalf("burst response %d: %+v", i, rr)
 		}
 	}
@@ -229,8 +233,8 @@ func TestBatchedRunMatchesUnbatched(t *testing.T) {
 	if v := metricValue(t, m, "crono_batch_passes_total"); v != 1 {
 		t.Errorf("batch passes = %v, want 1", v)
 	}
-	if v := metricValue(t, m, `crono_batched_runs_total{kernel="BFS"}`); v != 5 {
-		t.Errorf("batched runs = %v, want 5", v)
+	if v := metricValue(t, m, `crono_batched_runs_total{kernel="BFS"}`); v != breakEven {
+		t.Errorf("batched runs = %v, want %d", v, breakEven)
 	}
 
 	idle, its := newTestServer(t, DefaultConfig())
@@ -288,7 +292,7 @@ func TestBatchingOptOuts(t *testing.T) {
 }
 
 // TestIdleClosedLoopNeverBatches: two closed-loop clients on two idle
-// workers can never put three requests in one group, so every BFS runs
+// workers can never put break-even many requests in one group, so every BFS runs
 // as a single — no pass, no batched run — and a request that found the
 // pool idle reports the plan of a lone run.
 func TestIdleClosedLoopNeverBatches(t *testing.T) {
@@ -309,7 +313,7 @@ func TestIdleClosedLoopNeverBatches(t *testing.T) {
 				var rr runResponse
 				err := json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
-				if err != nil || rr.Batched || (rr.Plan != "single:alone" && rr.Plan != "single:below-break-even(k=2<3)") {
+				if err != nil || rr.Batched || (rr.Plan != "single:alone" && rr.Plan != "single:below-break-even(k=2<16)") {
 					t.Errorf("client %d request %d: batched=%t plan=%q", client, i, rr.Batched, rr.Plan)
 				}
 			}
@@ -326,37 +330,29 @@ func TestIdleClosedLoopNeverBatches(t *testing.T) {
 }
 
 // TestPlanBatch pins the batcher's decision table: for every group size
-// around the two break-evens, both strategies, shallow and deep, and for
-// every BFS class the repository benchmark sends.
+// around the break-even, shallow and deep, and for every BFS class the
+// repository benchmark sends.
 func TestPlanBatch(t *testing.T) {
 	for _, tc := range []struct {
-		k        int
-		strategy string
-		depth    int
+		k, depth int
 		batch    bool
 		reason   string
 	}{
-		{1, "frontier", 4, false, "single:alone"},
-		{2, "frontier", 4, false, "single:below-break-even(k=2<3)"},
-		{9, "frontier", 4, true, "batch:k=9"},
-		{10, "frontier", 4, true, "batch:k=10"},
-		{64, "frontier", 4, true, "batch:k=64"},
-		{1, "hybrid", 4, false, "single:alone"},
-		{2, "hybrid", 4, false, "single:below-break-even(k=2<10)"},
-		{9, "hybrid", 4, false, "single:below-break-even(k=9<10)"},
-		{10, "hybrid", 4, true, "batch:k=10"},
-		{64, "hybrid", 4, true, "batch:k=64"},
-		{64, "hybrid", deepBFSDepth, true, "batch:k=64"},
-		{1, "frontier", 212, false, "single:deep(depth=212)"},
-		{2, "frontier", 212, false, "single:deep(depth=212)"},
-		{9, "hybrid", 212, false, "single:deep(depth=212)"},
-		{10, "hybrid", 212, false, "single:deep(depth=212)"},
-		{64, "frontier", 212, false, "single:deep(depth=212)"},
-		{64, "hybrid", deepBFSDepth + 1, false, fmt.Sprintf("single:deep(depth=%d)", deepBFSDepth+1)},
+		{1, 4, false, "single:alone"},
+		{2, 4, false, "single:below-break-even(k=2<16)"},
+		{15, 4, false, "single:below-break-even(k=15<16)"},
+		{16, 4, true, "batch:k=16"},
+		{64, 4, true, "batch:k=64"},
+		{64, deepBFSDepth, true, "batch:k=64"},
+		{1, 212, false, "single:deep(depth=212)"},
+		{2, 212, false, "single:deep(depth=212)"},
+		{16, 212, false, "single:deep(depth=212)"},
+		{64, 212, false, "single:deep(depth=212)"},
+		{64, deepBFSDepth + 1, false, fmt.Sprintf("single:deep(depth=%d)", deepBFSDepth+1)},
 	} {
-		batch, reason := planBatch(tc.k, tc.strategy, tc.depth)
+		batch, reason := planBatch(tc.k, tc.depth)
 		if batch != tc.batch || reason != tc.reason {
-			t.Errorf("planBatch(%d, %s, %d) = %t, %q; want %t, %q", tc.k, tc.strategy, tc.depth, batch, reason, tc.batch, tc.reason)
+			t.Errorf("planBatch(%d, %d) = %t, %q; want %t, %q", tc.k, tc.depth, batch, reason, tc.batch, tc.reason)
 		}
 	}
 
@@ -380,7 +376,7 @@ func TestPlanBatch(t *testing.T) {
 		plan            string
 	}{
 		{"BFS.road", "frontier", road, nil, false, fmt.Sprintf("single:deep(depth=%d)", road.BFSDepth())},
-		{"BFS.social.hybrid", "hybrid", social, nil, true, "batch:k=64"},
+		{"BFS.social.hybrid", "frontier", social, nil, true, "batch:k=64"},
 		{"BFS.pinned", "frontier", social, nil, true, "batch:k=64"},
 		// A head run that repairs its parent's result is never grouped.
 		{"BFS.head", "frontier", road, &incrementalSeed{}, false, ""},
@@ -393,7 +389,7 @@ func TestPlanBatch(t *testing.T) {
 		}
 	}
 	// A joiner that stays alone in its group runs as a lone single.
-	if _, plan := planBatch(1, "hybrid", social.BFSDepth()); plan != "single:alone" {
+	if _, plan := planBatch(1, social.BFSDepth()); plan != "single:alone" {
 		t.Errorf("lone BFS.social.hybrid plan %q, want single:alone", plan)
 	}
 	if d := road.BFSDepth(); d <= deepBFSDepth {
@@ -481,7 +477,7 @@ func TestGroupInterleavings(t *testing.T) {
 			case op < 6: // join
 				ctx, cancel := context.WithCancel(context.Background())
 				cancels = append(cancels, cancel)
-				req := &runRequest{Platform: "native", Strategy: []string{"frontier", "hybrid"}[rng.Intn(2)], Threads: 2, Source: joined}
+				req := &runRequest{Platform: "native", Strategy: "frontier", Threads: 2, Source: joined}
 				joined++
 				wg.Add(1)
 				go func() {

@@ -165,36 +165,35 @@ func TestRunCanceledMidFlight(t *testing.T) {
 	}
 }
 
-// TestLoneHybridRunsHybridKernel: a lone "strategy":"hybrid" BFS must be
-// answered by BFSHybrid, not by the batch kernel or the frontier one:
-// its single-threaded instruction count equals a direct hybrid run's and
-// differs from a direct frontier run's.
-func TestLoneHybridRunsHybridKernel(t *testing.T) {
+// TestServedPageRankRunsPullKernel: a PageRank served with the default
+// strategy must be answered by the pull kernel, not by the paper's
+// lock-per-edge push scan: its single-threaded instruction count equals
+// a direct PageRankPull's and differs from a direct scan run's.
+func TestServedPageRankRunsPullKernel(t *testing.T) {
 	s, ts := newTestServer(t, DefaultConfig())
 	gr := createGraph(t, ts.URL, "social", 4096, 5)
-	resp := postJSON(t, ts.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "BFS", Strategy: "hybrid", Threads: 1, Source: 7})
+	resp := postJSON(t, ts.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "PageRank", Threads: 1})
 	var rr runResponse
 	decodeBody(t, resp, &rr)
-	if rr.Batched || rr.Plan != "single:alone" || rr.QueueWaitSeconds < 0 {
-		t.Fatalf("lone hybrid BFS: %+v", rr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PageRank: status %d: %+v", resp.StatusCode, rr)
 	}
 
 	_, ver, _ := s.store.Resolve(gr.ID)
-	direct := func(st core.Strategy) uint64 {
-		res, err := mustBench(t, "BFS").Run(context.Background(), native.New(), core.Request{
-			Input: core.Input{G: ver.Graph(), Source: 7}, Strategy: st, Threads: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Report.TotalInstructions()
+	pull, err := core.PageRankPull(context.Background(), native.New(), ver.Graph(), 1, core.DefaultPageRankIters)
+	if err != nil {
+		t.Fatal(err)
 	}
-	hybrid, frontier := direct(core.StrategyHybrid), direct(core.StrategyFrontier)
-	if hybrid == frontier {
-		t.Fatalf("hybrid and frontier both count %d instructions: the comparison proves nothing", hybrid)
+	push, err := core.PageRank(context.Background(), native.New(), ver.Graph(), 1, core.DefaultPageRankIters)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rr.TotalInstructions != hybrid {
-		t.Fatalf("served totalInstructions = %d, want %d (direct hybrid; direct frontier counts %d)", rr.TotalInstructions, hybrid, frontier)
+	want, scan := pull.Report.TotalInstructions(), push.Report.TotalInstructions()
+	if want == scan {
+		t.Fatalf("pull and push both count %d instructions: the comparison proves nothing", want)
+	}
+	if rr.TotalInstructions != want {
+		t.Fatalf("served totalInstructions = %d, want %d (direct pull; direct push counts %d)", rr.TotalInstructions, want, scan)
 	}
 }
 

@@ -123,10 +123,10 @@ type runRequest struct {
 	Kernel string `json:"kernel"`
 	// Platform is "native" (default) or "sim".
 	Platform string `json:"platform,omitempty"`
-	// Strategy is "scan", "frontier" or "hybrid" for the kernels with
-	// multiple executions. The serving layer defaults to "frontier" (fast
-	// path); paper-fidelity experiments should pass "scan" explicitly,
-	// and "hybrid" selects the direction-optimizing kernels.
+	// Strategy is "scan" or "frontier" for the kernels with multiple
+	// executions; "hybrid" is accepted as a name for "frontier". The
+	// serving layer defaults to "frontier" (fast path); paper-fidelity
+	// experiments should pass "scan" explicitly.
 	Strategy string `json:"strategy,omitempty"`
 	// Order requests a cache-aware vertex reordering: "none" (default),
 	// "degree" (hub packing), "rcm" (bandwidth reduction) or "auto" (pick
@@ -591,10 +591,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if !core.Strategy(req.Strategy).Valid() {
 		writeError(w, http.StatusBadRequest, codeUnknownStrategy,
-			"unknown strategy %q (want %q, %q or %q)",
-			req.Strategy, core.StrategyScan, core.StrategyFrontier, core.StrategyHybrid)
+			"unknown strategy %q (want %q or %q)",
+			req.Strategy, core.StrategyScan, core.StrategyFrontier)
 		return
 	}
+	// From here on the request names the strategy it executes as, so an
+	// alias shares the cache entry, batch group and repair of its target.
+	req.Strategy = string(core.Strategy(req.Strategy).Canonical())
 	if req.Order != "" && req.Order != "auto" && !graph.Order(req.Order).Valid() {
 		writeError(w, http.StatusBadRequest, codeUnknownOrder,
 			"unknown order %q (want %q, %q, %q or %q)",

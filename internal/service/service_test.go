@@ -498,6 +498,10 @@ func TestRunStrategyPartitionsCacheKey(t *testing.T) {
 	if r := run(""); !r.Cached {
 		t.Fatal("default-strategy run did not coalesce onto the frontier entry")
 	}
+	// "hybrid" is a name for frontier: same kernel, same entry.
+	if r := run("hybrid"); !r.Cached {
+		t.Fatal("hybrid run did not coalesce onto the frontier entry")
+	}
 
 	resp := postJSON(t, ts.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "BFS", Strategy: "warp"})
 	defer resp.Body.Close()
