@@ -339,7 +339,7 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 		}
 		r.Speedup = speedup(scanNs, frontierNs)
 		fmt.Fprintf(os.Stderr, "  scan %d ns, frontier %d ns (%.2fx)\n", scanNs, frontierNs, r.Speedup)
-		if core.Orderable(sp.kernel) {
+		if bench.Orderable {
 			// Interleaved head-to-head: the unordered baseline is re-timed
 			// alongside the ordered arms rather than reusing the strategy
 			// sweep's number from minutes earlier.

@@ -130,7 +130,7 @@ func run(ctx context.Context, benchName, platform, strategy, order string, threa
 		return fmt.Errorf("unknown order %q (want none, auto, degree or rcm)", order)
 	}
 	var ro *graph.Reordered
-	if in.G != nil && order != "" && order != string(graph.OrderNone) && core.Orderable(b.Name) {
+	if in.G != nil && order != "" && order != string(graph.OrderNone) && b.Orderable {
 		o := graph.Order(order)
 		if order == "auto" {
 			o = graph.PickOrder(in.G)

@@ -396,13 +396,6 @@ func LineageFingerprint(parent, delta uint64) uint64 {
 	return graph.LineageFingerprint(parent, delta)
 }
 
-// IncrementalOK reports whether kernel has an incremental repair for a
-// delta of the given shape (the serving layer's incremental-vs-full
-// decision rule).
-func IncrementalOK(kernel string, inserts, deletes, edges int) bool {
-	return core.IncrementalOK(kernel, inserts, deletes, edges)
-}
-
 // BFSIncremental repairs a BFS result after a graph mutation: g is the
 // post-delta graph, oldLevel the pre-delta levels. Bit-identical to a
 // full recompute at a fraction of the work when the delta is small.

@@ -108,7 +108,7 @@ type Request struct {
 	// permuted CSR it carries (which must be a reordering of G) and
 	// un-permute their per-vertex payloads before returning, so callers
 	// only ever observe original vertex ids. Kernels without a
-	// label-invariant result (COMM) ignore it. See Orderable.
+	// label-invariant result (COMM) ignore it. See Benchmark.Orderable.
 	Reorder *graph.Reordered
 	// Scratch, when non-nil, supplies pooled buffers to the frontier and
 	// pull fast paths (BFS/SSSP_DIJK frontier, CONN_COMP frontier,
@@ -182,18 +182,30 @@ type Benchmark struct {
 	UsesMatrix bool
 	// UsesCities marks TSP.
 	UsesCities bool
+	// Orderable marks the kernels that consume Request.Reorder: their
+	// payloads un-permute to the unordered result. COMM's Louvain moves
+	// depend on vertex order, so it is not.
+	Orderable bool
 	// Run executes the kernel under ctx and returns the report plus the
 	// kernel's typed payload. Cancellation is cooperative: when ctx is
 	// canceled the kernel unwinds at its next phase boundary and Run
 	// returns ctx.Err() with partial results discarded.
 	Run func(ctx context.Context, pl exec.Platform, req Request) (*Result, error)
+	// Repair, nil for kernels without an incremental form, computes Run's
+	// result on req.G from prev — this benchmark's result for the same
+	// request on the graph the edge delta d turned into req.G — as a
+	// seeded frontier run over req.G (Reorder is ignored). It returns
+	// ErrNoIncremental for a delta it has no repair for (BFS and COMM
+	// repair any delta RepairPays accepts, CONN_COMP insert-only ones),
+	// after which the caller runs Run.
+	Repair func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
 }
 
 // Suite lists all ten benchmarks in paper order.
 func Suite() []Benchmark {
 	return wrapSuite([]Benchmark{
 		{
-			Name: "SSSP_DIJK", Parallelization: "Graph Division",
+			Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				// Delta unset means auto-tune: derive the band width from
 				// the graph (AutoSSSPDelta) instead of the fixed default.
@@ -246,7 +258,7 @@ func Suite() []Benchmark {
 			},
 		},
 		{
-			Name: "BFS", Parallelization: "Graph Division",
+			Name: "BFS", Parallelization: "Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				if err := req.strategyErr(); err != nil {
@@ -268,9 +280,16 @@ func Suite() []Benchmark {
 				res.Report, res.BFS = r.Report, r
 				return res, nil
 			},
+			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+				r, err := bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
+				if err != nil {
+					return nil, err
+				}
+				return &Result{Report: r.Report, BFS: r}, nil
+			},
 		},
 		{
-			Name: "DFS", Parallelization: "Branch and Bound",
+			Name: "DFS", Parallelization: "Branch and Bound", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := DFS(ctx, pl, req.G, req.Source, req.Threads)
@@ -292,7 +311,7 @@ func Suite() []Benchmark {
 			},
 		},
 		{
-			Name: "CONN_COMP", Parallelization: "Graph Division",
+			Name: "CONN_COMP", Parallelization: "Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				if err := req.strategyErr(); err != nil {
@@ -314,9 +333,16 @@ func Suite() []Benchmark {
 				res.Report, res.Components = r.Report, r
 				return res, nil
 			},
+			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+				r, err := ComponentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d)
+				if err != nil {
+					return nil, err
+				}
+				return &Result{Report: r.Report, Components: r}, nil
+			},
 		},
 		{
-			Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division",
+			Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := TriangleCount(ctx, pl, req.G, req.Threads)
@@ -327,7 +353,7 @@ func Suite() []Benchmark {
 			},
 		},
 		{
-			Name: "PageRank", Parallelization: "Vertex Capture & Graph Division",
+			Name: "PageRank", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				if err := req.strategyErr(); err != nil {
@@ -371,15 +397,27 @@ func Suite() []Benchmark {
 				}
 				return &Result{Report: r.Report, Community: r}, nil
 			},
+			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+				r, err := CommunityIncremental(ctx, pl, req.G, req.Threads, req.MaxPasses, prev.Community.Community, d)
+				if err != nil {
+					return nil, err
+				}
+				return &Result{Report: r.Report, Community: r}, nil
+			},
 		},
 	})
 }
 
-// wrapSuite applies the cross-cutting Run decorators — currently only
-// the reorder/un-permute wrapper — to every benchmark.
+// wrapSuite applies the cross-cutting decorators: the reorder/un-permute
+// wrapper to every orderable Run and the shared gate to every Repair.
 func wrapSuite(bs []Benchmark) []Benchmark {
 	for i := range bs {
-		bs[i].Run = withReorder(bs[i].Name, bs[i].Run)
+		if bs[i].Orderable {
+			bs[i].Run = withReorder(bs[i].Run)
+		}
+		if bs[i].Repair != nil {
+			bs[i].Repair = gateRepair(bs[i].Repair)
+		}
 	}
 	return bs
 }
@@ -390,7 +428,7 @@ func wrapSuite(bs []Benchmark) []Benchmark {
 func Variants() []Benchmark {
 	return wrapSuite([]Benchmark{
 		{
-			Name: "SSSP_DELTA", Parallelization: "Graph Division (delta-stepping)",
+			Name: "SSSP_DELTA", Parallelization: "Graph Division (delta-stepping)", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := SSSPDelta(ctx, pl, req.G, req.Source, req.Threads, req.Delta)
@@ -401,7 +439,7 @@ func Variants() []Benchmark {
 			},
 		},
 		{
-			Name: "BFS_TARGET", Parallelization: "Graph Division (early exit)",
+			Name: "BFS_TARGET", Parallelization: "Graph Division (early exit)", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := BFSTarget(ctx, pl, req.G, req.Source, req.Target, req.Threads)
@@ -412,7 +450,7 @@ func Variants() []Benchmark {
 			},
 		},
 		{
-			Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)",
+			Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := BetweennessBrandes(ctx, pl, req.G, req.Threads)
@@ -423,7 +461,7 @@ func Variants() []Benchmark {
 			},
 		},
 		{
-			Name: "PAGERANK_PULL", Parallelization: "Graph Division (pull)",
+			Name: "PAGERANK_PULL", Parallelization: "Graph Division (pull)", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 				req = req.WithDefaults()
 				r, err := pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)

@@ -16,12 +16,8 @@ import (
 // a seed state from the previous version's result and the delta, and
 // hands it to the run state of the full frontier kernel: the BFS and COMM
 // repairs seed its worklist, the CONN_COMP repair seeds Afforest's
-// union-find forest.
-//
-// Not every kernel has an incremental form, and not every delta is
-// worth repairing; IncrementalOK is the single decision rule. Callers
-// that pass an ineligible combination get ErrNoIncremental and are
-// expected to fall back to full recompute.
+// union-find forest. Benchmark.Repair wraps them behind RepairPays; a
+// repair that declines a delta returns ErrNoIncremental.
 
 // ErrNoIncremental reports that a kernel has no incremental repair for
 // the given delta shape; callers fall back to full recompute.
@@ -33,35 +29,23 @@ var ErrNoIncremental = errors.New("core: no incremental form for this delta")
 // seeding overhead stops paying for itself.
 const incrementalMaxDeltaRatio = 8
 
-// IncrementalOK is the incremental-vs-full decision rule: it reports
-// whether kernel has an incremental repair form applicable to a delta
-// of the given shape against a graph with edges directed edges.
-//
-//   - BFS repairs any insert/delete batch (the level-cutoff argument in
-//     BFSIncremental covers both).
-//   - CONN_COMP repairs insert-only batches: inserting edges only merges
-//     components, so uniting the components of each new edge's endpoints
-//     gives what a full run gives. A delete can split a component, which
-//     a union cannot undo.
-//   - COMM re-optimizes the affected neighborhood (bounded re-iteration);
-//     deletes are fine because the move rule only needs current weights.
-//
-// In every case the delta must be small relative to the graph
-// (incrementalMaxDeltaRatio); beyond that, full recompute wins.
-func IncrementalOK(kernel string, inserts, deletes, edges int) bool {
-	delta := inserts + deletes
-	if delta == 0 || delta*incrementalMaxDeltaRatio > edges {
-		return false
-	}
-	switch kernel {
-	case "BFS":
-		return true
-	case "CONN_COMP":
-		return deletes == 0
-	case "COMM":
-		return true
-	default:
-		return false
+// RepairPays reports whether a repair can pay for a delta d against a
+// graph of edges directed edges: d is non-empty and |d|·8 ≤ edges.
+// Beyond that, full recompute wins for every kernel.
+func RepairPays(d *graph.EdgeDelta, edges int) bool {
+	return d != nil && d.Size() > 0 && d.Size()*incrementalMaxDeltaRatio <= edges
+}
+
+type repairFunc func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
+
+// gateRepair applies what every Repair shares: a delta RepairPays
+// declines is ErrNoIncremental, and the options take their defaults.
+func gateRepair(repair repairFunc) repairFunc {
+	return func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+		if req.G == nil || prev == nil || !RepairPays(d, req.G.M()) {
+			return nil, ErrNoIncremental
+		}
+		return repair(ctx, pl, req.WithDefaults(), prev, d)
 	}
 }
 

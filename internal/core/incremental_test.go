@@ -277,28 +277,88 @@ func TestCommunityIncrementalProducesValidPartition(t *testing.T) {
 	}
 }
 
-// TestIncrementalOK pins the incremental-vs-full decision rule.
-func TestIncrementalOK(t *testing.T) {
+// TestBenchmarkRepair pins the incremental-vs-full decision: which
+// benchmarks have a Repair, which deltas each repairs (matching a full
+// run where the repair is exact), and which it declines with
+// ErrNoIncremental — the size gate for all, deletes for CONN_COMP.
+func TestBenchmarkRepair(t *testing.T) {
+	repairable := map[string]bool{"BFS": true, "CONN_COMP": true, "COMM": true}
+	for _, b := range append(Suite(), Variants()...) {
+		if (b.Repair != nil) != repairable[b.Name] {
+			t.Errorf("%s: has Repair = %t, want %t", b.Name, b.Repair != nil, repairable[b.Name])
+		}
+	}
+	for _, tc := range []struct {
+		size, edges int
+		want        bool
+	}{{1, 8, true}, {125, 1000, true}, {126, 1000, false}, {0, 1000, false}} {
+		d := &graph.EdgeDelta{Inserts: make([]graph.Edge, tc.size)}
+		if got := RepairPays(d, tc.edges); got != tc.want {
+			t.Errorf("RepairPays(|d|=%d, m=%d) = %t, want %t", tc.size, tc.edges, got, tc.want)
+		}
+	}
+	if RepairPays(nil, 1000) {
+		t.Error("RepairPays(nil) = true, want false")
+	}
+
+	g := graph.Generate(graph.KindSparse, 200, 3)
 	cases := []struct {
 		kernel           string
 		inserts, deletes int
-		edges            int
-		want             bool
+		repairs          bool
 		why              string
 	}{
-		{"BFS", 4, 4, 1000, true, "small mixed delta repairs"},
-		{"BFS", 0, 0, 1000, false, "empty delta has nothing to repair"},
-		{"BFS", 100, 100, 1000, false, "delta beyond 1/8 of edges falls back"},
-		{"CONN_COMP", 8, 0, 1000, true, "insert-only CC repairs"},
-		{"CONN_COMP", 8, 1, 1000, false, "any delete can split a component"},
-		{"COMM", 5, 5, 1000, true, "COMM re-iterates over the affected region"},
-		{"PageRank", 4, 0, 1000, false, "no incremental form"},
-		{"SSSP_DIJK", 4, 0, 1000, false, "no incremental form"},
+		{"BFS", 4, 4, true, "small mixed delta repairs"},
+		{"BFS", 0, 0, false, "empty delta has nothing to repair"},
+		{"BFS", g.M() / 8, g.M() / 8, false, "delta beyond 1/8 of the edges falls back"},
+		{"CONN_COMP", 8, 0, true, "insert-only CC repairs"},
+		{"CONN_COMP", 8, 2, false, "any delete can split a component"},
+		{"COMM", 5, 5, true, "COMM re-iterates over the affected region"},
 	}
 	for _, tc := range cases {
-		if got := IncrementalOK(tc.kernel, tc.inserts, tc.deletes, tc.edges); got != tc.want {
-			t.Errorf("IncrementalOK(%s, %d, %d, %d) = %v, want %v (%s)",
-				tc.kernel, tc.inserts, tc.deletes, tc.edges, got, tc.want, tc.why)
+		d := randomDelta(g, rand.New(rand.NewSource(int64(tc.inserts+tc.deletes))), tc.inserts, tc.deletes)
+		if err := d.Canonicalize(g.N); err != nil {
+			t.Fatal(err)
+		}
+		next := graph.ApplyDelta(g, d)
+		b, err := ByName(tc.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Input: Input{G: g}, Threads: 2, Strategy: StrategyFrontier}
+		prev, err := b.Run(context.Background(), native.New(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.G = next
+		got, err := b.Repair(context.Background(), native.New(), req, prev, d)
+		if !tc.repairs {
+			if !errors.Is(err, ErrNoIncremental) {
+				t.Errorf("%s %d+%d (%s): err = %v, want ErrNoIncremental", tc.kernel, tc.inserts, tc.deletes, tc.why, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s %d+%d (%s): %v", tc.kernel, tc.inserts, tc.deletes, tc.why, err)
+			continue
+		}
+		want, err := b.Run(context.Background(), native.New(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tc.kernel {
+		case "BFS":
+			if !slices.Equal(got.BFS.Level, want.BFS.Level) {
+				t.Errorf("BFS %d+%d: repaired levels differ from a full run", tc.inserts, tc.deletes)
+			}
+		case "CONN_COMP":
+			if !slices.Equal(got.Components.Labels, want.Components.Labels) {
+				t.Errorf("CONN_COMP %d+%d: repaired labels differ from a full run", tc.inserts, tc.deletes)
+			}
+		case "COMM":
+			if len(got.Community.Community) != next.N {
+				t.Errorf("COMM %d+%d: %d communities for %d vertices", tc.inserts, tc.deletes, len(got.Community.Community), next.N)
+			}
 		}
 	}
 }

@@ -16,44 +16,15 @@ import (
 // before it leaves the benchmark, so callers only ever observe original
 // vertex ids. Schedule statistics (relaxations, rounds, iterations) and
 // the platform report describe the permuted execution and are passed
-// through unchanged.
-
-// orderableKernels lists the benchmarks whose results survive
-// relabeling: per-vertex payloads are positional (levels, distances,
-// ranks, counts, reach flags, centralities) or canonicalizable (CONN_COMP
-// labels, remapped to the minimum original id per component). COMM is
-// deliberately absent: Louvain's move rule is vertex-order dependent, so
-// a permuted run yields a different (equally valid) partition and cannot
-// be pinned bit-identical; it ignores the ordering like any other option
-// it does not consume.
-var orderableKernels = map[string]bool{
-	"SSSP_DIJK":     true,
-	"BFS":           true,
-	"DFS":           true,
-	"CONN_COMP":     true,
-	"TRI_CNT":       true,
-	"PageRank":      true,
-	"SSSP_DELTA":    true,
-	"BFS_TARGET":    true,
-	"BETW_BRANDES":  true,
-	"PAGERANK_PULL": true,
-}
-
-// Orderable reports whether the named benchmark consumes
-// Request.Reorder. Non-orderable kernels run over the original layout
-// regardless of the requested ordering.
-func Orderable(name string) bool { return orderableKernels[name] }
+// through unchanged. Benchmarks that are not Orderable ignore the
+// ordering like any other option they do not consume.
 
 type runFunc func(ctx context.Context, pl exec.Platform, req Request) (*Result, error)
 
-// withReorder decorates a benchmark's Run so a set Request.Reorder swaps
-// in the permuted graph, maps the source/target vertices forward, and
-// un-permutes the typed payload afterwards. Non-orderable kernels get
-// their original Run back.
-func withReorder(name string, run runFunc) runFunc {
-	if !orderableKernels[name] {
-		return run
-	}
+// withReorder decorates an orderable benchmark's Run so a set
+// Request.Reorder swaps in the permuted graph, maps the source/target
+// vertices forward, and un-permutes the typed payload afterwards.
+func withReorder(run runFunc) runFunc {
 	return func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 		ro := req.Reorder
 		if ro == nil || req.G == nil {

@@ -29,12 +29,10 @@ import (
 // sources coalesce there and results are cached per source, exactly as
 // for ungrouped runs.
 
-// batchGroup accumulates the members of one (version, kernel, threads)
-// key between its submission to the pool and its dequeue.
+// batchGroup accumulates the members of one group key between its
+// submission to the pool and its dequeue.
 type batchGroup struct {
 	key     string
-	bench   core.Benchmark
-	meta    runMeta    // graph/version identity (inc is always nil here)
 	members []*pending // their requests differ in Source only
 }
 
@@ -90,36 +88,20 @@ func planBatch(k, depth int) (batch bool, reason string) {
 	return true, fmt.Sprintf("batch:k=%d", k)
 }
 
-// batchable reports whether a run request may join a batch group. The
-// shape must allow it: BFS (the kernel with a multi-source form), native
-// (a sim run is a timing experiment unrelated sources would corrupt),
-// not the paper-fidelity scan, not reordered (a pass runs over the
-// original layout) and not an incremental repair (seeded from one
-// parent result). A request of that shape joins only if a full group
-// would run as a pass on its version; otherwise plan says why not.
-func (s *Server) batchable(bench core.Benchmark, req *runRequest, meta *runMeta) (join bool, plan string) {
-	if bench.Name != "BFS" || req.Platform != "native" || req.Strategy == string(core.StrategyScan) ||
-		meta.order != graph.OrderNone || meta.inc != nil {
-		return false, ""
-	}
-	return planBatch(core.BFSBatchWidth, meta.ver.BFSDepth())
-}
-
-// joinBatch enrolls the request in the open group of its key, opening
-// and submitting one if there is none, and blocks until a worker
-// delivers this source's result or ctx expires. It runs inside
-// Cache.Do's compute slot for the request's own per-source key, so its
-// return value is cached per source like any other run result.
-func (s *Server) joinBatch(ctx context.Context, bench core.Benchmark, req *runRequest, meta *runMeta) (any, error) {
-	m := newPending(ctx, req)
-	key := fmt.Sprintf("%s|%s|t=%d", meta.versionID, bench.Name, req.Threads)
+// joinBatch enrolls the request in the open group of key (runPlan.group),
+// opening and submitting one if there is none, and blocks until a worker
+// delivers this source's result or ctx expires. It runs inside Cache.Do's
+// compute slot for the request's own per-source key, so its return value
+// is cached per source like any other run result.
+func (s *Server) joinBatch(ctx context.Context, spec *runSpec, key string) (any, error) {
+	m := newPending(ctx, spec)
 
 	b := s.batches
 	b.mu.Lock()
 	grp := b.groups[key]
 	created := grp == nil
 	if created {
-		grp = &batchGroup{key: key, bench: bench, meta: *meta}
+		grp = &batchGroup{key: key}
 		b.groups[key] = grp
 	}
 	grp.members = append(grp.members, m)
@@ -137,7 +119,7 @@ func (s *Server) joinBatch(ctx context.Context, bench core.Benchmark, req *runRe
 			}
 		}
 	}
-	return s.await(m, bench.Name)
+	return s.await(m)
 }
 
 // runGroup is the dequeue of a group on a pool worker: it closes the
@@ -157,14 +139,13 @@ func (s *Server) runGroup(grp *batchGroup) {
 	if len(live) == 0 {
 		return
 	}
-	ver := grp.meta.ver
-	batch, plan := planBatch(len(live), ver.BFSDepth())
+	batch, plan := planBatch(len(live), live[0].spec.ver.BFSDepth())
 	if batch {
-		s.runPass(grp, live, plan)
+		s.runPass(live, plan)
 		return
 	}
 	for _, m := range live {
-		m.ch <- s.runOne(m, grp.bench, core.Input{G: ver.Graph(), Source: m.req.Source}, &grp.meta, plan)
+		m.ch <- s.runOne(m, runPlan{order: graph.OrderNone, plan: plan})
 	}
 }
 
@@ -172,16 +153,17 @@ func (s *Server) runGroup(grp *batchGroup) {
 // out to the members. It runs under a server-owned context with the
 // default deadline, so one member's cancellation never kills the
 // traversal the others are waiting on.
-func (s *Server) runPass(grp *batchGroup, members []*pending, plan string) {
+func (s *Server) runPass(members []*pending, plan string) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 	defer cancel()
 	sources := make([]int, len(members))
 	for i, m := range members {
-		sources[i] = m.req.Source
+		sources[i] = m.spec.req.Source
 	}
+	first := members[0].spec
 	s.inflight.Add(1)
 	start := time.Now()
-	res, err := core.BFSBatch(ctx, native.New(), grp.meta.ver.Graph(), sources, members[0].req.Threads)
+	res, err := core.BFSBatch(ctx, native.New(), first.ver.Graph(), sources, first.req.Threads)
 	wall := time.Since(start)
 	s.inflight.Add(-1)
 	if err != nil {
@@ -190,15 +172,16 @@ func (s *Server) runPass(grp *batchGroup, members []*pending, plan string) {
 		}
 		return
 	}
-	name := grp.bench.Name
+	name := first.bench.Name
 	s.m.runs(name).Inc()
-	s.m.latency(name, members[0].req.Platform).Observe(wall.Seconds())
+	s.m.latency(name, first.req.Platform).Observe(wall.Seconds())
 	s.m.batchPasses.Inc()
 	s.m.batched(name).Add(uint64(len(members)))
 	for i, m := range members {
-		resp := newRunResponse(name, res.Report, &grp.meta, wall, start.Sub(m.accepted))
+		resp := newRunResponse(m.spec, graph.OrderNone, res.Report, wall, start.Sub(m.accepted))
 		resp.Batched, resp.Plan = true, plan
 		s.m.queueWait(name).Observe(resp.QueueWaitSeconds)
-		m.ch <- runOut{cr: &cachedRun{resp: resp, level: res.Level[i]}}
+		bfs := &core.BFSResult{Level: res.Level[i], Visited: res.Visited[i], Levels: res.Levels[i], Report: res.Report}
+		m.ch <- runOut{cr: &cachedRun{resp: resp, prev: &core.Result{Report: res.Report, BFS: bfs}}}
 	}
 }

@@ -121,12 +121,12 @@ func heldBurst(t *testing.T, s *Server, base, graphID, strategy string, sources 
 // default-shaped burst request (native, 2 threads) from src.
 func cachedLevels(t *testing.T, s *Server, versionID, strategy string, src int) []int32 {
 	t.Helper()
-	req := &runRequest{Platform: "native", Strategy: strategy, Threads: 2, Source: src, SimCores: s.cfg.SimCores}
+	req := &runRequest{Platform: "native", Strategy: strategy, Threads: 2, Source: src}
 	v, ok := s.cache.Peek(runCacheKey(versionID, mustBench(t, "BFS"), req, graph.OrderNone))
 	if !ok {
 		t.Fatalf("source %d: no cached result", src)
 	}
-	return v.(*cachedRun).level
+	return v.(*cachedRun).prev.BFS.Level
 }
 
 // TestBatchedRunsCoalesce queues a burst of 70 distinct-source BFS
@@ -329,9 +329,10 @@ func TestIdleClosedLoopNeverBatches(t *testing.T) {
 	}
 }
 
-// TestPlanBatch pins the batcher's decision table: for every group size
-// around the break-even, shallow and deep, and for every BFS class the
-// repository benchmark sends.
+// TestPlanBatch pins the batcher's decision table for every group size
+// around the break-even, shallow and deep, and the depth estimates of
+// the graph families the repository benchmark serves BFS on (the plan of
+// each of its classes is pinned by TestPlanRun).
 func TestPlanBatch(t *testing.T) {
 	for _, tc := range []struct {
 		k, depth int
@@ -367,27 +368,6 @@ func TestPlanBatch(t *testing.T) {
 		return sg.Head()
 	}
 	road, social := version(graph.KindRoadCA), version(graph.KindSocial)
-	bfs := mustBench(t, "BFS")
-	for _, tc := range []struct {
-		class, strategy string
-		ver             *Version
-		inc             *incrementalSeed
-		join            bool
-		plan            string
-	}{
-		{"BFS.road", "frontier", road, nil, false, fmt.Sprintf("single:deep(depth=%d)", road.BFSDepth())},
-		{"BFS.social.hybrid", "frontier", social, nil, true, "batch:k=64"},
-		{"BFS.pinned", "frontier", social, nil, true, "batch:k=64"},
-		// A head run that repairs its parent's result is never grouped.
-		{"BFS.head", "frontier", road, &incrementalSeed{}, false, ""},
-	} {
-		req := &runRequest{Platform: "native", Strategy: tc.strategy, Threads: 2}
-		meta := &runMeta{ver: tc.ver, versionID: tc.ver.ID, order: graph.OrderNone, inc: tc.inc}
-		join, plan := s.batchable(bfs, req, meta)
-		if join != tc.join || plan != tc.plan {
-			t.Errorf("%s: batchable = %t, %q; want %t, %q", tc.class, join, plan, tc.join, tc.plan)
-		}
-	}
 	// A joiner that stays alone in its group runs as a lone single.
 	if _, plan := planBatch(1, social.BFSDepth()); plan != "single:alone" {
 		t.Errorf("lone BFS.social.hybrid plan %q, want single:alone", plan)
@@ -450,7 +430,6 @@ func TestGroupSubmitFailureShedsEveryMember(t *testing.T) {
 // left blocked on a delivery, and that no group survives at rest.
 func TestGroupInterleavings(t *testing.T) {
 	g := graph.Generate(graph.KindSparse, 500, 7)
-	bfs := mustBench(t, "BFS")
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := DefaultConfig()
@@ -461,9 +440,6 @@ func TestGroupInterleavings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver := sg.Head()
-		meta := &runMeta{graphID: sg.ID, versionID: ver.ID, ver: ver, order: graph.OrderNone}
-
 		var (
 			wg       sync.WaitGroup
 			answered atomic.Int64
@@ -477,21 +453,25 @@ func TestGroupInterleavings(t *testing.T) {
 			case op < 6: // join
 				ctx, cancel := context.WithCancel(context.Background())
 				cancels = append(cancels, cancel)
-				req := &runRequest{Platform: "native", Strategy: "frontier", Threads: 2, Source: joined}
+				spec, p := mustPlan(t, s, runRequest{Graph: sg.ID, Kernel: "BFS", Strategy: "frontier", Threads: 2, Source: joined})
+				if !p.join {
+					t.Fatalf("seed %d: a shallow native frontier BFS does not join: %+v", seed, p)
+				}
 				joined++
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					val, err := s.joinBatch(ctx, bfs, req, meta)
+					val, err := s.joinBatch(ctx, spec, p.group)
 					answered.Add(1)
+					src := spec.req.Source
 					switch {
 					case err == nil:
-						if !slices.Equal(val.(*cachedRun).level, core.BFSRef(g, req.Source)) {
-							t.Errorf("seed %d source %d: wrong levels", seed, req.Source)
+						if !slices.Equal(val.(*cachedRun).prev.BFS.Level, core.BFSRef(g, src)) {
+							t.Errorf("seed %d source %d: wrong levels", seed, src)
 						}
 					case errors.Is(err, context.Canceled), errors.Is(err, ErrSaturated), errors.Is(err, ErrPoolClosed):
 					default:
-						t.Errorf("seed %d source %d: unexpected error %v", seed, req.Source, err)
+						t.Errorf("seed %d source %d: unexpected error %v", seed, src, err)
 					}
 				}()
 			case op < 7: // hold a worker, so that groups queue behind it

@@ -123,18 +123,13 @@ func TestRunCanceledMidFlight(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(DefaultConfig())
 			defer s.Close()
-			g := graph.Generate(tc.kind, 4096, 1)
-			sg, err := s.store.Put(g, "test")
+			sg, err := s.store.Put(graph.Generate(tc.kind, 4096, 1), "test")
 			if err != nil {
 				t.Fatal(err)
 			}
-			bench := mustBench(t, tc.kernel)
-			req := &runRequest{Platform: "native", Strategy: tc.strategy, Threads: 2, Source: 1}
-			meta := &runMeta{graphID: sg.ID, versionID: sg.Head().ID, ver: sg.Head(), order: graph.OrderNone}
-			in := core.Input{G: g, Source: req.Source}
-			join, plan := s.batchable(bench, req, meta)
-			if join != tc.grouped {
-				t.Fatalf("batchable = %t (%q), want %t", join, plan, tc.grouped)
+			spec, p := mustPlan(t, s, runRequest{Graph: sg.ID, Kernel: tc.kernel, Strategy: tc.strategy, Threads: 2, Source: 1})
+			if p.join != tc.grouped {
+				t.Fatalf("join = %t (%q), want %t", p.join, p.plan, tc.grouped)
 			}
 
 			// Polls 1 and 2 are the dequeue and the platform's entry check;
@@ -143,10 +138,10 @@ func TestRunCanceledMidFlight(t *testing.T) {
 			ctx := &pollCtx{Context: context.Background()}
 			ctx.left.Store(3)
 			var val any
-			if join {
-				val, err = s.joinBatch(ctx, bench, req, meta)
+			if p.join {
+				val, err = s.joinBatch(ctx, spec, p.group)
 			} else {
-				val, err = s.execute(ctx, bench, in, req, meta, plan)
+				val, err = s.execute(ctx, spec, p)
 			}
 			if !errors.Is(err, context.Canceled) || val != nil {
 				t.Fatalf("got (%v, %v), want the cancellation and no result", val, err)

@@ -42,12 +42,15 @@ const (
 	codeUnknownStrategy   = "unknown-strategy"
 	codeThreadsOutOfRange = "threads-out-of-range"
 	codeUnknownOrder      = "unknown-order"       // order not none/auto/degree/rcm
-	codeBadParams         = "bad-params"          // negative iters/maxPasses/delta
+	codeBadParams         = "bad-params"          // negative iters/maxPasses/delta/timeoutMs
 	codeSimThreadOverflow = "sim-thread-overflow" // threads exceed simulated cores
 	codeCitiesOutOfRange  = "cities-out-of-range" // TSP cities outside [3, 20]
 	codeSourceOutOfRange  = "source-out-of-range"
 	codeTargetOutOfRange  = "target-out-of-range"
 	codeDenseTooLarge     = "dense-too-large" // graph too big for O(N²) kernels
+	// simCores not a square mesh sim.Config.Validate accepts, or above
+	// the 256-core Table II machine.
+	codeSimCoresOutOfRange = "sim-cores-out-of-range"
 
 	// Run execution.
 	codeSaturated    = "saturated"     // worker pool full; body carries retryAfterMs

@@ -150,7 +150,7 @@ type runRequest struct {
 	// Cities and Seed parametrize TSP, which takes no graph.
 	Cities int   `json:"cities,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
-	// SimCores overrides the simulated tile count (perfect square).
+	// SimCores overrides the simulated tile count (a perfect square, at most 256).
 	SimCores int `json:"simCores,omitempty"`
 	// OutOfOrder selects the out-of-order core model on sim.
 	OutOfOrder bool `json:"outOfOrder,omitempty"`
@@ -179,8 +179,8 @@ type runResponse struct {
 	// multi-source kernel pass that coalesced this request with other
 	// queued sources on the same graph version.
 	Batched bool `json:"batched,omitempty"`
-	// Plan is the batcher's decision for a BFS of batchable shape and its
-	// reason (see planBatch), e.g. "single:alone" or "batch:k=28".
+	// Plan is the batcher's decision for a BFS of the shape that batches,
+	// with its reason (see planBatch), e.g. "single:alone" or "batch:k=28".
 	Plan string `json:"plan,omitempty"`
 	// Order is the resolved vertex ordering the kernel ran under ("auto"
 	// resolves to the concrete policy). Omitted for unordered runs.
@@ -214,39 +214,11 @@ type kernelInfo struct {
 	Input           string `json:"input"`
 }
 
-// cachedRun is the result-cache value: the wire response plus the kernel
-// payload arrays that seed incremental repairs on child versions. The
-// arrays are never mutated after the run (incremental kernels copy their
-// seed), so cache entries can share them.
+// cachedRun is the result-cache value: the wire response plus, for a
+// kernel with a Repair, the result that seeds (never mutated) repairs.
 type cachedRun struct {
-	resp   *runResponse
-	level  []int32 // BFS levels
-	labels []int32 // CONN_COMP labels
-	comm   []int32 // COMM assignment
-}
-
-// incrementalSeed tells execute to repair the parent version's result
-// instead of recomputing. delta is the child version's canonical delta;
-// exactly one payload field is set, matching the kernel.
-type incrementalSeed struct {
-	delta  *graph.EdgeDelta
-	level  []int32
-	labels []int32
-	comm   []int32
-}
-
-// runMeta carries per-request identity that execute folds into the
-// cached response.
-type runMeta struct {
-	graphID   string
-	versionID string
-	inc       *incrementalSeed
-	// ver is the resolved version; order is the resolved (concrete)
-	// ordering. When order is not OrderNone, execute materializes
-	// ver.Ordered(order) on the worker — ordered runs opt out of
-	// incremental repair and batching.
-	ver   *Version
-	order graph.Order
+	resp *runResponse
+	prev *core.Result
 }
 
 // ---- helpers ----
@@ -573,143 +545,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	bench, err := core.ByName(req.Kernel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeUnknownKernel, "%v", err)
+	spec, bad := s.validateRun(req)
+	if bad != nil {
+		writeError(w, bad.status, bad.code, "%s", bad.msg)
 		return
 	}
-	if req.Platform == "" {
-		req.Platform = "native"
-	}
-	if req.Platform != "native" && req.Platform != "sim" {
-		writeError(w, http.StatusBadRequest, codeUnknownPlatform,
-			"unknown platform %q (want native or sim)", req.Platform)
-		return
-	}
-	if req.Strategy == "" {
-		req.Strategy = string(core.StrategyFrontier)
-	}
-	if !core.Strategy(req.Strategy).Valid() {
-		writeError(w, http.StatusBadRequest, codeUnknownStrategy,
-			"unknown strategy %q (want %q or %q)",
-			req.Strategy, core.StrategyScan, core.StrategyFrontier)
-		return
-	}
-	// From here on the request names the strategy it executes as, so an
-	// alias shares the cache entry, batch group and repair of its target.
-	req.Strategy = string(core.Strategy(req.Strategy).Canonical())
-	if req.Order != "" && req.Order != "auto" && !graph.Order(req.Order).Valid() {
-		writeError(w, http.StatusBadRequest, codeUnknownOrder,
-			"unknown order %q (want %q, %q, %q or %q)",
-			req.Order, graph.OrderNone, "auto", graph.OrderDegree, graph.OrderRCM)
-		return
-	}
-	if req.Threads == 0 {
-		req.Threads = 8
-	}
-	if req.Threads < 1 || req.Threads > s.cfg.MaxThreads {
-		writeError(w, http.StatusBadRequest, codeThreadsOutOfRange,
-			"threads %d out of range [1, %d]", req.Threads, s.cfg.MaxThreads)
-		return
-	}
-	if req.Iters < 0 || req.MaxPasses < 0 || req.Delta < 0 {
-		writeError(w, http.StatusBadRequest, codeBadParams,
-			"iters, maxPasses and delta must be >= 0 (0 = default)")
-		return
-	}
-	if req.SimCores == 0 {
-		req.SimCores = s.cfg.SimCores
-	}
-	if req.Platform == "sim" && req.Threads > req.SimCores {
-		writeError(w, http.StatusBadRequest, codeSimThreadOverflow,
-			"threads %d exceed %d simulated cores", req.Threads, req.SimCores)
-		return
-	}
+	p := planRun(spec.bench, &spec.req, spec.ver, s.cache.Peek)
 
-	// Resolve the kernel input and the graph component of the cache key.
-	in := core.Input{Source: req.Source}
-	meta := runMeta{order: graph.OrderNone}
-	var inputKey string
-	switch {
-	case bench.UsesCities:
-		if req.Cities < 3 || req.Cities > 20 {
-			writeError(w, http.StatusBadRequest, codeCitiesOutOfRange,
-				"cities %d out of range [3, 20] for TSP", req.Cities)
-			return
-		}
-		in.Cities = graph.Cities(req.Cities, req.Seed)
-		inputKey = fmt.Sprintf("tsp:n=%d:seed=%d", req.Cities, req.Seed)
-	default:
-		sg, ver, ok := s.store.Resolve(req.Graph)
-		if !ok {
-			writeError(w, http.StatusNotFound, codeGraphNotFound,
-				"graph %q not found (POST /v1/graphs first)", req.Graph)
-			return
-		}
-		g := ver.Graph()
-		if req.Source < 0 || req.Source >= g.N {
-			writeError(w, http.StatusBadRequest, codeSourceOutOfRange,
-				"source %d out of range [0, %d)", req.Source, g.N)
-			return
-		}
-		if req.Target < 0 || req.Target >= g.N {
-			writeError(w, http.StatusBadRequest, codeTargetOutOfRange,
-				"target %d out of range [0, %d)", req.Target, g.N)
-			return
-		}
-		if bench.UsesMatrix {
-			if g.N > s.cfg.MaxDenseVertices {
-				writeError(w, http.StatusUnprocessableEntity, codeDenseTooLarge,
-					"%s needs a dense O(N²) matrix; graph has %d vertices, limit %d",
-					bench.Name, g.N, s.cfg.MaxDenseVertices)
-				return
-			}
-			in.D = ver.Dense()
-		} else {
-			in.G = g
-		}
-		meta.graphID = sg.ID
-		meta.versionID = ver.ID
-		meta.ver = ver
-		inputKey = ver.ID
-		// Resolve the requested ordering against this input. Only CSR
-		// kernels with a label-invariant result consume it; everything
-		// else (dense kernels, COMM) resolves to none so the request
-		// shares the unordered cache entry.
-		if req.Order != "" && req.Order != string(graph.OrderNone) &&
-			!bench.UsesMatrix && core.Orderable(bench.Name) {
-			if req.Order == "auto" {
-				meta.order = ver.AutoOrder()
-			} else {
-				meta.order = graph.Order(req.Order)
-			}
-		}
-		if meta.order == graph.OrderNone {
-			// Reordered runs opt out of incremental repair: the cached
-			// parent payload is in original vertex ids while the repair
-			// would walk the permuted CSR.
-			meta.inc = s.incrementalSeed(bench, ver, g, &req)
-		}
-	}
-
-	key := runCacheKey(inputKey, bench, &req, meta.order)
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
 	defer cancel()
-
-	val, started, err := s.cache.Do(ctx, key, func() (any, error) {
-		join, plan := s.batchable(bench, &req, &meta)
-		if join {
-			return s.joinBatch(ctx, bench, &req, &meta)
+	val, started, err := s.cache.Do(ctx, p.key, func() (any, error) {
+		if p.join {
+			return s.joinBatch(ctx, spec, p.group)
 		}
-		return s.execute(ctx, bench, in, &req, &meta, plan)
+		return s.execute(ctx, spec, p)
 	})
 	if err != nil {
 		switch {
@@ -718,7 +567,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			writeSaturated(w, s.retryAfterSeconds())
 		case errors.Is(err, context.DeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, codeDeadline,
-				"run exceeded %s deadline", timeout)
+				"run exceeded %s deadline", spec.timeout)
 		case errors.Is(err, context.Canceled):
 			writeError(w, http.StatusServiceUnavailable, codeCanceled, "request canceled")
 		case errors.Is(err, ErrPoolClosed):
@@ -733,54 +582,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &resp)
 }
 
-// incrementalSeed decides whether this run can repair the parent
-// version's result instead of recomputing, and if so returns the seed.
-// The conditions: the version has a parent, the strategy is frontier
-// (a repair is a seeded frontier run; scan stays paper-faithful full
-// recompute), the kernel+delta shape passes
-// core.IncrementalOK, and the parent's result — same kernel, same
-// parameters, parent version ID — is still in the cache.
-func (s *Server) incrementalSeed(bench core.Benchmark, ver *Version, g *graph.CSR, req *runRequest) *incrementalSeed {
-	if ver.Ordinal == 0 || req.Strategy != string(core.StrategyFrontier) {
-		return nil
-	}
-	if !core.IncrementalOK(bench.Name, len(ver.Delta.Inserts), len(ver.Delta.Deletes), g.M()) {
-		return nil
-	}
-	pv, ok := s.cache.Peek(runCacheKey(ver.Parent, bench, req, graph.OrderNone))
-	if !ok {
-		return nil
-	}
-	pc, ok := pv.(*cachedRun)
-	if !ok {
-		return nil
-	}
-	switch bench.Name {
-	case "BFS":
-		if pc.level != nil {
-			return &incrementalSeed{delta: ver.Delta, level: pc.level}
-		}
-	case "CONN_COMP":
-		if pc.labels != nil {
-			return &incrementalSeed{delta: ver.Delta, labels: pc.labels}
-		}
-	case "COMM":
-		if pc.comm != nil {
-			return &incrementalSeed{delta: ver.Delta, comm: pc.comm}
-		}
-	}
-	return nil
-}
-
-// orderLabel renders the resolved ordering for the wire response: empty
-// for unordered runs so the field is omitted.
-func orderLabel(o graph.Order) string {
-	if o == graph.OrderNone {
-		return ""
-	}
-	return string(o)
-}
-
 // errReason maps a run failure to the crono_run_errors_total reason label.
 func errReason(err error) string {
 	switch {
@@ -793,52 +594,12 @@ func errReason(err error) string {
 	}
 }
 
-// runIncremental dispatches to the kernel's incremental repair. A nil
-// result with nil error means "no incremental form after all" — the
-// caller falls back to the full kernel.
-func runIncremental(ctx context.Context, pl exec.Platform, bench core.Benchmark, creq core.Request, inc *incrementalSeed) (*core.Result, error) {
-	var (
-		res *core.Result
-		err error
-	)
-	switch bench.Name {
-	case "BFS":
-		var r *core.BFSResult
-		r, err = core.BFSIncremental(ctx, pl, creq.G, creq.Source, creq.Threads, inc.level, inc.delta)
-		if r != nil {
-			res = &core.Result{Report: r.Report, BFS: r}
-		}
-	case "CONN_COMP":
-		var r *core.ComponentsResult
-		r, err = core.ComponentsIncremental(ctx, pl, creq.G, creq.Threads, inc.labels, inc.delta)
-		if r != nil {
-			res = &core.Result{Report: r.Report, Components: r}
-		}
-	case "COMM":
-		maxPasses := creq.MaxPasses
-		if maxPasses < 1 {
-			maxPasses = core.DefaultCommunityPasses
-		}
-		var r *core.CommunityResult
-		r, err = core.CommunityIncremental(ctx, pl, creq.G, creq.Threads, maxPasses, inc.comm, inc.delta)
-		if r != nil {
-			res = &core.Result{Report: r.Report, Community: r}
-		}
-	default:
-		return nil, nil
-	}
-	if errors.Is(err, core.ErrNoIncremental) {
-		return nil, nil
-	}
-	return res, err
-}
-
-// pending is one accepted run waiting for a worker: the request, its
-// context, when the handler accepted the compute (where its queue wait
-// starts) and where the worker delivers the result.
+// pending is one accepted run waiting for a worker: the validated
+// request, its context, when the handler accepted the compute (where its
+// queue wait starts) and where the worker delivers the result.
 type pending struct {
 	ctx      context.Context
-	req      *runRequest
+	spec     *runSpec
 	accepted time.Time
 	ch       chan runOut
 }
@@ -849,15 +610,15 @@ type runOut struct {
 	err error
 }
 
-func newPending(ctx context.Context, req *runRequest) *pending {
-	return &pending{ctx: ctx, req: req, accepted: time.Now(), ch: make(chan runOut, 1)}
+func newPending(ctx context.Context, spec *runSpec) *pending {
+	return &pending{ctx: ctx, spec: spec, accepted: time.Now(), ch: make(chan runOut, 1)}
 }
 
 // await blocks until the worker delivers p's result or p's context ends,
 // and accounts a run that produced none (a failed pool admission is a
 // shed, which the handler counts). A context that ends first stops no
 // shared pass; this result is just not cached (Do drops errored computes).
-func (s *Server) await(p *pending, kernel string) (any, error) {
+func (s *Server) await(p *pending) (any, error) {
 	var err error
 	select {
 	case out := <-p.ch:
@@ -869,7 +630,7 @@ func (s *Server) await(p *pending, kernel string) (any, error) {
 		err = p.ctx.Err()
 	}
 	if !errors.Is(err, ErrSaturated) && !errors.Is(err, ErrPoolClosed) {
-		s.m.runErrors(kernel, errReason(err)).Inc()
+		s.m.runErrors(p.spec.bench.Name, errReason(err)).Inc()
 	}
 	return nil, err
 }
@@ -877,31 +638,27 @@ func (s *Server) await(p *pending, kernel string) (any, error) {
 // execute submits the run to the worker pool and waits for its result.
 // It is called exactly once per cache key by Cache.Do; concurrent
 // identical requests coalesce onto its result.
-func (s *Server) execute(ctx context.Context, bench core.Benchmark, in core.Input, req *runRequest, meta *runMeta, plan string) (any, error) {
-	p := newPending(ctx, req)
-	if err := s.pool.Submit(ctx, func() { p.ch <- s.runOne(p, bench, in, meta, plan) }); err != nil {
+func (s *Server) execute(ctx context.Context, spec *runSpec, rp runPlan) (any, error) {
+	p := newPending(ctx, spec)
+	if err := s.pool.Submit(ctx, func() { p.ch <- s.runOne(p, rp) }); err != nil {
 		return nil, err
 	}
-	return s.await(p, bench.Name)
+	return s.await(p)
 }
 
 // runOne is the worker-side body of every single-source run: it builds
-// the platform, runs the kernel under the request's own context and
-// shapes the response. Batch-group members below break-even come through
-// here too, on the worker that dequeued their group.
-func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *runMeta, plan string) runOut {
-	ctx, req := p.ctx, p.req
+// the platform, runs the kernel — or its repair of rp.prev — under the
+// request's own context and shapes the response. Batch-group members
+// below break-even come through here too, on the worker that dequeued
+// their group.
+func (s *Server) runOne(p *pending, rp runPlan) runOut {
+	ctx, spec, req := p.ctx, p.spec, &p.spec.req
 	var pl exec.Platform
 	switch req.Platform {
 	case "native":
 		pl = native.New()
 	case "sim":
-		cfg := sim.Default()
-		cfg.Cores = req.SimCores
-		if req.OutOfOrder {
-			cfg.CoreType = sim.OutOfOrder
-		}
-		m, err := sim.New(cfg)
+		m, err := sim.New(spec.sim)
 		if err != nil {
 			return runOut{err: fmt.Errorf("sim config: %w", err)}
 		}
@@ -909,7 +666,7 @@ func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *r
 	}
 
 	creq := core.Request{
-		Input:     in,
+		Input:     spec.in,
 		Strategy:  core.Strategy(req.Strategy),
 		Threads:   req.Threads,
 		Iters:     req.Iters,
@@ -923,8 +680,8 @@ func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *r
 	// Materialize the reordered CSR on the worker, not the handler: the
 	// first run on a (version, order) pays the permutation build (memoized
 	// in the store), later runs get it for free.
-	if meta.order != graph.OrderNone && meta.ver != nil {
-		ro, err := meta.ver.Ordered(meta.order)
+	if rp.order != graph.OrderNone {
+		ro, err := spec.ver.Ordered(rp.order)
 		if err != nil {
 			return runOut{err: err}
 		}
@@ -934,8 +691,8 @@ func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *r
 	// buffers (worklists, marks, band minima) are reused across requests
 	// while result-bearing arrays stay freshly allocated, so cache entries
 	// never alias pooled memory.
-	if in.G != nil && req.Platform == "native" {
-		sc := s.scratches.Get(in.G.N)
+	if spec.in.G != nil && req.Platform == "native" {
+		sc := s.scratches.Get(spec.in.G.N)
 		sc.DetachResults = true
 		creq.Scratch = sc
 		defer s.scratches.Put(sc)
@@ -943,30 +700,32 @@ func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *r
 	// The request context reaches the kernel's Checkpoint polls: a
 	// canceled or deadlined request aborts the run within one kernel
 	// round, freeing this worker slot long before the kernel would have
-	// completed.
+	// completed. A repair the kernel declines falls back to a full run.
 	var res *core.Result
 	var err error
-	if meta.inc != nil {
-		res, err = runIncremental(ctx, pl, bench, creq, meta.inc)
+	if rp.prev != nil {
+		if res, err = spec.bench.Repair(ctx, pl, creq, rp.prev, spec.ver.Delta); errors.Is(err, core.ErrNoIncremental) {
+			res, err = nil, nil
+		}
 	}
-	incremental := res != nil && err == nil
+	incremental := res != nil
 	if res == nil && err == nil {
-		res, err = bench.Run(ctx, pl, creq)
+		res, err = spec.bench.Run(ctx, pl, creq)
 	}
 	wall := time.Since(start)
 	if err != nil {
 		return runOut{err: err}
 	}
-	s.m.runs(bench.Name).Inc()
-	s.m.latency(bench.Name, req.Platform).Observe(wall.Seconds())
+	s.m.runs(spec.bench.Name).Inc()
+	s.m.latency(spec.bench.Name, req.Platform).Observe(wall.Seconds())
 	if incremental {
-		s.m.incremental(bench.Name).Inc()
+		s.m.incremental(spec.bench.Name).Inc()
 	}
 
 	rep := res.Report
-	resp := newRunResponse(bench.Name, rep, meta, wall, start.Sub(p.accepted))
-	s.m.queueWait(bench.Name).Observe(resp.QueueWaitSeconds)
-	resp.Incremental, resp.Plan = incremental, plan
+	resp := newRunResponse(spec, rp.order, rep, wall, start.Sub(p.accepted))
+	s.m.queueWait(spec.bench.Name).Observe(resp.QueueWaitSeconds)
+	resp.Incremental, resp.Plan = incremental, rp.plan
 	if rep.Platform == "sim" {
 		resp.TimeUnit = "cycles"
 		energy := make(map[string]float64, exec.NumEnergyComponents)
@@ -981,27 +740,19 @@ func (s *Server) runOne(p *pending, bench core.Benchmark, in core.Input, meta *r
 		}
 	}
 	cr := &cachedRun{resp: resp}
-	switch {
-	case res.BFS != nil:
-		cr.level = res.BFS.Level
-	case res.Components != nil:
-		cr.labels = res.Components.Labels
-	case res.Community != nil:
-		cr.comm = res.Community.Community
+	if spec.bench.Repair != nil {
+		cr.prev = res
 	}
 	return runOut{cr: cr}
 }
 
 // newRunResponse shapes the reply fields every run shares, single or
 // batched.
-func newRunResponse(kernel string, rep *exec.Report, meta *runMeta, wall, queued time.Duration) *runResponse {
+func newRunResponse(spec *runSpec, order graph.Order, rep *exec.Report, wall, queued time.Duration) *runResponse {
 	resp := &runResponse{
-		Kernel:            kernel,
+		Kernel:            spec.bench.Name,
 		Platform:          rep.Platform,
 		Threads:           rep.Threads,
-		Graph:             meta.graphID,
-		GraphVersion:      meta.versionID,
-		Order:             orderLabel(meta.order),
 		TimeUnit:          "ns",
 		Time:              rep.Time,
 		TotalInstructions: rep.TotalInstructions(),
@@ -1009,6 +760,12 @@ func newRunResponse(kernel string, rep *exec.Report, meta *runMeta, wall, queued
 		Breakdown:         make(map[string]uint64, exec.NumComponents),
 		WallSeconds:       wall.Seconds(),
 		QueueWaitSeconds:  queued.Seconds(),
+	}
+	if spec.ver != nil {
+		resp.Graph, resp.GraphVersion = spec.ver.GraphID, spec.ver.ID
+	}
+	if order != graph.OrderNone {
+		resp.Order = string(order) // omitted for unordered runs
 	}
 	for c := exec.CompCompute; c < exec.NumComponents; c++ {
 		resp.Breakdown[c.String()] = rep.Breakdown[c]

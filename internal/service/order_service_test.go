@@ -146,24 +146,3 @@ func TestOrderedRunSkipsIncremental(t *testing.T) {
 		t.Fatalf("unordered run on patched head: %+v, want incremental repair", b)
 	}
 }
-
-// TestBatchableExcludesOrdered: an ordered BFS request must not join a
-// batch group (a pass runs over the original layout), on a version
-// shallow enough that the same request unordered does.
-func TestBatchableExcludesOrdered(t *testing.T) {
-	s := New(DefaultConfig())
-	defer s.Close()
-	g := graph.SocialNet(64, 4, 1)
-	sg, err := s.store.Put(g, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench := mustBench(t, "BFS")
-	req := &runRequest{Platform: "native", Strategy: "frontier", Threads: 2}
-	if join, _ := s.batchable(bench, req, &runMeta{ver: sg.Head(), order: graph.OrderNone}); !join {
-		t.Fatal("plain frontier BFS on a shallow version must be batchable")
-	}
-	if join, plan := s.batchable(bench, req, &runMeta{ver: sg.Head(), order: graph.OrderDegree}); join || plan != "" {
-		t.Fatalf("ordered run: batchable = %t, %q; want no group and no batch plan", join, plan)
-	}
-}

@@ -369,6 +369,10 @@ func TestRunValidation(t *testing.T) {
 		{"graph not found", runRequest{Graph: "gmissing", Kernel: "BFS"}, http.StatusNotFound},
 		{"source out of range", runRequest{Graph: gr.ID, Kernel: "BFS", Source: 9999}, http.StatusBadRequest},
 		{"threads over sim cores", runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 128, SimCores: 16}, http.StatusBadRequest},
+		{"sim cores not a square mesh", runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 2, SimCores: 10}, http.StatusBadRequest},
+		{"sim cores fewer than memory controllers", runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 2, SimCores: 4}, http.StatusBadRequest},
+		{"sim cores above Table II", runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 2, SimCores: 1024}, http.StatusBadRequest},
+		{"negative timeout", runRequest{Graph: gr.ID, Kernel: "BFS", TimeoutMS: -5}, http.StatusBadRequest},
 		{"dense kernel too big", runRequest{Graph: gr.ID, Kernel: "APSP"}, http.StatusUnprocessableEntity},
 		{"tsp cities out of range", runRequest{Kernel: "TSP", Cities: 100}, http.StatusBadRequest},
 	}

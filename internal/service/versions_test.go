@@ -523,6 +523,9 @@ func TestErrorCodeCatalog(t *testing.T) {
 		{"sim thread overflow", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 8, SimCores: 4})
 		}, 400, codeSimThreadOverflow},
+		{"sim cores out of range", func() *http.Response {
+			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "sim", Threads: 2, SimCores: 10})
+		}, 400, codeSimCoresOutOfRange},
 		{"cities out of range", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Kernel: "TSP", Cities: 2})
 		}, 400, codeCitiesOutOfRange},

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"crono/internal/energy"
 	"crono/internal/noc"
@@ -163,6 +164,10 @@ func Default() Config {
 func (c Config) Validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: cores %d", c.Cores)
+	}
+	if w := int(math.Sqrt(float64(c.Cores)) + 0.5); w*w != c.Cores {
+		// The tiles form a square mesh (noc.New).
+		return fmt.Errorf("sim: %d cores is not a perfect square", c.Cores)
 	}
 	if c.LineBytes != 64 {
 		// Regions and the exec address math assume 64-byte lines.

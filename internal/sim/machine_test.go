@@ -45,6 +45,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero controllers accepted")
 	}
+	for _, cores := range []int{10, 15, 255, 257} {
+		bad = Default()
+		bad.Cores = cores
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("%d cores (not a square mesh) accepted", cores)
+		}
+	}
 }
 
 func TestNewRejectsNonSquareCores(t *testing.T) {
