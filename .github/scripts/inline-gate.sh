@@ -13,7 +13,7 @@ fail=0
 for fn in 'Region.At' \
 	'(*Thread).Load' '(*Thread).Store' \
 	'(*Thread).AtomicLoad' '(*Thread).AtomicStore' '(*Thread).AtomicRMW' \
-	'(*Thread).LoadSpan' '(*Thread).StoreSpan' \
+	'(*Thread).LoadSpan' '(*Thread).StoreSpan' '(*Thread).LoadGather' \
 	'(*Thread).Compute' '(*Thread).Active'; do
 	line=$(grep -F "can inline $fn with cost" <<<"$exec_m" || true)
 	if [ -z "$line" ]; then

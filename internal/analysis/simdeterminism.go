@@ -11,8 +11,9 @@ import (
 // order they are issued in must be deterministic.
 var annotationMethods = map[string]bool{
 	"Load": true, "Store": true, "LoadSpan": true, "StoreSpan": true,
-	"Compute": true, "Active": true, "Lock": true, "Unlock": true,
-	"Barrier": true,
+	"AtomicLoad": true, "AtomicStore": true, "AtomicRMW": true,
+	"LoadGather": true, "Compute": true, "Active": true,
+	"Lock": true, "Unlock": true, "Barrier": true,
 }
 
 // SimDeterminism enforces determinism inside the sim-visible packages

@@ -38,6 +38,29 @@ func mapFeedsAnnotations(ctx exec.Ctx, r exec.Region, weights map[int32]int64) i
 	return sum
 }
 
+// mapFeedsAtomics claims map entries with atomic annotations only; the
+// simulator charges each one like a plain access, so the order matters
+// just as much.
+func mapFeedsAtomics(ctx exec.Ctx, r exec.Region, claims map[int32]bool) {
+	for c := range claims { // want `issues Ctx\.AtomicRMW annotations`
+		ctx.AtomicRMW(r.At(int(c)))
+	}
+	for c := range claims { // want `issues Ctx\.AtomicLoad annotations`
+		ctx.AtomicLoad(r.At(int(c)))
+	}
+	for c := range claims { // want `issues Ctx\.AtomicStore annotations`
+		ctx.AtomicStore(r.At(int(c)))
+	}
+}
+
+// mapFeedsGather gathers each map entry's neighbor list: the per-element
+// stream a Model replays follows the map's order.
+func mapFeedsGather(ctx exec.Ctx, r exec.Region, adj map[int32][]int32) {
+	for _, ns := range adj { // want `issues Ctx\.LoadGather annotations`
+		ctx.LoadGather(r, ns, 1)
+	}
+}
+
 // mapPure ranges over a map without annotating, which is fine: the
 // result is order-independent and nothing reaches the simulator.
 func mapPure(weights map[int32]int64) int64 {

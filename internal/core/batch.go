@@ -34,11 +34,21 @@ type BFSBatchResult struct {
 // sources at once (the multi-source BFS of Then et al., the kernel
 // behind the service's cross-request batching). The frontier worklist
 // holds vertices with any newly arrived bits; rounds end through
-// worklist.endRound like every frontier kernel's. Per-source
-// levels are bit-identical to BFSRef's — bit arrival rounds are exactly
-// the single-source BFS levels, and OR-propagation is schedule-
-// independent.
+// worklist.endRound like every frontier kernel's, and they change
+// direction by the frontier BFS's rule applied to that union frontier. A
+// push round CAS-merges each frontier vertex's new bits into its
+// out-neighbors; a pull round lets every vertex still missing a bit OR
+// together the new bits of its in-neighbors and write only its own word.
+// Per-source levels are bit-identical to BFSRef's — bit arrival rounds
+// are exactly the single-source BFS levels, and OR-propagation is
+// schedule-independent.
 func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []int, threads int) (*BFSBatchResult, error) {
+	return bfsBatch(goCtx, pl, g, sources, threads, &direction{})
+}
+
+// bfsBatch is BFSBatch with the caller's direction state, which tests
+// read after the run, finished or aborted.
+func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []int, threads int, d *direction) (*BFSBatchResult, error) {
 	if len(sources) == 0 || len(sources) > BFSBatchWidth {
 		return nil, fmt.Errorf("core: batch of %d sources outside [1, %d]", len(sources), BFSBatchWidth)
 	}
@@ -50,8 +60,15 @@ func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 	n := g.N
 	k := len(sources)
 	visited := make([]uint64, n) // bits settled up to the previous round
-	front := make([]uint64, n)   // bits that arrived last round, per frontier vertex
-	next := make([]uint64, n)    // bits arriving this round, CAS-merged
+	// Bits that arrived in a round, double-buffered by its parity: a round
+	// reads the previous round's array as its front and collects into the
+	// other, and each array is zero off its own frontier.
+	arrived := [2][]uint64{make([]uint64, n), make([]uint64, n)}
+	// moved[t] is the union of the bits thread t settled last round: only
+	// those can travel one more edge. A source whose component is
+	// exhausted drops out, so pulls stop waiting for its bit.
+	moved := make([]uint64, threads)
+	moved[0] = ^uint64(0) >> uint(BFSBatchWidth-k)
 	levels := make([][]int32, k)
 	for i := range levels {
 		levels[i] = make([]int32, n)
@@ -69,94 +86,142 @@ func BFSBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 			seed = append(seed, int32(src))
 		}
 		visited[src] |= bit
-		front[src] |= bit
+		arrived[0][src] |= bit
 		levels[i][src] = 0
 	}
 	wl := newWorklist(threads, seed)
+	d.reset(g, threads, seed)
+	decide := func(total int) int32 { return d.verdict(g, total) }
 
 	rVis := pl.Alloc("bfsb.visited", n, 8)
-	rCur := pl.Alloc("bfsb.front", n, 8)
-	rNext := pl.Alloc("bfsb.next", n, 8)
+	rArr := [2]exec.Region{pl.Alloc("bfsb.arrived0", n, 8), pl.Alloc("bfsb.arrived1", n, 8)}
 	rLvl := pl.Alloc("bfsb.levels", k*n, 4)
 	rOff := pl.Alloc("bfsb.offsets", n+1, 8)
 	rTgt := pl.Alloc("bfsb.targets", g.M(), 4)
 	rFront := pl.Alloc("bfsb.frontier", n, 4)
+	rInOff := pl.Alloc("bfsb.inoffsets", n+1, 8)
+	rInTgt := pl.Alloc("bfsb.intargets", g.M(), 4)
 	bar := pl.NewBarrier(threads)
 
 	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
 		tid := ctx.TID()
-		cur := int32(0)
-		for {
-			// Scan phase: push every frontier vertex's new bits to its
-			// neighbors; the CAS winner that turns a pending word
-			// non-zero enqueues the vertex, so worklist entries stay
-			// unique.
+		for cur := int32(0); ; cur++ {
+			p := cur & 1
+			front, next := arrived[p], arrived[p^1]
+			rCur, rNext := rArr[p], rArr[p^1]
 			f := wl.frontier()
-			lo, hi := chunk(tid, threads, len(f))
-			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-			found := 0
-			for i := lo; i < hi; i++ {
-				v := int(f[i])
-				ctx.Load(rCur.At(v))
-				w := front[v]
-				ctx.Load(rOff.At(v))
-				ts, _ := g.Neighbors(v)
-				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-				for _, u := range ts {
-					ctx.Load(rVis.At(int(u)))
-					ctx.Compute(1)
-					add := w &^ visited[u]
-					if add == 0 {
-						continue
-					}
-					for {
-						old := atomic.LoadUint64(&next[u])
-						if old|add == old {
-							break
+			flo, fhi := chunk(tid, threads, len(f))
+			found, deg := 0, int64(0)
+			if d.dir == dirPush {
+				// Push every frontier vertex's new bits to its
+				// neighbors; the CAS winner that turns a pending word
+				// non-zero enqueues the vertex, so worklist entries stay
+				// unique.
+				ctx.LoadSpan(rFront.At(flo), fhi-flo, 4)
+				for i := flo; i < fhi; i++ {
+					v := int(f[i])
+					ctx.Load(rCur.At(v))
+					w := front[v]
+					ctx.Load(rOff.At(v))
+					ts, _ := g.Neighbors(v)
+					ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
+					for _, u := range ts {
+						ctx.Load(rVis.At(int(u)))
+						ctx.Compute(1)
+						add := w &^ visited[u]
+						if add == 0 {
+							continue
 						}
-						if atomic.CompareAndSwapUint64(&next[u], old, old|add) {
-							ctx.AtomicRMW(rNext.At(int(u)))
-							if old == 0 {
-								found++
-								wl.push(tid, u)
+						for {
+							old := atomic.LoadUint64(&next[u])
+							if old|add == old {
+								break
 							}
-							break
+							if atomic.CompareAndSwapUint64(&next[u], old, old|add) {
+								ctx.AtomicRMW(rNext.At(int(u)))
+								if old == 0 {
+									found++
+									deg += int64(g.Degree(int(u)))
+									wl.push(tid, u)
+								}
+								break
+							}
 						}
 					}
 				}
+			} else {
+				// Pull: every vertex of my static chunk still missing a
+				// bit that moved last round ORs together the bits its
+				// in-neighbors received, stopping once it has every one it
+				// was missing. It is the only writer of its own word, so
+				// no CAS.
+				in, live := d.in, uint64(0)
+				for _, b := range moved {
+					live |= b
+				}
+				lo, hi := chunk(tid, threads, n)
+				for v := lo; v < hi; v++ {
+					ctx.Load(rVis.At(v))
+					ctx.Compute(1)
+					need := live &^ visited[v]
+					if need == 0 {
+						continue
+					}
+					ctx.Load(rInOff.At(v))
+					ts, _ := in.Neighbors(v)
+					acc, j := uint64(0), 0
+					for j < len(ts) && acc&need != need {
+						acc |= front[ts[j]]
+						j++
+					}
+					ctx.LoadSpan(rInTgt.At(int(in.Offsets[v])), j, 4)
+					ctx.LoadGather(rCur, ts[:j], 1)
+					if add := acc & need; add != 0 {
+						next[v] = add
+						ctx.Store(rNext.At(v))
+						found++
+						deg += int64(g.Degree(v))
+						wl.push(tid, int32(v))
+					}
+				}
 			}
-			ctx.Active(found - (hi - lo))
-			if wl.endRound(ctx, bar, rFront, untilEmpty) != ctrlContinue {
+			ctx.Active(found - (fhi - flo))
+			d.frontDeg[tid] = deg
+			if wl.endRound(ctx, bar, rFront, decide) != ctrlContinue {
 				return
 			}
-			// Settle phase: fold the pending bits of my chunk of the new
-			// frontier into visited, record per-source arrival levels,
-			// and stage the bits as the next round's front. Worklist
-			// entries are unique and the scan phase chunks the same
-			// array identically, so each vertex has one owner.
+			// Settle: fold the new bits of my chunk of the new frontier
+			// into visited and record per-source arrival levels; they
+			// stay in next as the next round's front, and their union in
+			// moved. Then clear my chunk of the consumed frontier from
+			// front, which collects the round after. Worklist entries are
+			// unique and both loops chunk the arrays the rounds did, so
+			// each vertex has one owner.
 			nf := wl.frontier()
 			slo, shi := chunk(tid, threads, len(nf))
+			settled := uint64(0)
 			for i := slo; i < shi; i++ {
 				u := int(nf[i])
 				ctx.Load(rNext.At(u))
 				bitsU := next[u]
+				settled |= bitsU
 				visited[u] |= bitsU
 				// The single-owner invariant above is outside the vet
 				// approximation (u is read from the shared worklist);
 				// the racecheck sweep proves these stores conflict-free.
 				ctx.Store(rVis.At(u)) //crono:vet-ignore unguardedstore
-				front[u] = bitsU
-				ctx.Store(rCur.At(u)) //crono:vet-ignore unguardedstore
-				next[u] = 0
-				ctx.Store(rNext.At(u)) //crono:vet-ignore unguardedstore
 				for b := bitsU; b != 0; b &= b - 1 {
 					s := bits.TrailingZeros64(b)
 					levels[s][u] = cur + 1
 					ctx.Store(rLvl.At(s*n + u)) //crono:vet-ignore unguardedstore
 				}
 			}
+			moved[tid] = settled
+			for i := flo; i < fhi; i++ {
+				front[f[i]] = 0
+				ctx.Store(rCur.At(int(f[i]))) //crono:vet-ignore unguardedstore
+			}
 			ctx.Barrier(bar)
-			cur++
 		}
 	})
 	if err != nil {

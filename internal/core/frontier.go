@@ -198,11 +198,66 @@ const (
 	HybridBeta  = 24
 )
 
-// round directions of the frontier BFS, chosen by thread 0 in decide.
+// round directions of a direction-optimizing traversal.
 const (
 	dirPush int32 = iota
 	dirPull
 )
+
+// direction is the push/pull state of a direction-optimizing traversal
+// (the frontier BFS and BFSBatch). Each thread stores its own frontDeg
+// slot before endRound; everything else is thread 0's, in verdict. Like
+// the worklist offsets it is round bookkeeping, not annotated.
+type direction struct {
+	in         *graph.CSR // the transpose, fetched by the first pull round
+	frontDeg   []int64    // out-degree sum of each thread's discoveries this round
+	unexplored int64      // edges incident to undiscovered vertices (over-estimated for a seeded run)
+	dir        int32      // direction of the current round
+	pulls      int        // pull rounds run
+}
+
+// reset readies d for a traversal of g from a seed frontier: it pushes
+// first and has fetched no transpose.
+func (d *direction) reset(g *graph.CSR, threads int, seed []int32) {
+	d.frontDeg = grow64(d.frontDeg, threads, false)
+	d.unexplored = int64(g.M())
+	for _, v := range seed {
+		d.unexplored -= int64(g.Degree(int(v)))
+	}
+	d.in, d.dir, d.pulls = nil, dirPush, 0
+}
+
+// verdict is the round verdict of a direction-optimizing traversal of g,
+// run by thread 0 in endRound: done once the frontier is empty, otherwise
+// the direction of the next round by the HybridAlpha/HybridBeta rule.
+// Hysteresis comes from the two distinct conditions: a dense frontier
+// flips to pull, and only a clearly sparse one flips back. The in-CSR is
+// fetched for the first pull round only, so a run that never pulls never
+// builds a transpose.
+func (d *direction) verdict(g *graph.CSR, total int) int32 {
+	if total == 0 {
+		return ctrlDone
+	}
+	mf := int64(0)
+	for _, deg := range d.frontDeg {
+		mf += deg
+	}
+	d.unexplored -= mf
+	n := int64(g.N)
+	switch {
+	case d.dir == dirPush && mf > d.unexplored/HybridAlpha && mf > n:
+		d.dir = dirPull
+	case d.dir == dirPull && int64(total)*HybridBeta < n:
+		d.dir = dirPush
+	}
+	if d.dir == dirPull {
+		d.pulls++
+		if d.in == nil {
+			d.in = g.InCSR()
+		}
+	}
+	return ctrlContinue
+}
 
 // BFSFrontier runs level-synchronous, direction-optimizing breadth-first
 // search with the frontier strategy. A push round processes the compact
@@ -227,19 +282,11 @@ func BFSFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 // are re-placed.
 type bfsFrontierRun struct {
 	g       *graph.CSR
-	in      *graph.CSR // g's transpose, fetched by the first pull round
 	threads int
 	level   []int32
 	wl      worklist
 	base    int32 // level of the seed frontier
-
-	// Direction state. Each thread stores its own frontDeg slot before
-	// endRound; everything else is thread 0's, in decide. Like the
-	// worklist offsets it is round bookkeeping, not annotated.
-	frontDeg   []int64 // out-degree sum of each thread's discoveries this round
-	unexplored int64   // edges incident to undiscovered vertices (over-estimated for a seeded run)
-	dir        int32   // direction of the current round
-	pulls      int     // pull rounds run
+	direction
 
 	rLvl, rOff, rTgt, rFront, rInOff, rInTgt exec.Region
 	bar                                      exec.Barrier
@@ -269,13 +316,8 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 // last level its delta cannot have changed (BFSIncremental).
 func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*BFSResult, error) {
 	n := g.N
-	k.g, k.in, k.threads, k.base = g, nil, threads, base
-	k.frontDeg = grow64(k.frontDeg, threads, false)
-	k.unexplored = int64(g.M())
-	for _, v := range k.wl.frontier() {
-		k.unexplored -= int64(g.Degree(int(v)))
-	}
-	k.dir, k.pulls = dirPush, 0
+	k.g, k.threads, k.base = g, threads, base
+	k.reset(g, threads, k.wl.frontier())
 	k.rLvl = pl.Alloc("bfsf.level", n, 4)
 	k.rOff = pl.Alloc("bfsf.offsets", n+1, 8)
 	k.rTgt = pl.Alloc("bfsf.targets", g.M(), 4)
@@ -390,33 +432,5 @@ func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 	}
 }
 
-// decideRound is the frontier BFS's round verdict, run by thread 0 in
-// endRound: done once the frontier is empty, otherwise the direction of
-// the next round by the HybridAlpha/HybridBeta rule. Hysteresis comes from
-// the two distinct conditions: a dense frontier flips to pull, and only a
-// clearly sparse one flips back. The in-CSR is fetched for the first pull
-// round only, so a run that never pulls never builds a transpose.
-func (k *bfsFrontierRun) decideRound(total int) int32 {
-	mf := int64(0)
-	for _, d := range k.frontDeg {
-		mf += d
-	}
-	k.unexplored -= mf
-	if total == 0 {
-		return ctrlDone
-	}
-	n := int64(k.g.N)
-	switch {
-	case k.dir == dirPush && mf > k.unexplored/HybridAlpha && mf > n:
-		k.dir = dirPull
-	case k.dir == dirPull && int64(total)*HybridBeta < n:
-		k.dir = dirPush
-	}
-	if k.dir == dirPull {
-		k.pulls++
-		if k.in == nil {
-			k.in = k.g.InCSR()
-		}
-	}
-	return ctrlContinue
-}
+// decideRound is the frontier BFS's round verdict (direction.verdict).
+func (k *bfsFrontierRun) decideRound(total int) int32 { return k.verdict(k.g, total) }

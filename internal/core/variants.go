@@ -603,9 +603,8 @@ func (k *pageRankPullRun) run(ctx exec.Ctx) {
 			ctx.Load(rOff.At(v))
 			ts, _ := in.Neighbors(v)
 			ctx.LoadSpan(rTgt.At(int(in.Offsets[v])), len(ts), 4)
+			ctx.LoadGather(rCon, ts, 1)
 			for _, u := range ts {
-				ctx.Load(rCon.At(int(u)))
-				ctx.Compute(1)
 				sum += contrib[u]
 			}
 			next[v] = DampingR + (1-DampingR)*sum

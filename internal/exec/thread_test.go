@@ -92,6 +92,33 @@ func TestThreadCountsWithoutModel(t *testing.T) {
 	}
 }
 
+// TestLoadGatherReplaysPerElement: a Model sees LoadGather as exactly the
+// Load(r.At(i)), Compute(computePer) pairs it stands for, in idx order and
+// with no Compute(0); natively it counts what those calls would.
+func TestLoadGatherReplaysPerElement(t *testing.T) {
+	r := Region{Name: "g", Base: 64, ElemSize: 8, Elems: 16}
+	idx := []int32{3, 0, 3, 9}
+	for _, tc := range []struct {
+		per  int
+		want []string
+	}{
+		{0, []string{"Load 88", "Load 64", "Load 88", "Load 136"}},
+		{1, []string{"Load 88", "Compute 1", "Load 64", "Compute 1", "Load 88", "Compute 1", "Load 136", "Compute 1"}},
+	} {
+		h := &logHooks{}
+		NewThread(0, 1, h, h).LoadGather(r, idx, tc.per)
+		if !reflect.DeepEqual(h.calls, tc.want) {
+			t.Errorf("computePer %d: Model saw\n%v\nwant\n%v", tc.per, h.calls, tc.want)
+		}
+		native := NewThread(0, 1, nil, h)
+		native.LoadGather(r, idx, tc.per)
+		native.LoadGather(r, nil, tc.per)
+		if n, want := native.Instructions(), uint64(len(idx)*(1+tc.per)); n != want {
+			t.Errorf("computePer %d: counted %d instructions natively, want %d", tc.per, n, want)
+		}
+	}
+}
+
 // lockMaker is a Platform as far as NewLocks is concerned.
 type lockMaker struct {
 	Platform

@@ -486,6 +486,12 @@ func BenchmarkAnnotate(b *testing.B) {
 				c.LoadSpan(r.At(i&0xfff), i&15, 4)
 			}
 		}},
+		{"LoadGather", func(c exec.Ctx, n int) {
+			idx := []int32{7, 3, 11, 0, 5, 9, 2, 14, 1, 8, 12, 4, 15, 6, 10, 13}
+			for i := 0; i < n; i++ {
+				c.LoadGather(r, idx[:i&15], 1)
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p.Run(1, func(c exec.Ctx) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"crono/internal/exec"
@@ -152,14 +153,20 @@ var (
 )
 
 // callerPC captures the kernel's annotation call site as a return
-// address, the form site hands to runtime.CallersFrames. Above this
-// helper sit the exec.Model method invoking it and the exec.Thread method
-// that forwarded to that; the latter is inlined into the kernel, which
-// runtime.Callers counts as a frame all the same.
+// address, the form site hands to runtime.CallersFrames: the first frame
+// outside internal/exec above the exec.Model method invoking this helper.
+// In between sit the exec.Thread method that forwarded the call, inlined
+// into the kernel (runtime.Callers counts it as a frame all the same),
+// and for LoadGather also the out-of-line loop replaying the gather.
 func callerPC() uintptr {
-	var pc [1]uintptr
-	runtime.Callers(4, pc[:])
-	return pc[0]
+	var pcs [3]uintptr
+	n := runtime.Callers(3, pcs[:])
+	for _, pc := range pcs[:n] {
+		if f := runtime.FuncForPC(pc - 1); f == nil || !strings.HasPrefix(f.Name(), "crono/internal/exec.") {
+			return pc
+		}
+	}
+	return 0
 }
 
 // RunCtx implements exec.Platform. The scheduler runs on the calling

@@ -2,8 +2,11 @@ package racecheck
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"crono/internal/exec"
@@ -77,6 +80,39 @@ func TestMissingBarrierGolden(t *testing.T) {
 		{Location: "racy.data[2]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
 		{Location: "racy.data[3]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
 	})
+}
+
+// TestGatherSiteNamesTheKernelLine: a gathered read reaches the detector
+// through exec's out-of-line replay loop as well as the inlined Thread
+// method, and its site must still be the fixture's LoadGather line.
+func TestGatherSiteNamesTheKernelLine(t *testing.T) {
+	src, err := os.ReadFile("testdata/racykernels/racykernels.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatherLine := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.Contains(line, "ctx.LoadGather(") {
+			gatherLine = i + 1
+		}
+	}
+	pl := New()
+	if _, _, err := racykernels.GatherMissingBarrier(pl, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	races := pl.Races()
+	pinRaces(t, races, []Race{
+		{Location: "racy.gathered[0]", Prior: RaceAccess{TID: 0, Kind: "write"}, Current: RaceAccess{TID: 1, Kind: "read"}},
+		{Location: "racy.gathered[1]", Prior: RaceAccess{TID: 0, Kind: "write"}, Current: RaceAccess{TID: 1, Kind: "read"}},
+		{Location: "racy.gathered[2]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
+		{Location: "racy.gathered[3]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
+	})
+	want := fmt.Sprintf("racykernels.go:%d", gatherLine)
+	for _, race := range races {
+		if race.Current.Site != want {
+			t.Errorf("gathered read at %s, want %s", race.Current.Site, want)
+		}
+	}
 }
 
 func TestFixedFixturesReportNothing(t *testing.T) {
@@ -250,6 +286,7 @@ func TestWrapSitesNameTheKernel(t *testing.T) {
 	ck.Run(2, func(ctx exec.Ctx) {
 		ctx.Store(r.At(0))
 		ctx.LoadSpan(r.At(0), 1, 8)
+		ctx.LoadGather(r, []int32{0}, 1)
 	})
 	races := ck.Races()
 	if len(races) == 0 {

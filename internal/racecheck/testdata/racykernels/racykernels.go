@@ -59,6 +59,37 @@ func MissingBarrier(pl exec.Platform, threads, perThread int) ([]int32, *exec.Re
 	return out, rep, err
 }
 
+// GatherMissingBarrier is MissingBarrier with the cross-chunk reads
+// issued as one LoadGather. Every gathered read races with the owning
+// thread's write, and the report must name the LoadGather line below, not
+// the exec code that replays the gather element by element.
+func GatherMissingBarrier(pl exec.Platform, threads, perThread int) ([]int32, *exec.Report, error) {
+	n := threads * perThread
+	data := make([]int32, n)
+	out := make([]int32, n)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	r := pl.Alloc("racy.gathered", n, 4)
+	rep, err := pl.RunCtx(context.Background(), threads, func(ctx exec.Ctx) {
+		tid := ctx.TID()
+		lo := tid * perThread
+		for i := 0; i < perThread; i++ {
+			data[lo+i] = int32(lo + i)
+			ctx.Store(r.At(lo + i))
+		}
+		// BUG: a ctx.Barrier belongs here.
+		nlo := ((tid + 1) % threads) * perThread
+		next := ids[nlo : nlo+perThread]
+		ctx.LoadGather(r, next, 1)
+		for _, i := range next {
+			out[i] = data[i]
+		}
+	})
+	return out, rep, err
+}
+
 // FixedCounter is SharedCounter with the lock it was missing; the
 // detector must report nothing for it.
 func FixedCounter(pl exec.Platform, threads, incs int) (int, *exec.Report, error) {

@@ -61,14 +61,15 @@ func (b *batcher) seal(grp *batchGroup) []*pending {
 // table in DESIGN.md §5b "Batching" (BFSBatch pass against single-source
 // runs, 2 threads).
 const (
-	// breakEven: on social n=16384 a frontier run costs 0.74–1.24 ms, which
-	// a pass undercuts only from k=16 (0.81 ms per source; 1.0–1.2 at
-	// k=12).
-	breakEven = 16
-	// deepBFSDepth: on road-ca n=65536 (depth 65) a pass costs 7.6–10 ms
-	// per source at k=16 and 4.8–5.4 at k=64 against 3.8–6.7 ms for one
-	// frontier run — no k wins. The shallow rows are 3–5 levels deep, the
-	// road families 43–68; the bound sits between the two clusters.
+	// breakEven: on social n=16384 a frontier run costs 1.0–1.3 ms, which
+	// a pass that pulls its dense rounds undercuts from k=4 in every
+	// session measured (0.52–0.76 ms per source).
+	breakEven = 4
+	// deepBFSDepth: on road-ca n=65536 (depth 65) one frontier run costs
+	// ~5 ms; a pass costs 5.4 ms per source at k=16, and at k=64 2.9 per
+	// source but 188 ms for every member, against ~160 ms on average for
+	// 64 singles in a row. The shallow rows are 3–5 levels deep, the road
+	// families 43–68; the bound sits between the two clusters.
 	deepBFSDepth = 16
 )
 

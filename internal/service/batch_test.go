@@ -129,10 +129,10 @@ func cachedLevels(t *testing.T, s *Server, versionID, strategy string, src int) 
 	return v.(*cachedRun).prev.BFS.Level
 }
 
-// TestBatchedRunsCoalesce queues a burst of 70 distinct-source BFS
+// TestBatchedRunsCoalesce queues a burst of 67 distinct-source BFS
 // requests behind a held worker, under the "hybrid" name so the alias is
 // grouped and cached as the frontier strategy it stands for: the first 64
-// fill one group and run as one bit-parallel pass, the other 6 form a
+// fill one group and run as one bit-parallel pass, the other 3 form a
 // group below the break-even and run the frontier kernel. Every result,
 // batched or not, is bit-identical to the sequential reference and cached
 // per source, and nothing is left running afterwards.
@@ -143,14 +143,15 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 	gr := createGraph(t, ts.URL, "sparse", 2000, 3)
 	atRest := runtime.NumGoroutine()
 
-	const k = core.BFSBatchWidth + 6
+	const rest = breakEven - 1
+	const k = core.BFSBatchWidth + rest
 	sources := make([]int, k)
 	for i := range sources {
 		sources[i] = i
 	}
 	out := heldBurst(t, s, ts.URL, gr.ID, "hybrid", sources, func() bool {
 		// The held task, the full group (out of the map) and the open one.
-		return s.pool.Depth() == 3 && openMembers(s) == 6
+		return s.pool.Depth() == 3 && openMembers(s) == rest
 	})
 
 	_, ver, _ := s.store.Resolve(gr.ID)
@@ -159,7 +160,7 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 		switch {
 		case rr.Batched && rr.Plan == "batch:k=64":
 			batched++
-		case !rr.Batched && rr.Plan == "single:below-break-even(k=6<16)":
+		case !rr.Batched && rr.Plan == fmt.Sprintf("single:below-break-even(k=%d<%d)", rest, breakEven):
 		default:
 			t.Fatalf("response %d: batched=%t plan=%q", i, rr.Batched, rr.Plan)
 		}
@@ -181,7 +182,7 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 	for series, want := range map[string]float64{
 		"crono_batch_passes_total":                     1,
 		`crono_batched_runs_total{kernel="BFS"}`:       core.BFSBatchWidth,
-		`crono_kernel_runs_total{kernel="BFS"}`:        1 + 6,
+		`crono_kernel_runs_total{kernel="BFS"}`:        1 + rest,
 		"crono_cache_misses_total":                     k,
 		`crono_queue_wait_seconds_count{kernel="BFS"}`: k,
 	} {
@@ -210,8 +211,8 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 	}
 }
 
-// TestBatchedRunMatchesUnbatched queues sixteen frontier sources (the
-// break-even) into one pass and checks each batched result against the
+// TestBatchedRunMatchesUnbatched queues break-even many frontier sources
+// into one pass and checks each batched result against the
 // same request served alone by an idle server.
 func TestBatchedRunMatchesUnbatched(t *testing.T) {
 	cfg := DefaultConfig()
@@ -313,7 +314,7 @@ func TestIdleClosedLoopNeverBatches(t *testing.T) {
 				var rr runResponse
 				err := json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
-				if err != nil || rr.Batched || (rr.Plan != "single:alone" && rr.Plan != "single:below-break-even(k=2<16)") {
+				if err != nil || rr.Batched || (rr.Plan != "single:alone" && rr.Plan != "single:below-break-even(k=2<4)") {
 					t.Errorf("client %d request %d: batched=%t plan=%q", client, i, rr.Batched, rr.Plan)
 				}
 			}
@@ -340,8 +341,9 @@ func TestPlanBatch(t *testing.T) {
 		reason   string
 	}{
 		{1, 4, false, "single:alone"},
-		{2, 4, false, "single:below-break-even(k=2<16)"},
-		{15, 4, false, "single:below-break-even(k=15<16)"},
+		{2, 4, false, "single:below-break-even(k=2<4)"},
+		{3, 4, false, "single:below-break-even(k=3<4)"},
+		{4, 4, true, "batch:k=4"},
 		{16, 4, true, "batch:k=16"},
 		{64, 4, true, "batch:k=64"},
 		{64, deepBFSDepth, true, "batch:k=64"},
