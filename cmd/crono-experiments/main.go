@@ -7,7 +7,7 @@
 //	crono-experiments -exp all -scale 0.5
 //	crono-experiments -exp tab4 -threads 1,4,16,64,256
 //
-// SIGINT cancels the in-flight kernel at its next checkpoint; -timeout
+// SIGINT cancels the in-flight kernel at its next barrier; -timeout
 // bounds the whole invocation.
 package main
 

@@ -9,7 +9,7 @@
 //	crono -bench BFS -platform sim -input graph.el -threads 16
 //	crono -list
 //
-// SIGINT cancels the in-flight kernel at its next checkpoint; -timeout
+// SIGINT cancels the in-flight kernel at its next barrier; -timeout
 // bounds the whole run.
 package main
 

@@ -104,18 +104,16 @@ func TestBFSBatchPullIgnoresFinishedSources(t *testing.T) {
 	}
 }
 
-// TestBFSBatchCancelMidPull cancels the batch at the end of each round
-// in turn, and at least one of those rounds pulls. Each canceled run
-// returns the context's error and no result. Poll 1 is RunCtx's entry
-// check and each round polls once per thread, thread 0 first, so poll
-// 2+4r is thread 0's at the end of round r: the cancel is the verdict it
-// publishes to all threads.
+// TestBFSBatchCancelMidPull cancels the batch at each of its polls in
+// turn — the last arrival at every barrier, whichever thread that is —
+// and at least one of those polls falls in a pull round. Each canceled
+// run returns the context's error and no result.
 func TestBFSBatchCancelMidPull(t *testing.T) {
 	const threads = 4
 	g := graph.Generate(graph.KindSocial, 4096, 7)
 	sources := batchSources(g.N, BFSBatchWidth)
 	midPull := 0
-	for live := int64(1); ; live += threads {
+	for live := int64(1); ; live++ {
 		ctx := cancelAtPoll(live, context.Canceled)
 		d := &direction{}
 		res, err := bfsBatch(ctx, native.New(), g, sources, threads, d)

@@ -26,7 +26,7 @@ type BFSResult struct {
 // each level, every thread scans its static vertex range (graph
 // division) for vertices on the current level, claims their unvisited
 // neighbors under per-vertex atomic locks, and a barrier separates
-// levels. Cancellation is polled once per level.
+// levels. A canceled run ends at its next barrier.
 func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -96,9 +96,6 @@ func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int
 			}
 			ctx.Barrier(bar)
 			if atomic.LoadInt32(&done) == 1 {
-				return
-			}
-			if ctx.Checkpoint() != nil {
 				return
 			}
 			cur++

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
 )
@@ -35,9 +39,10 @@ func TestEveryKernelRespectsPreCanceledContext(t *testing.T) {
 	}
 }
 
-// pollCtx is a context whose Err turns non-nil at its n-th poll. The
-// platforms never wait on Done — they poll Err once before starting the
-// threads and then at every Ctx.Checkpoint — so a run under pollCtx
+// pollCtx is a context whose Err turns non-nil after n polls. The
+// platforms never wait on Done — they poll Err before starting the
+// threads, at the last arrival of every barrier generation, at every
+// Ctx.Checkpoint and once the threads have ended — so a run under pollCtx
 // starts, executes some rounds and is canceled mid-flight at a point
 // fixed by poll count, not by wall clock.
 type pollCtx struct {
@@ -59,39 +64,84 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// midFlightCase is a kernel run and the number of polls to let pass
-// before canceling it: enough that the run has started, too few for it
-// to finish.
-type midFlightCase struct {
-	live int64
-	run  func(context.Context) (any, error)
+// sweepCancel runs run under cancelAtPoll(k, want) for k = 0, 1, 2, ...
+// until a run finishes without seeing the cancellation or k reaches limit
+// (0: no limit), and fails t unless every canceled run returned want and
+// no result. It returns the number of canceled runs.
+func sweepCancel(t *testing.T, want error, limit int64, run func(context.Context) (any, error)) int64 {
+	t.Helper()
+	k := int64(0)
+	for ; limit == 0 || k < limit; k++ {
+		ctx := cancelAtPoll(k, want)
+		res, err := run(ctx)
+		if ctx.left.Load() >= 0 {
+			if err != nil {
+				t.Fatalf("uncanceled run failed: %v", err)
+			}
+			break
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("canceled at poll %d: err = %v, want %v", k+1, err, want)
+		}
+		if !reflect.ValueOf(res).IsNil() {
+			t.Fatalf("canceled at poll %d: partial result %+v", k+1, res)
+		}
+	}
+	return k
 }
 
-// midFlightCases lists kernels on inputs deep enough to poll many times:
-// a long path makes a frontier traversal run one round per vertex, and
-// the BFS repair is seeded so that it redoes (nearly) the whole of it.
-// Poll 1 is RunCtx's entry check and four threads poll once a round, so
-// the 10th poll lands in the third round. The CONN_COMP repair has one
-// poll per thread, between its link and compress phases; it is canceled
-// there, after joining two components.
-func midFlightCases(t *testing.T) map[string]midFlightCase {
-	const n = 400
-	var edges []graph.Edge
-	for v := int32(0); v+1 < n; v++ {
-		edges = append(edges, graph.Edge{From: v, To: v + 1, Weight: 1})
+// cancelKernel runs one kernel on a platform at a thread count.
+type cancelKernel func(ctx context.Context, pl exec.Platform, threads int) (any, error)
+
+// barrierKernels lists every barrier-bearing kernel on an input small
+// enough to cancel at each of its polls: the scan and frontier kernels,
+// the batch, the variants with barriers and the three repairs.
+func barrierKernels(t *testing.T) map[string]cancelKernel {
+	g := graph.Generate(graph.KindSocial, 512, 3)
+	byName := func(name string, strategy Strategy) cancelKernel {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return b.Run(ctx, pl, Request{Input: Input{G: g}, Threads: threads, Strategy: strategy,
+				Iters: 3, MaxPasses: 3, Target: g.N - 1})
+		}
 	}
-	path := graph.FromEdges(n, edges, true)
-	// A shortcut 0-2 at the head of the path puts every level from 1 on
-	// below the repair cutoff.
+	ks := map[string]cancelKernel{
+		"BFSBatch": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return BFSBatch(ctx, pl, g, batchSources(g.N, BFSBatchWidth), threads)
+		},
+		"SSSP_DELTA":    byName("SSSP_DELTA", StrategyScan),
+		"BFS_TARGET":    byName("BFS_TARGET", StrategyScan),
+		"PAGERANK_PULL": byName("PAGERANK_PULL", StrategyScan),
+	}
+	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM", "TRI_CNT"} {
+		ks[name+".scan"] = byName(name, StrategyScan)
+	}
+	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "COMM"} {
+		ks[name+".frontier"] = byName(name, StrategyFrontier)
+	}
+	maps.Copy(ks, repairCases(t, 64, g, 3))
+	return ks
+}
+
+// repairCases are the three repairs on inputs that make them work: a
+// path of n vertices with a shortcut at its head, so the BFS repair redoes
+// (nearly) all of it; the path's two halves joined, so the CONN_COMP
+// repair links and relabels; and COMM on social with a delta naming every
+// vertex (deletes of absent edges), so every vertex is re-examined for
+// up to passes rounds.
+func repairCases(t *testing.T, n int32, social *graph.CSR, passes int) map[string]cancelKernel {
+	path := pathGraph(int(n))
 	d := &graph.EdgeDelta{
 		Inserts: []graph.Edge{{From: 0, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 1}},
 	}
-	if err := d.Canonicalize(n); err != nil {
+	if err := d.Canonicalize(int(n)); err != nil {
 		t.Fatal(err)
 	}
 	next := graph.ApplyDelta(path, d)
 	level := BFSRef(path, 0)
-	// Two half-path components; joining them re-labels the upper half.
 	labels := make([]int32, n)
 	for v := n / 2; v < n; v++ {
 		labels[v] = n / 2
@@ -99,10 +149,6 @@ func midFlightCases(t *testing.T) map[string]midFlightCase {
 	join := &graph.EdgeDelta{Inserts: []graph.Edge{
 		{From: n/2 - 1, To: n / 2, Weight: 1}, {From: n / 2, To: n/2 - 1, Weight: 1},
 	}}
-	// COMM converges in a few rounds on a path; a small-world graph with
-	// singleton communities and a delta naming every vertex (deletes of
-	// absent edges) keeps it moving for about ten.
-	social := graph.Generate(graph.KindSocial, 600, 5)
 	comm := make([]int32, social.N)
 	all := &graph.EdgeDelta{}
 	for v := range comm {
@@ -111,35 +157,84 @@ func midFlightCases(t *testing.T) map[string]midFlightCase {
 			all.Deletes = append(all.Deletes, graph.Edge{From: int32(v - 1), To: int32(v)})
 		}
 	}
-	return map[string]midFlightCase{
-		"PageRank": {9, func(ctx context.Context) (any, error) {
-			return PageRank(ctx, native.New(), path, 4, 1_000_000)
-		}},
-		"BFSBatch": {9, func(ctx context.Context) (any, error) {
-			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
-		}},
-		"BFSIncremental": {9, func(ctx context.Context) (any, error) {
-			return BFSIncremental(ctx, native.New(), next, 0, 4, level, d)
-		}},
-		"ComponentsIncremental": {2, func(ctx context.Context) (any, error) {
-			return ComponentsIncremental(ctx, native.New(), path, 4, labels, join)
-		}},
-		"CommunityIncremental": {9, func(ctx context.Context) (any, error) {
-			return CommunityIncremental(ctx, native.New(), social, 4, 1_000_000, comm, all)
-		}},
+	return map[string]cancelKernel{
+		"BFSIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return BFSIncremental(ctx, pl, next, 0, threads, level, d)
+		},
+		"ComponentsIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return ComponentsIncremental(ctx, pl, path, threads, labels, join)
+		},
+		"CommunityIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return CommunityIncremental(ctx, pl, social, threads, passes, comm, all)
+		},
 	}
 }
 
-// TestKernelCancelMidFlight: canceling during a kernel run aborts it at
-// the next checkpoint instead of running to completion, and no partial
-// result escapes.
+// TestCancelAtEveryPoll cancels every barrier-bearing kernel at each of
+// its context polls in turn, natively at 2, 4 and 8 threads and once on
+// the simulator. Whichever thread's poll it is, and whether it lands on a
+// barrier's last arrival or on the run's entry or exit check, the run
+// returns the context's error and no result — and under -race no thread
+// runs on over memory that no barrier orders.
+func TestCancelAtEveryPoll(t *testing.T) {
+	ks := barrierKernels(t)
+	names := make([]string, 0, len(ks))
+	for name := range ks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sweep := func(t *testing.T, pl exec.Platform, k cancelKernel, threads int) {
+		if n := sweepCancel(t, context.Canceled, 0, func(ctx context.Context) (any, error) {
+			return k(ctx, pl, threads)
+		}); n < 3 {
+			t.Fatalf("only %d polls: the run ended before any barrier", n)
+		}
+	}
+	for _, name := range names {
+		for _, threads := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%s/native/t%d", name, threads), func(t *testing.T) {
+				sweep(t, native.New(), ks[name], threads)
+			})
+		}
+	}
+	t.Run("BFS.frontier/sim/t4", func(t *testing.T) {
+		sweep(t, simMachine(t, 16), ks["BFS.frontier"], 4)
+	})
+}
+
+// midFlightCases lists kernels on inputs deep enough never to finish
+// within a handful of polls: PageRank with a million iterations, the batch
+// and the BFS repair along a 400-vertex path, COMM's repair on a
+// small-world graph that keeps moving for about ten rounds. The CONN_COMP
+// repair has one barrier, so its sweep also reaches a finished run.
+func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) {
+	path := pathGraph(400)
+	cases := map[string]func(context.Context) (any, error){
+		"PageRank": func(ctx context.Context) (any, error) {
+			return PageRank(ctx, native.New(), path, 4, 1_000_000)
+		},
+		"BFSBatch": func(ctx context.Context) (any, error) {
+			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
+		},
+	}
+	for name, k := range repairCases(t, 400, graph.Generate(graph.KindSocial, 600, 5), 1_000_000) {
+		cases[name] = func(ctx context.Context) (any, error) {
+			return k(ctx, native.New(), 4)
+		}
+	}
+	return cases
+}
+
+// TestKernelCancelMidFlight: canceling during a kernel run ends it at the
+// next barrier instead of running to completion, and no partial result
+// escapes, at each of the first dozen polls.
 func TestKernelCancelMidFlight(t *testing.T) {
 	testMidFlight(t, context.Canceled)
 }
 
 // TestKernelDeadlineMidFlight is the same table under an expiring
 // deadline, plus TSP, whose recursive search unwinds through the aborted
-// flag rather than a loop boundary.
+// flag rather than a barrier.
 func TestKernelDeadlineMidFlight(t *testing.T) {
 	testMidFlight(t, context.DeadlineExceeded)
 
@@ -157,19 +252,9 @@ func TestKernelDeadlineMidFlight(t *testing.T) {
 }
 
 func testMidFlight(t *testing.T, want error) {
-	for name, tc := range midFlightCases(t) {
+	for name, run := range midFlightCases(t) {
 		t.Run(name, func(t *testing.T) {
-			ctx := cancelAtPoll(tc.live, want)
-			res, err := tc.run(ctx)
-			if !errors.Is(err, want) {
-				t.Fatalf("err = %v, want %v", err, want)
-			}
-			if !reflect.ValueOf(res).IsNil() {
-				t.Fatalf("partial result %+v returned for an aborted run", res)
-			}
-			if left := ctx.left.Load(); left >= 0 {
-				t.Fatalf("run ended after %d polls without ever seeing the cancellation", tc.live-left)
-			}
+			sweepCancel(t, want, 12, run)
 		})
 	}
 }

@@ -39,7 +39,7 @@ type CommunityResult struct {
 // bounded heuristic relaxes the inherently sequential inter-vertex
 // dependencies: moves use slightly stale community totals, trading
 // modularity accuracy for scalability exactly as the paper describes.
-// Cancellation is polled once per pass.
+// A canceled run ends at its next barrier.
 func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int) (*CommunityResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -94,9 +94,6 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 		nbrW := make(map[int32]int64, 16)
 		nbrC := make([]int32, 0, 16)
 		for {
-			if ctx.Checkpoint() != nil {
-				return
-			}
 			moved[tid] = 0
 			ctx.Active(hi - lo)
 			for v := lo; v < hi; v++ {

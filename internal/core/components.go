@@ -27,7 +27,7 @@ type ComponentsResult struct {
 // then sweeps statically divided among threads pull the minimum neighbor
 // label under per-vertex atomic locks; barriers separate the set and
 // update phases, and the algorithm stops when a sweep changes nothing.
-// Cancellation is polled once per sweep.
+// A canceled run ends at its next barrier.
 func ConnectedComponents(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int) (*ComponentsResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -99,9 +99,6 @@ func ConnectedComponents(goCtx context.Context, pl exec.Platform, g *graph.CSR, 
 			}
 			ctx.Barrier(bar)
 			if atomic.LoadInt32(&done) == 1 {
-				return
-			}
-			if ctx.Checkpoint() != nil {
 				return
 			}
 		}
@@ -255,9 +252,6 @@ func (k *afforestRun) run(ctx exec.Ctx) {
 	// Phase 1: neighbor rounds — link the r-th out-edge of every vertex,
 	// one round per r so contention stays spread out.
 	for r := 0; r < afforestNeighborRounds; r++ {
-		if ctx.Checkpoint() != nil {
-			return
-		}
 		ctx.Active(hi - lo)
 		for v := lo; v < hi; v++ {
 			ctx.Load(rOff.At(v))
@@ -297,9 +291,6 @@ func (k *afforestRun) run(ctx exec.Ctx) {
 		atomic.StoreInt32(&k.giant, best)
 	}
 	ctx.Barrier(bar)
-	if ctx.Checkpoint() != nil {
-		return
-	}
 	// Phase 2: finish vertices outside the sampled giant component. Their
 	// remaining out-edges plus all in-edges cover every edge the skip
 	// could otherwise lose on directed inputs.
@@ -323,9 +314,6 @@ func (k *afforestRun) run(ctx exec.Ctx) {
 		ctx.Active(-1)
 	}
 	ctx.Barrier(bar)
-	if ctx.Checkpoint() != nil {
-		return
-	}
 	// Final compression: every label becomes its component's root, which
 	// min-hooking guarantees is the minimum vertex id.
 	for v := lo; v < hi; v++ {
@@ -349,7 +337,7 @@ func (k *afforestRun) repair(ctx exec.Ctx, inserts []graph.Edge) {
 		}
 	}
 	ctx.Barrier(k.bar)
-	if ctx.Checkpoint() != nil || atomic.LoadInt32(&k.hooked) == 0 {
+	if atomic.LoadInt32(&k.hooked) == 0 {
 		return
 	}
 	lo, hi = chunk(ctx.TID(), k.threads, k.g.N)

@@ -19,15 +19,15 @@ import (
 //
 // A round is: process my chunk of wl.frontier(), wl.push(tid, ...) the
 // discoveries, then wl.endRound — the one function that owns the merge
-// barriers and the cancellation discipline. The expansion loops stay
-// hand-written per kernel; only the round end is shared.
+// barriers. The expansion loops stay hand-written per kernel; only the
+// round end is shared. Cancellation needs nothing here: in an aborted run
+// every thread ends at its next barrier (exec.Sync).
 
 // ctrl words: the verdict thread 0 publishes at the end of a round.
 const (
 	ctrlContinue int32 = iota
 	ctrlDone
 	ctrlNewBand // SSSPFrontier only: band fixpoint reached, open the next
-	ctrlAbort
 )
 
 // worklist is the shared compact frontier. cur is rebuilt from the
@@ -134,39 +134,21 @@ func (w *worklist) copyOut(ctx exec.Ctx, r exec.Region) {
 // and copyOut:
 //
 //	Barrier A — all pushes for the round are published
-//	tid 0:      seal (always, before any control decision), poll Checkpoint
-//	            and, if the run is live, ask decide(total) for the verdict
+//	tid 0:      seal, then decide(total) for the verdict
 //	Barrier B — offsets, the new frontier array and the verdict are published
-//	tid != 0:   poll Checkpoint
-//	ctrlDone or ctrlAbort -> stop; any other verdict -> copyOut
+//	ctrlDone -> stop; any other verdict -> copyOut
 //	Barrier C — frontier contents are complete
 //
-// It returns the verdict; on ctrlDone and ctrlAbort the caller returns
-// without touching the worklist again.
-//
-// Cancellation discipline: only thread 0 polls before the copy phase, and
-// it seals first, so copy offsets are always from the current round even
-// when the run is dying. Threads that pass Barrier B on the abort channel
-// poll before touching the worklist, so no thread ever copies with stale
-// offsets; a straggler survives at most one round past the abort and its
-// partial state is discarded by RunCtx.
+// It returns the verdict; on ctrlDone the caller returns without touching
+// the worklist again.
 func (w *worklist) endRound(ctx exec.Ctx, bar exec.Barrier, rFront exec.Region, decide func(total int) int32) int32 {
-	tid := ctx.TID()
 	ctx.Barrier(bar)
-	if tid == 0 {
-		total := w.seal()
-		st := ctrlAbort
-		if ctx.Checkpoint() == nil {
-			st = decide(total)
-		}
-		atomic.StoreInt32(&w.ctrl, st)
+	if ctx.TID() == 0 {
+		atomic.StoreInt32(&w.ctrl, decide(w.seal()))
 	}
 	ctx.Barrier(bar)
-	if tid != 0 && ctx.Checkpoint() != nil {
-		return ctrlAbort
-	}
 	st := atomic.LoadInt32(&w.ctrl)
-	if st == ctrlDone || st == ctrlAbort {
+	if st == ctrlDone {
 		return st
 	}
 	w.copyOut(ctx, rFront)

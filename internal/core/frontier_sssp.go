@@ -155,22 +155,15 @@ func (k *ssspFrontierRun) run(ctx exec.Ctx) {
 						gmin = mins[t]
 					}
 				}
-				st := ctrlContinue
-				switch {
-				case ctx.Checkpoint() != nil:
-					st = ctrlAbort
-				case gmin >= graph.Inf:
-					st = ctrlDone
-				default:
+				st := ctrlDone
+				if gmin < graph.Inf {
+					st = ctrlContinue
 					k.rounds++
 					atomic.StoreInt32(&k.bandEnd, gmin+delta)
 				}
 				atomic.StoreInt32(&k.ctrl, st)
 			}
 			ctx.Barrier(bar)
-			if tid != 0 && ctx.Checkpoint() != nil {
-				return
-			}
 			if atomic.LoadInt32(&k.ctrl) != ctrlContinue {
 				return
 			}
@@ -227,10 +220,6 @@ func (k *ssspFrontierRun) run(ctx exec.Ctx) {
 		}
 		ctx.Active(marked - settled)
 		ctx.Store(rChg.At(tid))
-		c := wl.endRound(ctx, bar, rFront, decide)
-		if c == ctrlAbort {
-			return
-		}
-		newBand = c == ctrlNewBand
+		newBand = wl.endRound(ctx, bar, rFront, decide) == ctrlNewBand
 	}
 }

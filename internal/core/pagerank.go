@@ -31,7 +31,7 @@ type PageRankResult struct {
 // iteration pushes every vertex's contribution PR(j)/degree(j) to its
 // neighbors, with rank updates done under per-vertex atomic locks because
 // threads converge on common neighbors; barriers separate the reset, push
-// and swap phases. Cancellation is polled once per iteration.
+// and swap phases. A canceled run ends at its next barrier.
 func PageRank(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, iters int) (*PageRankResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -57,9 +57,6 @@ func PageRank(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, it
 		tid := ctx.TID()
 		lo, hi := chunk(tid, threads, n)
 		for it := 0; it < iters; it++ {
-			if ctx.Checkpoint() != nil {
-				return
-			}
 			// Reset phase: next = r over this thread's chunk.
 			for v := lo; v < hi; v++ {
 				next[v] = DampingR

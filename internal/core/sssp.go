@@ -30,7 +30,7 @@ type SSSPResult struct {
 // Fronts are settled Dijkstra-fashion, so every vertex is processed
 // once; the price — as the paper's characterization shows — is a
 // barrier-synchronized round per front, which caps scalability at high
-// thread counts. Cancellation is polled once per round.
+// thread counts. A canceled run ends at its next barrier.
 func SSSP(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*SSSPResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -92,9 +92,6 @@ func SSSP(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads in
 			ctx.Barrier(bar)
 			gmin := atomic.LoadInt32(&front)
 			if gmin >= graph.Inf {
-				return
-			}
-			if ctx.Checkpoint() != nil {
 				return
 			}
 			// Phase 2: settle and expand the front.

@@ -24,8 +24,8 @@ type TriangleCountResult struct {
 // locks, a barrier follows, and a second statically divided phase
 // enumerates neighbor pairs and updates per-vertex triangle counts under
 // atomic locks. Each triangle {v,u,w} with v<u<w is found exactly once
-// from its smallest vertex. Cancellation is polled at the phase boundary
-// and periodically within the wedge-closing phase.
+// from its smallest vertex. A canceled run ends at the phase barrier, or at
+// a poll every 256 vertices of the barrier-free wedge-closing phase.
 func TriangleCount(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int) (*TriangleCountResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -60,9 +60,6 @@ func TriangleCount(goCtx context.Context, pl exec.Platform, g *graph.CSR, thread
 			ctx.Active(-1)
 		}
 		ctx.Barrier(bar)
-		if ctx.Checkpoint() != nil {
-			return
-		}
 		// Phase 2: enumerate wedges from each vertex's sorted neighbor
 		// list and close them by binary search.
 		ctx.Active(hi - lo)

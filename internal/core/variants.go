@@ -59,8 +59,7 @@ func AutoSSSPDelta(g *graph.CSR) int32 {
 // relaxations for far fewer barrier-synchronized rounds. delta=1 with
 // integer weights degenerates to (a band-exact variant of) the paper's
 // SSSP_DIJK; larger deltas relax the synchronization wall that caps
-// SSSP_DIJK at high thread counts. Cancellation is polled once per band
-// and once per inner sweep.
+// SSSP_DIJK at high thread counts. A canceled run ends at its next barrier.
 func SSSPDelta(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, delta int32) (*SSSPResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -96,9 +95,6 @@ func SSSPDelta(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 		tid := ctx.TID()
 		lo, hi := chunk(tid, threads, n)
 		for {
-			if ctx.Checkpoint() != nil {
-				return
-			}
 			// Find the next band start among marked vertices.
 			local := graph.Inf
 			for v := lo; v < hi; v++ {
@@ -138,9 +134,6 @@ func SSSPDelta(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threa
 			// Sweep the band to a fixed point: relaxations may re-mark
 			// vertices inside the band.
 			for {
-				if ctx.Checkpoint() != nil {
-					return
-				}
 				changed[tid] = 0
 				if tid == 0 {
 					rounds++
@@ -230,7 +223,7 @@ type BFSTargetResult struct {
 // BFSTarget searches for a target vertex as the paper's Section III-4
 // describes BFS ("the algorithm searches for a target vertex"): a
 // level-synchronous sweep that stops at the level where the target is
-// claimed. Cancellation is polled once per level.
+// claimed. A canceled run ends at its next barrier.
 func BFSTarget(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, target, threads int) (*BFSTargetResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -259,9 +252,6 @@ func BFSTarget(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, targe
 		lo, hi := chunk(tid, threads, n)
 		cur := int32(0)
 		for {
-			if ctx.Checkpoint() != nil {
-				return
-			}
 			changed[tid] = 0
 			for v := lo; v < hi; v++ {
 				ctx.AtomicLoad(rLvl.At(v))
@@ -508,7 +498,7 @@ func BrandesRef(g *graph.CSR) []float64 {
 // software-level answer to the lock bottleneck the paper characterizes.
 // On directed graphs this now matches PageRankRef exactly; earlier
 // revisions pulled over the out-CSR, which was only correct for the
-// symmetric generator graphs. Cancellation is polled once per iteration.
+// symmetric generator graphs. A canceled run ends at its next barrier.
 func PageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, iters int) (*PageRankResult, error) {
 	return pageRankPull(goCtx, pl, g, threads, iters, nil)
 }
@@ -580,9 +570,6 @@ func (k *pageRankPullRun) run(ctx exec.Ctx) {
 	tid := ctx.TID()
 	lo, hi := chunk(tid, threads, n)
 	for it := 0; it < iters; it++ {
-		if ctx.Checkpoint() != nil {
-			return
-		}
 		// Publish contributions for this iteration. The divisor is
 		// the out-degree of the contributor, from the forward graph.
 		for v := lo; v < hi; v++ {

@@ -93,11 +93,12 @@ type Platform interface {
 	Run(threads int, body func(Ctx)) *Report
 	// RunCtx executes body on the given number of threads under ctx.
 	// Cancellation is cooperative: when ctx is canceled or its deadline
-	// expires, the next Ctx.Checkpoint any thread reaches returns the
-	// context error, every barrier waiter of the run is released, and
-	// once all threads have returned RunCtx reports (nil, ctx.Err()),
-	// discarding the partial counters. A ctx that is never canceled
-	// yields exactly Run's behavior.
+	// expires, the next barrier generation to complete or Ctx.Checkpoint
+	// to poll sees it, every thread ends at its next barrier (see Sync)
+	// or returns on its Checkpoint's error, and once all threads have
+	// ended RunCtx reports (nil, ctx.Err()), discarding the partial
+	// counters. A ctx that is never canceled yields exactly Run's
+	// behavior.
 	RunCtx(ctx context.Context, threads int, body func(Ctx)) (*Report, error)
 }
 

@@ -59,15 +59,20 @@ type Sync interface {
 	Lock(l Lock)
 	// Unlock releases l.
 	Unlock(l Lock)
-	// Barrier blocks until all parties of b arrive.
+	// Barrier blocks until all parties of b arrive. It is the run's
+	// cancellation point: the last arriver of a generation polls the run
+	// context, and in an aborted run Barrier never returns — it ends the
+	// calling thread (runtime.Goexit), waiters and later arrivals alike,
+	// after withdrawing its arrival so b stays reusable by a later run. A
+	// thread that returns from Barrier therefore passed a completed
+	// generation, and a round loop needs no poll of its own.
 	Barrier(b Barrier)
-	// Checkpoint polls for cooperative cancellation. Kernels call it at
-	// phase boundaries (a BFS level, a PageRank iteration, a captured
-	// vertex) so the hot loop stays annotation-only. A non-nil return is
-	// the run context's error; the kernel body must return immediately
-	// without further synchronization — once any thread observes the
-	// abort, the platform releases every barrier waiter of the run so
-	// all threads reach their own next Checkpoint.
+	// Checkpoint polls for cooperative cancellation where no barrier
+	// does: inside a barrier-free loop that may run long (a captured
+	// vertex or source, a search branch, a slice of a phase). A non-nil
+	// return is the run context's error; the kernel body must return
+	// immediately. The poll aborts the run, so every other thread ends at
+	// its next barrier.
 	Checkpoint() error
 }
 
@@ -244,7 +249,8 @@ func (t *Thread) Unlock(l Lock) {
 	t.sync.Unlock(l)
 }
 
-// Barrier blocks until all parties of b arrive.
+// Barrier blocks until all parties of b arrive; in an aborted run it ends
+// the thread instead of returning (see Sync).
 func (t *Thread) Barrier(b Barrier) { t.sync.Barrier(b) }
 
 // Checkpoint polls for cooperative cancellation; see Sync.

@@ -13,6 +13,7 @@ package native
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +47,8 @@ type Platform struct {
 	wg     sync.WaitGroup
 
 	// The run in progress. Written before the threads are spawned, read
-	// by them; aborted is set by the first Checkpoint that observes the
-	// cancellation of cause.
+	// by them; aborted is set by the first Checkpoint or barrier that
+	// observes the cancellation of cause.
 	body    func(exec.Ctx)
 	cause   context.Context
 	threads int
@@ -113,11 +114,28 @@ func (p *Platform) NewBarrier(parties int) exec.Barrier {
 	return b
 }
 
+// wait is the run's cancellation point. The last arriver of a generation
+// polls the run context before releasing it; in an aborted run the barrier
+// never returns but ends the calling thread, after withdrawing its arrival
+// so a barrier reused by a later run still needs a full complement of
+// parties. A thread returns only from a completed generation, so every
+// thread that runs on is ordered by the barrier it passed.
 func (b *barrier) wait(c *thread) {
+	p := c.p
 	b.mu.Lock()
+	if p.aborted.Load() {
+		b.mu.Unlock()
+		runtime.Goexit()
+	}
 	gen := b.gen
 	b.waiting++
 	if b.waiting == b.parties {
+		if p.cause.Err() != nil {
+			b.waiting--
+			b.mu.Unlock()
+			p.trip() // locks the parked barriers' mutexes, b's among them
+			runtime.Goexit()
+		}
 		b.waiting = 0
 		b.gen++
 		b.cond.Broadcast()
@@ -128,15 +146,14 @@ func (b *barrier) wait(c *thread) {
 	// parked, so either this thread sees the abort or trip sees b, and
 	// trip's broadcast needs b.mu, which is free only once Wait parked.
 	c.parked.Store(b)
-	for b.gen == gen && !c.p.aborted.Load() {
+	for b.gen == gen && !p.aborted.Load() {
 		b.cond.Wait()
 	}
 	c.parked.Store(nil)
 	if b.gen == gen {
-		// Aborted before the generation completed: withdraw the arrival
-		// so a barrier reused after an aborted run still needs a full
-		// complement of parties.
 		b.waiting--
+		b.mu.Unlock()
+		runtime.Goexit()
 	}
 	b.mu.Unlock()
 }
@@ -205,9 +222,12 @@ func (p *Platform) ensure(threads int) {
 		p.thr = append(p.thr, c)
 		p.thunks = append(p.thunks, func() {
 			t0 := time.Now()
+			// Deferred: a barrier of an aborted run ends the thread.
+			defer func() {
+				c.busyNs = uint64(time.Since(t0))
+				p.wg.Done()
+			}()
 			p.body(c.t)
-			c.busyNs = uint64(time.Since(t0))
-			p.wg.Done()
 		})
 	}
 }
@@ -230,9 +250,10 @@ func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx
 
 // RunInto is RunCtx writing into a report the caller supplies, reusing
 // the capacity of its slices: with a report kept across runs a warm run
-// performs zero heap allocations. On cancellation all threads unwind at
-// their next checkpoint (barrier waiters are released first), rep is
-// left untouched and the context's error is returned.
+// performs zero heap allocations. On cancellation every thread ends at
+// its next barrier (parked waiters are woken to end at theirs) or returns
+// at its next Checkpoint, rep is left untouched and the context's error
+// is returned.
 func (p *Platform) RunInto(goCtx context.Context, threads int, body func(exec.Ctx), rep *exec.Report) error {
 	if goCtx == nil {
 		goCtx = context.Background()

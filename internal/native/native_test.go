@@ -306,31 +306,60 @@ func TestReusableCancellationReleasesBarrierWaiters(t *testing.T) {
 
 // TestBarrierAbortedWaiterDoesNotCorruptReuse pins the withdrawal at the
 // barrier itself, without a schedule to get lucky on: a lone arrival
-// released by an abort must not stay counted, or the reused two-party
-// barrier releases with one arrival.
+// ended by an abort must not stay counted, or the reused two-party
+// barrier releases with one arrival. The ended thread leaves no goroutine
+// behind.
 func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	p := New()
-	p.ensure(2)
-	b := p.NewBarrier(2).(*barrier)
-	p.aborted.Store(true)
-	b.wait(p.thr[0]) // lone arrival, released by the dead run's abort
-	p.aborted.Store(false)
+	b := p.NewBarrier(2)
+	base := runtime.NumGoroutine()
+	goCtx, cancel := context.WithCancel(context.Background())
+	_, err := p.RunCtx(goCtx, 2, func(c exec.Ctx) {
+		if c.TID() == 1 {
+			c.Barrier(b) // lone arrival, ended by the abort
+			t.Error("Barrier returned in an aborted run")
+			return
+		}
+		for p.thr[1].parked.Load() == nil {
+			runtime.Gosched()
+		}
+		cancel()
+		if c.Checkpoint() == nil {
+			t.Error("Checkpoint missed the cancellation")
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	goroutinesSettle(t, base)
 
 	released := make(chan struct{})
-	go func() {
-		b.wait(p.thr[1])
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("reused barrier released with one arrival out of two")
-	case <-time.After(50 * time.Millisecond):
+	p.Run(2, func(c exec.Ctx) {
+		if c.TID() == 1 {
+			c.Barrier(b)
+			close(released)
+			return
+		}
+		select {
+		case <-released:
+			t.Error("reused barrier released with one arrival out of two")
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		c.Barrier(b) // second arrival completes the generation
+	})
+}
+
+// goroutinesSettle fails t unless the goroutine count falls back to base:
+// wg.Done runs in a thread's deferred exit, so give the exits a moment.
+func goroutinesSettle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	b.wait(p.thr[0]) // second arrival completes the generation
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("barrier never released after both parties arrived")
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the runs, %d before", n, base)
 	}
 }
 
@@ -372,14 +401,7 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		New().Run(4, func(c exec.Ctx) { c.Compute(1) })
 	}
-	// wg.Done is a thread's last statement; give the exits a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("%d goroutines after 100 platforms ran, %d before", n, base)
-	}
+	goroutinesSettle(t, base)
 }
 
 func TestReusableClosedRejectsRuns(t *testing.T) {

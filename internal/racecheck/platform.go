@@ -133,7 +133,7 @@ type srun struct {
 
 	events chan event
 	resume []chan struct{}
-	reply  []error // Checkpoint return value, written before resume
+	reply  []error // Checkpoint or Barrier verdict, written before resume
 
 	state    []threadState
 	instr    []uint64
@@ -172,11 +172,12 @@ func callerPC() uintptr {
 // RunCtx implements exec.Platform. The scheduler runs on the calling
 // goroutine: it parks every kernel thread and hands the single
 // execution token to one thread at a time, round-robin, taking it back
-// at each annotation. Cancellation follows the exec contract: the next
-// Checkpoint after goCtx is canceled returns the error, all barrier
-// waiters are released (without the barrier's happens-before join — an
-// aborted generation synchronizes nothing), and RunCtx reports
-// (nil, ctx.Err()).
+// at each annotation. Cancellation follows the exec contract: a barrier's
+// last arriver and every Checkpoint poll goCtx; once one sees it canceled,
+// every thread ends at its next barrier (waiters end where they wait,
+// without the barrier's happens-before join — an aborted generation
+// synchronizes nothing), a Checkpoint returns the error, and RunCtx
+// reports (nil, ctx.Err()).
 func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)) (*exec.Report, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("racecheck: threads %d < 1", threads)
@@ -196,9 +197,10 @@ func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx
 		r.resume[t] = make(chan struct{})
 		go func(t int) {
 			<-r.resume[t]
+			// Deferred: a barrier of an aborted run ends the thread.
+			defer func() { r.events <- event{tid: t, kind: evDone} }()
 			c := &sctx{run: r, tid: t}
 			body(exec.NewThread(t, threads, c, c))
-			r.events <- event{tid: t, kind: evDone}
 		}(t)
 	}
 
@@ -261,23 +263,29 @@ func (r *srun) schedule() error {
 				ev.lock.holder = -1
 			}
 		case evBarrier:
+			// A barrier of an aborted run ends the thread when it resumes.
+			r.reply[ev.tid] = r.runErr
 			if r.runErr != nil {
-				break // post-abort barriers return immediately
+				break
 			}
 			ev.bar.waiting = append(ev.bar.waiting, ev.tid)
 			if len(ev.bar.waiting) == 1 {
 				r.barriers = append(r.barriers, ev.bar)
 			}
-			if len(ev.bar.waiting) == ev.bar.parties {
-				joined := r.p.det.barrierJoin(ev.bar.waiting)
-				for _, u := range ev.bar.waiting {
-					r.p.det.barrierLeave(u, joined)
-					r.state[u] = tsRunnable
-				}
-				ev.bar.waiting = ev.bar.waiting[:0]
-			} else {
+			if len(ev.bar.waiting) < ev.bar.parties {
 				r.state[ev.tid] = tsBlocked
+				break
 			}
+			if err := r.goCtx.Err(); err != nil {
+				r.abort(err) // ends this arriver with the waiters
+				break
+			}
+			joined := r.p.det.barrierJoin(ev.bar.waiting)
+			for _, u := range ev.bar.waiting {
+				r.p.det.barrierLeave(u, joined)
+				r.state[u] = tsRunnable
+			}
+			ev.bar.waiting = ev.bar.waiting[:0]
 		case evCheckpoint:
 			err := r.runErr
 			if err == nil {
@@ -295,13 +303,15 @@ func (r *srun) schedule() error {
 }
 
 // abort records the cooperative cancellation: the detector stops
-// recording and every barrier waiter is released without a clock join.
+// recording and every barrier waiter is resumed, without a clock join, to
+// end its thread.
 func (r *srun) abort(err error) {
 	r.runErr = err
 	r.p.det.abort()
 	for _, b := range r.barriers {
 		for _, u := range b.waiting {
 			r.state[u] = tsRunnable
+			r.reply[u] = err
 		}
 		b.waiting = b.waiting[:0]
 	}
@@ -429,6 +439,9 @@ func (c *sctx) Barrier(b exec.Barrier) {
 		panic("racecheck: foreign barrier handle")
 	}
 	c.yield(event{kind: evBarrier, bar: sb})
+	if c.run.reply[c.tid] != nil {
+		runtime.Goexit()
+	}
 }
 
 func (c *sctx) Checkpoint() error {

@@ -6,8 +6,11 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"crono/internal/exec"
 	"crono/internal/native"
@@ -186,42 +189,53 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestBarrierAbortNoPhantomRaces cancels a run while threads sit at a
-// barrier. The abort releases the waiters without the barrier's clock
-// join; the detector must stop recording instead of reporting the
-// unwinding threads' accesses as races.
-func TestBarrierAbortNoPhantomRaces(t *testing.T) {
-	pl := New()
-	n := 8
-	data := make([]int32, n)
-	r := pl.Alloc("abort.data", n, 4)
-	bar := pl.NewBarrier(2)
-	goCtx, cancel := context.WithCancel(context.Background())
-	_, err := pl.RunCtx(goCtx, 2, func(ctx exec.Ctx) {
+// abortingRounds is a two-thread round loop canceled by thread 0 in
+// round 1: each round a thread writes its own half of r, crosses bar,
+// reads the other half and crosses bar again. The cross read is ordered
+// only by a barrier generation that completed and joined; in the aborted
+// run no Barrier may return, so it never runs unordered. returned counts
+// the Barrier calls that returned after the cancel.
+func abortingRounds(data []int32, r exec.Region, bar exec.Barrier, cancel func(), returned *atomic.Int32) func(exec.Ctx) {
+	var canceled atomic.Bool
+	return func(ctx exec.Ctx) {
 		tid := ctx.TID()
 		for round := 0; ; round++ {
 			for i := tid * 4; i < tid*4+4; i++ {
 				data[i] = int32(round)
 				ctx.Store(r.At(i))
 			}
-			ctx.Barrier(bar)
 			if tid == 0 && round == 1 {
 				cancel()
-			}
-			if ctx.Checkpoint() != nil {
-				// Unwind touching the *other* thread's chunk: ordered
-				// only if the detector wrongly joined an aborted
-				// barrier, racy otherwise — either way it must not be
-				// reported after the abort.
-				other := (1 - tid) * 4
-				ctx.Load(r.At(other))
-				return
+				canceled.Store(true)
 			}
 			ctx.Barrier(bar)
+			if canceled.Load() {
+				returned.Add(1)
+			}
+			ctx.Load(r.At((1 - tid) * 4))
+			_ = data[(1-tid)*4]
+			ctx.Barrier(bar)
 		}
-	})
+	}
+}
+
+// TestBarrierAbortNoPhantomRaces cancels a round loop on the standalone
+// scheduler. The barrier whose last arrival sees the cancellation ends
+// both threads instead of returning, so no access runs unordered and the
+// detector reports nothing.
+func TestBarrierAbortNoPhantomRaces(t *testing.T) {
+	pl := New()
+	data := make([]int32, 8)
+	r := pl.Alloc("abort.data", len(data), 4)
+	bar := pl.NewBarrier(2)
+	goCtx, cancel := context.WithCancel(context.Background())
+	var returned atomic.Int32
+	_, err := pl.RunCtx(goCtx, 2, abortingRounds(data, r, bar, cancel, &returned))
 	if err != context.Canceled {
 		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
+	}
+	if n := returned.Load(); n != 0 {
+		t.Fatalf("Barrier returned %d times after the cancel", n)
 	}
 	if races := pl.Races(); len(races) != 0 {
 		t.Fatalf("aborted run reported phantom races:\n%s", formatRaces(races))
@@ -229,38 +243,98 @@ func TestBarrierAbortNoPhantomRaces(t *testing.T) {
 }
 
 // TestWrapAbortNoPhantomRaces is the same contract for the proxy mode
-// over the native platform, where the inner barrier does the blocking.
+// over the native platform, where the inner barrier ends the threads: a
+// wrapped Barrier that returned without its generation's join would
+// panic, and its cross read would race.
 func TestWrapAbortNoPhantomRaces(t *testing.T) {
-	for round := 0; round < 10; round++ {
+	for i := 0; i < 10; i++ {
 		ck := Wrap(native.New())
-		n := 8
-		data := make([]int32, n)
-		r := ck.Alloc("abort.data", n, 4)
+		data := make([]int32, 8)
+		r := ck.Alloc("abort.data", len(data), 4)
 		bar := ck.NewBarrier(2)
 		goCtx, cancel := context.WithCancel(context.Background())
-		_, err := ck.RunCtx(goCtx, 2, func(ctx exec.Ctx) {
-			tid := ctx.TID()
-			for round := 0; ; round++ {
-				for i := tid * 4; i < tid*4+4; i++ {
-					data[i] = int32(round)
-					ctx.Store(r.At(i))
-				}
-				ctx.Barrier(bar)
-				if tid == 0 && round == 1 {
-					cancel()
-				}
-				if ctx.Checkpoint() != nil {
-					return
-				}
-				ctx.Barrier(bar)
-			}
-		})
+		var returned atomic.Int32
+		_, err := ck.RunCtx(goCtx, 2, abortingRounds(data, r, bar, cancel, &returned))
 		if err != context.Canceled {
 			t.Fatalf("RunCtx error = %v, want context.Canceled", err)
+		}
+		if n := returned.Load(); n != 0 {
+			t.Fatalf("Barrier returned %d times after the cancel", n)
 		}
 		if races := ck.Races(); len(races) != 0 {
 			t.Fatalf("aborted wrapped run reported phantom races:\n%s", formatRaces(races))
 		}
+	}
+}
+
+// TestBarrierReuseAfterAbort: an abort ends the barrier's lone waiter
+// (thread 1) and a thread arriving after it (thread 2), and the barrier,
+// reused by the next run, still joins both parties — thread 1's read of
+// thread 0's write is ordered only if it waited for thread 0. In Wrap
+// mode the waiter leaves a half-joined generation behind, which the next
+// run must discard. Both modes; no goroutine outlives the runs.
+func TestBarrierReuseAfterAbort(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, pl := range []interface {
+		exec.Platform
+		Races() []Race
+	}{New(), Wrap(native.New())} {
+		data := make([]int32, 1)
+		r := pl.Alloc("reuse.data", 1, 4)
+		bar := pl.NewBarrier(2)
+		goCtx, cancel := context.WithCancel(context.Background())
+		var arriving atomic.Bool
+		_, err := pl.RunCtx(goCtx, 3, func(ctx exec.Ctx) {
+			switch ctx.TID() {
+			case 0:
+				for !arriving.Load() {
+					ctx.Compute(1) // yields to the standalone scheduler
+					runtime.Gosched()
+				}
+				cancel()
+				if ctx.Checkpoint() == nil {
+					t.Error("Checkpoint missed the cancellation")
+				}
+				return
+			case 1:
+				arriving.Store(true)
+			case 2:
+				for ctx.Checkpoint() == nil {
+					ctx.Compute(1)
+				}
+			}
+			ctx.Barrier(bar)
+			t.Errorf("%s: Barrier returned to thread %d in an aborted run", pl.Name(), ctx.TID())
+		})
+		if err != context.Canceled {
+			t.Fatalf("%s: RunCtx error = %v, want context.Canceled", pl.Name(), err)
+		}
+		pl.Run(2, func(ctx exec.Ctx) {
+			if ctx.TID() == 0 {
+				for i := 0; i < 8; i++ {
+					ctx.Compute(1)
+				}
+				data[0] = 1
+				ctx.Store(r.At(0))
+				ctx.Barrier(bar)
+				return
+			}
+			ctx.Barrier(bar)
+			ctx.Load(r.At(0))
+			if data[0] != 1 {
+				t.Errorf("%s: reused barrier released thread 1 alone", pl.Name())
+			}
+		})
+		if races := pl.Races(); len(races) != 0 {
+			t.Fatalf("%s: reused barrier did not join:\n%s", pl.Name(), formatRaces(races))
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the runs, %d before", n, base)
 	}
 }
 

@@ -29,8 +29,9 @@ type Checker struct {
 // wrapBarrier tracks the happens-before bookkeeping of one wrapped
 // barrier. Arrivals merge their clocks into the pending join before
 // blocking on the inner barrier; the last arrival completes the
-// generation. A waiter that returns from the inner barrier with its
-// generation incomplete was released by an abort: it takes no join.
+// generation. The inner barrier returns only from a completed generation
+// (in an aborted run it ends the thread), so every waiter that returns
+// finds its generation's join.
 type wrapBarrier struct {
 	parties int
 	arrived int
@@ -98,7 +99,8 @@ func (c *Checker) Run(threads int, body func(exec.Ctx)) *exec.Report {
 	return rep
 }
 
-// RunCtx implements exec.Platform: per-run clock state is reset, then
+// RunCtx implements exec.Platform: per-run clock state is reset —
+// including any barrier generation an aborted run left half joined — then
 // the inner platform executes the wrapped body.
 func (c *Checker) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)) (*exec.Report, error) {
 	c.mu.Lock()
@@ -217,9 +219,7 @@ func (w *wctx) Unlock(l exec.Lock) {
 // Barrier merges this thread's clock into the generation's pending join
 // before blocking on the inner barrier. The last arrival completes the
 // generation; every waiter picks the joined clock up after the inner
-// barrier releases it. A waiter whose generation never completed was
-// released by an abort: it marks the detector aborted instead of taking
-// a join, so unwinding accesses cannot surface as phantom races.
+// barrier releases it.
 func (w *wctx) Barrier(b exec.Barrier) {
 	tid := w.inner.TID()
 	w.c.mu.Lock()
@@ -252,11 +252,6 @@ func (w *wctx) Barrier(b exec.Barrier) {
 		return
 	}
 	g := wb.done[myGen]
-	if g == nil {
-		// Released without the generation completing: the run aborted.
-		w.c.det.abort()
-		return
-	}
 	w.c.det.barrierLeave(tid, g.joined)
 	g.consumed++
 	if g.consumed == wb.parties {

@@ -697,9 +697,8 @@ func (s *Server) runOne(p *pending, rp runPlan) runOut {
 		creq.Scratch = sc
 		defer s.scratches.Put(sc)
 	}
-	// The request context reaches the kernel's Checkpoint polls: a
-	// canceled or deadlined request aborts the run within one kernel
-	// round, freeing this worker slot long before the kernel would have
+	// The request context reaches the kernel's barriers: a canceled or
+	// deadlined request aborts the run within one kernel round, freeing this worker slot long before the kernel would have
 	// completed. A repair the kernel declines falls back to a full run.
 	var res *core.Result
 	var err error

@@ -162,19 +162,22 @@ func TestCheckpointFreeInVirtualTime(t *testing.T) {
 }
 
 // TestBarrierAbortedWaiterDoesNotCorruptReuse regression, mirroring the
-// native barrier audit: a waiter released via the abort channel must
+// native barrier audit: a waiter ended via the abort channel must
 // withdraw its arrival, or a barrier reused by a later run releases with
-// fewer than parties arrivals and desynchronizes its phases.
+// fewer than parties arrivals and desynchronizes its phases. The ended
+// thread leaves no goroutine behind.
 func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	m := mustMachine(t, smallConfig())
 	bar := m.NewBarrier(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	var inBarrier atomic.Bool
+	before := runtime.NumGoroutine()
 
 	_, err := m.RunCtx(ctx, 2, func(c exec.Ctx) {
 		if c.TID() == 0 {
 			inBarrier.Store(true)
-			c.Barrier(bar) // thread 1 never arrives; released by the abort
+			c.Barrier(bar) // thread 1 never arrives; ended by the abort
+			t.Error("Barrier returned in an aborted run")
 			return
 		}
 		for !inBarrier.Load() {
@@ -188,6 +191,13 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted run returned %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second) // the threads' deferred exits
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d: the ended thread leaked", before, after)
 	}
 
 	// Reuse the same barrier in a fresh run: every phase must again need

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -124,8 +125,9 @@ type homeShard struct {
 var _ exec.Platform = (*Machine)(nil)
 
 // runControl carries one run's cooperative-cancellation state: the run
-// context polled by Checkpoint and an abort channel, closed once, that
-// releases barrier waiters and throttle sleepers when the run dies.
+// context polled by Checkpoint and by each barrier's last arriver, and an
+// abort channel, closed once, that ends barrier waiters and releases
+// throttle sleepers when the run dies.
 type runControl struct {
 	cause context.Context
 	abort chan struct{}
@@ -320,8 +322,8 @@ type simBarrier struct {
 // barrierGen is one barrier generation. The last arriver stamps release
 // (the reconciled virtual time all parties resume at) and closes ch;
 // waiters select on ch and on the run's abort channel, so a canceled run
-// releases every waiter even when some parties already exited at a
-// checkpoint and will never arrive.
+// ends every waiter even when some parties already ended and will never
+// arrive.
 type barrierGen struct {
 	waiting int
 	maxArr  uint64
@@ -1010,11 +1012,22 @@ func (c *ctx) Unlock(l exec.Lock) {
 }
 
 // Barrier implements exec.Sync: all parties reconcile to the maximum
-// arrival time plus a mesh-wide release broadcast.
+// arrival time plus a mesh-wide release broadcast. It is the run's
+// cancellation point, as natively: the last arriver polls the run context
+// before releasing the generation, and in an aborted run the barrier never
+// returns but ends the calling thread, after withdrawing its arrival so a
+// barrier reused by a later run still needs every party. The poll and the
+// abort cost no simulated time.
 func (c *ctx) Barrier(b exec.Barrier) {
 	sb, ok := b.(*simBarrier)
 	if !ok {
 		panic("sim: foreign barrier handle")
+	}
+	rc := c.m.run
+	select {
+	case <-rc.abort:
+		runtime.Goexit()
+	default:
 	}
 	c.m.nows[c.tid].Store(blockedClock)
 	sb.mu.Lock()
@@ -1024,6 +1037,12 @@ func (c *ctx) Barrier(b exec.Barrier) {
 	}
 	g.waiting++
 	if g.waiting == sb.parties {
+		if rc.cause.Err() != nil {
+			g.waiting--
+			sb.mu.Unlock()
+			rc.trip()
+			runtime.Goexit()
+		}
 		g.release = g.maxArr + sb.cost
 		sb.gen = &barrierGen{ch: make(chan struct{})}
 		sb.mu.Unlock()
@@ -1032,19 +1051,14 @@ func (c *ctx) Barrier(b exec.Barrier) {
 		sb.mu.Unlock()
 		select {
 		case <-g.ch:
-		case <-c.m.run.abort:
-			// The run died: withdraw the arrival unless the generation
-			// completed anyway (a stale count would let a barrier reused
-			// by a later run release early), then resume without
-			// virtual-time reconciliation so this thread reaches its
-			// next checkpoint and exits.
+		case <-rc.abort:
 			sb.mu.Lock()
 			if sb.gen == g {
 				g.waiting--
+				sb.mu.Unlock()
+				runtime.Goexit()
 			}
 			sb.mu.Unlock()
-			c.publish()
-			return
 		}
 	}
 	if g.release > c.now {
@@ -1072,10 +1086,10 @@ func (m *Machine) Run(threads int, body func(exec.Ctx)) *exec.Report {
 	return rep
 }
 
-// RunCtx implements exec.Platform. On cancellation the lax-sync barrier
-// releases all waiters, window throttling stops sleeping, every thread
-// unwinds at its next checkpoint, and the partial timing model state of
-// the run is discarded.
+// RunCtx implements exec.Platform. On cancellation every thread ends at
+// its next barrier (waiters end where they wait) or returns at its next
+// Checkpoint, window throttling stops sleeping, and the partial timing
+// model state of the run is discarded.
 func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)) (*exec.Report, error) {
 	if goCtx == nil {
 		goCtx = context.Background()
@@ -1101,10 +1115,13 @@ func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 	for t := 0; t < threads; t++ {
 		ctxs[t] = &ctx{m: m, tid: t, core: m.placeThread(t, threads), threads: threads}
 		go func(c *ctx) {
-			defer wg.Done()
+			// Deferred: a barrier of an aborted run ends the thread. A
+			// finished thread must not hold the window back.
+			defer func() {
+				m.nows[c.tid].Store(blockedClock)
+				wg.Done()
+			}()
 			body(exec.NewThread(c.tid, threads, c, c))
-			// A finished thread must not hold the window back.
-			m.nows[c.tid].Store(blockedClock)
 		}(ctxs[t])
 	}
 	wg.Wait()

@@ -124,8 +124,8 @@ func Run(ctx context.Context, sc *Scenario, opts Options) (*Report, error) {
 	elapsed := time.Since(start)
 
 	// Drain: drop fleet keep-alives, then wait for the server to quiesce
-	// before the final scrape — canceled kernels abort at their next
-	// checkpoint, so in-flight work needs a beat to unwind.
+	// before the final scrape — canceled kernels end at their next
+	// barrier, so in-flight work needs a beat to unwind.
 	if t, ok := client.HTTP.Transport.(*http.Transport); ok && t != nil {
 		t.CloseIdleConnections()
 	} else {

@@ -272,13 +272,6 @@ func Replay(pl exec.Platform, tr *Trace) (*exec.Report, error) {
 			case opUnlock:
 				ctx.Unlock(locks[rec.a])
 			case opBarrier:
-				// Poll for cancellation at every recorded barrier — the
-				// same phase-boundary discipline live kernels follow —
-				// so a replay dies cleanly when the platform run is
-				// canceled instead of spinning through the stream.
-				if ctx.Checkpoint() != nil {
-					return
-				}
 				ctx.Barrier(bars[rec.a])
 			case opActive:
 				ctx.Active(int(int64(rec.a)))
