@@ -1,53 +1,41 @@
-// Command crono-bench times the graph-division kernels and emits a
-// perf-trajectory JSON artifact. It has two modes:
+// Command crono-bench measures the graph-division kernels in counts that
+// repeat bit for bit and writes them to a JSON artifact. Every column is
+// the ratio of two exact counts taken at one thread, where no schedule
+// decides a CAS winner:
 //
-//   - native (default): times the scan and frontier execution strategies
-//     on the native platform and writes BENCH_kernels.json; BFS specs
-//     large enough to carry a full batch additionally time one 64-source
-//     bit-parallel pass against the same sources run one at a time. It
-//     is the regression guard for the frontier fast paths and the
-//     batched kernel.
-//   - sim: times the simulator's sharded memory system against the
-//     -serialized global-lock baseline (Config.SerialMemory) on the same
-//     kernels and writes BENCH_sim.json. It is the regression guard for
-//     the home-tile lock sharding: the reported speedup is serialized
-//     host wall-clock over sharded host wall-clock, so it tracks how
-//     much simulator throughput the sharding buys on this host.
+//   - frontier: scan over frontier native instructions;
+//   - batched (BFS): BFSBatchWidth single-source frontier runs over one
+//     bit-parallel BFSBatch pass of the same sources, native instructions;
+//   - degreesim, rcmsim (orderable kernels): the frontier strategy
+//     unordered over reordered, in cycles of one simulated thread on the
+//     default machine, with n capped at simOrderN.
+//
+// The counts are the same on every run and host, so an -assert floor on
+// them cannot be tripped by runner load. The wall-clock arms of the same
+// kernels are measured by the repository benchmark in bench/.
+//
+// A BFS or SSSP_DIJK row runs one trial per source: trialSources seeded
+// vertices of the graph's largest component, never an isolated vertex.
+// The artifact records each trial's source, reached-vertex count and
+// counts, and a column's ratio is its worst trial. The batched column
+// draws its sources the same way.
+//
+// The warm column is the allocation discipline of the frontier strategy:
+// allocs/op of warm reruns on one native platform with a reused
+// core.Scratch, at warmThreads threads.
 //
 // Usage:
 //
-//	crono-bench                            # default native spec matrix
-//	crono-bench -spec BFS:road-ca:1048576 -assert BFS:road-ca:2.0
-//	crono-bench -assert PageRank:social:degree:1.2
+//	crono-bench                                  # default spec matrix
+//	crono-bench -spec BFS:road-ca:262144 -assert BFS:road-ca:14
+//	crono-bench -assert BFS:social:batched:4.6,BFS:social:rcmsim:0.5
 //	crono-bench -assertallocs BFS:social:0
-//	crono-bench -mode sim -hostthreads 8   # sharded-vs-serial simulator
-//	crono-bench -mode sim -assert BFS:sparse:1.2
-//	crono-bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Each -spec entry is kernel:graph:n; each -assert entry is
-// kernel:graph:minSpeedup or kernel:graph:column:minSpeedup, where
-// column names the speedup to floor — "frontier" (the default for the
-// three-field form), "batched" (sequential single-source runs vs one
-// bit-parallel pass, native BFS only), "degree"/"rcm" (the frontier
-// strategy unordered vs on the reordered CSR, host wall-clock),
-// "degreesim"/"rcmsim" (the same
-// head-to-head in deterministic simulated cycles on the futuristic
-// multicore — the noise-immune columns CI floors ordering wins on) or
-// "autodelta" (SSSP_DIJK frontier with the fixed default band width vs
-// the auto-tuned one) — and must name a spec that ran (in sim mode the
-// assertion is checked against the scan-strategy result and only the
-// three-field form is meaningful).
-//
-// Native mode also measures the warm-path allocation discipline: for the
-// scratch-aware kernels it reruns the frontier strategy on the reusable
-// platform with a reused core.Scratch and records allocs/op and
-// bytes/op after warm-up. Each -assertallocs entry is
+// Each -spec entry is kernel:graph:n. Each -assert entry is
+// kernel:graph:min or kernel:graph:column:min, where column is frontier
+// (the three-field default), batched, degreesim or rcmsim and must name a
+// column the spec ran. Each -assertallocs entry is
 // kernel:graph:maxAllocsPerOp (0 = the zero-allocation gate).
-//
-// Sim-mode speedups depend on host parallelism: a single-CPU host runs
-// the simulated cores one at a time, so sharding the memory-system lock
-// cannot beat ~1x there. The artifact records hostCPUs so readers can
-// judge the number.
 package main
 
 import (
@@ -55,143 +43,101 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"crono/internal/core"
+	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
 	"crono/internal/sim"
 )
 
-// defaultSpec sizes each kernel so the whole run stays in CI-smoke
-// territory at -reps 1 while the road-network BFS entry is big enough
-// (1M vertices) to expose the asymptotic scan-vs-frontier gap. The
-// social-graph BFS entry is where the push-to-pull direction switch and
-// the bit-parallel batched kernel show their wins: small-world frontiers
-// overlap, which is exactly what both exploit.
-// PageRank:social is the ordering showcase: pull-mode PageRank gathers
-// over the in-edges of every vertex, so hub packing (degree ordering)
-// concentrates the hot rank entries on few cache lines.
+// defaultSpec sizes the road-network BFS entry (1M vertices) to expose
+// the asymptotic scan-vs-frontier gap. The social-graph BFS entry is
+// where the push-to-pull switch and the bit-parallel batched kernel
+// show: small-world frontiers overlap, which both exploit. PageRank on
+// social is the ordering showcase: pull-mode PageRank gathers over the
+// in-edges of every vertex.
 const defaultSpec = "BFS:road-ca:1048576,BFS:social:65536,SSSP_DIJK:road-ca:131072,CONN_COMP:road-ca:262144,COMM:social:32768,PageRank:social:131072"
 
-// defaultSimSpec keeps the simulator runs small enough for CI: the
-// detailed memory-system model costs ~1000x native execution per
-// annotation. Sparse uniform graphs keep every simulated core busy
-// (road-network BFS from vertex 0 touches a tiny component and would
-// benchmark an idle machine).
-const defaultSimSpec = "BFS:sparse:16384,SSSP_DIJK:sparse:4096"
+const (
+	// trialSources is how many sources a BFS or SSSP_DIJK row draws.
+	trialSources = 4
+	// simOrderN caps the vertex count of the simulated ordering columns:
+	// the detailed memory-system model costs ~1000x native execution.
+	simOrderN = 16384
+	// warmThreads is the thread count of the warm allocation measurement.
+	warmThreads = 8
+)
 
-type benchResult struct {
-	Kernel     string `json:"kernel"`
-	Graph      string `json:"graph"`
-	N          int    `json:"n"`
-	M          int    `json:"m"`
-	Threads    int    `json:"threads"`
-	ScanNs     uint64 `json:"scanNs"`
-	FrontierNs uint64 `json:"frontierNs"`
-	// Speedup is scan time over frontier time; > 1 means the frontier
-	// strategy is faster.
-	Speedup float64 `json:"speedup"`
-	// The batched columns are present only for BFS specs with at least
-	// BFSBatchWidth vertices: BatchedSeqNs runs BFSBatchWidth evenly
-	// spaced sources one at a time through the frontier kernel,
-	// BatchedNs runs the same sources as one bit-parallel pass, and
-	// BatchedSpeedup is sequential over batched time — the per-request
-	// cost reduction the service's cross-request batching buys.
-	BatchedSeqNs   uint64  `json:"batchedSeqNs,omitempty"`
-	BatchedNs      uint64  `json:"batchedNs,omitempty"`
-	BatchedSpeedup float64 `json:"batchedSpeedup,omitempty"`
-	// The ordering columns time the frontier strategy on pre-reordered
-	// CSRs; the reorder itself is preprocessing and is not timed. Speedups
-	// are the unordered time over the ordered time, so > 1 means the
-	// cache-aware layout pays for the same work. Present only for
-	// orderable kernels.
-	DegreeNs      uint64  `json:"degreeNs,omitempty"`
-	DegreeSpeedup float64 `json:"degreeSpeedup,omitempty"`
-	RCMNs         uint64  `json:"rcmNs,omitempty"`
-	RCMSpeedup    float64 `json:"rcmSpeedup,omitempty"`
-	// The sim ordering columns repeat the head-to-head on the simulated
-	// futuristic multicore (sim.Default, 16 threads) at OrderSimN
-	// vertices (the spec's n capped at simOrderN to bound simulation
-	// cost). Cycle counts come from the deterministic timing model, so
-	// unlike the wall-clock columns they are immune to host load and
-	// frequency drift — this is where CI pins ordering floors. The small
-	// per-core caches of the paper's target machine also make them the
-	// honest locality measurement: reorderings exist for exactly that
-	// regime.
-	OrderSimN        int     `json:"orderSimN,omitempty"`
-	SimBaseCycles    uint64  `json:"simBaseCycles,omitempty"`
-	DegreeSimCycles  uint64  `json:"degreeSimCycles,omitempty"`
-	DegreeSimSpeedup float64 `json:"degreeSimSpeedup,omitempty"`
-	RCMSimCycles     uint64  `json:"rcmSimCycles,omitempty"`
-	RCMSimSpeedup    float64 `json:"rcmSimSpeedup,omitempty"`
-	// The auto-delta columns (SSSP_DIJK only) compare the frontier
-	// strategy under the fixed DefaultSSSPDelta band width against the
-	// auto-tuned width (Delta unset). FrontierNs already runs auto-tuned;
-	// FixedDeltaNs is the explicit-default rerun, and AutoDeltaSpeedup is
-	// fixed over auto.
-	FixedDeltaNs     uint64  `json:"fixedDeltaNs,omitempty"`
-	AutoDeltaSpeedup float64 `json:"autoDeltaSpeedup,omitempty"`
-	// The warm columns measure the steady-state allocation discipline of
-	// the frontier strategy on the reusable platform with a reused scratch:
-	// allocations and bytes per run after warm-up (testing.AllocsPerRun /
-	// MemStats.TotalAlloc deltas). Present only for the scratch-aware
-	// kernels; WarmMeasured distinguishes a true zero from absent.
-	WarmMeasured    bool    `json:"warmMeasured,omitempty"`
-	WarmAllocsPerOp float64 `json:"warmAllocsPerOp,omitempty"`
-	WarmBytesPerOp  uint64  `json:"warmBytesPerOp,omitempty"`
+type report struct {
+	Suite   string `json:"suite"`
+	Seed    int64  `json:"seed"`
+	Results []row  `json:"results"`
 }
 
-type benchReport struct {
-	Suite    string        `json:"suite"`
-	Platform string        `json:"platform"`
-	Threads  int           `json:"threads"`
-	Reps     int           `json:"reps"`
-	Seed     int64         `json:"seed"`
-	Results  []benchResult `json:"results"`
+// row is one spec's measurements.
+type row struct {
+	Kernel string `json:"kernel"`
+	Graph  string `json:"graph"`
+	N      int    `json:"n"`
+	M      int    `json:"m"`
+	// Ratios maps each column the row ran to its worst trial's ratio;
+	// > 1 means the contender (frontier, batched, ordered) counts less.
+	Ratios map[string]float64 `json:"ratios"`
+	// Trials are the native runs on the spec's graph (scanInstr,
+	// frontierInstr); Batch is the batched column's one trial
+	// (sequentialInstr, batchInstr).
+	Trials []trial `json:"trials"`
+	Batch  *trial  `json:"batch,omitempty"`
+	// SimTrials are the simulated runs (noneCycles, degreeCycles,
+	// rcmCycles) on the same family generated at SimN vertices.
+	SimN      int     `json:"simN,omitempty"`
+	SimTrials []trial `json:"simTrials,omitempty"`
+	// WarmAllocsPerOp is present for the kernels with a scratch-aware
+	// frontier path.
+	WarmAllocsPerOp *float64 `json:"warmAllocsPerOp,omitempty"`
 }
 
-type simResult struct {
-	Kernel   string `json:"kernel"`
-	Graph    string `json:"graph"`
-	N        int    `json:"n"`
-	M        int    `json:"m"`
-	Strategy string `json:"strategy"`
-	// SerialNs and ShardedNs are best-of-reps host wall-clock times of
-	// the full kernel run under the global-lock baseline and the sharded
-	// memory system respectively.
-	SerialNs  uint64 `json:"serialNs"`
-	ShardedNs uint64 `json:"shardedNs"`
-	// Speedup is serialized over sharded host time; > 1 means the
-	// sharded memory system simulates faster.
-	Speedup float64 `json:"speedup"`
-	// SimCycles and Instructions come from the sharded run's report;
-	// the serialized baseline models the same machine, so its aggregate
-	// counts match (see internal/sim's invariance tests).
-	SimCycles    uint64 `json:"simCycles"`
-	Instructions uint64 `json:"instructions"`
-	// InstrPerHostSec is the sharded run's simulation throughput:
-	// simulated instructions retired per host second.
-	InstrPerHostSec float64 `json:"instrPerHostSec"`
+// trial is one source's runs; a kernel without a source has one trial
+// with neither Source nor Reached.
+type trial struct {
+	Source  *int              `json:"source,omitempty"`
+	Reached int               `json:"reached,omitempty"`
+	Counts  map[string]uint64 `json:"counts"`
 }
 
-type simReport struct {
-	Suite       string `json:"suite"`
-	Platform    string `json:"platform"`
-	HostThreads int    `json:"hostThreads"`
-	// HostCPUs is runtime.NumCPU() — the hard ceiling on how much the
-	// sharded memory system can help on this machine.
-	HostCPUs int         `json:"hostCPUs"`
-	SimCores int         `json:"simCores"`
-	Reps     int         `json:"reps"`
-	Seed     int64       `json:"seed"`
-	Results  []simResult `json:"results"`
+// arm is one configuration a trial runs: the name of its count and the
+// request, less the source.
+type arm struct {
+	count string
+	req   core.Request
+}
+
+// count runs req on a fresh platform and returns the result with its
+// exact count: cycles on the default simulated machine, or native
+// instructions.
+func count(ctx context.Context, bench core.Benchmark, req core.Request, simulated bool) (*core.Result, uint64, error) {
+	var pl exec.Platform = native.New()
+	if simulated {
+		m, err := sim.New(sim.Default())
+		if err != nil {
+			return nil, 0, err
+		}
+		pl = m
+	}
+	res, err := bench.Run(ctx, pl, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	if simulated {
+		return res, res.Report.Time, nil
+	}
+	return res, res.Report.TotalInstructions(), nil
 }
 
 type spec struct {
@@ -203,13 +149,7 @@ type spec struct {
 type assertion struct {
 	kernel string
 	graph  string
-	// column selects which speedup the floor applies to: "frontier"
-	// (scan/frontier, the three-field default), "batched"
-	// (sequential/bit-parallel, BFS only), "degree"/"rcm"
-	// (unordered/ordered frontier, wall-clock), "degreesim"/"rcmsim"
-	// (the same in deterministic simulated cycles) or "autodelta"
-	// (fixed/auto SSSP band width).
-	column string
+	column string // a key of row.Ratios
 	min    float64
 }
 
@@ -223,31 +163,13 @@ type allocAssertion struct {
 
 func main() {
 	var (
-		mode        = flag.String("mode", "native", `benchmark mode: "native" (scan vs frontier) or "sim" (sharded vs serialized simulator memory system)`)
-		specFlag    = flag.String("spec", defaultSpec, "comma-separated kernel:graph:n entries to time")
-		assertFlag  = flag.String("assert", "", "comma-separated kernel:graph:minSpeedup or kernel:graph:column:minSpeedup entries that must hold")
-		allocsFlag  = flag.String("assertallocs", "", "comma-separated kernel:graph:maxAllocsPerOp entries the warm fast path must not exceed (native mode)")
-		threads     = flag.Int("threads", 8, "native mode: thread count for both strategies")
-		hostThreads = flag.Int("hostthreads", 8, "sim mode: GOMAXPROCS while simulating")
-		simCores    = flag.Int("simcores", 64, "sim mode: simulated core count (perfect square)")
-		reps        = flag.Int("reps", 3, "repetitions per configuration; the minimum time wins")
-		seed        = flag.Int64("seed", 42, "graph generator seed")
-		out         = flag.String("out", "", "output JSON path (- for stdout; default BENCH_kernels.json or BENCH_sim.json by mode)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this path before exiting")
+		specFlag   = flag.String("spec", defaultSpec, "comma-separated kernel:graph:n entries to measure")
+		assertFlag = flag.String("assert", "", "comma-separated kernel:graph:min or kernel:graph:column:min entries that must hold")
+		allocsFlag = flag.String("assertallocs", "", "comma-separated kernel:graph:maxAllocsPerOp entries the warm fast path must not exceed")
+		seed       = flag.Int64("seed", 42, "graph generator and source picker seed")
+		out        = flag.String("out", "BENCH_kernels.json", "output JSON path (- for stdout)")
 	)
 	flag.Parse()
-
-	if *specFlag == defaultSpec && *mode == "sim" {
-		*specFlag = defaultSimSpec
-	}
-	if *out == "" {
-		if *mode == "sim" {
-			*out = "BENCH_sim.json"
-		} else {
-			*out = "BENCH_kernels.json"
-		}
-	}
 
 	specs, err := parseSpecs(*specFlag)
 	if err != nil {
@@ -261,206 +183,31 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if len(allocAsserts) > 0 && *mode != "native" {
-		fatal(fmt.Errorf("-assertallocs only applies to native mode"))
-	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-
-	var failed bool
-	switch *mode {
-	case "native":
-		failed, err = runNative(specs, asserts, allocAsserts, *threads, *reps, *seed, *out)
-	case "sim":
-		failed, err = runSim(specs, asserts, *hostThreads, *simCores, *reps, *seed, *out)
-	default:
-		err = fmt.Errorf("unknown -mode %q", *mode)
-	}
-
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		if perr := writeHeapProfile(*memprofile); perr != nil {
-			fatal(perr)
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// runNative times scan vs frontier on the native platform and reports
-// whether any assertion failed.
-func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion, threads, reps int, seed int64, out string) (bool, error) {
-	rep := benchReport{
-		Suite:    "crono-bench",
-		Platform: "native",
-		Threads:  threads,
-		Reps:     reps,
-		Seed:     seed,
-	}
-	ctx := context.Background()
+	rep := report{Suite: "crono-bench", Seed: *seed}
 	for _, sp := range specs {
-		bench, err := core.ByName(sp.kernel)
+		r, err := measure(context.Background(), sp, *seed)
 		if err != nil {
-			return false, err
-		}
-		g := graph.Generate(graph.Kind(sp.graph), sp.n, seed)
-		fmt.Fprintf(os.Stderr, "bench %s on %s n=%d m=%d threads=%d\n",
-			sp.kernel, sp.graph, g.N, g.M(), threads)
-		scanNs, err := timeStrategy(ctx, bench, g, core.StrategyScan, threads, reps)
-		if err != nil {
-			return false, fmt.Errorf("%s/%s scan: %w", sp.kernel, sp.graph, err)
-		}
-		frontierNs, err := timeStrategy(ctx, bench, g, core.StrategyFrontier, threads, reps)
-		if err != nil {
-			return false, fmt.Errorf("%s/%s frontier: %w", sp.kernel, sp.graph, err)
-		}
-		r := benchResult{
-			Kernel:     sp.kernel,
-			Graph:      sp.graph,
-			N:          g.N,
-			M:          g.M(),
-			Threads:    threads,
-			ScanNs:     scanNs,
-			FrontierNs: frontierNs,
-		}
-		r.Speedup = speedup(scanNs, frontierNs)
-		fmt.Fprintf(os.Stderr, "  scan %d ns, frontier %d ns (%.2fx)\n", scanNs, frontierNs, r.Speedup)
-		if bench.Orderable {
-			// Interleaved head-to-head: the unordered baseline is re-timed
-			// alongside the ordered arms rather than reusing the strategy
-			// sweep's number from minutes earlier.
-			reqs := []core.Request{{Input: core.Input{G: g}, Threads: threads, Strategy: core.StrategyFrontier}}
-			for _, o := range graph.Orders() {
-				ro, err := graph.Reorder(g, o)
-				if err != nil {
-					return false, fmt.Errorf("%s/%s reorder %s: %w", sp.kernel, sp.graph, o, err)
-				}
-				reqs = append(reqs, core.Request{
-					Input: core.Input{G: g}, Threads: threads, Strategy: core.StrategyFrontier, Reorder: ro,
-				})
-			}
-			times, err := timeInterleaved(ctx, bench, reps, reqs)
-			if err != nil {
-				return false, fmt.Errorf("%s/%s orderings: %w", sp.kernel, sp.graph, err)
-			}
-			baseNs := times[0]
-			for i, o := range graph.Orders() {
-				ns := times[i+1]
-				switch o {
-				case graph.OrderDegree:
-					r.DegreeNs, r.DegreeSpeedup = ns, speedup(baseNs, ns)
-				case graph.OrderRCM:
-					r.RCMNs, r.RCMSpeedup = ns, speedup(baseNs, ns)
-				}
-			}
-			fmt.Fprintf(os.Stderr, "  base %d ns, degree %d ns (%.2fx), rcm %d ns (%.2fx)\n",
-				baseNs, r.DegreeNs, r.DegreeSpeedup, r.RCMNs, r.RCMSpeedup)
-
-			// Deterministic replay of the head-to-head on the simulated
-			// machine; one rep is enough, the cycle counts are stable.
-			nSim := sp.n
-			if nSim > simOrderN {
-				nSim = simOrderN
-			}
-			gs := g
-			if nSim != sp.n {
-				gs = graph.Generate(graph.Kind(sp.graph), nSim, seed)
-			}
-			r.OrderSimN = nSim
-			if r.SimBaseCycles, err = simOrderCycles(ctx, bench, gs, nil); err != nil {
-				return false, fmt.Errorf("%s/%s sim base: %w", sp.kernel, sp.graph, err)
-			}
-			for _, o := range graph.Orders() {
-				ro, err := graph.Reorder(gs, o)
-				if err != nil {
-					return false, fmt.Errorf("%s/%s sim reorder %s: %w", sp.kernel, sp.graph, o, err)
-				}
-				cycles, err := simOrderCycles(ctx, bench, gs, ro)
-				if err != nil {
-					return false, fmt.Errorf("%s/%s sim order %s: %w", sp.kernel, sp.graph, o, err)
-				}
-				switch o {
-				case graph.OrderDegree:
-					r.DegreeSimCycles, r.DegreeSimSpeedup = cycles, speedup(r.SimBaseCycles, cycles)
-				case graph.OrderRCM:
-					r.RCMSimCycles, r.RCMSimSpeedup = cycles, speedup(r.SimBaseCycles, cycles)
-				}
-			}
-			fmt.Fprintf(os.Stderr, "  sim n=%d base %d cyc, degree %d cyc (%.2fx), rcm %d cyc (%.2fx)\n",
-				nSim, r.SimBaseCycles, r.DegreeSimCycles, r.DegreeSimSpeedup, r.RCMSimCycles, r.RCMSimSpeedup)
-		}
-		if sp.kernel == "SSSP_DIJK" {
-			// Head-to-head: the fixed default band width against the
-			// auto-tuned one (Delta unset), reps interleaved.
-			times, err := timeInterleaved(ctx, bench, reps, []core.Request{
-				{Input: core.Input{G: g}, Threads: threads,
-					Strategy: core.StrategyFrontier, Delta: core.DefaultSSSPDelta},
-				{Input: core.Input{G: g}, Threads: threads,
-					Strategy: core.StrategyFrontier},
-			})
-			if err != nil {
-				return false, fmt.Errorf("%s/%s delta sweep: %w", sp.kernel, sp.graph, err)
-			}
-			fixedNs, autoNs := times[0], times[1]
-			r.FixedDeltaNs = fixedNs
-			r.AutoDeltaSpeedup = speedup(fixedNs, autoNs)
-			fmt.Fprintf(os.Stderr, "  fixed delta %d ns, auto delta %d ns (%.2fx, width %d)\n",
-				fixedNs, autoNs, r.AutoDeltaSpeedup, core.AutoSSSPDelta(g))
-		}
-		if warmKernel(sp.kernel) {
-			allocs, bytes, err := measureWarm(ctx, bench, g, threads)
-			if err != nil {
-				return false, fmt.Errorf("%s/%s warm: %w", sp.kernel, sp.graph, err)
-			}
-			r.WarmMeasured = true
-			r.WarmAllocsPerOp = allocs
-			r.WarmBytesPerOp = bytes
-			fmt.Fprintf(os.Stderr, "  warm: %.1f allocs/op, %d bytes/op\n", allocs, bytes)
-		}
-		if sp.kernel == "BFS" && g.N >= core.BFSBatchWidth {
-			seqNs, batchNs, err := timeBatched(ctx, g, threads, reps)
-			if err != nil {
-				return false, fmt.Errorf("%s/%s batched: %w", sp.kernel, sp.graph, err)
-			}
-			r.BatchedSeqNs = seqNs
-			r.BatchedNs = batchNs
-			r.BatchedSpeedup = speedup(seqNs, batchNs)
-			fmt.Fprintf(os.Stderr, "  %d sequential runs %d ns, one batched pass %d ns (%.2fx)\n",
-				core.BFSBatchWidth, seqNs, batchNs, r.BatchedSpeedup)
+			fatal(fmt.Errorf("%s:%s: %w", sp.kernel, sp.graph, err))
 		}
 		rep.Results = append(rep.Results, r)
 	}
-
-	if err := writeReport(out, &rep); err != nil {
-		return false, err
+	if err := writeReport(*out, &rep); err != nil {
+		fatal(err)
 	}
 
 	failed := false
 	for _, a := range asserts {
 		got, ok := findSpeedup(rep.Results, a.kernel, a.graph, a.column)
 		if !ok {
-			return false, fmt.Errorf("assert %s:%s:%s names a spec/column that did not run", a.kernel, a.graph, a.column)
+			fatal(fmt.Errorf("assert %s:%s:%s names a spec/column that did not run", a.kernel, a.graph, a.column))
 		}
 		failed = checkAssert(a, got) || failed
 	}
 	for _, a := range allocAsserts {
 		got, ok := findWarmAllocs(rep.Results, a.kernel, a.graph)
 		if !ok {
-			return false, fmt.Errorf("assertallocs %s:%s names a spec without a warm measurement", a.kernel, a.graph)
+			fatal(fmt.Errorf("assertallocs %s:%s names a spec without a warm measurement", a.kernel, a.graph))
 		}
 		if got > a.max {
 			fmt.Fprintf(os.Stderr, "ASSERT FAILED: %s on %s warm path %.1f allocs/op > allowed %.1f\n",
@@ -471,7 +218,195 @@ func runNative(specs []spec, asserts []assertion, allocAsserts []allocAssertion,
 				a.kernel, a.graph, got, a.max)
 		}
 	}
-	return failed, nil
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// measure runs every column the spec's kernel has.
+func measure(ctx context.Context, sp spec, seed int64) (row, error) {
+	bench, err := core.ByName(sp.kernel)
+	if err != nil {
+		return row{}, err
+	}
+	g := graph.Generate(graph.Kind(sp.graph), sp.n, seed)
+	fmt.Fprintf(os.Stderr, "bench %s on %s n=%d m=%d\n", sp.kernel, sp.graph, g.N, g.M())
+	r := row{Kernel: sp.kernel, Graph: sp.graph, N: g.N, M: g.M(), Ratios: map[string]float64{}}
+	sourced := sp.kernel == "BFS" || sp.kernel == "SSSP_DIJK"
+
+	one := core.Request{Input: core.Input{G: g}, Threads: 1}
+	scan, frontier := one, one
+	scan.Strategy, frontier.Strategy = core.StrategyScan, core.StrategyFrontier
+	if r.Trials, err = runTrials(ctx, bench, g, sourced, seed, false,
+		[]arm{{"scanInstr", scan}, {"frontierInstr", frontier}}); err != nil {
+		return row{}, err
+	}
+	r.Ratios["frontier"] = worst(r.Trials, "scanInstr", "frontierInstr")
+
+	if sp.kernel == "BFS" {
+		if r.Batch, err = batchTrial(ctx, g, seed); err != nil {
+			return row{}, err
+		}
+		if r.Batch != nil {
+			r.Ratios["batched"] = worst([]trial{*r.Batch}, "sequentialInstr", "batchInstr")
+		}
+	}
+
+	if bench.Orderable {
+		gs := g
+		if sp.n > simOrderN {
+			gs = graph.Generate(graph.Kind(sp.graph), simOrderN, seed)
+		}
+		arms := []arm{{"noneCycles", core.Request{Input: core.Input{G: gs}, Threads: 1, Strategy: core.StrategyFrontier}}}
+		for _, o := range graph.Orders() {
+			ro, err := graph.Reorder(gs, o)
+			if err != nil {
+				return row{}, err
+			}
+			a := arms[0]
+			a.count, a.req.Reorder = string(o)+"Cycles", ro
+			arms = append(arms, a)
+		}
+		if r.SimTrials, err = runTrials(ctx, bench, gs, sourced, seed, true, arms); err != nil {
+			return row{}, err
+		}
+		r.SimN = gs.N
+		for _, o := range graph.Orders() {
+			r.Ratios[string(o)+"sim"] = worst(r.SimTrials, "noneCycles", string(o)+"Cycles")
+		}
+	}
+
+	if warmKernel(sp.kernel) {
+		src := 0
+		if sourced {
+			src = *r.Trials[0].Source
+		}
+		allocs, err := measureWarm(ctx, bench, g, src)
+		if err != nil {
+			return row{}, err
+		}
+		r.WarmAllocsPerOp = &allocs
+	}
+	fmt.Fprintf(os.Stderr, "  ratios %v\n", r.Ratios)
+	return r, nil
+}
+
+// runTrials runs every arm once per trial (see count): once per source
+// a sourced kernel draws from g, once otherwise.
+func runTrials(ctx context.Context, bench core.Benchmark, g *graph.CSR, sourced bool, seed int64, simulated bool, arms []arm) ([]trial, error) {
+	sources := []int{0} // a sourceless kernel ignores it
+	if sourced {
+		var err error
+		if sources, err = pickSources(g, trialSources, seed); err != nil {
+			return nil, err
+		}
+	}
+	trials := make([]trial, len(sources))
+	for i, src := range sources {
+		t := &trials[i]
+		t.Counts = map[string]uint64{}
+		for _, a := range arms {
+			a.req.Source = src
+			res, c, err := count(ctx, bench, a.req, simulated)
+			if err != nil {
+				return nil, fmt.Errorf("%s from %d: %w", a.count, src, err)
+			}
+			t.Counts[a.count] = c
+			if sourced {
+				t.Source, t.Reached = &sources[i], reached(res)
+			}
+		}
+		// A trial that reaches a fragment measures set-up, not the kernel.
+		if sourced && 2*t.Reached < g.N {
+			return nil, fmt.Errorf("source %d reaches %d of %d vertices", src, t.Reached, g.N)
+		}
+	}
+	return trials, nil
+}
+
+// reached counts the vertices a BFS or SSSP result reached.
+func reached(res *core.Result) int {
+	if res.BFS != nil {
+		return res.BFS.Visited
+	}
+	n := 0
+	for _, d := range res.SSSP.Dist {
+		if d != graph.Inf {
+			n++
+		}
+	}
+	return n
+}
+
+// pickSources draws k distinct vertices of g's largest connected
+// component, seeded, in draw order. Every vertex of a component of two
+// or more has an edge, so no isolated vertex is ever drawn; a component
+// smaller than k yields all of it.
+func pickSources(g *graph.CSR, k int, seed int64) ([]int, error) {
+	labels := core.ComponentsRef(g)
+	size := make([]int, g.N)
+	largest := int32(0)
+	for _, l := range labels {
+		if size[l]++; size[l] > size[largest] {
+			largest = l
+		}
+	}
+	if size[largest] < 2 {
+		return nil, fmt.Errorf("graph has no edge to draw a source from")
+	}
+	var members []int
+	for v, l := range labels {
+		if l == largest {
+			members = append(members, v)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	return members[:min(k, len(members))], nil
+}
+
+// batchTrial counts BFSBatchWidth sources, picked as for trials, run one
+// at a time through the frontier kernel (what a burst of independent
+// requests costs without batching) and as one bit-parallel pass. It
+// returns nil when the largest component is too small for a full batch.
+func batchTrial(ctx context.Context, g *graph.CSR, seed int64) (*trial, error) {
+	sources, err := pickSources(g, core.BFSBatchWidth, seed)
+	if err != nil || len(sources) < core.BFSBatchWidth {
+		return nil, err
+	}
+	var seq uint64
+	for _, src := range sources {
+		res, err := core.BFSFrontier(ctx, native.New(), g, src, 1)
+		if err != nil {
+			return nil, err
+		}
+		seq += res.Report.TotalInstructions()
+	}
+	res, err := core.BFSBatch(ctx, native.New(), g, sources, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &trial{Counts: map[string]uint64{
+		"sequentialInstr": seq,
+		"batchInstr":      res.Report.TotalInstructions(),
+	}}, nil
+}
+
+// worst returns the smallest base/contender ratio over the trials.
+func worst(trials []trial, base, contender string) float64 {
+	w := 0.0
+	for i, t := range trials {
+		if s := speedup(t.Counts[base], t.Counts[contender]); i == 0 || s < w {
+			w = s
+		}
+	}
+	return w
+}
+
+// speedup returns the baseline count over the contender count. A count
+// of a run is never zero: every run retires instructions and cycles.
+func speedup(base, contender uint64) float64 {
+	return float64(base) / float64(contender)
 }
 
 // warmKernel reports whether the kernel's frontier strategy has a
@@ -484,208 +419,22 @@ func warmKernel(kernel string) bool {
 	return false
 }
 
-// runSim times the sharded simulator memory system against the
-// SerialMemory global-lock baseline. Both configurations model the same
-// machine and produce the same aggregate event counts; only host
-// wall-clock differs.
-func runSim(specs []spec, asserts []assertion, hostThreads, simCores, reps int, seed int64, out string) (bool, error) {
-	prev := runtime.GOMAXPROCS(hostThreads)
-	defer runtime.GOMAXPROCS(prev)
-	rep := simReport{
-		Suite:       "crono-bench",
-		Platform:    "sim",
-		HostThreads: hostThreads,
-		HostCPUs:    runtime.NumCPU(),
-		SimCores:    simCores,
-		Reps:        reps,
-		Seed:        seed,
-	}
-	ctx := context.Background()
-	for _, sp := range specs {
-		bench, err := core.ByName(sp.kernel)
-		if err != nil {
-			return false, err
-		}
-		g := graph.Generate(graph.Kind(sp.graph), sp.n, seed)
-		for _, st := range []core.Strategy{core.StrategyScan, core.StrategyFrontier} {
-			fmt.Fprintf(os.Stderr, "sim bench %s on %s n=%d m=%d strategy=%s simcores=%d hostthreads=%d\n",
-				sp.kernel, sp.graph, g.N, g.M(), st, simCores, hostThreads)
-			serial, err := timeSim(ctx, bench, g, st, simCores, reps, true)
-			if err != nil {
-				return false, fmt.Errorf("%s/%s serial: %w", sp.kernel, sp.graph, err)
-			}
-			sharded, err := timeSim(ctx, bench, g, st, simCores, reps, false)
-			if err != nil {
-				return false, fmt.Errorf("%s/%s sharded: %w", sp.kernel, sp.graph, err)
-			}
-			r := simResult{
-				Kernel:       sp.kernel,
-				Graph:        sp.graph,
-				N:            g.N,
-				M:            g.M(),
-				Strategy:     string(st),
-				SerialNs:     serial.hostNs,
-				ShardedNs:    sharded.hostNs,
-				Speedup:      speedup(serial.hostNs, sharded.hostNs),
-				SimCycles:    sharded.simCycles,
-				Instructions: sharded.instr,
-			}
-			if sharded.hostNs > 0 {
-				r.InstrPerHostSec = float64(sharded.instr) / (float64(sharded.hostNs) / 1e9)
-			}
-			fmt.Fprintf(os.Stderr, "  serial %d ns, sharded %d ns, speedup %.2fx (%.0f instr/s)\n",
-				serial.hostNs, sharded.hostNs, r.Speedup, r.InstrPerHostSec)
-			rep.Results = append(rep.Results, r)
-		}
-	}
-
-	if err := writeReport(out, &rep); err != nil {
-		return false, err
-	}
-
-	failed := false
-	for _, a := range asserts {
-		if a.column != "frontier" {
-			return false, fmt.Errorf("assert %s:%s:%s: sim mode has no %s column (use the three-field form)",
-				a.kernel, a.graph, a.column, a.column)
-		}
-		got, ok := findSimSpeedup(rep.Results, a.kernel, a.graph)
-		if !ok {
-			return false, fmt.Errorf("assert %s:%s names a spec that did not run", a.kernel, a.graph)
-		}
-		failed = checkAssert(a, got) || failed
-	}
-	return failed, nil
-}
-
-// checkAssert reports whether the assertion failed, logging either way.
-func checkAssert(a assertion, got float64) bool {
-	if got < a.min {
-		fmt.Fprintf(os.Stderr, "ASSERT FAILED: %s on %s %s speedup %.2fx < required %.2fx\n",
-			a.kernel, a.graph, a.column, got, a.min)
-		return true
-	}
-	fmt.Fprintf(os.Stderr, "assert ok: %s on %s %s speedup %.2fx >= %.2fx\n",
-		a.kernel, a.graph, a.column, got, a.min)
-	return false
-}
-
-// speedup returns baseline time over contender time, guarded against the
-// zero durations a coarse timer can report on tiny inputs: two zero
-// times compare as equal, and a lone zero on either side is clamped to
-// one tick so the ratio stays finite and meaningful (encoding/json
-// rejects Inf, and an unclamped zero *base* would report 0.0x for a run
-// the timer was simply too coarse to see — spuriously failing any
-// -assert floor even though the contender lost nothing).
-func speedup(baseNs, contenderNs uint64) float64 {
-	if baseNs == 0 && contenderNs == 0 {
-		return 1
-	}
-	if baseNs == 0 {
-		baseNs = 1
-	}
-	if contenderNs == 0 {
-		contenderNs = 1
-	}
-	return float64(baseNs) / float64(contenderNs)
-}
-
-// timeStrategy runs the kernel reps times and returns the minimum
-// parallel-region time — the paper's completion-time metric, which
-// excludes graph generation and result post-processing.
-func timeStrategy(ctx context.Context, bench core.Benchmark, g *graph.CSR, st core.Strategy, threads, reps int) (uint64, error) {
-	return timeRun(ctx, bench, reps, core.Request{
-		Input:    core.Input{G: g},
-		Threads:  threads,
-		Strategy: st,
-	})
-}
-
-// timeRun is timeStrategy for a fully specified request (reorderings,
-// explicit band widths). Best-of-reps parallel-region time; for
-// reordered requests the permutation build and the result un-permute are
-// outside the parallel region and thus untimed, exactly like result
-// post-processing everywhere else.
-func timeRun(ctx context.Context, bench core.Benchmark, reps int, req core.Request) (uint64, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best uint64
-	for i := 0; i < reps; i++ {
-		res, err := bench.Run(ctx, native.New(), req)
-		if err != nil {
-			return 0, err
-		}
-		if t := res.Report.Time; i == 0 || t < best {
-			best = t
-		}
-	}
-	return best, nil
-}
-
-// simOrderN caps the vertex count of the simulated ordering head-to-head:
-// the detailed memory-system model costs ~1000x native execution, and the
-// locality effect is already fully visible at this scale.
-const simOrderN = 16384
-
-// simOrderCycles runs one deterministic rep of the kernel on the default
-// simulated machine and returns the modeled completion time in cycles.
-func simOrderCycles(ctx context.Context, bench core.Benchmark, g *graph.CSR, ro *graph.Reordered) (uint64, error) {
-	m, err := sim.New(sim.Default())
-	if err != nil {
-		return 0, err
-	}
-	res, err := bench.Run(ctx, m, core.Request{
-		Input: core.Input{G: g}, Threads: 16, Strategy: core.StrategyFrontier, Reorder: ro,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Report.Time, nil
-}
-
-// timeInterleaved times several request variants round-robin — one rep of
-// each, then the next rep of each — and returns the best-of-reps time per
-// variant. Head-to-head columns (unordered vs degree vs rcm, fixed vs
-// auto delta) use this instead of timing each arm as its own block:
-// host-load and frequency drift over a minutes-long bench then hits every
-// arm alike instead of biasing whichever ran last.
-func timeInterleaved(ctx context.Context, bench core.Benchmark, reps int, reqs []core.Request) ([]uint64, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	best := make([]uint64, len(reqs))
-	for i := 0; i < reps; i++ {
-		for j, req := range reqs {
-			res, err := bench.Run(ctx, native.New(), req)
-			if err != nil {
-				return nil, err
-			}
-			if t := res.Report.Time; i == 0 || t < best[j] {
-				best[j] = t
-			}
-		}
-	}
-	return best, nil
-}
-
-// measureWarm measures the steady-state allocation cost of the kernel's
-// frontier strategy: one native platform plus a reused scratch, three
-// warm-up runs to grow every buffer, then allocs/op via
-// testing.AllocsPerRun and bytes/op via the MemStats.TotalAlloc delta
-// over ten runs.
-func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, threads int) (float64, uint64, error) {
+// measureWarm returns the steady-state allocations per run of the
+// kernel's frontier strategy from src: one native platform plus a reused
+// scratch, three warm-up runs to grow every buffer, then
+// testing.AllocsPerRun.
+func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, src int) (float64, error) {
 	g.InCSR() // the pull kernels' transpose is preprocessing, not per-run cost
 	pl := native.New()
 	req := core.Request{
-		Input:    core.Input{G: g},
-		Threads:  threads,
+		Input:    core.Input{G: g, Source: src},
+		Threads:  warmThreads,
 		Strategy: core.StrategyFrontier,
 		Scratch:  core.NewScratch(),
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := bench.Run(ctx, pl, req); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	var runErr error
@@ -694,95 +443,19 @@ func measureWarm(ctx context.Context, bench core.Benchmark, g *graph.CSR, thread
 			runErr = err
 		}
 	})
-	if runErr != nil {
-		return 0, 0, runErr
-	}
-	const bytesReps = 10
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < bytesReps; i++ {
-		if _, err := bench.Run(ctx, pl, req); err != nil {
-			return 0, 0, err
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	return allocs, (m1.TotalAlloc - m0.TotalAlloc) / bytesReps, nil
+	return allocs, runErr
 }
 
-// timeBatched times BFSBatchWidth evenly spaced sources two ways: one
-// at a time through the single-source frontier kernel (the cost a burst
-// of independent requests pays without batching) and as one bit-parallel
-// BFSBatch pass. Both totals are best-of-reps parallel-region time.
-func timeBatched(ctx context.Context, g *graph.CSR, threads, reps int) (seqNs, batchNs uint64, err error) {
-	if reps < 1 {
-		reps = 1
+// checkAssert reports whether the assertion failed, logging either way.
+func checkAssert(a assertion, got float64) bool {
+	if got < a.min {
+		fmt.Fprintf(os.Stderr, "ASSERT FAILED: %s on %s %s ratio %.2fx < required %.2fx\n",
+			a.kernel, a.graph, a.column, got, a.min)
+		return true
 	}
-	sources := make([]int, core.BFSBatchWidth)
-	for i := range sources {
-		sources[i] = i * g.N / core.BFSBatchWidth
-	}
-	for i := 0; i < reps; i++ {
-		var seq uint64
-		for _, src := range sources {
-			res, err := core.BFSFrontier(ctx, native.New(), g, src, threads)
-			if err != nil {
-				return 0, 0, err
-			}
-			seq += res.Report.Time
-		}
-		if i == 0 || seq < seqNs {
-			seqNs = seq
-		}
-		res, err := core.BFSBatch(ctx, native.New(), g, sources, threads)
-		if err != nil {
-			return 0, 0, err
-		}
-		if t := res.Report.Time; i == 0 || t < batchNs {
-			batchNs = t
-		}
-	}
-	return seqNs, batchNs, nil
-}
-
-type simRun struct {
-	hostNs    uint64
-	simCycles uint64
-	instr     uint64
-}
-
-// timeSim runs the kernel on a fresh simulated machine reps times with
-// one simulated thread per core and returns the best-of-reps host
-// wall-clock together with that run's simulated cycle and instruction
-// totals. A fresh machine per rep keeps the caches cold so every rep
-// measures the same work.
-func timeSim(ctx context.Context, bench core.Benchmark, g *graph.CSR, st core.Strategy, simCores, reps int, serialMemory bool) (simRun, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best simRun
-	for i := 0; i < reps; i++ {
-		cfg := sim.Default()
-		cfg.Cores = simCores
-		cfg.SerialMemory = serialMemory
-		m, err := sim.New(cfg)
-		if err != nil {
-			return simRun{}, err
-		}
-		start := time.Now()
-		res, err := bench.Run(ctx, m, core.Request{
-			Input:    core.Input{G: g},
-			Threads:  simCores,
-			Strategy: st,
-		})
-		if err != nil {
-			return simRun{}, err
-		}
-		host := uint64(time.Since(start))
-		if i == 0 || host < best.hostNs {
-			best = simRun{hostNs: host, simCycles: res.Report.Time, instr: res.Report.TotalInstructions()}
-		}
-	}
-	return best, nil
+	fmt.Fprintf(os.Stderr, "assert ok: %s on %s %s ratio %.2fx >= %.2fx\n",
+		a.kernel, a.graph, a.column, got, a.min)
+	return false
 }
 
 func parseSpecs(s string) ([]spec, error) {
@@ -800,7 +473,7 @@ func parseSpecs(s string) ([]spec, error) {
 		if err != nil || n < 2 {
 			return nil, fmt.Errorf("spec %q: bad vertex count %q", part, f[2])
 		}
-		if !knownKind(f[1]) {
+		if !graph.KnownKind(graph.Kind(f[1])) {
 			return nil, fmt.Errorf("spec %q: unknown graph kind %q", part, f[1])
 		}
 		out = append(out, spec{kernel: f[0], graph: f[1], n: n})
@@ -825,81 +498,20 @@ func parseAsserts(s string) ([]assertion, error) {
 		case 4:
 			column = f[2]
 			switch column {
-			case "frontier", "batched", "degree", "rcm", "degreesim", "rcmsim", "autodelta":
+			case "frontier", "batched", "degreesim", "rcmsim":
 			default:
-				return nil, fmt.Errorf("assert %q: unknown column %q (want frontier, batched, degree, rcm, degreesim, rcmsim or autodelta)", part, column)
+				return nil, fmt.Errorf("assert %q: unknown column %q (want frontier, batched, degreesim or rcmsim)", part, column)
 			}
 		default:
-			return nil, fmt.Errorf("assert %q: want kernel:graph:minSpeedup or kernel:graph:column:minSpeedup", part)
+			return nil, fmt.Errorf("assert %q: want kernel:graph:min or kernel:graph:column:min", part)
 		}
 		min, err := strconv.ParseFloat(f[len(f)-1], 64)
 		if err != nil || min <= 0 {
-			return nil, fmt.Errorf("assert %q: bad speedup %q", part, f[len(f)-1])
+			return nil, fmt.Errorf("assert %q: bad ratio %q", part, f[len(f)-1])
 		}
 		out = append(out, assertion{kernel: f[0], graph: f[1], column: column, min: min})
 	}
 	return out, nil
-}
-
-func knownKind(k string) bool {
-	return graph.KnownKind(graph.Kind(k))
-}
-
-// findSpeedup returns the named column's speedup for the (kernel, graph)
-// result. The batched column only exists on BFS specs that ran the
-// bit-parallel comparison, so asserting it elsewhere reports not-found.
-func findSpeedup(rs []benchResult, kernel, g, column string) (float64, bool) {
-	for _, r := range rs {
-		if r.Kernel != kernel || r.Graph != g {
-			continue
-		}
-		switch column {
-		case "batched":
-			if r.BatchedSpeedup == 0 {
-				return 0, false
-			}
-			return r.BatchedSpeedup, true
-		case "degree":
-			if r.DegreeSpeedup == 0 {
-				return 0, false
-			}
-			return r.DegreeSpeedup, true
-		case "rcm":
-			if r.RCMSpeedup == 0 {
-				return 0, false
-			}
-			return r.RCMSpeedup, true
-		case "degreesim":
-			if r.DegreeSimSpeedup == 0 {
-				return 0, false
-			}
-			return r.DegreeSimSpeedup, true
-		case "rcmsim":
-			if r.RCMSimSpeedup == 0 {
-				return 0, false
-			}
-			return r.RCMSimSpeedup, true
-		case "autodelta":
-			if r.AutoDeltaSpeedup == 0 {
-				return 0, false
-			}
-			return r.AutoDeltaSpeedup, true
-		default:
-			return r.Speedup, true
-		}
-	}
-	return 0, false
-}
-
-// findWarmAllocs returns the warm-path allocs/op for the (kernel, graph)
-// result, if that spec ran a warm measurement.
-func findWarmAllocs(rs []benchResult, kernel, g string) (float64, bool) {
-	for _, r := range rs {
-		if r.Kernel == kernel && r.Graph == g {
-			return r.WarmAllocsPerOp, r.WarmMeasured
-		}
-	}
-	return 0, false
 }
 
 // parseAllocAsserts parses -assertallocs entries
@@ -924,26 +536,34 @@ func parseAllocAsserts(s string) ([]allocAssertion, error) {
 	return out, nil
 }
 
-// findSimSpeedup checks assertions against the scan-strategy result:
-// scan is the paper-fidelity execution and the one whose annotation
-// volume the sharding was sized for.
-func findSimSpeedup(rs []simResult, kernel, g string) (float64, bool) {
+// findSpeedup returns the named column's ratio for the (kernel, graph)
+// result; a column the spec did not run is not found.
+func findSpeedup(rs []row, kernel, g, column string) (float64, bool) {
 	for _, r := range rs {
-		if r.Kernel == kernel && r.Graph == g && r.Strategy == string(core.StrategyScan) {
-			return r.Speedup, true
+		if r.Kernel == kernel && r.Graph == g {
+			v, ok := r.Ratios[column]
+			return v, ok
 		}
 	}
 	return 0, false
 }
 
-func writeReport(path string, rep any) error {
-	var f *os.File
-	if path == "-" {
-		f = os.Stdout
-	} else {
+// findWarmAllocs returns the warm-path allocs/op for the (kernel, graph)
+// result, if that spec ran a warm measurement.
+func findWarmAllocs(rs []row, kernel, g string) (float64, bool) {
+	for _, r := range rs {
+		if r.Kernel == kernel && r.Graph == g && r.WarmAllocsPerOp != nil {
+			return *r.WarmAllocsPerOp, true
+		}
+	}
+	return 0, false
+}
+
+func writeReport(path string, rep *report) error {
+	f := os.Stdout
+	if path != "-" {
 		var err error
-		f, err = os.Create(path)
-		if err != nil {
+		if f, err = os.Create(path); err != nil {
 			return err
 		}
 		defer f.Close()
@@ -951,18 +571,6 @@ func writeReport(path string, rep any) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// writeHeapProfile snapshots the heap after a final GC so the profile
-// reflects live allocations, not garbage awaiting collection.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
 }
 
 func fatal(err error) {

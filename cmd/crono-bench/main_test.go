@@ -1,45 +1,100 @@
 package main
 
 import (
-	"encoding/json"
-	"math"
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"crono/internal/core"
+	"crono/internal/graph"
 )
 
 func TestSpeedupGuards(t *testing.T) {
 	cases := []struct {
-		name               string
-		scanNs, frontierNs uint64
-		want               float64
+		name            string
+		base, contender uint64
+		want            float64
 	}{
 		{"normal", 300, 100, 3},
 		{"slowdown", 100, 200, 0.5},
-		{"both zero", 0, 0, 1},
-		{"zero frontier", 500, 0, 500},
-		// A zero base with a nonzero contender is a too-coarse timer, not
-		// a measured infinite slowdown: the base clamps to one tick. The
-		// pre-fix 0.0 here failed every -assert floor spuriously.
-		{"zero scan", 0, 100, 0.01},
-		{"zero scan one tick", 0, 1, 1},
+		{"equal", 7, 7, 1},
 	}
 	for _, c := range cases {
-		got := speedup(c.scanNs, c.frontierNs)
-		if got != c.want {
-			t.Errorf("%s: speedup(%d, %d) = %g, want %g", c.name, c.scanNs, c.frontierNs, got, c.want)
-		}
-		if math.IsInf(got, 0) || math.IsNaN(got) {
-			t.Errorf("%s: non-finite speedup %g", c.name, got)
+		if got := speedup(c.base, c.contender); got != c.want {
+			t.Errorf("%s: speedup(%d, %d) = %g, want %g", c.name, c.base, c.contender, got, c.want)
 		}
 	}
 }
 
-// TestSpeedupMarshals pins the reason for the clamp: encoding/json
-// rejects Inf, so a zero frontier time must still yield an encodable
-// report.
-func TestSpeedupMarshals(t *testing.T) {
-	r := benchResult{Kernel: "BFS", Graph: "sparse", Speedup: speedup(500, 0)}
-	if _, err := json.Marshal(r); err != nil {
-		t.Fatalf("marshal with zero frontier time: %v", err)
+// TestPickSourcesLargestComponent: vertex 0 of road-ca at seed 42 is
+// isolated, so a benchmark sourced there measures a one-vertex
+// traversal. The picker draws only from the largest component.
+func TestPickSourcesLargestComponent(t *testing.T) {
+	g := graph.Generate(graph.KindRoadCA, 262144, 42)
+	if g.Degree(0) != 0 {
+		t.Fatalf("vertex 0 has degree %d; the test premise is an isolated vertex 0", g.Degree(0))
+	}
+	labels := core.ComponentsRef(g)
+	size := map[int32]int{}
+	for _, l := range labels {
+		size[l]++
+	}
+	largest := labels[0]
+	for l, s := range size {
+		if s > size[largest] {
+			largest = l
+		}
+	}
+	for _, k := range []int{trialSources, core.BFSBatchWidth} {
+		sources, err := pickSources(g, k, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sources) != k {
+			t.Fatalf("picked %d sources, want %d", len(sources), k)
+		}
+		seen := map[int]bool{}
+		for _, v := range sources {
+			if v == 0 || labels[v] != largest || seen[v] {
+				t.Fatalf("source %d: zero, outside the largest component or repeated (%v)", v, sources)
+			}
+			seen[v] = true
+		}
+	}
+}
+
+// TestReportRepeats: every ratio column is an exact count, so two runs
+// of one spec write the same bytes. The warm allocs/op are left out:
+// under the race detector a run's thread spawn can allocate, and
+// -assertallocs, not this test, gates them.
+func TestReportRepeats(t *testing.T) {
+	specs, err := parseSpecs("BFS:road-ca:2048,SSSP_DIJK:social:1024,CONN_COMP:road-ca:1024")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2][]byte
+	for i := range outs {
+		rep := report{Suite: "crono-bench", Seed: 42}
+		for _, sp := range specs {
+			r, err := measure(context.Background(), sp, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.WarmAllocsPerOp = nil
+			rep.Results = append(rep.Results, r)
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := writeReport(path, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if outs[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", outs[0], outs[1])
 	}
 }
 
@@ -66,11 +121,11 @@ func TestParseAsserts(t *testing.T) {
 	if len(as) != 1 || as[0].min != 2.0 || as[0].column != "frontier" {
 		t.Fatalf("asserts %+v", as)
 	}
-	as, err = parseAsserts("BFS:road-ca:rcmsim:1.5, BFS:social:batched:4, COMM:social:frontier:1.1")
+	as, err = parseAsserts("BFS:road-ca:rcmsim:1.5, BFS:social:batched:4, COMM:social:frontier:1.1, PageRank:social:degreesim:0.9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as) != 3 || as[0].column != "rcmsim" || as[1].column != "batched" || as[2].column != "frontier" {
+	if len(as) != 4 || as[0].column != "rcmsim" || as[1].column != "batched" || as[2].column != "frontier" || as[3].column != "degreesim" {
 		t.Fatalf("four-field asserts %+v", as)
 	}
 	if as[1].min != 4 {
@@ -82,6 +137,8 @@ func TestParseAsserts(t *testing.T) {
 	for _, bad := range []string{
 		"BFS:road-ca", "BFS:road-ca:0", "BFS:road-ca:-1", "BFS:road-ca:x",
 		"BFS:road-ca:warp:2.0", "BFS:road-ca:hybrid:2.0", "BFS:road-ca:batched:0", "BFS:road-ca:batched:2.0:extra",
+		// wall-clock columns that no longer exist
+		"BFS:road-ca:rcm:1.0", "BFS:road-ca:degree:1.0", "SSSP_DIJK:road-ca:autodelta:1.0",
 	} {
 		if _, err := parseAsserts(bad); err == nil {
 			t.Errorf("parseAsserts(%q) accepted", bad)
@@ -90,9 +147,9 @@ func TestParseAsserts(t *testing.T) {
 }
 
 func TestFindSpeedup(t *testing.T) {
-	rs := []benchResult{
-		{Kernel: "BFS", Graph: "sparse", Speedup: 2.5, RCMSimSpeedup: 3.5, BatchedSpeedup: 8},
-		{Kernel: "COMM", Graph: "social", Speedup: 1.5},
+	rs := []row{
+		{Kernel: "BFS", Graph: "sparse", Ratios: map[string]float64{"frontier": 2.5, "rcmsim": 3.5, "batched": 8}},
+		{Kernel: "COMM", Graph: "social", Ratios: map[string]float64{"frontier": 1.5}},
 	}
 	if got, ok := findSpeedup(rs, "BFS", "sparse", "frontier"); !ok || got != 2.5 {
 		t.Fatalf("findSpeedup frontier = %g, %v", got, ok)
@@ -108,5 +165,17 @@ func TestFindSpeedup(t *testing.T) {
 	}
 	if _, ok := findSpeedup(rs, "BFS", "road-ca", "frontier"); ok {
 		t.Fatal("found a spec that did not run")
+	}
+}
+
+// TestWorstTrial: a column's ratio is its worst trial's.
+func TestWorstTrial(t *testing.T) {
+	trials := []trial{
+		{Counts: map[string]uint64{"scanInstr": 900, "frontierInstr": 100}},
+		{Counts: map[string]uint64{"scanInstr": 400, "frontierInstr": 100}},
+		{Counts: map[string]uint64{"scanInstr": 600, "frontierInstr": 100}},
+	}
+	if got := worst(trials, "scanInstr", "frontierInstr"); got != 4 {
+		t.Fatalf("worst = %g, want 4", got)
 	}
 }

@@ -135,10 +135,3 @@ func sweep(ctx context.Context, benchName, dimName, values string, threads, n in
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

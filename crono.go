@@ -410,13 +410,6 @@ func ComponentsIncremental(pl Platform, g *Graph, threads int, oldLabels []int32
 	return core.ComponentsIncremental(context.Background(), pl, g, threads, oldLabels, d)
 }
 
-// CommunityIncremental repairs a Louvain community assignment after a
-// mutation by bounded re-iteration over the affected region (heuristic,
-// like the full kernel).
-func CommunityIncremental(pl Platform, g *Graph, threads, maxPasses int, oldComm []int32, d *EdgeDelta) (*CommunityResult, error) {
-	return core.CommunityIncremental(context.Background(), pl, g, threads, maxPasses, oldComm, d)
-}
-
 // Server is the graph-analytics HTTP service: a sharded graph store, a
 // bounded kernel worker pool with load shedding, an LRU result cache with
 // in-flight coalescing, and Prometheus-text metrics. Mount Handler() on an

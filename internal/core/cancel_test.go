@@ -95,7 +95,7 @@ type cancelKernel func(ctx context.Context, pl exec.Platform, threads int) (any,
 
 // barrierKernels lists every barrier-bearing kernel on an input small
 // enough to cancel at each of its polls: the scan and frontier kernels,
-// the batch, the variants with barriers and the three repairs.
+// the batch, the variants with barriers and the two repairs.
 func barrierKernels(t *testing.T) map[string]cancelKernel {
 	g := graph.Generate(graph.KindSocial, 512, 3)
 	byName := func(name string, strategy Strategy) cancelKernel {
@@ -122,17 +122,15 @@ func barrierKernels(t *testing.T) map[string]cancelKernel {
 	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "COMM"} {
 		ks[name+".frontier"] = byName(name, StrategyFrontier)
 	}
-	maps.Copy(ks, repairCases(t, 64, g, 3))
+	maps.Copy(ks, repairCases(t, 64))
 	return ks
 }
 
-// repairCases are the three repairs on inputs that make them work: a
-// path of n vertices with a shortcut at its head, so the BFS repair redoes
-// (nearly) all of it; the path's two halves joined, so the CONN_COMP
-// repair links and relabels; and COMM on social with a delta naming every
-// vertex (deletes of absent edges), so every vertex is re-examined for
-// up to passes rounds.
-func repairCases(t *testing.T, n int32, social *graph.CSR, passes int) map[string]cancelKernel {
+// repairCases are the two repairs on inputs that make them work: a path
+// of n vertices with a shortcut at its head, so the BFS repair redoes
+// (nearly) all of it, and the path's two halves joined, so the CONN_COMP
+// repair links and relabels.
+func repairCases(t *testing.T, n int32) map[string]cancelKernel {
 	path := pathGraph(int(n))
 	d := &graph.EdgeDelta{
 		Inserts: []graph.Edge{{From: 0, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 1}},
@@ -149,23 +147,12 @@ func repairCases(t *testing.T, n int32, social *graph.CSR, passes int) map[strin
 	join := &graph.EdgeDelta{Inserts: []graph.Edge{
 		{From: n/2 - 1, To: n / 2, Weight: 1}, {From: n / 2, To: n/2 - 1, Weight: 1},
 	}}
-	comm := make([]int32, social.N)
-	all := &graph.EdgeDelta{}
-	for v := range comm {
-		comm[v] = int32(v)
-		if v%2 == 1 {
-			all.Deletes = append(all.Deletes, graph.Edge{From: int32(v - 1), To: int32(v)})
-		}
-	}
 	return map[string]cancelKernel{
 		"BFSIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
 			return BFSIncremental(ctx, pl, next, 0, threads, level, d)
 		},
 		"ComponentsIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
 			return ComponentsIncremental(ctx, pl, path, threads, labels, join)
-		},
-		"CommunityIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
-			return CommunityIncremental(ctx, pl, social, threads, passes, comm, all)
 		},
 	}
 }
@@ -204,7 +191,7 @@ func TestCancelAtEveryPoll(t *testing.T) {
 
 // midFlightCases lists kernels on inputs deep enough never to finish
 // within a handful of polls: PageRank with a million iterations, the batch
-// and the BFS repair along a 400-vertex path, COMM's repair on a
+// and the BFS repair along a 400-vertex path, the frontier COMM on a
 // small-world graph that keeps moving for about ten rounds. The CONN_COMP
 // repair has one barrier, so its sweep also reaches a finished run.
 func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) {
@@ -216,8 +203,11 @@ func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) 
 		"BFSBatch": func(ctx context.Context) (any, error) {
 			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
 		},
+		"COMM": func(ctx context.Context) (any, error) {
+			return CommunityFrontier(ctx, native.New(), graph.Generate(graph.KindSocial, 600, 5), 4, 1_000_000)
+		},
 	}
-	for name, k := range repairCases(t, 400, graph.Generate(graph.KindSocial, 600, 5), 1_000_000) {
+	for name, k := range repairCases(t, 400) {
 		cases[name] = func(ctx context.Context) (any, error) {
 			return k(ctx, native.New(), 4)
 		}

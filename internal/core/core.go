@@ -195,9 +195,9 @@ type Benchmark struct {
 	// result on req.G from prev — this benchmark's result for the same
 	// request on the graph the edge delta d turned into req.G — as a
 	// seeded frontier run over req.G (Reorder is ignored). It returns
-	// ErrNoIncremental for a delta it has no repair for (BFS and COMM
-	// repair any delta RepairPays accepts, CONN_COMP insert-only ones),
-	// after which the caller runs Run.
+	// ErrNoIncremental for a delta it has no repair for (BFS repairs any
+	// delta RepairPays accepts, CONN_COMP insert-only ones), after which
+	// the caller runs Run.
 	Repair func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
 }
 
@@ -397,13 +397,6 @@ func Suite() []Benchmark {
 				}
 				return &Result{Report: r.Report, Community: r}, nil
 			},
-			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
-				r, err := CommunityIncremental(ctx, pl, req.G, req.Threads, req.MaxPasses, prev.Community.Community, d)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Community: r}, nil
-			},
 		},
 	})
 }
@@ -513,13 +506,6 @@ func chunk(tid, p, n int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // validate checks the common preconditions of CSR kernels.

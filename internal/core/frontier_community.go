@@ -51,12 +51,10 @@ type communityFrontierRun struct {
 	bar                                           exec.Barrier
 }
 
-// execute runs the move rounds from the state the caller seeded: k.comm
-// is the starting assignment (every id in [0,n)) and k.wl (mirrored by
-// k.mark) the active vertices. A full run seeds singletons with every
-// vertex active; a repair seeds the previous assignment and the delta's
-// neighborhood (CommunityIncremental). Degree totals are O(n+m) sums,
-// rebuilt here from the graph either way.
+// execute runs the move rounds from the state CommunityFrontier seeded:
+// k.comm is the starting assignment (every id in [0,n)) and k.wl
+// (mirrored by k.mark) the active vertices. Degree totals are O(n+m)
+// sums, built here from the graph.
 func (k *communityFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int) (*CommunityResult, error) {
 	if maxPasses < 1 {
 		maxPasses = 1

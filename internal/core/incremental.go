@@ -14,10 +14,10 @@ import (
 // subsystem: kernels that repair a previous result after an edge delta
 // instead of recomputing from scratch. Each validates its inputs, derives
 // a seed state from the previous version's result and the delta, and
-// hands it to the run state of the full frontier kernel: the BFS and COMM
-// repairs seed its worklist, the CONN_COMP repair seeds Afforest's
-// union-find forest. Benchmark.Repair wraps them behind RepairPays; a
-// repair that declines a delta returns ErrNoIncremental.
+// hands it to the run state of the full frontier kernel: the BFS repair
+// seeds its worklist, the CONN_COMP repair seeds Afforest's union-find
+// forest. Benchmark.Repair wraps them behind RepairPays; a repair that
+// declines a delta returns ErrNoIncremental.
 
 // ErrNoIncremental reports that a kernel has no incremental repair for
 // the given delta shape; callers fall back to full recompute.
@@ -170,62 +170,4 @@ func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR
 		return nil, err
 	}
 	return &ComponentsResult{Labels: k.parent, Components: countRoots(k.parent), Iterations: 1, Report: rep}, nil
-}
-
-// CommunityIncremental re-optimizes a community assignment after an
-// edge delta in the delta-PageRank style: bounded re-iteration seeded
-// from the affected region. The previous assignment is kept as the
-// starting point and only the delta endpoints and their neighbors enter
-// the initial worklist; the usual CommunityFrontier move rounds then
-// run for at most maxPasses. COMM is a heuristic, so unlike BFS/CC the
-// repaired partition is valid but not guaranteed identical to a
-// from-scratch run — Modularity is recomputed from the final assignment
-// either way.
-func CommunityIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int, oldComm []int32, d *graph.EdgeDelta) (*CommunityResult, error) {
-	if err := validate(g, 0, threads); err != nil {
-		return nil, err
-	}
-	if err := checkDelta(d, g.N); err != nil {
-		return nil, err
-	}
-	n := g.N
-	if len(oldComm) != n {
-		return nil, fmt.Errorf("core: seed communities for %d vertices, graph has %d", len(oldComm), n)
-	}
-	for v, c := range oldComm {
-		if c < 0 || int(c) >= n {
-			return nil, fmt.Errorf("core: seed community %d of vertex %d out of range [0,%d)", c, v, n)
-		}
-	}
-	k := &communityFrontierRun{
-		comm: append([]int32(nil), oldComm...),
-		mark: make([]int32, n),
-	}
-	// Seed: every delta endpoint plus its current out-neighborhood — the
-	// vertices whose best community can have changed. Endpoints are marked
-	// first (1) so that only they are expanded; neighbors get 2.
-	for _, es := range [2][]graph.Edge{d.Inserts, d.Deletes} {
-		for _, e := range es {
-			k.mark[e.From], k.mark[e.To] = 1, 1
-		}
-	}
-	for v := 0; v < n; v++ {
-		if k.mark[v] != 1 {
-			continue
-		}
-		ts, _ := g.Neighbors(v)
-		for _, u := range ts {
-			if k.mark[u] == 0 {
-				k.mark[u] = 2
-			}
-		}
-	}
-	k.wl.prepare(threads, 0)
-	for v := 0; v < n; v++ {
-		if k.mark[v] != 0 {
-			k.mark[v] = 1
-			k.wl.seed(int32(v))
-		}
-	}
-	return k.execute(goCtx, pl, g, threads, maxPasses)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -234,55 +233,12 @@ func TestComponentsIncrementalRejectsDeletes(t *testing.T) {
 	}
 }
 
-// TestCommunityIncrementalProducesValidPartition checks the bounded
-// re-iteration repair for COMM: the result must be a valid partition
-// with finite modularity and must not disturb vertices far from the
-// delta (only seeded vertices and their transitive neighborhood may
-// move). COMM is a heuristic, so no bit-identity claim is made.
-func TestCommunityIncrementalProducesValidPartition(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(17))
-	for _, kind := range graph.Kinds {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			g := graph.Generate(kind, 1500, 5)
-			seedRes, err := CommunityFrontier(ctx, native.New(), g, 8, DefaultCommunityPasses)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := randomDelta(g, rng, 10, 6)
-			if err := d.Canonicalize(g.N); err != nil {
-				t.Fatal(err)
-			}
-			next := graph.ApplyDelta(g, d)
-			res, err := CommunityIncremental(ctx, native.New(), next, 8, DefaultCommunityPasses, seedRes.Community, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Community) != next.N {
-				t.Fatalf("community array has %d entries, want %d", len(res.Community), next.N)
-			}
-			for v, c := range res.Community {
-				if c < 0 || int(c) >= next.N {
-					t.Fatalf("community[%d] = %d out of range", v, c)
-				}
-			}
-			if math.IsNaN(res.Modularity) || math.IsInf(res.Modularity, 0) {
-				t.Fatalf("modularity %v not finite", res.Modularity)
-			}
-			if res.Modularity < -1 || res.Modularity > 1 {
-				t.Fatalf("modularity %v outside [-1, 1]", res.Modularity)
-			}
-		})
-	}
-}
-
 // TestBenchmarkRepair pins the incremental-vs-full decision: which
 // benchmarks have a Repair, which deltas each repairs (matching a full
 // run where the repair is exact), and which it declines with
 // ErrNoIncremental — the size gate for all, deletes for CONN_COMP.
 func TestBenchmarkRepair(t *testing.T) {
-	repairable := map[string]bool{"BFS": true, "CONN_COMP": true, "COMM": true}
+	repairable := map[string]bool{"BFS": true, "CONN_COMP": true}
 	for _, b := range append(Suite(), Variants()...) {
 		if (b.Repair != nil) != repairable[b.Name] {
 			t.Errorf("%s: has Repair = %t, want %t", b.Name, b.Repair != nil, repairable[b.Name])
@@ -313,7 +269,6 @@ func TestBenchmarkRepair(t *testing.T) {
 		{"BFS", g.M() / 8, g.M() / 8, false, "delta beyond 1/8 of the edges falls back"},
 		{"CONN_COMP", 8, 0, true, "insert-only CC repairs"},
 		{"CONN_COMP", 8, 2, false, "any delete can split a component"},
-		{"COMM", 5, 5, true, "COMM re-iterates over the affected region"},
 	}
 	for _, tc := range cases {
 		d := randomDelta(g, rand.New(rand.NewSource(int64(tc.inserts+tc.deletes))), tc.inserts, tc.deletes)
@@ -355,16 +310,12 @@ func TestBenchmarkRepair(t *testing.T) {
 			if !slices.Equal(got.Components.Labels, want.Components.Labels) {
 				t.Errorf("CONN_COMP %d+%d: repaired labels differ from a full run", tc.inserts, tc.deletes)
 			}
-		case "COMM":
-			if len(got.Community.Community) != next.N {
-				t.Errorf("COMM %d+%d: %d communities for %d vertices", tc.inserts, tc.deletes, len(got.Community.Community), next.N)
-			}
 		}
 	}
 }
 
-// TestBFSIncrementalSeedValidation pins the defensive checks of all
-// three repairs: the public facade passes seeds and deltas through
+// TestBFSIncrementalSeedValidation pins the defensive checks of both
+// repairs: the public facade passes seeds and deltas through
 // unvalidated, so a malformed one must come back as an error, never as
 // an out-of-range index or a nil dereference.
 func TestBFSIncrementalSeedValidation(t *testing.T) {
@@ -376,7 +327,6 @@ func TestBFSIncrementalSeedValidation(t *testing.T) {
 	next := graph.ApplyDelta(g, good)
 	level := BFSRef(g, 0)
 	labels := ComponentsRef(g)
-	comm := []int32{0, 0, 2, 3}
 
 	deltas := []struct {
 		name string
@@ -408,14 +358,6 @@ func TestBFSIncrementalSeedValidation(t *testing.T) {
 			"wrong length":           make([]int32, 2),
 			"label above its vertex": {1, 1, 2, 3},
 			"label names a non-root": {0, 0, 1, 3},
-		}},
-		{"COMM", func(seed []int32, d *graph.EdgeDelta) error {
-			_, err := CommunityIncremental(context.Background(), native.New(), next, 2, 4, seed, d)
-			return err
-		}, comm, map[string][]int32{
-			"wrong length":           make([]int32, 2),
-			"community out of range": {0, 0, 4, 3},
-			"community negative":     {0, -1, 2, 3},
 		}},
 	}
 	for _, k := range kernels {

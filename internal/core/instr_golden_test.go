@@ -21,7 +21,7 @@ var updateInstrGolden = flag.Bool("update-instr-golden", false,
 // one thread the per-thread instruction count is exact (no schedule
 // decides a CAS winner), so it is a bit-level fingerprint of the
 // annotation stream each kernel issues: every Suite and Variants entry
-// under every strategy it dispatches on, the batched BFS and the three
+// under every strategy it dispatches on, the batched BFS and the two
 // incremental repairs, on small seeded sparse, road-ca and social graphs.
 // A hybrid request is checked against the frontier count it aliases.
 // The golden was generated before exec.Ctx became a concrete type; any
@@ -103,13 +103,6 @@ func TestNativeInstructionGolden(t *testing.T) {
 		ins := &graph.EdgeDelta{Inserts: d.Inserts}
 		cc, err := ComponentsIncremental(ctx, native.New(), graph.ApplyDelta(g, ins), 1, ComponentsRef(g), ins)
 		record("ComponentsIncremental/"+string(kind), err, func() *exec.Report { return cc.Report })
-
-		base, err := CommunityFrontier(ctx, native.New(), g, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comm, err := CommunityIncremental(ctx, native.New(), next, 1, 0, base.Community, d)
-		record("CommunityIncremental/"+string(kind), err, func() *exec.Report { return comm.Report })
 	}
 
 	path := filepath.Join("testdata", "native_instr_1t.json")

@@ -120,13 +120,6 @@ func RunAblationWindow(cfg *Config) error {
 	return err
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RunAblationRouting compares XY routing against O1TURN-style oblivious
 // routing (Section VII-B: "routing protocols, such as oblivious routing,
 // may be able to reduce contention").

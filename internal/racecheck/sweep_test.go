@@ -9,7 +9,6 @@ import (
 	"crono/internal/core"
 	"crono/internal/exec"
 	"crono/internal/graph"
-	"crono/internal/native"
 )
 
 // sweepCase is one cell of the zero-race pin matrix.
@@ -66,7 +65,7 @@ func sweepCases() []sweepCase {
 	return cases
 }
 
-// seededEntryPoints wraps BFSBatch and the three incremental repairs as
+// seededEntryPoints wraps BFSBatch and the two incremental repairs as
 // sweep cells. Each repair is seeded from a full result on req.G plus a
 // small random delta, and runs on the mutated graph.
 func seededEntryPoints() []core.Benchmark {
@@ -137,21 +136,6 @@ func seededEntryPoints() []core.Benchmark {
 				return nil, err
 			}
 			r, err := core.ComponentsIncremental(ctx, pl, graph.ApplyDelta(req.G, d), req.Threads, old, d)
-			if err != nil {
-				return nil, err
-			}
-			return r.Report, nil
-		}),
-		wrap("CommunityIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
-			full, err := core.CommunityFrontier(ctx, native.New(), req.G, 1, core.DefaultCommunityPasses)
-			if err != nil {
-				return nil, err
-			}
-			d, next, err := delta(req.G, 2)
-			if err != nil {
-				return nil, err
-			}
-			r, err := core.CommunityIncremental(ctx, pl, next, req.Threads, core.DefaultCommunityPasses, full.Community, d)
 			if err != nil {
 				return nil, err
 			}

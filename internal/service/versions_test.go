@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -422,6 +423,47 @@ func TestIncrementalRunThroughAPI(t *testing.T) {
 	}
 	if v := metricValue(t, m, `crono_incremental_runs_total{kernel="CONN_COMP"}`); v != 1 {
 		t.Fatalf("incremental CONN_COMP counter = %v, want 1", v)
+	}
+}
+
+// TestCommReplyIndependentOfCacheHistory: a COMM run on a patched version
+// answers what a fresh server answers for that version, whether or not
+// the parent version's result was cached. One thread makes the native
+// instruction count an exact fingerprint of the run.
+func TestCommReplyIndependentOfCacheHistory(t *testing.T) {
+	onV2 := func(warmParent bool) runResponse {
+		t.Helper()
+		_, ts := newTestServer(t, DefaultConfig())
+		gr := createGraph(t, ts.URL, "social", 2048, 42)
+		run := func() runResponse {
+			t.Helper()
+			resp := postJSON(t, ts.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "COMM", Threads: 1})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("COMM run: status %d", resp.StatusCode)
+			}
+			var rr runResponse
+			decodeBody(t, resp, &rr)
+			return rr
+		}
+		if warmParent {
+			run()
+		}
+		resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
+			Inserts: []edgeSpec{{From: 3, To: 1500, Weight: 1}, {From: 1500, To: 3, Weight: 1}},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("patch: status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
+		// Natively the times and the breakdown are nanoseconds; the rest
+		// of the reply must match.
+		rr := run()
+		rr.Time, rr.WallSeconds, rr.QueueWaitSeconds, rr.Breakdown = 0, 0, 0, nil
+		return rr
+	}
+	fresh, afterParent := onV2(false), onV2(true)
+	if !reflect.DeepEqual(afterParent, fresh) {
+		t.Fatalf("COMM on v2 after a cached v1 run:\n%+v\nfresh server:\n%+v", afterParent, fresh)
 	}
 }
 

@@ -121,8 +121,9 @@ type Config struct {
 	// every simulated memory reference and MCP transaction serializes
 	// behind one mutex, regardless of which core or home tile it touches.
 	// Model outputs are unchanged — only host-side parallelism is lost.
-	// It exists as the in-tree baseline for simulator-throughput
-	// comparisons (crono-bench -mode sim); leave it off otherwise.
+	// It exists as the in-tree reference the sharded memory system is
+	// tested against (TestSerialMemoryMatchesSharded); leave it off
+	// otherwise.
 	SerialMemory bool
 
 	// Energy is the 11 nm per-event energy model.

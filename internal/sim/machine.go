@@ -75,8 +75,8 @@ type Machine struct {
 	// serialMu reinstates the pre-sharding global memory-system lock
 	// when cfg.SerialMemory is set: every memory-system transaction
 	// serializes behind it and the sharded locks underneath run
-	// uncontended. It exists purely as the in-tree baseline for
-	// crono-bench's simulator-throughput comparison.
+	// uncontended. It exists purely as the in-tree reference the
+	// sharded memory system is tested against.
 	serialMu sync.Mutex
 
 	allocMu   sync.Mutex
