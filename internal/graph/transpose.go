@@ -33,6 +33,19 @@ func (g *CSR) InCSR() *CSR {
 	return g.tr
 }
 
+// ResidentBytes is the memory held by g's arrays plus, once built and
+// distinct from g, its cached transpose's.
+func (g *CSR) ResidentBytes() int64 {
+	b := 8*int64(len(g.Offsets)) + 4*int64(len(g.Targets)+len(g.Weights))
+	g.trMu.Lock()
+	tr := g.tr
+	g.trMu.Unlock()
+	if tr != nil && tr != g {
+		b += tr.ResidentBytes()
+	}
+	return b
+}
+
 // transpose builds the reverse graph with a counting sort over targets:
 // one pass to size each in-neighbor list, one to fill. Neighbor lists
 // come out sorted by source vertex because g's edges are visited in

@@ -99,3 +99,23 @@ func TestInCSRCached(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentBytesCountsTranspose: a CSR's resident bytes grow by its
+// transpose's once one is built, and not at all when the graph is its own
+// transpose.
+func TestResidentBytesCountsTranspose(t *testing.T) {
+	g := FromEdges(3, []Edge{{From: 0, To: 1, Weight: 2}, {From: 1, To: 2, Weight: 4}}, false)
+	own := int64(8*4 + 4*2 + 4*2) // offsets, targets, weights
+	if b := g.ResidentBytes(); b != own {
+		t.Fatalf("resident bytes %d, want %d", b, own)
+	}
+	g.InCSR()
+	if b := g.ResidentBytes(); b != 2*own {
+		t.Fatalf("resident bytes with transpose %d, want %d", b, 2*own)
+	}
+	sym := Generate(KindRoadCA, 200, 11)
+	before := sym.ResidentBytes()
+	if sym.InCSR(); sym.ResidentBytes() != before {
+		t.Fatal("a symmetric graph's self-transpose was counted twice")
+	}
+}

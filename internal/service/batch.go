@@ -140,7 +140,7 @@ func (s *Server) runGroup(grp *batchGroup) {
 	if len(live) == 0 {
 		return
 	}
-	batch, plan := planBatch(len(live), live[0].spec.ver.BFSDepth())
+	batch, plan := planBatch(len(live), live[0].spec.vf.BFSDepth())
 	if batch {
 		s.runPass(live, plan)
 		return
@@ -164,7 +164,7 @@ func (s *Server) runPass(members []*pending, plan string) {
 	first := members[0].spec
 	s.inflight.Add(1)
 	start := time.Now()
-	res, err := core.BFSBatch(ctx, native.New(), first.ver.Graph(), sources, first.req.Threads)
+	res, err := core.BFSBatch(ctx, native.New(), first.in.G, sources, first.req.Threads)
 	wall := time.Since(start)
 	s.inflight.Add(-1)
 	if err != nil {

@@ -273,7 +273,7 @@ func TestBatchingOptOuts(t *testing.T) {
 			plan := "" // a scan run is not of batchable shape: no plan at all
 			if tc.deep {
 				_, ver, _ := s.store.Resolve(gr.ID)
-				plan = fmt.Sprintf("single:deep(depth=%d)", ver.BFSDepth())
+				plan = fmt.Sprintf("single:deep(depth=%d)", ver.materialize().BFSDepth())
 			}
 			out := heldBurst(t, s, ts.URL, gr.ID, tc.strategy, []int{0, 1, 2, 3}, func() bool { return s.pool.Depth() == 1+4 })
 			for i, rr := range out {
@@ -371,13 +371,13 @@ func TestPlanBatch(t *testing.T) {
 	}
 	road, social := version(graph.KindRoadCA), version(graph.KindSocial)
 	// A joiner that stays alone in its group runs as a lone single.
-	if _, plan := planBatch(1, social.BFSDepth()); plan != "single:alone" {
+	if _, plan := planBatch(1, social.materialize().BFSDepth()); plan != "single:alone" {
 		t.Errorf("lone BFS.social.hybrid plan %q, want single:alone", plan)
 	}
-	if d := road.BFSDepth(); d <= deepBFSDepth {
+	if d := road.materialize().BFSDepth(); d <= deepBFSDepth {
 		t.Errorf("road-ca depth estimate %d, want deep (> %d)", d, deepBFSDepth)
 	}
-	if d := social.BFSDepth(); d < 1 || d > deepBFSDepth {
+	if d := social.materialize().BFSDepth(); d < 1 || d > deepBFSDepth {
 		t.Errorf("social depth estimate %d, want shallow (1..%d)", d, deepBFSDepth)
 	}
 }

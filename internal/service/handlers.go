@@ -104,6 +104,9 @@ type versionInfo struct {
 	Ordinal     int    `json:"ordinal"`
 	DeltaSize   int    `json:"deltaSize"`
 	Fingerprint string `json:"fingerprint"`
+	// ResidentBytes is the memory of the CSR and derived forms the
+	// version holds: 0 unless it is the lineage's root or head.
+	ResidentBytes int64 `json:"residentBytes"`
 }
 
 // versionsResponse is the lineage listing, root first.
@@ -131,7 +134,8 @@ type runRequest struct {
 	// Order requests a cache-aware vertex reordering: "none" (default),
 	// "degree" (hub packing), "rcm" (bandwidth reduction) or "auto" (pick
 	// from the graph's degree skew). The reordered CSR is materialized
-	// lazily per graph version and memoized; results always come back in
+	// lazily per graph version and memoized while the version is its
+	// lineage's root or head; results always come back in
 	// original vertex ids (the kernel un-permutes before returning).
 	// Kernels without a label-invariant result (COMM) and non-CSR inputs
 	// ignore it.
@@ -398,13 +402,13 @@ func (s *Server) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		Limit:  limit,
 	}
 	for _, sg := range all[offset:end] {
-		versions := sg.Versions()
+		head := sg.Head()
 		out.Graphs = append(out.Graphs, graphSummary{
 			ID:       sg.ID,
 			Desc:     sg.Desc,
-			N:        versions[0].Graph().N, // root is always materialized; N is version-invariant
-			Versions: len(versions),
-			Head:     versions[len(versions)-1].ID,
+			N:        sg.N(),
+			Versions: head.Ordinal + 1,
+			Head:     head.ID,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -426,22 +430,25 @@ func (s *Server) handleGraphVersions(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, v := range versions {
 		out.Versions[i] = versionInfo{
-			ID:          v.ID,
-			Parent:      v.Parent,
-			Ordinal:     v.Ordinal,
-			DeltaSize:   v.DeltaSize(),
-			Fingerprint: fmt.Sprintf("%016x", v.Fingerprint),
+			ID:            v.ID,
+			Parent:        v.Parent,
+			Ordinal:       v.Ordinal,
+			DeltaSize:     v.DeltaSize(),
+			Fingerprint:   fmt.Sprintf("%016x", v.Fingerprint),
+			ResidentBytes: v.residentBytes(),
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handlePatch applies an edge insert/delete batch to a graph, producing
-// a new immutable version (copy-on-write: O(delta) stored, the flat CSR
-// is materialized lazily). The optional parent pin gives optimistic
-// concurrency: a patch pinned to a stale head 409s with version-conflict
-// unless it is an exact replay of an already-applied patch, which
-// returns the stored version (idempotent retries).
+// a new immutable version (copy-on-write: O(delta) stored). The new head's
+// CSR is materialized lazily, by its first run, which releases the CSR of
+// the version it supersedes (the residency rule, see Version). The
+// optional parent pin gives optimistic concurrency: a patch pinned to a
+// stale head 409s with version-conflict unless it is an exact replay of
+// an already-applied patch, which returns the stored version (idempotent
+// retries).
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req patchRequest
@@ -471,8 +478,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	for i, e := range req.Deletes {
 		d.Deletes[i] = graph.Edge{From: e.From, To: e.To}
 	}
-	n := sg.Versions()[0].Graph().N // N is version-invariant
-	if err := d.Canonicalize(n); err != nil {
+	if err := d.Canonicalize(sg.N()); err != nil {
 		s.m.patches("invalid").Inc()
 		writeError(w, http.StatusBadRequest, codeInvalidDelta, "%v", err)
 		return
@@ -550,7 +556,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bad.status, bad.code, "%s", bad.msg)
 		return
 	}
-	p := planRun(spec.bench, &spec.req, spec.ver, s.cache.Peek)
+	p := planRun(spec.bench, &spec.req, spec.vf, s.cache.Peek)
 
 	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
 	defer cancel()
@@ -679,9 +685,9 @@ func (s *Server) runOne(p *pending, rp runPlan) runOut {
 	start := time.Now()
 	// Materialize the reordered CSR on the worker, not the handler: the
 	// first run on a (version, order) pays the permutation build (memoized
-	// in the store), later runs get it for free.
+	// on a root or head version's forms), later runs get it for free.
 	if rp.order != graph.OrderNone {
-		ro, err := spec.ver.Ordered(rp.order)
+		ro, err := spec.vf.Ordered(rp.order)
 		if err != nil {
 			return runOut{err: err}
 		}
@@ -703,7 +709,7 @@ func (s *Server) runOne(p *pending, rp runPlan) runOut {
 	var res *core.Result
 	var err error
 	if rp.prev != nil {
-		if res, err = spec.bench.Repair(ctx, pl, creq, rp.prev, spec.ver.Delta); errors.Is(err, core.ErrNoIncremental) {
+		if res, err = spec.bench.Repair(ctx, pl, creq, rp.prev, spec.vf.ver.Delta); errors.Is(err, core.ErrNoIncremental) {
 			res, err = nil, nil
 		}
 	}
@@ -760,8 +766,8 @@ func newRunResponse(spec *runSpec, order graph.Order, rep *exec.Report, wall, qu
 		WallSeconds:       wall.Seconds(),
 		QueueWaitSeconds:  queued.Seconds(),
 	}
-	if spec.ver != nil {
-		resp.Graph, resp.GraphVersion = spec.ver.GraphID, spec.ver.ID
+	if spec.vf != nil {
+		resp.Graph, resp.GraphVersion = spec.vf.ver.GraphID, spec.vf.ver.ID
 	}
 	if order != graph.OrderNone {
 		resp.Order = string(order) // omitted for unordered runs

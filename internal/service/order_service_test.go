@@ -81,14 +81,15 @@ func TestRunOrderingThroughAPI(t *testing.T) {
 }
 
 // TestOrderedVersionMemoized pins the lazy per-version materialization:
-// concurrent and repeated Ordered calls return one shared Reordered.
+// concurrent and repeated Ordered calls on a resident version return one
+// shared Reordered.
 func TestOrderedVersionMemoized(t *testing.T) {
 	s := NewStore(8)
 	sg, err := s.Put(graph.SocialNet(200, 6, 3), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := sg.Head()
+	v := sg.Head().materialize()
 	a, err := v.Ordered(graph.OrderDegree)
 	if err != nil {
 		t.Fatal(err)

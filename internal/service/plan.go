@@ -15,7 +15,7 @@ import (
 type runSpec struct {
 	req     runRequest
 	bench   core.Benchmark
-	ver     *Version   // the input version; nil for TSP, which takes no graph
+	vf      *forms     // the input version's materialization, held until the run ends; nil for TSP
 	in      core.Input // the kernel input, in original vertex ids
 	sim     sim.Config // the machine a sim run builds
 	timeout time.Duration
@@ -116,7 +116,8 @@ func (s *Server) validateRun(req runRequest) (*runSpec, *runError) {
 		return nil, badRun(http.StatusNotFound, codeGraphNotFound,
 			"graph %q not found (POST /v1/graphs first)", req.Graph)
 	}
-	g := ver.Graph()
+	vf := ver.materialize()
+	g := vf.g
 	if req.Source < 0 || req.Source >= g.N {
 		return nil, badRun(http.StatusBadRequest, codeSourceOutOfRange,
 			"source %d out of range [0, %d)", req.Source, g.N)
@@ -131,11 +132,11 @@ func (s *Server) validateRun(req runRequest) (*runSpec, *runError) {
 				"%s needs a dense O(N²) matrix; graph has %d vertices, limit %d",
 				bench.Name, g.N, s.cfg.MaxDenseVertices)
 		}
-		spec.in.D = ver.Dense()
+		spec.in.D = vf.Dense()
 	} else {
 		spec.in.G = g
 	}
-	spec.ver = ver
+	spec.vf = vf
 	return spec, nil
 }
 
@@ -152,9 +153,10 @@ type runPlan struct {
 // planRun makes every decision about a validated run that depends on more
 // than the request — the resolved ordering, whether it repairs its parent
 // version's result, whether it joins a batch group — and derives every
-// key from them; handleRun only executes the plan. It is pure: besides
-// its arguments it reads only the version's memoized statistics and,
-// through peek (Cache.Peek), the parent version's cached result. Each
+// key from them; handleRun only executes the plan. vf is the input
+// version's materialization (nil for TSP). It is pure: besides its
+// arguments it reads only the version's memoized statistics and, through
+// peek (Cache.Peek), the parent version's cached result. Each
 // rule is stated once:
 //
 //   - An ordering applies only to an Orderable kernel; any other run is
@@ -173,7 +175,7 @@ type runPlan struct {
 //     repair is seeded from one parent result. It joins only when a full
 //     group would run as a pass on its version (planBatch).
 //   - Sim-only knobs (simCores, outOfOrder) are not part of a native key.
-func planRun(bench core.Benchmark, req *runRequest, ver *Version, peek func(string) (any, bool)) runPlan {
+func planRun(bench core.Benchmark, req *runRequest, vf *forms, peek func(string) (any, bool)) runPlan {
 	p := runPlan{order: graph.OrderNone}
 	kr := *req // the request as its keys see it
 	if kr.Platform == "native" {
@@ -183,25 +185,26 @@ func planRun(bench core.Benchmark, req *runRequest, ver *Version, peek func(stri
 		kr.Source = src
 		return runCacheKey(input, bench, &kr, ord)
 	}
-	if ver == nil {
+	if vf == nil {
 		p.key = key(fmt.Sprintf("tsp:n=%d:seed=%d", req.Cities, req.Seed), req.Source, p.order)
 		return p
 	}
+	ver := vf.ver
 	if bench.Orderable && req.Order != "" && req.Order != string(graph.OrderNone) {
 		if p.order = graph.Order(req.Order); req.Order == "auto" {
-			p.order = ver.AutoOrder()
+			p.order = vf.AutoOrder()
 		}
 	}
 	p.key = key(ver.ID, req.Source, p.order)
 	unordered := p.order == graph.OrderNone
 	frontier := req.Strategy == string(core.StrategyFrontier)
-	if frontier && unordered && bench.Repair != nil && core.RepairPays(ver.Delta, ver.Graph().M()) {
+	if frontier && unordered && bench.Repair != nil && core.RepairPays(ver.Delta, vf.g.M()) {
 		if pv, ok := peek(key(ver.Parent, req.Source, graph.OrderNone)); ok {
 			p.prev = pv.(*cachedRun).prev
 		}
 	}
 	if bench.Name == "BFS" && req.Platform == "native" && frontier && unordered && p.prev == nil {
-		p.join, p.plan = planBatch(core.BFSBatchWidth, ver.BFSDepth())
+		p.join, p.plan = planBatch(core.BFSBatchWidth, vf.BFSDepth())
 		if p.join {
 			p.group = key(ver.ID, -1, graph.OrderNone)
 		}

@@ -19,7 +19,7 @@ func mustPlan(t testing.TB, s *Server, req runRequest) (*runSpec, runPlan) {
 	if bad != nil {
 		t.Fatalf("%+v rejected: %d %s: %s", req, bad.status, bad.code, bad.msg)
 	}
-	return spec, planRun(spec.bench, &spec.req, spec.ver, s.cache.Peek)
+	return spec, planRun(spec.bench, &spec.req, spec.vf, s.cache.Peek)
 }
 
 // planFixture is a server holding the inputs of every class the
@@ -136,7 +136,7 @@ func checkPlan(t *testing.T, s *Server, spec *runSpec, p runPlan) {
 	if req.Platform == "native" {
 		plain := req
 		plain.SimCores, plain.OutOfOrder = 0, false
-		if q := planRun(spec.bench, &plain, spec.ver, s.cache.Peek); q.key != p.key {
+		if q := planRun(spec.bench, &plain, spec.vf, s.cache.Peek); q.key != p.key {
 			t.Fatalf("sim-only knobs in a native key: %q vs %q", p.key, q.key)
 		}
 	}
@@ -187,7 +187,7 @@ func TestPlanRun(t *testing.T) {
 		spec, p := mustPlan(t, f.s, req)
 		want := tc.plan
 		if want == "deep" {
-			want = fmt.Sprintf("single:deep(depth=%d)", root.BFSDepth())
+			want = fmt.Sprintf("single:deep(depth=%d)", root.materialize().BFSDepth())
 		}
 		if p.order != tc.order || (p.prev != nil) != tc.seed || p.join != tc.join || p.plan != want {
 			t.Errorf("%s: order %s, seed %t, join %t, plan %q; want %s, %t, %t, %q",
@@ -229,7 +229,7 @@ func FuzzPlanRun(f *testing.F) {
 			}
 			return
 		}
-		checkPlan(t, fx.s, spec, planRun(spec.bench, &spec.req, spec.ver, fx.s.cache.Peek))
+		checkPlan(t, fx.s, spec, planRun(spec.bench, &spec.req, spec.vf, fx.s.cache.Peek))
 	})
 }
 

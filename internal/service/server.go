@@ -236,6 +236,10 @@ func (s *Server) newMetrics() *serverMetrics {
 	reg.GaugeFunc("crono_graph_versions",
 		"Graph versions resident across all lineages (what MaxGraphs bounds).",
 		func() float64 { return float64(s.store.VersionTotal()) })
+	reg.GaugeFunc("crono_graph_versions_materialized",
+		"Graph versions holding a materialized CSR: at most each lineage's "+
+			"root and head.",
+		func() float64 { return float64(s.store.Materialized()) })
 	reg.GaugeFunc("crono_cache_entries",
 		"Completed results resident in the LRU cache.",
 		func() float64 { return float64(s.cache.Len()) })

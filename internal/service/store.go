@@ -14,7 +14,9 @@ import (
 // ErrStoreFull is returned by Store.Put and Store.Patch when the version
 // budget is exhausted. Every version — roots included — counts against
 // MaxGraphs, so a mutation-heavy workload cannot grow memory unboundedly
-// by patching a single graph.
+// by patching a single graph. A version costs its delta; only a lineage's
+// root and head hold a CSR (see Version), so the budget bounds memory at
+// two CSRs per lineage plus the deltas.
 var ErrStoreFull = errors.New("service: graph store full")
 
 // ErrVersionConflict is returned by Store.Patch when the request pins a
@@ -30,8 +32,17 @@ const storeShards = 16
 
 // Version is one immutable graph version in a lineage: the root carries
 // the full CSR, every child carries only its delta (copy-on-write — the
-// O(delta) storage discipline of journal/snapshot state stores). The
-// flat CSR and dense forms are derived on first use and memoized.
+// O(delta) storage discipline of journal/snapshot state stores).
+//
+// Residency rule: a version holds its materialized forms — the CSR, the
+// in-CSR memoized on it, the dense matrix and the reordered CSRs — only
+// while it is its lineage's root or head. The head builds its CSR lazily,
+// on first use, from the nearest ancestor that still holds one, and in
+// doing so releases the forms of every non-root ancestor. A superseded
+// version replays the deltas below its nearest ancestor holding a CSR —
+// the root, once the head is built — on each use without memoizing: at
+// most depth × graph.ApplyDelta, and MaxGraphs bounds the depth. So a
+// lineage of any length holds at most two CSRs.
 type Version struct {
 	// ID is the lineage-addressed identifier: "v" + 16 hex digits of
 	// Fingerprint.
@@ -51,26 +62,36 @@ type Version struct {
 	// Delta is the canonical edge delta from Parent (nil for the root).
 	Delta *graph.EdgeDelta
 
-	parent    *Version   // resident parent, nil for the root
-	root      *graph.CSR // non-nil only for the root
-	csrOnce   sync.Once
-	csr       *graph.CSR
-	denseOnce sync.Once
-	dense     *graph.Dense
+	parent  *Version     // nil for the root
+	lineage *StoredGraph // whose head decides residency
+	// resident holds the version's forms while the residency rule keeps
+	// them: always on the root, on the head once built; nil otherwise.
+	resident  atomic.Pointer[forms]
 	autoOnce  sync.Once
 	auto      graph.Order
 	depthOnce sync.Once
 	depth     int
+}
+
+// forms is one materialization of a version: its CSR and the forms
+// derived from it on first use. A resident version's forms are shared by
+// every run on it; a superseded version's are built for one request,
+// which holds them until it is done.
+type forms struct {
+	ver       *Version
+	g         *graph.CSR
+	denseOnce sync.Once
+	dense     atomic.Pointer[graph.Dense]
 	orderMu   sync.Mutex // guards orders map shape; entries synchronize themselves
 	orders    map[graph.Order]*orderedVersion
 }
 
 // orderedVersion memoizes one reordered materialization of a version.
-// The once is per (version, order): concurrent first requests share one
+// The once is per (forms, order): concurrent first requests share one
 // permutation build, later requests get the cached Reordered for free.
 type orderedVersion struct {
 	once sync.Once
-	ro   *graph.Reordered
+	ro   atomic.Pointer[graph.Reordered] // set by once; read by residentBytes
 	err  error
 }
 
@@ -82,68 +103,132 @@ func (v *Version) DeltaSize() int {
 	return v.Delta.Size()
 }
 
-// Graph returns the materialized CSR of this version, derived on first
-// use by replaying the delta chain onto the root and memoized per
-// version. Concurrent callers share one materialization.
-func (v *Version) Graph() *graph.CSR {
-	v.csrOnce.Do(func() {
-		if v.root != nil {
-			v.csr = v.root
-			return
+// Graph returns the materialized CSR of this version (see materialize).
+func (v *Version) Graph() *graph.CSR { return v.materialize().g }
+
+// materialize returns the version's forms. For a root, or a head already
+// built, it is one atomic load. Otherwise the lineage's build lock is
+// taken: the head builds its forms, memoizes them and releases every
+// non-root ancestor's, so concurrent first callers share one build; a
+// superseded version replays outside the lock and memoizes nothing.
+func (v *Version) materialize() *forms {
+	if f := v.resident.Load(); f != nil {
+		return f
+	}
+	sg := v.lineage
+	sg.buildMu.Lock()
+	if f := v.resident.Load(); f != nil {
+		sg.buildMu.Unlock()
+		return f
+	}
+	if sg.Head() != v {
+		sg.buildMu.Unlock()
+		return v.replay()
+	}
+	defer sg.buildMu.Unlock()
+	f := v.replay()
+	v.resident.Store(f)
+	// Every ancestor, not only the parent: after patches with no run in
+	// between, the version that last held forms is further up.
+	for a := v.parent; a.parent != nil; a = a.parent {
+		a.resident.Store(nil)
+	}
+	return f
+}
+
+// replay builds the version's forms from the nearest ancestor holding a
+// CSR — the root at worst — by applying the deltas below it in order.
+func (v *Version) replay() *forms {
+	var chain []*Version
+	a, f := v, v.resident.Load()
+	for f == nil {
+		chain = append(chain, a)
+		a = a.parent
+		f = a.resident.Load()
+	}
+	g := f.g
+	for i := len(chain) - 1; i >= 0; i-- {
+		g = graph.ApplyDelta(g, chain[i].Delta)
+	}
+	return &forms{ver: v, g: g}
+}
+
+// residentBytes is the memory of the forms the version holds: 0 when it
+// holds only its delta.
+func (v *Version) residentBytes() int64 {
+	f := v.resident.Load()
+	if f == nil {
+		return 0
+	}
+	b := f.g.ResidentBytes()
+	if d := f.dense.Load(); d != nil {
+		b += 4 * int64(len(d.W))
+	}
+	f.orderMu.Lock()
+	defer f.orderMu.Unlock()
+	for _, e := range f.orders {
+		if ro := e.ro.Load(); ro != nil {
+			b += ro.G.ResidentBytes() + 4*int64(len(ro.Perm)+len(ro.Inv))
 		}
-		v.csr = graph.ApplyDelta(v.parent.Graph(), v.Delta)
-	})
-	return v.csr
+	}
+	return b
 }
 
 // Dense returns the adjacency-matrix form (APSP/BETW_CENT input), derived
 // on first use and memoized. Callers must gate on vertex count: the
 // matrix is O(N²).
-func (v *Version) Dense() *graph.Dense {
-	v.denseOnce.Do(func() { v.dense = graph.DenseFromCSR(v.Graph()) })
-	return v.dense
+func (f *forms) Dense() *graph.Dense {
+	f.denseOnce.Do(func() { f.dense.Store(graph.DenseFromCSR(f.g)) })
+	return f.dense.Load()
 }
 
-// Ordered returns the reordered materialization of this version under the
-// named (non-identity) ordering, built on first use and memoized per
-// (version, order) — the same lazy discipline as Graph and Dense.
-// Concurrent first callers share one permutation build.
-func (v *Version) Ordered(o graph.Order) (*graph.Reordered, error) {
+// Ordered returns the reordered CSR under the named (non-identity)
+// ordering, built on first use and memoized per order — the same lazy
+// discipline as Dense. Concurrent first callers share one permutation
+// build.
+func (f *forms) Ordered(o graph.Order) (*graph.Reordered, error) {
 	if o == graph.OrderNone {
-		return graph.Reorder(v.Graph(), graph.OrderNone)
+		return graph.Reorder(f.g, graph.OrderNone)
 	}
-	v.orderMu.Lock()
-	if v.orders == nil {
-		v.orders = make(map[graph.Order]*orderedVersion, 2)
+	f.orderMu.Lock()
+	if f.orders == nil {
+		f.orders = make(map[graph.Order]*orderedVersion, 2)
 	}
-	e := v.orders[o]
+	e := f.orders[o]
 	if e == nil {
 		e = &orderedVersion{}
-		v.orders[o] = e
+		f.orders[o] = e
 	}
-	v.orderMu.Unlock()
-	e.once.Do(func() { e.ro, e.err = graph.Reorder(v.Graph(), o) })
-	return e.ro, e.err
+	f.orderMu.Unlock()
+	e.once.Do(func() {
+		var ro *graph.Reordered
+		ro, e.err = graph.Reorder(f.g, o)
+		e.ro.Store(ro)
+	})
+	return e.ro.Load(), e.err
 }
 
-// AutoOrder picks this version's ordering from its degree skew
+// AutoOrder picks the version's ordering from its degree skew
 // (graph.PickOrder): hub packing for power-law graphs, RCM bandwidth
-// reduction for flat-degree road/mesh graphs. Memoized — the skew scan is
-// O(N) and version content is immutable.
-func (v *Version) AutoOrder() graph.Order {
-	v.autoOnce.Do(func() { v.auto = graph.PickOrder(v.Graph()) })
+// reduction for flat-degree road/mesh graphs. Memoized on the version,
+// which outlives its forms — the skew scan is O(N) and version content is
+// immutable.
+func (f *forms) AutoOrder() graph.Order {
+	v := f.ver
+	v.autoOnce.Do(func() { v.auto = graph.PickOrder(f.g) })
 	return v.auto
 }
 
-// BFSDepth estimates how deep a BFS of this version runs: the level count
+// BFSDepth estimates how deep a BFS of the version runs: the level count
 // of one sequential BFS from the max-degree vertex. The batcher reads it
 // to tell small-world graphs, where sources share frontier vertices and a
 // multi-source pass pays off, from road-like ones, where it never does
-// (see planBatch). Memoized like AutoOrder, and computed per version
-// rather than inherited: a patch can bridge or cut a long path.
-func (v *Version) BFSDepth() int {
+// (see planBatch). Memoized on the version like AutoOrder, and computed
+// per version rather than inherited: a patch can bridge or cut a long
+// path.
+func (f *forms) BFSDepth() int {
+	v, g := f.ver, f.g
 	v.depthOnce.Do(func() {
-		g := v.Graph()
 		src := 0
 		for u := 1; u < g.N; u++ {
 			if g.Degree(u) > g.Degree(src) {
@@ -169,12 +254,20 @@ type StoredGraph struct {
 	// Desc records provenance, e.g. "generated:sparse" or "uploaded:snap".
 	Desc string
 
+	root *Version // versions[0], whose forms are never released
 	// mu guards versions. Writers (Store.Patch) hold it exclusively,
 	// which serializes mutation per lineage; unpinned concurrent patches
 	// land in a deterministic chain, pinned ones conflict.
 	mu       sync.RWMutex
 	versions []*Version
+	// buildMu serializes the head's first materialization with the
+	// release of its ancestors' forms (Version.materialize). Patch does
+	// not take it: a PATCH stores only the delta.
+	buildMu sync.Mutex
 }
+
+// N returns the vertex count, which every version of the lineage shares.
+func (sg *StoredGraph) N() int { return sg.root.Graph().N }
 
 // Head returns the current head version of the lineage.
 func (sg *StoredGraph) Head() *Version {
@@ -214,7 +307,9 @@ type versionShard struct {
 
 // Store is a sharded in-memory store of graph lineages, addressed by
 // content fingerprint ("g…" graph IDs resolve to the lineage head,
-// "v…" version IDs pin an exact version).
+// "v…" version IDs pin an exact version). Every version stays
+// addressable; under the residency rule (see Version) only each
+// lineage's root and head hold a materialized CSR.
 type Store struct {
 	maxVersions int
 	count       atomic.Int64 // total versions across all lineages
@@ -287,9 +382,10 @@ func (s *Store) Put(g *graph.CSR, desc string) (*StoredGraph, error) {
 		ID:          VersionID(fp),
 		GraphID:     id,
 		Fingerprint: fp,
-		root:        g,
+		lineage:     sg,
 	}
-	sg.versions = []*Version{root}
+	root.resident.Store(&forms{ver: root, g: g})
+	sg.root, sg.versions = root, []*Version{root}
 	// Publish the root version before the graph: anyone who can see the
 	// lineage can resolve its head version ID.
 	s.putVersion(root)
@@ -353,6 +449,7 @@ func (s *Store) Patch(graphID string, d *graph.EdgeDelta, parent string) (v *Ver
 		Fingerprint: childFp,
 		Delta:       d,
 		parent:      head,
+		lineage:     sg,
 	}
 	sg.versions = append(sg.versions, child)
 	s.putVersion(child)
@@ -416,3 +513,19 @@ func (s *Store) Len() int { return int(s.graphCount.Load()) }
 // VersionTotal returns the number of resident versions across all
 // lineages — the quantity the MaxGraphs budget bounds.
 func (s *Store) VersionTotal() int { return int(s.count.Load()) }
+
+// Materialized returns the number of versions holding a CSR: at most two
+// per lineage, its root and its head.
+func (s *Store) Materialized() int {
+	n := 0
+	for _, sg := range s.List() {
+		sg.mu.RLock()
+		for _, v := range sg.versions {
+			if v.resident.Load() != nil {
+				n++
+			}
+		}
+		sg.mu.RUnlock()
+	}
+	return n
+}

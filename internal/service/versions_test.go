@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -635,5 +637,227 @@ func TestVersionedCacheKeyFormat(t *testing.T) {
 	}
 	if c := runCacheKey("v0000000000000001", bench, &req, graph.OrderDegree); c == a {
 		t.Fatal("ordered and unordered runs share a cache key")
+	}
+}
+
+// runVersion sends one /v1/run and returns its reply with the native
+// timings zeroed: at one thread the rest of a reply is an exact
+// fingerprint of the run.
+func runVersion(t *testing.T, base string, req runRequest) runResponse {
+	t.Helper()
+	resp := postJSON(t, base+"/v1/run", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run %s %s source %d: status %d", req.Kernel, req.Graph, req.Source, resp.StatusCode)
+	}
+	var rr runResponse
+	decodeBody(t, resp, &rr)
+	rr.Time, rr.WallSeconds, rr.QueueWaitSeconds, rr.Breakdown = 0, 0, 0, nil
+	return rr
+}
+
+// churnDelta is the i-th patch of the residency tests: two undirected
+// inserts and one undirected delete, spread over the graph.
+func churnDelta(i, n int) patchRequest {
+	a, b, c := int32(7*i%n), int32((7*i+n/2)%n), int32((13*i+n/3)%n)
+	return patchRequest{
+		Inserts: []edgeSpec{{From: a, To: b, Weight: 2}, {From: b, To: a, Weight: 2},
+			{From: c, To: b, Weight: 5}, {From: b, To: c, Weight: 5}},
+		Deletes: []edgeSpec{{From: a, To: a + 1}, {From: a + 1, To: a}},
+	}
+}
+
+func mustPatch(t *testing.T, base, id string, body patchRequest) patchResponse {
+	t.Helper()
+	resp := patchJSON(t, base+"/v1/graphs/"+id, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: status %d", resp.StatusCode)
+	}
+	var pr patchResponse
+	decodeBody(t, resp, &pr)
+	return pr
+}
+
+// residentOrdinals lists the ordinals of the versions that hold forms,
+// as GET /versions reports them.
+func residentOrdinals(t *testing.T, base, id string) []int {
+	t.Helper()
+	var vl versionsResponse
+	getJSON(t, base+"/v1/graphs/"+id+"/versions", &vl)
+	var out []int
+	for _, v := range vl.Versions {
+		if v.ResidentBytes > 0 {
+			out = append(out, v.Ordinal)
+		}
+	}
+	return out
+}
+
+// payload is the cached result of a repairable run: BFS levels or
+// component labels.
+func payload(t *testing.T, s *Server, spec runRequest, order graph.Order) []int32 {
+	t.Helper()
+	spec.Platform, spec.Strategy = "native", "frontier"
+	v, ok := s.cache.Peek(runCacheKey(spec.Graph, mustBench(t, spec.Kernel), &spec, order))
+	if !ok {
+		t.Fatalf("%s source %d on %s: no cached result", spec.Kernel, spec.Source, spec.Graph)
+	}
+	res := v.(*cachedRun).prev
+	if res.BFS != nil {
+		return res.BFS.Level
+	}
+	return res.Components.Labels
+}
+
+// TestSupersededVersionReplayIsExact: once the head has moved on, a
+// version holds only its delta, and a pinned run on it replays its chain
+// and answers exactly what a server on which it is still the head
+// answers. The replayed CSR is the one the version had as head.
+func TestSupersededVersionReplayIsExact(t *testing.T) {
+	const n = 2048
+	s, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "road-ca", n, 1)
+	versions := []string{gr.Version}
+	var v2Fingerprint uint64
+	for i := 1; i <= 5; i++ {
+		versions = append(versions, mustPatch(t, ts.URL, gr.ID, churnDelta(i, n)).Version)
+		if rr := runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 1, Source: 3}); rr.GraphVersion != versions[i] {
+			t.Fatalf("head run %d ran on %s, want %s", i, rr.GraphVersion, versions[i])
+		}
+		if got := residentOrdinals(t, ts.URL, gr.ID); !slices.Equal(got, []int{0, i}) {
+			t.Fatalf("after head run %d, versions %v hold forms, want [0 %d]", i, got, i)
+		}
+		if i == 2 {
+			v, _ := s.store.GetVersion(versions[2])
+			v2Fingerprint = v.Graph().Fingerprint()
+		}
+	}
+	v2, _ := s.store.GetVersion(versions[2])
+	if fp := v2.Graph().Fingerprint(); fp != v2Fingerprint {
+		t.Fatalf("replayed v2 fingerprint %016x, want %016x as head", fp, v2Fingerprint)
+	}
+
+	// The reference: a fresh server whose head is v2.
+	ref, refTS := newTestServer(t, DefaultConfig())
+	if createGraph(t, refTS.URL, "road-ca", n, 1).ID != gr.ID {
+		t.Fatal("reference server holds a different graph")
+	}
+	for i := 1; i <= 2; i++ {
+		mustPatch(t, refTS.URL, gr.ID, churnDelta(i, n))
+	}
+	for _, req := range []runRequest{
+		{Kernel: "BFS", Source: 100},
+		{Kernel: "SSSP_DIJK", Source: 200},
+		{Kernel: "CONN_COMP", Source: 0},
+		{Kernel: "BFS", Source: 300, Order: "rcm"},
+	} {
+		req.Graph, req.Threads = versions[2], 1
+		got, want := runVersion(t, ts.URL, req), runVersion(t, refTS.URL, req)
+		if got.Cached || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s order %q on superseded v2:\n%+v\nv2 as head:\n%+v", req.Kernel, req.Order, got, want)
+		}
+		if req.Kernel != "SSSP_DIJK" {
+			ord := graph.Order(req.Order)
+			if ord == "" {
+				ord = graph.OrderNone
+			}
+			if !slices.Equal(payload(t, s, req, ord), payload(t, ref, req, ord)) {
+				t.Fatalf("%s order %q on superseded v2: payload differs from v2 as head", req.Kernel, req.Order)
+			}
+		}
+	}
+	if got := residentOrdinals(t, ts.URL, gr.ID); !slices.Equal(got, []int{0, 5}) {
+		t.Fatalf("pinned runs on v2 left forms on %v, want [0 5]", got)
+	}
+
+	// Two patches with no run between them, then a head run: the build
+	// releases v5, two generations up, not only its parent v6.
+	for i := 6; i <= 7; i++ {
+		mustPatch(t, ts.URL, gr.ID, churnDelta(i, n))
+	}
+	if got := residentOrdinals(t, ts.URL, gr.ID); !slices.Equal(got, []int{0, 5}) {
+		t.Fatalf("after two patches, versions %v hold forms, want [0 5]", got)
+	}
+	runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 1, Source: 3})
+	if got := residentOrdinals(t, ts.URL, gr.ID); !slices.Equal(got, []int{0, 7}) {
+		t.Fatalf("after the head run, versions %v hold forms, want [0 7]", got)
+	}
+	if v := metricValue(t, fetchMetrics(t, ts.URL), "crono_graph_versions_materialized"); v != 2 {
+		t.Fatalf("crono_graph_versions_materialized = %v, want 2", v)
+	}
+}
+
+// TestResidentPinnedReaderDuringPatch races pinned reads of the head
+// against the PATCH that supersedes it and the child's first run, which
+// releases the reader's version's forms: every pinned answer is the one
+// the version gave as head.
+func TestResidentPinnedReaderDuringPatch(t *testing.T) {
+	const n = 2048
+	s, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "road-ca", n, 1)
+	v1 := mustPatch(t, ts.URL, gr.ID, churnDelta(1, n)).Version
+	runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
+	_, root, _ := s.store.Resolve(gr.Version)
+	d := &graph.EdgeDelta{}
+	for _, e := range churnDelta(1, n).Inserts {
+		d.Inserts = append(d.Inserts, graph.Edge{From: e.From, To: e.To, Weight: e.Weight})
+	}
+	for _, e := range churnDelta(1, n).Deletes {
+		d.Deletes = append(d.Deletes, graph.Edge{From: e.From, To: e.To})
+	}
+	if err := d.Canonicalize(n); err != nil {
+		t.Fatal(err)
+	}
+	g1 := graph.ApplyDelta(root.Graph(), d)
+
+	sources := []int{10, 500, 1000, 1500, 2000, 700, 1200, 1800}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		mustPatch(t, ts.URL, gr.ID, churnDelta(2, n))
+		runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
+	}()
+	for _, src := range sources {
+		req := runRequest{Graph: v1, Kernel: "BFS", Threads: 2, Source: src}
+		if rr := runVersion(t, ts.URL, req); rr.GraphVersion != v1 || rr.Cached {
+			t.Fatalf("pinned read: %+v, want a fresh run on %s", rr, v1)
+		}
+		if !slices.Equal(payload(t, s, req, graph.OrderNone), core.BFSRef(g1, src)) {
+			t.Fatalf("pinned BFS from %d on %s differs from the version's levels", src, v1)
+		}
+	}
+	wg.Wait()
+	if v := metricValue(t, fetchMetrics(t, ts.URL), "crono_graph_versions_materialized"); v != 2 {
+		t.Fatalf("crono_graph_versions_materialized = %v, want 2", v)
+	}
+}
+
+// TestPatchSoakHeapBounded: a lineage patched and run 200 times holds the
+// heap it held after 20 patches, give or take 25%. Only the root and the
+// head keep a CSR; the rest of the chain is deltas.
+func TestPatchSoakHeapBounded(t *testing.T) {
+	const n = 4096
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 16
+	cfg.MaxGraphs = 256
+	_, ts := newTestServer(t, cfg)
+	gr := createGraph(t, ts.URL, "road-ca", n, 1)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var at20 uint64
+	for i := 1; i <= 200; i++ {
+		mustPatch(t, ts.URL, gr.ID, churnDelta(i, n))
+		runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
+		if i == 20 {
+			at20 = heap()
+		}
+	}
+	if at200 := heap(); float64(at200) > 1.25*float64(at20) {
+		t.Fatalf("live heap %d B after 200 patches, %d B after 20: more than 25%% growth", at200, at20)
 	}
 }
