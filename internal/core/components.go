@@ -182,13 +182,13 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 		return nil, err
 	}
 
-	res := &k.res
+	res, labels := &k.res, k.parent
 	if s.detached() {
-		res = &ComponentsResult{}
+		res, k.parent = &ComponentsResult{}, nil // the payload leaves with the result
 	}
 	*res = ComponentsResult{
-		Labels:     k.parent,
-		Components: countRoots(k.parent),
+		Labels:     labels,
+		Components: countRoots(labels),
 		// Link phases executed: the neighbor rounds plus the finish pass.
 		Iterations: afforestNeighborRounds + 1,
 		Report:     rep,

@@ -316,12 +316,12 @@ func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *gra
 		return nil, err
 	}
 
-	res := &k.res
+	res, level := &k.res, k.level
 	if s.detached() {
-		res = &BFSResult{}
+		res, k.level = &BFSResult{}, nil // the payload leaves with the result
 	}
-	visited, levels := bfsSummary(k.level)
-	*res = BFSResult{Level: k.level, Visited: visited, Levels: levels, Report: rep}
+	visited, levels := bfsSummary(level)
+	*res = BFSResult{Level: level, Visited: visited, Levels: levels, Report: rep}
 	return res, nil
 }
 

@@ -100,11 +100,11 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	for _, r := range k.relax {
 		total += r
 	}
-	res := &k.res
+	res, dist := &k.res, k.dist
 	if s.detached() {
-		res = &SSSPResult{}
+		res, k.dist = &SSSPResult{}, nil // the payload leaves with the result
 	}
-	*res = SSSPResult{Dist: k.dist, Relaxations: total, Rounds: k.rounds, Report: rep}
+	*res = SSSPResult{Dist: dist, Relaxations: total, Rounds: k.rounds, Report: rep}
 	return res, nil
 }
 

@@ -27,7 +27,9 @@ import (
 //     (levels, distances, labels, ranks) and result structs are freshly
 //     allocated per run — safe to cache indefinitely — while the
 //     internal buffers (worklists, marks, band minima, contributions)
-//     still come from the scratch.
+//     still come from the scratch. The scratch keeps no reference to a
+//     returned array, so a pooled scratch never pins a payload its
+//     caller has dropped.
 //   - Reordered runs always return fresh, un-permuted payload arrays
 //     (see order.go), regardless of the mode.
 

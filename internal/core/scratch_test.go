@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -335,5 +336,112 @@ func TestReportOwnershipFollowsScratchMode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scratchSpans collects the backing-array span [start, end) of every
+// slice reachable from v, following pointers, interfaces, struct fields
+// and slice and array elements. Each pointer is followed once.
+func scratchSpans(v reflect.Value, seen map[uintptr]bool, out *[][2]uintptr) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return
+		}
+		seen[v.Pointer()] = true
+		scratchSpans(v.Elem(), seen, out)
+	case reflect.Interface:
+		if !v.IsNil() {
+			scratchSpans(v.Elem(), seen, out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scratchSpans(v.Field(i), seen, out)
+		}
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return
+		}
+		start := v.Pointer()
+		*out = append(*out, [2]uintptr{start, start + uintptr(v.Cap())*v.Type().Elem().Size()})
+		fallthrough
+	case reflect.Array:
+		switch v.Type().Elem().Kind() {
+		case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				scratchSpans(v.Index(i), seen, out)
+			}
+		}
+	}
+}
+
+// pinsPayload reports whether any slice reachable from s shares a
+// backing array with the payload slice.
+func pinsPayload(s *Scratch, payload any) bool {
+	p := reflect.ValueOf(payload)
+	lo := p.Pointer()
+	hi := lo + uintptr(p.Cap())*p.Type().Elem().Size()
+	var spans [][2]uintptr
+	scratchSpans(reflect.ValueOf(s), map[uintptr]bool{}, &spans)
+	for _, sp := range spans {
+		if sp[0] < hi && lo < sp[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDetachedScratchPinsNoPayload: after a run on a detached (serving
+// mode) scratch, no slice the scratch reaches shares a backing array with
+// the payload the run returned, so a pooled scratch does not keep a reply
+// payload alive once its caller drops it. In the zero-alloc mode the
+// payload is the scratch's own buffer, which also shows the walk finds an
+// alias where there is one.
+func TestDetachedScratchPinsNoPayload(t *testing.T) {
+	g := graph.SocialNet(600, 6, 5)
+	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 0, To: 599, Weight: 1}}}
+	if err := d.Canonicalize(g.N); err != nil {
+		t.Fatal(err)
+	}
+	next := graph.ApplyDelta(g, d)
+	prev := &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}}
+	goCtx := context.Background()
+	pl := native.New()
+	for _, c := range []struct {
+		kernel  string
+		repair  bool
+		payload func(*Result) any
+	}{
+		{"BFS", false, func(r *Result) any { return r.BFS.Level }},
+		{"SSSP_DIJK", false, func(r *Result) any { return r.SSSP.Dist }},
+		{"CONN_COMP", false, func(r *Result) any { return r.Components.Labels }},
+		{"PageRank", false, func(r *Result) any { return r.PageRank.Ranks }},
+		{"BFS", true, func(r *Result) any { return r.BFS.Level }},
+	} {
+		b, err := ByName(c.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, detach := range []bool{true, false} {
+			s := NewScratch()
+			s.DetachResults = detach
+			req := Request{Input: Input{G: g}, Strategy: StrategyFrontier, Threads: 3, Iters: 3, Scratch: s}
+			var res *Result
+			for i := 0; i < 2; i++ { // the second run reuses what the first left
+				if c.repair {
+					req.G = next
+					res, err = b.Repair(goCtx, pl, req, prev, d)
+				} else {
+					res, err = b.Run(goCtx, pl, req)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pinned := pinsPayload(s, c.payload(res)); pinned == detach {
+				t.Errorf("%s (repair %t, DetachResults %t): scratch aliases the payload = %t, want %t",
+					c.kernel, c.repair, detach, pinned, !detach)
+			}
+		}
 	}
 }

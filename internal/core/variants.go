@@ -555,11 +555,11 @@ func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads
 		return nil, err
 	}
 
-	res := &k.res
+	res, ranks := &k.res, k.pr
 	if s.detached() {
-		res = &PageRankResult{}
+		res, k.pr = &PageRankResult{}, nil // the payload leaves with the result
 	}
-	*res = PageRankResult{Ranks: k.pr, Iterations: iters, Report: rep}
+	*res = PageRankResult{Ranks: ranks, Iterations: iters, Report: rep}
 	return res, nil
 }
 

@@ -89,13 +89,14 @@ func planBatch(k, depth int) (batch bool, reason string) {
 	return true, fmt.Sprintf("batch:k=%d", k)
 }
 
-// joinBatch enrolls the request in the open group of key (runPlan.group),
-// opening and submitting one if there is none, and blocks until a worker
-// delivers this source's result or ctx expires. It runs inside Cache.Do's
-// compute slot for the request's own per-source key, so its return value
-// is cached per source like any other run result.
-func (s *Server) joinBatch(ctx context.Context, spec *runSpec, key string) (any, error) {
-	m := newPending(ctx, spec)
+// joinBatch enrolls the request in the open group of its plan's group
+// key, opening and submitting one if there is none, and blocks until a
+// worker delivers this source's reply or ctx expires. It runs inside
+// Cache.Do's compute slot for the request's own per-source key, so its
+// return value is cached per source like any other run reply.
+func (s *Server) joinBatch(ctx context.Context, spec *runSpec, rp runPlan) (any, error) {
+	m := newPending(ctx, spec, rp)
+	key := rp.group
 
 	b := s.batches
 	b.mu.Lock()
@@ -146,14 +147,16 @@ func (s *Server) runGroup(grp *batchGroup) {
 		return
 	}
 	for _, m := range live {
-		m.ch <- s.runOne(m, runPlan{order: graph.OrderNone, plan: plan})
+		m.rp.plan = plan
+		m.ch <- s.runOne(m)
 	}
 }
 
 // runPass executes one multi-source pass and fans the per-source results
-// out to the members. It runs under a server-owned context with the
-// default deadline, so one member's cancellation never kills the
-// traversal the others are waiting on.
+// out to the members, settling each member's payload in member order. It
+// runs under a server-owned context with the default deadline, so one
+// member's cancellation never kills the traversal the others are waiting
+// on.
 func (s *Server) runPass(members []*pending, plan string) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultTimeout)
 	defer cancel()
@@ -183,6 +186,7 @@ func (s *Server) runPass(members []*pending, plan string) {
 		resp.Batched, resp.Plan = true, plan
 		s.m.queueWait(name).Observe(resp.QueueWaitSeconds)
 		bfs := &core.BFSResult{Level: res.Level[i], Visited: res.Visited[i], Levels: res.Levels[i], Report: res.Report}
-		m.ch <- runOut{cr: &cachedRun{resp: resp, prev: &core.Result{Report: res.Report, BFS: bfs}}}
+		s.settle(m, &core.Result{Report: res.Report, BFS: bfs})
+		m.ch <- runOut{resp: resp}
 	}
 }

@@ -117,16 +117,51 @@ func heldBurst(t *testing.T, s *Server, base, graphID, strategy string, sources 
 	return out
 }
 
-// cachedLevels returns the BFS levels the result cache holds for a
+// payloads records the payload of every run a server executes, by cache
+// key (Server.observe): replies carry none, and the cache keeps only
+// replies.
+type payloads struct {
+	mu  sync.Mutex
+	res map[string]*core.Result
+}
+
+// recordPayloads starts recording s's payloads. Call it before the first
+// run on s.
+func recordPayloads(s *Server) *payloads {
+	p := &payloads{res: make(map[string]*core.Result)}
+	s.observe = func(key string, res *core.Result) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.res[key] = res
+	}
+	return p
+}
+
+// get returns the payload of the run of key, nil if no run of key
+// finished.
+func (p *payloads) get(key string) *core.Result {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.res[key]
+}
+
+// mustGet is get for the test's own goroutine: it fails the test if no
+// run of key finished.
+func (p *payloads) mustGet(t testing.TB, key string) *core.Result {
+	t.Helper()
+	res := p.get(key)
+	if res == nil {
+		t.Fatalf("no run of %s finished", key)
+	}
+	return res
+}
+
+// servedLevels returns the BFS levels the server computed for a
 // default-shaped burst request (native, 2 threads) from src.
-func cachedLevels(t *testing.T, s *Server, versionID, strategy string, src int) []int32 {
+func servedLevels(t *testing.T, rec *payloads, versionID, strategy string, src int) []int32 {
 	t.Helper()
 	req := &runRequest{Platform: "native", Strategy: strategy, Threads: 2, Source: src}
-	v, ok := s.cache.Peek(runCacheKey(versionID, mustBench(t, "BFS"), req, graph.OrderNone))
-	if !ok {
-		t.Fatalf("source %d: no cached result", src)
-	}
-	return v.(*cachedRun).prev.BFS.Level
+	return rec.mustGet(t, runCacheKey(versionID, mustBench(t, "BFS"), req, graph.OrderNone)).BFS.Level
 }
 
 // TestBatchedRunsCoalesce queues a burst of 67 distinct-source BFS
@@ -140,6 +175,7 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	s, ts := newTestServer(t, cfg)
+	rec := recordPayloads(s)
 	gr := createGraph(t, ts.URL, "sparse", 2000, 3)
 	atRest := runtime.NumGoroutine()
 
@@ -170,12 +206,15 @@ func TestBatchedRunsCoalesce(t *testing.T) {
 		if rr.QueueWaitSeconds <= 0 {
 			t.Fatalf("response %d queued behind a held worker reports queueWaitSeconds %v", i, rr.QueueWaitSeconds)
 		}
-		if got, want := cachedLevels(t, s, ver.ID, "frontier", sources[i]), core.BFSRef(ver.Graph(), sources[i]); !slices.Equal(got, want) {
+		if got, want := servedLevels(t, rec, ver.ID, "frontier", sources[i]), core.BFSRef(ver.Graph(), sources[i]); !slices.Equal(got, want) {
 			t.Fatalf("source %d (batched=%t): levels differ from the sequential reference", sources[i], rr.Batched)
 		}
 	}
 	if batched != core.BFSBatchWidth {
 		t.Fatalf("%d responses batched, want %d", batched, core.BFSBatchWidth)
+	}
+	if n := s.cache.Len(); n != k {
+		t.Fatalf("%d replies cached, want one per source (%d)", n, k)
 	}
 
 	m := fetchMetrics(t, ts.URL)
@@ -218,6 +257,7 @@ func TestBatchedRunMatchesUnbatched(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	s, ts := newTestServer(t, cfg)
+	rec := recordPayloads(s)
 	gr := createGraph(t, ts.URL, "social", 3000, 9)
 	sources := make([]int, breakEven)
 	for i := range sources {
@@ -239,6 +279,7 @@ func TestBatchedRunMatchesUnbatched(t *testing.T) {
 	}
 
 	idle, its := newTestServer(t, DefaultConfig())
+	idleRec := recordPayloads(idle)
 	createGraph(t, its.URL, "social", 3000, 9)
 	for _, src := range sources {
 		resp := postJSON(t, its.URL+"/v1/run", runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: src})
@@ -247,7 +288,7 @@ func TestBatchedRunMatchesUnbatched(t *testing.T) {
 		if rr.Batched || rr.Plan != "single:alone" {
 			t.Fatalf("source %d alone on an idle server: %+v", src, rr)
 		}
-		if !slices.Equal(cachedLevels(t, s, gr.Version, "frontier", src), cachedLevels(t, idle, gr.Version, "frontier", src)) {
+		if !slices.Equal(servedLevels(t, rec, gr.Version, "frontier", src), servedLevels(t, idleRec, gr.Version, "frontier", src)) {
 			t.Fatalf("source %d: batched levels differ from the unbatched run", src)
 		}
 	}
@@ -438,6 +479,7 @@ func TestGroupInterleavings(t *testing.T) {
 		cfg.Workers = 1 + rng.Intn(2)
 		cfg.QueueLen = 1 + rng.Intn(4) // small enough that some submissions shed
 		s := New(cfg)
+		rec := recordPayloads(s)
 		sg, err := s.store.Put(g, "test")
 		if err != nil {
 			t.Fatal(err)
@@ -463,12 +505,15 @@ func TestGroupInterleavings(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					val, err := s.joinBatch(ctx, spec, p.group)
+					val, err := s.joinBatch(ctx, spec, p)
 					answered.Add(1)
 					src := spec.req.Source
 					switch {
 					case err == nil:
-						if !slices.Equal(val.(*cachedRun).prev.BFS.Level, core.BFSRef(g, src)) {
+						if rr := val.(*runResponse); rr.GraphVersion != sg.Head().ID {
+							t.Errorf("seed %d source %d: reply on %s", seed, src, rr.GraphVersion)
+						}
+						if res := rec.get(p.key); res == nil || !slices.Equal(res.BFS.Level, core.BFSRef(g, src)) {
 							t.Errorf("seed %d source %d: wrong levels", seed, src)
 						}
 					case errors.Is(err, context.Canceled), errors.Is(err, ErrSaturated), errors.Is(err, ErrPoolClosed):

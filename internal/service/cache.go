@@ -66,24 +66,6 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Peek returns the completed value for key without counting a hit or
-// miss, without waiting on an in-flight computation, and without
-// refreshing the entry's LRU position. Peeks are speculative reads (an
-// incremental-repair seed probe, a batch-eligibility check) issued on
-// behalf of a *different* key's request; promoting the peeked entry
-// would let a stream of such probes rescue a stale result from eviction
-// indefinitely while results clients actually requested get evicted
-// instead. Only Do, serving the entry's own key, touches recency.
-func (c *Cache) Peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.elem == nil {
-		return nil, false
-	}
-	return e.val, true
-}
-
 // Do returns the value for key, computing it with compute if absent.
 // Exactly one caller runs compute per in-flight key; concurrent callers
 // coalesce onto that computation. started reports whether this call ran

@@ -120,40 +120,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCachePeekDoesNotPromote regression: Peek is a speculative read on
-// behalf of another key's request, so it must not refresh the peeked
-// entry's LRU position. On the pre-fix cache the repeated peeks below
-// rescue "a" from eviction and "b" — which a client actually requested
-// more recently — is evicted in its place.
-func TestCachePeekDoesNotPromote(t *testing.T) {
-	c := NewCache(2)
-	ctx := context.Background()
-	put := func(k string) {
-		if _, _, err := c.Do(ctx, k, func() (any, error) { return k, nil }); err != nil {
-			t.Fatalf("Do(%s): %v", k, err)
-		}
-	}
-	put("a")
-	put("b") // recency order: b, a — a is the eviction victim
-	for i := 0; i < 3; i++ {
-		if v, ok := c.Peek("a"); !ok || v != "a" {
-			t.Fatalf("Peek(a) = %v, %v", v, ok)
-		}
-	}
-	put("c") // must evict a despite the peeks
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("peeked entry a survived eviction: Peek promoted it")
-	}
-	if _, ok := c.Peek("b"); !ok {
-		t.Fatal("entry b was evicted instead of the peeked-only a")
-	}
-	_, misses0, _ := c.Stats()
-	put("b") // still resident
-	if _, misses1, _ := c.Stats(); misses1 != misses0 {
-		t.Fatal("entry b was wrongly evicted")
-	}
-}
-
 func TestCacheWaiterHonorsContext(t *testing.T) {
 	c := NewCache(4)
 	gate := make(chan struct{})

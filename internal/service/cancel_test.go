@@ -139,7 +139,7 @@ func TestRunCanceledMidFlight(t *testing.T) {
 			ctx.left.Store(3)
 			var val any
 			if p.join {
-				val, err = s.joinBatch(ctx, spec, p.group)
+				val, err = s.joinBatch(ctx, spec, p)
 			} else {
 				val, err = s.execute(ctx, spec, p)
 			}

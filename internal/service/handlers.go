@@ -174,7 +174,8 @@ type runResponse struct {
 	Graph        string `json:"graph,omitempty"`
 	GraphVersion string `json:"graphVersion,omitempty"`
 	// Incremental is true when the result was repaired from the parent
-	// version's cached result instead of recomputed from scratch.
+	// version's result (its lineage's repair seed) instead of recomputed
+	// from scratch.
 	Incremental bool `json:"incremental,omitempty"`
 	// Cached is true when the result came from the LRU or an in-flight
 	// coalesced computation rather than a fresh kernel execution.
@@ -216,13 +217,6 @@ type kernelInfo struct {
 	Name            string `json:"name"`
 	Parallelization string `json:"parallelization"`
 	Input           string `json:"input"`
-}
-
-// cachedRun is the result-cache value: the wire response plus, for a
-// kernel with a Repair, the result that seeds (never mutated) repairs.
-type cachedRun struct {
-	resp *runResponse
-	prev *core.Result
 }
 
 // ---- helpers ----
@@ -556,13 +550,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bad.status, bad.code, "%s", bad.msg)
 		return
 	}
-	p := planRun(spec.bench, &spec.req, spec.vf, s.cache.Peek)
+	p := planRun(spec.bench, &spec.req, spec.vf)
 
 	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
 	defer cancel()
 	val, started, err := s.cache.Do(ctx, p.key, func() (any, error) {
 		if p.join {
-			return s.joinBatch(ctx, spec, p.group)
+			return s.joinBatch(ctx, spec, p)
 		}
 		return s.execute(ctx, spec, p)
 	})
@@ -583,7 +577,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := *val.(*cachedRun).resp // copy so Cached can differ per caller
+	resp := *val.(*runResponse) // copy so Cached can differ per caller
 	resp.Cached = !started
 	writeJSON(w, http.StatusOK, &resp)
 }
@@ -601,23 +595,38 @@ func errReason(err error) string {
 }
 
 // pending is one accepted run waiting for a worker: the validated
-// request, its context, when the handler accepted the compute (where its
-// queue wait starts) and where the worker delivers the result.
+// request, its plan, its context, when the handler accepted the compute
+// (where its queue wait starts) and where the worker delivers the reply.
 type pending struct {
 	ctx      context.Context
 	spec     *runSpec
+	rp       runPlan
 	accepted time.Time
 	ch       chan runOut
 }
 
-// runOut is what a worker delivers for one pending run.
+// runOut is what a worker delivers for one pending run: the reply the
+// cache keeps, not the payload (see settle).
 type runOut struct {
-	cr  *cachedRun
-	err error
+	resp *runResponse
+	err  error
 }
 
-func newPending(ctx context.Context, spec *runSpec) *pending {
-	return &pending{ctx: ctx, spec: spec, accepted: time.Now(), ch: make(chan runOut, 1)}
+func newPending(ctx context.Context, spec *runSpec, rp runPlan) *pending {
+	return &pending{ctx: ctx, spec: spec, rp: rp, accepted: time.Now(), ch: make(chan runOut, 1)}
+}
+
+// settle hands a finished run's payload to the one place it may outlive
+// the reply: its lineage's repair seed, when the plan keeps it. The test
+// observer, when set, sees every payload.
+func (s *Server) settle(p *pending, res *core.Result) {
+	if s.observe != nil {
+		s.observe(p.rp.key, res)
+	}
+	if p.rp.keep {
+		ver := p.spec.vf.ver
+		ver.lineage.offerSeed(ver, p.spec.bench.Name, p.rp.key, res)
+	}
 }
 
 // await blocks until the worker delivers p's result or p's context ends,
@@ -629,7 +638,7 @@ func (s *Server) await(p *pending) (any, error) {
 	select {
 	case out := <-p.ch:
 		if out.err == nil {
-			return out.cr, nil
+			return out.resp, nil
 		}
 		err = out.err
 	case <-p.ctx.Done():
@@ -645,20 +654,20 @@ func (s *Server) await(p *pending) (any, error) {
 // It is called exactly once per cache key by Cache.Do; concurrent
 // identical requests coalesce onto its result.
 func (s *Server) execute(ctx context.Context, spec *runSpec, rp runPlan) (any, error) {
-	p := newPending(ctx, spec)
-	if err := s.pool.Submit(ctx, func() { p.ch <- s.runOne(p, rp) }); err != nil {
+	p := newPending(ctx, spec, rp)
+	if err := s.pool.Submit(ctx, func() { p.ch <- s.runOne(p) }); err != nil {
 		return nil, err
 	}
 	return s.await(p)
 }
 
 // runOne is the worker-side body of every single-source run: it builds
-// the platform, runs the kernel — or its repair of rp.prev — under the
-// request's own context and shapes the response. Batch-group members
-// below break-even come through here too, on the worker that dequeued
-// their group.
-func (s *Server) runOne(p *pending, rp runPlan) runOut {
-	ctx, spec, req := p.ctx, p.spec, &p.spec.req
+// the platform, runs the kernel — or its repair of the plan's prev —
+// under the request's own context, settles the payload and shapes the
+// reply. Batch-group members below break-even come through here too, on
+// the worker that dequeued their group.
+func (s *Server) runOne(p *pending) runOut {
+	ctx, spec, req, rp := p.ctx, p.spec, &p.spec.req, &p.rp
 	var pl exec.Platform
 	switch req.Platform {
 	case "native":
@@ -695,8 +704,9 @@ func (s *Server) runOne(p *pending, rp runPlan) runOut {
 	}
 	// Native runs borrow a pooled scratch in serving mode: internal kernel
 	// buffers (worklists, marks, band minima) are reused across requests
-	// while result-bearing arrays stay freshly allocated, so cache entries
-	// never alias pooled memory.
+	// while result-bearing arrays are freshly allocated and left behind by
+	// the scratch, so a repair seed never aliases pooled memory and a
+	// pooled scratch never pins a payload.
 	if spec.in.G != nil && req.Platform == "native" {
 		sc := s.scratches.Get(spec.in.G.N)
 		sc.DetachResults = true
@@ -744,11 +754,8 @@ func (s *Server) runOne(p *pending, rp runPlan) runOut {
 			NetworkFlitHops:      rep.NetworkFlitHops,
 		}
 	}
-	cr := &cachedRun{resp: resp}
-	if spec.bench.Repair != nil {
-		cr.prev = res
-	}
-	return runOut{cr: cr}
+	s.settle(p, res)
+	return runOut{resp: resp}
 }
 
 // newRunResponse shapes the reply fields every run shares, single or

@@ -144,6 +144,7 @@ func (s *Server) validateRun(req runRequest) (*runSpec, *runError) {
 type runPlan struct {
 	order graph.Order  // resolved vertex ordering, OrderNone if unordered
 	prev  *core.Result // parent version's result to Repair; nil for a fresh run
+	keep  bool         // the result is offered as its lineage's repair seed (StoredGraph.offerSeed)
 	join  bool         // the run goes to its batch group
 	plan  string       // the batch decision echoed in the reply, "" for a shape that never batches
 	key   string       // result-cache key
@@ -155,18 +156,21 @@ type runPlan struct {
 // version's result, whether it joins a batch group — and derives every
 // key from them; handleRun only executes the plan. vf is the input
 // version's materialization (nil for TSP). It is pure: besides its
-// arguments it reads only the version's memoized statistics and, through
-// peek (Cache.Peek), the parent version's cached result. Each
-// rule is stated once:
+// arguments it reads only the version's memoized statistics and its
+// lineage's repair seed. Each rule is stated once:
 //
 //   - An ordering applies only to an Orderable kernel; any other run is
 //     unordered and shares the unordered cache entry. "auto" resolves per
 //     version, so it shares the entry of the order it resolves to.
-//   - A run repairs its parent's result only when it is a frontier run
-//     (scan stays paper-faithful full recompute), unordered (the parent's
-//     payload is in original ids and the repair would walk the permuted
-//     CSR), of a kernel with a Repair, on a version whose delta
-//     core.RepairPays accepts, and the parent's result is cached. Which
+//   - A run keeps its result as its lineage's repair seed only when it is
+//     a frontier run (scan stays paper-faithful full recompute), unordered
+//     (the payload is in original ids and a repair would walk the
+//     permuted CSR) and of a kernel with a Repair; the seed is the newest
+//     such result on the head (StoredGraph.offerSeed). No other run's
+//     payload outlives its reply.
+//   - A run repairs its parent's result only when it would keep its own,
+//     on a version whose delta core.RepairPays accepts, and the lineage's
+//     seed is the parent version's result for the same request. Which
 //     deltas a kernel can repair is the kernel's answer
 //     (ErrNoIncremental), not the planner's.
 //   - Only a native frontier BFS that is neither ordered nor a repair
@@ -175,7 +179,7 @@ type runPlan struct {
 //     repair is seeded from one parent result. It joins only when a full
 //     group would run as a pass on its version (planBatch).
 //   - Sim-only knobs (simCores, outOfOrder) are not part of a native key.
-func planRun(bench core.Benchmark, req *runRequest, vf *forms, peek func(string) (any, bool)) runPlan {
+func planRun(bench core.Benchmark, req *runRequest, vf *forms) runPlan {
 	p := runPlan{order: graph.OrderNone}
 	kr := *req // the request as its keys see it
 	if kr.Platform == "native" {
@@ -198,10 +202,9 @@ func planRun(bench core.Benchmark, req *runRequest, vf *forms, peek func(string)
 	p.key = key(ver.ID, req.Source, p.order)
 	unordered := p.order == graph.OrderNone
 	frontier := req.Strategy == string(core.StrategyFrontier)
-	if frontier && unordered && bench.Repair != nil && core.RepairPays(ver.Delta, vf.g.M()) {
-		if pv, ok := peek(key(ver.Parent, req.Source, graph.OrderNone)); ok {
-			p.prev = pv.(*cachedRun).prev
-		}
+	p.keep = frontier && unordered && bench.Repair != nil
+	if p.keep && core.RepairPays(ver.Delta, vf.g.M()) {
+		p.prev = ver.lineage.seed(bench.Name, key(ver.Parent, req.Source, graph.OrderNone))
 	}
 	if bench.Name == "BFS" && req.Platform == "native" && frontier && unordered && p.prev == nil {
 		p.join, p.plan = planBatch(core.BFSBatchWidth, vf.BFSDepth())

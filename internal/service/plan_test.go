@@ -19,7 +19,7 @@ func mustPlan(t testing.TB, s *Server, req runRequest) (*runSpec, runPlan) {
 	if bad != nil {
 		t.Fatalf("%+v rejected: %d %s: %s", req, bad.status, bad.code, bad.msg)
 	}
-	return spec, planRun(spec.bench, &spec.req, spec.vf, s.cache.Peek)
+	return spec, planRun(spec.bench, &spec.req, spec.vf)
 }
 
 // planFixture is a server holding the inputs of every class the
@@ -132,11 +132,15 @@ func checkPlan(t *testing.T, s *Server, spec *runSpec, p runPlan) {
 		t.Fatalf("scan or sim run joins a group: %+v", p)
 	case p.prev != nil && p.join:
 		t.Fatalf("seeded run joins a group: %+v", p)
+	case p.keep != (req.Strategy == string(core.StrategyFrontier) && p.order == graph.OrderNone && spec.bench.Repair != nil):
+		t.Fatalf("keeps a seed no repair would start from, or drops one it would: %+v", p)
+	case p.prev != nil && !p.keep:
+		t.Fatalf("repaired run keeps no seed: %+v", p)
 	}
 	if req.Platform == "native" {
 		plain := req
 		plain.SimCores, plain.OutOfOrder = 0, false
-		if q := planRun(spec.bench, &plain, spec.vf, s.cache.Peek); q.key != p.key {
+		if q := planRun(spec.bench, &plain, spec.vf); q.key != p.key {
 			t.Fatalf("sim-only knobs in a native key: %q vs %q", p.key, q.key)
 		}
 	}
@@ -229,7 +233,7 @@ func FuzzPlanRun(f *testing.F) {
 			}
 			return
 		}
-		checkPlan(t, fx.s, spec, planRun(spec.bench, &spec.req, spec.vf, fx.s.cache.Peek))
+		checkPlan(t, fx.s, spec, planRun(spec.bench, &spec.req, spec.vf))
 	})
 }
 

@@ -150,6 +150,10 @@ type Server struct {
 	// increment). The stress harness asserts it returns to zero after
 	// drain.
 	inflight atomic.Int64
+	// observe, when set before the first run (tests only), sees every
+	// run's payload under its cache key: replies carry no payload, and
+	// the server keeps one only as a repair seed (settle).
+	observe func(key string, res *core.Result)
 }
 
 // New builds a Server from cfg (zero fields are defaulted).
@@ -211,7 +215,8 @@ func (s *Server) newMetrics() *serverMetrics {
 	m.incremental = func(kernel string) *Counter {
 		return reg.Counter("crono_incremental_runs_total",
 			"Kernel executions repaired incrementally from the parent "+
-				"version's cached result instead of recomputed from scratch.",
+				"version's result (its lineage's repair seed) instead of "+
+				"recomputed from scratch.",
 			Label{"kernel", kernel})
 	}
 	m.batched = func(kernel string) *Counter {

@@ -15,8 +15,10 @@ import (
 // budget is exhausted. Every version — roots included — counts against
 // MaxGraphs, so a mutation-heavy workload cannot grow memory unboundedly
 // by patching a single graph. A version costs its delta; only a lineage's
-// root and head hold a CSR (see Version), so the budget bounds memory at
-// two CSRs per lineage plus the deltas.
+// root and head hold a CSR (see Version), and a lineage keeps at most one
+// run payload per repairable kernel (see StoredGraph.seeds), so the
+// budget bounds memory at two CSRs and two O(n) seeds per lineage plus
+// the deltas.
 var ErrStoreFull = errors.New("service: graph store full")
 
 // ErrVersionConflict is returned by Store.Patch when the request pins a
@@ -243,9 +245,9 @@ func (f *forms) BFSDepth() int {
 }
 
 // StoredGraph is one resident lineage: a chain of immutable versions
-// rooted at the uploaded or generated CSR. The graph ID stays the root's
-// content address for the lineage's whole life; mutation advances the
-// head version, never the ID.
+// rooted at the uploaded or generated CSR, and the repair seeds of its
+// head. The graph ID stays the root's content address for the lineage's
+// whole life; mutation advances the head version, never the ID.
 type StoredGraph struct {
 	// ID is the content-addressed identifier: "g" + 16 hex digits of the
 	// root CSR fingerprint. Loading the same logical graph twice yields
@@ -255,15 +257,57 @@ type StoredGraph struct {
 	Desc string
 
 	root *Version // versions[0], whose forms are never released
-	// mu guards versions. Writers (Store.Patch) hold it exclusively,
-	// which serializes mutation per lineage; unpinned concurrent patches
-	// land in a deterministic chain, pinned ones conflict.
+	// mu guards versions and seeds. Writers (Store.Patch, offerSeed) hold
+	// it exclusively, which serializes mutation per lineage; unpinned
+	// concurrent patches land in a deterministic chain, pinned ones
+	// conflict.
 	mu       sync.RWMutex
 	versions []*Version
+	// seeds holds, per kernel with a Repair, the payload its next repair
+	// starts from: the newest result a run that keeps one (runPlan.keep)
+	// produced on the head. It is the only run payload the server holds
+	// after a reply, so a lineage holds at most one O(n) array per
+	// repairable kernel, and the seeds go with the lineage.
+	seeds map[string]seed
 	// buildMu serializes the head's first materialization with the
 	// release of its ancestors' forms (Version.materialize). Patch does
 	// not take it: a PATCH stores only the delta.
 	buildMu sync.Mutex
+}
+
+// seed is a repair seed: a run's payload and the run-cache key of the run
+// that produced it.
+type seed struct {
+	key string
+	res *core.Result
+}
+
+// offerSeed makes res, the payload of the run of key on v, its kernel's
+// repair seed, replacing the last one — unless v is no longer the head,
+// so that a pinned read of a superseded version cannot evict the seed the
+// head's runs left before the next patch. Heads only advance, so the
+// seed is always from the newest version a run finished on.
+func (sg *StoredGraph) offerSeed(v *Version, kernel, key string, res *core.Result) {
+	sg.mu.Lock()
+	defer sg.mu.Unlock()
+	if sg.versions[len(sg.versions)-1] != v {
+		return
+	}
+	if sg.seeds == nil {
+		sg.seeds = make(map[string]seed, 2)
+	}
+	sg.seeds[kernel] = seed{key: key, res: res}
+}
+
+// seed returns the kernel's repair seed when the run of key produced it,
+// nil otherwise.
+func (sg *StoredGraph) seed(kernel, key string) *core.Result {
+	sg.mu.RLock()
+	defer sg.mu.RUnlock()
+	if sd, ok := sg.seeds[kernel]; ok && sd.key == key {
+		return sd.res
+	}
+	return nil
 }
 
 // N returns the vertex count, which every version of the lineage shares.

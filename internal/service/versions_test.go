@@ -692,16 +692,12 @@ func residentOrdinals(t *testing.T, base, id string) []int {
 	return out
 }
 
-// payload is the cached result of a repairable run: BFS levels or
-// component labels.
-func payload(t *testing.T, s *Server, spec runRequest, order graph.Order) []int32 {
+// payload is the payload a server computed for a repairable run: BFS
+// levels or component labels.
+func payload(t *testing.T, rec *payloads, spec runRequest, order graph.Order) []int32 {
 	t.Helper()
 	spec.Platform, spec.Strategy = "native", "frontier"
-	v, ok := s.cache.Peek(runCacheKey(spec.Graph, mustBench(t, spec.Kernel), &spec, order))
-	if !ok {
-		t.Fatalf("%s source %d on %s: no cached result", spec.Kernel, spec.Source, spec.Graph)
-	}
-	res := v.(*cachedRun).prev
+	res := rec.mustGet(t, runCacheKey(spec.Graph, mustBench(t, spec.Kernel), &spec, order))
 	if res.BFS != nil {
 		return res.BFS.Level
 	}
@@ -715,6 +711,7 @@ func payload(t *testing.T, s *Server, spec runRequest, order graph.Order) []int3
 func TestSupersededVersionReplayIsExact(t *testing.T) {
 	const n = 2048
 	s, ts := newTestServer(t, DefaultConfig())
+	rec := recordPayloads(s)
 	gr := createGraph(t, ts.URL, "road-ca", n, 1)
 	versions := []string{gr.Version}
 	var v2Fingerprint uint64
@@ -738,6 +735,7 @@ func TestSupersededVersionReplayIsExact(t *testing.T) {
 
 	// The reference: a fresh server whose head is v2.
 	ref, refTS := newTestServer(t, DefaultConfig())
+	refRec := recordPayloads(ref)
 	if createGraph(t, refTS.URL, "road-ca", n, 1).ID != gr.ID {
 		t.Fatal("reference server holds a different graph")
 	}
@@ -760,7 +758,7 @@ func TestSupersededVersionReplayIsExact(t *testing.T) {
 			if ord == "" {
 				ord = graph.OrderNone
 			}
-			if !slices.Equal(payload(t, s, req, ord), payload(t, ref, req, ord)) {
+			if !slices.Equal(payload(t, rec, req, ord), payload(t, refRec, req, ord)) {
 				t.Fatalf("%s order %q on superseded v2: payload differs from v2 as head", req.Kernel, req.Order)
 			}
 		}
@@ -793,6 +791,7 @@ func TestSupersededVersionReplayIsExact(t *testing.T) {
 func TestResidentPinnedReaderDuringPatch(t *testing.T) {
 	const n = 2048
 	s, ts := newTestServer(t, DefaultConfig())
+	rec := recordPayloads(s)
 	gr := createGraph(t, ts.URL, "road-ca", n, 1)
 	v1 := mustPatch(t, ts.URL, gr.ID, churnDelta(1, n)).Version
 	runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
@@ -822,7 +821,7 @@ func TestResidentPinnedReaderDuringPatch(t *testing.T) {
 		if rr := runVersion(t, ts.URL, req); rr.GraphVersion != v1 || rr.Cached {
 			t.Fatalf("pinned read: %+v, want a fresh run on %s", rr, v1)
 		}
-		if !slices.Equal(payload(t, s, req, graph.OrderNone), core.BFSRef(g1, src)) {
+		if !slices.Equal(payload(t, rec, req, graph.OrderNone), core.BFSRef(g1, src)) {
 			t.Fatalf("pinned BFS from %d on %s differs from the version's levels", src, v1)
 		}
 	}
@@ -842,22 +841,93 @@ func TestPatchSoakHeapBounded(t *testing.T) {
 	cfg.MaxGraphs = 256
 	_, ts := newTestServer(t, cfg)
 	gr := createGraph(t, ts.URL, "road-ca", n, 1)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	var at20 uint64
 	for i := 1; i <= 200; i++ {
 		mustPatch(t, ts.URL, gr.ID, churnDelta(i, n))
 		runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
 		if i == 20 {
-			at20 = heap()
+			at20 = liveHeap()
 		}
 	}
-	if at200 := heap(); float64(at200) > 1.25*float64(at20) {
+	if at200 := liveHeap(); float64(at200) > 1.25*float64(at20) {
 		t.Fatalf("live heap %d B after 200 patches, %d B after 20: more than 25%% growth", at200, at20)
+	}
+}
+
+// liveHeap is the heap in use after two collections: the second frees
+// what the first moved to sync.Pool's victim cache (idle scratches).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestReadSoakHeapBounded: 300 distinct-source BFS reads of one version
+// leave the heap where 20 left it, give or take 300 bytes a vertex. The
+// cache keeps replies, not payloads; the one payload a lineage keeps per
+// repairable kernel is its repair seed, which each read replaces.
+func TestReadSoakHeapBounded(t *testing.T) {
+	const n, reads = 16384, 300
+	_, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "sparse", n, 1)
+	var at20 uint64
+	for src := 0; src < reads; src++ {
+		if rr := runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: src}); rr.Cached {
+			t.Fatalf("read %d was served from the cache", src)
+		}
+		if src == 19 {
+			at20 = liveHeap()
+		}
+	}
+	if at300 := liveHeap(); at300 > at20+reads*n {
+		t.Fatalf("live heap %d B after %d reads, %d B after 20: grew by more than %d B", at300, reads, at20, reads*n)
+	}
+}
+
+// TestSeedSurvivesPinnedRead: a pinned read of a superseded version
+// writes no seed, so it cannot evict the head's before the next patch:
+// the head's BFS from the source its parent ran still repairs.
+func TestSeedSurvivesPinnedRead(t *testing.T) {
+	const n = 2048
+	_, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "road-ca", n, 1)
+	runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3})
+	mustPatch(t, ts.URL, gr.ID, churnDelta(1, n))
+	if rr := runVersion(t, ts.URL, runRequest{Graph: gr.Version, Kernel: "BFS", Threads: 2, Source: 900}); rr.GraphVersion != gr.Version || rr.Cached {
+		t.Fatalf("pinned read: %+v, want a fresh run on %s", rr, gr.Version)
+	}
+	if rr := runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 2, Source: 3}); !rr.Incremental {
+		t.Fatalf("head BFS after a pinned read of its parent: %+v, want a repair", rr)
+	}
+}
+
+// TestSeedNewerSourceReplaces: a lineage keeps one BFS seed, the newest
+// head run's, so after BFS from s1 then s2 and a patch, BFS from s1 is a
+// full run — with exactly the reply and levels of a server that never
+// ran the parent.
+func TestSeedNewerSourceReplaces(t *testing.T) {
+	const n = 2048
+	s, ts := newTestServer(t, DefaultConfig())
+	rec := recordPayloads(s)
+	gr := createGraph(t, ts.URL, "road-ca", n, 1)
+	for _, src := range []int{3, 1500} {
+		runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 1, Source: src})
+	}
+	v1 := mustPatch(t, ts.URL, gr.ID, churnDelta(1, n)).Version
+
+	fresh, freshTS := newTestServer(t, DefaultConfig())
+	freshRec := recordPayloads(fresh)
+	createGraph(t, freshTS.URL, "road-ca", n, 1)
+	mustPatch(t, freshTS.URL, gr.ID, churnDelta(1, n))
+
+	req := runRequest{Graph: v1, Kernel: "BFS", Threads: 1, Source: 3}
+	got, want := runVersion(t, ts.URL, runRequest{Graph: gr.ID, Kernel: "BFS", Threads: 1, Source: 3}), runVersion(t, freshTS.URL, req)
+	if got.Incremental || got.GraphVersion != v1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("head BFS from the replaced seed's source:\n%+v\nfresh server:\n%+v", got, want)
+	}
+	if !slices.Equal(payload(t, rec, req, graph.OrderNone), payload(t, freshRec, req, graph.OrderNone)) {
+		t.Fatal("levels differ from the fresh server's")
 	}
 }
