@@ -12,7 +12,7 @@ import (
 )
 
 // Benchmark inputs are scaled down so `go test -bench=.` finishes in
-// minutes; crono-experiments regenerates the full-size artifacts.
+// minutes; `crono experiments` regenerates the full-size artifacts.
 const (
 	benchSparseN = 4096
 	benchMatrixN = 128

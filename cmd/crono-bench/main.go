@@ -413,7 +413,7 @@ func speedup(base, contender uint64) float64 {
 // scratch-aware zero-alloc path.
 func warmKernel(kernel string) bool {
 	switch kernel {
-	case "BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "PAGERANK_PULL":
+	case "BFS", "SSSP_DIJK", "CONN_COMP", "PageRank":
 		return true
 	}
 	return false

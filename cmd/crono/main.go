@@ -1,239 +1,163 @@
-// Command crono runs a single CRONO benchmark on either the native
-// platform (real machine) or the futuristic-multicore simulator and
-// prints its report.
+// Command crono is the CRONO suite's command line. Its subcommands run
+// one benchmark (run), sweep one architectural dimension to CSV (sweep),
+// generate input graphs (graphgen), record and replay traces (trace),
+// regenerate the paper's tables and figures (experiments) and check every
+// kernel against its oracle (validate):
 //
-// Usage:
+//	crono [run] -bench SSSP_DIJK -platform sim -threads 64 -n 16384
+//	crono sweep -bench BFS -dim threads -values 1,4,16,64,256
 //
-//	crono -bench SSSP_DIJK -platform sim -threads 64 -n 16384
-//	crono -bench PageRank -platform native -threads 8 -graph social
-//	crono -bench BFS -platform sim -input graph.el -threads 16
-//	crono -list
-//
-// SIGINT cancels the in-flight kernel at its next barrier; -timeout
-// bounds the whole run.
+// A first argument that is a flag goes to run, so `crono -list` lists the
+// benchmarks. Each subcommand's -help lists its flags.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
+	"time"
 
 	"crono/internal/core"
 	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
 	"crono/internal/sim"
-	"crono/internal/stats"
 )
 
+// subcommands maps each name to its entry point, which parses args into
+// its own flag set, writes its output to stdout and its diagnostics to
+// stderr.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"run":         run,
+	"sweep":       sweep,
+	"graphgen":    graphgen,
+	"trace":       traceCmd,
+	"experiments": experiments,
+	"validate":    validate,
+}
+
+const usage = "usage: crono [run|sweep|graphgen|trace|experiments|validate] [flags]"
+
 func main() {
-	var (
-		benchName = flag.String("bench", "SSSP_DIJK", "benchmark identifier (see -list)")
-		platform  = flag.String("platform", "sim", "execution platform: sim or native")
-		threads   = flag.Int("threads", 16, "thread count")
-		n         = flag.Int("n", 16384, "vertex count for generated inputs")
-		kind      = flag.String("graph", "sparse", "generated graph family: sparse, road-tx, road-pa, road-ca, social, social-dense")
-		inputFile = flag.String("input", "", "read the input graph from an edge-list file instead of generating")
-		seed      = flag.Int64("seed", 42, "generator seed")
-		cities    = flag.Int("cities", 12, "TSP city count")
-		source    = flag.Int("source", 0, "source vertex for SSSP/BFS/DFS")
-		strategy  = flag.String("strategy", "scan", "execution strategy for BFS/PageRank/SSSP_DIJK/CONN_COMP/COMM: scan (paper-faithful) or frontier (worklist rounds with push-pull BFS, Afforest components, pull PageRank; hybrid is accepted as a name for it)")
-		order     = flag.String("order", "none", "cache-aware vertex reordering: none, degree (hub packing), rcm (bandwidth reduction) or auto (pick from degree skew); results come back in original vertex ids")
-		cores     = flag.Int("cores", 256, "simulated core count (sim platform)")
-		ooo       = flag.Bool("ooo", false, "simulate out-of-order cores")
-		jsonOut   = flag.Bool("json", false, "emit the full report as JSON")
-		list      = flag.Bool("list", false, "list benchmarks and exit")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	)
-	flag.Parse()
+	os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *list {
-		for _, b := range core.Suite() {
-			fmt.Printf("%-10s %s\n", b.Name, b.Parallelization)
-		}
-		return
+// dispatch runs the subcommand args[0] names, or run when args[0] is a
+// flag or absent, and returns the exit status: 0 on success or -help, 2
+// for a bad command line, 1 when the subcommand fails.
+func dispatch(args []string, stdout, stderr io.Writer) int {
+	name := "run"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	cmd, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintf(stderr, "crono: unknown subcommand %q\n%s\n", name, usage)
+		return 2
 	}
-
-	if err := run(ctx, *benchName, *platform, *strategy, *order, *threads, *n, *kind, *inputFile, *seed, *cities, *source, *cores, *ooo, *jsonOut); err != nil {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "crono: interrupted")
-		} else if errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "crono: run exceeded the %s timeout\n", *timeout)
-		} else {
-			fmt.Fprintln(os.Stderr, "crono:", err)
-		}
-		os.Exit(1)
+	switch err := cmd(args, stdout, stderr); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2 // the flag package has printed the error and the usage
+	default:
+		// run is the default subcommand, so its errors read "crono: ...".
+		fmt.Fprintf(stderr, "%s: %v\n", strings.TrimSuffix("crono "+name, " run"), err)
+		return 1
 	}
 }
 
-func run(ctx context.Context, benchName, platform, strategy, order string, threads, n int, kind, inputFile string, seed int64, cities, source, cores int, ooo, jsonOut bool) error {
-	b, err := core.ByName(benchName)
-	if err != nil {
-		return err
-	}
+// usageError is a command line the flag package rejected.
+type usageError struct{ error }
 
-	in := core.Input{Source: source}
+// parseFlags parses args into fs, which reports its own errors.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
+}
+
+// newFlags returns the flag set of subcommand name, reporting to stderr.
+func newFlags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// interruptible returns the invocation's context: SIGINT cancels the
+// in-flight kernel at its next barrier and a positive timeout bounds the
+// whole invocation.
+func interruptible(timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	if timeout <= 0 {
+		return ctx, stop
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return ctx, func() { cancel(); stop() }
+}
+
+// explain says which of SIGINT and the timeout ended a canceled run.
+func explain(err error, timeout time.Duration) error {
 	switch {
-	case b.UsesCities:
+	case errors.Is(err, context.Canceled):
+		return errors.New("interrupted")
+	case errors.Is(err, context.DeadlineExceeded):
+		return fmt.Errorf("run exceeded the %s timeout", timeout)
+	}
+	return err
+}
+
+// simConfig is the Table II multicore with the given tile count, on
+// out-of-order cores when ooo is set.
+func simConfig(cores int, ooo bool) sim.Config {
+	cfg := sim.Default()
+	cfg.Cores = cores
+	if ooo {
+		cfg.CoreType = sim.OutOfOrder
+	}
+	return cfg
+}
+
+// newPlatform builds the named platform: the host's goroutines, or the
+// simulated multicore of simConfig(cores, ooo).
+func newPlatform(name string, cores int, ooo bool) (exec.Platform, error) {
+	switch name {
+	case "native":
+		return native.New(), nil
+	case "sim":
+		m, err := sim.New(simConfig(cores, ooo))
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	return nil, fmt.Errorf("unknown platform %q (want sim or native)", name)
+}
+
+// newInput builds b's input from source: seeded cities for TSP,
+// otherwise the graph gen returns — asked for the matrix kernels' size
+// when matrix is set — handed to APSP and BETW_CENT in dense form.
+func newInput(b core.Benchmark, source, cities int, seed int64, gen func(matrix bool) (*graph.CSR, error)) (core.Input, error) {
+	in := core.Input{Source: source}
+	if b.UsesCities {
 		in.Cities = graph.Cities(cities, seed)
-	case b.UsesMatrix:
-		g, err := loadOrGenerate(inputFile, kind, n, seed)
-		if err != nil {
-			return err
-		}
+		return in, nil
+	}
+	g, err := gen(b.UsesMatrix)
+	if err != nil {
+		return in, err
+	}
+	if b.UsesMatrix {
 		in.D = graph.DenseFromCSR(g)
-	default:
-		g, err := loadOrGenerate(inputFile, kind, n, seed)
-		if err != nil {
-			return err
-		}
+	} else {
 		in.G = g
 	}
-
-	var pl exec.Platform
-	switch platform {
-	case "native":
-		pl = native.New()
-	case "sim":
-		cfg := sim.Default()
-		cfg.Cores = cores
-		if ooo {
-			cfg.CoreType = sim.OutOfOrder
-		}
-		m, err := sim.New(cfg)
-		if err != nil {
-			return err
-		}
-		pl = m
-	default:
-		return fmt.Errorf("unknown platform %q (want sim or native)", platform)
-	}
-
-	// Resolve the reordering. Non-orderable kernels (COMM) and non-CSR
-	// inputs run over the original layout; the kernel un-permutes its
-	// payload, so the printed report describes the permuted execution but
-	// any result is in original vertex ids.
-	if order != "" && order != "auto" && !graph.Order(order).Valid() {
-		return fmt.Errorf("unknown order %q (want none, auto, degree or rcm)", order)
-	}
-	var ro *graph.Reordered
-	if in.G != nil && order != "" && order != string(graph.OrderNone) && b.Orderable {
-		o := graph.Order(order)
-		if order == "auto" {
-			o = graph.PickOrder(in.G)
-		}
-		if ro, err = graph.Reorder(in.G, o); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "crono: vertex order %s (locality %.2f -> %.2f)\n",
-			o, graph.Locality(in.G, 64), graph.Locality(ro.G, 64))
-	}
-
-	res, err := b.Run(ctx, pl, core.Request{Input: in, Threads: threads, Strategy: core.Strategy(strategy), Reorder: ro})
-	if err != nil {
-		return err
-	}
-	rep := res.Report
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(reportJSON(b.Name, rep))
-	}
-	return printReport(b.Name, rep)
-}
-
-func loadOrGenerate(file, kind string, n int, seed int64) (*graph.CSR, error) {
-	if file == "" {
-		if !graph.KnownKind(graph.Kind(kind)) {
-			return nil, fmt.Errorf("unknown graph family %q (see -help)", kind)
-		}
-		return graph.Generate(graph.Kind(kind), n, seed), nil
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(file, ".mtx"):
-		return graph.ReadMatrixMarket(f)
-	case strings.HasSuffix(file, ".graph") || strings.HasSuffix(file, ".metis"):
-		return graph.ReadMETIS(f)
-	default:
-		return graph.ReadEdgeList(f)
-	}
-}
-
-// reportJSON shapes a run report for machine consumption.
-func reportJSON(name string, rep *exec.Report) map[string]any {
-	brk := map[string]uint64{}
-	for c := exec.CompCompute; c < exec.NumComponents; c++ {
-		brk[c.String()] = rep.Breakdown[c]
-	}
-	energy := map[string]float64{}
-	for c := exec.EnergyL1I; c < exec.NumEnergyComponents; c++ {
-		energy[c.String()] = rep.Energy[c]
-	}
-	return map[string]any{
-		"benchmark":    name,
-		"platform":     rep.Platform,
-		"threads":      rep.Threads,
-		"time":         rep.Time,
-		"breakdown":    brk,
-		"instructions": rep.Instructions,
-		"threadTime":   rep.ThreadTime,
-		"variability":  rep.Variability(),
-		"cache": map[string]any{
-			"l1dAccesses":       rep.Cache.L1DAccesses,
-			"l1dMissRate":       rep.Cache.L1MissRate(),
-			"hierarchyMissRate": rep.Cache.HierarchyMissRate(),
-			"l2Misses":          rep.Cache.L2Misses,
-		},
-		"energyPJ":        energy,
-		"networkFlitHops": rep.NetworkFlitHops,
-	}
-}
-
-func printReport(name string, rep *exec.Report) error {
-	unit := "cycles"
-	if rep.Platform == "native" {
-		unit = "ns"
-	}
-	fmt.Printf("%s on %s: %d threads, completion time %d %s\n", name, rep.Platform, rep.Threads, rep.Time, unit)
-	fmt.Printf("instructions: %d total, variability %.3f\n", rep.TotalInstructions(), rep.Variability())
-
-	t := stats.NewTable("completion time breakdown", "Component", "Fraction")
-	f := rep.Breakdown.Fractions()
-	for c := exec.CompCompute; c < exec.NumComponents; c++ {
-		t.Addf(c.String(), f[c])
-	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		return err
-	}
-
-	if rep.Platform == "sim" {
-		fmt.Printf("\nL1-D miss rate: %.2f%% (cold %.2f / capacity %.2f / sharing %.2f), hierarchy miss rate: %.3f%%\n",
-			rep.Cache.L1MissRate(),
-			rep.Cache.L1MissRateByClass()[exec.MissCold],
-			rep.Cache.L1MissRateByClass()[exec.MissCapacity],
-			rep.Cache.L1MissRateByClass()[exec.MissSharing],
-			rep.Cache.HierarchyMissRate())
-		e := rep.Energy.Fractions()
-		fmt.Printf("dynamic energy: %.1f uJ (network share %.0f%%)\n",
-			rep.Energy.Total()/1e6, 100*(e[exec.EnergyRouter]+e[exec.EnergyLink]))
-	}
-	return nil
+	return in, nil
 }

@@ -1,38 +1,37 @@
-// Command crono-validate self-checks the suite: every kernel runs on
-// randomized inputs on both platforms and its output is compared against
-// the sequential oracle. Exit status 0 means all checks passed.
-//
-// Usage:
-//
-//	crono-validate                 # default 20 trials
-//	crono-validate -trials 100 -seed 7 -v
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
-	"os"
+	"slices"
 
 	"crono/internal/core"
-	"crono/internal/exec"
 	"crono/internal/graph"
-	"crono/internal/native"
-	"crono/internal/sim"
 )
 
-func main() {
+// validate self-checks the suite: every kernel runs on randomized inputs
+// on both platforms and its output is compared against the sequential
+// oracle. It fails unless every check passes.
+func validate(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("crono validate", stderr)
 	var (
-		trials  = flag.Int("trials", 20, "randomized trials per kernel")
-		seed    = flag.Int64("seed", 1, "base seed")
-		verbose = flag.Bool("v", false, "print every check")
+		trials  = fs.Int("trials", 20, "randomized trials per kernel")
+		seed    = fs.Int64("seed", 1, "base seed")
+		verbose = fs.Bool("v", false, "print every check")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	ctx := context.Background()
 
 	failures := 0
+	fail := func(format string, args ...any) {
+		failures++
+		fmt.Fprintf(stderr, "FAIL "+format+"\n", args...)
+	}
 	for trial := 0; trial < *trials; trial++ {
 		s := *seed + int64(trial)
 		rng := rand.New(rand.NewSource(s))
@@ -43,54 +42,50 @@ func main() {
 		cities := graph.Cities(rng.Intn(4)+5, s+2)
 		threads := rng.Intn(8) + 1
 
-		var pl exec.Platform = native.New()
 		plName := "native"
 		if trial%2 == 1 {
-			cfg := sim.Default()
-			cfg.Cores = 16
-			m, err := sim.New(cfg)
-			if err != nil {
-				fail(&failures, "sim setup: %v", err)
-				continue
-			}
-			pl = m
 			plName = "sim"
+		}
+		pl, err := newPlatform(plName, 16, false)
+		if err != nil {
+			fail("sim setup: %v", err)
+			continue
 		}
 
 		check := func(name string, ok bool, detail string) {
 			if ok {
 				if *verbose {
-					fmt.Printf("ok   trial=%d %s on %s (n=%d p=%d)\n", trial, name, plName, n, threads)
+					fmt.Fprintf(stdout, "ok   trial=%d %s on %s (n=%d p=%d)\n", trial, name, plName, n, threads)
 				}
 				return
 			}
-			fail(&failures, "trial=%d %s on %s (n=%d p=%d): %s", trial, name, plName, n, threads, detail)
+			fail("trial=%d %s on %s (n=%d p=%d): %s", trial, name, plName, n, threads, detail)
 		}
 
 		if res, err := core.SSSP(ctx, pl, g, 0, threads); err != nil {
 			check("SSSP", false, err.Error())
 		} else {
-			check("SSSP", equalInt32(res.Dist, core.SSSPRef(g, 0)), "distances diverge")
+			check("SSSP", slices.Equal(res.Dist, core.SSSPRef(g, 0)), "distances diverge")
 		}
 		if res, err := core.BFS(ctx, pl, g, 0, threads); err != nil {
 			check("BFS", false, err.Error())
 		} else {
-			check("BFS", equalInt32(res.Level, core.BFSRef(g, 0)), "levels diverge")
+			check("BFS", slices.Equal(res.Level, core.BFSRef(g, 0)), "levels diverge")
 		}
 		if res, err := core.DFS(ctx, pl, g, 0, threads); err != nil {
 			check("DFS", false, err.Error())
 		} else {
-			check("DFS", equalBool(res.Visited, core.DFSRef(g, 0)), "reachability diverges")
+			check("DFS", slices.Equal(res.Visited, core.DFSRef(g, 0)), "reachability diverges")
 		}
 		if res, err := core.APSP(ctx, pl, d, threads); err != nil {
 			check("APSP", false, err.Error())
 		} else {
-			check("APSP", equalInt32(res.Dist, core.FloydWarshallRef(d)), "matrix diverges")
+			check("APSP", slices.Equal(res.Dist, core.FloydWarshallRef(d)), "matrix diverges")
 		}
 		if res, err := core.Betweenness(ctx, pl, d, threads); err != nil {
 			check("BETW_CENT", false, err.Error())
 		} else {
-			check("BETW_CENT", equalInt64(res.Centrality, core.BetweennessRef(d)), "centralities diverge")
+			check("BETW_CENT", slices.Equal(res.Centrality, core.BetweennessRef(d)), "centralities diverge")
 		}
 		if res, err := core.TSP(ctx, pl, cities, threads); err != nil {
 			check("TSP", false, err.Error())
@@ -100,7 +95,7 @@ func main() {
 		if res, err := core.ConnectedComponents(ctx, pl, g, threads); err != nil {
 			check("CONN_COMP", false, err.Error())
 		} else {
-			check("CONN_COMP", equalInt32(res.Labels, core.ComponentsRef(g)), "labels diverge")
+			check("CONN_COMP", slices.Equal(res.Labels, core.ComponentsRef(g)), "labels diverge")
 		}
 		if res, err := core.TriangleCount(ctx, pl, g, threads); err != nil {
 			check("TRI_CNT", false, err.Error())
@@ -121,51 +116,10 @@ func main() {
 	}
 
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "crono-validate: %d failures\n", failures)
-		os.Exit(1)
+		return fmt.Errorf("%d failures", failures)
 	}
-	fmt.Printf("crono-validate: all checks passed (%d trials x 10 kernels)\n", *trials)
-}
-
-func fail(counter *int, format string, args ...any) {
-	*counter++
-	fmt.Fprintf(os.Stderr, "FAIL "+format+"\n", args...)
-}
-
-func equalInt32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalBool(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x 10 kernels)\n", *trials)
+	return nil
 }
 
 func closeFloat(a, b []float64) bool {

@@ -112,14 +112,13 @@ func barrierKernels(t *testing.T) map[string]cancelKernel {
 		"BFSBatch": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
 			return BFSBatch(ctx, pl, g, batchSources(g.N, BFSBatchWidth), threads)
 		},
-		"SSSP_DELTA":    byName("SSSP_DELTA", StrategyScan),
-		"BFS_TARGET":    byName("BFS_TARGET", StrategyScan),
-		"PAGERANK_PULL": byName("PAGERANK_PULL", StrategyScan),
+		"SSSP_DELTA": byName("SSSP_DELTA", StrategyScan),
+		"BFS_TARGET": byName("BFS_TARGET", StrategyScan),
 	}
 	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM", "TRI_CNT"} {
 		ks[name+".scan"] = byName(name, StrategyScan)
 	}
-	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "COMM"} {
+	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM"} {
 		ks[name+".frontier"] = byName(name, StrategyFrontier)
 	}
 	maps.Copy(ks, repairCases(t, 64))
@@ -263,13 +262,17 @@ func TestRequestDefaults(t *testing.T) {
 	}
 }
 
-// TestVariantsReachableByName: the four variants resolve through ByName
-// but stay out of the ten-kernel Suite.
+// TestVariantsReachableByName: the three variants resolve through ByName
+// but stay out of the ten-kernel Suite. Pull PageRank is PageRank's
+// frontier strategy, not a name of its own.
 func TestVariantsReachableByName(t *testing.T) {
 	if n := len(Suite()); n != 10 {
 		t.Fatalf("suite has %d kernels, want 10", n)
 	}
-	for _, name := range []string{"SSSP_DELTA", "BFS_TARGET", "BETW_BRANDES", "PAGERANK_PULL"} {
+	if _, err := ByName("PAGERANK_PULL"); err == nil {
+		t.Fatal("ByName(PAGERANK_PULL) resolves; pull PageRank is PageRank with the frontier strategy")
+	}
+	for _, name := range []string{"SSSP_DELTA", "BFS_TARGET", "BETW_BRANDES"} {
 		b, err := ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -310,10 +313,6 @@ func TestVariantsRunViaTypedAPI(t *testing.T) {
 		case "BETW_BRANDES":
 			if res.Brandes == nil {
 				t.Fatalf("%s: missing Brandes payload", b.Name)
-			}
-		case "PAGERANK_PULL":
-			if res.PageRank == nil {
-				t.Fatalf("%s: missing PageRank payload", b.Name)
 			}
 		}
 	}

@@ -92,14 +92,15 @@ type Request struct {
 	// support both (BFS, SSSP_DIJK, CONN_COMP, PageRank, COMM). The zero
 	// value is StrategyScan, keeping paper-fidelity the default.
 	Strategy Strategy
-	// Iters is the PageRank iteration count (PageRank and PAGERANK_PULL;
-	// default DefaultPageRankIters).
+	// Iters is the PageRank iteration count (default
+	// DefaultPageRankIters).
 	Iters int
 	// MaxPasses bounds Louvain passes (COMM; default
 	// DefaultCommunityPasses).
 	MaxPasses int
-	// Delta is the delta-stepping bucket width (SSSP_DELTA; default
-	// DefaultSSSPDelta).
+	// Delta is the delta-stepping bucket width of SSSP_DELTA and of
+	// SSSP_DIJK's frontier strategy. Zero means DefaultSSSPDelta for
+	// SSSP_DELTA and AutoSSSPDelta of the graph for SSSP_DIJK.
 	Delta int32
 	// Target is the vertex BFS_TARGET searches for. The zero value is
 	// vertex 0; the kernel validates the range.
@@ -451,19 +452,6 @@ func Variants() []Benchmark {
 					return nil, err
 				}
 				return &Result{Report: r.Report, Brandes: r}, nil
-			},
-		},
-		{
-			Name: "PAGERANK_PULL", Parallelization: "Graph Division (pull)", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
-				if err != nil {
-					return nil, err
-				}
-				res := newResult(req.Scratch)
-				res.Report, res.PageRank = r.Report, r
-				return res, nil
 			},
 		},
 	})

@@ -124,7 +124,6 @@ func TestReorderedRunsMatchUnordered(t *testing.T) {
 		{"SSSP_DELTA", []Strategy{StrategyScan}},
 		{"BFS_TARGET", []Strategy{StrategyScan}},
 		{"BETW_BRANDES", []Strategy{StrategyScan}},
-		{"PAGERANK_PULL", []Strategy{StrategyScan}},
 	}
 	for gname, g := range graphs {
 		for _, c := range cases {

@@ -175,7 +175,7 @@ func TestWarmRunsAllocZero(t *testing.T) {
 		{"BFS", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier}},
 		{"SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier}},
 		{"CONN_COMP", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier}},
-		{"PAGERANK_PULL", Request{Input: Input{G: g}, Threads: 4, Iters: 3}},
+		{"PageRank", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier, Iters: 3}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -147,7 +147,9 @@ type runRequest struct {
 	Iters int `json:"iters,omitempty"`
 	// MaxPasses bounds COMM move sweeps (0 = kernel default).
 	MaxPasses int `json:"maxPasses,omitempty"`
-	// Delta is the SSSP_DELTA band width (0 = kernel default).
+	// Delta is the band width of SSSP_DELTA and of SSSP_DIJK's frontier
+	// strategy (0 = DefaultSSSPDelta for SSSP_DELTA, AutoSSSPDelta of the
+	// graph for SSSP_DIJK).
 	Delta int32 `json:"delta,omitempty"`
 	// Target is the BFS_TARGET destination vertex.
 	Target int `json:"target,omitempty"`

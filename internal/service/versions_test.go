@@ -552,6 +552,10 @@ func TestErrorCodeCatalog(t *testing.T) {
 		{"unknown kernel", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "QUANTUM"})
 		}, 400, codeUnknownKernel},
+		{"retired kernel name", func() *http.Response {
+			// Pull PageRank is PageRank with the frontier strategy.
+			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "PAGERANK_PULL"})
+		}, 400, codeUnknownKernel},
 		{"unknown platform", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "fpga"})
 		}, 400, codeUnknownPlatform},
