@@ -53,6 +53,14 @@ func sweepCases() []sweepCase {
 			}
 		}
 	}
+	// PageRankPull is exported but has no registry name and takes no
+	// strategy: one scan column, under the PAGERANK_PULL label its cells
+	// have always had.
+	for _, k := range kinds {
+		for _, th := range threadCounts {
+			cases = append(cases, sweepCase{pageRankPullEntryPoint(), core.StrategyScan, k, th})
+		}
+	}
 	// The entry points outside the registry run the frontier bodies from
 	// other start states: one frontier column each.
 	for _, b := range seededEntryPoints() {
@@ -63,6 +71,18 @@ func sweepCases() []sweepCase {
 		}
 	}
 	return cases
+}
+
+// pageRankPullEntryPoint wraps the exported pull-form PageRank as a
+// sweep cell.
+func pageRankPullEntryPoint() core.Benchmark {
+	return core.Benchmark{Name: "PAGERANK_PULL", Run: func(ctx context.Context, pl exec.Platform, req core.Request) (*core.Result, error) {
+		r, err := core.PageRankPull(ctx, pl, req.G, req.Threads, core.DefaultPageRankIters)
+		if err != nil {
+			return nil, err
+		}
+		return &core.Result{Report: r.Report, PageRank: r}, nil
+	}}
 }
 
 // seededEntryPoints wraps BFSBatch and the two incremental repairs as
