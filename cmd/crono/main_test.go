@@ -56,7 +56,7 @@ func TestGraphgenMatrixMarketRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, err := graph.ReadMatrixMarket(f)
+	got, err := graph.ReadMatrixMarket(f, graph.MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,11 @@ func loadOrGenerate(file, kind string, n int, seed int64) (*graph.CSR, error) {
 	defer f.Close()
 	switch {
 	case strings.HasSuffix(file, ".mtx"):
-		return graph.ReadMatrixMarket(f)
+		return graph.ReadMatrixMarket(f, graph.MaxN)
 	case strings.HasSuffix(file, ".graph") || strings.HasSuffix(file, ".metis"):
-		return graph.ReadMETIS(f)
+		return graph.ReadMETIS(f, graph.MaxN)
 	default:
-		return graph.ReadEdgeList(f)
+		return graph.ReadEdgeList(f, graph.MaxN)
 	}
 }
 

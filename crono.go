@@ -210,19 +210,19 @@ func GenerateCities(n int, seed int64) *Dense { return graph.Cities(n, seed) }
 func DenseFromGraph(g *Graph) *Dense { return graph.DenseFromCSR(g) }
 
 // ReadGraph parses a SNAP-style edge list.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, graph.MaxN) }
 
 // WriteGraph writes a graph as a SNAP-style edge list.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate file.
-func ReadMatrixMarket(r io.Reader) (*Graph, error) { return graph.ReadMatrixMarket(r) }
+func ReadMatrixMarket(r io.Reader) (*Graph, error) { return graph.ReadMatrixMarket(r, graph.MaxN) }
 
 // WriteMatrixMarket writes a MatrixMarket coordinate integer matrix.
 func WriteMatrixMarket(w io.Writer, g *Graph) error { return graph.WriteMatrixMarket(w, g) }
 
 // ReadMETIS parses a METIS graph file.
-func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }
+func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r, graph.MaxN) }
 
 // WriteMETIS writes a symmetric graph in METIS format.
 func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }

@@ -111,8 +111,9 @@ func parseInt(b []byte) (int, bool) {
 // (%%MatrixMarket matrix coordinate <field> <symmetry>) into a graph.
 // Pattern matrices get unit weights; real/integer weights are rounded to
 // integers and must be non-negative; "symmetric" files are symmetrized.
-// MatrixMarket is 1-indexed.
-func ReadMatrixMarket(r io.Reader) (*CSR, error) {
+// MatrixMarket is 1-indexed. A matrix of more than maxN rows fails with
+// ErrTooManyVertices.
+func ReadMatrixMarket(r io.Reader, maxN int) (*CSR, error) {
 	lr := newLineReader(r)
 	first, err := lr.next()
 	if err != nil {
@@ -158,7 +159,13 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("graph: MatrixMarket matrix %dx%d is not square", rows, cols)
 	}
-	edges := make([]Edge, 0, nnz)
+	if rows > maxN {
+		return nil, tooManyVertices(rows, maxN)
+	}
+	if rows < 0 || nnz < 0 || nnz > rows*cols {
+		return nil, fmt.Errorf("graph: MatrixMarket size %d %d %d is impossible", rows, cols, nnz)
+	}
+	var edges []Edge // nnz is only a claim: grow with the entries read
 	for {
 		line, err := lr.next()
 		if err == io.EOF {
@@ -213,27 +220,26 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 // general matrix.
 func WriteMatrixMarket(w io.Writer, g *CSR) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate integer general\n%% crono graph\n%d %d %d\n",
-		g.N, g.N, g.M()); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate integer general\n%% crono graph\n%d %d %d\n",
+		g.N, g.N, g.M())
+	var line []byte
 	for v := 0; v < g.N; v++ {
 		ts, ws := g.Neighbors(v)
 		for i, t := range ts {
-			if _, err := fmt.Fprintf(bw, "%d %d %d\n", v+1, t+1, ws[i]); err != nil {
-				return err
-			}
+			line = append(appendInts(line[:0], int64(v)+1, int64(t)+1, int64(ws[i])), '\n')
+			bw.Write(line)
 		}
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first error
 }
 
 // ReadMETIS parses a METIS graph file: a header "n m [fmt]" followed by
 // one line per vertex listing its neighbors (1-indexed), optionally with
 // per-edge weights when fmt's weights flag ("1" in the last position) is
 // set. The METIS format stores undirected graphs with both directions
-// listed, which matches the suite's storage directly.
-func ReadMETIS(r io.Reader) (*CSR, error) {
+// listed, which matches the suite's storage directly. A header of more
+// than maxN vertices fails with ErrTooManyVertices.
+func ReadMETIS(r io.Reader, maxN int) (*CSR, error) {
 	lr := newLineReader(r)
 	var n, m int
 	weighted := false
@@ -268,7 +274,13 @@ func ReadMETIS(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
-	edges := make([]Edge, 0, 2*m)
+	if n > maxN {
+		return nil, tooManyVertices(n, maxN)
+	}
+	if n < 0 || m < 0 || m > n*n {
+		return nil, fmt.Errorf("graph: METIS header %d %d is impossible", n, m)
+	}
+	var edges []Edge // m is only a claim: grow with the neighbors read
 	v := 0
 	for v < n {
 		line, err := lr.next()
@@ -322,24 +334,18 @@ func WriteMETIS(w io.Writer, g *CSR) error {
 		return fmt.Errorf("graph: METIS requires a symmetric graph")
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d 001\n", g.N, g.M()/2); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "%d %d 001\n", g.N, g.M()/2)
+	var line []byte
 	for v := 0; v < g.N; v++ {
 		ts, ws := g.Neighbors(v)
+		line = line[:0]
 		for i, t := range ts {
 			if i > 0 {
-				if _, err := bw.WriteString(" "); err != nil {
-					return err
-				}
+				line = append(line, ' ')
 			}
-			if _, err := fmt.Fprintf(bw, "%d %d", t+1, ws[i]); err != nil {
-				return err
-			}
+			line = appendInts(line, int64(t)+1, int64(ws[i]))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.Write(append(line, '\n'))
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first error
 }

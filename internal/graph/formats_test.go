@@ -13,7 +13,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	if err := WriteMatrixMarket(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMatrixMarket(&buf)
+	back, err := ReadMatrixMarket(&buf, MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMatrixMarketVariants(t *testing.T) {
 2 1
 3 2
 `
-	g, err := ReadMatrixMarket(strings.NewReader(in))
+	g, err := ReadMatrixMarket(strings.NewReader(in), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMatrixMarketVariants(t *testing.T) {
 2 2 1
 1 2 3.7
 `
-	g, err = ReadMatrixMarket(strings.NewReader(in))
+	g, err = ReadMatrixMarket(strings.NewReader(in), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\nx y 1\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := ReadMatrixMarket(strings.NewReader(in), MaxN); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -85,7 +85,7 @@ func TestMETISRoundTrip(t *testing.T) {
 	if err := WriteMETIS(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMETIS(&buf)
+	back, err := ReadMETIS(&buf, MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMETISRoundTrip(t *testing.T) {
 
 func TestMETISUnweighted(t *testing.T) {
 	in := "3 2\n2 3\n1\n1\n"
-	g, err := ReadMETIS(strings.NewReader(in))
+	g, err := ReadMETIS(strings.NewReader(in), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMETISErrors(t *testing.T) {
 		"2 1 001\n2 x\n1 1\n", // bad weight
 	}
 	for i, in := range cases {
-		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {
+		if _, err := ReadMETIS(strings.NewReader(in), MaxN); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -151,7 +151,7 @@ func TestMETISHubLineBeyondMegabyte(t *testing.T) {
 	if buf.Len() < 2<<20 {
 		t.Fatalf("test graph too small to exercise the cap: %d bytes", buf.Len())
 	}
-	back, err := ReadMETIS(&buf)
+	back, err := ReadMETIS(&buf, MaxN)
 	if err != nil {
 		t.Fatalf("hub line rejected: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestMatrixMarketLongCommentLine(t *testing.T) {
 	sb.WriteString("%%MatrixMarket matrix coordinate pattern general\n%")
 	sb.WriteString(strings.Repeat("x", 2<<20))
 	sb.WriteString("\n2 2 1\n1 2\n")
-	g, err := ReadMatrixMarket(strings.NewReader(sb.String()))
+	g, err := ReadMatrixMarket(strings.NewReader(sb.String()), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFormatsMalformedLines(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n99999999999999999999 99999999999999999999 1\n", // overflow
 	}
 	for i, in := range mm {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := ReadMatrixMarket(strings.NewReader(in), MaxN); err == nil {
 			t.Errorf("MatrixMarket case %d accepted", i)
 		}
 	}
@@ -198,12 +198,12 @@ func TestFormatsMalformedLines(t *testing.T) {
 		"2\n1\n2\n",                   // header missing edge count
 	}
 	for i, in := range metis {
-		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {
+		if _, err := ReadMETIS(strings.NewReader(in), MaxN); err == nil {
 			t.Errorf("METIS case %d accepted", i)
 		}
 	}
 	// Windows line endings must parse identically.
-	g, err := ReadMETIS(strings.NewReader("3 2\r\n2 3\r\n1\r\n1\r\n"))
+	g, err := ReadMETIS(strings.NewReader("3 2\r\n2 3\r\n1\r\n1\r\n"), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func BenchmarkReadMETIS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadMETIS(bytes.NewReader(in)); err != nil {
+		if _, err := ReadMETIS(bytes.NewReader(in), MaxN); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadMatrixMarket(bytes.NewReader(in)); err != nil {
+		if _, err := ReadMatrixMarket(bytes.NewReader(in), MaxN); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -150,53 +151,94 @@ func (g *CSR) IsSymmetric() bool {
 	return true
 }
 
-// FromEdges builds a CSR graph from an edge list. Self loops are dropped,
-// duplicate edges are merged keeping the minimum weight, and neighbor
-// lists come out sorted. If undirected is set, the reverse of every edge
-// is added before building.
+// FromEdges builds a CSR graph from an edge list. Self loops and edges
+// with an endpoint outside [0, n) are dropped, duplicate edges are merged
+// keeping the minimum weight, and neighbor lists come out strictly
+// sorted. If undirected is set, the reverse of every edge is added before
+// building.
+//
+// The build is a counting sort by source vertex: count each row's
+// degree, prefix-sum the counts into row starts, scatter the edges into
+// their rows, then sort and deduplicate each row on its own (packRows).
+// Only the per-row sorts are superlinear, and a row is one vertex's
+// neighborhood.
 func FromEdges(n int, edges []Edge, undirected bool) *CSR {
-	all := make([]Edge, 0, len(edges)*2)
+	valid := func(e Edge) bool {
+		return e.From != e.To && e.From >= 0 && e.To >= 0 && int(e.From) < n && int(e.To) < n
+	}
+	off := make([]int64, n+1)
 	for _, e := range edges {
-		if e.From == e.To || e.From < 0 || e.To < 0 || int(e.From) >= n || int(e.To) >= n {
-			continue
-		}
-		all = append(all, e)
-		if undirected {
-			all = append(all, Edge{From: e.To, To: e.From, Weight: e.Weight})
+		if valid(e) {
+			off[e.From+1]++
+			if undirected {
+				off[e.To+1]++
+			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].From != all[j].From {
-			return all[i].From < all[j].From
+	prefixSum(off)
+	keys := make([]uint64, off[n])
+	for _, e := range edges {
+		if valid(e) {
+			keys[off[e.From]] = edgeKey(e.To, e.Weight)
+			off[e.From]++
+			if undirected {
+				keys[off[e.To]] = edgeKey(e.From, e.Weight)
+				off[e.To]++
+			}
 		}
-		if all[i].To != all[j].To {
-			return all[i].To < all[j].To
-		}
-		return all[i].Weight < all[j].Weight
-	})
-	// Deduplicate, keeping the first (minimum-weight) copy.
-	uniq := all[:0]
-	for i, e := range all {
-		if i > 0 && e.From == all[i-1].From && e.To == all[i-1].To {
-			continue
-		}
-		uniq = append(uniq, e)
 	}
+	return packRows(n, off, keys)
+}
+
+// prefixSum turns per-row counts stored at off[v+1] into row starts:
+// afterwards off[v] is the first slot of row v and off[n] the total.
+func prefixSum(off []int64) {
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+}
+
+// edgeKey packs an edge's target and weight into one word whose unsigned
+// order is (target, weight) order: targets are non-negative, and flipping
+// the weight's sign bit maps signed order onto unsigned order.
+func edgeKey(to, weight int32) uint64 {
+	return uint64(to)<<32 | uint64(uint32(weight)^1<<31)
+}
+
+// packRows finishes a counting-sort build. keys holds the rows back to
+// back, each row's slots filled in any order, and off[v] is the end of
+// row v (the row starts where row v-1 ends, row 0 at 0). Each row is
+// sorted, duplicate targets keep their minimum weight, and the surviving
+// edges are unpacked into exactly sized Targets and Weights, so
+// cap(Targets) == M. off becomes the graph's Offsets.
+func packRows(n int, off []int64, keys []uint64) *CSR {
+	var lo, out int64
+	for v := 0; v < n; v++ {
+		hi := off[v]
+		off[v] = out
+		row := keys[lo:hi]
+		slices.Sort(row)
+		// Compact in place; writes never pass the read position. In a
+		// sorted row a target's lightest copy comes first.
+		for _, k := range row {
+			if out > off[v] && k>>32 == keys[out-1]>>32 {
+				continue
+			}
+			keys[out] = k
+			out++
+		}
+		lo = hi
+	}
+	off[n] = out
 	g := &CSR{
 		N:       n,
-		Offsets: make([]int64, n+1),
-		Targets: make([]int32, len(uniq)),
-		Weights: make([]int32, len(uniq)),
+		Offsets: off,
+		Targets: make([]int32, out),
+		Weights: make([]int32, out),
 	}
-	for _, e := range uniq {
-		g.Offsets[e.From+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	for i, e := range uniq {
-		g.Targets[i] = e.To
-		g.Weights[i] = e.Weight
+	for i, k := range keys[:out] {
+		g.Targets[i] = int32(k >> 32)
+		g.Weights[i] = int32(uint32(k) ^ 1<<31)
 	}
 	return g
 }

@@ -3,10 +3,61 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// fromEdgesRef is the sort-based CSR builder FromEdges replaced, kept as
+// the reference the counting-sort build must match bit for bit: copy the
+// valid edges (and their reverses), sort them all by (from, to, weight),
+// keep the first copy of each (from, to), then count offsets.
+func fromEdgesRef(n int, edges []Edge, undirected bool) *CSR {
+	all := make([]Edge, 0, len(edges)*2)
+	for _, e := range edges {
+		if e.From == e.To || e.From < 0 || e.To < 0 || int(e.From) >= n || int(e.To) >= n {
+			continue
+		}
+		all = append(all, e)
+		if undirected {
+			all = append(all, Edge{From: e.To, To: e.From, Weight: e.Weight})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].From != all[j].From {
+			return all[i].From < all[j].From
+		}
+		if all[i].To != all[j].To {
+			return all[i].To < all[j].To
+		}
+		return all[i].Weight < all[j].Weight
+	})
+	uniq := all[:0]
+	for i, e := range all {
+		if i > 0 && e.From == all[i-1].From && e.To == all[i-1].To {
+			continue
+		}
+		uniq = append(uniq, e)
+	}
+	g := &CSR{
+		N:       n,
+		Offsets: make([]int64, n+1),
+		Targets: make([]int32, len(uniq)),
+		Weights: make([]int32, len(uniq)),
+	}
+	for _, e := range uniq {
+		g.Offsets[e.From+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	for i, e := range uniq {
+		g.Targets[i] = e.To
+		g.Weights[i] = e.Weight
+	}
+	return g
+}
 
 func TestFromEdgesBasics(t *testing.T) {
 	edges := []Edge{
@@ -237,7 +288,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeList(&buf)
+	back, err := ReadEdgeList(&buf, MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +303,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestReadEdgeListFormats(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("# comment\n0 1\n1 2 7\n\n"))
+	g, err := ReadEdgeList(strings.NewReader("# comment\n0 1\n1 2 7\n\n"), MaxN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +316,13 @@ func TestReadEdgeListFormats(t *testing.T) {
 	if w, _ := g.EdgeWeight(1, 2); w != 7 {
 		t.Fatalf("explicit weight %d", w)
 	}
-	if _, err := ReadEdgeList(strings.NewReader("0 -1 3\n")); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("0 -1 3\n"), MaxN); err == nil {
 		t.Fatal("negative vertex accepted")
 	}
-	if _, err := ReadEdgeList(strings.NewReader("# nodes 2 edges 1\n0 5 1\n")); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("# nodes 2 edges 1\n0 5 1\n"), MaxN); err == nil {
 		t.Fatal("vertex beyond declared count accepted")
 	}
-	if _, err := ReadEdgeList(strings.NewReader("garbage\n")); err == nil {
+	if _, err := ReadEdgeList(strings.NewReader("garbage\n"), MaxN); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements vertex reordering, the classic software response
@@ -143,12 +144,11 @@ func ReorderRCM(g *CSR) (*CSR, []int32) {
 					nbuf = append(nbuf, u)
 				}
 			}
-			sort.Slice(nbuf, func(a, b int) bool {
-				da, db := g.Degree(int(nbuf[a])), g.Degree(int(nbuf[b]))
-				if da != db {
-					return da < db
+			slices.SortFunc(nbuf, func(a, b int32) int {
+				if c := cmp.Compare(g.Degree(int(a)), g.Degree(int(b))); c != 0 {
+					return c
 				}
-				return nbuf[a] < nbuf[b]
+				return cmp.Compare(a, b)
 			})
 			queue = append(queue, nbuf...)
 		}
@@ -224,36 +224,50 @@ func ReorderBFS(g *CSR, root int) (*CSR, []int32) {
 	return applyPermutation(g, perm), perm
 }
 
-// ReorderByDegree relabels vertices by descending degree (hubs first), a
-// common layout for power-law graphs: the hot hub rows pack into few
-// cache lines.
+// ReorderByDegree relabels vertices by descending degree (hubs first,
+// ties by ascending vertex id), a common layout for power-law graphs: the
+// hot hub rows pack into few cache lines. The order is a stable counting
+// sort by degree.
 func ReorderByDegree(g *CSR) (*CSR, []int32) {
 	n := g.N
-	order := make([]int32, n) // new -> old
-	for i := range order {
-		order[i] = int32(i)
+	next := make([]int32, g.MaxDegree()+1) // per degree: its next new id
+	for v := 0; v < n; v++ {
+		next[g.Degree(v)]++
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Degree(int(order[a])) > g.Degree(int(order[b]))
-	})
+	id := int32(0)
+	for d := len(next) - 1; d >= 0; d-- {
+		id, next[d] = id+next[d], id
+	}
 	perm := make([]int32, n) // old -> new
-	for newID, oldID := range order {
-		perm[oldID] = int32(newID)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		perm[v] = next[d]
+		next[d]++
 	}
 	return applyPermutation(g, perm), perm
 }
 
 // applyPermutation rebuilds g with vertex ids mapped through perm
-// (old -> new).
+// (old -> new). Each relabeled row is copied straight into its new slot
+// (new degrees, prefix sum, mapped copy); only the per-row sort of the
+// counting-sort build remains.
 func applyPermutation(g *CSR, perm []int32) *CSR {
-	edges := make([]Edge, 0, g.M())
-	for v := 0; v < g.N; v++ {
-		ts, ws := g.Neighbors(v)
-		for i, t := range ts {
-			edges = append(edges, Edge{From: perm[v], To: perm[t], Weight: ws[i]})
-		}
+	n := g.N
+	off := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		off[perm[v]+1] = int64(g.Degree(v))
 	}
-	return FromEdges(g.N, edges, false)
+	prefixSum(off)
+	keys := make([]uint64, g.M())
+	for v := 0; v < n; v++ {
+		ts, ws := g.Neighbors(v)
+		p := off[perm[v]]
+		for i, t := range ts {
+			keys[p+int64(i)] = edgeKey(perm[t], ws[i])
+		}
+		off[perm[v]] = p + int64(len(ts))
+	}
+	return packRows(n, off, keys)
 }
 
 // ApplyVertexPermutation maps per-vertex data through a permutation so

@@ -297,14 +297,18 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		rd := strings.NewReader(req.Data)
 		switch req.Format {
 		case "snap":
-			g, err = graph.ReadEdgeList(rd)
+			g, err = graph.ReadEdgeList(rd, s.cfg.MaxVertices)
 		case "mtx":
-			g, err = graph.ReadMatrixMarket(rd)
+			g, err = graph.ReadMatrixMarket(rd, s.cfg.MaxVertices)
 		case "metis":
-			g, err = graph.ReadMETIS(rd)
+			g, err = graph.ReadMETIS(rd, s.cfg.MaxVertices)
 		default:
 			writeError(w, http.StatusBadRequest, codeUnknownFormat,
 				"unknown format %q (want snap, mtx or metis)", req.Format)
+			return
+		}
+		if errors.Is(err, graph.ErrTooManyVertices) {
+			writeError(w, http.StatusRequestEntityTooLarge, codeGraphTooLarge, "parse %s input: %v", req.Format, err)
 			return
 		}
 		if err != nil {

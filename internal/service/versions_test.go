@@ -528,6 +528,31 @@ func TestErrorCodeCatalog(t *testing.T) {
 		{"graph too large", func() *http.Response {
 			return postJSON(t, graphsURL, graphRequest{Format: "snap", Data: "0 99\n"})
 		}, 413, codeGraphTooLarge},
+		// Each reader refuses a count over MaxVertices before allocating
+		// for it, and sizes nothing from an impossible header count.
+		{"snap header too large", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "snap", Data: "# nodes 200000000 edges 1\n0 1\n"})
+		}, 413, codeGraphTooLarge},
+		{"snap id too large", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "snap", Data: "0 1\n1 199999999\n"})
+		}, 413, codeGraphTooLarge},
+		{"snap negative weight", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "snap", Data: "0 1 -3\n"})
+		}, 400, codeParseFailed},
+		{"mtx too large", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "mtx",
+				Data: "%%MatrixMarket matrix coordinate pattern general\n200000000 200000000 1\n1 2\n"})
+		}, 413, codeGraphTooLarge},
+		{"mtx impossible nnz", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "mtx",
+				Data: "%%MatrixMarket matrix coordinate pattern general\n2 2 100000000000\n1 2\n"})
+		}, 400, codeParseFailed},
+		{"metis too large", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "metis", Data: "200000000 1\n2\n1\n"})
+		}, 413, codeGraphTooLarge},
+		{"metis impossible edge count", func() *http.Response {
+			return postJSON(t, graphsURL, graphRequest{Format: "metis", Data: "2 100000000000\n2\n1\n"})
+		}, 400, codeParseFailed},
 		{"graph not found", func() *http.Response {
 			return getJSON(t, graphsURL+"/gdeadbeef", nil)
 		}, 404, codeGraphNotFound},
@@ -592,12 +617,20 @@ func TestErrorCodeCatalog(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			resp := tc.do()
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
 			}
 			if code := errorCode(t, resp); code != tc.code {
 				t.Fatalf("code %q, want %q", code, tc.code)
+			}
+			// No refusal may cost memory on the scale of what the
+			// request claims: a small body gets a small answer.
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+				t.Fatalf("allocated %d MB to refuse the request", grew>>20)
 			}
 		})
 	}
