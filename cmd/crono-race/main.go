@@ -200,7 +200,6 @@ func runSpec(s spec, threads, n int, seed int64) (specResult, error) {
 	req := core.Request{Threads: threads, Strategy: s.strategy}
 	req.G = graph.Generate(s.kind, n, seed)
 	req.Source = 0
-	req.Target = req.G.N - 1
 	size := n
 	switch {
 	case b.UsesMatrix:

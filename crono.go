@@ -93,7 +93,7 @@ type BenchmarkInput = core.Input
 
 // RunRequest is the typed argument of Benchmark.Run and crono.Run: the
 // input plus thread count and per-kernel knobs (PageRank iterations,
-// COMM pass bound, delta-stepping band width, BFS_TARGET destination).
+// COMM pass bound, SSSP_DIJK frontier band width).
 // Zero-valued knobs take kernel defaults.
 type RunRequest = core.Request
 
@@ -231,7 +231,7 @@ func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
 func Suite() []Benchmark { return core.Suite() }
 
 // BenchmarkByName finds a benchmark by its paper identifier
-// (e.g. "SSSP_DIJK") or a variant identifier (e.g. "SSSP_DELTA").
+// (e.g. "SSSP_DIJK") or a variant identifier (e.g. "BETW_BRANDES").
 func BenchmarkByName(name string) (Benchmark, error) { return core.ByName(name) }
 
 // Run executes a kernel by name under ctx. Canceling ctx (or exceeding
@@ -326,24 +326,8 @@ func CommunityFrontier(pl Platform, g *Graph, threads, maxPasses int) (*Communit
 	return core.CommunityFrontier(context.Background(), pl, g, threads, maxPasses)
 }
 
-// Variant result types.
-type (
-	BFSTargetResult = core.BFSTargetResult
-	BrandesResult   = core.BrandesResult
-)
-
-// SSSPDelta runs delta-stepping shortest paths: wider pareto fronts trade
-// extra relaxations for fewer synchronization rounds, relaxing the
-// barrier wall that caps SSSP at high thread counts.
-func SSSPDelta(pl Platform, g *Graph, source, threads int, delta int32) (*SSSPResult, error) {
-	return core.SSSPDelta(context.Background(), pl, g, source, threads, delta)
-}
-
-// BFSTarget searches for a target vertex with level-synchronous BFS and
-// early exit, as the paper's Section III-4 describes.
-func BFSTarget(pl Platform, g *Graph, source, target, threads int) (*BFSTargetResult, error) {
-	return core.BFSTarget(context.Background(), pl, g, source, target, threads)
-}
+// BrandesResult carries exact unweighted betweenness centralities.
+type BrandesResult = core.BrandesResult
 
 // BetweennessBrandes computes exact unweighted betweenness centrality
 // with the work-efficient Brandes algorithm (sources by vertex capture).

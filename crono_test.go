@@ -128,7 +128,7 @@ func TestFacadeVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := SSSPDelta(pl, g, 0, 2, 50)
+	wide, err := SSSPFrontier(pl, g, 0, 2, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +136,6 @@ func TestFacadeVariants(t *testing.T) {
 		if exact.Dist[v] != wide.Dist[v] {
 			t.Fatalf("delta-stepping diverges at %d", v)
 		}
-	}
-
-	bt, err := BFSTarget(pl, g, 0, g.N-1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BFS(pl, g, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.Found != (full.Level[g.N-1] >= 0) || (bt.Found && bt.Level != full.Level[g.N-1]) {
-		t.Fatalf("targeted BFS level %d vs full %d", bt.Level, full.Level[g.N-1])
 	}
 
 	if _, err := BetweennessBrandes(pl, g, 2); err != nil {

@@ -95,7 +95,7 @@ type cancelKernel func(ctx context.Context, pl exec.Platform, threads int) (any,
 
 // barrierKernels lists every barrier-bearing kernel on an input small
 // enough to cancel at each of its polls: the scan and frontier kernels,
-// the batch, the variants with barriers and the two repairs.
+// the batch and the two repairs.
 func barrierKernels(t *testing.T) map[string]cancelKernel {
 	g := graph.Generate(graph.KindSocial, 512, 3)
 	byName := func(name string, strategy Strategy) cancelKernel {
@@ -105,15 +105,13 @@ func barrierKernels(t *testing.T) map[string]cancelKernel {
 		}
 		return func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
 			return b.Run(ctx, pl, Request{Input: Input{G: g}, Threads: threads, Strategy: strategy,
-				Iters: 3, MaxPasses: 3, Target: g.N - 1})
+				Iters: 3, MaxPasses: 3})
 		}
 	}
 	ks := map[string]cancelKernel{
 		"BFSBatch": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
 			return BFSBatch(ctx, pl, g, batchSources(g.N, BFSBatchWidth), threads)
 		},
-		"SSSP_DELTA": byName("SSSP_DELTA", StrategyScan),
-		"BFS_TARGET": byName("BFS_TARGET", StrategyScan),
 	}
 	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM", "TRI_CNT"} {
 		ks[name+".scan"] = byName(name, StrategyScan)
@@ -253,37 +251,38 @@ func testMidFlight(t *testing.T, want error) {
 func TestRequestDefaults(t *testing.T) {
 	d := Request{}.WithDefaults()
 	if d.Threads != 1 || d.Iters != DefaultPageRankIters ||
-		d.MaxPasses != DefaultCommunityPasses || d.Delta != DefaultSSSPDelta {
+		d.MaxPasses != DefaultCommunityPasses || d.Delta != 0 {
 		t.Fatalf("bad defaults %+v", d)
 	}
-	r := Request{Threads: 8, Iters: 3, MaxPasses: 2, Delta: 7, Target: 5}.WithDefaults()
-	if r.Threads != 8 || r.Iters != 3 || r.MaxPasses != 2 || r.Delta != 7 || r.Target != 5 {
+	r := Request{Threads: 8, Iters: 3, MaxPasses: 2, Delta: 7}.WithDefaults()
+	if r.Threads != 8 || r.Iters != 3 || r.MaxPasses != 2 || r.Delta != 7 {
 		t.Fatalf("explicit values clobbered: %+v", r)
 	}
 }
 
-// TestVariantsReachableByName: the three variants resolve through ByName
-// but stay out of the ten-kernel Suite. Pull PageRank is PageRank's
-// frontier strategy, not a name of its own.
+// TestVariantsReachableByName: the variant resolves through ByName but
+// stays out of the ten-kernel Suite. Retired names resolve to nothing:
+// pull PageRank is PageRank's frontier strategy, delta-stepping is
+// SSSP_DIJK's, and a frontier BFS gives every target's level.
 func TestVariantsReachableByName(t *testing.T) {
 	if n := len(Suite()); n != 10 {
 		t.Fatalf("suite has %d kernels, want 10", n)
 	}
-	if _, err := ByName("PAGERANK_PULL"); err == nil {
-		t.Fatal("ByName(PAGERANK_PULL) resolves; pull PageRank is PageRank with the frontier strategy")
+	for _, name := range []string{"PAGERANK_PULL", "SSSP_DELTA", "BFS_TARGET"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName(%s) resolves; the name is retired", name)
+		}
 	}
-	for _, name := range []string{"SSSP_DELTA", "BFS_TARGET", "BETW_BRANDES"} {
-		b, err := ByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if b.Name != name {
-			t.Fatalf("ByName(%s) returned %s", name, b.Name)
-		}
-		for _, s := range Suite() {
-			if s.Name == name {
-				t.Fatalf("variant %s leaked into Suite()", name)
-			}
+	b, err := ByName("BETW_BRANDES")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name != "BETW_BRANDES" {
+		t.Fatalf("ByName(BETW_BRANDES) returned %s", b.Name)
+	}
+	for _, s := range Suite() {
+		if s.Name == b.Name {
+			t.Fatalf("variant %s leaked into Suite()", b.Name)
 		}
 	}
 }
@@ -294,26 +293,15 @@ func TestVariantsRunViaTypedAPI(t *testing.T) {
 	g := graph.UniformSparse(150, 4, 20, 11)
 	in := Input{G: g, Source: 0}
 	for _, b := range Variants() {
-		res, err := b.Run(context.Background(), native.New(), Request{Input: in, Threads: 3, Target: 17})
+		res, err := b.Run(context.Background(), native.New(), Request{Input: in, Threads: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if res.Report == nil {
 			t.Fatalf("%s: no report", b.Name)
 		}
-		switch b.Name {
-		case "SSSP_DELTA":
-			if res.SSSP == nil {
-				t.Fatalf("%s: missing SSSP payload", b.Name)
-			}
-		case "BFS_TARGET":
-			if res.BFSTarget == nil {
-				t.Fatalf("%s: missing BFSTarget payload", b.Name)
-			}
-		case "BETW_BRANDES":
-			if res.Brandes == nil {
-				t.Fatalf("%s: missing Brandes payload", b.Name)
-			}
+		if b.Name == "BETW_BRANDES" && res.Brandes == nil {
+			t.Fatalf("%s: missing Brandes payload", b.Name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 
 	"crono/internal/exec"
@@ -229,11 +230,19 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 // Modularity computes Newman modularity of a partition over a symmetric
 // weighted graph: Q = sum_c [ in_c/2m - (tot_c/2m)^2 ], where in_c counts
 // intra-community edge weight in both directions and tot_c is the total
-// weighted degree of community c.
+// weighted degree of community c. Every COMM kernel labels a community
+// by a vertex id, so the per-community sums are dense arrays summed in id
+// order and the result is the same bits on every call. A label outside
+// [0, n) returns NaN.
 func Modularity(g *graph.CSR, comm []int32) float64 {
+	for _, c := range comm {
+		if c < 0 || int(c) >= g.N {
+			return math.NaN()
+		}
+	}
 	var m2 float64
-	in := make(map[int32]float64)
-	tot := make(map[int32]float64)
+	in := make([]float64, g.N)
+	tot := make([]float64, g.N)
 	for v := 0; v < g.N; v++ {
 		ts, ws := g.Neighbors(v)
 		for e, u := range ts {
@@ -249,11 +258,8 @@ func Modularity(g *graph.CSR, comm []int32) float64 {
 		return 0
 	}
 	var q float64
-	for _, i := range in {
-		q += i / m2
-	}
-	for _, t := range tot {
-		q -= (t / m2) * (t / m2)
+	for c := range in {
+		q += in[c]/m2 - (tot[c]/m2)*(tot[c]/m2)
 	}
 	return q
 }

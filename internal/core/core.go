@@ -98,13 +98,10 @@ type Request struct {
 	// MaxPasses bounds Louvain passes (COMM; default
 	// DefaultCommunityPasses).
 	MaxPasses int
-	// Delta is the delta-stepping bucket width of SSSP_DELTA and of
-	// SSSP_DIJK's frontier strategy. Zero means DefaultSSSPDelta for
-	// SSSP_DELTA and AutoSSSPDelta of the graph for SSSP_DIJK.
+	// Delta is the band width of SSSP_DIJK's frontier strategy. Zero
+	// means AutoSSSPDelta of the graph, which the kernel entry resolves
+	// because it depends on the input.
 	Delta int32
-	// Target is the vertex BFS_TARGET searches for. The zero value is
-	// vertex 0; the kernel validates the range.
-	Target int
 	// Reorder, when non-nil, makes orderable kernels execute over the
 	// permuted CSR it carries (which must be a reordering of G) and
 	// un-permute their per-vertex payloads before returning, so callers
@@ -130,9 +127,6 @@ func (r Request) WithDefaults() Request {
 	}
 	if r.MaxPasses < 1 {
 		r.MaxPasses = DefaultCommunityPasses
-	}
-	if r.Delta < 1 {
-		r.Delta = DefaultSSSPDelta
 	}
 	if r.Strategy == "" {
 		r.Strategy = StrategyScan
@@ -169,7 +163,6 @@ type Result struct {
 	Triangles   *TriangleCountResult
 	PageRank    *PageRankResult
 	Community   *CommunityResult
-	BFSTarget   *BFSTargetResult
 	Brandes     *BrandesResult
 }
 
@@ -208,9 +201,6 @@ func Suite() []Benchmark {
 		{
 			Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				// Delta unset means auto-tune: derive the band width from
-				// the graph (AutoSSSPDelta) instead of the fixed default.
-				autoDelta := req.Delta == 0 && req.G != nil
 				req = req.WithDefaults()
 				if err := req.strategyErr(); err != nil {
 					return nil, err
@@ -220,11 +210,10 @@ func Suite() []Benchmark {
 					err error
 				)
 				if req.Strategy == StrategyFrontier {
-					delta := req.Delta
-					if autoDelta {
-						delta = AutoSSSPDelta(req.G)
+					if req.Delta < 1 {
+						req.Delta = AutoSSSPDelta(req.G)
 					}
-					r, err = ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, delta, req.Scratch)
+					r, err = ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Delta, req.Scratch)
 				} else {
 					r, err = SSSP(ctx, pl, req.G, req.Source, req.Threads)
 				}
@@ -416,33 +405,11 @@ func wrapSuite(bs []Benchmark) []Benchmark {
 	return bs
 }
 
-// Variants lists the Section III algorithmic variants as runnable
-// benchmarks. They are not part of the Table I suite, but ByName resolves
-// them, so the service and the CLI can execute them by name.
+// Variants lists the kernels beyond the Table I suite as runnable
+// benchmarks. ByName resolves them, so the service and the CLI can
+// execute them by name.
 func Variants() []Benchmark {
 	return wrapSuite([]Benchmark{
-		{
-			Name: "SSSP_DELTA", Parallelization: "Graph Division (delta-stepping)", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := SSSPDelta(ctx, pl, req.G, req.Source, req.Threads, req.Delta)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, SSSP: r}, nil
-			},
-		},
-		{
-			Name: "BFS_TARGET", Parallelization: "Graph Division (early exit)", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := BFSTarget(ctx, pl, req.G, req.Source, req.Target, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, BFSTarget: r}, nil
-			},
-		},
 		{
 			Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true,
 			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {

@@ -379,6 +379,35 @@ func TestCommunityImprovesModularity(t *testing.T) {
 	}
 }
 
+// TestModularityRepeatsBitForBit: repeated calls on one labelling return
+// the same bits. Summing per-community totals in map order did not: on
+// this graph nearly every call differed in its last bits.
+func TestModularityRepeatsBitForBit(t *testing.T) {
+	g := graph.Generate(graph.KindSocial, 16384, 7)
+	res, err := CommunityFrontier(context.Background(), native.New(), g, 1, DefaultCommunityPasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(Modularity(g, res.Community))
+	for i := 0; i < 20; i++ {
+		if got := math.Float64bits(Modularity(g, res.Community)); got != want {
+			t.Fatalf("call %d: modularity bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
+// TestModularityLabelOutOfRange: a community label outside [0, n) has no
+// slot in the dense per-community sums, so Modularity returns NaN.
+func TestModularityLabelOutOfRange(t *testing.T) {
+	g := pathGraph(4)
+	for _, bad := range []int32{-1, 4} {
+		comm := []int32{0, 0, 2, bad}
+		if q := Modularity(g, comm); !math.IsNaN(q) {
+			t.Fatalf("label %d: modularity %g, want NaN", bad, q)
+		}
+	}
+}
+
 func TestSuiteRegistry(t *testing.T) {
 	s := Suite()
 	if len(s) != 10 {

@@ -55,12 +55,6 @@ func TestKernelInputValidation(t *testing.T) {
 	if _, err := TSP(context.Background(), pl, nil, 2); err == nil {
 		t.Error("TSP nil cities accepted")
 	}
-	if _, err := SSSPDelta(context.Background(), pl, g, 0, 2, -1); err == nil {
-		t.Error("SSSPDelta negative delta accepted")
-	}
-	if _, err := BFSTarget(context.Background(), pl, g, 0, -2, 1); err == nil {
-		t.Error("BFSTarget negative target accepted")
-	}
 	if _, err := BetweennessBrandes(context.Background(), pl, nil, 1); err == nil {
 		t.Error("Brandes nil graph accepted")
 	}

@@ -23,6 +23,42 @@ func SSSPFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	return ssspFrontier(goCtx, pl, g, src, threads, delta, nil)
 }
 
+// fallbackDelta is AutoSSSPDelta's band width for a graph with no
+// edges to sample.
+const fallbackDelta = 32
+
+// AutoSSSPDelta is the band width SSSP_DIJK's frontier strategy uses
+// when Request.Delta is unset: average edge weight times average degree,
+// the classic heuristic for balancing band population against wasted
+// re-relaxation (a band should admit roughly one hop's worth of distance
+// progress). Weights are sampled on an even stride capped at 1024 edges
+// so the estimate costs O(1) on large graphs.
+func AutoSSSPDelta(g *graph.CSR) int32 {
+	if g == nil || g.M() == 0 || g.N == 0 {
+		return fallbackDelta
+	}
+	m := g.M()
+	samples := m
+	if samples > 1024 {
+		samples = 1024
+	}
+	stride := m / samples
+	var sum int64
+	for i := 0; i < samples; i++ {
+		sum += int64(g.Weights[i*stride])
+	}
+	avgW := float64(sum) / float64(samples)
+	avgDeg := float64(m) / float64(g.N)
+	d := int64(avgW * avgDeg)
+	if d < 1 {
+		return 1
+	}
+	if d > int64(graph.Inf)/4 {
+		return graph.Inf / 4
+	}
+	return int32(d)
+}
+
 // ssspFrontierRun is the reusable state of one SSSPFrontier execution
 // (see bfsFrontierRun).
 type ssspFrontierRun struct {

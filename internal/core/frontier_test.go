@@ -56,7 +56,7 @@ func TestFrontierMatchesScanOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("SSSP", func(t *testing.T) {
 				ref := SSSPRef(g, 0)
-				res, err := SSSPFrontier(ctx, native.New(), g, 0, 8, DefaultSSSPDelta)
+				res, err := SSSPFrontier(ctx, native.New(), g, 0, 8, 32)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,7 +216,7 @@ func TestFrontierOnSimulator(t *testing.T) {
 	}
 
 	ssspRef := SSSPRef(g, 0)
-	sres, err := SSSPFrontier(ctx, simMachine(t, 16), g, 0, 8, DefaultSSSPDelta)
+	sres, err := SSSPFrontier(ctx, simMachine(t, 16), g, 0, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestNativeInstructionGolden(t *testing.T) {
 				strategies = []Strategy{StrategyScan, StrategyFrontier, StrategyHybrid}
 			}
 			for _, s := range strategies {
-				req := Request{Threads: 1, Strategy: s, Iters: 3, Target: n / 2}
+				req := Request{Threads: 1, Strategy: s, Iters: 3}
 				req.G = g
 				switch {
 				case b.UsesMatrix:

@@ -39,9 +39,6 @@ func withReorder(run runFunc) runFunc {
 		if req.Source >= 0 && req.Source < req.G.N {
 			inner.Source = int(ro.Perm[req.Source])
 		}
-		if req.Target >= 0 && req.Target < req.G.N {
-			inner.Target = int(ro.Perm[req.Target])
-		}
 		res, err := run(ctx, pl, inner)
 		if err != nil {
 			return nil, err
@@ -72,8 +69,6 @@ func unpermuteResult(res *Result, inv []int32) {
 		res.PageRank.Ranks = graph.ApplyVertexPermutation(res.PageRank.Ranks, inv)
 	case res.Brandes != nil:
 		res.Brandes.Centrality = graph.ApplyVertexPermutation(res.Brandes.Centrality, inv)
-	case res.BFSTarget != nil:
-		// Scalar payload: Found/Level/Explored are label-invariant.
 	}
 }
 

@@ -91,12 +91,6 @@ func samePayload(t *testing.T, tag string, want, got *Result) {
 					tag, v, got.Brandes.Centrality[v], want.Brandes.Centrality[v])
 			}
 		}
-	case want.BFSTarget != nil:
-		if got.BFSTarget.Found != want.BFSTarget.Found ||
-			got.BFSTarget.Level != want.BFSTarget.Level ||
-			got.BFSTarget.Explored != want.BFSTarget.Explored {
-			t.Fatalf("%s: target %+v, want %+v", tag, got.BFSTarget, want.BFSTarget)
-		}
 	default:
 		t.Fatalf("%s: no payload to compare", tag)
 	}
@@ -121,14 +115,12 @@ func TestReorderedRunsMatchUnordered(t *testing.T) {
 		{"DFS", []Strategy{StrategyScan}},
 		{"TRI_CNT", []Strategy{StrategyScan}},
 		{"PageRank", []Strategy{StrategyScan, StrategyFrontier}},
-		{"SSSP_DELTA", []Strategy{StrategyScan}},
-		{"BFS_TARGET", []Strategy{StrategyScan}},
 		{"BETW_BRANDES", []Strategy{StrategyScan}},
 	}
 	for gname, g := range graphs {
 		for _, c := range cases {
 			for _, st := range c.strategies {
-				base := Request{Input: Input{G: g, Source: 1}, Threads: 4, Strategy: st, Target: g.N / 2, Iters: 5}
+				base := Request{Input: Input{G: g, Source: 1}, Threads: 4, Strategy: st, Iters: 5}
 				want := runNamed(t, c.name, base)
 				for _, o := range graph.Orders() {
 					ro, err := graph.Reorder(g, o)
@@ -237,8 +229,7 @@ func TestCanonicalLabelsMinimumId(t *testing.T) {
 }
 
 // TestAutoSSSPDelta: the heuristic tracks avg-weight x avg-degree, clamps
-// to at least 1, and falls back to the fixed default on degenerate
-// inputs.
+// to at least 1, and falls back to a fixed width on degenerate inputs.
 func TestAutoSSSPDelta(t *testing.T) {
 	g := graph.RoadNet(1000, 3)
 	var sum int64
@@ -252,10 +243,10 @@ func TestAutoSSSPDelta(t *testing.T) {
 	if got < want/2 || got > want*2 {
 		t.Fatalf("auto delta %d, want about %d", got, want)
 	}
-	if AutoSSSPDelta(nil) != DefaultSSSPDelta {
+	if AutoSSSPDelta(nil) != fallbackDelta {
 		t.Fatal("nil graph did not fall back")
 	}
-	if AutoSSSPDelta(graph.FromEdges(3, nil, true)) != DefaultSSSPDelta {
+	if AutoSSSPDelta(graph.FromEdges(3, nil, true)) != fallbackDelta {
 		t.Fatal("edgeless graph did not fall back")
 	}
 	if d := AutoSSSPDelta(graph.Generate(graph.KindSocial, 500, 3)); d < 1 {
@@ -265,19 +256,20 @@ func TestAutoSSSPDelta(t *testing.T) {
 
 // TestAutoDeltaUsedWhenUnset: with Delta unset the SSSP_DIJK frontier
 // path must auto-tune (observable through the round count differing from
-// the fixed default on a weighted road graph) while distances stay exact.
+// a fixed width on a weighted road graph) while distances stay exact.
 func TestAutoDeltaUsedWhenUnset(t *testing.T) {
+	const fixedDelta = 32
 	g := graph.Generate(graph.KindRoadCA, 1200, 7)
 	auto := runNamed(t, "SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier})
-	fixed := runNamed(t, "SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier, Delta: DefaultSSSPDelta})
+	fixed := runNamed(t, "SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier, Delta: fixedDelta})
 	ref := SSSPRef(g, 0)
 	for v := range ref {
 		if auto.SSSP.Dist[v] != ref[v] {
 			t.Fatalf("auto-delta dist[%d] = %d, want %d", v, auto.SSSP.Dist[v], ref[v])
 		}
 	}
-	if AutoSSSPDelta(g) != DefaultSSSPDelta && auto.SSSP.Rounds == fixed.SSSP.Rounds {
-		t.Logf("auto delta %d (default %d): rounds coincide (%d) — schedule may legitimately match",
-			AutoSSSPDelta(g), DefaultSSSPDelta, auto.SSSP.Rounds)
+	if AutoSSSPDelta(g) != fixedDelta && auto.SSSP.Rounds == fixed.SSSP.Rounds {
+		t.Logf("auto delta %d (fixed %d): rounds coincide (%d) — schedule may legitimately match",
+			AutoSSSPDelta(g), fixedDelta, auto.SSSP.Rounds)
 	}
 }

@@ -3,319 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"crono/internal/exec"
 	"crono/internal/graph"
 )
 
-// DefaultSSSPDelta is the delta-stepping band width Request.WithDefaults
-// applies when none is given; it matches the sweet spot of the
-// delta-ablation experiment.
-const DefaultSSSPDelta = 32
-
-// AutoSSSPDelta derives a delta-stepping band width from the graph
-// itself: average edge weight times average degree, the classic
-// heuristic for balancing band population against wasted re-relaxation
-// (a band should admit roughly one hop's worth of distance progress).
-// Weights are sampled on an even stride capped at 1024 edges so the
-// estimate costs O(1) on large graphs. Falls back to DefaultSSSPDelta
-// for edgeless graphs or degenerate estimates.
-func AutoSSSPDelta(g *graph.CSR) int32 {
-	if g == nil || g.M() == 0 || g.N == 0 {
-		return DefaultSSSPDelta
-	}
-	m := g.M()
-	samples := m
-	if samples > 1024 {
-		samples = 1024
-	}
-	stride := m / samples
-	var sum int64
-	for i := 0; i < samples; i++ {
-		sum += int64(g.Weights[i*stride])
-	}
-	avgW := float64(sum) / float64(samples)
-	avgDeg := float64(m) / float64(g.N)
-	d := int64(avgW * avgDeg)
-	if d < 1 {
-		return 1
-	}
-	if d > int64(graph.Inf)/4 {
-		return graph.Inf / 4
-	}
-	return int32(d)
-}
-
-// This file contains kernel variants beyond the paper's Table I set.
-// They exist for the design-space questions the paper raises: how much of
-// SSSP's synchronization wall is the strict pareto-front discipline
-// (SSSPDelta), how much of PageRank's lock cost is the push formulation
-// (PageRankPull), what a search-shaped BFS looks like (BFSTarget), and an
-// exact Brandes betweenness for unweighted graphs (BetweennessBrandes).
-
-// SSSPDelta runs delta-stepping single-source shortest paths: pareto
-// fronts widen to distance bands of width delta, trading extra
-// relaxations for far fewer barrier-synchronized rounds. delta=1 with
-// integer weights degenerates to (a band-exact variant of) the paper's
-// SSSP_DIJK; larger deltas relax the synchronization wall that caps
-// SSSP_DIJK at high thread counts. A canceled run ends at its next barrier.
-func SSSPDelta(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, delta int32) (*SSSPResult, error) {
-	if err := validate(g, src, threads); err != nil {
-		return nil, err
-	}
-	if delta < 1 {
-		return nil, fmt.Errorf("core: delta %d < 1", delta)
-	}
-	n := g.N
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[src] = 0
-	exist := make([]int32, n)
-	exist[src] = 1
-	mins := make([]int32, threads)
-	changed := make([]int32, threads)
-	relax := make([]int64, threads)
-	rounds := 0
-	bandEnd := int32(0) // exclusive upper bound of the current band
-	phase := int32(0)   // 0: keep sweeping band, 1: advance band, 2: done
-
-	rDist := pl.Alloc("dsssp.dist", n, 4)
-	rOff := pl.Alloc("dsssp.offsets", n+1, 8)
-	rTgt := pl.Alloc("dsssp.targets", g.M(), 4)
-	rWgt := pl.Alloc("dsssp.weights", g.M(), 4)
-	rExist := pl.Alloc("dsssp.exist", n, 4)
-	rMins := pl.Alloc("dsssp.mins", threads, 4)
-	locks := exec.NewLocks(pl, n)
-	bar := pl.NewBarrier(threads)
-
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
-		tid := ctx.TID()
-		lo, hi := chunk(tid, threads, n)
-		for {
-			// Find the next band start among marked vertices.
-			local := graph.Inf
-			for v := lo; v < hi; v++ {
-				ctx.AtomicLoad(rExist.At(v))
-				ctx.Compute(1)
-				if atomic.LoadInt32(&exist[v]) == 0 {
-					continue
-				}
-				ctx.AtomicLoad(rDist.At(v))
-				if d := atomic.LoadInt32(&dist[v]); d < local {
-					local = d
-				}
-			}
-			mins[tid] = local
-			ctx.Store(rMins.At(tid))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				gmin := graph.Inf
-				for t := 0; t < threads; t++ {
-					ctx.Load(rMins.At(t))
-					if mins[t] < gmin {
-						gmin = mins[t]
-					}
-				}
-				if gmin >= graph.Inf {
-					atomic.StoreInt32(&phase, 2)
-				} else {
-					atomic.StoreInt32(&bandEnd, gmin+delta)
-					atomic.StoreInt32(&phase, 0)
-				}
-			}
-			ctx.Barrier(bar)
-			if atomic.LoadInt32(&phase) == 2 {
-				return
-			}
-			end := atomic.LoadInt32(&bandEnd)
-			// Sweep the band to a fixed point: relaxations may re-mark
-			// vertices inside the band.
-			for {
-				changed[tid] = 0
-				if tid == 0 {
-					rounds++
-				}
-				for v := lo; v < hi; v++ {
-					ctx.AtomicLoad(rExist.At(v))
-					ctx.Compute(1)
-					if atomic.LoadInt32(&exist[v]) == 0 {
-						continue
-					}
-					ctx.AtomicLoad(rDist.At(v))
-					dv := atomic.LoadInt32(&dist[v])
-					if dv >= end {
-						continue
-					}
-					atomic.StoreInt32(&exist[v], 0)
-					ctx.AtomicStore(rExist.At(v))
-					ctx.Active(-1)
-					ctx.Load(rOff.At(v))
-					ts, ws := g.Neighbors(v)
-					ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-					ctx.LoadSpan(rWgt.At(int(g.Offsets[v])), len(ts), 4)
-					for e, u := range ts {
-						nd := dv + ws[e]
-						ctx.AtomicLoad(rDist.At(int(u)))
-						ctx.Compute(1)
-						if nd >= atomic.LoadInt32(&dist[u]) {
-							continue
-						}
-						ctx.Lock(locks[u])
-						ctx.AtomicLoad(rDist.At(int(u)))
-						if nd < atomic.LoadInt32(&dist[u]) {
-							atomic.StoreInt32(&dist[u], nd)
-							ctx.AtomicStore(rDist.At(int(u)))
-							relax[tid]++
-							if atomic.SwapInt32(&exist[u], 1) == 0 {
-								ctx.Active(1)
-							}
-							ctx.AtomicRMW(rExist.At(int(u)))
-							if nd < end {
-								changed[tid] = 1
-							}
-						}
-						ctx.Unlock(locks[u])
-					}
-				}
-				ctx.Store(rMins.At(tid))
-				ctx.Barrier(bar)
-				if tid == 0 {
-					any := int32(0)
-					for t := 0; t < threads; t++ {
-						any |= changed[t]
-					}
-					atomic.StoreInt32(&phase, 1-any)
-				}
-				ctx.Barrier(bar)
-				if atomic.LoadInt32(&phase) == 1 {
-					break
-				}
-			}
-		}
-	})
-
-	if err != nil {
-		return nil, err
-	}
-
-	var total int64
-	for _, r := range relax {
-		total += r
-	}
-	return &SSSPResult{Dist: dist, Relaxations: total, Rounds: rounds, Report: rep}, nil
-}
-
-// BFSTargetResult carries the output of a targeted breadth-first search.
-type BFSTargetResult struct {
-	// Found reports whether the target was reached.
-	Found bool
-	// Level is the target's BFS level from the source, -1 if unreached.
-	Level int32
-	// Explored counts the vertices assigned levels before termination.
-	Explored int
-	// Report is the platform run report.
-	Report *exec.Report
-}
-
-// BFSTarget searches for a target vertex as the paper's Section III-4
-// describes BFS ("the algorithm searches for a target vertex"): a
-// level-synchronous sweep that stops at the level where the target is
-// claimed. A canceled run ends at its next barrier.
-func BFSTarget(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, target, threads int) (*BFSTargetResult, error) {
-	if err := validate(g, src, threads); err != nil {
-		return nil, err
-	}
-	if target < 0 || target >= g.N {
-		return nil, fmt.Errorf("core: target %d out of range [0,%d)", target, g.N)
-	}
-	n := g.N
-	level := make([]int32, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[src] = 0
-	changed := make([]int32, threads)
-	done := int32(0)
-
-	rLvl := pl.Alloc("bfst.level", n, 4)
-	rOff := pl.Alloc("bfst.offsets", n+1, 8)
-	rTgt := pl.Alloc("bfst.targets", g.M(), 4)
-	rChg := pl.Alloc("bfst.changed", threads, 4)
-	locks := exec.NewLocks(pl, n)
-	bar := pl.NewBarrier(threads)
-
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) {
-		tid := ctx.TID()
-		lo, hi := chunk(tid, threads, n)
-		cur := int32(0)
-		for {
-			changed[tid] = 0
-			for v := lo; v < hi; v++ {
-				ctx.AtomicLoad(rLvl.At(v))
-				ctx.Compute(1)
-				if atomic.LoadInt32(&level[v]) != cur {
-					continue
-				}
-				ctx.Load(rOff.At(v))
-				ts, _ := g.Neighbors(v)
-				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-				for _, u := range ts {
-					ctx.AtomicLoad(rLvl.At(int(u)))
-					ctx.Compute(1)
-					if atomic.LoadInt32(&level[u]) != -1 {
-						continue
-					}
-					ctx.Lock(locks[u])
-					ctx.AtomicLoad(rLvl.At(int(u)))
-					if atomic.LoadInt32(&level[u]) == -1 {
-						atomic.StoreInt32(&level[u], cur+1)
-						ctx.AtomicStore(rLvl.At(int(u)))
-						ctx.Active(1)
-						changed[tid] = 1
-					}
-					ctx.Unlock(locks[u])
-				}
-				ctx.Active(-1)
-			}
-			ctx.Store(rChg.At(tid))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				any := int32(0)
-				for t := 0; t < threads; t++ {
-					ctx.Load(rChg.At(t))
-					any |= changed[t]
-				}
-				stop := int32(0)
-				// Early exit: the target has a level assigned.
-				if any == 0 || atomic.LoadInt32(&level[target]) >= 0 {
-					stop = 1
-				}
-				atomic.StoreInt32(&done, stop)
-			}
-			ctx.Barrier(bar)
-			if atomic.LoadInt32(&done) == 1 {
-				return
-			}
-			cur++
-		}
-	})
-
-	if err != nil {
-		return nil, err
-	}
-
-	explored := 0
-	for _, l := range level {
-		if l >= 0 {
-			explored++
-		}
-	}
-	lv := level[target]
-	return &BFSTargetResult{Found: lv >= 0, Level: lv, Explored: explored, Report: rep}, nil
-}
+// This file contains kernel variants beyond the paper's Table I set:
+// pull PageRank (PageRankPull), PageRank's frontier strategy, which shows
+// how much of the paper's lock cost is the push formulation, and an
+// exact Brandes betweenness for unweighted graphs (BetweennessBrandes),
+// the work-efficient counterpart of the matrix-based BETW_CENT.
 
 // BrandesResult carries exact betweenness centralities for unweighted
 // graphs.

@@ -9,88 +9,6 @@ import (
 	"crono/internal/native"
 )
 
-func TestSSSPDeltaMatchesDijkstra(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		ref := SSSPRef(g, 0)
-		for _, delta := range []int32{1, 5, 40, 1 << 20} {
-			for _, p := range []int{1, 3, 8} {
-				res, err := SSSPDelta(context.Background(), native.New(), g, 0, p, delta)
-				if err != nil {
-					t.Fatalf("%s d=%d p=%d: %v", name, delta, p, err)
-				}
-				for v := range ref {
-					if res.Dist[v] != ref[v] {
-						t.Fatalf("%s d=%d p=%d: dist[%d]=%d want %d",
-							name, delta, p, v, res.Dist[v], ref[v])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSSSPDeltaFewerRoundsThanExact(t *testing.T) {
-	g := graph.RoadNet(2000, 3)
-	exact, err := SSSP(context.Background(), native.New(), g, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := SSSPDelta(context.Background(), native.New(), g, 0, 4, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Rounds >= exact.Rounds {
-		t.Fatalf("delta-stepping rounds %d not below exact %d", wide.Rounds, exact.Rounds)
-	}
-}
-
-func TestSSSPDeltaRejectsBadDelta(t *testing.T) {
-	if _, err := SSSPDelta(context.Background(), native.New(), pathGraph(4), 0, 1, 0); err == nil {
-		t.Fatal("delta=0 accepted")
-	}
-}
-
-func TestBFSTargetFindsLevel(t *testing.T) {
-	g := pathGraph(32)
-	ref := BFSRef(g, 0)
-	for _, target := range []int{0, 1, 15, 31} {
-		for _, p := range []int{1, 4} {
-			res, err := BFSTarget(context.Background(), native.New(), g, 0, target, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Found || res.Level != ref[target] {
-				t.Fatalf("target %d p=%d: level %d want %d", target, p, res.Level, ref[target])
-			}
-		}
-	}
-}
-
-func TestBFSTargetEarlyExitExploresLess(t *testing.T) {
-	g := pathGraph(500)
-	near, err := BFSTarget(context.Background(), native.New(), g, 0, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if near.Explored >= 500 {
-		t.Fatalf("no early exit: explored %d", near.Explored)
-	}
-}
-
-func TestBFSTargetUnreachable(t *testing.T) {
-	g := disconnectedGraph()
-	res, err := BFSTarget(context.Background(), native.New(), g, 0, 5, 2) // vertex 5 is isolated
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found || res.Level != -1 {
-		t.Fatalf("found unreachable target: %+v", res)
-	}
-	if _, err := BFSTarget(context.Background(), native.New(), g, 0, 99, 2); err == nil {
-		t.Fatal("out-of-range target accepted")
-	}
-}
-
 func TestBrandesMatchesRef(t *testing.T) {
 	for _, g := range []*graph.CSR{
 		graph.UniformSparse(60, 3, 10, 5),

@@ -181,7 +181,6 @@ func TestKernelSweepZeroRaces(t *testing.T) {
 			}
 			req.G = graph.Generate(tc.kind, 40, 1)
 			req.Source = 0
-			req.Target = req.G.N - 1
 			switch {
 			case tc.bench.UsesMatrix:
 				req.D = graph.DenseFromCSR(graph.Generate(tc.kind, 12, 1))

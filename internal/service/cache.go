@@ -7,17 +7,22 @@ import (
 	"sync"
 )
 
-// Cache is an LRU result cache with in-flight request coalescing: the
-// first caller of a key runs the computation, concurrent callers of the
-// same key block on its completion, and later callers hit the stored
-// value. Failed computations are not cached, so a transient error does not
-// poison the key. Eviction is strict LRU over completed entries; in-flight
-// entries are never evicted.
+// Cache is a segmented-LRU result cache with in-flight request
+// coalescing: the first caller of a key runs the computation, concurrent
+// callers of the same key block on its completion, and later callers hit
+// the stored value. Failed computations are not cached, so a transient
+// error does not poison the key. A completed entry enters the probation
+// list; a hit moves it to the protected list, which holds at most half
+// the capacity and demotes its least recently used entry back to the
+// front of probation. Eviction takes probation's least recently used
+// entry, so a stream of keys that are never read again cannot push out
+// a key that was. In-flight entries are never evicted.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry
-	lru     *list.List // completed entries, front = most recently used
+	// Completed entries, front = most recently used.
+	probation, protected *list.List
 
 	// Counters are externally registered (see Server.newMetrics) so the
 	// cache itself stays metrics-agnostic in tests.
@@ -29,7 +34,9 @@ type cacheEntry struct {
 	done chan struct{} // closed when val/err are set
 	val  any
 	err  error
-	elem *list.Element // non-nil once completed and resident in the LRU
+	elem *list.Element // non-nil once completed and resident
+	// protected reports which list elem is on.
+	protected bool
 }
 
 // NewCache returns a cache holding at most capacity completed results.
@@ -40,7 +47,8 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		cap:       capacity,
 		entries:   make(map[string]*cacheEntry),
-		lru:       list.New(),
+		probation: list.New(),
+		protected: list.New(),
 		hits:      &Counter{},
 		misses:    &Counter{},
 		coalesced: &Counter{},
@@ -63,7 +71,7 @@ func (c *Cache) Stats() (hits, misses, coalesced uint64) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.probation.Len() + c.protected.Len()
 }
 
 // Do returns the value for key, computing it with compute if absent.
@@ -76,7 +84,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.elem != nil { // completed: a straight hit
-			c.lru.MoveToFront(e.elem)
+			c.promote(e)
 			c.hits.Inc()
 			c.mu.Unlock()
 			return e.val, false, nil
@@ -117,13 +125,31 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	if e.err != nil {
 		delete(c.entries, key)
 	} else {
-		e.elem = c.lru.PushFront(e)
-		for c.lru.Len() > c.cap {
-			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		e.elem = c.probation.PushFront(e)
+		// The protected list holds at most cap/2, so probation is never
+		// empty while the cache is over capacity.
+		for c.probation.Len()+c.protected.Len() > c.cap {
+			old := c.probation.Remove(c.probation.Back()).(*cacheEntry)
 			delete(c.entries, old.key)
 		}
 	}
 	c.mu.Unlock()
 	close(e.done)
 	return e.val, true, e.err
+}
+
+// promote records a hit on the completed entry e: it goes to the front of
+// the protected list, and protected's overflow returns to the front of
+// probation. Callers hold c.mu.
+func (c *Cache) promote(e *cacheEntry) {
+	if e.protected {
+		c.protected.MoveToFront(e.elem)
+		return
+	}
+	c.probation.Remove(e.elem)
+	e.elem, e.protected = c.protected.PushFront(e), true
+	if c.protected.Len() > c.cap/2 {
+		old := c.protected.Remove(c.protected.Back()).(*cacheEntry)
+		old.elem, old.protected = c.probation.PushFront(old), false
+	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,6 +118,32 @@ func TestCacheLRUEviction(t *testing.T) {
 	_, misses2, _ := c.Stats()
 	if misses2 != misses1+1 {
 		t.Fatal("evicted entry b was still resident")
+	}
+}
+
+// TestCacheKeepsReReadKey: a key that was read again survives a stream
+// of one-off keys several times the capacity. A strict LRU evicts it
+// after cap inserts without a read.
+func TestCacheKeepsReReadKey(t *testing.T) {
+	c := NewCache(256)
+	ctx := context.Background()
+	put := func(k string) {
+		if _, _, err := c.Do(ctx, k, func() (any, error) { return k, nil }); err != nil {
+			t.Fatalf("Do(%s): %v", k, err)
+		}
+	}
+	put("hot")
+	put("hot") // the hit
+	for i := 0; i < 1000; i++ {
+		put(fmt.Sprintf("miss-%d", i))
+	}
+	if c.Len() > 256 {
+		t.Fatalf("Len = %d, over the capacity 256", c.Len())
+	}
+	_, misses0, _ := c.Stats()
+	put("hot")
+	if _, misses1, _ := c.Stats(); misses1 != misses0 {
+		t.Fatal("the re-read key was evicted by one-off keys")
 	}
 }
 

@@ -193,8 +193,7 @@ func TestServedPageRankRunsPullKernel(t *testing.T) {
 }
 
 // TestRunKnobValidation exercises the per-kernel knobs that moved into the
-// run request: negative values and out-of-range targets are rejected
-// before any work is queued.
+// run request: negative values are rejected before any work is queued.
 func TestRunKnobValidation(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
 	gr := createGraph(t, ts.URL, "sparse", 64, 1)
@@ -202,9 +201,7 @@ func TestRunKnobValidation(t *testing.T) {
 	bad := []runRequest{
 		{Graph: gr.ID, Kernel: "PageRank", Iters: -1},
 		{Graph: gr.ID, Kernel: "COMM", MaxPasses: -2},
-		{Graph: gr.ID, Kernel: "SSSP_DELTA", Delta: -3},
-		{Graph: gr.ID, Kernel: "BFS_TARGET", Target: 64},
-		{Graph: gr.ID, Kernel: "BFS_TARGET", Target: -1},
+		{Graph: gr.ID, Kernel: "SSSP_DIJK", Strategy: "frontier", Delta: -3},
 	}
 	for _, req := range bad {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
@@ -243,32 +240,11 @@ func TestRunKnobsPartitionCache(t *testing.T) {
 	if c := run(runRequest{Graph: gr.ID, Kernel: "PageRank", Threads: 2, Iters: 3}); c.Cached {
 		t.Fatal("different iters hit the same cache entry")
 	}
-	if d := run(runRequest{Graph: gr.ID, Kernel: "SSSP_DELTA", Threads: 2, Delta: 8}); d.Cached {
-		t.Fatal("SSSP_DELTA with explicit delta hit the cache")
+	if d := run(runRequest{Graph: gr.ID, Kernel: "SSSP_DIJK", Strategy: "frontier", Threads: 2, Delta: 8}); d.Cached {
+		t.Fatal("SSSP_DIJK with explicit delta hit the cache")
 	}
-	if e := run(runRequest{Graph: gr.ID, Kernel: "SSSP_DELTA", Threads: 2, Delta: 16}); e.Cached {
+	if e := run(runRequest{Graph: gr.ID, Kernel: "SSSP_DIJK", Strategy: "frontier", Threads: 2, Delta: 16}); e.Cached {
 		t.Fatal("different delta hit the same cache entry")
-	}
-}
-
-// TestRunTargetReachesKernel: the BFS_TARGET knob changes the observable
-// response (an early-exit search does strictly less work for a near
-// target than a far one would on a long path graph), and the variant is
-// servable at all through /v1/run.
-func TestRunTargetReachesKernel(t *testing.T) {
-	_, ts := newTestServer(t, DefaultConfig())
-	gr := createGraph(t, ts.URL, "road-tx", 4096, 1)
-
-	resp := postJSON(t, ts.URL+"/v1/run", runRequest{
-		Graph: gr.ID, Kernel: "BFS_TARGET", Threads: 2, Source: 0, Target: 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("BFS_TARGET run: status %d", resp.StatusCode)
-	}
-	var rr runResponse
-	decodeBody(t, resp, &rr)
-	if rr.Kernel != "BFS_TARGET" || rr.Time == 0 {
-		t.Fatalf("bad response %+v", rr)
 	}
 }
 

@@ -46,11 +46,11 @@ const (
 	codeSimThreadOverflow = "sim-thread-overflow" // threads exceed simulated cores
 	codeCitiesOutOfRange  = "cities-out-of-range" // TSP cities outside [3, 20]
 	codeSourceOutOfRange  = "source-out-of-range"
-	codeTargetOutOfRange  = "target-out-of-range"
 	codeDenseTooLarge     = "dense-too-large" // graph too big for O(N²) kernels
 	// simCores not a square mesh sim.Config.Validate accepts, or above
 	// the 256-core Table II machine.
 	codeSimCoresOutOfRange = "sim-cores-out-of-range"
+	// Retired, never reused: "target-out-of-range".
 
 	// Run execution.
 	codeSaturated    = "saturated"     // worker pool full; body carries retryAfterMs

@@ -147,12 +147,9 @@ type runRequest struct {
 	Iters int `json:"iters,omitempty"`
 	// MaxPasses bounds COMM move sweeps (0 = kernel default).
 	MaxPasses int `json:"maxPasses,omitempty"`
-	// Delta is the band width of SSSP_DELTA and of SSSP_DIJK's frontier
-	// strategy (0 = DefaultSSSPDelta for SSSP_DELTA, AutoSSSPDelta of the
-	// graph for SSSP_DIJK).
+	// Delta is the band width of SSSP_DIJK's frontier strategy (0 =
+	// AutoSSSPDelta of the graph).
 	Delta int32 `json:"delta,omitempty"`
-	// Target is the BFS_TARGET destination vertex.
-	Target int `json:"target,omitempty"`
 	// Cities and Seed parametrize TSP, which takes no graph.
 	Cities int   `json:"cities,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
@@ -271,9 +268,9 @@ func graphToResponse(sg *StoredGraph, v *Version) graphResponse {
 // permutation contract, but the schedule statistics differ, hence the
 // key split from "none").
 func runCacheKey(inputKey string, bench core.Benchmark, req *runRequest, ord graph.Order) string {
-	return fmt.Sprintf("run|%s|%s|%s|st=%s|ord=%s|t=%d|src=%d|it=%d|mp=%d|dl=%d|tg=%d|cores=%d|ooo=%t",
+	return fmt.Sprintf("run|%s|%s|%s|st=%s|ord=%s|t=%d|src=%d|it=%d|mp=%d|dl=%d|cores=%d|ooo=%t",
 		inputKey, bench.Name, req.Platform, req.Strategy, ord, req.Threads, req.Source,
-		req.Iters, req.MaxPasses, req.Delta, req.Target, req.SimCores, req.OutOfOrder)
+		req.Iters, req.MaxPasses, req.Delta, req.SimCores, req.OutOfOrder)
 }
 
 // ---- handlers ----
@@ -693,7 +690,6 @@ func (s *Server) runOne(p *pending) runOut {
 		Iters:     req.Iters,
 		MaxPasses: req.MaxPasses,
 		Delta:     req.Delta,
-		Target:    req.Target,
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)

@@ -122,10 +122,6 @@ func (s *Server) validateRun(req runRequest) (*runSpec, *runError) {
 		return nil, badRun(http.StatusBadRequest, codeSourceOutOfRange,
 			"source %d out of range [0, %d)", req.Source, g.N)
 	}
-	if req.Target < 0 || req.Target >= g.N {
-		return nil, badRun(http.StatusBadRequest, codeTargetOutOfRange,
-			"target %d out of range [0, %d)", req.Target, g.N)
-	}
 	if bench.UsesMatrix {
 		if g.N > s.cfg.MaxDenseVertices {
 			return nil, badRun(http.StatusUnprocessableEntity, codeDenseTooLarge,

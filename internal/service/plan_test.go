@@ -103,7 +103,7 @@ var runCodes = map[string]bool{
 	codeUnknownKernel: true, codeUnknownPlatform: true, codeUnknownStrategy: true,
 	codeThreadsOutOfRange: true, codeUnknownOrder: true, codeBadParams: true,
 	codeSimThreadOverflow: true, codeSimCoresOutOfRange: true, codeCitiesOutOfRange: true,
-	codeGraphNotFound: true, codeSourceOutOfRange: true, codeTargetOutOfRange: true,
+	codeGraphNotFound: true, codeSourceOutOfRange: true,
 	codeDenseTooLarge: true,
 }
 

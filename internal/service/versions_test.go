@@ -581,6 +581,14 @@ func TestErrorCodeCatalog(t *testing.T) {
 			// Pull PageRank is PageRank with the frontier strategy.
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "PAGERANK_PULL"})
 		}, 400, codeUnknownKernel},
+		{"retired kernel name SSSP_DELTA", func() *http.Response {
+			// Delta-stepping is SSSP_DIJK with the frontier strategy.
+			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "SSSP_DELTA"})
+		}, 400, codeUnknownKernel},
+		{"retired kernel name BFS_TARGET", func() *http.Response {
+			// A frontier BFS gives every target's level.
+			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS_TARGET"})
+		}, 400, codeUnknownKernel},
 		{"unknown platform", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS", Platform: "fpga"})
 		}, 400, codeUnknownPlatform},
@@ -608,9 +616,15 @@ func TestErrorCodeCatalog(t *testing.T) {
 		{"source out of range", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS", Source: 32})
 		}, 400, codeSourceOutOfRange},
-		{"target out of range", func() *http.Response {
-			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "BFS_TARGET", Target: -1})
-		}, 400, codeTargetOutOfRange},
+		{"retired target field", func() *http.Response {
+			// The retired targeted search's knob: an unknown field like any other.
+			resp, err := http.Post(runURL, "application/json",
+				strings.NewReader(`{"graph":"`+gr.ID+`","kernel":"BFS","target":1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}, 400, codeBadJSON},
 		{"dense too large", func() *http.Response {
 			return postJSON(t, runURL, runRequest{Graph: gr.ID, Kernel: "APSP"})
 		}, 422, codeDenseTooLarge},
