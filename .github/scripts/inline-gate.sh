@@ -25,6 +25,19 @@ for fn in 'Region.At' \
 	fi
 done
 
+# CSR.Neighbors is called once per vertex visit by every kernel and cuts
+# its weights branch-free (DESIGN §1, "Building a CSR"); it must inline
+# too.
+graph_m=$(go build -gcflags=-m=2 ./internal/graph 2>&1)
+line=$(grep -F "can inline (*CSR).Neighbors with cost" <<<"$graph_m" || true)
+if [ -z "$line" ]; then
+	echo "inline gate: (*CSR).Neighbors is no longer inlinable:" >&2
+	grep -F "inline (*CSR).Neighbors" <<<"$graph_m" >&2 || true
+	fail=1
+else
+	echo "$line" | sed -E 's/^.*can inline (.*) with cost ([0-9]+).*$/ok: \1 inlines, cost \2 of 80/'
+fi
+
 # Every kernel body, not a sample: if any function of internal/core still
 # called one of them out of line, the package object would hold an
 # undefined reference to it. (bfsFrontierRun.run, pageRankPullRun.run and
@@ -32,12 +45,12 @@ done
 obj=$(mktemp)
 trap 'rm -f "$obj"' EXIT
 go build -o "$obj" ./internal/core
-calls=$(go tool nm "$obj" | grep -E ' U crono/internal/exec\.(\(\*Thread\)\.|Region\.At$)' || true)
+calls=$(go tool nm "$obj" | grep -E ' U crono/internal/(exec\.(\(\*Thread\)\.|Region\.At$)|graph\.\(\*CSR\)\.Neighbors$)' || true)
 if [ -n "$calls" ]; then
 	echo "inline gate: internal/core calls these out of line:" >&2
 	echo "$calls" >&2
 	fail=1
 else
-	echo "ok: internal/core holds no out-of-line call to exec.(*Thread).* or exec.Region.At"
+	echo "ok: internal/core holds no out-of-line call to exec.(*Thread).*, exec.Region.At or graph.(*CSR).Neighbors"
 fi
 exit $fail

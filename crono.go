@@ -52,7 +52,9 @@ type Platform = exec.Platform
 // energy statistics.
 type Report = exec.Report
 
-// Graph is a weighted graph in compressed-sparse-row form.
+// Graph is a weighted graph in compressed-sparse-row form. A graph whose
+// weights are all 1 has a nil Weights; read weights through Neighbors or
+// Weight.
 type Graph = graph.CSR
 
 // Dense is a weighted adjacency matrix (APSP, BETW_CENT and TSP inputs).

@@ -45,7 +45,7 @@ func AutoSSSPDelta(g *graph.CSR) int32 {
 	stride := m / samples
 	var sum int64
 	for i := 0; i < samples; i++ {
-		sum += int64(g.Weights[i*stride])
+		sum += int64(g.Weight(i * stride))
 	}
 	avgW := float64(sum) / float64(samples)
 	avgDeg := float64(m) / float64(g.N)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,26 +20,44 @@ import (
 // in the repository is keyed by the graphs it builds.
 
 // diffCSR describes the first difference between two graphs, or returns
-// "" when their vertex counts and arrays are identical.
+// "" when their vertex counts, offsets, targets and weights are identical
+// and got stores its weights in the canonical form: Weights is nil
+// exactly when every weight is 1. want may store an all-ones Weights
+// (fromEdgesRef always builds the array), so weights are compared edge by
+// edge through Weight, and row by row through Neighbors.
 func diffCSR(got, want *CSR) string {
 	switch {
 	case got.N != want.N:
 		return fmt.Sprintf("N %d, want %d", got.N, want.N)
 	case len(got.Offsets) != len(want.Offsets):
 		return fmt.Sprintf("%d offsets, want %d", len(got.Offsets), len(want.Offsets))
-	case len(got.Targets) != len(want.Targets) || len(got.Weights) != len(want.Weights):
-		return fmt.Sprintf("%d/%d targets/weights, want %d/%d",
-			len(got.Targets), len(got.Weights), len(want.Targets), len(want.Weights))
+	case len(got.Targets) != len(want.Targets):
+		return fmt.Sprintf("%d targets, want %d", len(got.Targets), len(want.Targets))
+	case got.Weights != nil && len(got.Weights) != len(got.Targets):
+		return fmt.Sprintf("%d weights for %d targets", len(got.Weights), len(got.Targets))
 	}
 	for i := range want.Offsets {
 		if got.Offsets[i] != want.Offsets[i] {
 			return fmt.Sprintf("Offsets[%d] = %d, want %d", i, got.Offsets[i], want.Offsets[i])
 		}
 	}
+	unit := true
 	for i := range want.Targets {
-		if got.Targets[i] != want.Targets[i] || got.Weights[i] != want.Weights[i] {
+		if got.Targets[i] != want.Targets[i] || got.Weight(i) != want.Weight(i) {
 			return fmt.Sprintf("edge %d = (%d, w%d), want (%d, w%d)",
-				i, got.Targets[i], got.Weights[i], want.Targets[i], want.Weights[i])
+				i, got.Targets[i], got.Weight(i), want.Targets[i], want.Weight(i))
+		}
+		unit = unit && want.Weight(i) == 1
+	}
+	if (got.Weights == nil) != unit {
+		return fmt.Sprintf("Weights nil = %t, but every weight 1 = %t", got.Weights == nil, unit)
+	}
+	for v := 0; v < got.N; v++ {
+		_, ws := got.Neighbors(v)
+		for i, w := range ws {
+			if e := int(got.Offsets[v]) + i; w != want.Weight(e) {
+				return fmt.Sprintf("Neighbors(%d) weight %d = %d, want %d", v, i, w, want.Weight(e))
+			}
 		}
 	}
 	return ""
@@ -148,6 +167,88 @@ func TestGenerateMatchesReference(t *testing.T) {
 	} {
 		if fp := c.g.Fingerprint(); fp != c.fp {
 			t.Errorf("%s: fingerprint %#x, want %#x", name, fp, c.fp)
+		}
+	}
+}
+
+// generatedFingerprints pins every family Generate knows at four sizes
+// and two seeds: the fingerprints of the graph and of its degree and rcm
+// reorders, taken while SocialNet still kept a map per vertex and every
+// CSR stored its weight array.
+var generatedFingerprints = []struct {
+	kind            Kind
+	n               int
+	seed            int64
+	fp, degree, rcm uint64
+}{
+	{"sparse", 2, 1, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"sparse", 2, 42, 0xc6d2d95ee1683b27, 0xc6d2d95ee1683b27, 0xc6d2d95ee1683b27},
+	{"sparse", 100, 1, 0xd6aeedd3838ae4be, 0xd796b6d8a3eff9bd, 0x1200093389cd7d2f},
+	{"sparse", 100, 42, 0xa50f89c90c7ac07f, 0x47c7a632122e491d, 0x495403f7863f2de4},
+	{"sparse", 4096, 1, 0xb9d0a7a2a33aaeb2, 0x34ec1b07d53250e3, 0x2b91d845b9e7b04a},
+	{"sparse", 4096, 42, 0xe171aa31a86994c1, 0xaf34f0a454742f69, 0x5c4ea931d2aa7840},
+	{"sparse", 32768, 1, 0x157e82effa5c8ea4, 0xebe915555f9a9703, 0x69826161354cdafc},
+	{"sparse", 32768, 42, 0xe1188bc629b92a17, 0x9fe77196984f6467, 0x1a6c2523ccccd4dd},
+	{"road-tx", 2, 1, 0x7e0eafa1d69b9187, 0x7e0eafa1d69b9187, 0x7e0eafa1d69b9187},
+	{"road-tx", 2, 42, 0x83cc6a33d1317fd7, 0x83cc6a33d1317fd7, 0x83cc6a33d1317fd7},
+	{"road-tx", 100, 1, 0x2358f2e1daeed321, 0xc6040e29320200f9, 0x192c3d39ec58dffd},
+	{"road-tx", 100, 42, 0xe541c8e6ad2a9025, 0x177f34662328bc39, 0x18278918f593b5bb},
+	{"road-tx", 4096, 1, 0x23cc9c91ffbb8611, 0x1eedacec09f9bcd6, 0x7572e8dfaa315240},
+	{"road-tx", 4096, 42, 0x25192ab1e56be33e, 0x24c9c75e6afabd30, 0xd1aefe8492909a7b},
+	{"road-tx", 32768, 1, 0x829de83349237076, 0xa52bea8ead08a2c3, 0x8cecb6c9ef3b6aa5},
+	{"road-tx", 32768, 42, 0xdfd851f88084b7da, 0x99aaff9e1c5b1f68, 0x25e9b0798c1aab21},
+	{"road-pa", 2, 1, 0xb62a0a74f3b8a647, 0xb62a0a74f3b8a647, 0xb62a0a74f3b8a647},
+	{"road-pa", 2, 42, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"road-pa", 100, 1, 0xafcfb89bb07cb665, 0x895e4675c581ee8, 0xadb2e9283f1dea71},
+	{"road-pa", 100, 42, 0x34b843727f05b69b, 0x59ad867c7de14e91, 0xebf7848b3efd6e3},
+	{"road-pa", 4096, 1, 0x3b3646fa9879a578, 0x6417e836a49e8a34, 0x6f44221bddf950ed},
+	{"road-pa", 4096, 42, 0x3c2922714991e192, 0x269f38983e4a6df7, 0xecfaa7651bdede3e},
+	{"road-pa", 32768, 1, 0xbe02dc28c8759be2, 0x265c3876dbe1385f, 0xee64e178a8e21c15},
+	{"road-pa", 32768, 42, 0x879703f6abc10374, 0xcf1592775f71c35c, 0xeb59fa34d80652d3},
+	{"road-ca", 2, 1, 0x5bd0a2500e2f9e57, 0x5bd0a2500e2f9e57, 0x5bd0a2500e2f9e57},
+	{"road-ca", 2, 42, 0xcc27b8656bc67be7, 0xcc27b8656bc67be7, 0xcc27b8656bc67be7},
+	{"road-ca", 100, 1, 0x10826c4bae98e77, 0x812bd093c4769383, 0x448a723b9fb7d1cd},
+	{"road-ca", 100, 42, 0xb386933e5323cde3, 0x19f51e24d348d30f, 0x1f18273bc9203d55},
+	{"road-ca", 4096, 1, 0x5d08592a0c346c67, 0xf7349c461bfb0fe9, 0x7e705888e2a9fcc4},
+	{"road-ca", 4096, 42, 0x8d3d42b52fb9436b, 0x428a433640f47e22, 0x726f8a5e8b30b326},
+	{"road-ca", 32768, 1, 0xa5e15450bbc7670f, 0x11265f54999945f6, 0x3977b7685c0617ee},
+	{"road-ca", 32768, 42, 0x24850113aacb02ce, 0x784f9bd17629d06a, 0xcedb8d676af82d85},
+	{"social", 2, 1, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"social", 2, 42, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"social", 100, 1, 0x52db2d6ae5da56da, 0xd8b18f81618d67c2, 0xd4cc22decf7e7e13},
+	{"social", 100, 42, 0x29e1171a69f6874f, 0xd490e228d95c2eb2, 0x90f42cbee795a406},
+	{"social", 4096, 1, 0xd1fb25adc8c33de0, 0x79595c3a50e0cbc7, 0x9ff45e97abc1cca3},
+	{"social", 4096, 42, 0xb089d4c66bec5729, 0x3fbf30d980801053, 0x3935f8858dcac990},
+	{"social", 32768, 1, 0xe8d3b59b4b97ddeb, 0x5183be1e101f213a, 0x821dc074b3cd2597},
+	{"social", 32768, 42, 0x923e6814ce6ca398, 0xa049418b650c7fac, 0x18c562042834d6de},
+	{"social-dense", 2, 1, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"social-dense", 2, 42, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7, 0x45d2f45f9621c8b7},
+	{"social-dense", 100, 1, 0x1443621ecfbcf1a, 0x41737f84fc565b31, 0x882a2f0bb101a775},
+	{"social-dense", 100, 42, 0xdd94f2f32998145c, 0x96b69ddadb89cf78, 0x5aff71d4cda503c8},
+	{"social-dense", 4096, 1, 0x2d3fe8b8784185d3, 0x93eff467e579352c, 0x402052b48e30cda4},
+	{"social-dense", 4096, 42, 0xfc59bf6d74790bb, 0x339af8536c94226e, 0xb10bb5285c67d7e5},
+	{"social-dense", 32768, 1, 0xfad788b7c5180ce8, 0x2e54d0f5453f533e, 0xb3ddd73ee07b325d},
+	{"social-dense", 32768, 42, 0x18cfd4ea931d6eaa, 0xe4aadbad5a07be4c, 0x13ca3fb5cf517be6},
+}
+
+// TestGeneratedFingerprintsPinned: a change to a generator's internals,
+// or to how a CSR stores its weights, moves no content address.
+func TestGeneratedFingerprintsPinned(t *testing.T) {
+	for _, c := range generatedFingerprints {
+		g := Generate(c.kind, c.n, c.seed)
+		got := []uint64{g.Fingerprint(), 0, 0}
+		for i, o := range []Order{OrderDegree, OrderRCM} {
+			r, err := Reorder(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i+1] = r.G.Fingerprint()
+		}
+		if want := []uint64{c.fp, c.degree, c.rcm}; !slices.Equal(got, want) {
+			t.Errorf("%s n=%d seed=%d: fingerprints %#x, want %#x", c.kind, c.n, c.seed, got, want)
+		}
+		if g.InCSR() != g {
+			t.Errorf("%s n=%d seed=%d: undirected graph is not its own transpose", c.kind, c.n, c.seed)
 		}
 	}
 }
@@ -429,22 +530,24 @@ func TestReadersRefuseCountsOverTheBound(t *testing.T) {
 }
 
 // buildAllocs is the allocation count of a counting-sort build, whatever
-// its size: Offsets, the packed edge keys, Targets, Weights and the CSR.
+// its size and weight form: Offsets, the packed edge keys, Targets,
+// Weights or a unit graph's row of ones, and the CSR.
 const buildAllocs = 5
 
 func TestBuildAllocationsIndependentOfSize(t *testing.T) {
 	for _, n := range []int{1 << 8, 1 << 14} {
-		g := RoadNet(n, 1)
-		edges := g.Edges()
-		perm := make([]int32, n)
-		for v := range perm {
-			perm[v] = int32(n - 1 - v)
-		}
-		if a := testing.AllocsPerRun(3, func() { FromEdges(n, edges, true) }); a != buildAllocs {
-			t.Errorf("FromEdges, n=%d m=%d: %v allocations, want %d", n, len(edges), a, buildAllocs)
-		}
-		if a := testing.AllocsPerRun(3, func() { applyPermutation(g, perm) }); a != buildAllocs {
-			t.Errorf("applyPermutation, n=%d m=%d: %v allocations, want %d", n, g.M(), a, buildAllocs)
+		for _, g := range []*CSR{RoadNet(n, 1), SocialNet(n, 14, 1)} {
+			edges := g.Edges()
+			perm := make([]int32, n)
+			for v := range perm {
+				perm[v] = int32(n - 1 - v)
+			}
+			if a := testing.AllocsPerRun(3, func() { FromEdges(n, edges, true) }); a != buildAllocs {
+				t.Errorf("FromEdges, n=%d m=%d unit=%t: %v allocations, want %d", n, len(edges), g.Weights == nil, a, buildAllocs)
+			}
+			if a := testing.AllocsPerRun(3, func() { applyPermutation(g, perm) }); a != buildAllocs {
+				t.Errorf("applyPermutation, n=%d m=%d unit=%t: %v allocations, want %d", n, g.M(), g.Weights == nil, a, buildAllocs)
+			}
 		}
 	}
 }

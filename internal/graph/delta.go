@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -153,17 +154,30 @@ func LineageFingerprint(parent, delta uint64) uint64 {
 // the unavoidable O(n+m) array copy is proportional to the touched
 // lists. The base graph is never modified — versions share nothing
 // mutable.
+//
+// The result is in canonical weight form: a unit base with unit inserts
+// builds no weight array at all, and a weighted base whose remaining
+// weights are all 1 drops its array.
 func ApplyDelta(base *CSR, d *EdgeDelta) *CSR {
 	n := base.N
 	out := &CSR{
 		N:       n,
 		Offsets: make([]int64, n+1),
 		Targets: make([]int32, 0, len(base.Targets)+len(d.Inserts)),
-		Weights: make([]int32, 0, len(base.Weights)+len(d.Inserts)),
+	}
+	var ws []int32 // out's weights; nil when base and inserts are all weight 1
+	if base.Weights != nil || slices.ContainsFunc(d.Inserts, func(e Edge) bool { return e.Weight != 1 }) {
+		ws = make([]int32, 0, cap(out.Targets))
+	}
+	emit := func(t, w int32) {
+		out.Targets = append(out.Targets, t)
+		if ws != nil {
+			ws = append(ws, w)
+		}
 	}
 	ii, di := 0, 0 // cursors into d.Inserts / d.Deletes (sorted by From,To)
 	for v := 0; v < n; v++ {
-		ts, ws := base.Neighbors(v)
+		ts, bws := base.Neighbors(v)
 		i0 := ii
 		for ii < len(d.Inserts) && int(d.Inserts[ii].From) == v {
 			ii++
@@ -175,7 +189,9 @@ func ApplyDelta(base *CSR, d *EdgeDelta) *CSR {
 		ins, del := d.Inserts[i0:ii], d.Deletes[d0:di]
 		if len(ins) == 0 && len(del) == 0 {
 			out.Targets = append(out.Targets, ts...)
-			out.Weights = append(out.Weights, ws...)
+			if ws != nil {
+				ws = append(ws, bws...)
+			}
 			out.Offsets[v+1] = int64(len(out.Targets))
 			continue
 		}
@@ -191,12 +207,10 @@ func ApplyDelta(base *CSR, d *EdgeDelta) *CSR {
 			}
 			switch {
 			case it < bt: // pure insert
-				out.Targets = append(out.Targets, it)
-				out.Weights = append(out.Weights, ins[xi].Weight)
+				emit(it, ins[xi].Weight)
 				xi++
 			case it == bt: // insert over existing edge: weight overwrite
-				out.Targets = append(out.Targets, it)
-				out.Weights = append(out.Weights, ins[xi].Weight)
+				emit(it, ins[xi].Weight)
 				xi++
 				bi++
 			default: // base edge, unless deleted
@@ -208,12 +222,12 @@ func ApplyDelta(base *CSR, d *EdgeDelta) *CSR {
 					yi++
 					continue
 				}
-				out.Targets = append(out.Targets, bt)
-				out.Weights = append(out.Weights, ws[bi])
+				emit(bt, bws[bi])
 				bi++
 			}
 		}
 		out.Offsets[v+1] = int64(len(out.Targets))
 	}
+	out.setWeights(ws)
 	return out
 }

@@ -8,8 +8,9 @@ const (
 )
 
 // Fingerprint returns a deterministic 64-bit FNV-1a digest of the graph:
-// vertex count, edge count, and the full Offsets/Targets/Weights arrays in
-// order. Two CSR graphs have equal fingerprints iff they are structurally
+// vertex count, edge count, and the full Offsets/Targets arrays and every
+// edge's weight in order, so a unit graph's missing Weights array hashes
+// as M ones. Two CSR graphs have equal fingerprints iff they are structurally
 // identical; because FromEdges canonicalizes edge lists (sorting neighbors,
 // dropping self loops, merging duplicates), the same logical graph built
 // from any permutation of its edge list fingerprints identically. The
@@ -37,8 +38,8 @@ func (g *CSR) Fingerprint() uint64 {
 	for _, t := range g.Targets {
 		mix32(uint32(t))
 	}
-	for _, w := range g.Weights {
-		mix32(uint32(w))
+	for e := range g.Targets {
+		mix32(uint32(g.Weight(e)))
 	}
 	return h
 }

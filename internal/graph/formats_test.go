@@ -20,10 +20,8 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	if back.N != g.N || back.M() != g.M() {
 		t.Fatalf("round trip %d/%d, want %d/%d", back.N, back.M(), g.N, g.M())
 	}
-	for i := range g.Targets {
-		if back.Targets[i] != g.Targets[i] || back.Weights[i] != g.Weights[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if d := diffCSR(back, g); d != "" {
+		t.Fatalf("round trip: %s", d)
 	}
 }
 
@@ -92,10 +90,8 @@ func TestMETISRoundTrip(t *testing.T) {
 	if back.N != g.N || back.M() != g.M() {
 		t.Fatalf("round trip %d/%d, want %d/%d", back.N, back.M(), g.N, g.M())
 	}
-	for i := range g.Targets {
-		if back.Targets[i] != g.Targets[i] || back.Weights[i] != g.Weights[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if d := diffCSR(back, g); d != "" {
+		t.Fatalf("round trip: %s", d)
 	}
 }
 

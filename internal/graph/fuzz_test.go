@@ -88,13 +88,65 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed to parse: %v", err)
 		}
-		if back.M() != g.M() {
-			t.Fatalf("round trip changed edge count: %d vs %d", back.M(), g.M())
+		if d := diffCSR(back, g); d != "" {
+			t.Fatalf("round trip changed the graph: %s", d)
 		}
-		for i := range g.Targets {
-			if back.Targets[i] != g.Targets[i] || back.Weights[i] != g.Weights[i] {
-				t.Fatalf("round trip changed edge %d", i)
+	})
+}
+
+// FuzzApplyDelta: applying any canonical delta to any base, unit or
+// weighted, gives the graph FromEdges builds from the edited edge list,
+// equal in content and in weight form. base and delta are read three
+// bytes to an edge (from, to, weight); a delta edge is a delete when its
+// weight byte is odd. Weights are mostly 1, so unit bases, unit inserts
+// and weighted graphs whose last other weight goes all come up.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add(uint8(8), []byte{0, 1, 0, 1, 2, 0, 2, 3, 0}, []byte{3, 4, 0, 1, 2, 1})
+	f.Add(uint8(8), []byte{0, 1, 0, 1, 2, 14}, []byte{1, 2, 6, 0, 1, 1})
+	f.Add(uint8(5), []byte{0, 1, 14, 1, 0, 30}, []byte{0, 1, 0, 1, 0, 0, 2, 3, 6})
+	f.Add(uint8(1), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, nb uint8, base, delta []byte) {
+		n := 1 + int(nb%32)
+		edge := func(b []byte) Edge {
+			w := int32(1)
+			if b[2]&6 == 6 {
+				w = int32(b[2]>>3) % 4
 			}
+			return Edge{From: int32(b[0]) % int32(n), To: int32(b[1]) % int32(n), Weight: w}
+		}
+		var edges []Edge
+		for i := 0; i+2 < len(base); i += 3 {
+			edges = append(edges, edge(base[i:]))
+		}
+		g := FromEdges(n, edges, false)
+		// At most one mutation per edge and no self loops, so the delta
+		// always passes Canonicalize.
+		d := &EdgeDelta{}
+		seen := make(map[[2]int32]bool)
+		for i := 0; i+2 < len(delta); i += 3 {
+			e := edge(delta[i:])
+			if k := [2]int32{e.From, e.To}; e.From != e.To && !seen[k] {
+				seen[k] = true
+				if delta[i+2]&1 == 0 {
+					d.Inserts = append(d.Inserts, e)
+				} else {
+					d.Deletes = append(d.Deletes, e)
+				}
+			}
+		}
+		if err := d.Canonicalize(n); err != nil {
+			t.Fatal(err)
+		}
+		var edited []Edge
+		for e, w := range modelApply(g, d) {
+			edited = append(edited, Edge{From: e[0], To: e[1], Weight: w})
+		}
+		got := ApplyDelta(g, d)
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffCSR(got, FromEdges(n, edited, false)); diff != "" {
+			t.Fatalf("ApplyDelta differs from FromEdges over the edited edges: %s", diff)
 		}
 	})
 }

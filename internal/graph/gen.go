@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Kind names a Table III input-graph family.
@@ -168,7 +169,8 @@ func SocialNet(n, m int, seed int64) *CSR {
 	// repeated holds every edge endpoint once per incidence, so sampling
 	// uniformly from it is degree-proportional sampling.
 	repeated := make([]int32, 0, 2*n*m)
-	var edges []Edge
+	// The seed clique's m(m+1)/2 edges and m per later vertex.
+	edges := make([]Edge, 0, m*(m+1)/2+(n-m-1)*m)
 	// Seed clique over the first m+1 vertices.
 	for i := 0; i <= m && i < n; i++ {
 		for j := i + 1; j <= m && j < n; j++ {
@@ -176,8 +178,9 @@ func SocialNet(n, m int, seed int64) *CSR {
 			repeated = append(repeated, int32(i), int32(j))
 		}
 	}
+	chosen := make([]int32, 0, m) // v's partners so far; m is small
 	for v := m + 1; v < n; v++ {
-		chosen := make(map[int32]bool, m)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			var u int32
 			if rng.Float64() < 0.10 || len(repeated) == 0 {
@@ -185,10 +188,10 @@ func SocialNet(n, m int, seed int64) *CSR {
 			} else {
 				u = repeated[rng.Intn(len(repeated))]
 			}
-			if int(u) == v || chosen[u] {
+			if int(u) == v || slices.Contains(chosen, u) {
 				continue
 			}
-			chosen[u] = true
+			chosen = append(chosen, u)
 			edges = append(edges, Edge{From: int32(v), To: u, Weight: 1})
 			repeated = append(repeated, int32(v), u)
 		}

@@ -25,6 +25,10 @@ type Edge struct {
 // CSR is a weighted directed graph in compressed sparse row form.
 // Undirected graphs store both edge directions. Neighbor lists are sorted
 // by target vertex, which the triangle-counting kernel relies on.
+//
+// A CSR comes from one of this package's builders (FromEdges, the
+// readers, the generators, Reorder, ApplyDelta, InCSR), which also set
+// up the weight view Neighbors reads; a hand-assembled CSR has none.
 type CSR struct {
 	// N is the vertex count.
 	N int
@@ -33,8 +37,18 @@ type CSR struct {
 	Offsets []int64
 	// Targets holds edge target vertices.
 	Targets []int32
-	// Weights holds edge weights, parallel to Targets.
+	// Weights holds edge weights, parallel to Targets, or is nil when
+	// every weight is 1 (a unit graph). The form follows from the
+	// content alone: a builder never stores an all-ones Weights. Read
+	// weights through Neighbors or Weight.
 	Weights []int32
+
+	// wview is what Neighbors cuts a row's weights from: Weights itself,
+	// or for a unit graph one read-only row of ones, MaxDegree long.
+	// wmask is -1 or 0 to match, so the cut starts at the row's offset
+	// or at 0 without a branch (see setWeights).
+	wview []int32
+	wmask int64
 
 	// trMu guards tr, the lazily built cached transpose (see InCSR).
 	// Graphs are immutable once constructed, so the cache never goes
@@ -50,10 +64,37 @@ func (g *CSR) M() int { return len(g.Targets) }
 func (g *CSR) Degree(v int) int { return int(g.Offsets[v+1] - g.Offsets[v]) }
 
 // Neighbors returns the targets and weights of v's out-edges. The returned
-// slices alias the graph and must not be modified.
+// slices alias the graph and must not be modified. It stays branch-free
+// and inlinable: kernels call it once per vertex visit, most of them
+// dropping the weights.
 func (g *CSR) Neighbors(v int) ([]int32, []int32) {
 	lo, hi := g.Offsets[v], g.Offsets[v+1]
-	return g.Targets[lo:hi], g.Weights[lo:hi]
+	w := lo & g.wmask
+	return g.Targets[lo:hi], g.wview[w : w+hi-lo]
+}
+
+// Weight returns the weight of the e-th stored edge, Targets[e].
+func (g *CSR) Weight(e int) int32 {
+	if g.Weights == nil {
+		return 1
+	}
+	return g.Weights[e]
+}
+
+// setWeights gives g the canonical weight form for ws, which is parallel
+// to Targets or nil when every weight is known to be 1: an all-ones ws is
+// dropped, and a unit graph gets a row of ones MaxDegree long for
+// Neighbors to cut from.
+func (g *CSR) setWeights(ws []int32) {
+	if ws != nil && slices.ContainsFunc(ws, func(w int32) bool { return w != 1 }) {
+		g.Weights, g.wview, g.wmask = ws, ws, -1
+		return
+	}
+	ones := make([]int32, g.MaxDegree())
+	for i := range ones {
+		ones[i] = 1
+	}
+	g.Weights, g.wview, g.wmask = nil, ones, 0
 }
 
 // HasEdge reports whether the edge v->u exists, by binary search over v's
@@ -101,7 +142,7 @@ func (g *CSR) Validate() error {
 	if len(g.Offsets) != g.N+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.Offsets), g.N+1)
 	}
-	if len(g.Targets) != len(g.Weights) {
+	if g.Weights != nil && len(g.Targets) != len(g.Weights) {
 		return fmt.Errorf("graph: %d targets but %d weights", len(g.Targets), len(g.Weights))
 	}
 	if g.N == 0 {
@@ -120,7 +161,8 @@ func (g *CSR) Validate() error {
 		if g.Offsets[v] > g.Offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
-		ts, ws := g.Neighbors(v)
+		lo := int(g.Offsets[v])
+		ts := g.Targets[lo:g.Offsets[v+1]]
 		for i, t := range ts {
 			if t < 0 || int(t) >= g.N {
 				return fmt.Errorf("graph: edge %d->%d out of range", v, t)
@@ -128,7 +170,7 @@ func (g *CSR) Validate() error {
 			if i > 0 && ts[i-1] >= t {
 				return fmt.Errorf("graph: neighbors of %d not strictly sorted", v)
 			}
-			if ws[i] < 0 {
+			if g.Weight(lo+i) < 0 {
 				return fmt.Errorf("graph: negative weight on %d->%d", v, t)
 			}
 		}
@@ -209,10 +251,13 @@ func edgeKey(to, weight int32) uint64 {
 // back, each row's slots filled in any order, and off[v] is the end of
 // row v (the row starts where row v-1 ends, row 0 at 0). Each row is
 // sorted, duplicate targets keep their minimum weight, and the surviving
-// edges are unpacked into exactly sized Targets and Weights, so
-// cap(Targets) == M. off becomes the graph's Offsets.
+// edges are unpacked into an exactly sized Targets, so cap(Targets) == M,
+// and, unless every surviving weight is 1, an exactly sized Weights.
+// off becomes the graph's Offsets.
 func packRows(n int, off []int64, keys []uint64) *CSR {
+	const unitKey = 1 ^ 1<<31 // the low word of edgeKey(_, 1)
 	var lo, out int64
+	unit := true
 	for v := 0; v < n; v++ {
 		hi := off[v]
 		off[v] = out
@@ -224,22 +269,25 @@ func packRows(n int, off []int64, keys []uint64) *CSR {
 			if out > off[v] && k>>32 == keys[out-1]>>32 {
 				continue
 			}
+			unit = unit && uint32(k) == unitKey
 			keys[out] = k
 			out++
 		}
 		lo = hi
 	}
 	off[n] = out
-	g := &CSR{
-		N:       n,
-		Offsets: off,
-		Targets: make([]int32, out),
-		Weights: make([]int32, out),
-	}
+	g := &CSR{N: n, Offsets: off, Targets: make([]int32, out)}
 	for i, k := range keys[:out] {
 		g.Targets[i] = int32(k >> 32)
-		g.Weights[i] = int32(uint32(k) ^ 1<<31)
 	}
+	var ws []int32
+	if !unit {
+		ws = make([]int32, out)
+		for i, k := range keys[:out] {
+			ws[i] = int32(uint32(k) ^ 1<<31)
+		}
+	}
+	g.setWeights(ws)
 	return g
 }
 

@@ -191,10 +191,8 @@ func TestGeneratorsAreDeterministic(t *testing.T) {
 		if a.M() != b.M() {
 			t.Fatalf("%s: %d vs %d edges across runs", kind, a.M(), b.M())
 		}
-		for i := range a.Targets {
-			if a.Targets[i] != b.Targets[i] || a.Weights[i] != b.Weights[i] {
-				t.Fatalf("%s: edge %d differs", kind, i)
-			}
+		if d := diffCSR(a, b); d != "" {
+			t.Fatalf("%s: %s across runs", kind, d)
 		}
 		c := Generate(kind, 500, 10)
 		if c.M() == a.M() && equalEdges(a, c) {
@@ -295,10 +293,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if back.N != g.N || back.M() != g.M() {
 		t.Fatalf("round trip %d/%d, want %d/%d", back.N, back.M(), g.N, g.M())
 	}
-	for i := range g.Targets {
-		if back.Targets[i] != g.Targets[i] || back.Weights[i] != g.Weights[i] {
-			t.Fatalf("edge %d differs", i)
-		}
+	if d := diffCSR(back, g); d != "" {
+		t.Fatalf("round trip: %s", d)
 	}
 }
 

@@ -19,7 +19,9 @@ import "slices"
 // built transpose is compared with g array by array — neighbor lists are
 // sorted, so equal arrays are exactly symmetry — and dropped when they
 // match, so a symmetric graph never holds a second copy of its edges.
-// The compare is linear; an IsSymmetric probe would cost O(M log deg).
+// Both graphs store their weights in the canonical form, so equal
+// Weights (nil for two unit graphs) are equal weights. The compare is
+// linear; an IsSymmetric probe would cost O(M log deg).
 func (g *CSR) InCSR() *CSR {
 	g.trMu.Lock()
 	defer g.trMu.Unlock()
@@ -34,9 +36,10 @@ func (g *CSR) InCSR() *CSR {
 }
 
 // ResidentBytes is the memory held by g's arrays plus, once built and
-// distinct from g, its cached transpose's.
+// distinct from g, its cached transpose's. A unit graph's weight view is
+// its row of ones, a weighted graph's is Weights.
 func (g *CSR) ResidentBytes() int64 {
-	b := 8*int64(len(g.Offsets)) + 4*int64(len(g.Targets)+len(g.Weights))
+	b := 8*int64(len(g.Offsets)) + 4*int64(len(g.Targets)+len(g.wview))
 	g.trMu.Lock()
 	tr := g.tr
 	g.trMu.Unlock()
@@ -50,19 +53,23 @@ func (g *CSR) ResidentBytes() int64 {
 // one pass to size each in-neighbor list, one to fill. Neighbor lists
 // come out sorted by source vertex because g's edges are visited in
 // (from, to) order, matching the CSR sorted-neighbors invariant.
+//
+// A unit graph's transpose is a unit graph and builds no weights; a
+// weighted graph's carries the same weights, so it is weighted too.
 func transpose(g *CSR) *CSR {
 	t := &CSR{
 		N:       g.N,
 		Offsets: make([]int64, g.N+1),
 		Targets: make([]int32, g.M()),
-		Weights: make([]int32, g.M()),
+	}
+	var tws []int32
+	if g.Weights != nil {
+		tws = make([]int32, g.M())
 	}
 	for _, to := range g.Targets {
 		t.Offsets[to+1]++
 	}
-	for v := 0; v < g.N; v++ {
-		t.Offsets[v+1] += t.Offsets[v]
-	}
+	prefixSum(t.Offsets)
 	next := make([]int64, g.N)
 	copy(next, t.Offsets[:g.N])
 	for v := 0; v < g.N; v++ {
@@ -71,8 +78,11 @@ func transpose(g *CSR) *CSR {
 			p := next[to]
 			next[to]++
 			t.Targets[p] = int32(v)
-			t.Weights[p] = ws[i]
+			if tws != nil {
+				tws[p] = ws[i]
+			}
 		}
 	}
+	t.setWeights(tws)
 	return t
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -117,5 +118,53 @@ func TestResidentBytesCountsTranspose(t *testing.T) {
 	before := sym.ResidentBytes()
 	if sym.InCSR(); sym.ResidentBytes() != before {
 		t.Fatal("a symmetric graph's self-transpose was counted twice")
+	}
+}
+
+// TestInCSRMatchesReversedBuild: the transpose of a directed graph, unit
+// or weighted, is the graph built from its reversed edges, in content and
+// in weight form.
+func TestInCSRMatchesReversedBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		edges := make([]Edge, rng.Intn(120))
+		for i := range edges {
+			edges[i] = Edge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), Weight: 1}
+			if trial%2 == 1 {
+				edges[i].Weight = int32(rng.Intn(4))
+			}
+		}
+		g := FromEdges(n, edges, false)
+		rev := g.Edges()
+		for i := range rev {
+			rev[i].From, rev[i].To = rev[i].To, rev[i].From
+		}
+		if d := diffCSR(g.InCSR(), fromEdgesRef(n, rev, false)); d != "" {
+			t.Fatalf("trial %d (n=%d, m=%d): %s", trial, n, g.M(), d)
+		}
+	}
+}
+
+// TestResidentBytesClosedForm: a unit graph holds Offsets, Targets and
+// one row of ones, 8(n+1) + 4m + 4·MaxDegree bytes; a weighted one holds
+// Offsets, Targets and Weights, 8(n+1) + 8m.
+func TestResidentBytesClosedForm(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		unit bool
+	}{{KindSocial, true}, {KindRoadCA, false}} {
+		g := Generate(c.kind, 4096, 1)
+		n, m := int64(g.N), int64(g.M())
+		want := 8*(n+1) + 8*m
+		if c.unit {
+			want = 8*(n+1) + 4*m + 4*int64(g.MaxDegree())
+		}
+		if b := g.ResidentBytes(); b != want {
+			t.Errorf("%s: resident bytes %d, want %d", c.kind, b, want)
+		}
+		if (g.Weights == nil) != c.unit {
+			t.Errorf("%s: Weights nil = %t, want %t", c.kind, g.Weights == nil, c.unit)
+		}
 	}
 }

@@ -47,11 +47,22 @@ type graphResponse struct {
 	MaxDegree   int     `json:"maxDegree"`
 }
 
-// edgeSpec is one edge mutation in a patch request.
+// edgeSpec is one edge mutation in a patch request. An insert with no
+// weight gets weight 1, as a SNAP line with no weight column does; an
+// explicit "weight":0 stays 0.
 type edgeSpec struct {
-	From   int32 `json:"from"`
-	To     int32 `json:"to"`
-	Weight int32 `json:"weight,omitempty"`
+	From   int32  `json:"from"`
+	To     int32  `json:"to"`
+	Weight *int32 `json:"weight,omitempty"`
+}
+
+// edge is the graph edge e names, its absent weight read as 1.
+func (e edgeSpec) edge() graph.Edge {
+	w := int32(1)
+	if e.Weight != nil {
+		w = *e.Weight
+	}
+	return graph.Edge{From: e.From, To: e.To, Weight: w}
 }
 
 // patchRequest mutates a graph: validated edge insert/delete batches,
@@ -470,7 +481,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		Deletes: make([]graph.Edge, len(req.Deletes)),
 	}
 	for i, e := range req.Inserts {
-		d.Inserts[i] = graph.Edge{From: e.From, To: e.To, Weight: e.Weight}
+		d.Inserts[i] = e.edge()
 	}
 	for i, e := range req.Deletes {
 		d.Deletes[i] = graph.Edge{From: e.From, To: e.To}

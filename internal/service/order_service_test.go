@@ -136,7 +136,7 @@ func TestOrderedRunSkipsIncremental(t *testing.T) {
 
 	run("") // warm the parent's unordered BFS entry
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 5, To: 900, Weight: 1}, {From: 900, To: 5, Weight: 1}},
+		Inserts: []edgeSpec{{From: 5, To: 900, Weight: weight(1)}, {From: 900, To: 5, Weight: weight(1)}},
 	})
 	resp.Body.Close()
 

@@ -73,7 +73,7 @@ func newPlanFixture(t testing.TB) *planFixture {
 	ts, _ := g.Neighbors(v)
 	var patch patchRequest
 	for i := int32(0); i < 4; i++ {
-		patch.Inserts = append(patch.Inserts, edgeSpec{From: i, To: 3000 + i, Weight: 1}, edgeSpec{From: 3000 + i, To: i, Weight: 1})
+		patch.Inserts = append(patch.Inserts, edgeSpec{From: i, To: 3000 + i, Weight: weight(1)}, edgeSpec{From: 3000 + i, To: i, Weight: weight(1)})
 	}
 	patch.Deletes = []edgeSpec{{From: int32(v), To: ts[0]}, {From: ts[0], To: int32(v)}}
 	call("PATCH", "/v1/graphs/"+road.ID, patch)
@@ -83,7 +83,7 @@ func newPlanFixture(t testing.TB) *planFixture {
 	patch = patchRequest{}
 	// The gate measures the patched graph, which has at most m+|delta| edges.
 	for i := 0; len(patch.Inserts)*7 <= bg.M(); i++ {
-		patch.Inserts = append(patch.Inserts, edgeSpec{From: int32(i % bg.N), To: int32((i%bg.N + 1 + i/bg.N) % bg.N), Weight: 1})
+		patch.Inserts = append(patch.Inserts, edgeSpec{From: int32(i % bg.N), To: int32((i%bg.N + 1 + i/bg.N) % bg.N), Weight: weight(1)})
 	}
 	call("PATCH", "/v1/graphs/"+big.ID, patch)
 	return f

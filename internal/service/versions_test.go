@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -33,6 +34,9 @@ func patchJSON(t *testing.T, url string, body any) *http.Response {
 	}
 	return resp
 }
+
+// weight is an explicit edgeSpec weight.
+func weight(w int32) *int32 { return &w }
 
 func getJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
@@ -67,7 +71,7 @@ func TestPatchLifecycle(t *testing.T) {
 
 	// Apply a mixed batch.
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 0, To: 100, Weight: 3}, {From: 100, To: 0, Weight: 3}},
+		Inserts: []edgeSpec{{From: 0, To: 100, Weight: weight(3)}, {From: 100, To: 0, Weight: weight(3)}},
 		Deletes: []edgeSpec{{From: 250, To: 251}}, // absent is a documented no-op
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -112,7 +116,7 @@ func TestPatchLifecycle(t *testing.T) {
 	// Retrying the identical patch pinned to the (now stale) root replays
 	// idempotently instead of conflicting.
 	resp = patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 0, To: 100, Weight: 3}, {From: 100, To: 0, Weight: 3}},
+		Inserts: []edgeSpec{{From: 0, To: 100, Weight: weight(3)}, {From: 100, To: 0, Weight: weight(3)}},
 		Deletes: []edgeSpec{{From: 250, To: 251}},
 		Parent:  root,
 	})
@@ -127,7 +131,7 @@ func TestPatchLifecycle(t *testing.T) {
 
 	// A different patch pinned to the stale root is a genuine conflict.
 	resp = patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 1, To: 2, Weight: 9}},
+		Inserts: []edgeSpec{{From: 1, To: 2, Weight: weight(9)}},
 		Parent:  root,
 	})
 	if resp.StatusCode != http.StatusConflict {
@@ -226,7 +230,7 @@ func TestRunCacheVersioned(t *testing.T) {
 	}
 
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 0, To: 1, Weight: 1}, {From: 1, To: 0, Weight: 1}},
+		Inserts: []edgeSpec{{From: 0, To: 1, Weight: weight(1)}, {From: 1, To: 0, Weight: weight(1)}},
 	})
 	var pr patchResponse
 	decodeBody(t, resp, &pr)
@@ -250,6 +254,63 @@ func TestRunCacheVersioned(t *testing.T) {
 // TestConcurrentPatches races mutators on one lineage. Pinned to the
 // same parent with different deltas, exactly one lands and the other
 // 409s; unpinned, both land in a serialized chain.
+// TestPatchInsertWeightDefaultsToOne: an insert with no "weight" gets
+// weight 1, as a SNAP line with no weight column does, so a unit graph
+// stays a unit graph and stores no weight array; an explicit "weight":0
+// stays 0.
+func TestPatchInsertWeightDefaultsToOne(t *testing.T) {
+	s, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "social", 256, 1)
+	_, root, _ := s.store.Resolve(gr.Version)
+	if root.Graph().Weights != nil {
+		t.Fatal("generated social graph stores a weight array")
+	}
+	a, b := 0, gr.N-1
+	for root.Graph().HasEdge(a, b) || root.Graph().HasEdge(a+1, b) {
+		b--
+	}
+	for _, c := range []struct {
+		body string
+		from int
+		want int32
+	}{
+		{fmt.Sprintf(`{"inserts":[{"from":%d,"to":%d},{"from":%d,"to":%d}]}`, a, b, b, a), a, 1},
+		{fmt.Sprintf(`{"inserts":[{"from":%d,"to":%d,"weight":0}]}`, a+1, b), a + 1, 0},
+	} {
+		resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, json.RawMessage(c.body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.body, resp.StatusCode)
+		}
+		var pr patchResponse
+		decodeBody(t, resp, &pr)
+		_, v, ok := s.store.Resolve(pr.Version)
+		if !ok {
+			t.Fatalf("%s: version %s not found", c.body, pr.Version)
+		}
+		g := v.Graph()
+		if w, ok := g.EdgeWeight(c.from, b); !ok || w != c.want {
+			t.Fatalf("%s: weight %d, %t; want %d", c.body, w, ok, c.want)
+		}
+		if unit := c.want == 1; (g.Weights == nil) != unit {
+			t.Fatalf("%s: Weights nil = %t, want %t", c.body, g.Weights == nil, unit)
+		}
+	}
+}
+
+// TestVersionListingReportsUnitGraphBytes: a generated social graph keeps
+// no weight array, so its version listing reports Offsets, Targets and
+// one row of ones: 8(n+1) + 4m + 4·MaxDegree bytes.
+func TestVersionListingReportsUnitGraphBytes(t *testing.T) {
+	_, ts := newTestServer(t, DefaultConfig())
+	gr := createGraph(t, ts.URL, "social", 4096, 1)
+	var vl versionsResponse
+	getJSON(t, ts.URL+"/v1/graphs/"+gr.ID+"/versions", &vl)
+	want := 8*int64(gr.N+1) + 4*int64(gr.M) + 4*int64(gr.MaxDegree)
+	if len(vl.Versions) != 1 || vl.Versions[0].ResidentBytes != want {
+		t.Fatalf("versions %+v, want one with residentBytes %d", vl.Versions, want)
+	}
+}
+
 func TestConcurrentPatches(t *testing.T) {
 	_, ts := newTestServer(t, DefaultConfig())
 	gr := createGraph(t, ts.URL, "sparse", 256, 1)
@@ -266,7 +327,7 @@ func TestConcurrentPatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-				Inserts: []edgeSpec{{From: int32(i), To: int32(i + 10), Weight: 1}},
+				Inserts: []edgeSpec{{From: int32(i), To: int32(i + 10), Weight: weight(1)}},
 				Parent:  gr.Version,
 			})
 			results[i].status = resp.StatusCode
@@ -303,7 +364,7 @@ func TestConcurrentPatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-				Inserts: []edgeSpec{{From: int32(20 + i), To: int32(30 + i), Weight: 1}},
+				Inserts: []edgeSpec{{From: int32(20 + i), To: int32(30 + i), Weight: weight(1)}},
 			})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("unpinned patch %d: status %d", i, resp.StatusCode)
@@ -337,7 +398,7 @@ func TestVersionsCountAgainstMaxGraphs(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-			Inserts: []edgeSpec{{From: int32(i), To: int32(i + 20), Weight: 1}},
+			Inserts: []edgeSpec{{From: int32(i), To: int32(i + 20), Weight: weight(1)}},
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("patch %d: status %d", i, resp.StatusCode)
@@ -346,7 +407,7 @@ func TestVersionsCountAgainstMaxGraphs(t *testing.T) {
 	}
 	// Budget exhausted: both further mutation and new graphs refuse.
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 40, To: 41, Weight: 1}},
+		Inserts: []edgeSpec{{From: 40, To: 41, Weight: weight(1)}},
 	})
 	if resp.StatusCode != http.StatusInsufficientStorage {
 		t.Fatalf("patch over budget: status %d, want 507", resp.StatusCode)
@@ -390,7 +451,7 @@ func TestIncrementalRunThroughAPI(t *testing.T) {
 
 	// Small insert-only delta: both kernels repair incrementally.
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 5, To: 900, Weight: 1}, {From: 900, To: 5, Weight: 1}},
+		Inserts: []edgeSpec{{From: 5, To: 900, Weight: weight(1)}, {From: 900, To: 5, Weight: weight(1)}},
 	})
 	var pr patchResponse
 	decodeBody(t, resp, &pr)
@@ -451,7 +512,7 @@ func TestCommReplyIndependentOfCacheHistory(t *testing.T) {
 			run()
 		}
 		resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-			Inserts: []edgeSpec{{From: 3, To: 1500, Weight: 1}, {From: 1500, To: 3, Weight: 1}},
+			Inserts: []edgeSpec{{From: 3, To: 1500, Weight: weight(1)}, {From: 1500, To: 3, Weight: weight(1)}},
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("patch: status %d", resp.StatusCode)
@@ -481,7 +542,7 @@ func TestErrorCodeCatalog(t *testing.T) {
 	gr := createGraph(t, ts.URL, "sparse", 32, 1)
 	// A second patch makes the root a stale pin for version-conflict.
 	resp := patchJSON(t, ts.URL+"/v1/graphs/"+gr.ID, patchRequest{
-		Inserts: []edgeSpec{{From: 0, To: 9, Weight: 1}},
+		Inserts: []edgeSpec{{From: 0, To: 9, Weight: weight(1)}},
 	})
 	resp.Body.Close()
 
@@ -557,17 +618,17 @@ func TestErrorCodeCatalog(t *testing.T) {
 			return getJSON(t, graphsURL+"/gdeadbeef", nil)
 		}, 404, codeGraphNotFound},
 		{"patch target not found", func() *http.Response {
-			return patchJSON(t, graphsURL+"/gdeadbeef", patchRequest{Inserts: []edgeSpec{{From: 0, To: 1, Weight: 1}}})
+			return patchJSON(t, graphsURL+"/gdeadbeef", patchRequest{Inserts: []edgeSpec{{From: 0, To: 1, Weight: weight(1)}}})
 		}, 404, codeGraphNotFound},
 		{"empty delta", func() *http.Response {
 			return patchJSON(t, thisURL, patchRequest{})
 		}, 400, codeEmptyDelta},
 		{"invalid delta", func() *http.Response {
-			return patchJSON(t, thisURL, patchRequest{Inserts: []edgeSpec{{From: 3, To: 3, Weight: 1}}})
+			return patchJSON(t, thisURL, patchRequest{Inserts: []edgeSpec{{From: 3, To: 3, Weight: weight(1)}}})
 		}, 400, codeInvalidDelta},
 		{"version conflict", func() *http.Response {
 			return patchJSON(t, thisURL, patchRequest{
-				Inserts: []edgeSpec{{From: 1, To: 7, Weight: 2}},
+				Inserts: []edgeSpec{{From: 1, To: 7, Weight: weight(2)}},
 				Parent:  gr.Version,
 			})
 		}, 409, codeVersionConflict},
@@ -711,8 +772,8 @@ func runVersion(t *testing.T, base string, req runRequest) runResponse {
 func churnDelta(i, n int) patchRequest {
 	a, b, c := int32(7*i%n), int32((7*i+n/2)%n), int32((13*i+n/3)%n)
 	return patchRequest{
-		Inserts: []edgeSpec{{From: a, To: b, Weight: 2}, {From: b, To: a, Weight: 2},
-			{From: c, To: b, Weight: 5}, {From: b, To: c, Weight: 5}},
+		Inserts: []edgeSpec{{From: a, To: b, Weight: weight(2)}, {From: b, To: a, Weight: weight(2)},
+			{From: c, To: b, Weight: weight(5)}, {From: b, To: c, Weight: weight(5)}},
 		Deletes: []edgeSpec{{From: a, To: a + 1}, {From: a + 1, To: a}},
 	}
 }
@@ -849,7 +910,7 @@ func TestResidentPinnedReaderDuringPatch(t *testing.T) {
 	_, root, _ := s.store.Resolve(gr.Version)
 	d := &graph.EdgeDelta{}
 	for _, e := range churnDelta(1, n).Inserts {
-		d.Inserts = append(d.Inserts, graph.Edge{From: e.From, To: e.To, Weight: e.Weight})
+		d.Inserts = append(d.Inserts, e.edge())
 	}
 	for _, e := range churnDelta(1, n).Deletes {
 		d.Deletes = append(d.Deletes, graph.Edge{From: e.From, To: e.To})
