@@ -126,9 +126,7 @@ func parseSpecs(s string) ([]spec, error) {
 		stratName := "all"
 		switch len(parts) {
 		case 1:
-			if kernel == "all" {
-				// bare "all": the full matrix over the default kind
-			}
+			// kernel (or "all") alone: the default kind, every strategy
 		case 2:
 			kindName = parts[1]
 		case 3:

@@ -396,9 +396,9 @@ func ComponentsIncremental(pl Platform, g *Graph, threads int, oldLabels []int32
 	return core.ComponentsIncremental(context.Background(), pl, g, threads, oldLabels, d)
 }
 
-// Server is the graph-analytics HTTP service: a sharded graph store, a
-// bounded kernel worker pool with load shedding, an LRU result cache with
-// in-flight coalescing, and Prometheus-text metrics. Mount Handler() on an
+// Server is the graph-analytics HTTP service: a versioned graph store, a
+// bounded kernel worker pool with load shedding, a segmented-LRU reply
+// cache with in-flight coalescing, and Prometheus-text metrics. Mount Handler() on an
 // http.Server; cmd/crono-serve is the ready-made binary.
 type Server = service.Server
 

@@ -49,7 +49,7 @@ const defaultMaxRaces = 100
 
 // detector is the FastTrack-style happens-before engine. It is not
 // safe for concurrent use: the standalone scheduler serializes calls by
-// construction and the Wrap proxy holds a mutex around every operation.
+// construction.
 //
 // Clock state (threads, locks, barrier and address synchronization
 // clocks, shadow words) is per run and reset by beginRun; detected races

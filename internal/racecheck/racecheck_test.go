@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"crono/internal/exec"
-	"crono/internal/native"
 	"crono/internal/racecheck/testdata/racykernels"
 )
 
@@ -242,92 +241,62 @@ func TestBarrierAbortNoPhantomRaces(t *testing.T) {
 	}
 }
 
-// TestWrapAbortNoPhantomRaces is the same contract for the proxy mode
-// over the native platform, where the inner barrier ends the threads: a
-// wrapped Barrier that returned without its generation's join would
-// panic, and its cross read would race.
-func TestWrapAbortNoPhantomRaces(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		ck := Wrap(native.New())
-		data := make([]int32, 8)
-		r := ck.Alloc("abort.data", len(data), 4)
-		bar := ck.NewBarrier(2)
-		goCtx, cancel := context.WithCancel(context.Background())
-		var returned atomic.Int32
-		_, err := ck.RunCtx(goCtx, 2, abortingRounds(data, r, bar, cancel, &returned))
-		if err != context.Canceled {
-			t.Fatalf("RunCtx error = %v, want context.Canceled", err)
-		}
-		if n := returned.Load(); n != 0 {
-			t.Fatalf("Barrier returned %d times after the cancel", n)
-		}
-		if races := ck.Races(); len(races) != 0 {
-			t.Fatalf("aborted wrapped run reported phantom races:\n%s", formatRaces(races))
-		}
-	}
-}
-
 // TestBarrierReuseAfterAbort: an abort ends the barrier's lone waiter
 // (thread 1) and a thread arriving after it (thread 2), and the barrier,
 // reused by the next run, still joins both parties — thread 1's read of
-// thread 0's write is ordered only if it waited for thread 0. In Wrap
-// mode the waiter leaves a half-joined generation behind, which the next
-// run must discard. Both modes; no goroutine outlives the runs.
+// thread 0's write is ordered only if it waited for thread 0. No
+// goroutine outlives the runs.
 func TestBarrierReuseAfterAbort(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for _, pl := range []interface {
-		exec.Platform
-		Races() []Race
-	}{New(), Wrap(native.New())} {
-		data := make([]int32, 1)
-		r := pl.Alloc("reuse.data", 1, 4)
-		bar := pl.NewBarrier(2)
-		goCtx, cancel := context.WithCancel(context.Background())
-		var arriving atomic.Bool
-		_, err := pl.RunCtx(goCtx, 3, func(ctx exec.Ctx) {
-			switch ctx.TID() {
-			case 0:
-				for !arriving.Load() {
-					ctx.Compute(1) // yields to the standalone scheduler
-					runtime.Gosched()
-				}
-				cancel()
-				if ctx.Checkpoint() == nil {
-					t.Error("Checkpoint missed the cancellation")
-				}
-				return
-			case 1:
-				arriving.Store(true)
-			case 2:
-				for ctx.Checkpoint() == nil {
-					ctx.Compute(1)
-				}
+	pl := New()
+	data := make([]int32, 1)
+	r := pl.Alloc("reuse.data", 1, 4)
+	bar := pl.NewBarrier(2)
+	goCtx, cancel := context.WithCancel(context.Background())
+	var arriving atomic.Bool
+	_, err := pl.RunCtx(goCtx, 3, func(ctx exec.Ctx) {
+		switch ctx.TID() {
+		case 0:
+			for !arriving.Load() {
+				ctx.Compute(1) // yields to the standalone scheduler
+				runtime.Gosched()
 			}
-			ctx.Barrier(bar)
-			t.Errorf("%s: Barrier returned to thread %d in an aborted run", pl.Name(), ctx.TID())
-		})
-		if err != context.Canceled {
-			t.Fatalf("%s: RunCtx error = %v, want context.Canceled", pl.Name(), err)
+			cancel()
+			if ctx.Checkpoint() == nil {
+				t.Error("Checkpoint missed the cancellation")
+			}
+			return
+		case 1:
+			arriving.Store(true)
+		case 2:
+			for ctx.Checkpoint() == nil {
+				ctx.Compute(1)
+			}
 		}
-		pl.Run(2, func(ctx exec.Ctx) {
-			if ctx.TID() == 0 {
-				for i := 0; i < 8; i++ {
-					ctx.Compute(1)
-				}
-				data[0] = 1
-				ctx.Store(r.At(0))
-				ctx.Barrier(bar)
-				return
+		ctx.Barrier(bar)
+		t.Errorf("Barrier returned to thread %d in an aborted run", ctx.TID())
+	})
+	if err != context.Canceled {
+		t.Fatalf("RunCtx error = %v, want context.Canceled", err)
+	}
+	pl.Run(2, func(ctx exec.Ctx) {
+		if ctx.TID() == 0 {
+			for i := 0; i < 8; i++ {
+				ctx.Compute(1)
 			}
+			data[0] = 1
+			ctx.Store(r.At(0))
 			ctx.Barrier(bar)
-			ctx.Load(r.At(0))
-			if data[0] != 1 {
-				t.Errorf("%s: reused barrier released thread 1 alone", pl.Name())
-			}
-		})
-		if races := pl.Races(); len(races) != 0 {
-			t.Fatalf("%s: reused barrier did not join:\n%s", pl.Name(), formatRaces(races))
+			return
 		}
+		ctx.Barrier(bar)
+		ctx.Load(r.At(0))
+		if data[0] != 1 {
+			t.Error("reused barrier released thread 1 alone")
+		}
+	})
+	if races := pl.Races(); len(races) != 0 {
+		t.Fatalf("reused barrier did not join:\n%s", formatRaces(races))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
@@ -335,42 +304,6 @@ func TestBarrierReuseAfterAbort(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the runs, %d before", n, base)
-	}
-}
-
-func TestWrapNameAndRegions(t *testing.T) {
-	ck := Wrap(native.New())
-	if ck.Name() != "racecheck+native" {
-		t.Fatalf("Name() = %q", ck.Name())
-	}
-	r := ck.Alloc("w.data", 4, 8)
-	if got := ck.Table().Describe(r.At(2)); got != "w.data[2]" {
-		t.Fatalf("Describe = %q, want w.data[2]", got)
-	}
-}
-
-// TestWrapSitesNameTheKernel: under the proxy the annotation reaches the
-// detector through exec.Thread (inlined into the kernel) and the wctx
-// decorator; the reported site must still be the kernel's own line. The
-// race is between two annotations only — no real memory is shared — so
-// the Go race detector has nothing to say about this test.
-func TestWrapSitesNameTheKernel(t *testing.T) {
-	ck := Wrap(native.New())
-	r := ck.Alloc("wrap.cell", 1, 8)
-	ck.Run(2, func(ctx exec.Ctx) {
-		ctx.Store(r.At(0))
-		ctx.LoadSpan(r.At(0), 1, 8)
-		ctx.LoadGather(r, []int32{0}, 1)
-	})
-	races := ck.Races()
-	if len(races) == 0 {
-		t.Fatal("two unordered stores to one datum reported no race")
-	}
-	here := regexp.MustCompile(`^racecheck_test\.go:\d+$`)
-	for _, race := range races {
-		if !here.MatchString(race.Prior.Site) || !here.MatchString(race.Current.Site) {
-			t.Errorf("sites %q/%q do not name the kernel body in this file", race.Prior.Site, race.Current.Site)
-		}
 	}
 }
 

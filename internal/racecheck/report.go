@@ -16,14 +16,10 @@
 // edges through that address's synchronization clock. A conflicting
 // unordered pair where only one side is atomic is still a race.
 //
-// Two entry points share the detector:
-//
-//   - New returns a standalone deterministic platform: a cooperative
-//     round-robin scheduler runs one thread at a time, yielding at every
-//     annotation, so a given kernel, input and thread count always
-//     produce the same interleaving and the same report.
-//   - Wrap proxies an existing platform (native or sim), checking the
-//     annotation stream while the inner platform provides real timing.
+// New returns the package's one platform, a deterministic checker: a
+// cooperative round-robin scheduler runs one thread at a time, yielding
+// at every annotation, so a given kernel, input and thread count always
+// produce the same interleaving and the same report.
 package racecheck
 
 import (

@@ -1,9 +1,9 @@
 // Package service is the concurrent HTTP serving layer in front of the
-// CRONO kernels: a stdlib-only JSON API that loads graphs into a sharded
+// CRONO kernels: a stdlib-only JSON API that loads graphs into a versioned
 // in-memory store, executes any suite kernel on the native platform or the
 // futuristic-multicore simulator through a bounded worker pool, caches
-// results in an LRU keyed by graph fingerprint + kernel + params (with
-// in-flight coalescing), and exports Prometheus-text metrics.
+// replies in a segmented LRU keyed by graph fingerprint + kernel + params
+// (with in-flight coalescing), and exports Prometheus-text metrics.
 //
 // Request flow:
 //
@@ -35,7 +35,7 @@ type Config struct {
 	// QueueLen is the worker-pool queue bound; beyond it requests shed
 	// with 429.
 	QueueLen int
-	// CacheEntries bounds the LRU result cache.
+	// CacheEntries bounds the segmented-LRU reply cache.
 	CacheEntries int
 	// MaxGraphs bounds the graph store.
 	MaxGraphs int

@@ -439,8 +439,8 @@ func TestStoreFull(t *testing.T) {
 	}
 }
 
-// TestStoreSharding exercises concurrent Put/Get across shards under the
-// race detector.
+// TestStoreSharding exercises concurrent Put/Get under the race
+// detector.
 func TestStoreSharding(t *testing.T) {
 	s := NewStore(128)
 	var wg sync.WaitGroup
@@ -462,6 +462,108 @@ func TestStoreSharding(t *testing.T) {
 	for _, id := range ids {
 		if _, ok := s.Get(id); !ok {
 			t.Fatalf("graph %s lost", id)
+		}
+	}
+}
+
+// TestVersionBudgetExactUnderConcurrentWrites races Puts of distinct
+// graphs against unpinned Patches of one lineage on a store with room for
+// budget versions: exactly budget writes land, every other one is refused
+// with ErrStoreFull, and every admitted lineage and version stays
+// reachable.
+func TestVersionBudgetExactUnderConcurrentWrites(t *testing.T) {
+	const budget, writers = 8, 16
+	s := NewStore(budget)
+	base, err := s.Put(testGraph(64, 0), "base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := make([]*graph.CSR, writers)
+	distinct := map[string]bool{base.ID: true}
+	for i := range graphs {
+		graphs[i] = testGraph(64, int64(i+1))
+		distinct[GraphID(graphs[i].Fingerprint())] = true
+	}
+	if len(distinct) != writers+1 {
+		t.Fatalf("%d distinct graphs, want %d", len(distinct), writers+1)
+	}
+
+	var (
+		mu         sync.Mutex
+		lineages   = []string{base.ID}
+		versionIDs = []string{base.Head().ID}
+		refused    int
+		wg         sync.WaitGroup
+	)
+	admit := func(lineage, version string, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			if lineage != "" {
+				lineages = append(lineages, lineage)
+			}
+			versionIDs = append(versionIDs, version)
+		case err == ErrStoreFull:
+			refused++
+		default:
+			t.Errorf("write failed with %v, want nil or ErrStoreFull", err)
+		}
+	}
+	start := make(chan struct{})
+	for i := 0; i < writers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			sg, err := s.Put(graphs[i], fmt.Sprintf("w%d", i))
+			if err != nil {
+				admit("", "", err)
+				return
+			}
+			admit(sg.ID, sg.Head().ID, nil)
+		}()
+		go func() {
+			defer wg.Done()
+			d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: int32(i), To: int32(i + 32), Weight: 1}}}
+			if err := d.Canonicalize(64); err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			v, _, ok, err := s.Patch(base.ID, d, "")
+			if !ok {
+				t.Error("Patch lost the base lineage")
+				return
+			}
+			if err != nil {
+				admit("", "", err)
+				return
+			}
+			admit("", v.ID, nil)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	if len(versionIDs) != budget || refused != 2*writers+1-budget {
+		t.Fatalf("%d writes admitted, %d refused; want %d and %d", len(versionIDs), refused, budget, 2*writers+1-budget)
+	}
+	if n := s.VersionTotal(); n != budget {
+		t.Fatalf("VersionTotal = %d, want %d", n, budget)
+	}
+	listed := map[string]bool{}
+	for _, sg := range s.List() {
+		listed[sg.ID] = true
+	}
+	for _, id := range lineages {
+		if !listed[id] {
+			t.Errorf("admitted lineage %s missing from List", id)
+		}
+	}
+	for _, id := range versionIDs {
+		if _, v, ok := s.Resolve(id); !ok || v.ID != id {
+			t.Errorf("admitted version %s does not resolve", id)
 		}
 	}
 }

@@ -27,11 +27,6 @@ var ErrStoreFull = errors.New("service: graph store full")
 // control for concurrent mutators.
 var ErrVersionConflict = errors.New("service: parent is not the current head")
 
-// storeShards is the shard count of the graph and version indexes.
-// Sharding keeps Put and Get contention-free across concurrent loads:
-// IDs are content hashes, so they spread uniformly.
-const storeShards = 16
-
 // Version is one immutable graph version in a lineage: the root carries
 // the full CSR, every child carries only its delta (copy-on-write — the
 // O(delta) storage discipline of journal/snapshot state stores).
@@ -336,30 +331,22 @@ func (sg *StoredGraph) VersionCount() int {
 	return len(sg.versions)
 }
 
-type storeShard struct {
-	mu     sync.RWMutex
-	graphs map[string]*StoredGraph
-}
-
-// versionShard is a separate lock family from storeShard: Put nests
-// graph-shard → version-shard, and nothing ever nests the other way, so
-// the two-level hierarchy is deadlock-free by construction.
-type versionShard struct {
-	mu       sync.RWMutex
-	versions map[string]*Version
-}
-
-// Store is a sharded in-memory store of graph lineages, addressed by
-// content fingerprint ("g…" graph IDs resolve to the lineage head,
-// "v…" version IDs pin an exact version). Every version stays
-// addressable; under the residency rule (see Version) only each
-// lineage's root and head hold a materialized CSR.
+// Store is an in-memory store of graph lineages, addressed by content
+// fingerprint ("g…" graph IDs resolve to the lineage head, "v…" version
+// IDs pin an exact version). Every version stays addressable; under the
+// residency rule (see Version) only each lineage's root and head hold a
+// materialized CSR.
+//
+// One lock, mu, guards both indexes and with them the version budget.
+// Lock order is a lineage's mu before the store's, never the reverse:
+// Patch takes the store lock inside the lineage lock, Put takes only the
+// store lock, and Resolve and Materialized release the store lock before
+// they touch a lineage.
 type Store struct {
 	maxVersions int
-	count       atomic.Int64 // total versions across all lineages
-	graphCount  atomic.Int64
-	shards      [storeShards]storeShard
-	vshards     [storeShards]versionShard
+	mu          sync.RWMutex
+	graphs      map[string]*StoredGraph
+	versions    map[string]*Version
 }
 
 // NewStore returns a store admitting at most maxGraphs versions in total
@@ -369,12 +356,11 @@ func NewStore(maxGraphs int) *Store {
 	if maxGraphs <= 0 {
 		maxGraphs = 64
 	}
-	s := &Store{maxVersions: maxGraphs}
-	for i := range s.shards {
-		s.shards[i].graphs = make(map[string]*StoredGraph)
-		s.vshards[i].versions = make(map[string]*Version)
+	return &Store{
+		maxVersions: maxGraphs,
+		graphs:      make(map[string]*StoredGraph),
+		versions:    make(map[string]*Version),
 	}
-	return s
 }
 
 // GraphID renders the content-addressed graph ID for a fingerprint.
@@ -383,28 +369,6 @@ func GraphID(fp uint64) string { return fmt.Sprintf("g%016x", fp) }
 // VersionID renders the lineage-addressed version ID for a fingerprint.
 func VersionID(fp uint64) string { return fmt.Sprintf("v%016x", fp) }
 
-func shardIndex(id string) uint32 {
-	var h uint32
-	for i := 0; i < len(id); i++ {
-		h = h*31 + uint32(id[i])
-	}
-	return h % storeShards
-}
-
-func (s *Store) shard(id string) *storeShard    { return &s.shards[shardIndex(id)] }
-func (s *Store) vshard(id string) *versionShard { return &s.vshards[shardIndex(id)] }
-
-// reserve claims one slot of the version budget, or fails with
-// ErrStoreFull. The atomic claim-then-rollback keeps the budget exact
-// under concurrent Put/Patch across shards.
-func (s *Store) reserve() error {
-	if s.count.Add(1) > int64(s.maxVersions) {
-		s.count.Add(-1)
-		return ErrStoreFull
-	}
-	return nil
-}
-
 // Put stores g as a new lineage rooted at its fingerprint ID and returns
 // the resident entry. Storing an already-present graph is a no-op
 // returning the existing lineage (whose head may have advanced past the
@@ -412,14 +376,13 @@ func (s *Store) reserve() error {
 func (s *Store) Put(g *graph.CSR, desc string) (*StoredGraph, error) {
 	fp := g.Fingerprint()
 	id := GraphID(fp)
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if existing, ok := sh.graphs[id]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if existing, ok := s.graphs[id]; ok {
 		return existing, nil
 	}
-	if err := s.reserve(); err != nil {
-		return nil, err
+	if len(s.versions) >= s.maxVersions {
+		return nil, ErrStoreFull
 	}
 	sg := &StoredGraph{ID: id, Desc: desc}
 	root := &Version{
@@ -430,19 +393,9 @@ func (s *Store) Put(g *graph.CSR, desc string) (*StoredGraph, error) {
 	}
 	root.resident.Store(&forms{ver: root, g: g})
 	sg.root, sg.versions = root, []*Version{root}
-	// Publish the root version before the graph: anyone who can see the
-	// lineage can resolve its head version ID.
-	s.putVersion(root)
-	sh.graphs[id] = sg
-	s.graphCount.Add(1)
+	s.graphs[id] = sg
+	s.versions[root.ID] = root
 	return sg, nil
-}
-
-func (s *Store) putVersion(v *Version) {
-	sh := s.vshard(v.ID)
-	sh.mu.Lock()
-	sh.versions[v.ID] = v
-	sh.mu.Unlock()
 }
 
 // Patch applies a canonical delta to the lineage named by graph ID.
@@ -481,12 +434,8 @@ func (s *Store) Patch(graphID string, d *graph.EdgeDelta, parent string) (v *Ver
 		return nil, false, false, nil
 	}
 	childFp := graph.LineageFingerprint(head.Fingerprint, dfp)
-	childID := VersionID(childFp)
-	if err := s.reserve(); err != nil {
-		return nil, false, true, err
-	}
 	child := &Version{
-		ID:          childID,
+		ID:          VersionID(childFp),
 		GraphID:     sg.ID,
 		Ordinal:     head.Ordinal + 1,
 		Parent:      head.ID,
@@ -495,26 +444,29 @@ func (s *Store) Patch(graphID string, d *graph.EdgeDelta, parent string) (v *Ver
 		parent:      head,
 		lineage:     sg,
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.versions) >= s.maxVersions {
+		return nil, false, true, ErrStoreFull
+	}
+	s.versions[child.ID] = child
 	sg.versions = append(sg.versions, child)
-	s.putVersion(child)
 	return child, false, true, nil
 }
 
 // Get returns the lineage stored under a graph ID.
 func (s *Store) Get(id string) (*StoredGraph, bool) {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sg, ok := sh.graphs[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sg, ok := s.graphs[id]
 	return sg, ok
 }
 
 // GetVersion returns the version stored under a version ID.
 func (s *Store) GetVersion(id string) (*Version, bool) {
-	sh := s.vshard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v, ok := sh.versions[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.versions[id]
 	return v, ok
 }
 
@@ -522,15 +474,15 @@ func (s *Store) GetVersion(id string) (*Version, bool) {
 // head) or version ID ("v…", pinning an exact version) — to the lineage
 // and version it names.
 func (s *Store) Resolve(ref string) (*StoredGraph, *Version, bool) {
-	if sg, ok := s.Get(ref); ok {
+	s.mu.RLock()
+	sg, isGraph := s.graphs[ref]
+	v, isVersion := s.versions[ref]
+	s.mu.RUnlock()
+	switch {
+	case isGraph:
 		return sg, sg.Head(), true
-	}
-	if v, ok := s.GetVersion(ref); ok {
-		sg, ok := s.Get(v.GraphID)
-		if !ok {
-			return nil, nil, false
-		}
-		return sg, v, true
+	case isVersion:
+		return v.lineage, v, true
 	}
 	return nil, nil, false
 }
@@ -538,25 +490,30 @@ func (s *Store) Resolve(ref string) (*StoredGraph, *Version, bool) {
 // List returns all resident lineages sorted by ID (a stable order for
 // paged listings).
 func (s *Store) List() []*StoredGraph {
-	out := make([]*StoredGraph, 0, s.graphCount.Load())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, sg := range sh.graphs {
-			out = append(out, sg)
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	out := make([]*StoredGraph, 0, len(s.graphs))
+	for _, sg := range s.graphs {
+		out = append(out, sg)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Len returns the number of resident lineages (graphs, not versions).
-func (s *Store) Len() int { return int(s.graphCount.Load()) }
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.graphs)
+}
 
 // VersionTotal returns the number of resident versions across all
 // lineages — the quantity the MaxGraphs budget bounds.
-func (s *Store) VersionTotal() int { return int(s.count.Load()) }
+func (s *Store) VersionTotal() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.versions)
+}
 
 // Materialized returns the number of versions holding a CSR: at most two
 // per lineage, its root and its head.
