@@ -95,7 +95,7 @@ type BenchmarkInput = core.Input
 
 // RunRequest is the typed argument of Benchmark.Run and crono.Run: the
 // input plus thread count and per-kernel knobs (PageRank iterations,
-// COMM pass bound, SSSP_DIJK frontier band width).
+// COMM pass bound, SSSP_DIJK frontier bucket width).
 // Zero-valued knobs take kernel defaults.
 type RunRequest = core.Request
 
@@ -307,8 +307,9 @@ func BFSFrontier(pl Platform, g *Graph, source, threads int) (*BFSResult, error)
 }
 
 // SSSPFrontier runs single-source shortest paths with the frontier
-// strategy: delta-stepping-style bucketed fronts over a compact
-// worklist. Distances match SSSP exactly.
+// strategy: breadth-first rounds on a unit-weight graph, where delta has
+// no effect, and delta-stepping over per-thread bucket bins otherwise.
+// Distances match SSSP exactly.
 func SSSPFrontier(pl Platform, g *Graph, source, threads int, delta int32) (*SSSPResult, error) {
 	return core.SSSPFrontier(context.Background(), pl, g, source, threads, delta)
 }

@@ -95,16 +95,19 @@ type cancelKernel func(ctx context.Context, pl exec.Platform, threads int) (any,
 
 // barrierKernels lists every barrier-bearing kernel on an input small
 // enough to cancel at each of its polls: the scan and frontier kernels,
-// the batch and the two repairs.
+// the batch and the two repairs. The social input has unit weights, so
+// SSSP_DIJK's frontier strategy runs breadth-first rounds on it; the
+// road row runs its bucket rounds.
 func barrierKernels(t *testing.T) map[string]cancelKernel {
 	g := graph.Generate(graph.KindSocial, 512, 3)
-	byName := func(name string, strategy Strategy) cancelKernel {
+	road := graph.Generate(graph.KindRoadCA, 512, 3)
+	byName := func(name string, strategy Strategy, in Input) cancelKernel {
 		b, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
-			return b.Run(ctx, pl, Request{Input: Input{G: g}, Threads: threads, Strategy: strategy,
+			return b.Run(ctx, pl, Request{Input: in, Threads: threads, Strategy: strategy,
 				Iters: 3, MaxPasses: 3})
 		}
 	}
@@ -114,11 +117,13 @@ func barrierKernels(t *testing.T) map[string]cancelKernel {
 		},
 	}
 	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM", "TRI_CNT"} {
-		ks[name+".scan"] = byName(name, StrategyScan)
+		ks[name+".scan"] = byName(name, StrategyScan, Input{G: g})
 	}
 	for _, name := range []string{"BFS", "SSSP_DIJK", "CONN_COMP", "PageRank", "COMM"} {
-		ks[name+".frontier"] = byName(name, StrategyFrontier)
+		ks[name+".frontier"] = byName(name, StrategyFrontier, Input{G: g})
 	}
+	ks["SSSP_DIJK.frontier.road"] = byName("SSSP_DIJK", StrategyFrontier,
+		Input{G: road, Source: largestComponentSource(road)})
 	maps.Copy(ks, repairCases(t, 64))
 	return ks
 }

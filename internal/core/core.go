@@ -98,9 +98,10 @@ type Request struct {
 	// MaxPasses bounds Louvain passes (COMM; default
 	// DefaultCommunityPasses).
 	MaxPasses int
-	// Delta is the band width of SSSP_DIJK's frontier strategy. Zero
+	// Delta is the bucket width of SSSP_DIJK's frontier strategy. Zero
 	// means AutoSSSPDelta of the graph, which the kernel entry resolves
-	// because it depends on the input.
+	// because it depends on the input. It has no effect on a unit-weight
+	// graph, where the frontier strategy runs breadth-first rounds.
 	Delta int32
 	// Reorder, when non-nil, makes orderable kernels execute over the
 	// permuted CSR it carries (which must be a reordering of G) and

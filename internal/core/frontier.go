@@ -27,7 +27,6 @@ import (
 const (
 	ctrlContinue int32 = iota
 	ctrlDone
-	ctrlNewBand // SSSPFrontier only: band fixpoint reached, open the next
 )
 
 // worklist is the shared compact frontier. cur is rebuilt from the
@@ -99,11 +98,27 @@ func (w *worklist) frontier() []int32 { return w.cur }
 // push records a discovered vertex in tid's private buffer.
 func (w *worklist) push(tid int, v int32) { w.next[tid] = append(w.next[tid], v) }
 
+// adopt swaps *buf with thread t's push buffer. A kernel that keeps its
+// discoveries elsewhere lends one batch of them to the merge this way,
+// without copying: thread 0 adopts in decide, between the pushes and the
+// seal, and after endRound thread t adopts again to take its emptied
+// array back.
+func (w *worklist) adopt(t int, buf *[]int32) { w.next[t], *buf = *buf, w.next[t] }
+
+// pending returns the number of vertices pushed this round.
+func (w *worklist) pending() int {
+	total := 0
+	for _, b := range w.next {
+		total += len(b)
+	}
+	return total
+}
+
 // seal computes the per-thread copy offsets and installs a fresh (or
-// recycled) frontier array of the merged size, returning that size.
-// The outgoing array is kept as the recycle candidate for the next seal;
-// by then no thread references it.
-func (w *worklist) seal() int {
+// recycled) frontier array of the merged size. The outgoing array is
+// kept as the recycle candidate for the next seal; by then no thread
+// references it.
+func (w *worklist) seal() {
 	total := 0
 	for t := range w.next {
 		w.off[t] = total
@@ -116,7 +131,6 @@ func (w *worklist) seal() int {
 		w.cur = make([]int32, total)
 	}
 	w.spare = old
-	return total
 }
 
 // copyOut copies tid's buffer into its sealed slot of the shared
@@ -134,17 +148,22 @@ func (w *worklist) copyOut(ctx exec.Ctx, r exec.Region) {
 // and copyOut:
 //
 //	Barrier A — all pushes for the round are published
-//	tid 0:      seal, then decide(total) for the verdict
+//	tid 0:      decide(total) for the verdict (it may adopt), then seal
 //	Barrier B — offsets, the new frontier array and the verdict are published
 //	ctrlDone -> stop; any other verdict -> copyOut
 //	Barrier C — frontier contents are complete
 //
-// It returns the verdict; on ctrlDone the caller returns without touching
-// the worklist again.
+// total is the number of vertices pushed in the round. It returns the
+// verdict; on ctrlDone the caller returns without touching the worklist
+// again.
 func (w *worklist) endRound(ctx exec.Ctx, bar exec.Barrier, rFront exec.Region, decide func(total int) int32) int32 {
 	ctx.Barrier(bar)
 	if ctx.TID() == 0 {
-		atomic.StoreInt32(&w.ctrl, decide(w.seal()))
+		st := decide(w.pending())
+		if st != ctrlDone {
+			w.seal()
+		}
+		atomic.StoreInt32(&w.ctrl, st)
 	}
 	ctx.Barrier(bar)
 	st := atomic.LoadInt32(&w.ctrl)
@@ -283,20 +302,43 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 		return nil, err
 	}
 	k := s.bfsFrontier()
-	k.level = grow32(k.level, g.N, s.detached())
+	k.seedSource(g.N, src, threads, s)
+	return k.execute(goCtx, pl, g, threads, 0, s)
+}
+
+// seedSource readies k for a full run from src: src at level 0, every
+// other level unknown.
+func (k *bfsFrontierRun) seedSource(n, src, threads int, s *Scratch) {
+	k.level = grow32(k.level, n, s.detached())
 	for i := range k.level {
 		k.level[i] = -1
 	}
 	k.level[src] = 0
 	k.wl.reset(threads, int32(src))
-	return k.execute(goCtx, pl, g, threads, 0, s)
 }
 
-// execute runs the frontier BFS from the state the caller seeded: k.level
+// execute runs the frontier BFS from the state the caller seeded (see
+// traverse) and summarizes the levels into a result.
+func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*BFSResult, error) {
+	rep, err := k.traverse(goCtx, pl, g, threads, base, s)
+	if err != nil {
+		return nil, err
+	}
+	res, level := &k.res, k.level
+	if s.detached() {
+		res, k.level = &BFSResult{}, nil // the payload leaves with the result
+	}
+	visited, levels := bfsSummary(level)
+	*res = BFSResult{Level: level, Visited: visited, Levels: levels, Report: rep}
+	return res, nil
+}
+
+// traverse runs the frontier BFS from the state the caller seeded: k.level
 // holds every level known exact (-1 elsewhere) and k.wl the vertices at
 // level base. A full run seeds the source at level 0; a repair seeds the
-// last level its delta cannot have changed (BFSIncremental).
-func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*BFSResult, error) {
+// last level its delta cannot have changed (BFSIncremental). The levels
+// are left in k.level.
+func (k *bfsFrontierRun) traverse(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*exec.Report, error) {
 	n := g.N
 	k.g, k.threads, k.base = g, threads, base
 	k.reset(g, threads, k.wl.frontier())
@@ -311,18 +353,7 @@ func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *gra
 		k.body, k.decide = k.run, k.decideRound
 	}
 
-	rep, err := s.run(goCtx, pl, threads, k.body)
-	if err != nil {
-		return nil, err
-	}
-
-	res, level := &k.res, k.level
-	if s.detached() {
-		res, k.level = &BFSResult{}, nil // the payload leaves with the result
-	}
-	visited, levels := bfsSummary(level)
-	*res = BFSResult{Level: level, Visited: visited, Levels: levels, Report: rep}
-	return res, nil
+	return s.run(goCtx, pl, threads, k.body)
 }
 
 // bfsSummary derives a BFS result's summary fields from its final level

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"crono/internal/exec"
@@ -10,29 +11,31 @@ import (
 )
 
 // SSSPFrontier runs single-source shortest paths with the frontier
-// strategy: delta-stepping-style bucketed fronts over a compact worklist
-// of marked vertices. Each outer round opens a distance band
-// [gmin, gmin+delta); inner sweeps settle worklist members inside the
-// band to a fixed point (relaxations may re-mark vertices in the band),
-// while members beyond the band are carried in the worklist — never
-// rescanned from the full vertex range, which is what makes this
-// strategy win on road-class graphs where SSSP's scan formulation pays
-// O(n) per pareto front. Distances are exact, matching SSSP and
-// SSSPRef; only the schedule differs.
+// strategy. On a unit-weight graph (Weights == nil) a shortest path is a
+// breadth-first one, so it runs BFSFrontier's direction-optimizing rounds
+// and turns the levels into distances in place; delta plays no part.
+// On a weighted graph it is delta-stepping over per-thread bins, after
+// GAP: a relaxed vertex goes into its thread's bin dist/delta, a round
+// expands one bucket — the lowest non-empty bin over all threads,
+// gathered into the shared worklist — and each thread then keeps
+// draining its own part of that bucket without a barrier while the part
+// holds fewer than bucketFusion vertices. A vertex is expanded at most
+// once per distance it is queued with. Distances are exact, matching
+// SSSP and SSSPRef; only the schedule differs.
 func SSSPFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, delta int32) (*SSSPResult, error) {
 	return ssspFrontier(goCtx, pl, g, src, threads, delta, nil)
 }
 
-// fallbackDelta is AutoSSSPDelta's band width for a graph with no
+// fallbackDelta is AutoSSSPDelta's bucket width for a graph with no
 // edges to sample.
 const fallbackDelta = 32
 
-// AutoSSSPDelta is the band width SSSP_DIJK's frontier strategy uses
+// AutoSSSPDelta is the bucket width SSSP_DIJK's frontier strategy uses
 // when Request.Delta is unset: average edge weight times average degree,
-// the classic heuristic for balancing band population against wasted
-// re-relaxation (a band should admit roughly one hop's worth of distance
-// progress). Weights are sampled on an even stride capped at 1024 edges
-// so the estimate costs O(1) on large graphs.
+// the classic heuristic for balancing bucket population against wasted
+// re-relaxation (a bucket should admit roughly one hop's worth of
+// distance progress). Weights are sampled on an even stride capped at
+// 1024 edges so the estimate costs O(1) on large graphs.
 func AutoSSSPDelta(g *graph.CSR) int32 {
 	if g == nil || g.M() == 0 || g.N == 0 {
 		return fallbackDelta
@@ -59,26 +62,74 @@ func AutoSSSPDelta(g *graph.CSR) int32 {
 	return int32(d)
 }
 
-// ssspFrontierRun is the reusable state of one SSSPFrontier execution
-// (see bfsFrontierRun).
+const (
+	// bucketFusion is GAP's kBinSizeThreshold: after a round a thread
+	// expands its own bin of the current bucket again, with no barrier,
+	// while that bin holds fewer vertices than this.
+	bucketFusion = 1000
+	// ringBins is how many buckets, from the current one on, a thread's
+	// ring of bins covers. A vertex queued further ahead waits in the
+	// thread's far list until the ring reaches its bucket.
+	ringBins = 64
+	// noBucket is the bucket of nothing queued.
+	noBucket = math.MaxInt32
+)
+
+// ssspBins is one thread's queued vertices. ring[b%ringBins] holds the
+// vertices it queued in bucket b, for b from the current bucket up to
+// ringBins-1 ahead; far holds (vertex, bucket) pairs beyond that. Every
+// bin keeps its own array from run to run, so a warm run allocates
+// nothing.
+type ssspBins struct {
+	ring   [ringBins][]int32
+	far    []int32
+	farMin int32 // lowest bucket in far, noBucket when far is empty
+	next   int32 // lowest non-empty bucket, published for the verdict
+	relax  int64 // successful distance updates
+}
+
+// add queues v in bucket bk, which is at or after cur.
+func (b *ssspBins) add(v, bk, cur int32) {
+	if bk-cur < ringBins {
+		s := &b.ring[bk&(ringBins-1)]
+		*s = append(*s, v)
+		return
+	}
+	b.far = append(b.far, v, bk)
+	b.farMin = min(b.farMin, bk)
+}
+
+// lowest returns the lowest non-empty bucket from cur on, noBucket when
+// every bin is empty. Every far bucket lies beyond the ring.
+func (b *ssspBins) lowest(cur int32) int32 {
+	for i := int32(0); i < ringBins; i++ {
+		if len(b.ring[(cur+i)&(ringBins-1)]) > 0 {
+			return cur + i
+		}
+	}
+	return b.farMin
+}
+
+// ssspFrontierRun is the reusable state of one SSSPFrontier execution on
+// a weighted graph (see bfsFrontierRun).
 type ssspFrontierRun struct {
 	g       *graph.CSR
 	threads int
 	delta   int32
 	dist    []int32
-	exist   []int32 // 1 while the vertex is marked (in the worklist)
-	mins    []int32
-	changed []int32
-	relax   []int64
-	wl      worklist
-	ctrl    int32
-	rounds  int
-	bandEnd int32
+	// state packs each vertex's tentative distance (high half) with the
+	// bucket it is queued in, -1 when none (low half), so that one CAS
+	// both lowers the distance and queues the vertex.
+	state  []int64
+	bins   []ssspBins
+	wl     worklist
+	cur    int32 // the bucket of this round, thread 0 -> all
+	rounds int
 
-	rDist, rOff, rTgt, rWgt, rExist, rMins, rChg, rFront exec.Region
-	bar                                                  exec.Barrier
-	body                                                 func(exec.Ctx)
-	res                                                  SSSPResult
+	rState, rOff, rTgt, rWgt, rNext, rFront exec.Region
+	bar                                     exec.Barrier
+	body                                    func(exec.Ctx)
+	res                                     SSSPResult
 }
 
 // ssspFrontier is SSSPFrontier with an optional scratch workspace.
@@ -89,38 +140,38 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	if delta < 1 {
 		return nil, fmt.Errorf("core: delta %d < 1", delta)
 	}
+	if g.Weights == nil {
+		return ssspUnit(goCtx, pl, g, src, threads, s)
+	}
 	n := g.N
 	k := s.ssspFrontier()
 	k.g = g
 	k.threads = threads
 	k.delta = delta
-	k.dist = grow32(k.dist, n, s.detached())
-	for i := range k.dist {
-		k.dist[i] = graph.Inf
+	k.state = grow64(k.state, n, false)
+	for i := range k.state {
+		k.state[i] = packState(graph.Inf, -1)
 	}
-	k.dist[src] = 0
-	k.exist = grow32(k.exist, n, false)
-	for i := range k.exist {
-		k.exist[i] = 0
+	k.state[src] = packState(0, 0)
+	for len(k.bins) < threads {
+		k.bins = append(k.bins, ssspBins{})
 	}
-	k.exist[src] = 1
-	k.mins = grow32(k.mins, threads, false)
-	k.changed = grow32(k.changed, threads, false)
-	k.relax = grow64(k.relax, threads, false)
-	for t := 0; t < threads; t++ {
-		k.relax[t] = 0
+	k.bins = k.bins[:threads]
+	for t := range k.bins {
+		b := &k.bins[t]
+		for i := range b.ring {
+			b.ring[i] = b.ring[i][:0]
+		}
+		b.far, b.farMin, b.next, b.relax = b.far[:0], noBucket, noBucket, 0
 	}
-	k.rounds = 0
-	k.bandEnd = 0
-	k.ctrl = ctrlContinue
+	k.rounds = 1
+	k.cur = 0
 	k.wl.reset(threads, int32(src))
-	k.rDist = pl.Alloc("ssspf.dist", n, 4)
+	k.rState = pl.Alloc("ssspf.state", n, 8)
 	k.rOff = pl.Alloc("ssspf.offsets", n+1, 8)
 	k.rTgt = pl.Alloc("ssspf.targets", g.M(), 4)
 	k.rWgt = pl.Alloc("ssspf.weights", g.M(), 4)
-	k.rExist = pl.Alloc("ssspf.exist", n, 4)
-	k.rMins = pl.Alloc("ssspf.mins", threads, 4)
-	k.rChg = pl.Alloc("ssspf.changed", threads, 4)
+	k.rNext = pl.Alloc("ssspf.next", threads, 4)
 	k.rFront = pl.Alloc("ssspf.frontier", n, 4)
 	k.bar = s.barrierFor(pl, threads)
 	if k.body == nil {
@@ -133,8 +184,12 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	}
 
 	var total int64
-	for _, r := range k.relax {
-		total += r
+	for t := range k.bins {
+		total += k.bins[t].relax
+	}
+	k.dist = grow32(k.dist, n, s.detached())
+	for v, w := range k.state {
+		k.dist[v] = int32(w >> 32)
 	}
 	res, dist := &k.res, k.dist
 	if s.detached() {
@@ -144,118 +199,176 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	return res, nil
 }
 
-func (k *ssspFrontierRun) run(ctx exec.Ctx) {
-	g, dist, exist, mins, changed, relax := k.g, k.dist, k.exist, k.mins, k.changed, k.relax
-	wl, threads, delta := &k.wl, k.threads, k.delta
-	rDist, rOff, rTgt, rWgt := k.rDist, k.rOff, k.rTgt, k.rWgt
-	rExist, rMins, rChg, rFront, bar := k.rExist, k.rMins, k.rChg, k.rFront, k.bar
-	tid := ctx.TID()
-	// Round verdict: sweep the band again while any thread relaxed into
-	// it; at the band fixpoint, open the next band.
-	decide := func(int) int32 {
-		any := int32(0)
-		for t := 0; t < threads; t++ {
-			ctx.Load(rChg.At(t))
-			any |= changed[t]
-		}
-		if any == 0 {
-			return ctrlNewBand
-		}
-		return ctrlContinue
+// ssspUnit is SSSPFrontier on a unit-weight graph: the frontier BFS on
+// the scratch's BFS state, whose level array becomes the distances.
+// Relaxations counts the reached vertices but the source, each claimed
+// once, and Rounds the levels.
+func ssspUnit(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, s *Scratch) (*SSSPResult, error) {
+	k := s.bfsFrontier()
+	k.seedSource(g.N, src, threads, s)
+	rep, err := k.traverse(goCtx, pl, g, threads, 0, s)
+	if err != nil {
+		return nil, err
 	}
-	newBand := true
+	var res *SSSPResult
+	dist := k.level
+	if s.detached() {
+		res, k.level = &SSSPResult{}, nil // the payload leaves with the result
+	} else {
+		res = &s.ssspFrontier().res
+	}
+	reached, levels := bfsSummary(dist)
+	for v, l := range dist {
+		if l < 0 {
+			dist[v] = graph.Inf
+		}
+	}
+	*res = SSSPResult{Dist: dist, Relaxations: int64(reached - 1), Rounds: levels, Report: rep}
+	return res, nil
+}
+
+func (k *ssspFrontierRun) run(ctx exec.Ctx) {
+	wl, threads, tid := &k.wl, k.threads, ctx.TID()
+	b := &k.bins[tid]
+	decide := func(int) int32 { return k.pick(ctx) }
 	for {
+		cur := atomic.LoadInt32(&k.cur)
+		bin := &b.ring[cur&(ringBins-1)]
+		if b.next == cur {
+			// pick lent this bin to the merge, which has copied it into
+			// the frontier and emptied it: take it back.
+			wl.adopt(tid, bin)
+		}
+		if b.farMin-cur < ringBins {
+			k.rebin(ctx, b, cur)
+		}
 		f := wl.frontier()
 		lo, hi := chunk(tid, threads, len(f))
-		if newBand {
-			// Find the next band start: minimum tentative distance
-			// over the worklist (not over all n vertices).
-			local := graph.Inf
-			ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
-			for i := lo; i < hi; i++ {
-				v := int(f[i])
-				ctx.AtomicLoad(rDist.At(v))
-				ctx.Compute(1)
-				if d := atomic.LoadInt32(&dist[v]); d < local {
-					local = d
-				}
-			}
-			mins[tid] = local
-			ctx.Store(rMins.At(tid))
-			ctx.Barrier(bar)
-			if tid == 0 {
-				gmin := graph.Inf
-				for t := 0; t < threads; t++ {
-					ctx.Load(rMins.At(t))
-					if mins[t] < gmin {
-						gmin = mins[t]
-					}
-				}
-				st := ctrlDone
-				if gmin < graph.Inf {
-					st = ctrlContinue
-					k.rounds++
-					atomic.StoreInt32(&k.bandEnd, gmin+delta)
-				}
-				atomic.StoreInt32(&k.ctrl, st)
-			}
-			ctx.Barrier(bar)
-			if atomic.LoadInt32(&k.ctrl) != ctrlContinue {
-				return
-			}
-			newBand = false
-		}
-		end := atomic.LoadInt32(&k.bandEnd)
-		// Band sweep: settle and expand worklist members inside the
-		// band; carry the rest to the next round unprocessed.
-		changed[tid] = 0
-		settled, marked := 0, 0
-		ctx.LoadSpan(rFront.At(lo), hi-lo, 4)
+		ctx.LoadSpan(k.rFront.At(lo), hi-lo, 4)
+		taken, queued := hi-lo, 0
 		for i := lo; i < hi; i++ {
-			v := int(f[i])
-			ctx.AtomicLoad(rDist.At(v))
-			ctx.Compute(1)
-			dv := atomic.LoadInt32(&dist[v])
-			if dv >= end {
-				wl.push(tid, int32(v))
-				continue
+			queued += k.expand(ctx, b, f[i], cur)
+		}
+		// Bucket fusion: what this thread queued in the current bucket
+		// is its own, so it expands a small bin at once, in place,
+		// instead of paying a round of barriers for it. A bin that has
+		// grown past bucketFusion waits for the next round.
+		done := 0
+		for len(*bin)-done > 0 && len(*bin)-done < bucketFusion {
+			end := len(*bin)
+			for i := done; i < end; i++ {
+				queued += k.expand(ctx, b, (*bin)[i], cur)
 			}
-			atomic.StoreInt32(&exist[v], 0)
-			ctx.AtomicStore(rExist.At(v))
-			settled++
-			ctx.Load(rOff.At(v))
-			ts, ws := g.Neighbors(v)
-			ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
-			ctx.LoadSpan(rWgt.At(int(g.Offsets[v])), len(ts), 4)
-			for e, u := range ts {
-				nd := dv + ws[e]
-				ctx.AtomicLoad(rDist.At(int(u)))
-				ctx.Compute(1)
-				// Lock-free CAS-min relaxation replaces the scan
-				// kernel's racy-read-then-locked-recheck.
-				for {
-					old := atomic.LoadInt32(&dist[u])
-					if nd >= old {
-						break
-					}
-					if atomic.CompareAndSwapInt32(&dist[u], old, nd) {
-						ctx.AtomicRMW(rDist.At(int(u)))
-						relax[tid]++
-						if atomic.CompareAndSwapInt32(&exist[u], 0, 1) {
-							ctx.AtomicRMW(rExist.At(int(u)))
-							marked++
-							wl.push(tid, u)
-						}
-						if nd < end {
-							changed[tid] = 1
-						}
-						break
-					}
+			taken += end - done
+			done = end
+		}
+		*bin = (*bin)[:copy(*bin, (*bin)[done:])]
+		b.next = b.lowest(cur)
+		ctx.Store(k.rNext.At(tid))
+		ctx.Active(queued - taken)
+		if wl.endRound(ctx, k.bar, k.rFront, decide) == ctrlDone {
+			return
+		}
+	}
+}
+
+// pick is the round verdict, run by thread 0 in endRound: the next
+// bucket is the lowest non-empty one over every thread's bins, and each
+// thread lends its bin of it to the merge as its part of the next
+// frontier (run takes the emptied bin back). Done when nothing is
+// queued.
+func (k *ssspFrontierRun) pick(ctx exec.Ctx) int32 {
+	next := int32(noBucket)
+	for t := range k.bins {
+		ctx.Load(k.rNext.At(t))
+		next = min(next, k.bins[t].next)
+	}
+	if next == noBucket {
+		return ctrlDone
+	}
+	k.rounds++
+	atomic.StoreInt32(&k.cur, next)
+	for t := range k.bins {
+		if b := &k.bins[t]; b.next == next {
+			k.wl.adopt(t, &b.ring[next&(ringBins-1)])
+		}
+	}
+	return ctrlContinue
+}
+
+// rebin moves the far entries the ring now reaches into it and drops the
+// stale ones: a vertex queued in a lower bucket since, and expanded there.
+func (k *ssspFrontierRun) rebin(ctx exec.Ctx, b *ssspBins, cur int32) {
+	far := b.far
+	b.far, b.farMin = b.far[:0], noBucket
+	for i := 0; i < len(far); i += 2 {
+		v, bk := far[i], far[i+1]
+		ctx.AtomicLoad(k.rState.At(int(v)))
+		ctx.Compute(1)
+		if int32(atomic.LoadInt64(&k.state[v])) == bk {
+			b.add(v, bk, cur)
+		}
+	}
+}
+
+// packState is the state word of distance d, queued in bucket q.
+func packState(d, q int32) int64 { return int64(d)<<32 | int64(uint32(q)) }
+
+// expand settles v, taken from bucket cur, and relaxes its out-edges,
+// queueing each improved neighbor in the bucket of its new distance. It
+// returns the number of vertices it queued. An entry whose vertex is no
+// longer queued in cur is stale — the vertex moved to a lower bucket, or
+// was expanded after its last improvement — and costs only the check.
+func (k *ssspFrontierRun) expand(ctx exec.Ctx, b *ssspBins, v, cur int32) int {
+	g, state, delta := k.g, k.state, k.delta
+	// Unqueue v and read its distance in one step: an improvement that
+	// lands later finds v unqueued and queues it again.
+	ctx.AtomicRMW(k.rState.At(int(v)))
+	ctx.Compute(1)
+	var dv int32
+	for {
+		w := atomic.LoadInt64(&state[v])
+		if int32(w) != cur {
+			return 0
+		}
+		if atomic.CompareAndSwapInt64(&state[v], w, w|0xffffffff) {
+			dv = int32(w >> 32)
+			break
+		}
+	}
+	ctx.Load(k.rOff.At(int(v)))
+	ts, ws := g.Neighbors(int(v))
+	ctx.LoadSpan(k.rTgt.At(int(g.Offsets[v])), len(ts), 4)
+	ctx.LoadSpan(k.rWgt.At(int(g.Offsets[v])), len(ts), 4)
+	n := 0
+	for e, u := range ts {
+		nd := dv + ws[e]
+		ctx.AtomicLoad(k.rState.At(int(u)))
+		ctx.Compute(1)
+		// Lock-free CAS-min relaxation replaces the scan kernel's
+		// racy-read-then-locked-recheck. u joins bucket nd/delta unless
+		// it is queued in that bucket or a lower one already: that entry
+		// expands it at whatever distance it has by then.
+		for {
+			w := atomic.LoadInt64(&state[u])
+			if nd >= int32(w>>32) {
+				break
+			}
+			bk, q := nd/delta, int32(w)
+			queue := q < 0 || q > bk
+			if queue {
+				q = bk
+			}
+			if atomic.CompareAndSwapInt64(&state[u], w, packState(nd, q)) {
+				ctx.AtomicRMW(k.rState.At(int(u)))
+				b.relax++
+				if queue {
+					b.add(u, bk, cur)
+					n++
 				}
+				break
 			}
 		}
-		ctx.Active(marked - settled)
-		ctx.Store(rChg.At(tid))
-		newBand = wl.endRound(ctx, bar, rFront, decide) == ctrlNewBand
 	}
+	return n
 }

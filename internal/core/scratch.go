@@ -26,7 +26,7 @@ import (
 //   - With DetachResults set (the serving mode), result-bearing arrays
 //     (levels, distances, labels, ranks) and result structs are freshly
 //     allocated per run — safe to cache indefinitely — while the
-//     internal buffers (worklists, marks, band minima, contributions)
+//     internal buffers (worklists, marks, bucket bins, contributions)
 //     still come from the scratch. The scratch keeps no reference to a
 //     returned array, so a pooled scratch never pins a payload its
 //     caller has dropped.

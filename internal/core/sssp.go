@@ -15,7 +15,9 @@ type SSSPResult struct {
 	Dist []int32
 	// Relaxations counts successful distance updates.
 	Relaxations int64
-	// Rounds is the number of pareto fronts opened.
+	// Rounds is the number of pareto fronts opened: by the scan, one
+	// per front; by the frontier strategy, one per bucket round (per
+	// BFS level on a unit-weight graph).
 	Rounds int
 	// Report is the platform run report.
 	Report *exec.Report

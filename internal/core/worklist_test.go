@@ -69,18 +69,10 @@ func TestWorklistRecycleProperty(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					wl.push(tid, int32((r+1)<<16|i))
 				}
-				// decide runs on thread 0 between seal and the copy phase.
+				// decide runs on thread 0 before the seal.
 				decide := func(total int) int32 {
 					if total != want {
 						ok = false
-					}
-					// Invariant 1: live frontier f was just retired to
-					// spare; the installed array must be a different one.
-					if len(f) > 0 && len(wl.cur) > 0 && &wl.cur[0] == &f[0] {
-						ok = false
-					}
-					if len(f) > 0 && (len(wl.spare) == 0 || &wl.spare[0] != &f[0]) {
-						ok = false // retired array should be the recycle candidate
 					}
 					return ctrlContinue
 				}
@@ -88,8 +80,16 @@ func TestWorklistRecycleProperty(t *testing.T) {
 					return
 				}
 				if tid == 0 {
-					// Invariant 2: merged contents in tid order.
 					nf := wl.frontier()
+					// Invariant 1: live frontier f was retired to spare;
+					// the installed array must be a different one.
+					if len(f) > 0 && len(nf) > 0 && &nf[0] == &f[0] {
+						ok = false
+					}
+					if len(f) > 0 && (len(wl.spare) == 0 || &wl.spare[0] != &f[0]) {
+						ok = false // retired array should be the recycle candidate
+					}
+					// Invariant 2: merged contents in tid order.
 					if len(nf) != want {
 						ok = false
 					}

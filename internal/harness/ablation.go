@@ -255,7 +255,7 @@ func RunAblationFormulation(cfg *Config) error {
 		100*pull.Breakdown.Fractions()[exec.CompSync],
 		float64(push.Time)/float64(pull.Time))
 
-	// Both SSSP rows run the frontier kernel, so only the band width
+	// Both SSSP rows run the frontier kernel, so only the bucket width
 	// changes: with integer weights, delta=1 settles exact pareto fronts.
 	ps := cfg.bestThreads("SSSP_DIJK")
 	ssspRun := func(delta int32) (*core.SSSPResult, error) {

@@ -41,9 +41,6 @@ func (p *Platform) Name() string { return "racecheck" }
 // and sorted for stable output.
 func (p *Platform) Races() []Race { return resolveRaces(p.det.races, p.table) }
 
-// Table exposes the region table (for diagnostics).
-func (p *Platform) Table() *exec.RegionTable { return p.table }
-
 // Alloc implements exec.Platform with a line-aligned bump allocator and
 // registers the region for address-to-name resolution in reports.
 func (p *Platform) Alloc(name string, elems, elemSize int) exec.Region {

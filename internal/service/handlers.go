@@ -158,8 +158,9 @@ type runRequest struct {
 	Iters int `json:"iters,omitempty"`
 	// MaxPasses bounds COMM move sweeps (0 = kernel default).
 	MaxPasses int `json:"maxPasses,omitempty"`
-	// Delta is the band width of SSSP_DIJK's frontier strategy (0 =
-	// AutoSSSPDelta of the graph).
+	// Delta is the bucket width of SSSP_DIJK's frontier strategy (0 =
+	// AutoSSSPDelta of the graph). It has no effect on a unit-weight
+	// graph.
 	Delta int32 `json:"delta,omitempty"`
 	// Cities and Seed parametrize TSP, which takes no graph.
 	Cities int   `json:"cities,omitempty"`
@@ -716,7 +717,7 @@ func (s *Server) runOne(p *pending) runOut {
 		creq.Reorder = ro
 	}
 	// Native runs borrow a pooled scratch in serving mode: internal kernel
-	// buffers (worklists, marks, band minima) are reused across requests
+	// buffers (worklists, marks, bucket bins) are reused across requests
 	// while result-bearing arrays are freshly allocated and left behind by
 	// the scratch, so a repair seed never aliases pooled memory and a
 	// pooled scratch never pins a payload.

@@ -246,7 +246,7 @@ func (s *Server) newMetrics() *serverMetrics {
 			"root and head.",
 		func() float64 { return float64(s.store.Materialized()) })
 	reg.GaugeFunc("crono_cache_entries",
-		"Completed results resident in the LRU cache.",
+		"Completed results resident in the segmented LRU cache.",
 		func() float64 { return float64(s.cache.Len()) })
 	// Runtime gauges back the stress harness's leak assertions: goroutine
 	// and heap growth after a drained chaos run indicate a leak in the
