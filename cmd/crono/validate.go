@@ -12,8 +12,13 @@ import (
 	"crono/internal/graph"
 )
 
-// validate self-checks the suite: every kernel runs on randomized inputs
-// on both platforms and its output is compared against the sequential
+// twoStrategies names the kernels with a frontier execution beside the
+// scan one; validate checks both.
+var twoStrategies = map[string]bool{"SSSP_DIJK": true, "BFS": true, "CONN_COMP": true, "PageRank": true, "COMM": true}
+
+// validate self-checks the suite: every kernel runs through
+// Benchmark.Run, under each strategy it has, on randomized inputs on
+// both platforms, and its output is compared against the sequential
 // oracle. It fails unless every check passes.
 func validate(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("crono validate", stderr)
@@ -26,6 +31,7 @@ func validate(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	ctx := context.Background()
+	suite := core.Suite()
 
 	failures := 0
 	fail := func(format string, args ...any) {
@@ -62,64 +68,60 @@ func validate(args []string, stdout, stderr io.Writer) error {
 			fail("trial=%d %s on %s (n=%d p=%d): %s", trial, name, plName, n, threads, detail)
 		}
 
-		if res, err := core.SSSP(ctx, pl, g, 0, threads); err != nil {
-			check("SSSP", false, err.Error())
-		} else {
-			check("SSSP", slices.Equal(res.Dist, core.SSSPRef(g, 0)), "distances diverge")
-		}
-		if res, err := core.BFS(ctx, pl, g, 0, threads); err != nil {
-			check("BFS", false, err.Error())
-		} else {
-			check("BFS", slices.Equal(res.Level, core.BFSRef(g, 0)), "levels diverge")
-		}
-		if res, err := core.DFS(ctx, pl, g, 0, threads); err != nil {
-			check("DFS", false, err.Error())
-		} else {
-			check("DFS", slices.Equal(res.Visited, core.DFSRef(g, 0)), "reachability diverges")
-		}
-		if res, err := core.APSP(ctx, pl, d, threads); err != nil {
-			check("APSP", false, err.Error())
-		} else {
-			check("APSP", slices.Equal(res.Dist, core.FloydWarshallRef(d)), "matrix diverges")
-		}
-		if res, err := core.Betweenness(ctx, pl, d, threads); err != nil {
-			check("BETW_CENT", false, err.Error())
-		} else {
-			check("BETW_CENT", slices.Equal(res.Centrality, core.BetweennessRef(d)), "centralities diverge")
-		}
-		if res, err := core.TSP(ctx, pl, cities, threads); err != nil {
-			check("TSP", false, err.Error())
-		} else {
-			check("TSP", res.Cost == core.TSPRef(cities), "tour not optimal")
-		}
-		if res, err := core.ConnectedComponents(ctx, pl, g, threads); err != nil {
-			check("CONN_COMP", false, err.Error())
-		} else {
-			check("CONN_COMP", slices.Equal(res.Labels, core.ComponentsRef(g)), "labels diverge")
-		}
-		if res, err := core.TriangleCount(ctx, pl, g, threads); err != nil {
-			check("TRI_CNT", false, err.Error())
-		} else {
-			check("TRI_CNT", res.Total == core.TriangleCountRef(g), "counts diverge")
-		}
-		if res, err := core.PageRank(ctx, pl, g, threads, 6); err != nil {
-			check("PageRank", false, err.Error())
-		} else {
-			check("PageRank", closeFloat(res.Ranks, core.PageRankRef(g, 6)), "ranks diverge")
-		}
-		if res, err := core.Community(ctx, pl, g, threads, 6); err != nil {
-			check("COMM", false, err.Error())
-		} else {
-			ok := res.Modularity >= -0.5 && res.Modularity <= 1
-			check("COMM", ok, fmt.Sprintf("modularity %g out of bounds", res.Modularity))
+		req := core.Request{Input: core.Input{G: g, D: d, Cities: cities}, Threads: threads, Iters: 6, MaxPasses: 6}
+		for _, b := range suite {
+			strategies := []core.Strategy{core.StrategyScan}
+			if twoStrategies[b.Name] {
+				strategies = append(strategies, core.StrategyFrontier)
+			}
+			for _, st := range strategies {
+				req.Strategy = st
+				name := b.Name + "/" + string(req.Strategy)
+				res, err := b.Run(ctx, pl, req)
+				if err != nil {
+					check(name, false, err.Error())
+					continue
+				}
+				ok, detail := agrees(b.Name, res, req)
+				check(name, ok, detail)
+			}
 		}
 	}
 
 	if failures > 0 {
 		return fmt.Errorf("%d failures", failures)
 	}
-	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x 10 kernels)\n", *trials)
+	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x %d kernel runs)\n", *trials, len(suite)+len(twoStrategies))
 	return nil
+}
+
+// agrees checks a kernel's Run result against its sequential oracle on
+// the same request.
+func agrees(kernel string, res *core.Result, req core.Request) (bool, string) {
+	switch kernel {
+	case "SSSP_DIJK":
+		return slices.Equal(res.SSSP.Dist, core.SSSPRef(req.G, req.Source)), "distances diverge"
+	case "BFS":
+		return slices.Equal(res.BFS.Level, core.BFSRef(req.G, req.Source)), "levels diverge"
+	case "DFS":
+		return slices.Equal(res.DFS.Visited, core.DFSRef(req.G, req.Source)), "reachability diverges"
+	case "APSP":
+		return slices.Equal(res.APSP.Dist, core.FloydWarshallRef(req.D)), "matrix diverges"
+	case "BETW_CENT":
+		return slices.Equal(res.Betweenness.Centrality, core.BetweennessRef(req.D)), "centralities diverge"
+	case "TSP":
+		return res.TSP.Cost == core.TSPRef(req.Cities), "tour not optimal"
+	case "CONN_COMP":
+		return slices.Equal(res.Components.Labels, core.ComponentsRef(req.G)), "labels diverge"
+	case "TRI_CNT":
+		return res.Triangles.Total == core.TriangleCountRef(req.G), "counts diverge"
+	case "PageRank":
+		return closeFloat(res.PageRank.Ranks, core.PageRankRef(req.G, req.Iters)), "ranks diverge"
+	case "COMM":
+		q := res.Community.Modularity
+		return q >= -0.5 && q <= 1, fmt.Sprintf("modularity %g out of bounds", q)
+	}
+	return false, "no oracle"
 }
 
 func closeFloat(a, b []float64) bool {

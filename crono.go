@@ -14,8 +14,8 @@
 //     ACKWise-4 MESI directory, 2-D mesh NoC, 11 nm energy model);
 //   - synthetic input generators standing in for the paper's GTgraph and
 //     SNAP graphs;
-//   - an experiment harness regenerating every table and figure of the
-//     paper's evaluation section.
+//   - an experiment harness, run as `crono experiments`, regenerating
+//     every table and figure of the paper's evaluation section.
 //
 // Quick start:
 //
@@ -37,7 +37,6 @@ import (
 	"crono/internal/core"
 	"crono/internal/exec"
 	"crono/internal/graph"
-	"crono/internal/harness"
 	"crono/internal/native"
 	"crono/internal/service"
 	"crono/internal/sim"
@@ -203,14 +202,6 @@ func GenerateGraph(kind GraphKind, n int, seed int64) *Graph {
 	return graph.Generate(kind, n, seed)
 }
 
-// GenerateCities builds a TSP instance of n cities with Euclidean
-// distances.
-func GenerateCities(n int, seed int64) *Dense { return graph.Cities(n, seed) }
-
-// DenseFromGraph converts a CSR graph to the adjacency-matrix form that
-// APSP and Betweenness consume.
-func DenseFromGraph(g *Graph) *Dense { return graph.DenseFromCSR(g) }
-
 // ReadGraph parses a SNAP-style edge list.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, graph.MaxN) }
 
@@ -223,23 +214,14 @@ func ReadMatrixMarket(r io.Reader) (*Graph, error) { return graph.ReadMatrixMark
 // WriteMatrixMarket writes a MatrixMarket coordinate integer matrix.
 func WriteMatrixMarket(w io.Writer, g *Graph) error { return graph.WriteMatrixMarket(w, g) }
 
-// ReadMETIS parses a METIS graph file.
-func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r, graph.MaxN) }
-
-// WriteMETIS writes a symmetric graph in METIS format.
-func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
-
 // Suite returns the ten benchmarks in paper order.
 func Suite() []Benchmark { return core.Suite() }
 
-// BenchmarkByName finds a benchmark by its paper identifier
-// (e.g. "SSSP_DIJK") or a variant identifier (e.g. "BETW_BRANDES").
-func BenchmarkByName(name string) (Benchmark, error) { return core.ByName(name) }
-
 // Run executes a kernel by name under ctx. Canceling ctx (or exceeding
 // its deadline) aborts the run at the kernel's next phase boundary;
-// partial results are discarded and ctx.Err() is returned. The
-// per-kernel wrappers below are the never-canceled equivalents.
+// partial results are discarded and ctx.Err() is returned. Strategy in
+// req picks the execution of the kernels that have two. The per-kernel
+// wrappers below are the never-canceled scan equivalents.
 func Run(ctx context.Context, pl Platform, kernel string, req RunRequest) (*RunResult, error) {
 	b, err := core.ByName(kernel)
 	if err != nil {
@@ -299,49 +281,16 @@ func Community(pl Platform, g *Graph, threads, maxPasses int) (*CommunityResult,
 }
 
 // BFSFrontier runs breadth-first search with the frontier strategy:
-// push rounds over a compact worklist with CAS claims, switching to pull
-// rounds over the in-edge CSR while the frontier is dense. Levels match
-// BFS exactly.
+// Run's BFS with StrategyFrontier, never canceled. Levels match BFS
+// exactly.
 func BFSFrontier(pl Platform, g *Graph, source, threads int) (*BFSResult, error) {
-	return core.BFSFrontier(context.Background(), pl, g, source, threads)
-}
-
-// SSSPFrontier runs single-source shortest paths with the frontier
-// strategy: breadth-first rounds on a unit-weight graph, where delta has
-// no effect, and delta-stepping over per-thread bucket bins otherwise.
-// Distances match SSSP exactly.
-func SSSPFrontier(pl Platform, g *Graph, source, threads int, delta int32) (*SSSPResult, error) {
-	return core.SSSPFrontier(context.Background(), pl, g, source, threads, delta)
-}
-
-// ComponentsFrontier runs connected components with the frontier
-// strategy, Afforest: lock-free min-hooking union-find, two
-// neighbor-sampling rounds, and sampled short-circuiting of the giant
-// component so most vertices' remaining edges are never inspected.
-// Labels match ConnectedComponents exactly.
-func ComponentsFrontier(pl Platform, g *Graph, threads int) (*ComponentsResult, error) {
-	return core.ComponentsFrontier(context.Background(), pl, g, threads)
-}
-
-// CommunityFrontier runs Louvain community detection with the frontier
-// strategy (worklist of still-active vertices).
-func CommunityFrontier(pl Platform, g *Graph, threads, maxPasses int) (*CommunityResult, error) {
-	return core.CommunityFrontier(context.Background(), pl, g, threads, maxPasses)
-}
-
-// BrandesResult carries exact unweighted betweenness centralities.
-type BrandesResult = core.BrandesResult
-
-// BetweennessBrandes computes exact unweighted betweenness centrality
-// with the work-efficient Brandes algorithm (sources by vertex capture).
-func BetweennessBrandes(pl Platform, g *Graph, threads int) (*BrandesResult, error) {
-	return core.BetweennessBrandes(context.Background(), pl, g, threads)
-}
-
-// PageRankPull runs Equation (1) PageRank in pull form over the in-edge
-// CSR, eliminating the per-edge atomic locks of the push formulation.
-func PageRankPull(pl Platform, g *Graph, threads, iters int) (*PageRankResult, error) {
-	return core.PageRankPull(context.Background(), pl, g, threads, iters)
+	res, err := Run(context.Background(), pl, "BFS", RunRequest{
+		Input: BenchmarkInput{G: g, Source: source}, Threads: threads, Strategy: StrategyFrontier,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.BFS, nil
 }
 
 // BFSBatchResult carries one full BFS payload per source of a batched
@@ -367,34 +316,15 @@ func Modularity(g *Graph, community []int32) float64 { return core.Modularity(g,
 // the dynamic-graph unit of change. Canonicalize before use.
 type EdgeDelta = graph.EdgeDelta
 
-// ErrNoIncremental reports that a kernel has no incremental form for the
-// given delta (e.g. connected components with deletes); callers fall back
-// to a full recompute.
-var ErrNoIncremental = core.ErrNoIncremental
-
 // ApplyDelta materializes the graph a canonical delta produces from base:
 // one linear merge pass, base untouched (copy-on-write).
 func ApplyDelta(base *Graph, d *EdgeDelta) *Graph { return graph.ApplyDelta(base, d) }
-
-// LineageFingerprint chains a parent version fingerprint with a delta
-// fingerprint into the child version's fingerprint. Non-commutative:
-// the same patches in a different order yield different versions.
-func LineageFingerprint(parent, delta uint64) uint64 {
-	return graph.LineageFingerprint(parent, delta)
-}
 
 // BFSIncremental repairs a BFS result after a graph mutation: g is the
 // post-delta graph, oldLevel the pre-delta levels. Bit-identical to a
 // full recompute at a fraction of the work when the delta is small.
 func BFSIncremental(pl Platform, g *Graph, source, threads int, oldLevel []int32, d *EdgeDelta) (*BFSResult, error) {
 	return core.BFSIncremental(context.Background(), pl, g, source, threads, oldLevel, d)
-}
-
-// ComponentsIncremental repairs a connected-components result after an
-// insert-only mutation (deletes return ErrNoIncremental). Labels are
-// bit-identical to a full frontier recompute.
-func ComponentsIncremental(pl Platform, g *Graph, threads int, oldLabels []int32, d *EdgeDelta) (*ComponentsResult, error) {
-	return core.ComponentsIncremental(context.Background(), pl, g, threads, oldLabels, d)
 }
 
 // Server is the graph-analytics HTTP service: a versioned graph store, a
@@ -413,21 +343,3 @@ func DefaultServeConfig() ServeConfig { return service.DefaultConfig() }
 // NewServer builds the graph-analytics service from cfg; zero-valued
 // fields are defaulted.
 func NewServer(cfg ServeConfig) *Server { return service.New(cfg) }
-
-// Experiment regenerates one of the paper's tables or figures.
-type Experiment = harness.Experiment
-
-// ExperimentConfig parametrizes experiment runs.
-type ExperimentConfig = harness.Config
-
-// Experiments lists every regenerable table and figure.
-func Experiments() []Experiment { return harness.All() }
-
-// ExperimentByID finds an experiment (e.g. "fig1", "tab4").
-func ExperimentByID(id string) (Experiment, error) { return harness.ByID(id) }
-
-// DefaultExperimentConfig returns the standard experiment configuration
-// writing to out.
-func DefaultExperimentConfig(out io.Writer) *ExperimentConfig {
-	return harness.DefaultConfig(out)
-}

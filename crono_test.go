@@ -3,8 +3,9 @@ package crono
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
+
+	"crono/internal/graph"
 )
 
 func TestFacadeEndToEndNative(t *testing.T) {
@@ -45,10 +46,13 @@ func TestFacadeEndToEndSimulator(t *testing.T) {
 }
 
 func TestFacadeAllKernels(t *testing.T) {
+	if len(Suite()) != 10 {
+		t.Fatalf("suite size %d", len(Suite()))
+	}
 	pl := NewNative()
 	g := GenerateGraph(GraphSparse, 200, 1)
-	d := DenseFromGraph(GenerateGraph(GraphSparse, 40, 2))
-	cities := GenerateCities(7, 3)
+	d := graph.DenseFromCSR(GenerateGraph(GraphSparse, 40, 2))
+	cities := graph.Cities(7, 3)
 
 	if _, err := APSP(pl, d, 2); err != nil {
 		t.Fatal(err)
@@ -96,30 +100,6 @@ func TestFacadeGraphIO(t *testing.T) {
 	}
 }
 
-func TestFacadeSuiteAndExperiments(t *testing.T) {
-	if len(Suite()) != 10 {
-		t.Fatalf("suite size %d", len(Suite()))
-	}
-	if _, err := BenchmarkByName("TSP"); err != nil {
-		t.Fatal(err)
-	}
-	if len(Experiments()) < 13 {
-		t.Fatalf("experiments %d", len(Experiments()))
-	}
-	e, err := ExperimentByID("tab1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cfg := DefaultExperimentConfig(&buf)
-	if err := e.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SSSP_DIJK") {
-		t.Fatal("tab1 output incomplete")
-	}
-}
-
 func TestFacadeVariants(t *testing.T) {
 	pl := NewNative()
 	g := GenerateGraph(GraphSparse, 300, 4)
@@ -128,31 +108,32 @@ func TestFacadeVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := SSSPFrontier(pl, g, 0, 2, 50)
+	wide, err := Run(context.Background(), pl, "SSSP_DIJK", RunRequest{
+		Input: BenchmarkInput{G: g}, Threads: 2, Strategy: StrategyFrontier, Delta: 50,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range exact.Dist {
-		if exact.Dist[v] != wide.Dist[v] {
+		if exact.Dist[v] != wide.SSSP.Dist[v] {
 			t.Fatalf("delta-stepping diverges at %d", v)
 		}
 	}
 
-	if _, err := BetweennessBrandes(pl, g, 2); err != nil {
-		t.Fatal(err)
-	}
 	push, err := PageRank(pl, g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pull, err := PageRankPull(pl, g, 2, 5)
+	pull, err := Run(context.Background(), pl, "PageRank", RunRequest{
+		Input: BenchmarkInput{G: g}, Threads: 2, Strategy: StrategyFrontier, Iters: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := range push.Ranks {
-		d := push.Ranks[v] - pull.Ranks[v]
+		d := push.Ranks[v] - pull.PageRank.Ranks[v]
 		if d > 1e-9 || d < -1e-9 {
-			t.Fatalf("push/pull diverge at %d: %g vs %g", v, push.Ranks[v], pull.Ranks[v])
+			t.Fatalf("push/pull diverge at %d: %g vs %g", v, push.Ranks[v], pull.PageRank.Ranks[v])
 		}
 	}
 }

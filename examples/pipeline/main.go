@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -66,7 +67,9 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			r, err := crono.PageRankPull(m, gr, 64, 5)
+			r, err := crono.Run(context.Background(), m, "PageRank", crono.RunRequest{
+				Input: crono.BenchmarkInput{G: gr}, Threads: 64, Strategy: crono.StrategyFrontier, Iters: 5,
+			})
 			if err != nil {
 				return nil, err
 			}

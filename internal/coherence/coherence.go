@@ -323,9 +323,6 @@ func (s *Sharded) Stripe(line uint64) *Dir { return s.stripes[line%uint64(len(s.
 // StripeAt returns stripe i directly (diagnostics and tests).
 func (s *Sharded) StripeAt(i int) *Dir { return s.stripes[i] }
 
-// Stripes returns the stripe count.
-func (s *Sharded) Stripes() int { return len(s.stripes) }
-
 // Entries sums live directory entries across stripes. The caller must
 // quiesce concurrent mutators first.
 func (s *Sharded) Entries() int {

@@ -206,7 +206,7 @@ func midFlightCases(t *testing.T) map[string]func(context.Context) (any, error) 
 			return BFSBatch(ctx, native.New(), path, []int{0, 1, 2}, 4)
 		},
 		"COMM": func(ctx context.Context) (any, error) {
-			return CommunityFrontier(ctx, native.New(), graph.Generate(graph.KindSocial, 600, 5), 4, 1_000_000)
+			return communityFrontier(ctx, native.New(), graph.Generate(graph.KindSocial, 600, 5), 4, 1_000_000)
 		},
 	}
 	for name, k := range repairCases(t, 400) {

@@ -122,23 +122,7 @@ const (
 	afforestSampleSize     = 1024
 )
 
-// ComponentsFrontier runs connected components with the frontier
-// strategy: lock-free union-find with Afforest's sampled short-circuit.
-// Phase 1 links the first afforestNeighborRounds out-edges of every
-// vertex — enough to capture the giant component on real-world degree
-// distributions. Thread 0 then samples vertex roots at a fixed stride and
-// picks the most frequent component. Phase 2 finishes only the vertices
-// outside it, linking their remaining out-edges and all their in-edges
-// (via the cached transpose), so edges whose tail landed in the giant
-// component are still observed from the other endpoint on directed
-// inputs. Hooking always points the larger root at the smaller, so after
-// final compression every label is the minimum vertex id of its
-// component — bit-identical to ConnectedComponents and ComponentsRef.
-func ComponentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int) (*ComponentsResult, error) {
-	return componentsFrontier(goCtx, pl, g, threads, nil)
-}
-
-// afforestRun is the reusable state of one ComponentsFrontier execution
+// afforestRun is the reusable state of one componentsFrontier execution
 // (see bfsFrontierRun).
 type afforestRun struct {
 	g, in   *graph.CSR
@@ -154,8 +138,18 @@ type afforestRun struct {
 	res                              ComponentsResult
 }
 
-// componentsFrontier is ComponentsFrontier with an optional scratch
-// workspace.
+// componentsFrontier runs connected components with the frontier
+// strategy: lock-free union-find with Afforest's sampled short-circuit.
+// Phase 1 links the first afforestNeighborRounds out-edges of every
+// vertex — enough to capture the giant component on real-world degree
+// distributions. Thread 0 then samples vertex roots at a fixed stride and
+// picks the most frequent component. Phase 2 finishes only the vertices
+// outside it, linking their remaining out-edges and all their in-edges
+// (via the cached transpose), so edges whose tail landed in the giant
+// component are still observed from the other endpoint on directed
+// inputs. Hooking always points the larger root at the smaller, so after
+// final compression every label is the minimum vertex id of its
+// component — bit-identical to ConnectedComponents and ComponentsRef.
 func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, s *Scratch) (*ComponentsResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -163,7 +157,7 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 	n := g.N
 	k := s.afforest()
 	k.g, k.in, k.threads = g, g.InCSR(), threads
-	k.parent = grow32(k.parent, n, s.detached())
+	k.parent = grow32(k.parent, n, s.DetachResults)
 	if cap(k.sample) < afforestSampleSize {
 		k.sample = make([]int32, 0, afforestSampleSize)
 	}
@@ -183,7 +177,7 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 	}
 
 	res, labels := &k.res, k.parent
-	if s.detached() {
+	if s.DetachResults {
 		res, k.parent = &ComponentsResult{}, nil // the payload leaves with the result
 	}
 	*res = ComponentsResult{

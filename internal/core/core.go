@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"crono/internal/exec"
 	"crono/internal/graph"
@@ -109,11 +110,12 @@ type Request struct {
 	// only ever observe original vertex ids. Kernels without a
 	// label-invariant result (COMM) ignore it. See Benchmark.Orderable.
 	Reorder *graph.Reordered
-	// Scratch, when non-nil, supplies pooled buffers to the frontier and
-	// pull fast paths (BFS/SSSP_DIJK frontier, CONN_COMP frontier,
-	// PageRank pull) so warm repeat runs allocate nothing. A Scratch is
-	// single-run state: never share one across concurrent requests.
-	// Kernels without a scratch-aware path ignore it.
+	// Scratch supplies pooled buffers to the frontier executions of BFS,
+	// SSSP_DIJK, CONN_COMP and PageRank so warm repeat runs allocate
+	// nothing, and holds the Result every Run returns (see Scratch for
+	// who owns what); nil means a fresh scratch in DetachResults mode. A
+	// Scratch is single-run state: never share one across concurrent
+	// requests.
 	Scratch *Scratch
 }
 
@@ -133,12 +135,15 @@ func (r Request) WithDefaults() Request {
 		r.Strategy = StrategyScan
 	}
 	r.Strategy = r.Strategy.Canonical()
+	if r.Scratch == nil {
+		r.Scratch = &Scratch{DetachResults: true}
+	}
 	return r
 }
 
-// strategyErr rejects unrecognized strategy values. Kernels with both
-// executions call it after WithDefaults; single-strategy kernels ignore
-// the knob entirely.
+// strategyErr rejects unrecognized strategy values. The dispatcher calls
+// it only for kernels with both executions; single-strategy kernels
+// ignore the knob entirely.
 func (r Request) strategyErr() error {
 	if !r.Strategy.Valid() {
 		return fmt.Errorf("core: unknown strategy %q (want %q or %q)",
@@ -196,200 +201,172 @@ type Benchmark struct {
 	Repair func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
 }
 
+// suite and variants are built once; Suite, Variants and ByName hand out
+// copies, so looking a kernel up allocates nothing.
+var suite = wrapSuite([]Benchmark{
+	{
+		Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true,
+		Run: dispatch(func(res *Result, r *SSSPResult) { res.Report, res.SSSP = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
+				return SSSP(ctx, pl, req.G, req.Source, req.Threads)
+			},
+			func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
+				if req.Delta < 1 {
+					req.Delta = AutoSSSPDelta(req.G)
+				}
+				return ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Delta, req.Scratch)
+			}),
+	},
+	{
+		Name: "APSP", Parallelization: "Vertex Capture", UsesMatrix: true,
+		Run: dispatch(func(res *Result, r *APSPResult) { res.Report, res.APSP = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*APSPResult, error) {
+				return APSP(ctx, pl, req.D, req.Threads)
+			}, nil),
+	},
+	{
+		Name: "BETW_CENT", Parallelization: "Vertex Capture & Outer Loop", UsesMatrix: true,
+		Run: dispatch(func(res *Result, r *BetweennessResult) { res.Report, res.Betweenness = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*BetweennessResult, error) {
+				return Betweenness(ctx, pl, req.D, req.Threads)
+			}, nil),
+	},
+	{
+		Name: "BFS", Parallelization: "Graph Division", Orderable: true,
+		Run: dispatch(func(res *Result, r *BFSResult) { res.Report, res.BFS = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
+				return BFS(ctx, pl, req.G, req.Source, req.Threads)
+			},
+			func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
+				return bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
+			}),
+		Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+			r, err := bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Report: r.Report, BFS: r}, nil
+		},
+	},
+	{
+		Name: "DFS", Parallelization: "Branch and Bound", Orderable: true,
+		Run: dispatch(func(res *Result, r *DFSResult) { res.Report, res.DFS = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*DFSResult, error) {
+				return DFS(ctx, pl, req.G, req.Source, req.Threads)
+			}, nil),
+	},
+	{
+		Name: "TSP", Parallelization: "Branch and Bound", UsesCities: true,
+		Run: dispatch(func(res *Result, r *TSPResult) { res.Report, res.TSP = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*TSPResult, error) {
+				return TSP(ctx, pl, req.Cities, req.Threads)
+			}, nil),
+	},
+	{
+		Name: "CONN_COMP", Parallelization: "Graph Division", Orderable: true,
+		Run: dispatch(func(res *Result, r *ComponentsResult) { res.Report, res.Components = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
+				return ConnectedComponents(ctx, pl, req.G, req.Threads)
+			},
+			func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
+				return componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
+			}),
+		Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+			r, err := ComponentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Report: r.Report, Components: r}, nil
+		},
+	},
+	{
+		Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
+		Run: dispatch(func(res *Result, r *TriangleCountResult) { res.Report, res.Triangles = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*TriangleCountResult, error) {
+				return TriangleCount(ctx, pl, req.G, req.Threads)
+			}, nil),
+	},
+	{
+		Name: "PageRank", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
+		Run: dispatch(func(res *Result, r *PageRankResult) { res.Report, res.PageRank = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
+				return PageRank(ctx, pl, req.G, req.Threads, req.Iters)
+			},
+			func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
+				return pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
+			}),
+	},
+	{
+		Name: "COMM", Parallelization: "Vertex Capture & Graph Division",
+		Run: dispatch(func(res *Result, r *CommunityResult) { res.Report, res.Community = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
+				return Community(ctx, pl, req.G, req.Threads, req.MaxPasses)
+			},
+			func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
+				return communityFrontier(ctx, pl, req.G, req.Threads, req.MaxPasses)
+			}),
+	},
+})
+
 // Suite lists all ten benchmarks in paper order.
-func Suite() []Benchmark {
-	return wrapSuite([]Benchmark{
-		{
-			Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				if err := req.strategyErr(); err != nil {
-					return nil, err
-				}
-				var (
-					r   *SSSPResult
-					err error
-				)
-				if req.Strategy == StrategyFrontier {
-					if req.Delta < 1 {
-						req.Delta = AutoSSSPDelta(req.G)
-					}
-					r, err = ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Delta, req.Scratch)
-				} else {
-					r, err = SSSP(ctx, pl, req.G, req.Source, req.Threads)
-				}
-				if err != nil {
-					return nil, err
-				}
-				res := newResult(req.Scratch)
-				res.Report, res.SSSP = r.Report, r
-				return res, nil
-			},
-		},
-		{
-			Name: "APSP", Parallelization: "Vertex Capture", UsesMatrix: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := APSP(ctx, pl, req.D, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, APSP: r}, nil
-			},
-		},
-		{
-			Name: "BETW_CENT", Parallelization: "Vertex Capture & Outer Loop", UsesMatrix: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := Betweenness(ctx, pl, req.D, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Betweenness: r}, nil
-			},
-		},
-		{
-			Name: "BFS", Parallelization: "Graph Division", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				if err := req.strategyErr(); err != nil {
-					return nil, err
-				}
-				var (
-					r   *BFSResult
-					err error
-				)
-				if req.Strategy == StrategyFrontier {
-					r, err = bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
-				} else {
-					r, err = BFS(ctx, pl, req.G, req.Source, req.Threads)
-				}
-				if err != nil {
-					return nil, err
-				}
-				res := newResult(req.Scratch)
-				res.Report, res.BFS = r.Report, r
-				return res, nil
-			},
-			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
-				r, err := bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, BFS: r}, nil
-			},
-		},
-		{
-			Name: "DFS", Parallelization: "Branch and Bound", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := DFS(ctx, pl, req.G, req.Source, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, DFS: r}, nil
-			},
-		},
-		{
-			Name: "TSP", Parallelization: "Branch and Bound", UsesCities: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := TSP(ctx, pl, req.Cities, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, TSP: r}, nil
-			},
-		},
-		{
-			Name: "CONN_COMP", Parallelization: "Graph Division", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				if err := req.strategyErr(); err != nil {
-					return nil, err
-				}
-				var (
-					r   *ComponentsResult
-					err error
-				)
-				if req.Strategy == StrategyFrontier {
-					r, err = componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
-				} else {
-					r, err = ConnectedComponents(ctx, pl, req.G, req.Threads)
-				}
-				if err != nil {
-					return nil, err
-				}
-				res := newResult(req.Scratch)
-				res.Report, res.Components = r.Report, r
-				return res, nil
-			},
-			Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
-				r, err := ComponentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Components: r}, nil
-			},
-		},
-		{
-			Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := TriangleCount(ctx, pl, req.G, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Triangles: r}, nil
-			},
-		},
-		{
-			Name: "PageRank", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				if err := req.strategyErr(); err != nil {
-					return nil, err
-				}
-				var (
-					r   *PageRankResult
-					err error
-				)
-				if req.Strategy == StrategyFrontier {
-					r, err = pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
-				} else {
-					r, err = PageRank(ctx, pl, req.G, req.Threads, req.Iters)
-				}
-				if err != nil {
-					return nil, err
-				}
-				res := newResult(req.Scratch)
-				res.Report, res.PageRank = r.Report, r
-				return res, nil
-			},
-		},
-		{
-			Name: "COMM", Parallelization: "Vertex Capture & Graph Division",
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				if err := req.strategyErr(); err != nil {
-					return nil, err
-				}
-				var (
-					r   *CommunityResult
-					err error
-				)
-				if req.Strategy == StrategyFrontier {
-					r, err = CommunityFrontier(ctx, pl, req.G, req.Threads, req.MaxPasses)
-				} else {
-					r, err = Community(ctx, pl, req.G, req.Threads, req.MaxPasses)
-				}
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Community: r}, nil
-			},
-		},
-	})
+func Suite() []Benchmark { return slices.Clone(suite) }
+
+var variants = wrapSuite([]Benchmark{
+	{
+		Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true,
+		Run: dispatch(func(res *Result, r *BrandesResult) { res.Report, res.Brandes = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request) (*BrandesResult, error) {
+				return BetweennessBrandes(ctx, pl, req.G, req.Threads)
+			}, nil),
+	},
+})
+
+// Variants lists the kernels beyond the Table I suite as runnable
+// benchmarks. ByName resolves them, so the service and the CLI can
+// execute them by name.
+func Variants() []Benchmark { return slices.Clone(variants) }
+
+// ByName returns the suite benchmark or variant with the given
+// identifier.
+func ByName(name string) (Benchmark, error) {
+	for _, b := range suite {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	for _, b := range variants {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return Benchmark{}, fmt.Errorf("core: unknown benchmark %q", name)
+}
+
+// dispatch builds a benchmark's Run from its scan execution and, for the
+// kernels that have one, its frontier execution (nil otherwise). Run
+// resolves the request's defaults, rejects an unknown strategy where
+// there is a choice to make, runs the chosen execution and wraps its
+// payload through set into the scratch's result.
+func dispatch[T any](set func(*Result, T), scan, frontier func(context.Context, exec.Platform, Request) (T, error)) runFunc {
+	return func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
+		req = req.WithDefaults()
+		run := scan
+		if frontier != nil {
+			if err := req.strategyErr(); err != nil {
+				return nil, err
+			}
+			if req.Strategy == StrategyFrontier {
+				run = frontier
+			}
+		}
+		r, err := run(ctx, pl, req)
+		if err != nil {
+			return nil, err
+		}
+		res := newResult(req.Scratch)
+		set(res, r)
+		return res, nil
+	}
 }
 
 // wrapSuite applies the cross-cutting decorators: the reorder/un-permute
@@ -404,51 +381,6 @@ func wrapSuite(bs []Benchmark) []Benchmark {
 		}
 	}
 	return bs
-}
-
-// Variants lists the kernels beyond the Table I suite as runnable
-// benchmarks. ByName resolves them, so the service and the CLI can
-// execute them by name.
-func Variants() []Benchmark {
-	return wrapSuite([]Benchmark{
-		{
-			Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true,
-			Run: func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
-				req = req.WithDefaults()
-				r, err := BetweennessBrandes(ctx, pl, req.G, req.Threads)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Report: r.Report, Brandes: r}, nil
-			},
-		},
-	})
-}
-
-// ByName returns the suite benchmark or variant with the given
-// identifier.
-func ByName(name string) (Benchmark, error) {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	for _, b := range Variants() {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	return Benchmark{}, fmt.Errorf("core: unknown benchmark %q", name)
-}
-
-// Names returns all benchmark identifiers in paper order.
-func Names() []string {
-	s := Suite()
-	out := make([]string, len(s))
-	for i, b := range s {
-		out[i] = b.Name
-	}
-	return out
 }
 
 // chunk statically divides n items among p threads and returns tid's

@@ -384,7 +384,7 @@ func TestCommunityImprovesModularity(t *testing.T) {
 // this graph nearly every call differed in its last bits.
 func TestModularityRepeatsBitForBit(t *testing.T) {
 	g := graph.Generate(graph.KindSocial, 16384, 7)
-	res, err := CommunityFrontier(context.Background(), native.New(), g, 1, DefaultCommunityPasses)
+	res, err := communityFrontier(context.Background(), native.New(), g, 1, DefaultCommunityPasses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,8 @@ func TestKernelInputValidation(t *testing.T) {
 	if _, err := BetweennessBrandes(context.Background(), pl, nil, 1); err == nil {
 		t.Error("Brandes nil graph accepted")
 	}
-	if _, err := PageRankPull(context.Background(), pl, nil, 1, 3); err == nil {
-		t.Error("PageRankPull nil graph accepted")
+	if _, err := pageRankPull(context.Background(), pl, nil, 1, 3, NewScratch()); err == nil {
+		t.Error("pageRankPull nil graph accepted")
 	}
 }
 
@@ -73,7 +73,7 @@ func TestMorePageRankIterationClamp(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Fatalf("iterations %d, want clamp to 1", res.Iterations)
 	}
-	pull, err := PageRankPull(context.Background(), native.New(), g, 2, -5)
+	pull, err := pageRankPull(context.Background(), native.New(), g, 2, -5, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

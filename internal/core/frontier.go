@@ -260,23 +260,7 @@ func (d *direction) verdict(g *graph.CSR, total int) int32 {
 	return ctrlContinue
 }
 
-// BFSFrontier runs level-synchronous, direction-optimizing breadth-first
-// search with the frontier strategy. A push round processes the compact
-// worklist of current-level vertices, claiming unvisited out-neighbors
-// with lock-free compare-and-swap instead of per-vertex locks. Once the
-// frontier is dense (HybridAlpha) the rounds flip to a bottom-up pull
-// over the in-CSR, in which every unvisited vertex probes its
-// in-neighbors for one on the current level and claims itself on the
-// first hit, and they flip back when it thins (HybridBeta). Discoveries
-// are pushed to the worklist in both directions, so the frontier, the
-// switch statistics and the endRound discipline stay exact across flips.
-// Levels are identical to BFS's — the level-synchronous structure fully
-// determines them — so the strategies are result-interchangeable.
-func BFSFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*BFSResult, error) {
-	return bfsFrontier(goCtx, pl, g, src, threads, nil)
-}
-
-// bfsFrontierRun is the reusable state of one BFSFrontier execution.
+// bfsFrontierRun is the reusable state of one bfsFrontier execution.
 // With a Scratch it persists across runs so warm runs allocate nothing:
 // the level array, the worklist buffers, the barrier and the kernel body
 // and decide method values are all reused; only regions (value types)
@@ -296,7 +280,18 @@ type bfsFrontierRun struct {
 	res                                      BFSResult
 }
 
-// bfsFrontier is BFSFrontier with an optional scratch workspace.
+// bfsFrontier runs level-synchronous, direction-optimizing breadth-first
+// search with the frontier strategy. A push round processes the compact
+// worklist of current-level vertices, claiming unvisited out-neighbors
+// with lock-free compare-and-swap instead of per-vertex locks. Once the
+// frontier is dense (HybridAlpha) the rounds flip to a bottom-up pull
+// over the in-CSR, in which every unvisited vertex probes its
+// in-neighbors for one on the current level and claims itself on the
+// first hit, and they flip back when it thins (HybridBeta). Discoveries
+// are pushed to the worklist in both directions, so the frontier, the
+// switch statistics and the endRound discipline stay exact across flips.
+// Levels are identical to BFS's — the level-synchronous structure fully
+// determines them — so the strategies are result-interchangeable.
 func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, s *Scratch) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -309,7 +304,7 @@ func bfsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thr
 // seedSource readies k for a full run from src: src at level 0, every
 // other level unknown.
 func (k *bfsFrontierRun) seedSource(n, src, threads int, s *Scratch) {
-	k.level = grow32(k.level, n, s.detached())
+	k.level = grow32(k.level, n, s.DetachResults)
 	for i := range k.level {
 		k.level[i] = -1
 	}
@@ -325,7 +320,7 @@ func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *gra
 		return nil, err
 	}
 	res, level := &k.res, k.level
-	if s.detached() {
+	if s.DetachResults {
 		res, k.level = &BFSResult{}, nil // the payload leaves with the result
 	}
 	visited, levels := bfsSummary(level)

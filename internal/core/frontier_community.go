@@ -8,7 +8,7 @@ import (
 	"crono/internal/graph"
 )
 
-// CommunityFrontier runs the COMM benchmark with the frontier strategy:
+// communityFrontier runs the COMM benchmark with the frontier strategy:
 // the same bounded single-level Louvain move rule as Community, but over
 // a worklist of active vertices instead of full sweeps. All vertices are
 // seeded active; when a vertex moves, it and its neighbors are
@@ -19,7 +19,7 @@ import (
 // the two strategies can settle on different (both valid) partitions;
 // the reported Modularity is computed from the final assignment either
 // way.
-func CommunityFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int) (*CommunityResult, error) {
+func communityFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int) (*CommunityResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
 	}
@@ -33,7 +33,7 @@ func CommunityFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, th
 	return k.execute(goCtx, pl, g, threads, maxPasses)
 }
 
-// communityFrontierRun is the state of one CommunityFrontier execution.
+// communityFrontierRun is the state of one communityFrontier execution.
 type communityFrontierRun struct {
 	g         *graph.CSR
 	threads   int
@@ -51,7 +51,7 @@ type communityFrontierRun struct {
 	bar                                           exec.Barrier
 }
 
-// execute runs the move rounds from the state CommunityFrontier seeded:
+// execute runs the move rounds from the state communityFrontier seeded:
 // k.comm is the starting assignment (every id in [0,n)) and k.wl
 // (mirrored by k.mark) the active vertices. Degree totals are O(n+m)
 // sums, built here from the graph.

@@ -10,22 +10,6 @@ import (
 	"crono/internal/graph"
 )
 
-// SSSPFrontier runs single-source shortest paths with the frontier
-// strategy. On a unit-weight graph (Weights == nil) a shortest path is a
-// breadth-first one, so it runs BFSFrontier's direction-optimizing rounds
-// and turns the levels into distances in place; delta plays no part.
-// On a weighted graph it is delta-stepping over per-thread bins, after
-// GAP: a relaxed vertex goes into its thread's bin dist/delta, a round
-// expands one bucket — the lowest non-empty bin over all threads,
-// gathered into the shared worklist — and each thread then keeps
-// draining its own part of that bucket without a barrier while the part
-// holds fewer than bucketFusion vertices. A vertex is expanded at most
-// once per distance it is queued with. Distances are exact, matching
-// SSSP and SSSPRef; only the schedule differs.
-func SSSPFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, delta int32) (*SSSPResult, error) {
-	return ssspFrontier(goCtx, pl, g, src, threads, delta, nil)
-}
-
 // fallbackDelta is AutoSSSPDelta's bucket width for a graph with no
 // edges to sample.
 const fallbackDelta = 32
@@ -110,7 +94,7 @@ func (b *ssspBins) lowest(cur int32) int32 {
 	return b.farMin
 }
 
-// ssspFrontierRun is the reusable state of one SSSPFrontier execution on
+// ssspFrontierRun is the reusable state of one ssspFrontier execution on
 // a weighted graph (see bfsFrontierRun).
 type ssspFrontierRun struct {
 	g       *graph.CSR
@@ -132,7 +116,18 @@ type ssspFrontierRun struct {
 	res                                     SSSPResult
 }
 
-// ssspFrontier is SSSPFrontier with an optional scratch workspace.
+// ssspFrontier runs single-source shortest paths with the frontier
+// strategy. On a unit-weight graph (Weights == nil) a shortest path is a
+// breadth-first one, so it runs bfsFrontier's direction-optimizing rounds
+// and turns the levels into distances in place; delta plays no part.
+// On a weighted graph it is delta-stepping over per-thread bins, after
+// GAP: a relaxed vertex goes into its thread's bin dist/delta, a round
+// expands one bucket — the lowest non-empty bin over all threads,
+// gathered into the shared worklist — and each thread then keeps
+// draining its own part of that bucket without a barrier while the part
+// holds fewer than bucketFusion vertices. A vertex is expanded at most
+// once per distance it is queued with. Distances are exact, matching
+// SSSP and SSSPRef; only the schedule differs.
 func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, delta int32, s *Scratch) (*SSSPResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -187,19 +182,19 @@ func ssspFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, th
 	for t := range k.bins {
 		total += k.bins[t].relax
 	}
-	k.dist = grow32(k.dist, n, s.detached())
+	k.dist = grow32(k.dist, n, s.DetachResults)
 	for v, w := range k.state {
 		k.dist[v] = int32(w >> 32)
 	}
 	res, dist := &k.res, k.dist
-	if s.detached() {
+	if s.DetachResults {
 		res, k.dist = &SSSPResult{}, nil // the payload leaves with the result
 	}
 	*res = SSSPResult{Dist: dist, Relaxations: total, Rounds: k.rounds, Report: rep}
 	return res, nil
 }
 
-// ssspUnit is SSSPFrontier on a unit-weight graph: the frontier BFS on
+// ssspUnit is ssspFrontier on a unit-weight graph: the frontier BFS on
 // the scratch's BFS state, whose level array becomes the distances.
 // Relaxations counts the reached vertices but the source, each claimed
 // once, and Rounds the levels.
@@ -212,7 +207,7 @@ func ssspUnit(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, thread
 	}
 	var res *SSSPResult
 	dist := k.level
-	if s.detached() {
+	if s.DetachResults {
 		res, k.level = &SSSPResult{}, nil // the payload leaves with the result
 	} else {
 		res = &s.ssspFrontier().res

@@ -133,7 +133,7 @@ func TestSSSPFrontierWorkLinear(t *testing.T) {
 	const ceiling = 5.0
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16} {
 		g := graph.Generate(graph.KindRoadCA, n, 42)
-		res, err := SSSPFrontier(context.Background(), native.New(), g, largestComponentSource(g), 1, AutoSSSPDelta(g))
+		res, err := ssspFrontier(context.Background(), native.New(), g, largestComponentSource(g), 1, AutoSSSPDelta(g), NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

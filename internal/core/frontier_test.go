@@ -35,7 +35,7 @@ func TestFrontierMatchesScanOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("BFS", func(t *testing.T) {
 				ref := BFSRef(g, 0)
-				res, err := BFSFrontier(ctx, native.New(), g, 0, 8)
+				res, err := bfsFrontier(ctx, native.New(), g, 0, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,7 +56,7 @@ func TestFrontierMatchesScanOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("SSSP", func(t *testing.T) {
 				ref := SSSPRef(g, 0)
-				res, err := SSSPFrontier(ctx, native.New(), g, 0, 8, 32)
+				res, err := ssspFrontier(ctx, native.New(), g, 0, 8, 32, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,7 +69,7 @@ func TestFrontierMatchesScanOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("Components", func(t *testing.T) {
 				ref := ComponentsRef(g)
-				res, err := ComponentsFrontier(ctx, native.New(), g, 8)
+				res, err := componentsFrontier(ctx, native.New(), g, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +81,7 @@ func TestFrontierMatchesScanOnGeneratorMatrix(t *testing.T) {
 			})
 
 			t.Run("Community", func(t *testing.T) {
-				res, err := CommunityFrontier(ctx, native.New(), g, 8, DefaultCommunityPasses)
+				res, err := communityFrontier(ctx, native.New(), g, 8, DefaultCommunityPasses)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestFrontierPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := BFSFrontier(context.Background(), native.New(), g, 0, p)
+			res, err := bfsFrontier(context.Background(), native.New(), g, 0, p, NewScratch())
 			if err != nil {
 				return false
 			}
@@ -141,7 +141,7 @@ func TestFrontierPropertyRandomGraphs(t *testing.T) {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
 			delta := int32(dRaw)%64 + 1
-			res, err := SSSPFrontier(context.Background(), native.New(), g, 0, p, delta)
+			res, err := ssspFrontier(context.Background(), native.New(), g, 0, p, delta, NewScratch())
 			if err != nil {
 				return false
 			}
@@ -162,7 +162,7 @@ func TestFrontierPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := ComponentsFrontier(context.Background(), native.New(), g, p)
+			res, err := componentsFrontier(context.Background(), native.New(), g, p, NewScratch())
 			if err != nil {
 				return false
 			}
@@ -183,7 +183,7 @@ func TestFrontierPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := CommunityFrontier(context.Background(), native.New(), g, p, DefaultCommunityPasses)
+			res, err := communityFrontier(context.Background(), native.New(), g, p, DefaultCommunityPasses)
 			if err != nil {
 				return false
 			}
@@ -202,7 +202,7 @@ func TestFrontierOnSimulator(t *testing.T) {
 	ctx := context.Background()
 
 	bfsRef := BFSRef(g, 0)
-	bres, err := BFSFrontier(ctx, simMachine(t, 16), g, 0, 8)
+	bres, err := bfsFrontier(ctx, simMachine(t, 16), g, 0, 8, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFrontierOnSimulator(t *testing.T) {
 	}
 
 	ssspRef := SSSPRef(g, 0)
-	sres, err := SSSPFrontier(ctx, simMachine(t, 16), g, 0, 8, 32)
+	sres, err := ssspFrontier(ctx, simMachine(t, 16), g, 0, 8, 32, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFrontierOnSimulator(t *testing.T) {
 	}
 
 	ccRef := ComponentsRef(g)
-	cres, err := ComponentsFrontier(ctx, simMachine(t, 16), g, 8)
+	cres, err := componentsFrontier(ctx, simMachine(t, 16), g, 8, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestFrontierOnSimulator(t *testing.T) {
 		}
 	}
 
-	mres, err := CommunityFrontier(ctx, simMachine(t, 16), g, 8, 4)
+	mres, err := communityFrontier(ctx, simMachine(t, 16), g, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

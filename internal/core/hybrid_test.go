@@ -42,7 +42,7 @@ func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("BFSHybrid", func(t *testing.T) {
 				ref := BFSRef(g, 0)
-				res, err := BFSFrontier(ctx, native.New(), g, 0, 8)
+				res, err := bfsFrontier(ctx, native.New(), g, 0, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 
 			t.Run("Afforest", func(t *testing.T) {
 				ref := ComponentsRef(g)
-				res, err := ComponentsFrontier(ctx, native.New(), g, 8)
+				res, err := componentsFrontier(ctx, native.New(), g, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestHybridMatchesOracleOnGeneratorMatrix(t *testing.T) {
 							t.Fatalf("src %d: level[%d] = %d, oracle %d", src, v, res.Level[i][v], ref[v])
 						}
 					}
-					single, err := BFSFrontier(ctx, native.New(), g, src, 8)
+					single, err := bfsFrontier(ctx, native.New(), g, src, 8, NewScratch())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +129,7 @@ func TestHybridDirectedGraphs(t *testing.T) {
 		g := randomDirectedGraph(seed)
 
 		ref := BFSRef(g, 0)
-		bres, err := BFSFrontier(ctx, native.New(), g, 0, 4)
+		bres, err := bfsFrontier(ctx, native.New(), g, 0, 4, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestHybridDirectedGraphs(t *testing.T) {
 		}
 
 		ccRef := ComponentsRef(g)
-		cres, err := ComponentsFrontier(ctx, native.New(), g, 4)
+		cres, err := componentsFrontier(ctx, native.New(), g, 4, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestHybridDirectedGraphs(t *testing.T) {
 		}
 
 		push := PageRankRef(g, 8)
-		pull, err := PageRankPull(ctx, native.New(), g, 4, 8)
+		pull, err := pageRankPull(ctx, native.New(), g, 4, 8, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestHybridPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := BFSFrontier(context.Background(), native.New(), g, 0, p)
+			res, err := bfsFrontier(context.Background(), native.New(), g, 0, p, NewScratch())
 			if err != nil {
 				return false
 			}
@@ -205,7 +205,7 @@ func TestHybridPropertyRandomGraphs(t *testing.T) {
 		f := func(seed int64, pRaw uint8) bool {
 			g := randomGraph(seed)
 			p := int(pRaw)%6 + 1
-			res, err := ComponentsFrontier(context.Background(), native.New(), g, p)
+			res, err := componentsFrontier(context.Background(), native.New(), g, p, NewScratch())
 			if err != nil {
 				return false
 			}
@@ -272,7 +272,7 @@ func TestHybridShrinkGrowFrontier(t *testing.T) {
 
 	ref := BFSRef(g, 0)
 	for _, p := range []int{1, 3, 8} {
-		res, err := BFSFrontier(context.Background(), native.New(), g, 0, p)
+		res, err := bfsFrontier(context.Background(), native.New(), g, 0, p, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestHybridOnSimulator(t *testing.T) {
 	ctx := context.Background()
 
 	bfsRef := BFSRef(g, 0)
-	bres, err := BFSFrontier(ctx, simMachine(t, 16), g, 0, 8)
+	bres, err := bfsFrontier(ctx, simMachine(t, 16), g, 0, 8, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestHybridOnSimulator(t *testing.T) {
 	}
 
 	ccRef := ComponentsRef(g)
-	cres, err := ComponentsFrontier(ctx, simMachine(t, 16), g, 8)
+	cres, err := componentsFrontier(ctx, simMachine(t, 16), g, 8, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +374,11 @@ func TestHybridCancellation(t *testing.T) {
 	g := graph.Generate(graph.KindSocial, 2000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BFSFrontier(ctx, native.New(), g, 0, 4); err == nil {
-		t.Error("BFSFrontier ignored canceled context")
+	if _, err := bfsFrontier(ctx, native.New(), g, 0, 4, NewScratch()); err == nil {
+		t.Error("bfsFrontier ignored canceled context")
 	}
-	if _, err := ComponentsFrontier(ctx, native.New(), g, 4); err == nil {
-		t.Error("ComponentsFrontier ignored canceled context")
+	if _, err := componentsFrontier(ctx, native.New(), g, 4, NewScratch()); err == nil {
+		t.Error("componentsFrontier ignored canceled context")
 	}
 	if _, err := BFSBatch(ctx, native.New(), g, batchSources(g.N, 8), 4); err == nil {
 		t.Error("BFSBatch ignored canceled context")

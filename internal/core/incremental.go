@@ -93,10 +93,10 @@ func repairCutoff(oldLevel []int32, d *graph.EdgeDelta) int32 {
 // result is bit-identical to a full recompute on g — the property test
 // in incremental_test.go pins this across the generator matrix.
 func BFSIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta) (*BFSResult, error) {
-	return bfsIncremental(goCtx, pl, g, src, threads, oldLevel, d, nil)
+	return bfsIncremental(goCtx, pl, g, src, threads, oldLevel, d, &Scratch{DetachResults: true})
 }
 
-// bfsIncremental is BFSIncremental with an optional scratch workspace.
+// bfsIncremental is BFSIncremental on a scratch workspace.
 func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta, s *Scratch) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -117,7 +117,7 @@ func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, 
 	// ends after one empty round with every level untouched.
 	cut := repairCutoff(oldLevel, d)
 	k := s.bfsFrontier()
-	k.level = grow32(k.level, g.N, s.detached())
+	k.level = grow32(k.level, g.N, s.DetachResults)
 	k.wl.prepare(threads, 0)
 	for v, l := range oldLevel {
 		switch {

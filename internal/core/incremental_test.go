@@ -86,7 +86,7 @@ func TestBFSIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 							trial, v, res.Level[v], want[v])
 					}
 				}
-				full, err := BFSFrontier(ctx, native.New(), next, 0, 8)
+				full, err := bfsFrontier(ctx, native.New(), next, 0, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestComponentsIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			g := graph.Generate(kind, n, 9)
-			fullSeed, err := ComponentsFrontier(ctx, native.New(), g, 8)
+			fullSeed, err := componentsFrontier(ctx, native.New(), g, 8, NewScratch())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestComponentsIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := ComponentsFrontier(ctx, native.New(), next, 8)
+				full, err := componentsFrontier(ctx, native.New(), next, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -255,21 +255,34 @@ func TestAutoSSSPDelta(t *testing.T) {
 }
 
 // TestAutoDeltaUsedWhenUnset: with Delta unset the SSSP_DIJK frontier
-// path must auto-tune (observable through the round count differing from
-// a fixed width on a weighted road graph) while distances stay exact.
+// path runs at AutoSSSPDelta's width. At one thread the schedule is
+// fixed, so the unset run must repeat an explicit auto-width run's rounds
+// and relaxations and differ from a fixed width in rounds, while
+// distances stay exact.
 func TestAutoDeltaUsedWhenUnset(t *testing.T) {
 	const fixedDelta = 32
 	g := graph.Generate(graph.KindRoadCA, 1200, 7)
-	auto := runNamed(t, "SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier})
-	fixed := runNamed(t, "SSSP_DIJK", Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier, Delta: fixedDelta})
+	autoDelta := AutoSSSPDelta(g)
+	if autoDelta == fixedDelta {
+		t.Fatalf("auto delta is the fixed width %d: the test cannot tell them apart", fixedDelta)
+	}
+	req := Request{Input: Input{G: g}, Threads: 1, Strategy: StrategyFrontier}
+	unset := runNamed(t, "SSSP_DIJK", req)
+	req.Delta = autoDelta
+	auto := runNamed(t, "SSSP_DIJK", req)
+	req.Delta = fixedDelta
+	fixed := runNamed(t, "SSSP_DIJK", req)
 	ref := SSSPRef(g, 0)
 	for v := range ref {
-		if auto.SSSP.Dist[v] != ref[v] {
-			t.Fatalf("auto-delta dist[%d] = %d, want %d", v, auto.SSSP.Dist[v], ref[v])
+		if unset.SSSP.Dist[v] != ref[v] {
+			t.Fatalf("auto-delta dist[%d] = %d, want %d", v, unset.SSSP.Dist[v], ref[v])
 		}
 	}
-	if AutoSSSPDelta(g) != fixedDelta && auto.SSSP.Rounds == fixed.SSSP.Rounds {
-		t.Logf("auto delta %d (fixed %d): rounds coincide (%d) — schedule may legitimately match",
-			AutoSSSPDelta(g), fixedDelta, auto.SSSP.Rounds)
+	if unset.SSSP.Rounds != auto.SSSP.Rounds || unset.SSSP.Relaxations != auto.SSSP.Relaxations {
+		t.Fatalf("unset delta: %d rounds, %d relaxations; delta %d: %d rounds, %d relaxations",
+			unset.SSSP.Rounds, unset.SSSP.Relaxations, autoDelta, auto.SSSP.Rounds, auto.SSSP.Relaxations)
+	}
+	if unset.SSSP.Rounds == fixed.SSSP.Rounds {
+		t.Fatalf("unset delta (auto %d) and delta %d both take %d rounds", autoDelta, fixedDelta, fixed.SSSP.Rounds)
 	}
 }

@@ -33,11 +33,10 @@ import (
 //   - Reordered runs always return fresh, un-permuted payload arrays
 //     (see order.go), regardless of the mode.
 
-// Scratch is a reusable workspace for the scratch-aware kernels:
-// BFSFrontier, SSSPFrontier, ComponentsFrontier and PageRankPull, as
-// dispatched by the typed Run path when Request.Scratch is set. The
-// zero value is ready to use. Kernels without a scratch-aware path
-// ignore it.
+// Scratch is a reusable workspace: the typed Run path hands
+// Request.Scratch to the frontier executions of BFS, SSSP_DIJK,
+// CONN_COMP and PageRank, and every Run's Result lives in it under the
+// rules above. The zero value is ready to use.
 type Scratch struct {
 	// DetachResults switches the scratch to serving mode: result-bearing
 	// arrays and result structs are freshly allocated each run so they
@@ -70,22 +69,16 @@ type Scratch struct {
 // NewScratch returns an empty scratch workspace.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// detached reports whether result-bearing buffers must be freshly
-// allocated. A nil scratch means the caller keeps the legacy
-// allocate-per-run behavior, where results are always independently
-// owned.
-func (s *Scratch) detached() bool { return s == nil || s.DetachResults }
-
 // run executes body on pl for a scratch-aware kernel. In the zero-alloc
 // mode, on a platform that can fill a caller's report (the native one),
 // the report is scratch-owned like every other result the mode returns:
-// valid until the next run on s. Otherwise — nil or detached scratch,
-// or any other platform — it is RunCtx and the report is fresh.
+// valid until the next run on s. Otherwise — detached scratch or any
+// other platform — it is RunCtx and the report is fresh.
 func (s *Scratch) run(goCtx context.Context, pl exec.Platform, threads int, body func(exec.Ctx)) (*exec.Report, error) {
 	into, ok := pl.(interface {
 		RunInto(context.Context, int, func(exec.Ctx), *exec.Report) error
 	})
-	if !ok || s.detached() {
+	if !ok || s.DetachResults {
 		return pl.RunCtx(goCtx, threads, body)
 	}
 	if err := into.RunInto(goCtx, threads, body, &s.rep); err != nil {
@@ -97,9 +90,6 @@ func (s *Scratch) run(goCtx context.Context, pl exec.Platform, threads int, body
 // barrierFor returns a reusable barrier for the platform and party
 // count, allocating only when either changed since the last run.
 func (s *Scratch) barrierFor(pl exec.Platform, parties int) exec.Barrier {
-	if s == nil {
-		return pl.NewBarrier(parties)
-	}
 	if s.bar == nil || s.barPl != pl || s.barParties != parties {
 		s.bar = pl.NewBarrier(parties)
 		s.barPl = pl
@@ -108,45 +98,32 @@ func (s *Scratch) barrierFor(pl exec.Platform, parties int) exec.Barrier {
 	return s.bar
 }
 
-// bfsFrontier returns the reusable BFSFrontier state (fresh when s is
-// nil).
+// bfsFrontier returns the reusable bfsFrontier state.
 func (s *Scratch) bfsFrontier() *bfsFrontierRun {
-	if s == nil {
-		return &bfsFrontierRun{}
-	}
 	if s.bfsf == nil {
 		s.bfsf = &bfsFrontierRun{}
 	}
 	return s.bfsf
 }
 
-// ssspFrontier returns the reusable SSSPFrontier state.
+// ssspFrontier returns the reusable ssspFrontier state.
 func (s *Scratch) ssspFrontier() *ssspFrontierRun {
-	if s == nil {
-		return &ssspFrontierRun{}
-	}
 	if s.ssspf == nil {
 		s.ssspf = &ssspFrontierRun{}
 	}
 	return s.ssspf
 }
 
-// afforest returns the reusable ComponentsFrontier state.
+// afforest returns the reusable componentsFrontier state.
 func (s *Scratch) afforest() *afforestRun {
-	if s == nil {
-		return &afforestRun{}
-	}
 	if s.ccf == nil {
 		s.ccf = &afforestRun{}
 	}
 	return s.ccf
 }
 
-// pageRankPull returns the reusable PageRankPull state.
+// pageRankPull returns the reusable pageRankPull state.
 func (s *Scratch) pageRankPull() *pageRankPullRun {
-	if s == nil {
-		return &pageRankPullRun{}
-	}
 	if s.prp == nil {
 		s.prp = &pageRankPullRun{}
 	}
@@ -156,7 +133,7 @@ func (s *Scratch) pageRankPull() *pageRankPullRun {
 // newResult returns the typed-Run result wrapper: scratch-owned and
 // reused in the zero-alloc mode, fresh otherwise.
 func newResult(s *Scratch) *Result {
-	if s != nil && !s.DetachResults {
+	if !s.DetachResults {
 		s.res = Result{}
 		return &s.res
 	}

@@ -21,7 +21,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	s := NewScratch()
 	goCtx := context.Background()
 	for round, g := range []*graph.CSR{big, small, big} {
-		wantBFS, err := BFSFrontier(goCtx, pl, g, 0, 3)
+		wantBFS, err := bfsFrontier(goCtx, pl, g, 0, 3, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("round %d: visited/levels diverge", round)
 		}
 
-		wantS, err := SSSPFrontier(goCtx, pl, g, 0, 3, 32)
+		wantS, err := ssspFrontier(goCtx, pl, g, 0, 3, 32, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("round %d: relaxations %d, want %d", round, gotS.Relaxations, wantS.Relaxations)
 		}
 
-		wantC, err := ComponentsFrontier(goCtx, pl, g, 3)
+		wantC, err := componentsFrontier(goCtx, pl, g, 3, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("round %d: components %d, want %d", round, gotC.Components, wantC.Components)
 		}
 
-		wantP, err := PageRankPull(goCtx, pl, g, 3, 4)
+		wantP, err := pageRankPull(goCtx, pl, g, 3, 4, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,6 +293,10 @@ func TestReportOwnershipFollowsScratchMode(t *testing.T) {
 	g := graph.SocialNet(2000, 8, 11)
 	goCtx := context.Background()
 	pl := native.New()
+	bfs, err := ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
 	detached := NewScratch()
 	detached.DetachResults = true
 	for _, c := range []struct {
@@ -305,13 +309,15 @@ func TestReportOwnershipFollowsScratchMode(t *testing.T) {
 		{"aliasing scratch", NewScratch(), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			first, err := bfsFrontier(goCtx, pl, g, 0, 4, c.s)
+			req := Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier, Scratch: c.s}
+			first, err := bfs.Run(goCtx, pl, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rep := first.Report
 			wantTime, wantInstr := rep.Time, append([]uint64(nil), rep.Instructions...)
-			second, err := bfsFrontier(goCtx, pl, g, 1000, 4, c.s)
+			req.Source = 1000
+			second, err := bfs.Run(goCtx, pl, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +328,7 @@ func TestReportOwnershipFollowsScratchMode(t *testing.T) {
 				if raceEnabled {
 					return
 				}
-				if n := testing.AllocsPerRun(10, func() { bfsFrontier(goCtx, pl, g, 1000, 4, c.s) }); n != 0 { //nolint:errcheck // checked above
+				if n := testing.AllocsPerRun(10, func() { bfs.Run(goCtx, pl, req) }); n != 0 { //nolint:errcheck // checked above
 					t.Fatalf("warm aliasing run allocates %.0f objects, want 0", n)
 				}
 				return

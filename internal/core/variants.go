@@ -9,7 +9,7 @@ import (
 )
 
 // This file contains kernel variants beyond the paper's Table I set:
-// pull PageRank (PageRankPull), PageRank's frontier strategy, which shows
+// pull PageRank (pageRankPull), PageRank's frontier strategy, which shows
 // how much of the paper's lock cost is the push formulation, and an
 // exact Brandes betweenness for unweighted graphs (BetweennessBrandes),
 // the work-efficient counterpart of the matrix-based BETW_CENT.
@@ -186,21 +186,7 @@ func BrandesRef(g *graph.CSR) []float64 {
 	return cent
 }
 
-// PageRankPull runs PageRank in pull form: each vertex sums the
-// published contributions of its in-neighbors (read off the cached
-// transpose, graph.CSR.InCSR) and writes only its own entry, eliminating
-// the per-edge atomic locks of the paper's push formulation. It computes
-// exactly the same Equation (1) iteration — rank flows along out-edges,
-// so the puller must read sources of in-edges — and serves as the
-// software-level answer to the lock bottleneck the paper characterizes.
-// On directed graphs this now matches PageRankRef exactly; earlier
-// revisions pulled over the out-CSR, which was only correct for the
-// symmetric generator graphs. A canceled run ends at its next barrier.
-func PageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, iters int) (*PageRankResult, error) {
-	return pageRankPull(goCtx, pl, g, threads, iters, nil)
-}
-
-// pageRankPullRun is the reusable state of one PageRankPull execution
+// pageRankPullRun is the reusable state of one pageRankPull execution
 // (see bfsFrontierRun).
 type pageRankPullRun struct {
 	g       *graph.CSR
@@ -217,7 +203,16 @@ type pageRankPullRun struct {
 	res                          PageRankResult
 }
 
-// pageRankPull is PageRankPull with an optional scratch workspace.
+// pageRankPull runs PageRank in pull form: each vertex sums the
+// published contributions of its in-neighbors (read off the cached
+// transpose, graph.CSR.InCSR) and writes only its own entry, eliminating
+// the per-edge atomic locks of the paper's push formulation. It computes
+// exactly the same Equation (1) iteration — rank flows along out-edges,
+// so the puller must read sources of in-edges — and serves as the
+// software-level answer to the lock bottleneck the paper characterizes.
+// On directed graphs this now matches PageRankRef exactly; earlier
+// revisions pulled over the out-CSR, which was only correct for the
+// symmetric generator graphs. A canceled run ends at its next barrier.
 func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, iters int, s *Scratch) (*PageRankResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -231,7 +226,7 @@ func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads
 	k.in = g.InCSR()
 	k.threads = threads
 	k.iters = iters
-	k.pr = growF64(k.pr, n, s.detached())
+	k.pr = growF64(k.pr, n, s.DetachResults)
 	k.next = growF64(k.next, n, false)
 	k.contrib = growF64(k.contrib, n, false)
 	for i := range k.pr {
@@ -253,7 +248,7 @@ func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads
 	}
 
 	res, ranks := &k.res, k.pr
-	if s.detached() {
+	if s.DetachResults {
 		res, k.pr = &PageRankResult{}, nil // the payload leaves with the result
 	}
 	*res = PageRankResult{Ranks: ranks, Iterations: iters, Report: rep}

@@ -52,7 +52,7 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		push := PageRankRef(g, 8)
 		for _, p := range []int{1, 4} {
-			pull, err := PageRankPull(context.Background(), native.New(), g, p, 8)
+			pull, err := pageRankPull(context.Background(), native.New(), g, p, 8, NewScratch())
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -71,7 +71,7 @@ func TestPageRankPullNoLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pull, err := PageRankPull(context.Background(), simMachine(t, 16), g, 8, 3)
+	pull, err := pageRankPull(context.Background(), simMachine(t, 16), g, 8, 3, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,60 +216,39 @@ func RunAblationFormulation(cfg *Config) error {
 		"Ablation: algorithmic formulations on the Table II machine",
 		"Kernel", "Variant", "Threads", "Time", "Sync%", "Speedup-vs-base")
 	sssp, _ := core.ByName("SSSP_DIJK")
+	pr, _ := core.ByName("PageRank")
 	in := ins.forBench(sssp)
-	p := cfg.bestThreads("PageRank")
+	run := func(b core.Benchmark, req core.Request) (*core.Result, error) {
+		m, err := cfg.newSim(sim.InOrder)
+		if err != nil {
+			return nil, err
+		}
+		return b.Run(cfg.ctx(), m, req)
+	}
 
-	prPushRun := func() (*exec.Report, error) {
-		m, err := cfg.newSim(sim.InOrder)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.PageRank(cfg.ctx(), m, in.G, p, core.DefaultPageRankIters)
-		if err != nil {
-			return nil, err
-		}
-		return r.Report, nil
-	}
-	prPullRun := func() (*exec.Report, error) {
-		m, err := cfg.newSim(sim.InOrder)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.PageRankPull(cfg.ctx(), m, in.G, p, core.DefaultPageRankIters)
-		if err != nil {
-			return nil, err
-		}
-		return r.Report, nil
-	}
-	push, err := prPushRun()
+	p := cfg.bestThreads("PageRank")
+	push, err := run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyScan})
 	if err != nil {
 		return err
 	}
-	pull, err := prPullRun()
+	pull, err := run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyFrontier})
 	if err != nil {
 		return err
 	}
-	t.Addf("PageRank", "push+locks (paper)", p, push.Time,
-		100*push.Breakdown.Fractions()[exec.CompSync], 1.0)
-	t.Addf("PageRank", "pull, no locks", p, pull.Time,
-		100*pull.Breakdown.Fractions()[exec.CompSync],
-		float64(push.Time)/float64(pull.Time))
+	t.Addf("PageRank", "push+locks (paper)", p, push.Report.Time,
+		100*push.Report.Breakdown.Fractions()[exec.CompSync], 1.0)
+	t.Addf("PageRank", "pull, no locks", p, pull.Report.Time,
+		100*pull.Report.Breakdown.Fractions()[exec.CompSync],
+		float64(push.Report.Time)/float64(pull.Report.Time))
 
 	// Both SSSP rows run the frontier kernel, so only the bucket width
 	// changes: with integer weights, delta=1 settles exact pareto fronts.
 	ps := cfg.bestThreads("SSSP_DIJK")
-	ssspRun := func(delta int32) (*core.SSSPResult, error) {
-		m, err := cfg.newSim(sim.InOrder)
-		if err != nil {
-			return nil, err
-		}
-		return core.SSSPFrontier(cfg.ctx(), m, in.G, 0, ps, delta)
-	}
-	exact, err := ssspRun(1)
+	exact, err := run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 1})
 	if err != nil {
 		return err
 	}
-	wide, err := ssspRun(32)
+	wide, err := run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 32})
 	if err != nil {
 		return err
 	}
@@ -281,7 +260,7 @@ func RunAblationFormulation(cfg *Config) error {
 	if err := cfg.emit("abl-formulation", t); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(cfg.Out, "\nrounds: exact=%d delta=%d\n", exact.Rounds, wide.Rounds)
+	_, err = fmt.Fprintf(cfg.Out, "\nrounds: exact=%d delta=%d\n", exact.SSSP.Rounds, wide.SSSP.Rounds)
 	return err
 }
 

@@ -156,9 +156,6 @@ func (m *Mesh) SetRouting(r Routing) { m.policy = r }
 // Routing returns the active routing policy.
 func (m *Mesh) Routing() Routing { return m.policy }
 
-// Tiles returns the number of tiles.
-func (m *Mesh) Tiles() int { return m.Width * m.Height }
-
 // XY returns the mesh coordinates of tile t.
 func (m *Mesh) XY(t int) (x, y int) { return t % m.Width, t / m.Width }
 

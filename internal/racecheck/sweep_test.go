@@ -53,9 +53,8 @@ func sweepCases() []sweepCase {
 			}
 		}
 	}
-	// PageRankPull is exported but has no registry name and takes no
-	// strategy: one scan column, under the PAGERANK_PULL label its cells
-	// have always had.
+	// Pull PageRank, PageRank's frontier execution, keeps the one scan
+	// column under the PAGERANK_PULL label its cells have always had.
 	for _, k := range kinds {
 		for _, th := range threadCounts {
 			cases = append(cases, sweepCase{pageRankPullEntryPoint(), core.StrategyScan, k, th})
@@ -73,15 +72,13 @@ func sweepCases() []sweepCase {
 	return cases
 }
 
-// pageRankPullEntryPoint wraps the exported pull-form PageRank as a
-// sweep cell.
+// pageRankPullEntryPoint wraps PageRank's frontier execution, the pull
+// form, as a sweep cell whatever strategy the cell names.
 func pageRankPullEntryPoint() core.Benchmark {
+	pr, _ := core.ByName("PageRank")
 	return core.Benchmark{Name: "PAGERANK_PULL", Run: func(ctx context.Context, pl exec.Platform, req core.Request) (*core.Result, error) {
-		r, err := core.PageRankPull(ctx, pl, req.G, req.Threads, core.DefaultPageRankIters)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Result{Report: r.Report, PageRank: r}, nil
+		req.Strategy = core.StrategyFrontier
+		return pr.Run(ctx, pl, req)
 	}}
 }
 

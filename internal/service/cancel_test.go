@@ -163,7 +163,7 @@ func TestRunCanceledMidFlight(t *testing.T) {
 // TestServedPageRankRunsPullKernel: a PageRank served with the default
 // strategy must be answered by the pull kernel, not by the paper's
 // lock-per-edge push scan: its single-threaded instruction count equals
-// a direct PageRankPull's and differs from a direct scan run's.
+// a direct frontier run's and differs from a direct scan run's.
 func TestServedPageRankRunsPullKernel(t *testing.T) {
 	s, ts := newTestServer(t, DefaultConfig())
 	gr := createGraph(t, ts.URL, "social", 4096, 5)
@@ -175,7 +175,11 @@ func TestServedPageRankRunsPullKernel(t *testing.T) {
 	}
 
 	_, ver, _ := s.store.Resolve(gr.ID)
-	pull, err := core.PageRankPull(context.Background(), native.New(), ver.Graph(), 1, core.DefaultPageRankIters)
+	pr, err := core.ByName("PageRank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull, err := pr.Run(context.Background(), native.New(), core.Request{Input: core.Input{G: ver.Graph()}, Threads: 1, Strategy: core.StrategyFrontier})
 	if err != nil {
 		t.Fatal(err)
 	}
