@@ -107,7 +107,7 @@ func TestExperimentsList(t *testing.T) {
 
 func TestValidatePasses(t *testing.T) {
 	out := mustCrono(t, "validate", "-trials", "2")
-	if !strings.Contains(out, "all checks passed (2 trials x 15 kernel runs)") {
+	if !strings.Contains(out, "all checks passed (2 trials x 17 kernel runs)") {
 		t.Fatalf("validate printed %q", out)
 	}
 }

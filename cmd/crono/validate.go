@@ -19,7 +19,10 @@ var twoStrategies = map[string]bool{"SSSP_DIJK": true, "BFS": true, "CONN_COMP":
 // validate self-checks the suite: every kernel runs through
 // Benchmark.Run, under each strategy it has, on randomized inputs on
 // both platforms, and its output is compared against the sequential
-// oracle. It fails unless every check passes.
+// oracle. Every kernel with a Repair also mends the oracle's result
+// across a small random delta, and the repaired result is compared
+// against the oracle on the graph the delta makes. It fails unless every
+// check passes.
 func validate(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("crono validate", stderr)
 	var (
@@ -32,6 +35,12 @@ func validate(args []string, stdout, stderr io.Writer) error {
 	}
 	ctx := context.Background()
 	suite := core.Suite()
+	repairs := 0
+	for _, b := range suite {
+		if b.Repair != nil {
+			repairs++
+		}
+	}
 
 	failures := 0
 	fail := func(format string, args ...any) {
@@ -85,13 +94,31 @@ func validate(args []string, stdout, stderr io.Writer) error {
 				ok, detail := agrees(b.Name, res, req)
 				check(name, ok, detail)
 			}
+			if b.Repair == nil {
+				continue
+			}
+			name := b.Name + "/repair"
+			d, err := smallDelta(g, rng, b.Name == "CONN_COMP")
+			if err != nil {
+				check(name, false, err.Error())
+				continue
+			}
+			next := req
+			next.G, next.Strategy = graph.ApplyDelta(g, d), core.StrategyFrontier
+			res, err := b.Repair(ctx, pl, next, oracleResult(b.Name, req), d)
+			if err != nil {
+				check(name, false, err.Error())
+				continue
+			}
+			ok, detail := agrees(b.Name, res, next)
+			check(name, ok, detail)
 		}
 	}
 
 	if failures > 0 {
 		return fmt.Errorf("%d failures", failures)
 	}
-	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x %d kernel runs)\n", *trials, len(suite)+len(twoStrategies))
+	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x %d kernel runs)\n", *trials, len(suite)+len(twoStrategies)+repairs)
 	return nil
 }
 
@@ -122,6 +149,44 @@ func agrees(kernel string, res *core.Result, req core.Request) (bool, string) {
 		return q >= -0.5 && q <= 1, fmt.Sprintf("modularity %g out of bounds", q)
 	}
 	return false, "no oracle"
+}
+
+// oracleResult is the oracle's result for a repairable kernel on req, the
+// seed its repair starts from.
+func oracleResult(kernel string, req core.Request) *core.Result {
+	if kernel == "CONN_COMP" {
+		return &core.Result{Components: &core.ComponentsResult{Labels: core.ComponentsRef(req.G)}}
+	}
+	return &core.Result{BFS: &core.BFSResult{Level: core.BFSRef(req.G, req.Source)}}
+}
+
+// smallDelta draws a canonical delta of one to eight edges that
+// core.RepairPays takes on g: fresh inserts and, unless insertOnly (or g
+// is too small to lose an edge), deletes of present edges.
+func smallDelta(g *graph.CSR, rng *rand.Rand, insertOnly bool) (*graph.EdgeDelta, error) {
+	size := 1 + rng.Intn(max(1, min(8, g.M()/16)))
+	deletes := !insertOnly && g.M() >= 16
+	d := &graph.EdgeDelta{}
+	used := make(map[graph.Edge]bool)
+	for d.Size() < size {
+		e := graph.Edge{From: int32(rng.Intn(g.N)), To: int32(rng.Intn(g.N))}
+		ts, _ := g.Neighbors(int(e.From))
+		del := deletes && len(ts) > 0 && rng.Intn(2) == 0
+		if del {
+			e.To = ts[rng.Intn(len(ts))]
+		}
+		if e.From == e.To || used[e] {
+			continue
+		}
+		used[e] = true
+		if del {
+			d.Deletes = append(d.Deletes, e)
+		} else {
+			e.Weight = 1 + int32(rng.Intn(90))
+			d.Inserts = append(d.Inserts, e)
+		}
+	}
+	return d, d.Canonicalize(g.N)
 }
 
 func closeFloat(a, b []float64) bool {

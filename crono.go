@@ -69,7 +69,6 @@ type GraphKind = graph.Kind
 const (
 	GraphSparse GraphKind = graph.KindSparse
 	GraphRoadTX GraphKind = graph.KindRoadTX
-	GraphRoadPA GraphKind = graph.KindRoadPA
 	GraphRoadCA GraphKind = graph.KindRoadCA
 	GraphSocial GraphKind = graph.KindSocial
 )
@@ -82,7 +81,6 @@ type CoreType = sim.CoreType
 
 // Simulated core models (Table II).
 const (
-	CoreInOrder    CoreType = sim.InOrder
 	CoreOutOfOrder CoreType = sim.OutOfOrder
 )
 
@@ -133,8 +131,6 @@ type Reordered = graph.Reordered
 
 // Vertex orderings.
 const (
-	// OrderNone is the identity layout (upload order).
-	OrderNone Order = graph.OrderNone
 	// OrderDegree packs vertices in descending degree order — the hub
 	// locality play for power-law social graphs.
 	OrderDegree Order = graph.OrderDegree
@@ -320,11 +316,17 @@ type EdgeDelta = graph.EdgeDelta
 // one linear merge pass, base untouched (copy-on-write).
 func ApplyDelta(base *Graph, d *EdgeDelta) *Graph { return graph.ApplyDelta(base, d) }
 
-// BFSIncremental repairs a BFS result after a graph mutation: g is the
-// post-delta graph, oldLevel the pre-delta levels. Bit-identical to a
-// full recompute at a fraction of the work when the delta is small.
+// BFSIncremental returns the BFS levels of g, the graph the delta d made
+// from one with levels oldLevel: BFS's Repair where the delta pays, a
+// fresh frontier run otherwise, either way equal to a full recompute.
 func BFSIncremental(pl Platform, g *Graph, source, threads int, oldLevel []int32, d *EdgeDelta) (*BFSResult, error) {
-	return core.BFSIncremental(context.Background(), pl, g, source, threads, oldLevel, d)
+	b, _ := core.ByName("BFS")
+	req := RunRequest{Input: BenchmarkInput{G: g, Source: source}, Threads: threads, Strategy: StrategyFrontier}
+	res, _, err := b.RepairOrRun(context.Background(), pl, req, &RunResult{BFS: &BFSResult{Level: oldLevel}}, d)
+	if err != nil {
+		return nil, err
+	}
+	return res.BFS, nil
 }
 
 // Server is the graph-analytics HTTP service: a versioned graph store, a

@@ -3,8 +3,10 @@ package crono
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
+	"crono/internal/core"
 	"crono/internal/graph"
 )
 
@@ -174,6 +176,38 @@ func TestFacadeReorderAndScratch(t *testing.T) {
 				t.Fatalf("rep %d: reordered level[%d] = %d, want %d",
 					i, v, got.BFS.Level[v], base.BFS.Level[v])
 			}
+		}
+	}
+}
+
+// TestFacadeBFSIncremental: whether RepairPays takes the delta (two
+// inserts) or declines it (a quarter as many as the graph has edges),
+// BFSIncremental returns the levels of a full recompute on the new graph.
+func TestFacadeBFSIncremental(t *testing.T) {
+	g := GenerateGraph(GraphSparse, 400, 3)
+	old := core.BFSRef(g, 0)
+	for _, c := range []struct {
+		inserts int
+		pays    bool
+	}{{2, true}, {g.M() / 4, false}} {
+		d := &EdgeDelta{}
+		for i := 0; i < c.inserts; i++ {
+			v, hop := i%g.N, g.N/2+i/g.N
+			d.Inserts = append(d.Inserts, Edge{From: int32(v), To: int32((v + hop) % g.N), Weight: 1})
+		}
+		if err := d.Canonicalize(g.N); err != nil {
+			t.Fatal(err)
+		}
+		next := ApplyDelta(g, d)
+		if got := core.RepairPays(d, next.M()); got != c.pays {
+			t.Fatalf("%d inserts: RepairPays = %t, want %t", c.inserts, got, c.pays)
+		}
+		res, err := BFSIncremental(NewNative(), next, 0, 4, old, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Level, core.BFSRef(next, 0)) {
+			t.Errorf("%d inserts: levels differ from BFSRef on the new graph", c.inserts)
 		}
 	}
 }

@@ -149,13 +149,18 @@ func repairCases(t *testing.T, n int32) map[string]cancelKernel {
 	join := &graph.EdgeDelta{Inserts: []graph.Edge{
 		{From: n/2 - 1, To: n / 2, Weight: 1}, {From: n / 2, To: n/2 - 1, Weight: 1},
 	}}
+	repair := func(name string, g *graph.CSR, prev *Result, d *graph.EdgeDelta) cancelKernel {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
+			return b.Repair(ctx, pl, Request{Input: Input{G: g}, Threads: threads, Strategy: StrategyFrontier}, prev, d)
+		}
+	}
 	return map[string]cancelKernel{
-		"BFSIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
-			return BFSIncremental(ctx, pl, next, 0, threads, level, d)
-		},
-		"ComponentsIncremental": func(ctx context.Context, pl exec.Platform, threads int) (any, error) {
-			return ComponentsIncremental(ctx, pl, path, threads, labels, join)
-		},
+		"BFSIncremental":        repair("BFS", next, &Result{BFS: &BFSResult{Level: level}}, d),
+		"ComponentsIncremental": repair("CONN_COMP", path, &Result{Components: &ComponentsResult{Labels: labels}}, join),
 	}
 }
 

@@ -122,19 +122,21 @@ const (
 	afforestSampleSize     = 1024
 )
 
-// afforestRun is the reusable state of one componentsFrontier execution
-// (see bfsFrontierRun).
+// afforestRun is the reusable state of a componentsFrontier execution
+// and of CONN_COMP's Repair, which runs over the same forest (see
+// bfsFrontierRun).
 type afforestRun struct {
 	g, in   *graph.CSR
 	threads int
 	parent  []int32
 	sample  []int32
 	giant   int32
-	hooked  int32 // a repair linked two components (ComponentsIncremental)
+	inserts []graph.Edge // the edges CONN_COMP's Repair links
+	hooked  int32        // that Repair linked two components
 
 	rPar, rOff, rTgt, rInOff, rInTgt exec.Region
 	bar                              exec.Barrier
-	body                             func(exec.Ctx)
+	body, repairBody                 func(exec.Ctx)
 	res                              ComponentsResult
 }
 
@@ -175,19 +177,18 @@ func componentsFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, t
 	if err != nil {
 		return nil, err
 	}
+	// Link phases executed: the neighbor rounds plus the finish pass.
+	return k.result(rep, afforestNeighborRounds+1, s), nil
+}
 
+// result wraps the labels in k.parent, which leave with it if detached.
+func (k *afforestRun) result(rep *exec.Report, iterations int, s *Scratch) *ComponentsResult {
 	res, labels := &k.res, k.parent
 	if s.DetachResults {
-		res, k.parent = &ComponentsResult{}, nil // the payload leaves with the result
+		res, k.parent = &ComponentsResult{}, nil
 	}
-	*res = ComponentsResult{
-		Labels:     labels,
-		Components: countRoots(labels),
-		// Link phases executed: the neighbor rounds plus the finish pass.
-		Iterations: afforestNeighborRounds + 1,
-		Report:     rep,
-	}
-	return res, nil
+	*res = ComponentsResult{Labels: labels, Components: countRoots(labels), Iterations: iterations, Report: rep}
+	return res
 }
 
 // findRoot chases parent pointers with path halving. Halving stores are
@@ -317,15 +318,15 @@ func (k *afforestRun) run(ctx exec.Ctx) {
 	}
 }
 
-// repair is ComponentsIncremental's body over a forest seeded with the
+// repair is componentsIncremental's body over a forest seeded with the
 // previous labels: link the endpoints of my share of the inserted edges,
 // then, if any thread hooked a root, relabel my chunk of the vertices.
 // Only vertices whose old root was hooked move, so the rest cost two
 // loads and no store.
-func (k *afforestRun) repair(ctx exec.Ctx, inserts []graph.Edge) {
+func (k *afforestRun) repair(ctx exec.Ctx) {
 	parent, rPar := k.parent, k.rPar
-	lo, hi := chunk(ctx.TID(), k.threads, len(inserts))
-	for _, e := range inserts[lo:hi] {
+	lo, hi := chunk(ctx.TID(), k.threads, len(k.inserts))
+	for _, e := range k.inserts[lo:hi] {
 		if k.link(ctx, e.From, e.To) {
 			atomic.StoreInt32(&k.hooked, 1)
 		}

@@ -197,7 +197,8 @@ type Benchmark struct {
 	// seeded frontier run over req.G (Reorder is ignored). It returns
 	// ErrNoIncremental for a delta it has no repair for (BFS repairs any
 	// delta RepairPays accepts, CONN_COMP insert-only ones), after which
-	// the caller runs Run.
+	// the caller runs Run (RepairOrRun). It runs on req.Scratch like Run,
+	// and prev may be that scratch's own result.
 	Repair func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
 }
 
@@ -240,13 +241,10 @@ var suite = wrapSuite([]Benchmark{
 			func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
 				return bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
 			}),
-		Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
-			r, err := bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Report: r.Report, BFS: r}, nil
-		},
+		Repair: gateRepair(func(res *Result, r *BFSResult) { res.Report, res.BFS = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*BFSResult, error) {
+				return bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
+			}),
 	},
 	{
 		Name: "DFS", Parallelization: "Branch and Bound", Orderable: true,
@@ -271,13 +269,10 @@ var suite = wrapSuite([]Benchmark{
 			func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
 				return componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
 			}),
-		Repair: func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
-			r, err := ComponentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Report: r.Report, Components: r}, nil
-		},
+		Repair: gateRepair(func(res *Result, r *ComponentsResult) { res.Report, res.Components = r.Report, r },
+			func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*ComponentsResult, error) {
+				return componentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d, req.Scratch)
+			}),
 	},
 	{
 		Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
@@ -346,7 +341,7 @@ func ByName(name string) (Benchmark, error) {
 // kernels that have one, its frontier execution (nil otherwise). Run
 // resolves the request's defaults, rejects an unknown strategy where
 // there is a choice to make, runs the chosen execution and wraps its
-// payload through set into the scratch's result.
+// payload (wrapPayload).
 func dispatch[T any](set func(*Result, T), scan, frontier func(context.Context, exec.Platform, Request) (T, error)) runFunc {
 	return func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 		req = req.WithDefaults()
@@ -360,24 +355,16 @@ func dispatch[T any](set func(*Result, T), scan, frontier func(context.Context, 
 			}
 		}
 		r, err := run(ctx, pl, req)
-		if err != nil {
-			return nil, err
-		}
-		res := newResult(req.Scratch)
-		set(res, r)
-		return res, nil
+		return wrapPayload(req.Scratch, set, r, err)
 	}
 }
 
-// wrapSuite applies the cross-cutting decorators: the reorder/un-permute
-// wrapper to every orderable Run and the shared gate to every Repair.
+// wrapSuite applies the reorder/un-permute wrapper to every orderable
+// Run.
 func wrapSuite(bs []Benchmark) []Benchmark {
 	for i := range bs {
 		if bs[i].Orderable {
 			bs[i].Run = withReorder(bs[i].Run)
-		}
-		if bs[i].Repair != nil {
-			bs[i].Repair = gateRepair(bs[i].Repair)
 		}
 	}
 	return bs

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"crono/internal/graph"
@@ -246,6 +247,38 @@ func TestTSPTourIsValidPermutation(t *testing.T) {
 	}
 	if len(seen) != 9 || res.Tour[0] != 0 {
 		t.Fatalf("bad tour %v", res.Tour)
+	}
+}
+
+// TestTSPReturnsOneTour: a tour and its reverse cost the same, and which
+// one the search reaches first depends on the schedule, so TSP returns
+// the direction whose second city is below its last. Every run of an
+// instance, at any thread count, then returns the same tour. The race
+// detector slows the 14-city searches about tenfold, and they run no
+// code the smaller ones do not.
+func TestTSPReturnsOneTour(t *testing.T) {
+	sizes := []int{10, 12, 14}
+	if raceEnabled {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for seed := int64(1); seed <= 3; seed++ {
+			cities := graph.Cities(n, seed)
+			var first []int32
+			for p := 1; p <= 8; p++ {
+				for run := 0; run < 3; run++ {
+					res, err := TSP(context.Background(), native.New(), cities, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = res.Tour
+					} else if !slices.Equal(res.Tour, first) {
+						t.Fatalf("n=%d seed=%d p=%d run %d: tour %v, first run %v", n, seed, p, run, res.Tour, first)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -331,7 +331,7 @@ func (k *bfsFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *gra
 // traverse runs the frontier BFS from the state the caller seeded: k.level
 // holds every level known exact (-1 elsewhere) and k.wl the vertices at
 // level base. A full run seeds the source at level 0; a repair seeds the
-// last level its delta cannot have changed (BFSIncremental). The levels
+// last level its delta cannot have changed (bfsIncremental). The levels
 // are left in k.level.
 func (k *bfsFrontierRun) traverse(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, base int32, s *Scratch) (*exec.Report, error) {
 	n := g.N

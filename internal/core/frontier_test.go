@@ -276,10 +276,14 @@ func TestBFSFrontierPullSwitch(t *testing.T) {
 
 // TestBFSFrontierLevelsAcrossMatrix: whichever directions a run takes,
 // its levels are BFSRef's — fresh from a source and seeded by
-// BFSIncremental after a delta, at 1, 2 and 8 threads, natively and on
+// BFS's Repair after a delta, at 1, 2 and 8 threads, natively and on
 // the simulator, over every generator.
 func TestBFSFrontierLevelsAcrossMatrix(t *testing.T) {
 	ctx := context.Background()
+	bfs, err := ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, kind := range graph.Kinds {
 		for _, onSim := range []bool{false, true} {
@@ -311,11 +315,12 @@ func TestBFSFrontierLevelsAcrossMatrix(t *testing.T) {
 				if pulls := s.bfsf.pulls; (kind == graph.KindSocial || kind == graph.KindSparse) && pulls == 0 {
 					t.Fatalf("%s: no pull round, so the matrix does not cover the pull loop", name)
 				}
-				seeded, err := BFSIncremental(ctx, pl, next, 0, p, want, d)
+				seeded, err := bfs.Repair(ctx, pl, Request{Input: Input{G: next}, Threads: p, Strategy: StrategyFrontier},
+					&Result{BFS: &BFSResult{Level: want}}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(seeded.Level, wantNext) {
+				if !slices.Equal(seeded.BFS.Level, wantNext) {
 					t.Fatalf("%s: seeded levels differ from BFSRef", name)
 				}
 			}

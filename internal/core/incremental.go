@@ -16,8 +16,8 @@ import (
 // a seed state from the previous version's result and the delta, and
 // hands it to the run state of the full frontier kernel: the BFS repair
 // seeds its worklist, the CONN_COMP repair seeds Afforest's union-find
-// forest. Benchmark.Repair wraps them behind RepairPays; a repair that
-// declines a delta returns ErrNoIncremental.
+// forest. Benchmark.Repair is the only way in, gated by RepairPays and
+// run on the request's Scratch; RepairOrRun falls back to a fresh Run.
 
 // ErrNoIncremental reports that a kernel has no incremental repair for
 // the given delta shape; callers fall back to full recompute.
@@ -38,24 +38,39 @@ func RepairPays(d *graph.EdgeDelta, edges int) bool {
 
 type repairFunc func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error)
 
-// gateRepair applies what every Repair shares: a delta RepairPays
-// declines is ErrNoIncremental, and the options take their defaults.
-func gateRepair(repair repairFunc) repairFunc {
+// gateRepair builds a Repair from a typed repair as dispatch builds Run:
+// a delta RepairPays declines is ErrNoIncremental, one naming a vertex
+// outside the graph an error; then defaults, repair, wrapPayload.
+func gateRepair[T any](set func(*Result, T), repair func(context.Context, exec.Platform, Request, *Result, *graph.EdgeDelta) (T, error)) repairFunc {
 	return func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*Result, error) {
 		if req.G == nil || prev == nil || !RepairPays(d, req.G.M()) {
 			return nil, ErrNoIncremental
 		}
-		return repair(ctx, pl, req.WithDefaults(), prev, d)
+		if err := checkDelta(d, req.G.N); err != nil {
+			return nil, err
+		}
+		req = req.WithDefaults()
+		r, err := repair(ctx, pl, req, prev, d)
+		return wrapPayload(req.Scratch, set, r, err)
 	}
 }
 
-// checkDelta rejects a nil delta or one naming a vertex outside [0,n).
-// The repairs index per-vertex arrays by delta endpoints, and the public
-// facade hands them deltas that never went through Canonicalize.
-func checkDelta(d *graph.EdgeDelta, n int) error {
-	if d == nil {
-		return errors.New("core: nil edge delta")
+// RepairOrRun returns Run's result for req, repaired from prev across d
+// where b's Repair takes d and by Run otherwise; repaired reports which.
+func (b Benchmark) RepairOrRun(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (res *Result, repaired bool, err error) {
+	if b.Repair != nil {
+		if res, err = b.Repair(ctx, pl, req, prev, d); !errors.Is(err, ErrNoIncremental) {
+			return res, err == nil, err
+		}
 	}
+	res, err = b.Run(ctx, pl, req)
+	return res, false, err
+}
+
+// checkDelta rejects a delta naming a vertex outside [0,n). The repairs
+// index per-vertex arrays by delta endpoints, and the public facade hands
+// them deltas that never went through Canonicalize.
+func checkDelta(d *graph.EdgeDelta, n int) error {
 	for _, es := range [2][]graph.Edge{d.Inserts, d.Deletes} {
 		for _, e := range es {
 			if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
@@ -84,24 +99,17 @@ func repairCutoff(oldLevel []int32, d *graph.EdgeDelta) int32 {
 	return cut
 }
 
-// BFSIncremental repairs a BFS result after an edge delta: g is the
+// bfsIncremental repairs a BFS result after an edge delta: g is the
 // post-delta graph, oldLevel the pre-delta levels from the same source.
 // Levels below the repair cutoff are provably unchanged (see
 // repairCutoff), so the kernel resets only levels at or beyond it and
 // re-runs the frontier BFS seeded with the last intact level. Because
 // BFS levels are uniquely determined by graph and source, the repaired
 // result is bit-identical to a full recompute on g — the property test
-// in incremental_test.go pins this across the generator matrix.
-func BFSIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta) (*BFSResult, error) {
-	return bfsIncremental(goCtx, pl, g, src, threads, oldLevel, d, &Scratch{DetachResults: true})
-}
-
-// bfsIncremental is BFSIncremental on a scratch workspace.
+// in incremental_test.go pins this across the generator matrix. oldLevel
+// may be s's own level array.
 func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int, oldLevel []int32, d *graph.EdgeDelta, s *Scratch) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
-		return nil, err
-	}
-	if err := checkDelta(d, g.N); err != nil {
 		return nil, err
 	}
 	if len(oldLevel) != g.N {
@@ -131,24 +139,15 @@ func bfsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, 
 	return k.execute(goCtx, pl, g, threads, cut-1, s)
 }
 
-// ComponentsIncremental repairs a connected-components labeling after an
-// insert-only edge delta: g is the post-delta graph, oldLabels the
-// pre-delta labels. The old labels are already a union-find forest of
-// depth one — every vertex points at its component's least vertex, a
-// root — so the repair is Afforest's link and compress over that forest:
-// the threads link the endpoints of their share of the inserted edges
-// and, only if some link merged two components, compress every label to
-// its new root. It never reads an adjacency list, so a directed graph
-// needs no transpose, and min-hooking makes the labels bit-identical to a
-// full run. Deltas with deletes return ErrNoIncremental: removing an edge
-// can split a component, which a union cannot undo.
-func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, oldLabels []int32, d *graph.EdgeDelta) (*ComponentsResult, error) {
-	if err := validate(g, 0, threads); err != nil {
-		return nil, err
-	}
-	if err := checkDelta(d, g.N); err != nil {
-		return nil, err
-	}
+// componentsIncremental repairs a connected-components labeling after
+// an insert-only edge delta: g is the post-delta graph, oldLabels (which
+// may be s's own) the pre-delta labels, already a union-find forest of
+// depth one. The repair is Afforest's link and compress over it on the
+// scratch's Afforest state (afforestRun.repair). It reads no adjacency
+// list, so a directed graph needs no transpose, and min-hooking makes
+// the labels bit-identical to a full run. A delete can split a
+// component, which a union cannot undo: ErrNoIncremental.
+func componentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads int, oldLabels []int32, d *graph.EdgeDelta, s *Scratch) (*ComponentsResult, error) {
 	if len(d.Deletes) != 0 {
 		return nil, ErrNoIncremental
 	}
@@ -162,12 +161,18 @@ func ComponentsIncremental(goCtx context.Context, pl exec.Platform, g *graph.CSR
 			return nil, fmt.Errorf("core: seed label %d of vertex %d is not the least vertex of a component", l, v)
 		}
 	}
-	k := &afforestRun{g: g, threads: threads, parent: append([]int32(nil), oldLabels...)}
+	k := s.afforest()
+	k.g, k.threads, k.inserts, k.hooked = g, threads, d.Inserts, 0
+	k.parent = grow32(k.parent, g.N, s.DetachResults)
+	copy(k.parent, oldLabels)
 	k.rPar = pl.Alloc("ccaf.parent", g.N, 4)
-	k.bar = pl.NewBarrier(threads)
-	rep, err := pl.RunCtx(goCtx, threads, func(ctx exec.Ctx) { k.repair(ctx, d.Inserts) })
+	k.bar = s.barrierFor(pl, threads)
+	if k.repairBody == nil {
+		k.repairBody = k.repair
+	}
+	rep, err := s.run(goCtx, pl, threads, k.repairBody)
 	if err != nil {
 		return nil, err
 	}
-	return &ComponentsResult{Labels: k.parent, Components: countRoots(k.parent), Iterations: 1, Report: rep}, nil
+	return k.result(rep, 1, s), nil
 }

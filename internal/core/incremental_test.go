@@ -75,11 +75,11 @@ func TestBFSIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				next := graph.ApplyDelta(g, d)
-				res, err := BFSIncremental(ctx, native.New(), next, 0, 8, old, d)
+				rr, err := runRepair(t, "BFS", next, 8, &Result{BFS: &BFSResult{Level: old}}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := BFSRef(next, 0)
+				res, want := rr.BFS, BFSRef(next, 0)
 				for v := range want {
 					if res.Level[v] != want[v] {
 						t.Fatalf("trial %d: level[%d] = %d, full recompute %d",
@@ -105,19 +105,24 @@ func TestBFSIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 // a delta entirely outside the reachable region seeds an empty frontier
 // and leaves every level untouched.
 func TestBFSIncrementalUntouchedReachableRegion(t *testing.T) {
-	// 0->1 reachable chain; 2,3 unreachable from 0.
-	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1, Weight: 1}}, false)
+	// 0->1 reachable chain; the cycle 2->3->...->9->2 unreachable from 0,
+	// so the graph has the 9 edges a one-edge delta needs to pay.
+	edges := []graph.Edge{{From: 0, To: 1, Weight: 1}}
+	for v := int32(2); v < 10; v++ {
+		edges = append(edges, graph.Edge{From: v, To: 2 + (v-1)%8, Weight: 1})
+	}
+	g := graph.FromEdges(10, edges, false)
 	old := BFSRef(g, 0)
-	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 2, To: 3, Weight: 1}}}
+	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 2, To: 4, Weight: 1}}}
 	if err := d.Canonicalize(g.N); err != nil {
 		t.Fatal(err)
 	}
 	next := graph.ApplyDelta(g, d)
-	res, err := BFSIncremental(context.Background(), native.New(), next, 0, 2, old, d)
+	rr, err := runRepair(t, "BFS", next, 2, &Result{BFS: &BFSResult{Level: old}}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BFSRef(next, 0)
+	res, want := rr.BFS, BFSRef(next, 0)
 	for v := range want {
 		if res.Level[v] != want[v] {
 			t.Fatalf("level[%d] = %d, want %d", v, res.Level[v], want[v])
@@ -151,10 +156,11 @@ func TestComponentsIncrementalMatchesFullOnGeneratorMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				next := graph.ApplyDelta(g, d)
-				res, err := ComponentsIncremental(ctx, native.New(), next, 8, old, d)
+				rr, err := runRepair(t, "CONN_COMP", next, 8, &Result{Components: &ComponentsResult{Labels: old}}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res := rr.Components
 				full, err := componentsFrontier(ctx, native.New(), next, 8, NewScratch())
 				if err != nil {
 					t.Fatal(err)
@@ -196,11 +202,11 @@ func TestComponentsIncrementalMergesDirectedComponents(t *testing.T) {
 				t.Fatal(err)
 			}
 			next := graph.ApplyDelta(g, d)
-			res, err := ComponentsIncremental(context.Background(), native.New(), next, threads, old, d)
+			rr, err := runRepair(t, "CONN_COMP", next, threads, &Result{Components: &ComponentsResult{Labels: old}}, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ComponentsRef(next)
+			res, want := rr.Components, ComponentsRef(next)
 			if !slices.Equal(res.Labels, want) {
 				t.Fatalf("%d threads, trial %d: repaired labels differ from the oracle's", threads, trial)
 			}
@@ -227,7 +233,7 @@ func TestComponentsIncrementalRejectsDeletes(t *testing.T) {
 	if err := d.Canonicalize(g.N); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ComponentsIncremental(context.Background(), native.New(), graph.ApplyDelta(g, d), 4, old, d)
+	_, err := runRepair(t, "CONN_COMP", graph.ApplyDelta(g, d), 4, &Result{Components: &ComponentsResult{Labels: old}}, d)
 	if !errors.Is(err, ErrNoIncremental) {
 		t.Fatalf("err = %v, want ErrNoIncremental", err)
 	}
@@ -317,22 +323,23 @@ func TestBenchmarkRepair(t *testing.T) {
 // TestBFSIncrementalSeedValidation pins the defensive checks of both
 // repairs: the public facade passes seeds and deltas through
 // unvalidated, so a malformed one must come back as an error, never as
-// an out-of-range index or a nil dereference.
+// an out-of-range index or a nil dereference. A nil delta is no
+// malformed one: there is nothing to repair, so Repair declines it.
 func TestBFSIncrementalSeedValidation(t *testing.T) {
-	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1, Weight: 1}}, true)
+	// Undirected 0-1, 0-2, 0-3, 1-3: 8 directed edges, as many as a
+	// one-edge delta needs to pay.
+	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1, Weight: 1}, {From: 0, To: 2, Weight: 1},
+		{From: 0, To: 3, Weight: 1}, {From: 1, To: 3, Weight: 1}}, true)
 	good := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 1, To: 2, Weight: 1}}}
 	if err := good.Canonicalize(g.N); err != nil {
 		t.Fatal(err)
 	}
 	next := graph.ApplyDelta(g, good)
-	level := BFSRef(g, 0)
-	labels := ComponentsRef(g)
 
 	deltas := []struct {
 		name string
 		d    *graph.EdgeDelta
 	}{
-		{"nil delta", nil},
 		{"insert tail out of range", &graph.EdgeDelta{Inserts: []graph.Edge{{From: 4, To: 1, Weight: 1}}}},
 		{"insert head negative", &graph.EdgeDelta{Inserts: []graph.Edge{{From: 1, To: -1, Weight: 1}}}},
 		{"delete tail negative", &graph.EdgeDelta{Deletes: []graph.Edge{{From: -2, To: 1}}}},
@@ -340,39 +347,51 @@ func TestBFSIncrementalSeedValidation(t *testing.T) {
 	}
 	kernels := []struct {
 		name string
-		run  func(seed []int32, d *graph.EdgeDelta) error
+		prev func(seed []int32) *Result
 		seed []int32
 		bad  map[string][]int32
 	}{
-		{"BFS", func(seed []int32, d *graph.EdgeDelta) error {
-			_, err := BFSIncremental(context.Background(), native.New(), next, 0, 2, seed, d)
-			return err
-		}, level, map[string][]int32{
+		{"BFS", func(seed []int32) *Result { return &Result{BFS: &BFSResult{Level: seed}} }, BFSRef(g, 0), map[string][]int32{
 			"wrong length":          make([]int32, 2),
 			"source not at level 0": {5, -1, -1, -1},
 		}},
-		{"CONN_COMP", func(seed []int32, d *graph.EdgeDelta) error {
-			_, err := ComponentsIncremental(context.Background(), native.New(), next, 2, seed, d)
-			return err
-		}, labels, map[string][]int32{
+		{"CONN_COMP", func(seed []int32) *Result { return &Result{Components: &ComponentsResult{Labels: seed}} }, ComponentsRef(g), map[string][]int32{
 			"wrong length":           make([]int32, 2),
 			"label above its vertex": {1, 1, 2, 3},
 			"label names a non-root": {0, 0, 1, 3},
 		}},
 	}
 	for _, k := range kernels {
-		if err := k.run(k.seed, good); err != nil {
+		run := func(seed []int32, d *graph.EdgeDelta) error {
+			_, err := runRepair(t, k.name, next, 2, k.prev(seed), d)
+			return err
+		}
+		if err := run(k.seed, good); err != nil {
 			t.Errorf("%s: rejected a valid seed and delta: %v", k.name, err)
 		}
+		if err := run(k.seed, nil); !errors.Is(err, ErrNoIncremental) {
+			t.Errorf("%s: nil delta: err = %v, want ErrNoIncremental", k.name, err)
+		}
 		for _, tc := range deltas {
-			if err := k.run(k.seed, tc.d); err == nil || errors.Is(err, ErrNoIncremental) {
+			if err := run(k.seed, tc.d); err == nil || errors.Is(err, ErrNoIncremental) {
 				t.Errorf("%s: %s: err = %v, want a validation error", k.name, tc.name, err)
 			}
 		}
 		for name, seed := range k.bad {
-			if err := k.run(seed, good); err == nil {
+			if err := run(seed, good); err == nil {
 				t.Errorf("%s: accepted a seed with %s", k.name, name)
 			}
 		}
 	}
+}
+
+// runRepair is kernel's Repair of prev across d on next, a frontier
+// request on a fresh detached scratch.
+func runRepair(t *testing.T, kernel string, next *graph.CSR, threads int, prev *Result, d *graph.EdgeDelta) (*Result, error) {
+	t.Helper()
+	b, err := ByName(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Repair(context.Background(), native.New(), Request{Input: Input{G: next}, Threads: threads, Strategy: StrategyFrontier}, prev, d)
 }

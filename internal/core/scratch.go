@@ -130,14 +130,20 @@ func (s *Scratch) pageRankPull() *pageRankPullRun {
 	return s.prp
 }
 
-// newResult returns the typed-Run result wrapper: scratch-owned and
-// reused in the zero-alloc mode, fresh otherwise.
-func newResult(s *Scratch) *Result {
-	if !s.DetachResults {
-		s.res = Result{}
-		return &s.res
+// wrapPayload sets a kernel's typed payload r through set into the
+// Result every Run and Repair returns — scratch-owned and reused in the
+// zero-alloc mode, fresh otherwise — or passes err on.
+func wrapPayload[T any](s *Scratch, set func(*Result, T), r T, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
 	}
-	return &Result{}
+	res := &s.res
+	if s.DetachResults {
+		res = &Result{}
+	}
+	*res = Result{}
+	set(res, r)
+	return res, nil
 }
 
 // grow32 returns a length-n int32 buffer: buf resliced when its capacity

@@ -205,44 +205,73 @@ func TestWarmRunsAllocZero(t *testing.T) {
 	}
 }
 
-// TestWarmSeededRepairAllocs: a seeded run shares the full kernel's run
-// state, so a warm BFS repair with a serving-mode scratch allocates only
-// what it detaches — the level array, the result struct and the report
-// with its two per-thread slices — and nothing in zero-alloc mode.
+// TestWarmSeededRepairAllocs: a repair shares the full kernel's run
+// state on the request's Scratch, so a warm Benchmark.Repair of BFS or
+// CONN_COMP with a serving-mode scratch allocates only what it detaches —
+// the payload, its result struct, the Result and the report with its two
+// per-thread slices — and nothing in zero-alloc mode, also when prev is
+// the scratch's own last result.
 func TestWarmSeededRepairAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	g := graph.SocialNet(2000, 8, 11)
-	old := BFSRef(g, 0)
 	d := &graph.EdgeDelta{Inserts: []graph.Edge{{From: 0, To: 1999, Weight: 1}}}
 	if err := d.Canonicalize(g.N); err != nil {
 		t.Fatal(err)
 	}
 	next := graph.ApplyDelta(g, d)
-	want := BFSRef(next, 0)
 	goCtx := context.Background()
 	pl := native.New()
+	payload := func(r *Result) []int32 {
+		if r.BFS != nil {
+			return r.BFS.Level
+		}
+		return r.Components.Labels
+	}
 	for _, c := range []struct {
-		detach bool
-		allocs float64
-	}{{true, 5}, {false, 0}} {
-		s := NewScratch()
-		s.DetachResults = c.detach
+		kernel        string
+		detach, alias bool
+		allocs        float64
+	}{
+		{"BFS", true, false, 6}, {"BFS", false, false, 0}, {"BFS", false, true, 0},
+		{"CONN_COMP", true, false, 6}, {"CONN_COMP", false, false, 0}, {"CONN_COMP", false, true, 0},
+	} {
+		b, err := ByName(c.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The seed and the expected result run on scratches of their own.
+		req := Request{Input: Input{G: g}, Threads: 4, Strategy: StrategyFrontier}
+		prev, err := b.Run(goCtx, pl, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.G = next
+		want, err := b.Run(goCtx, pl, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Scratch = NewScratch()
+		req.Scratch.DetachResults = c.detach
 		repair := func() {
-			res, err := bfsIncremental(goCtx, pl, next, 0, 4, old, d, s)
+			res, err := b.Repair(goCtx, pl, req, prev, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Level[1999] != want[1999] {
-				t.Fatalf("level[1999] = %d, want %d", res.Level[1999], want[1999])
+			if !slices.Equal(payload(res), payload(want)) {
+				t.Fatalf("%s: repaired payload differs from a full run", c.kernel)
+			}
+			if c.alias {
+				prev = res
 			}
 		}
 		for i := 0; i < 3; i++ {
 			repair()
 		}
 		if n := testing.AllocsPerRun(10, repair); n != c.allocs {
-			t.Errorf("warm repair (DetachResults=%v) allocates %.0f objects per run, want %.0f", c.detach, n, c.allocs)
+			t.Errorf("warm %s repair (DetachResults=%v, prev aliased %v) allocates %.0f objects per run, want %.0f",
+				c.kernel, c.detach, c.alias, n, c.allocs)
 		}
 	}
 }
@@ -410,19 +439,19 @@ func TestDetachedScratchPinsNoPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := graph.ApplyDelta(g, d)
-	prev := &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}}
 	goCtx := context.Background()
 	pl := native.New()
 	for _, c := range []struct {
 		kernel  string
-		repair  bool
+		prev    *Result // the seed of a repair, nil for a run
 		payload func(*Result) any
 	}{
-		{"BFS", false, func(r *Result) any { return r.BFS.Level }},
-		{"SSSP_DIJK", false, func(r *Result) any { return r.SSSP.Dist }},
-		{"CONN_COMP", false, func(r *Result) any { return r.Components.Labels }},
-		{"PageRank", false, func(r *Result) any { return r.PageRank.Ranks }},
-		{"BFS", true, func(r *Result) any { return r.BFS.Level }},
+		{"BFS", nil, func(r *Result) any { return r.BFS.Level }},
+		{"SSSP_DIJK", nil, func(r *Result) any { return r.SSSP.Dist }},
+		{"CONN_COMP", nil, func(r *Result) any { return r.Components.Labels }},
+		{"PageRank", nil, func(r *Result) any { return r.PageRank.Ranks }},
+		{"BFS", &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}}, func(r *Result) any { return r.BFS.Level }},
+		{"CONN_COMP", &Result{Components: &ComponentsResult{Labels: ComponentsRef(g)}}, func(r *Result) any { return r.Components.Labels }},
 	} {
 		b, err := ByName(c.kernel)
 		if err != nil {
@@ -434,9 +463,9 @@ func TestDetachedScratchPinsNoPayload(t *testing.T) {
 			req := Request{Input: Input{G: g}, Strategy: StrategyFrontier, Threads: 3, Iters: 3, Scratch: s}
 			var res *Result
 			for i := 0; i < 2; i++ { // the second run reuses what the first left
-				if c.repair {
+				if c.prev != nil {
 					req.G = next
-					res, err = b.Repair(goCtx, pl, req, prev, d)
+					res, err = b.Repair(goCtx, pl, req, c.prev, d)
 				} else {
 					res, err = b.Run(goCtx, pl, req)
 				}
@@ -446,7 +475,7 @@ func TestDetachedScratchPinsNoPayload(t *testing.T) {
 			}
 			if pinned := pinsPayload(s, c.payload(res)); pinned == detach {
 				t.Errorf("%s (repair %t, DetachResults %t): scratch aliases the payload = %t, want %t",
-					c.kernel, c.repair, detach, pinned, !detach)
+					c.kernel, c.prev != nil, detach, pinned, !detach)
 			}
 		}
 	}

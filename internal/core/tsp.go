@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"crono/internal/exec"
@@ -198,6 +199,11 @@ func TSP(goCtx context.Context, pl exec.Platform, cities *graph.Dense, threads i
 	var total int64
 	for _, c := range nodes {
 		total += c
+	}
+	// Of a tour and its mirror, which the search reaches first depends on
+	// the schedule: return the one whose second city is below its last.
+	if bestTour[1] > bestTour[n-1] {
+		slices.Reverse(bestTour[1:])
 	}
 	return &TSPResult{Cost: globalBound, Tour: bestTour, Nodes: total, Report: rep}, nil
 }

@@ -82,8 +82,8 @@ func pageRankPullEntryPoint() core.Benchmark {
 	}}
 }
 
-// seededEntryPoints wraps BFSBatch and the two incremental repairs as
-// sweep cells. Each repair is seeded from a full result on req.G plus a
+// seededEntryPoints wraps BFSBatch and the two kernels' Repair as sweep
+// cells. Each repair is seeded from a full result on req.G plus a
 // small random delta, and runs on the mutated graph.
 func seededEntryPoints() []core.Benchmark {
 	// delta draws a few fresh inserts and, when asked, deletes of
@@ -117,6 +117,19 @@ func seededEntryPoints() []core.Benchmark {
 			return &core.Result{Report: rep}, nil
 		}}
 	}
+	// repair runs kernel's Benchmark.Repair; a delta it declines fails
+	// the cell.
+	repair := func(ctx context.Context, pl exec.Platform, kernel string, req core.Request, prev *core.Result, d *graph.EdgeDelta) (*exec.Report, error) {
+		b, err := core.ByName(kernel)
+		if err != nil {
+			return nil, err
+		}
+		r, err := b.Repair(ctx, pl, req, prev, d)
+		if err != nil {
+			return nil, err
+		}
+		return r.Report, nil
+	}
 	return []core.Benchmark{
 		wrap("BFSBatch", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
 			r, err := core.BFSBatch(ctx, pl, req.G, []int{0, 1, req.G.N - 1, 1}, req.Threads)
@@ -130,11 +143,9 @@ func seededEntryPoints() []core.Benchmark {
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.BFSIncremental(ctx, pl, next, req.Source, req.Threads, core.BFSRef(req.G, req.Source), d)
-			if err != nil {
-				return nil, err
-			}
-			return r.Report, nil
+			prev := &core.Result{BFS: &core.BFSResult{Level: core.BFSRef(req.G, req.Source)}}
+			req.G = next
+			return repair(ctx, pl, "BFS", req, prev, d)
 		}),
 		wrap("ComponentsIncremental", func(ctx context.Context, pl exec.Platform, req core.Request) (*exec.Report, error) {
 			d, _, err := delta(req.G, 0)
@@ -152,11 +163,8 @@ func seededEntryPoints() []core.Benchmark {
 			if err := d.Canonicalize(req.G.N); err != nil {
 				return nil, err
 			}
-			r, err := core.ComponentsIncremental(ctx, pl, graph.ApplyDelta(req.G, d), req.Threads, old, d)
-			if err != nil {
-				return nil, err
-			}
-			return r.Report, nil
+			req.G = graph.ApplyDelta(req.G, d)
+			return repair(ctx, pl, "CONN_COMP", req, &core.Result{Components: &core.ComponentsResult{Labels: old}}, d)
 		}),
 	}
 }

@@ -728,19 +728,10 @@ func (s *Server) runOne(p *pending) runOut {
 		defer s.scratches.Put(sc)
 	}
 	// The request context reaches the kernel's barriers: a canceled or
-	// deadlined request aborts the run within one kernel round, freeing this worker slot long before the kernel would have
-	// completed. A repair the kernel declines falls back to a full run.
-	var res *core.Result
-	var err error
-	if rp.prev != nil {
-		if res, err = spec.bench.Repair(ctx, pl, creq, rp.prev, spec.vf.ver.Delta); errors.Is(err, core.ErrNoIncremental) {
-			res, err = nil, nil
-		}
-	}
-	incremental := res != nil
-	if res == nil && err == nil {
-		res, err = spec.bench.Run(ctx, pl, creq)
-	}
+	// deadlined request aborts the run within one kernel round, freeing
+	// this worker slot long before the kernel would have completed. A
+	// repair seed the kernel declines (or none) means a full run.
+	res, incremental, err := spec.bench.RepairOrRun(ctx, pl, creq, rp.prev, rp.delta)
 	wall := time.Since(start)
 	if err != nil {
 		return runOut{err: err}

@@ -138,13 +138,14 @@ func (s *Server) validateRun(req runRequest) (*runSpec, *runError) {
 
 // runPlan is how one validated run executes (planRun).
 type runPlan struct {
-	order graph.Order  // resolved vertex ordering, OrderNone if unordered
-	prev  *core.Result // parent version's result to Repair; nil for a fresh run
-	keep  bool         // the result is offered as its lineage's repair seed (StoredGraph.offerSeed)
-	join  bool         // the run goes to its batch group
-	plan  string       // the batch decision echoed in the reply, "" for a shape that never batches
-	key   string       // result-cache key
-	group string       // batch-group key, set when join
+	order graph.Order      // resolved vertex ordering, OrderNone if unordered
+	prev  *core.Result     // parent version's result to Repair; nil for a fresh run
+	delta *graph.EdgeDelta // the delta from that version to this one
+	keep  bool             // the result is offered as its lineage's repair seed (StoredGraph.offerSeed)
+	join  bool             // the run goes to its batch group
+	plan  string           // the batch decision echoed in the reply, "" for a shape that never batches
+	key   string           // result-cache key
+	group string           // batch-group key, set when join
 }
 
 // planRun makes every decision about a validated run that depends on more
@@ -168,7 +169,7 @@ type runPlan struct {
 //     on a version whose delta core.RepairPays accepts, and the lineage's
 //     seed is the parent version's result for the same request. Which
 //     deltas a kernel can repair is the kernel's answer
-//     (ErrNoIncremental), not the planner's.
+//     (core.Benchmark.RepairOrRun), not the planner's.
 //   - Only a native frontier BFS that is neither ordered nor a repair
 //     joins a batch group: a sim run is a timing experiment unrelated
 //     sources would corrupt, a pass runs over the original layout, and a
@@ -200,7 +201,7 @@ func planRun(bench core.Benchmark, req *runRequest, vf *forms) runPlan {
 	frontier := req.Strategy == string(core.StrategyFrontier)
 	p.keep = frontier && unordered && bench.Repair != nil
 	if p.keep && core.RepairPays(ver.Delta, vf.g.M()) {
-		p.prev = ver.lineage.seed(bench.Name, key(ver.Parent, req.Source, graph.OrderNone))
+		p.prev, p.delta = ver.lineage.seed(bench.Name, key(ver.Parent, req.Source, graph.OrderNone)), ver.Delta
 	}
 	if bench.Name == "BFS" && req.Platform == "native" && frontier && unordered && p.prev == nil {
 		p.join, p.plan = planBatch(core.BFSBatchWidth, vf.BFSDepth())
