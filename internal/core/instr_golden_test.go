@@ -95,19 +95,13 @@ func TestNativeInstructionGolden(t *testing.T) {
 		if err := d.Canonicalize(g.N); err != nil {
 			t.Fatal(err)
 		}
-		// The repairs run through Benchmark.Repair, the components one on
-		// the insert-only part of the delta.
-		repair := func(key, kernel string, next *graph.CSR, prev *Result, d *graph.EdgeDelta) {
-			b, err := ByName(kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := b.Repair(ctx, native.New(), Request{Input: Input{G: next}, Threads: 1, Strategy: StrategyFrontier}, prev, d)
-			record(key+"/"+string(kind), err, func() *exec.Report { return res.Report })
-		}
-		repair("BFSIncremental", "BFS", graph.ApplyDelta(g, d), &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}}, d)
+		bfs, err := runRepair(t, "BFS", graph.ApplyDelta(g, d), 1, &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}}, d)
+		record("BFSIncremental/"+string(kind), err, func() *exec.Report { return bfs.Report })
+
+		// The components repair takes insert-only deltas.
 		ins := &graph.EdgeDelta{Inserts: d.Inserts}
-		repair("ComponentsIncremental", "CONN_COMP", graph.ApplyDelta(g, ins), &Result{Components: &ComponentsResult{Labels: ComponentsRef(g)}}, ins)
+		cc, err := runRepair(t, "CONN_COMP", graph.ApplyDelta(g, ins), 1, &Result{Components: &ComponentsResult{Labels: ComponentsRef(g)}}, ins)
+		record("ComponentsIncremental/"+string(kind), err, func() *exec.Report { return cc.Report })
 	}
 
 	path := filepath.Join("testdata", "native_instr_1t.json")
