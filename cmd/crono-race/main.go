@@ -15,8 +15,9 @@
 //
 // Each -spec entry is kernel:graph:strategy; strategy "all" (the
 // default when omitted) expands to scan and frontier for the kernels
-// that honor the knob. The kernel name "all" expands to the
-// whole suite plus the variants. Exit status is 1 when races were
+// with a frontier execution (core.Benchmark.Frontier: BFS, SSSP_DIJK,
+// CONN_COMP, PageRank and COMM) and to scan alone for the rest. The
+// kernel name "all" expands to the whole suite plus the variants. Exit status is 1 when races were
 // found, 2 on usage or execution errors.
 package main
 
@@ -166,8 +167,8 @@ func parseSpecs(s string) ([]spec, error) {
 					return nil, fmt.Errorf("unknown strategy %q", stratName)
 				}
 				strategies = []core.Strategy{st}
-			} else if b.UsesMatrix || b.UsesCities || isVariant(b.Name) {
-				// Strategy-less kernels: one run covers them.
+			} else if !b.Frontier {
+				// Kernels with one execution: one run covers them.
 				strategies = strategies[:1]
 			}
 			for _, st := range strategies {
@@ -176,15 +177,6 @@ func parseSpecs(s string) ([]spec, error) {
 		}
 	}
 	return out, nil
-}
-
-func isVariant(name string) bool {
-	for _, b := range core.Variants() {
-		if b.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // runSpec executes one kernel on a fresh checking platform and returns

@@ -12,10 +12,6 @@ import (
 	"crono/internal/graph"
 )
 
-// twoStrategies names the kernels with a frontier execution beside the
-// scan one; validate checks both.
-var twoStrategies = map[string]bool{"SSSP_DIJK": true, "BFS": true, "CONN_COMP": true, "PageRank": true, "COMM": true}
-
 // validate self-checks the suite: every kernel runs through
 // Benchmark.Run, under each strategy it has, on randomized inputs on
 // both platforms, and its output is compared against the sequential
@@ -35,10 +31,14 @@ func validate(args []string, stdout, stderr io.Writer) error {
 	}
 	ctx := context.Background()
 	suite := core.Suite()
-	repairs := 0
+	runs := 0 // kernel runs per trial
 	for _, b := range suite {
+		runs++
+		if b.Frontier {
+			runs++
+		}
 		if b.Repair != nil {
-			repairs++
+			runs++
 		}
 	}
 
@@ -80,7 +80,7 @@ func validate(args []string, stdout, stderr io.Writer) error {
 		req := core.Request{Input: core.Input{G: g, D: d, Cities: cities}, Threads: threads, Iters: 6, MaxPasses: 6}
 		for _, b := range suite {
 			strategies := []core.Strategy{core.StrategyScan}
-			if twoStrategies[b.Name] {
+			if b.Frontier {
 				strategies = append(strategies, core.StrategyFrontier)
 			}
 			for _, st := range strategies {
@@ -118,7 +118,7 @@ func validate(args []string, stdout, stderr io.Writer) error {
 	if failures > 0 {
 		return fmt.Errorf("%d failures", failures)
 	}
-	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x %d kernel runs)\n", *trials, len(suite)+len(twoStrategies)+repairs)
+	fmt.Fprintf(stdout, "crono-validate: all checks passed (%d trials x %d kernel runs)\n", *trials, runs)
 	return nil
 }
 

@@ -67,7 +67,7 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 		if err != nil {
 			return nil, err
 		}
-		return &CommunityResult{Community: comm, Communities: n, Passes: 0, Report: rep}, nil
+		return communityResultFromComm(g, comm, 0, rep), nil
 	}
 	m2 := float64(m2i)
 
@@ -213,7 +213,12 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 		return nil, err
 	}
 
-	q := Modularity(g, comm)
+	return communityResultFromComm(g, comm, passes, rep), nil
+}
+
+// communityResultFromComm derives both COMM executions' summary fields
+// from a final assignment: Modularity is always recomputed from it.
+func communityResultFromComm(g *graph.CSR, comm []int32, passes int, rep *exec.Report) *CommunityResult {
 	seen := make(map[int32]bool)
 	for _, c := range comm {
 		seen[c] = true
@@ -221,10 +226,10 @@ func Community(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, m
 	return &CommunityResult{
 		Community:   comm,
 		Communities: len(seen),
-		Modularity:  q,
+		Modularity:  Modularity(g, comm),
 		Passes:      passes,
 		Report:      rep,
-	}, nil
+	}
 }
 
 // Modularity computes Newman modularity of a partition over a symmetric

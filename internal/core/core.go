@@ -182,6 +182,10 @@ type Benchmark struct {
 	UsesMatrix bool
 	// UsesCities marks TSP.
 	UsesCities bool
+	// Frontier marks the kernels with a frontier execution beside the
+	// scan one (BFS, SSSP_DIJK, CONN_COMP, PageRank and COMM), between
+	// which Request.Strategy picks; the others ignore Strategy.
+	Frontier bool
 	// Orderable marks the kernels that consume Request.Reorder: their
 	// payloads un-permute to the unordered result. COMM's Louvain moves
 	// depend on vertex order, so it is not.
@@ -205,115 +209,93 @@ type Benchmark struct {
 // suite and variants are built once; Suite, Variants and ByName hand out
 // copies, so looking a kernel up allocates nothing.
 var suite = wrapSuite([]Benchmark{
-	{
-		Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true,
-		Run: dispatch(func(res *Result, r *SSSPResult) { res.Report, res.SSSP = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
-				return SSSP(ctx, pl, req.G, req.Source, req.Threads)
-			},
-			func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
-				if req.Delta < 1 {
-					req.Delta = AutoSSSPDelta(req.G)
-				}
-				return ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Delta, req.Scratch)
-			}),
-	},
-	{
-		Name: "APSP", Parallelization: "Vertex Capture", UsesMatrix: true,
-		Run: dispatch(func(res *Result, r *APSPResult) { res.Report, res.APSP = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*APSPResult, error) {
-				return APSP(ctx, pl, req.D, req.Threads)
-			}, nil),
-	},
-	{
-		Name: "BETW_CENT", Parallelization: "Vertex Capture & Outer Loop", UsesMatrix: true,
-		Run: dispatch(func(res *Result, r *BetweennessResult) { res.Report, res.Betweenness = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*BetweennessResult, error) {
-				return Betweenness(ctx, pl, req.D, req.Threads)
-			}, nil),
-	},
-	{
-		Name: "BFS", Parallelization: "Graph Division", Orderable: true,
-		Run: dispatch(func(res *Result, r *BFSResult) { res.Report, res.BFS = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
-				return BFS(ctx, pl, req.G, req.Source, req.Threads)
-			},
-			func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
-				return bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
-			}),
+	dispatch(Benchmark{Name: "SSSP_DIJK", Parallelization: "Graph Division", Orderable: true},
+		func(res *Result, r *SSSPResult) { res.Report, res.SSSP = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
+			return SSSP(ctx, pl, req.G, req.Source, req.Threads)
+		},
+		func(ctx context.Context, pl exec.Platform, req Request) (*SSSPResult, error) {
+			if req.Delta < 1 {
+				req.Delta = AutoSSSPDelta(req.G)
+			}
+			return ssspFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Delta, req.Scratch)
+		}),
+	dispatch(Benchmark{Name: "APSP", Parallelization: "Vertex Capture", UsesMatrix: true},
+		func(res *Result, r *APSPResult) { res.Report, res.APSP = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*APSPResult, error) {
+			return APSP(ctx, pl, req.D, req.Threads)
+		}, nil),
+	dispatch(Benchmark{Name: "BETW_CENT", Parallelization: "Vertex Capture & Outer Loop", UsesMatrix: true},
+		func(res *Result, r *BetweennessResult) { res.Report, res.Betweenness = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*BetweennessResult, error) {
+			return Betweenness(ctx, pl, req.D, req.Threads)
+		}, nil),
+	dispatch(Benchmark{Name: "BFS", Parallelization: "Graph Division", Orderable: true,
 		Repair: gateRepair(func(res *Result, r *BFSResult) { res.Report, res.BFS = r.Report, r },
 			func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*BFSResult, error) {
 				return bfsIncremental(ctx, pl, req.G, req.Source, req.Threads, prev.BFS.Level, d, req.Scratch)
-			}),
-	},
-	{
-		Name: "DFS", Parallelization: "Branch and Bound", Orderable: true,
-		Run: dispatch(func(res *Result, r *DFSResult) { res.Report, res.DFS = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*DFSResult, error) {
-				return DFS(ctx, pl, req.G, req.Source, req.Threads)
-			}, nil),
-	},
-	{
-		Name: "TSP", Parallelization: "Branch and Bound", UsesCities: true,
-		Run: dispatch(func(res *Result, r *TSPResult) { res.Report, res.TSP = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*TSPResult, error) {
-				return TSP(ctx, pl, req.Cities, req.Threads)
-			}, nil),
-	},
-	{
-		Name: "CONN_COMP", Parallelization: "Graph Division", Orderable: true,
-		Run: dispatch(func(res *Result, r *ComponentsResult) { res.Report, res.Components = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
-				return ConnectedComponents(ctx, pl, req.G, req.Threads)
-			},
-			func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
-				return componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
-			}),
+			})},
+		func(res *Result, r *BFSResult) { res.Report, res.BFS = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
+			return BFS(ctx, pl, req.G, req.Source, req.Threads)
+		},
+		func(ctx context.Context, pl exec.Platform, req Request) (*BFSResult, error) {
+			return bfsFrontier(ctx, pl, req.G, req.Source, req.Threads, req.Scratch)
+		}),
+	dispatch(Benchmark{Name: "DFS", Parallelization: "Branch and Bound", Orderable: true},
+		func(res *Result, r *DFSResult) { res.Report, res.DFS = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*DFSResult, error) {
+			return DFS(ctx, pl, req.G, req.Source, req.Threads)
+		}, nil),
+	dispatch(Benchmark{Name: "TSP", Parallelization: "Branch and Bound", UsesCities: true},
+		func(res *Result, r *TSPResult) { res.Report, res.TSP = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*TSPResult, error) {
+			return TSP(ctx, pl, req.Cities, req.Threads)
+		}, nil),
+	dispatch(Benchmark{Name: "CONN_COMP", Parallelization: "Graph Division", Orderable: true,
 		Repair: gateRepair(func(res *Result, r *ComponentsResult) { res.Report, res.Components = r.Report, r },
 			func(ctx context.Context, pl exec.Platform, req Request, prev *Result, d *graph.EdgeDelta) (*ComponentsResult, error) {
 				return componentsIncremental(ctx, pl, req.G, req.Threads, prev.Components.Labels, d, req.Scratch)
-			}),
-	},
-	{
-		Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
-		Run: dispatch(func(res *Result, r *TriangleCountResult) { res.Report, res.Triangles = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*TriangleCountResult, error) {
-				return TriangleCount(ctx, pl, req.G, req.Threads)
-			}, nil),
-	},
-	{
-		Name: "PageRank", Parallelization: "Vertex Capture & Graph Division", Orderable: true,
-		Run: dispatch(func(res *Result, r *PageRankResult) { res.Report, res.PageRank = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
-				return PageRank(ctx, pl, req.G, req.Threads, req.Iters)
-			},
-			func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
-				return pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
-			}),
-	},
-	{
-		Name: "COMM", Parallelization: "Vertex Capture & Graph Division",
-		Run: dispatch(func(res *Result, r *CommunityResult) { res.Report, res.Community = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
-				return Community(ctx, pl, req.G, req.Threads, req.MaxPasses)
-			},
-			func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
-				return communityFrontier(ctx, pl, req.G, req.Threads, req.MaxPasses)
-			}),
-	},
+			})},
+		func(res *Result, r *ComponentsResult) { res.Report, res.Components = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
+			return ConnectedComponents(ctx, pl, req.G, req.Threads)
+		},
+		func(ctx context.Context, pl exec.Platform, req Request) (*ComponentsResult, error) {
+			return componentsFrontier(ctx, pl, req.G, req.Threads, req.Scratch)
+		}),
+	dispatch(Benchmark{Name: "TRI_CNT", Parallelization: "Vertex Capture & Graph Division", Orderable: true},
+		func(res *Result, r *TriangleCountResult) { res.Report, res.Triangles = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*TriangleCountResult, error) {
+			return TriangleCount(ctx, pl, req.G, req.Threads)
+		}, nil),
+	dispatch(Benchmark{Name: "PageRank", Parallelization: "Vertex Capture & Graph Division", Orderable: true},
+		func(res *Result, r *PageRankResult) { res.Report, res.PageRank = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
+			return PageRank(ctx, pl, req.G, req.Threads, req.Iters)
+		},
+		func(ctx context.Context, pl exec.Platform, req Request) (*PageRankResult, error) {
+			return pageRankPull(ctx, pl, req.G, req.Threads, req.Iters, req.Scratch)
+		}),
+	dispatch(Benchmark{Name: "COMM", Parallelization: "Vertex Capture & Graph Division"},
+		func(res *Result, r *CommunityResult) { res.Report, res.Community = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
+			return Community(ctx, pl, req.G, req.Threads, req.MaxPasses)
+		},
+		func(ctx context.Context, pl exec.Platform, req Request) (*CommunityResult, error) {
+			return communityFrontier(ctx, pl, req.G, req.Threads, req.MaxPasses)
+		}),
 })
 
 // Suite lists all ten benchmarks in paper order.
 func Suite() []Benchmark { return slices.Clone(suite) }
 
 var variants = wrapSuite([]Benchmark{
-	{
-		Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true,
-		Run: dispatch(func(res *Result, r *BrandesResult) { res.Report, res.Brandes = r.Report, r },
-			func(ctx context.Context, pl exec.Platform, req Request) (*BrandesResult, error) {
-				return BetweennessBrandes(ctx, pl, req.G, req.Threads)
-			}, nil),
-	},
+	dispatch(Benchmark{Name: "BETW_BRANDES", Parallelization: "Vertex Capture (Brandes)", Orderable: true},
+		func(res *Result, r *BrandesResult) { res.Report, res.Brandes = r.Report, r },
+		func(ctx context.Context, pl exec.Platform, req Request) (*BrandesResult, error) {
+			return BetweennessBrandes(ctx, pl, req.G, req.Threads)
+		}, nil),
 })
 
 // Variants lists the kernels beyond the Table I suite as runnable
@@ -337,13 +319,14 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("core: unknown benchmark %q", name)
 }
 
-// dispatch builds a benchmark's Run from its scan execution and, for the
-// kernels that have one, its frontier execution (nil otherwise). Run
-// resolves the request's defaults, rejects an unknown strategy where
-// there is a choice to make, runs the chosen execution and wraps its
-// payload (wrapPayload).
-func dispatch[T any](set func(*Result, T), scan, frontier func(context.Context, exec.Platform, Request) (T, error)) runFunc {
-	return func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
+// dispatch completes a suite entry from its scan execution and, for the
+// kernels that have one, its frontier execution (nil otherwise): it sets
+// Frontier and builds Run, which resolves the request's defaults,
+// rejects an unknown strategy where there is a choice to make, runs the
+// chosen execution and wraps its payload (wrapPayload).
+func dispatch[T any](b Benchmark, set func(*Result, T), scan, frontier func(context.Context, exec.Platform, Request) (T, error)) Benchmark {
+	b.Frontier = frontier != nil
+	b.Run = func(ctx context.Context, pl exec.Platform, req Request) (*Result, error) {
 		req = req.WithDefaults()
 		run := scan
 		if frontier != nil {
@@ -357,6 +340,7 @@ func dispatch[T any](set func(*Result, T), scan, frontier func(context.Context, 
 		r, err := run(ctx, pl, req)
 		return wrapPayload(req.Scratch, set, r, err)
 	}
+	return b
 }
 
 // wrapSuite applies the reorder/un-permute wrapper to every orderable

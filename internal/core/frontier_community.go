@@ -23,53 +23,23 @@ func communityFrontier(goCtx context.Context, pl exec.Platform, g *graph.CSR, th
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
 	}
-	n := g.N
-	k := &communityFrontierRun{comm: make([]int32, n), mark: make([]int32, n)}
-	for v := 0; v < n; v++ {
-		k.comm[v] = int32(v)
-		k.mark[v] = 1
-	}
-	k.wl.resetIota(threads, n)
-	return k.execute(goCtx, pl, g, threads, maxPasses)
-}
-
-// communityFrontierRun is the state of one communityFrontier execution.
-type communityFrontierRun struct {
-	g         *graph.CSR
-	threads   int
-	maxPasses int
-	comm      []int32
-	kdeg      []int64 // weighted degree per vertex
-	ktot      []int64 // total weighted degree per community
-	m2        float64
-	mark      []int32 // 1 while the vertex sits in a buffer or the worklist
-	wl        worklist
-	passes    int
-
-	rComm, rKtot, rOff, rTgt, rWgt, rMark, rFront exec.Region
-	locks                                         []exec.Lock
-	bar                                           exec.Barrier
-}
-
-// execute runs the move rounds from the state communityFrontier seeded:
-// k.comm is the starting assignment (every id in [0,n)) and k.wl
-// (mirrored by k.mark) the active vertices. Degree totals are O(n+m)
-// sums, built here from the graph.
-func (k *communityFrontierRun) execute(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, maxPasses int) (*CommunityResult, error) {
 	if maxPasses < 1 {
 		maxPasses = 1
 	}
 	n := g.N
-	k.g, k.threads, k.maxPasses = g, threads, maxPasses
-	k.kdeg = make([]int64, n)
-	k.ktot = make([]int64, n)
+	k := &communityFrontierRun{g: g, threads: threads, maxPasses: maxPasses,
+		comm: make([]int32, n), mark: make([]int32, n), kdeg: make([]int64, n), ktot: make([]int64, n)}
+	// Every vertex starts in its own community and on the worklist.
+	// Degree totals are O(n+m) sums.
 	var m2i int64
 	for v := 0; v < n; v++ {
+		k.comm[v] = int32(v)
+		k.mark[v] = 1
 		_, ws := g.Neighbors(v)
 		for _, w := range ws {
 			k.kdeg[v] += int64(w)
 		}
-		k.ktot[k.comm[v]] += k.kdeg[v]
+		k.ktot[v] = k.kdeg[v]
 		m2i += k.kdeg[v]
 	}
 	if m2i == 0 {
@@ -80,6 +50,7 @@ func (k *communityFrontierRun) execute(goCtx context.Context, pl exec.Platform, 
 		return communityResultFromComm(g, k.comm, 0, rep), nil
 	}
 	k.m2 = float64(m2i)
+	k.wl.resetIota(threads, n)
 
 	k.rComm = pl.Alloc("commf.community", n, 4)
 	k.rKtot = pl.Alloc("commf.ktot", n, 8)
@@ -98,20 +69,22 @@ func (k *communityFrontierRun) execute(goCtx context.Context, pl exec.Platform, 
 	return communityResultFromComm(g, k.comm, k.passes, rep), nil
 }
 
-// communityResultFromComm derives the summary fields from a final
-// assignment: Modularity is always recomputed from it.
-func communityResultFromComm(g *graph.CSR, comm []int32, passes int, rep *exec.Report) *CommunityResult {
-	seen := make(map[int32]bool)
-	for _, c := range comm {
-		seen[c] = true
-	}
-	return &CommunityResult{
-		Community:   comm,
-		Communities: len(seen),
-		Modularity:  Modularity(g, comm),
-		Passes:      passes,
-		Report:      rep,
-	}
+// communityFrontierRun is the state of one communityFrontier execution.
+type communityFrontierRun struct {
+	g         *graph.CSR
+	threads   int
+	maxPasses int
+	comm      []int32
+	kdeg      []int64 // weighted degree per vertex
+	ktot      []int64 // total weighted degree per community
+	m2        float64
+	mark      []int32 // 1 while the vertex sits in a buffer or the worklist
+	wl        worklist
+	passes    int
+
+	rComm, rKtot, rOff, rTgt, rWgt, rMark, rFront exec.Region
+	locks                                         []exec.Lock
+	bar                                           exec.Barrier
 }
 
 func (k *communityFrontierRun) run(ctx exec.Ctx) {

@@ -382,4 +382,13 @@ func TestFrontierStrategyDispatch(t *testing.T) {
 	if _, err := pr.Run(ctx, native.New(), Request{Input: Input{G: g}, Threads: 4, Strategy: "warp"}); err == nil {
 		t.Fatal("PageRank accepted unknown strategy")
 	}
+	// Benchmark.Frontier tells the truth: exactly the kernels with a
+	// frontier execution check the strategy; the others ignore it.
+	in := Input{G: g, D: graph.DenseFromCSR(graph.UniformSparse(16, 3, 20, 1)), Cities: graph.Cities(5, 2)}
+	for _, b := range append(Suite(), Variants()...) {
+		_, err := b.Run(ctx, native.New(), Request{Input: in, Threads: 2, Strategy: "warp"})
+		if b.Frontier != (err != nil) {
+			t.Errorf("%s: Frontier %v, unknown-strategy error %v", b.Name, b.Frontier, err)
+		}
+	}
 }

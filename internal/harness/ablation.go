@@ -15,46 +15,42 @@ import (
 // Section VII singles out as beneficiaries of architectural optimization.
 var ablationBenchmarks = []string{"SSSP_DIJK", "BFS", "PageRank", "CONN_COMP"}
 
-func (c *Config) runWith(b core.Benchmark, in core.Input, threads int, mutate func(*sim.Config)) (*exec.Report, error) {
-	sc := c.simConfig(sim.InOrder)
-	mutate(&sc)
-	m, err := sim.New(sc)
-	if err != nil {
-		return nil, err
+// ablate emits t as name with one row per named kernel, from its runs at
+// its best thread count on the Table II machine (the baseline, which
+// Figure 1 also runs) and on that machine changed by mutate.
+func (c *Config) ablate(name string, t *stats.Table, benches []string, mutate func(*sim.Config), row func(bench string, p int, base, mut *exec.Report)) error {
+	for _, bn := range benches {
+		b, err := core.ByName(bn)
+		if err != nil {
+			return err
+		}
+		in, p, mc := c.defaultInput(b), c.bestThreads(bn), c.simConfig(sim.InOrder)
+		base, err := c.report(b, in, p, mc)
+		if err != nil {
+			return err
+		}
+		mutate(&mc)
+		mut, err := c.report(b, in, p, mc)
+		if err != nil {
+			return err
+		}
+		row(bn, p, base, mut)
 	}
-	res, err := b.Run(c.ctx(), m, core.Request{Input: in, Threads: threads})
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
+	return c.emit(name, t)
 }
 
 // RunAblationDirectory compares the Table II ACKWise-4 limited directory
 // against an idealized full-map directory (one sharer pointer per core),
 // isolating the cost of broadcast invalidations on sharer-heavy kernels.
 func RunAblationDirectory(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: ACKWise-4 vs full-map directory (completion time, best threads)",
 		"Benchmark", "Threads", "ACKWise-4", "Full-map", "FullMap/ACKWise")
-	for _, name := range ablationBenchmarks {
-		b, err := core.ByName(name)
-		if err != nil {
-			return err
-		}
-		in := ins.forBench(b)
-		p := cfg.bestThreads(name)
-		ack, err := cfg.runWith(b, in, p, func(sc *sim.Config) {})
-		if err != nil {
-			return err
-		}
-		full, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.DirPointers = sc.Cores })
-		if err != nil {
-			return err
-		}
-		t.Addf(name, p, ack.Time, full.Time, float64(full.Time)/float64(ack.Time))
-	}
-	return cfg.emit("abl-dir", t)
+	return cfg.ablate("abl-dir", t, ablationBenchmarks,
+		func(sc *sim.Config) { sc.DirPointers = sc.Cores },
+		func(bench string, p int, ack, full *exec.Report) {
+			t.Addf(bench, p, ack.Time, full.Time, float64(full.Time)/float64(ack.Time))
+		})
 }
 
 // RunAblationLocality evaluates the Section VII locality-aware coherence
@@ -62,34 +58,20 @@ func RunAblationDirectory(cfg *Config) error {
 // of thrashing the private L1s, reducing on-chip traffic for read-write
 // shared data.
 func RunAblationLocality(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: locality-aware coherence (Section VII-A)",
 		"Benchmark", "Threads", "Baseline", "LocalityAware", "Speedup", "L1MissBase%", "L1MissLA%", "FlitHopsRatio")
-	for _, name := range ablationBenchmarks {
-		b, err := core.ByName(name)
-		if err != nil {
-			return err
-		}
-		in := ins.forBench(b)
-		p := cfg.bestThreads(name)
-		base, err := cfg.runWith(b, in, p, func(sc *sim.Config) {})
-		if err != nil {
-			return err
-		}
-		la, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.LocalityAware = true })
-		if err != nil {
-			return err
-		}
-		ratio := 0.0
-		if base.NetworkFlitHops > 0 {
-			ratio = float64(la.NetworkFlitHops) / float64(base.NetworkFlitHops)
-		}
-		t.Addf(name, p, base.Time, la.Time,
-			float64(base.Time)/float64(la.Time),
-			base.Cache.L1MissRate(), la.Cache.L1MissRate(), ratio)
-	}
-	return cfg.emit("abl-locality", t)
+	return cfg.ablate("abl-locality", t, ablationBenchmarks,
+		func(sc *sim.Config) { sc.LocalityAware = true },
+		func(bench string, p int, base, la *exec.Report) {
+			ratio := 0.0
+			if base.NetworkFlitHops > 0 {
+				ratio = float64(la.NetworkFlitHops) / float64(base.NetworkFlitHops)
+			}
+			t.Addf(bench, p, base.Time, la.Time,
+				float64(base.Time)/float64(la.Time),
+				base.Cache.L1MissRate(), la.Cache.L1MissRate(), ratio)
+		})
 }
 
 // RunAblationWindow demonstrates why the lax-synchronization window
@@ -97,7 +79,6 @@ func RunAblationLocality(cfg *Config) error {
 // for dynamically distributed work (vertex capture), and the simulated
 // load balance of capture-based kernels collapses.
 func RunAblationWindow(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: lax-synchronization window (APSP vertex capture, 64 threads)",
 		"Window", "Time", "Variability")
@@ -105,9 +86,11 @@ func RunAblationWindow(cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	in := ins.forBench(b)
+	in := cfg.defaultInput(b)
 	for _, w := range []uint64{0, 10_000, 50_000, 200_000} {
-		rep, err := cfg.runWith(b, in, min(64, cfg.maxThreads()), func(sc *sim.Config) { sc.WindowCycles = w })
+		mc := cfg.simConfig(sim.InOrder)
+		mc.WindowCycles = w
+		rep, err := cfg.report(b, in, min(64, cfg.maxThreads()), mc)
 		if err != nil {
 			return err
 		}
@@ -120,90 +103,48 @@ func RunAblationWindow(cfg *Config) error {
 	return err
 }
 
-// RunAblationRouting compares XY routing against O1TURN-style oblivious
-// routing (Section VII-B: "routing protocols, such as oblivious routing,
-// may be able to reduce contention").
+// RunAblationRouting compares XY routing, the Table II default, against
+// O1TURN-style oblivious routing (Section VII-B: "routing protocols, such
+// as oblivious routing, may be able to reduce contention").
 func RunAblationRouting(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: XY vs oblivious routing (completion time, best threads)",
 		"Benchmark", "Threads", "XY", "Oblivious", "Oblivious/XY")
-	for _, name := range ablationBenchmarks {
-		b, err := core.ByName(name)
-		if err != nil {
-			return err
-		}
-		in := ins.forBench(b)
-		p := cfg.bestThreads(name)
-		xy, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.Routing = noc.RouteXY })
-		if err != nil {
-			return err
-		}
-		obl, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.Routing = noc.RouteOblivious })
-		if err != nil {
-			return err
-		}
-		t.Addf(name, p, xy.Time, obl.Time, float64(obl.Time)/float64(xy.Time))
-	}
-	return cfg.emit("abl-routing", t)
+	return cfg.ablate("abl-routing", t, ablationBenchmarks,
+		func(sc *sim.Config) { sc.Routing = noc.RouteOblivious },
+		func(bench string, p int, xy, obl *exec.Report) {
+			t.Addf(bench, p, xy.Time, obl.Time, float64(obl.Time)/float64(xy.Time))
+		})
 }
 
 // RunAblationPrefetch evaluates the next-line prefetcher (Section VI
 // lists data prefetching among the real machine's advantages over the
 // simulated futuristic multicore).
 func RunAblationPrefetch(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: next-line L1 prefetcher",
 		"Benchmark", "Threads", "Baseline", "Prefetch", "Speedup", "MissBase%", "MissPF%")
-	for _, name := range []string{"APSP", "BETW_CENT", "PageRank", "CONN_COMP"} {
-		b, err := core.ByName(name)
-		if err != nil {
-			return err
-		}
-		in := ins.forBench(b)
-		p := cfg.bestThreads(name)
-		base, err := cfg.runWith(b, in, p, func(sc *sim.Config) {})
-		if err != nil {
-			return err
-		}
-		pf, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.NextLinePrefetch = true })
-		if err != nil {
-			return err
-		}
-		t.Addf(name, p, base.Time, pf.Time,
-			float64(base.Time)/float64(pf.Time),
-			base.Cache.L1MissRate(), pf.Cache.L1MissRate())
-	}
-	return cfg.emit("abl-prefetch", t)
+	return cfg.ablate("abl-prefetch", t, []string{"APSP", "BETW_CENT", "PageRank", "CONN_COMP"},
+		func(sc *sim.Config) { sc.NextLinePrefetch = true },
+		func(bench string, p int, base, pf *exec.Report) {
+			t.Addf(bench, p, base.Time, pf.Time,
+				float64(base.Time)/float64(pf.Time),
+				base.Cache.L1MissRate(), pf.Cache.L1MissRate())
+		})
 }
 
 // RunAblationHetero evaluates the heterogeneous design point of
 // Section VII-B: one out-of-order core for the master thread (which runs
 // the serial reductions between barriers) with in-order cores elsewhere.
 func RunAblationHetero(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: heterogeneous master core (OOO tile 0, in-order rest)",
 		"Benchmark", "Threads", "Homogeneous", "HeteroMaster", "Speedup")
-	for _, name := range []string{"SSSP_DIJK", "CONN_COMP", "COMM"} {
-		b, err := core.ByName(name)
-		if err != nil {
-			return err
-		}
-		in := ins.forBench(b)
-		p := cfg.bestThreads(name)
-		base, err := cfg.runWith(b, in, p, func(sc *sim.Config) {})
-		if err != nil {
-			return err
-		}
-		het, err := cfg.runWith(b, in, p, func(sc *sim.Config) { sc.HeteroMasterOOO = true })
-		if err != nil {
-			return err
-		}
-		t.Addf(name, p, base.Time, het.Time, float64(base.Time)/float64(het.Time))
-	}
-	return cfg.emit("abl-hetero", t)
+	return cfg.ablate("abl-hetero", t, []string{"SSSP_DIJK", "CONN_COMP", "COMM"},
+		func(sc *sim.Config) { sc.HeteroMasterOOO = true },
+		func(bench string, p int, base, het *exec.Report) {
+			t.Addf(bench, p, base.Time, het.Time, float64(base.Time)/float64(het.Time))
+		})
 }
 
 // RunAblationFormulation contrasts algorithmic formulations on the
@@ -211,27 +152,19 @@ func RunAblationHetero(cfg *Config) error {
 // pareto fronts vs delta-stepping SSSP (rounds vs redundant work) — the
 // software-side mitigations for the bottlenecks the paper characterizes.
 func RunAblationFormulation(cfg *Config) error {
-	ins := newInputs(cfg)
 	t := stats.NewTable(
 		"Ablation: algorithmic formulations on the Table II machine",
 		"Kernel", "Variant", "Threads", "Time", "Sync%", "Speedup-vs-base")
 	sssp, _ := core.ByName("SSSP_DIJK")
 	pr, _ := core.ByName("PageRank")
-	in := ins.forBench(sssp)
-	run := func(b core.Benchmark, req core.Request) (*core.Result, error) {
-		m, err := cfg.newSim(sim.InOrder)
-		if err != nil {
-			return nil, err
-		}
-		return b.Run(cfg.ctx(), m, req)
-	}
+	in, mc := cfg.defaultInput(sssp), cfg.simConfig(sim.InOrder)
 
 	p := cfg.bestThreads("PageRank")
-	push, err := run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyScan})
+	push, err := cfg.run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyScan}, mc)
 	if err != nil {
 		return err
 	}
-	pull, err := run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyFrontier})
+	pull, err := cfg.run(pr, core.Request{Input: in, Threads: p, Strategy: core.StrategyFrontier}, mc)
 	if err != nil {
 		return err
 	}
@@ -244,11 +177,11 @@ func RunAblationFormulation(cfg *Config) error {
 	// Both SSSP rows run the frontier kernel, so only the bucket width
 	// changes: with integer weights, delta=1 settles exact pareto fronts.
 	ps := cfg.bestThreads("SSSP_DIJK")
-	exact, err := run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 1})
+	exact, err := cfg.run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 1}, mc)
 	if err != nil {
 		return err
 	}
-	wide, err := run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 32})
+	wide, err := cfg.run(sssp, core.Request{Input: in, Threads: ps, Strategy: core.StrategyFrontier, Delta: 32}, mc)
 	if err != nil {
 		return err
 	}
@@ -266,31 +199,21 @@ func RunAblationFormulation(cfg *Config) error {
 
 // RunAblationReorder measures vertex reordering — the software locality
 // optimization for the unstructured-access problem the paper
-// characterizes. PageRank runs on the same social graph before and after
-// BFS relabeling.
+// characterizes. PageRank runs on Table IV's social graph before and
+// after BFS relabeling.
 func RunAblationReorder(cfg *Config) error {
 	t := stats.NewTable(
 		"Ablation: BFS vertex reordering (PageRank on a social graph)",
 		"Layout", "LocalityScore", "Time", "L1Miss%", "Speedup-vs-original")
-	g := graph.SocialNet(cfg.SparseN()/2, 14, cfg.Seed)
+	g := cfg.input(string(graph.KindSocial), cfg.kindN(graph.KindSocial)).G
 	rg, _ := graph.ReorderBFS(g, 0)
-	p := cfg.bestThreads("PageRank")
-	run := func(gr *graph.CSR) (*exec.Report, error) {
-		m, err := cfg.newSim(sim.InOrder)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.PageRank(cfg.ctx(), m, gr, p, core.DefaultPageRankIters)
-		if err != nil {
-			return nil, err
-		}
-		return r.Report, nil
-	}
-	base, err := run(g)
+	pr, _ := core.ByName("PageRank")
+	p, mc := cfg.bestThreads("PageRank"), cfg.simConfig(sim.InOrder)
+	base, err := cfg.report(pr, core.Input{G: g}, p, mc)
 	if err != nil {
 		return err
 	}
-	reord, err := run(rg)
+	reord, err := cfg.report(pr, core.Input{G: rg}, p, mc)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"crono/internal/core"
-	"crono/internal/exec"
 	"crono/internal/sim"
 	"crono/internal/stats"
 )
@@ -15,9 +14,9 @@ import (
 // and the normalized completion time across the thread sweep, plus the
 // best speedup over the 1-thread run.
 func RunFig1(cfg *Config) error {
-	ins := newInputs(cfg)
+	mc := cfg.simConfig(sim.InOrder)
 	for _, b := range core.Suite() {
-		in := ins.forBench(b)
+		in := cfg.defaultInput(b)
 		t := stats.NewTable(
 			fmt.Sprintf("Figure 1 [%s]: normalized completion time breakdown", b.Name),
 			"Threads", "NormTime", "Compute", "L1-L2Home", "Waiting", "Sharers", "OffChip", "Sync", "Variability", "Speedup")
@@ -27,7 +26,7 @@ func RunFig1(cfg *Config) error {
 			if cfg.Cores > 0 && p > cfg.Cores {
 				continue
 			}
-			rep, err := cfg.runSim(b, in, p, sim.InOrder)
+			rep, err := cfg.report(b, in, p, mc)
 			if err != nil {
 				return err
 			}
@@ -38,12 +37,9 @@ func RunFig1(cfg *Config) error {
 			if sp > bestSp {
 				bestSp, bestP = sp, p
 			}
-			f := rep.Breakdown.Fractions()
-			t.Addf(p,
-				float64(rep.Time)/float64(seq),
-				f[exec.CompCompute], f[exec.CompL1ToL2], f[exec.CompWaiting],
-				f[exec.CompSharers], f[exec.CompOffChip], f[exec.CompSync],
-				rep.Variability(), sp)
+			row := append([]string{fmt.Sprint(p), fmt.Sprintf("%.3f", float64(rep.Time)/float64(seq))},
+				stats.BreakdownRow(rep.Breakdown)...)
+			t.Add(append(row, fmt.Sprintf("%.3f", rep.Variability()), fmt.Sprintf("%.3f", sp))...)
 		}
 		if err := cfg.emit("fig1-"+b.Name, t); err != nil {
 			return err

@@ -31,36 +31,22 @@ func RunFig5(cfg *Config) error {
 		"Figure 5: vertex scalability (best-thread speedup per input size)",
 		"Benchmark", "Size1", "Sp1", "Size2", "Sp2", "Size3", "Sp3", "Size4", "Sp4")
 
+	mc := cfg.simConfig(sim.InOrder)
 	for _, b := range core.Suite() {
 		row := []string{b.Name}
-		var sizes []int
+		fam, sizes := string(graph.KindSparse), sparseSweep
 		switch {
 		case b.UsesMatrix:
-			sizes = matrixSweep
+			fam, sizes = familyMatrix, matrixSweep
 		case b.UsesCities:
-			sizes = citySweep
-		default:
-			sizes = sparseSweep
+			fam, sizes = familyCities, citySweep
 		}
 		for _, n := range sizes {
-			var in core.Input
-			switch {
-			case b.UsesMatrix:
-				in = core.Input{D: graph.DenseFromCSR(graph.UniformSparse(n, 8, 50, cfg.Seed+1))}
-			case b.UsesCities:
-				in = core.Input{Cities: graph.Cities(n, cfg.Seed+2)}
-			default:
-				in = core.Input{G: graph.UniformSparse(n, 8, 100, cfg.Seed), Source: 0}
-			}
-			seq, err := cfg.runSim(b, in, 1, sim.InOrder)
+			sp, err := cfg.bestSpeedup(b, cfg.input(fam, n), mc)
 			if err != nil {
 				return err
 			}
-			best, err := cfg.runSim(b, in, cfg.bestThreads(b.Name), sim.InOrder)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprint(n), fmt.Sprintf("%.2f", stats.Speedup(seq.Time, best.Time)))
+			row = append(row, fmt.Sprint(n), fmt.Sprintf("%.2f", sp))
 		}
 		t.Add(row...)
 	}

@@ -5,7 +5,7 @@ import (
 	"runtime"
 
 	"crono/internal/core"
-	"crono/internal/graph"
+	"crono/internal/native"
 	"crono/internal/sim"
 	"crono/internal/stats"
 )
@@ -39,20 +39,6 @@ func i7Config() sim.Config {
 // i7-4790 (DESIGN.md substitution #5).
 func RunFig9(cfg *Config) error {
 	n := cfg.NativeN()
-	g := graph.UniformSparse(n, 8, 100, cfg.Seed)
-	d := graph.DenseFromCSR(graph.UniformSparse(cfg.MatrixN(), 8, 50, cfg.Seed+1))
-	cities := graph.Cities(cfg.TSPCities(), cfg.Seed+2)
-	forBench := func(b core.Benchmark) core.Input {
-		switch {
-		case b.UsesMatrix:
-			return core.Input{D: d}
-		case b.UsesCities:
-			return core.Input{Cities: cities}
-		default:
-			return core.Input{G: g, Source: 0}
-		}
-	}
-
 	header := []string{"Benchmark"}
 	for _, p := range fig9Threads {
 		header = append(header, fmt.Sprintf("p=%d", p))
@@ -64,19 +50,17 @@ func RunFig9(cfg *Config) error {
 			runtime.NumCPU(), n),
 		header...)
 	for _, b := range core.Suite() {
-		in := forBench(b)
+		in := cfg.inputFor(b, n, cfg.MatrixN())
 		row := []string{b.Name}
 		var seq uint64
 		for _, p := range fig9Threads {
 			best := ^uint64(0)
 			for r := 0; r < 3; r++ { // best of three smooths host noise
-				rep, err := cfg.runNative(b, in, p)
+				res, err := b.Run(cfg.ctx(), native.New(), core.Request{Input: in, Threads: p})
 				if err != nil {
 					return err
 				}
-				if rep.Time < best {
-					best = rep.Time
-				}
+				best = min(best, res.Report.Time)
 			}
 			if p == 1 {
 				seq = best
@@ -94,30 +78,18 @@ func RunFig9(cfg *Config) error {
 
 	// Part 2: the simulated i7-4790-class machine. Smaller inputs keep
 	// the simulation fast; the trend, not the absolute time, matters.
-	gs := graph.UniformSparse(cfg.SparseN(), 8, 100, cfg.Seed)
-	ds := graph.DenseFromCSR(graph.UniformSparse(cfg.MatrixN()/2, 8, 50, cfg.Seed+1))
 	t2 := stats.NewTable(
 		"Figure 9b: simulated desktop-class machine (i7-4790 substitute, 16 OOO cores)",
 		header...)
 	for _, b := range core.Suite() {
-		in := forBench(b)
-		if b.UsesMatrix {
-			in = core.Input{D: ds}
-		} else if !b.UsesCities {
-			in = core.Input{G: gs, Source: 0}
-		}
+		in := cfg.inputFor(b, cfg.SparseN(), cfg.MatrixN()/2)
 		row := []string{b.Name}
 		var seq uint64
 		for _, p := range fig9Threads {
-			m, err := sim.New(i7Config())
+			rep, err := cfg.report(b, in, p, i7Config())
 			if err != nil {
 				return err
 			}
-			res, err := b.Run(cfg.ctx(), m, core.Request{Input: in, Threads: p})
-			if err != nil {
-				return err
-			}
-			rep := res.Report
 			if p == 1 {
 				seq = rep.Time
 			}

@@ -16,12 +16,13 @@ import (
 	"crono/internal/core"
 	"crono/internal/exec"
 	"crono/internal/graph"
-	"crono/internal/native"
 	"crono/internal/sim"
 	"crono/internal/stats"
 )
 
-// Config parametrizes an experiment run.
+// Config parametrizes an experiment run. A Config runs one experiment
+// at a time and remembers the inputs it builds and the simulations it
+// runs, so experiments that share a configuration share one simulation.
 type Config struct {
 	// Out receives the experiment's report.
 	Out io.Writer
@@ -43,6 +44,9 @@ type Config struct {
 	// CSVDir, when set, additionally writes every table as
 	// <CSVDir>/<name>.csv.
 	CSVDir string
+
+	inputs map[inputKey]core.Input
+	runs   map[runKey]*core.Result
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -111,10 +115,6 @@ func (c *Config) simConfig(ct sim.CoreType) sim.Config {
 	return cfg
 }
 
-func (c *Config) newSim(ct sim.CoreType) (*sim.Machine, error) {
-	return sim.New(c.simConfig(ct))
-}
-
 // BestThreads is the per-benchmark thread count giving the highest
 // simulated speedup under the default configuration; the "best thread
 // count" experiments (Figures 2-4 and 6-8) run there.
@@ -145,36 +145,68 @@ func (c *Config) bestThreads(bench string) int {
 	return best
 }
 
-// inputs builds and caches the default benchmark inputs for one
-// experiment invocation.
-type inputs struct {
-	cfg    *Config
-	sparse *graph.CSR
-	dense  *graph.Dense
-	cities *graph.Dense
+// Input families beside the graph.Kind ones: the APSP/BETW_CENT
+// adjacency matrix and the TSP cities.
+const (
+	familyMatrix = "matrix"
+	familyCities = "cities"
+)
+
+// inputKey names one generated input: its family, size and seed.
+type inputKey struct {
+	family string
+	n      int
+	seed   int64
 }
 
-func newInputs(cfg *Config) *inputs { return &inputs{cfg: cfg} }
+// input returns the family's input at size n (vertices, matrix order or
+// cities) under the configured seed, built once per Config: equal inputs
+// are one pointer, so runs over them share a key.
+func (c *Config) input(family string, n int) core.Input {
+	k := inputKey{family, n, c.Seed}
+	if in, ok := c.inputs[k]; ok {
+		return in
+	}
+	var in core.Input
+	switch family {
+	case familyMatrix:
+		in.D = graph.DenseFromCSR(graph.UniformSparse(n, 8, 50, c.Seed+1))
+	case familyCities:
+		in.Cities = graph.Cities(n, c.Seed+2)
+	default:
+		in.G = graph.Generate(graph.Kind(family), n, c.Seed)
+	}
+	if c.inputs == nil {
+		c.inputs = make(map[inputKey]core.Input)
+	}
+	c.inputs[k] = in
+	return in
+}
 
-func (in *inputs) forBench(b core.Benchmark) core.Input {
+// inputFor returns b's input: the sparse graph on sparseN vertices, the
+// matrix of order matrixN, or the configured cities.
+func (c *Config) inputFor(b core.Benchmark, sparseN, matrixN int) core.Input {
 	switch {
 	case b.UsesMatrix:
-		if in.dense == nil {
-			g := graph.UniformSparse(in.cfg.MatrixN(), 8, 50, in.cfg.Seed+1)
-			in.dense = graph.DenseFromCSR(g)
-		}
-		return core.Input{D: in.dense}
+		return c.input(familyMatrix, matrixN)
 	case b.UsesCities:
-		if in.cities == nil {
-			in.cities = graph.Cities(in.cfg.TSPCities(), in.cfg.Seed+2)
-		}
-		return core.Input{Cities: in.cities}
-	default:
-		if in.sparse == nil {
-			in.sparse = graph.UniformSparse(in.cfg.SparseN(), 8, 100, in.cfg.Seed)
-		}
-		return core.Input{G: in.sparse, Source: 0}
+		return c.input(familyCities, c.TSPCities())
 	}
+	return c.input(string(graph.KindSparse), sparseN)
+}
+
+// defaultInput returns b's input at the configured default sizes.
+func (c *Config) defaultInput(b core.Benchmark) core.Input {
+	return c.inputFor(b, c.SparseN(), c.MatrixN())
+}
+
+// kindN is the vertex count of a Table III graph family: the social
+// graph is half the size of the others.
+func (c *Config) kindN(kind graph.Kind) int {
+	if kind == graph.KindSocial {
+		return c.SparseN() / 2
+	}
+	return c.SparseN()
 }
 
 // Experiment is one regenerable paper artifact.
@@ -257,24 +289,73 @@ func (c *Config) ctx() context.Context {
 	return context.Background()
 }
 
-// runSim executes benchmark b on a fresh Table II machine.
-func (c *Config) runSim(b core.Benchmark, in core.Input, threads int, ct sim.CoreType) (*exec.Report, error) {
-	m, err := c.newSim(ct)
+// runKey names one simulation: the benchmark, the request with its
+// defaults resolved (so requests Run treats alike share a key) and the
+// machine.
+type runKey struct {
+	bench string
+	req   core.Request
+	mc    sim.Config
+}
+
+// run returns b's result for req on a fresh machine mc, simulating only
+// the first time this Config asks for that benchmark, request and
+// machine. A failed or canceled run is not kept.
+func (c *Config) run(b core.Benchmark, req core.Request, mc sim.Config) (*core.Result, error) {
+	k := runKey{b.Name, req.WithDefaults(), mc}
+	k.req.Scratch = nil
+	if res, ok := c.runs[k]; ok {
+		return res, nil
+	}
+	m, err := sim.New(mc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := b.Run(c.ctx(), m, core.Request{Input: in, Threads: threads})
+	res, err := b.Run(c.ctx(), m, req)
+	if err != nil {
+		return nil, err
+	}
+	if c.runs == nil {
+		c.runs = make(map[runKey]*core.Result)
+	}
+	c.runs[k] = res
+	return res, nil
+}
+
+// report is run's report for b on in at p threads.
+func (c *Config) report(b core.Benchmark, in core.Input, p int, mc sim.Config) (*exec.Report, error) {
+	res, err := c.run(b, core.Request{Input: in, Threads: p}, mc)
 	if err != nil {
 		return nil, err
 	}
 	return res.Report, nil
 }
 
-// runNative executes benchmark b on the host.
-func (c *Config) runNative(b core.Benchmark, in core.Input, threads int) (*exec.Report, error) {
-	res, err := b.Run(c.ctx(), native.New(), core.Request{Input: in, Threads: threads})
+// bestSpeedup is b's speedup on in at its best thread count over one
+// thread, both on machine mc.
+func (c *Config) bestSpeedup(b core.Benchmark, in core.Input, mc sim.Config) (float64, error) {
+	seq, err := c.report(b, in, 1, mc)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return res.Report, nil
+	best, err := c.report(b, in, c.bestThreads(b.Name), mc)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Speedup(seq.Time, best.Time), nil
+}
+
+// atBestThreads emits t as name with one row per suite kernel, each from
+// the kernel's run at its best thread count on core type ct (Figures 2,
+// 3, 4, 6 and 7 describe the same runs).
+func (c *Config) atBestThreads(name string, ct sim.CoreType, t *stats.Table, row func(b core.Benchmark, p int, rep *exec.Report)) error {
+	for _, b := range core.Suite() {
+		p := c.bestThreads(b.Name)
+		rep, err := c.report(b, c.defaultInput(b), p, c.simConfig(ct))
+		if err != nil {
+			return err
+		}
+		row(b, p, rep)
+	}
+	return c.emit(name, t)
 }

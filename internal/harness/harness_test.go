@@ -2,12 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"crono/internal/core"
+	"crono/internal/graph"
+	"crono/internal/sim"
 )
 
 // tinyConfig keeps harness smoke tests fast: minimal inputs, few threads,
@@ -148,19 +151,135 @@ func TestAblationsRunTiny(t *testing.T) {
 
 func TestInputsCached(t *testing.T) {
 	cfg := tinyConfig(&bytes.Buffer{})
-	ins := newInputs(cfg)
-	var sparseBench, matrixBench, cityBench = 0, 1, 5 // SSSP, APSP, TSP
 	suite := core.Suite()
-	a := ins.forBench(suite[sparseBench])
-	b := ins.forBench(suite[sparseBench])
-	if a.G != b.G {
-		t.Fatal("sparse input not cached")
+	sssp, apsp, tsp := suite[0], suite[1], suite[5]
+	if a, b := cfg.defaultInput(sssp), cfg.defaultInput(sssp); a.G == nil || a.G != b.G {
+		t.Fatal("sparse input not built once")
 	}
-	if ins.forBench(suite[matrixBench]).D == nil {
-		t.Fatal("matrix input missing")
+	// Table IV's sparse column and Figure 1's sparse input are one graph.
+	if cfg.input(string(graph.KindSparse), cfg.SparseN()).G != cfg.defaultInput(sssp).G {
+		t.Fatal("sparse family and default sparse input differ")
 	}
-	if ins.forBench(suite[cityBench]).Cities == nil {
-		t.Fatal("cities input missing")
+	if d := cfg.defaultInput(apsp).D; d == nil || d != cfg.input(familyMatrix, cfg.MatrixN()).D {
+		t.Fatal("matrix input missing or rebuilt")
+	}
+	if c := cfg.defaultInput(tsp).Cities; c == nil || c != cfg.input(familyCities, cfg.TSPCities()).Cities {
+		t.Fatal("cities input missing or rebuilt")
+	}
+	// Another size or seed is another input.
+	if cfg.input(string(graph.KindSparse), 2*cfg.SparseN()).G == cfg.defaultInput(sssp).G {
+		t.Fatal("sizes share an input")
+	}
+	g := cfg.defaultInput(sssp).G
+	cfg.Seed++
+	if cfg.defaultInput(sssp).G == g {
+		t.Fatal("seeds share an input")
+	}
+}
+
+// runAndCount runs the experiments in order on cfg and returns the
+// simulations the last one started: every finished simulation is kept.
+func runAndCount(t *testing.T, cfg *Config, ids ...string) int {
+	t.Helper()
+	var last int
+	for _, id := range ids {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(cfg.runs)
+		if err := e.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		last = len(cfg.runs) - before
+	}
+	return last
+}
+
+func TestRunsShareSimulations(t *testing.T) {
+	cfg := tinyConfig(&bytes.Buffer{})
+	if n := runAndCount(t, cfg, "fig1"); n != len(core.Suite())*len(cfg.Threads) {
+		t.Fatalf("fig1 started %d simulations", n)
+	}
+	for _, id := range []string{"fig2", "fig3", "fig4", "fig6"} {
+		if n := runAndCount(t, cfg, id); n != 0 {
+			t.Errorf("%s after fig1 started %d simulations, want 0", id, n)
+		}
+	}
+	if n := runAndCount(t, cfg, "fig8", "fig7"); n != 0 {
+		t.Errorf("fig7 after fig8 started %d simulations, want 0", n)
+	}
+	// After fig1, each ablation simulates only its changed runs: one per
+	// kernel for the mutated machines, three for the formulations (push
+	// PageRank is the baseline).
+	for id, want := range map[string]int{"abl-dir": 4, "abl-locality": 4, "abl-routing": 4,
+		"abl-prefetch": 4, "abl-hetero": 3, "abl-formulation": 3} {
+		if n := runAndCount(t, cfg, id); n != want {
+			t.Errorf("%s after fig1 started %d simulations, want %d", id, n, want)
+		}
+	}
+	// abl-reorder's baseline is Table IV's social-graph PageRank run.
+	if n := runAndCount(t, cfg, "tab4", "abl-reorder"); n != 1 {
+		t.Errorf("abl-reorder after tab4 started %d simulations, want 1", n)
+	}
+}
+
+func TestChangedConfigRunsFresh(t *testing.T) {
+	for name, change := range map[string]func(*Config){
+		"scale": func(c *Config) { c.Scale = 0.04 },
+		"seed":  func(c *Config) { c.Seed++ },
+		"cores": func(c *Config) { c.Cores = 64 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			cfg := tinyConfig(&buf)
+			cfg.Threads = []int{1} // one thread is exact, so outputs compare
+			runAndCount(t, cfg, "abl-dir")
+			before := buf.String()
+			change(cfg)
+			buf.Reset()
+			if n := runAndCount(t, cfg, "abl-dir"); n == 0 {
+				t.Fatal("no fresh simulation after the change")
+			}
+			var want bytes.Buffer
+			fresh := tinyConfig(&want)
+			fresh.Threads = []int{1}
+			change(fresh)
+			runAndCount(t, fresh, "abl-dir")
+			if buf.String() != want.String() {
+				t.Fatalf("changed config reports\n%s\nfresh config reports\n%s", buf.String(), want.String())
+			}
+			if buf.String() == before {
+				t.Fatal("the change did not move abl-dir; the test shows nothing")
+			}
+		})
+	}
+}
+
+func TestFailedRunNotKept(t *testing.T) {
+	cfg := tinyConfig(&bytes.Buffer{})
+	b, err := core.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, mc := core.Request{Input: cfg.defaultInput(b), Threads: 2}, cfg.simConfig(sim.InOrder)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	if _, err := cfg.run(b, req, mc); err == nil {
+		t.Fatal("canceled run succeeded")
+	}
+	if len(cfg.runs) != 0 {
+		t.Fatal("canceled run kept")
+	}
+	cfg.Ctx = nil
+	if _, err := cfg.run(b, req, mc); err != nil || len(cfg.runs) != 1 {
+		t.Fatalf("next call did not simulate (%d runs kept, err %v)", len(cfg.runs), err)
+	}
+	// An unset strategy runs as scan, so both name one simulation.
+	req.Strategy = core.StrategyScan
+	if _, err := cfg.run(b, req, mc); err != nil || len(cfg.runs) != 1 {
+		t.Fatalf("scan request simulated again (%d runs kept, err %v)", len(cfg.runs), err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"crono/internal/core"
 	"crono/internal/graph"
+	"crono/internal/sim"
 	"crono/internal/stats"
 )
 
@@ -56,12 +57,7 @@ func RunTable3(cfg *Config) error {
 		fmt.Sprintf("Table III: input graphs (scale %.2f; paper-scale sizes in DESIGN.md)", cfg.Scale),
 		"Dataset", "Vertices", "Edges", "AvgDeg", "MaxDeg", "Components")
 	for _, kind := range graph.Kinds {
-		n := cfg.SparseN()
-		if kind == graph.KindSocial {
-			n = cfg.SparseN() / 2
-		}
-		g := graph.Generate(kind, n, cfg.Seed)
-		s := graph.Summarize(g)
+		s := graph.Summarize(cfg.input(string(kind), cfg.kindN(kind)).G)
 		t.Add(string(kind), fmt.Sprint(s.Vertices), fmt.Sprint(s.Edges),
 			fmt.Sprintf("%.2f", s.AvgDegree), fmt.Sprint(s.MaxDegree), fmt.Sprint(s.Components))
 	}
@@ -79,14 +75,6 @@ func RunTable4(cfg *Config) error {
 	t := stats.NewTable(
 		"Table IV: best speedups across graph types (relative to 1-thread run)",
 		"Algorithm", "Sparse", "Road-TX", "Road-PA", "Road-CA", "Social")
-	graphs := make(map[graph.Kind]*graph.CSR)
-	for _, kind := range graph.Kinds {
-		n := cfg.SparseN()
-		if kind == graph.KindSocial {
-			n = cfg.SparseN() / 2
-		}
-		graphs[kind] = graph.Generate(kind, n, cfg.Seed)
-	}
 	for _, name := range tab4Benchmarks {
 		b, err := core.ByName(name)
 		if err != nil {
@@ -94,16 +82,11 @@ func RunTable4(cfg *Config) error {
 		}
 		row := []string{name}
 		for _, kind := range graph.Kinds {
-			in := core.Input{G: graphs[kind], Source: 0}
-			seq, err := cfg.runSim(b, in, 1, 0)
+			sp, err := cfg.bestSpeedup(b, cfg.input(string(kind), cfg.kindN(kind)), cfg.simConfig(sim.InOrder))
 			if err != nil {
 				return err
 			}
-			best, err := cfg.runSim(b, in, cfg.bestThreads(name), 0)
-			if err != nil {
-				return err
-			}
-			row = append(row, fmt.Sprintf("%.2f", stats.Speedup(seq.Time, best.Time)))
+			row = append(row, fmt.Sprintf("%.2f", sp))
 		}
 		t.Add(row...)
 	}

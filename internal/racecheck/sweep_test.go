@@ -21,10 +21,12 @@ type sweepCase struct {
 
 // sweepCases enumerates every shipped kernel × strategy × generator ×
 // thread-count cell checked for freedom from annotation-level races.
-// Strategy-less kernels (matrix, cities and the variants) run once per
-// generator cell; graph-division kernels run under scan, frontier and
-// the hybrid name, which must reach the frontier kernels through the
-// same dispatch. Inputs are tiny — the deterministic scheduler yields at
+// Matrix, cities and variant kernels run once per generator cell. The
+// other suite kernels run under scan, frontier and the hybrid name: for
+// those with a frontier execution (core.Benchmark.Frontier) both names
+// must reach it through the same dispatch; DFS and TRI_CNT have none, so
+// their frontier and hybrid cells run the scan execution again and pin
+// only that a kernel with one execution accepts the knob. Inputs are tiny — the deterministic scheduler yields at
 // every annotation, so cost scales with annotation count, and a race in
 // the access pattern shows up at any size.
 func sweepCases() []sweepCase {

@@ -530,10 +530,12 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleKernels lists every kernel /v1/run serves: the suite in paper
+// order, then the variants.
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
-	suite := core.Suite()
-	out := make([]kernelInfo, len(suite))
-	for i, b := range suite {
+	kernels := append(core.Suite(), core.Variants()...)
+	out := make([]kernelInfo, len(kernels))
+	for i, b := range kernels {
 		input := "csr"
 		switch {
 		case b.UsesMatrix:

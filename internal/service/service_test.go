@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crono/internal/core"
 	"crono/internal/graph"
 )
 
@@ -164,11 +165,31 @@ func TestKernelsAndHealthz(t *testing.T) {
 	}
 	var kernels []kernelInfo
 	decodeBody(t, resp, &kernels)
-	if len(kernels) != 10 {
-		t.Fatalf("got %d kernels, want 10", len(kernels))
-	}
 	if kernels[0].Name != "SSSP_DIJK" || kernels[0].Input != "csr" {
 		t.Fatalf("unexpected first kernel: %+v", kernels[0])
+	}
+	// The listing is exactly the set of names /v1/run resolves. An
+	// unknown platform is checked after the kernel name, so a known name
+	// answers unknown-platform and runs nothing.
+	listed := map[string]bool{}
+	for _, k := range kernels {
+		listed[k.Name] = true
+	}
+	candidates := []string{"PAGERANK_PULL", "SSSP_DELTA", "BFS_TARGET", "NOPE"}
+	for _, b := range append(core.Suite(), core.Variants()...) {
+		candidates = append(candidates, b.Name)
+	}
+	for _, k := range kernels {
+		candidates = append(candidates, k.Name)
+	}
+	for _, name := range candidates {
+		code := errorCode(t, postJSON(t, ts.URL+"/v1/run", runRequest{Kernel: name, Platform: "fpga"}))
+		if accepted := code != codeUnknownKernel; accepted != listed[name] {
+			t.Errorf("%s: /v1/run answers %s, listed %v", name, code, listed[name])
+		}
+	}
+	if !listed["BETW_BRANDES"] {
+		t.Fatal("variant BETW_BRANDES not listed")
 	}
 
 	resp, err = http.Get(ts.URL + "/healthz")

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -112,26 +111,6 @@ func (t *Table) CSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// JSON renders the table as one JSON object with "title", "header" and
-// "rows" keys (rows as arrays of strings), terminated by a newline. It is
-// the machine-readable form the serving layer returns for experiment
-// tables.
-func (t *Table) JSON(w io.Writer) error {
-	v := struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}{Title: t.Title, Header: t.Header, Rows: t.Rows}
-	// Encode empty tables as [] rather than null.
-	if v.Header == nil {
-		v.Header = []string{}
-	}
-	if v.Rows == nil {
-		v.Rows = [][]string{}
-	}
-	return json.NewEncoder(w).Encode(v)
 }
 
 // Speedup returns sequential/parallel, guarding zero.

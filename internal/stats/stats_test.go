@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -50,48 +49,6 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n\"x,y\",\"has \"\"quote\"\"\"\n"
 	if buf.String() != want {
 		t.Fatalf("csv %q, want %q", buf.String(), want)
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := NewTable("Table IV", "bench", "value")
-	tb.Add(`has "quote"`, "line1\nline2")
-	tb.Add("comma, cell", "π ≈ 3.14")
-	var buf bytes.Buffer
-	if err := tb.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(buf.String(), "\n") {
-		t.Fatal("JSON output not newline-terminated")
-	}
-	var got struct {
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if got.Title != "Table IV" || len(got.Header) != 2 || len(got.Rows) != 2 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	// Cells needing escaping must survive the round trip byte-for-byte.
-	if got.Rows[0][0] != `has "quote"` || got.Rows[0][1] != "line1\nline2" {
-		t.Fatalf("escaped cells corrupted: %q", got.Rows[0])
-	}
-	if got.Rows[1][1] != "π ≈ 3.14" {
-		t.Fatalf("unicode cell corrupted: %q", got.Rows[1][1])
-	}
-}
-
-func TestTableJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewTable("empty").JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := strings.TrimSpace(buf.String())
-	if !strings.Contains(got, `"header":[]`) || !strings.Contains(got, `"rows":[]`) {
-		t.Fatalf("empty table must encode [] not null: %s", got)
 	}
 }
 

@@ -83,6 +83,7 @@ type runBody struct {
 	Threads   int    `json:"threads,omitempty"`
 	Source    int    `json:"source,omitempty"`
 	Iters     int    `json:"iters,omitempty"`
+	MaxPasses int    `json:"maxPasses,omitempty"`
 	SimCores  int    `json:"simCores,omitempty"`
 	Cities    int    `json:"cities,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
@@ -209,7 +210,7 @@ func (c *Client) Do(ctx context.Context, phase string, user int, op *Op) (obs Ob
 	body := runBody{
 		Kernel: op.Kernel, Platform: op.Platform, Strategy: op.Strategy,
 		Threads: op.Threads, Source: op.Source, Iters: op.Iters,
-		SimCores: op.SimCores, TimeoutMs: op.TimeoutMs,
+		MaxPasses: op.MaxPasses, SimCores: op.SimCores, TimeoutMs: op.TimeoutMs,
 	}
 	if op.Cities > 0 {
 		body.Cities = op.Cities

@@ -2,6 +2,7 @@ package stress
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -247,5 +248,52 @@ func TestClientErrorCodeCaptured(t *testing.T) {
 	}
 	if obs.Violation != "" {
 		t.Fatalf("structured 404 flagged as violation: %+v", obs)
+	}
+}
+
+// TestMaxPassesReachesRunBody follows a mix entry's maxPasses through the
+// planner and the client into the /v1/run body; an entry without one
+// sends none.
+func TestMaxPassesReachesRunBody(t *testing.T) {
+	var bodies []map[string]any
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var body map[string]any
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			t.Errorf("decode run body: %v", err)
+		}
+		bodies = append(bodies, body)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+
+	for _, mix := range []MixEntry{
+		{Weight: 1, Kernel: "COMM", Graph: "g", MaxPasses: 3},
+		{Weight: 1, Kernel: "COMM", Graph: "g"},
+	} {
+		sc := &Scenario{
+			Name: "max-passes", Seed: 1,
+			Graphs: []GraphSpec{{Handle: "g", Kind: "sparse", N: 64, Seed: 1}},
+			Phases: []Phase{{Name: "p", Users: 1, Requests: 1, Arrival: Arrival{Pattern: "closed"}, Mix: []MixEntry{mix}}},
+		}
+		sc.normalize()
+		sched, err := Plan(sc)
+		if err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+		op := sched.Phases[0].Users[0].Ops[0]
+		if op.MaxPasses != mix.MaxPasses {
+			t.Fatalf("planned op maxPasses %d, want %d", op.MaxPasses, mix.MaxPasses)
+		}
+		c.Do(context.Background(), "p", 0, &op)
+	}
+	if len(bodies) != 2 {
+		t.Fatalf("%d run bodies, want 2", len(bodies))
+	}
+	if got := bodies[0]["maxPasses"]; got != 3.0 {
+		t.Fatalf("run body maxPasses = %v, want 3", got)
+	}
+	if _, ok := bodies[1]["maxPasses"]; ok {
+		t.Fatalf("run body without a bound carries maxPasses: %v", bodies[1])
 	}
 }

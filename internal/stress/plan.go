@@ -37,6 +37,7 @@ type Op struct {
 	Threads   int    `json:"threads"`
 	Source    int    `json:"source"`
 	Iters     int    `json:"iters,omitempty"`
+	MaxPasses int    `json:"maxPasses,omitempty"` // omitempty keeps older schedules' digests
 	SimCores  int    `json:"simCores,omitempty"`
 	Cities    int    `json:"cities,omitempty"`
 	TimeoutMs int    `json:"timeoutMs"`
@@ -145,7 +146,7 @@ func Plan(sc *Scenario) (*Schedule, error) {
 				op.Kernel, op.Graph = m.Kernel, m.Graph
 				op.Platform, op.Strategy = m.Platform, m.Strategy
 				op.Threads, op.TimeoutMs = m.Threads, m.TimeoutMs
-				op.Iters, op.SimCores, op.Cities = m.Iters, m.SimCores, m.Cities
+				op.Iters, op.MaxPasses, op.SimCores, op.Cities = m.Iters, m.MaxPasses, m.SimCores, m.Cities
 				op.Source = st.intn(m.Sources)
 				if m.Patch != nil {
 					op.PatchInserts, op.PatchDeletes = m.Patch.Inserts, m.Patch.Deletes

@@ -128,8 +128,11 @@ type MixEntry struct {
 	// Sources is the number of distinct start vertices drawn (vertex ids
 	// [0, sources)); 1 keeps every request cache-identical, a large value
 	// defeats the cache.
-	Sources   int `json:"sources,omitempty"`
-	Iters     int `json:"iters,omitempty"`
+	Sources int `json:"sources,omitempty"`
+	Iters   int `json:"iters,omitempty"`
+	// MaxPasses bounds COMM's passes (0 = the kernel default); COMM
+	// does not read Iters.
+	MaxPasses int `json:"maxPasses,omitempty"`
 	SimCores  int `json:"simCores,omitempty"`
 	Cities    int `json:"cities,omitempty"` // TSP only
 	TimeoutMs int `json:"timeoutMs,omitempty"`
