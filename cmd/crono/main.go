@@ -1,8 +1,8 @@
 // Command crono is the CRONO suite's command line. Its subcommands run
 // one benchmark (run), sweep one architectural dimension to CSV (sweep),
-// generate input graphs (graphgen), record and replay traces (trace),
-// regenerate the paper's tables and figures (experiments) and check every
-// kernel against its oracle (validate):
+// generate input graphs (graphgen), regenerate the paper's tables and
+// figures (experiments) and check every kernel against its oracle
+// (validate):
 //
 //	crono [run] -bench SSSP_DIJK -platform sim -threads 64 -n 16384
 //	crono sweep -bench BFS -dim threads -values 1,4,16,64,256
@@ -36,12 +36,11 @@ var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error
 	"run":         run,
 	"sweep":       sweep,
 	"graphgen":    graphgen,
-	"trace":       traceCmd,
 	"experiments": experiments,
 	"validate":    validate,
 }
 
-const usage = "usage: crono [run|sweep|graphgen|trace|experiments|validate] [flags]"
+const usage = "usage: crono [run|sweep|graphgen|experiments|validate] [flags]"
 
 func main() {
 	os.Exit(dispatch(os.Args[1:], os.Stdout, os.Stderr))

@@ -81,21 +81,6 @@ func TestSweepTwoValues(t *testing.T) {
 	}
 }
 
-func TestTraceRecordReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bfs.trace")
-	rec := mustCrono(t, "trace", "-record", path, "-bench", "BFS", "-threads", "2", "-n", "256")
-	if !strings.HasPrefix(rec, "recorded BFS: 2 threads, ") {
-		t.Fatalf("record printed %q", rec)
-	}
-	rep := mustCrono(t, "trace", "-replay", path, "-cores", "16")
-	if !strings.HasPrefix(rep, "replayed ") || !strings.Contains(rep, " on 16 simulated in-order cores: ") {
-		t.Fatalf("replay printed %q", rep)
-	}
-	if code, _, stderr := crono(t, "trace"); code != 1 || !strings.HasPrefix(stderr, "crono trace: need -record") {
-		t.Fatalf("trace with neither mode: exit %d, stderr %q", code, stderr)
-	}
-}
-
 func TestExperimentsList(t *testing.T) {
 	out := mustCrono(t, "experiments", "-list")
 	for _, e := range harness.All() {
@@ -137,13 +122,19 @@ func TestListNamesEveryBenchmark(t *testing.T) {
 	}
 }
 
+// TestUnknownSubcommandFailsWithUsage: a name no subcommand has, and
+// the retired trace subcommand, exit 2 with the usage line on stderr.
 func TestUnknownSubcommandFailsWithUsage(t *testing.T) {
-	code, stdout, stderr := crono(t, "bogus", "-n", "4")
-	if code != 2 || stdout != "" {
-		t.Fatalf("exit %d, stdout %q", code, stdout)
-	}
-	if !strings.Contains(stderr, `unknown subcommand "bogus"`) || !strings.Contains(stderr, "usage: crono [run|sweep|") {
-		t.Fatalf("stderr %q", stderr)
+	for _, name := range []string{"bogus", "trace"} {
+		code, stdout, stderr := crono(t, name, "-n", "4")
+		if code != 2 || stdout != "" {
+			t.Fatalf("%s: exit %d, stdout %q", name, code, stdout)
+		}
+		_, listed, _ := strings.Cut(stderr, "usage: crono [")
+		if !strings.Contains(stderr, fmt.Sprintf("unknown subcommand %q", name)) ||
+			!strings.HasPrefix(listed, "run|sweep|") || strings.Contains(listed, "trace") {
+			t.Fatalf("%s: stderr %q", name, stderr)
+		}
 	}
 }
 

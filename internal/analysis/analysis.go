@@ -65,7 +65,6 @@ func DefaultConfig() Config {
 		"crono/internal/dram",
 		"crono/internal/energy",
 		"crono/internal/noc",
-		"crono/internal/trace",
 	}}
 }
 

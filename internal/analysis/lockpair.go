@@ -30,9 +30,10 @@ func runLockPair(pass *Pass) {
 		return
 	}
 	for _, fn := range functions(pass.Pkg, e) {
-		// Methods on a platform Ctx implementation (the simulator's and
-		// recorder's forwarding wrappers) acquire and release across
-		// method boundaries by design; the invariant targets kernels.
+		// Methods on exec.Thread and on a platform's Model/Sync
+		// implementation (the simulator's and the race detector's)
+		// acquire and release across method boundaries by design; the
+		// invariant targets kernels.
 		if fn.recvImplementsCtx {
 			continue
 		}

@@ -19,8 +19,8 @@ var addrMethods = map[string]bool{
 // platform placed), never a hard-coded integer. A compile-time-constant
 // address bypasses the platform's placement and lands on whatever
 // region happens to be mapped there — silently corrupting the
-// simulator's cache and home tile attribution, and leaving race and
-// trace reports unable to name the datum through the region registry.
+// simulator's cache and home tile attribution, and leaving race reports
+// unable to name the datum through the region registry.
 //
 // The check flags any address argument whose value the type checker
 // folds to an integer constant (literals, conversions of literals and

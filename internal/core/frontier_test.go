@@ -382,6 +382,11 @@ func TestFrontierStrategyDispatch(t *testing.T) {
 	if _, err := pr.Run(ctx, native.New(), Request{Input: Input{G: g}, Threads: 4, Strategy: "warp"}); err == nil {
 		t.Fatal("PageRank accepted unknown strategy")
 	}
+	// The hybrid name is an alias: the door canonicalises it to frontier,
+	// so no sweep or table needs a hybrid column of its own.
+	if got := (Request{Strategy: StrategyHybrid}).WithDefaults().Strategy; got != StrategyFrontier {
+		t.Errorf("hybrid canonicalises to %q, want %q", got, StrategyFrontier)
+	}
 	// Benchmark.Frontier tells the truth: exactly the kernels with a
 	// frontier execution check the strategy; the others ignore it.
 	in := Input{G: g, D: graph.DenseFromCSR(graph.UniformSparse(16, 3, 20, 1)), Cities: graph.Cities(5, 2)}

@@ -17,11 +17,11 @@ import (
 )
 
 // Controller is one memory controller. Access is safe for concurrent
-// use: channel occupancy, horizon and statistics live in atomics, so
-// simulated cores on different host threads reach DRAM without a shared
-// lock. Like the NoC links, the utilization model tolerates any
-// presentation order, which makes lock-free accumulation equivalent to
-// the old serialized updates.
+// use: channel occupancy and horizon live in atomics, so simulated cores
+// on different host threads reach DRAM without a shared lock. Like the
+// NoC links, the utilization model tolerates any presentation order,
+// which makes lock-free accumulation equivalent to the old serialized
+// updates.
 type Controller struct {
 	// LatencyCycles is the DRAM access latency in core cycles.
 	LatencyCycles uint64
@@ -29,10 +29,8 @@ type Controller struct {
 	// 5 GB/s is 0.2 cycles per byte).
 	CyclesPerByte float64
 
-	busy     atomic.Uint64 // cumulative channel occupancy
-	horizon  atomic.Uint64 // latest virtual time observed
-	accesses atomic.Uint64
-	queuedCy atomic.Uint64
+	busy    atomic.Uint64 // cumulative channel occupancy
+	horizon atomic.Uint64 // latest virtual time observed
 }
 
 // New builds a controller from a clock (Hz), bandwidth (bytes/s) and
@@ -61,18 +59,8 @@ func (c *Controller) Access(start uint64, bytes int) (done, queued uint64) {
 	horizon := noc.MaxTo(&c.horizon, start)
 	busy := c.busy.Add(occupancy) - occupancy
 	queued = noc.QueueDelay(busy, horizon, occupancy)
-	c.accesses.Add(1)
-	if queued != 0 {
-		c.queuedCy.Add(queued)
-	}
 	return start + queued + occupancy + c.LatencyCycles, queued
 }
-
-// Accesses returns the number of transfers served.
-func (c *Controller) Accesses() uint64 { return c.accesses.Load() }
-
-// QueuedCycles returns total queueing delay accumulated.
-func (c *Controller) QueuedCycles() uint64 { return c.queuedCy.Load() }
 
 // Utilization returns the cumulative channel utilization observed.
 func (c *Controller) Utilization() float64 {

@@ -57,9 +57,6 @@ func TestBandwidthQueueing(t *testing.T) {
 	if lastQueued == 0 {
 		t.Fatal("saturated controller charged no queueing")
 	}
-	if c.Accesses() != 100 || c.QueuedCycles() == 0 {
-		t.Fatalf("stats %d accesses / %d queued", c.Accesses(), c.QueuedCycles())
-	}
 	if u := c.Utilization(); u < 0.9 {
 		t.Fatalf("utilization %g under saturating load", u)
 	}

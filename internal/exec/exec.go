@@ -6,13 +6,13 @@
 // synchronization event through a Ctx. Ctx is a concrete type (*Thread)
 // whose methods inline into the kernel: a platform that models or observes
 // the stream — the simulator (internal/sim) with its multicore timing and
-// energy model, the race detector, the trace recorder — attaches a Model
-// and receives every annotation; the native platform (internal/native)
-// attaches none, and an annotation is then one inlined counter bump, so
-// the same kernel source runs there within a counter's cost of its
-// unannotated loop (DESIGN §2, "What an annotation costs natively":
-// frontier BFS on a road graph 6.1 ms against 4.6 clean and 8.0 through
-// the interface this type replaced).
+// energy model, and the race detector (internal/racecheck) — attaches a
+// Model and receives every annotation; the native platform
+// (internal/native) attaches none, and an annotation is then one inlined
+// counter bump, so the same kernel source runs there within a counter's
+// cost of its unannotated loop (DESIGN §2, "What an annotation costs
+// natively": frontier BFS on a road graph 6.1 ms against 4.6 clean and
+// 8.0 through the interface this type replaced).
 package exec
 
 import (

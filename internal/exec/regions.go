@@ -9,8 +9,7 @@ import (
 // RegionTable resolves logical addresses back to the named regions that
 // own them, so diagnostics can say "bfs.level[42]" instead of a raw
 // address. Checking platforms (internal/racecheck) register every Alloc
-// result; anything else that sees raw addresses — trace dumps, future
-// debuggers — can share the same table.
+// result; anything else that sees raw addresses can share the same table.
 //
 // The table is safe for concurrent use. Regions never overlap because
 // platforms carve them from a monotone address space, but the table does

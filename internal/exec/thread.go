@@ -12,10 +12,10 @@ package exec
 type Ctx = *Thread
 
 // Model is the memory and compute half of what a platform plugs in behind
-// a Thread: the simulator's timing model, the race detector, the trace
-// recorder. Its methods receive exactly the annotation stream the kernel
-// issues, in order, and do their own instruction accounting. The native
-// platform attaches no Model; see Thread.
+// a Thread: the simulator's timing model or the race detector. Its methods
+// receive exactly the annotation stream the kernel issues, in order, and
+// do their own instruction accounting. The native platform attaches no
+// Model; see Thread.
 type Model interface {
 	// Load annotates a read of the datum at addr.
 	Load(addr Addr)

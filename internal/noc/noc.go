@@ -92,7 +92,6 @@ type Mesh struct {
 	// latest virtual time the link has observed.
 	linkBusy    []atomic.Uint64
 	linkHorizon []atomic.Uint64
-	queued      atomic.Uint64 // total queueing delay charged (DebugStats)
 	policy      Routing
 	packets     atomic.Uint64 // packets routed under RouteOblivious, which alternates on it
 }
@@ -238,7 +237,6 @@ func (m *Mesh) Traverse(a, b int, bits int, start uint64) (arrival uint64, flitH
 	}
 	t := start
 	cur := a
-	var queued uint64
 	for n, l := 0, first; n < 2; n, l = n+1, second {
 		for i := 0; i < l.hops; i++ {
 			idx := cur*4 + l.dir
@@ -248,14 +246,9 @@ func (m *Mesh) Traverse(a, b int, bits int, start uint64) (arrival uint64, flitH
 			// value, so subtracting flits recovers the pre-reservation busy.
 			horizon := MaxTo(&m.linkHorizon[idx], t)
 			busy := m.linkBusy[idx].Add(flits) - flits
-			wait := QueueDelay(busy, horizon, flits)
-			queued += wait
-			t += wait + m.HopCycles
+			t += QueueDelay(busy, horizon, flits) + m.HopCycles
 			cur += l.step
 		}
-	}
-	if queued != 0 {
-		m.queued.Add(queued)
 	}
 	return t, (x.hops + y.hops) * int(flits)
 }
@@ -270,15 +263,14 @@ func (m *Mesh) RoundTrip(a, b int) uint64 {
 	return 2 * uint64(m.Hops(a, b)) * m.HopCycles
 }
 
-// DebugStats reports aggregate contention counters: the total queueing
-// delay charged, the busiest link's reserved flit-cycles, and that link's
-// index (tile*4 + direction).
-func (m *Mesh) DebugStats() (queuedCycles uint64, busiestBusy uint64, busiest int) {
+// DebugStats reports the busiest link's reserved flit-cycles and that
+// link's index (tile*4 + direction).
+func (m *Mesh) DebugStats() (busiestBusy uint64, busiest int) {
 	for i := range m.linkBusy {
 		if v := m.linkBusy[i].Load(); v > busiestBusy {
 			busiestBusy = v
 			busiest = i
 		}
 	}
-	return m.queued.Load(), busiestBusy, busiest
+	return busiestBusy, busiest
 }

@@ -19,25 +19,24 @@ type sweepCase struct {
 	threads  int
 }
 
-// sweepCases enumerates every shipped kernel × strategy × generator ×
+// sweepCases enumerates every shipped execution × generator ×
 // thread-count cell checked for freedom from annotation-level races.
-// Matrix, cities and variant kernels run once per generator cell. The
-// other suite kernels run under scan, frontier and the hybrid name: for
-// those with a frontier execution (core.Benchmark.Frontier) both names
-// must reach it through the same dispatch; DFS and TRI_CNT have none, so
-// their frontier and hybrid cells run the scan execution again and pin
-// only that a kernel with one execution accepts the knob. Inputs are tiny — the deterministic scheduler yields at
-// every annotation, so cost scales with annotation count, and a race in
-// the access pattern shows up at any size.
+// Every suite kernel runs its scan execution; those with a frontier
+// execution (core.Benchmark.Frontier) run it too, under the frontier
+// name (for PageRank that is the pull form). Variants run once per
+// generator cell.
+//
+// Inputs are tiny: the deterministic scheduler yields at every
+// annotation, so cost scales with annotation count, and a race in the
+// access pattern shows up at any size.
 func sweepCases() []sweepCase {
 	kinds := []graph.Kind{graph.KindSparse, graph.KindRoadTX}
-	strategies := []core.Strategy{core.StrategyScan, core.StrategyFrontier, core.StrategyHybrid}
 	threadCounts := []int{2, 3}
 	var cases []sweepCase
 	for _, b := range core.Suite() {
-		strats := strategies
-		if b.UsesMatrix || b.UsesCities {
-			strats = strategies[:1]
+		strats := []core.Strategy{core.StrategyScan}
+		if b.Frontier {
+			strats = append(strats, core.StrategyFrontier)
 		}
 		for _, s := range strats {
 			for _, k := range kinds {
@@ -55,13 +54,6 @@ func sweepCases() []sweepCase {
 			}
 		}
 	}
-	// Pull PageRank, PageRank's frontier execution, keeps the one scan
-	// column under the PAGERANK_PULL label its cells have always had.
-	for _, k := range kinds {
-		for _, th := range threadCounts {
-			cases = append(cases, sweepCase{pageRankPullEntryPoint(), core.StrategyScan, k, th})
-		}
-	}
 	// The entry points outside the registry run the frontier bodies from
 	// other start states: one frontier column each.
 	for _, b := range seededEntryPoints() {
@@ -72,16 +64,6 @@ func sweepCases() []sweepCase {
 		}
 	}
 	return cases
-}
-
-// pageRankPullEntryPoint wraps PageRank's frontier execution, the pull
-// form, as a sweep cell whatever strategy the cell names.
-func pageRankPullEntryPoint() core.Benchmark {
-	pr, _ := core.ByName("PageRank")
-	return core.Benchmark{Name: "PAGERANK_PULL", Run: func(ctx context.Context, pl exec.Platform, req core.Request) (*core.Result, error) {
-		req.Strategy = core.StrategyFrontier
-		return pr.Run(ctx, pl, req)
-	}}
 }
 
 // seededEntryPoints wraps BFSBatch and the two kernels' Repair as sweep
