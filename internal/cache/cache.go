@@ -3,10 +3,7 @@
 // L2 slices of Table II; no data is stored.
 package cache
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // State is a MESI line state as kept by a private cache.
 type State byte
@@ -40,13 +37,19 @@ type way struct {
 	lru   uint64 // last-touch stamp
 }
 
+// setsPerPage is the allocation unit of a tag array: its ways are
+// allocated on first touch, this many sets at a time, so a cache that is
+// built and barely used costs its page directory, not its capacity.
+const setsPerPage = 16
+
 // Cache is a set-associative tag array indexed by line address. It is not
-// safe for concurrent use; the simulator serializes access.
+// safe for concurrent use; the simulator runs one simulated thread at a
+// time.
 type Cache struct {
 	sets    int
 	ways    int
 	setMask uint64
-	data    []way
+	pages   [][]way // page p holds the sets from p*setsPerPage; nil until one is touched
 	stamp   uint64
 	size    int
 }
@@ -65,7 +68,8 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	return &Cache{sets: sets, ways: ways, setMask: uint64(sets - 1), data: make([]way, sets*ways), size: sizeBytes}, nil
+	pages := (sets + setsPerPage - 1) / setsPerPage
+	return &Cache{sets: sets, ways: ways, setMask: uint64(sets - 1), pages: make([][]way, pages), size: sizeBytes}, nil
 }
 
 // Sets returns the set count.
@@ -77,18 +81,37 @@ func (c *Cache) Ways() int { return c.ways }
 // Size returns the capacity in bytes.
 func (c *Cache) Size() int { return c.size }
 
+// set returns the ways of line's set, nil if its page was never touched:
+// an untouched set holds no valid line.
 func (c *Cache) set(line uint64) []way {
-	s := int(line & c.setMask)
-	return c.data[s*c.ways : (s+1)*c.ways]
+	s := line & c.setMask
+	p := c.pages[s/setsPerPage]
+	if p == nil {
+		return nil
+	}
+	off := int(s%setsPerPage) * c.ways
+	return p[off : off+c.ways]
+}
+
+// touch returns the ways of line's set, allocating its page (all ways
+// Invalid) on first use.
+func (c *Cache) touch(line uint64) []way {
+	s := line & c.setMask
+	p := &c.pages[s/setsPerPage]
+	if *p == nil {
+		*p = make([]way, min(c.sets, setsPerPage)*c.ways)
+	}
+	off := int(s%setsPerPage) * c.ways
+	return (*p)[off : off+c.ways]
 }
 
 // Lookup returns the state of line, Invalid if absent, and refreshes LRU
 // on a hit.
 func (c *Cache) Lookup(line uint64) State {
 	c.stamp++
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.state != Invalid && w.line == line {
+	set := c.set(line)
+	for i := range set {
+		if w := &set[i]; w.state != Invalid && w.line == line {
 			w.lru = c.stamp
 			return w.state
 		}
@@ -109,9 +132,9 @@ func (c *Cache) Peek(line uint64) State {
 // SetState updates the state of a present line; it is a no-op if the line
 // is absent.
 func (c *Cache) SetState(line uint64, st State) {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.state != Invalid && w.line == line {
+	set := c.set(line)
+	for i := range set {
+		if w := &set[i]; w.state != Invalid && w.line == line {
 			w.state = st
 			return
 		}
@@ -129,7 +152,7 @@ type Victim struct {
 // already present just updates its state and LRU.
 func (c *Cache) Insert(line uint64, st State) (Victim, bool) {
 	c.stamp++
-	set := c.set(line)
+	set := c.touch(line)
 	// Already present: refresh.
 	for i := range set {
 		if set[i].state != Invalid && set[i].line == line {
@@ -159,9 +182,9 @@ func (c *Cache) Insert(line uint64, st State) (Victim, bool) {
 
 // Invalidate removes line and returns its previous state.
 func (c *Cache) Invalidate(line uint64) State {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.state != Invalid && w.line == line {
+	set := c.set(line)
+	for i := range set {
+		if w := &set[i]; w.state != Invalid && w.line == line {
 			st := w.state
 			w.state = Invalid
 			return st
@@ -170,33 +193,14 @@ func (c *Cache) Invalidate(line uint64) State {
 	return Invalid
 }
 
-// Locked is a Cache bundled with its own mutex, for callers that shard a
-// formerly global lock: the owner locks the embedded Mutex around any
-// group of tag-array operations (and any other state it chooses to guard
-// with the same stripe, such as per-core miss-classification maps) instead
-// of relying on one external serializing lock. The zero hold discipline of
-// Cache is unchanged — methods themselves stay unsynchronized so a single
-// lock round-trip can cover a whole multi-step transaction.
-type Locked struct {
-	sync.Mutex
-	*Cache
-}
-
-// NewLocked builds a Locked cache with the geometry of New.
-func NewLocked(sizeBytes, ways, lineBytes int) (*Locked, error) {
-	c, err := New(sizeBytes, ways, lineBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Locked{Cache: c}, nil
-}
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, w := range c.data {
-		if w.state != Invalid {
-			n++
+	for _, p := range c.pages {
+		for _, w := range p {
+			if w.state != Invalid {
+				n++
+			}
 		}
 	}
 	return n

@@ -153,3 +153,34 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestUntouchedSetsAllocateNothing: a tag array allocates its ways on
+// first Insert, a page of sets at a time. Reads and state changes of
+// lines in untouched sets see Invalid and allocate nothing, and an Insert
+// allocates only the page holding its set.
+func TestUntouchedSetsAllocateNothing(t *testing.T) {
+	c, err := New(256<<10, 8, 64) // Table II L2 slice: 512 sets
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for line := uint64(0); line < 4096; line += 7 {
+			if c.Lookup(line) != Invalid || c.Peek(line) != Invalid || c.Invalidate(line) != Invalid {
+				t.Fatalf("untouched line %d reads valid", line)
+			}
+			c.SetState(line, Modified)
+		}
+	}); n != 0 {
+		t.Fatalf("reads of untouched sets allocate %v times", n)
+	}
+	c.Insert(3, Exclusive)
+	touched := 0
+	for _, p := range c.pages {
+		if p != nil {
+			touched++
+		}
+	}
+	if touched != 1 || c.Occupancy() != 1 || c.Peek(3) != Exclusive {
+		t.Fatalf("after one insert: %d pages, occupancy %d, state %v", touched, c.Occupancy(), c.Peek(3))
+	}
+}

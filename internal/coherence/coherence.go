@@ -7,21 +7,29 @@ package coherence
 
 import "fmt"
 
-// Dir is the distributed directory, logically sharded across L2 home
-// slices but stored centrally keyed by line address. It is not safe for
-// concurrent use; the simulator serializes access.
+// Dir is one directory, a dense table of entries indexed by line number;
+// the simulator keeps one per L2 home slice, indexed by the line's
+// slice-local index. It is not safe for concurrent use; the simulator
+// runs one simulated thread at a time.
 type Dir struct {
 	k     int
 	cores int
-	lines map[uint64]*entry
+	pages [][]entry // page p holds lines from p*entriesPerPage; nil until one is used
+	live  int       // entries used since their last DropLine
 }
+
+// entriesPerPage is the allocation unit of a Dir: an untouched page
+// costs its directory slot, and every entry of a touched page reads as
+// an idle line until it is used.
+const entriesPerPage = 64
 
 type entry struct {
 	owner    int32   // core holding E/M, -1 if line is shared or idle
 	dirty    bool    // owner's copy is Modified
+	overflow bool    // more sharers than pointers: broadcast on write
+	live     bool    // used since the last DropLine (Entries)
 	sharers  []int32 // tracked sharer pointers, <= k
 	count    int     // exact sharer count (ACKWise keeps this for acks)
-	overflow bool    // more sharers than pointers: broadcast on write
 }
 
 // New builds a directory with k sharer pointers over the given core
@@ -30,7 +38,7 @@ func New(k, cores int) (*Dir, error) {
 	if k < 1 || cores < 1 {
 		return nil, fmt.Errorf("coherence: bad directory geometry k=%d cores=%d", k, cores)
 	}
-	return &Dir{k: k, cores: cores, lines: make(map[uint64]*entry)}, nil
+	return &Dir{k: k, cores: cores}, nil
 }
 
 // Action tells the simulator what coherence traffic a request caused.
@@ -50,11 +58,32 @@ type Action struct {
 	AckCount int
 }
 
+// peek returns line's entry, nil if its page was never used.
+func (d *Dir) peek(line uint64) *entry {
+	p := line / entriesPerPage
+	if p >= uint64(len(d.pages)) || d.pages[p] == nil {
+		return nil
+	}
+	return &d.pages[p][line%entriesPerPage]
+}
+
+// get returns line's entry, allocating its page on first use.
 func (d *Dir) get(line uint64) *entry {
-	e := d.lines[line]
-	if e == nil {
-		e = &entry{owner: -1}
-		d.lines[line] = e
+	p := line / entriesPerPage
+	if p >= uint64(len(d.pages)) {
+		d.pages = append(d.pages, make([][]entry, p+1-uint64(len(d.pages)))...)
+	}
+	if d.pages[p] == nil {
+		pg := make([]entry, entriesPerPage)
+		for i := range pg {
+			pg[i].owner = -1
+		}
+		d.pages[p] = pg
+	}
+	e := &d.pages[p][line%entriesPerPage]
+	if !e.live {
+		e.live = true
+		d.live++
 	}
 	return e
 }
@@ -220,7 +249,7 @@ func (d *Dir) RemoteWrite(line uint64) Action {
 // decremented but membership stays approximate, exactly as a real limited
 // directory behaves.
 func (d *Dir) Evict(line uint64, core int) {
-	e := d.lines[line]
+	e := d.peek(line)
 	if e == nil {
 		return
 	}
@@ -248,8 +277,8 @@ func (d *Dir) Evict(line uint64, core int) {
 // returns the tracked cores that must be back-invalidated, plus whether a
 // broadcast is needed because of pointer overflow.
 func (d *Dir) DropLine(line uint64) (cores []int, broadcast bool) {
-	e := d.lines[line]
-	if e == nil {
+	e := d.peek(line)
+	if e == nil || !e.live {
 		return nil, false
 	}
 	if e.owner >= 0 {
@@ -259,14 +288,15 @@ func (d *Dir) DropLine(line uint64) (cores []int, broadcast bool) {
 		cores = append(cores, int(s))
 	}
 	broadcast = e.overflow
-	delete(d.lines, line)
+	*e = entry{owner: -1, sharers: e.sharers[:0]}
+	d.live--
 	return cores, broadcast
 }
 
 // Sharers returns the exact sharer count of line (0 if idle), counting an
 // exclusive owner as one sharer.
 func (d *Dir) Sharers(line uint64) int {
-	e := d.lines[line]
+	e := d.peek(line)
 	if e == nil {
 		return 0
 	}
@@ -278,7 +308,7 @@ func (d *Dir) Sharers(line uint64) int {
 
 // Owner returns the exclusive owner core of line, or -1.
 func (d *Dir) Owner(line uint64) int {
-	e := d.lines[line]
+	e := d.peek(line)
 	if e == nil || e.owner < 0 {
 		return -1
 	}
@@ -286,49 +316,4 @@ func (d *Dir) Owner(line uint64) int {
 }
 
 // Entries returns the number of live directory entries.
-func (d *Dir) Entries() int { return len(d.lines) }
-
-// Sharded partitions directory state into independent home-tile stripes so
-// a parallel simulator can lock per stripe instead of serializing every
-// coherence transaction globally. Stripe i owns exactly the lines with
-// line % stripes == i — the same mapping the simulator uses for L2 home
-// slices, so one home-tile lock covers both the slice and its directory
-// stripe. Sharded itself carries no lock: the caller guards each stripe
-// with the corresponding home-tile lock.
-type Sharded struct {
-	stripes []*Dir
-}
-
-// NewSharded builds a directory of the given stripe count; each stripe is
-// an independent Dir with k sharer pointers over cores.
-func NewSharded(k, cores, stripes int) (*Sharded, error) {
-	if stripes < 1 {
-		return nil, fmt.Errorf("coherence: stripe count %d", stripes)
-	}
-	s := &Sharded{stripes: make([]*Dir, stripes)}
-	for i := range s.stripes {
-		d, err := New(k, cores)
-		if err != nil {
-			return nil, err
-		}
-		s.stripes[i] = d
-	}
-	return s, nil
-}
-
-// Stripe returns the stripe owning line. All operations on line must go
-// through this stripe, under the caller's lock for it.
-func (s *Sharded) Stripe(line uint64) *Dir { return s.stripes[line%uint64(len(s.stripes))] }
-
-// StripeAt returns stripe i directly (diagnostics and tests).
-func (s *Sharded) StripeAt(i int) *Dir { return s.stripes[i] }
-
-// Entries sums live directory entries across stripes. The caller must
-// quiesce concurrent mutators first.
-func (s *Sharded) Entries() int {
-	n := 0
-	for _, d := range s.stripes {
-		n += d.Entries()
-	}
-	return n
-}
+func (d *Dir) Entries() int { return d.live }

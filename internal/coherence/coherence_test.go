@@ -154,6 +154,19 @@ func TestDropLineReturnsHolders(t *testing.T) {
 	if d.Entries() != 0 {
 		t.Fatalf("%d entries after drop", d.Entries())
 	}
+	// The dropped slot, its page neighbours and lines on pages never used
+	// all read as idle lines: a first read is granted exclusive.
+	for _, line := range []uint64{10, 11, 1 << 20} {
+		if d.Owner(line) != -1 || d.Sharers(line) != 0 {
+			t.Fatalf("line %d: owner %d sharers %d before any request", line, d.Owner(line), d.Sharers(line))
+		}
+		if act := d.Read(line, 5); act.FetchFrom != -1 || d.Owner(line) != 5 {
+			t.Fatalf("line %d: first read fetched from %d, owner %d", line, act.FetchFrom, d.Owner(line))
+		}
+	}
+	if d.Entries() != 3 {
+		t.Fatalf("%d entries after three first reads", d.Entries())
+	}
 }
 
 func TestRemoteReadFlushesDirtyOwner(t *testing.T) {

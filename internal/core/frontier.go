@@ -34,16 +34,23 @@ const (
 // recycled to keep the steady state allocation-free.
 type worklist struct {
 	cur   []int32
-	next  [][]int32
+	next  []pushBuf
 	off   []int
 	spare []int32
 	ctrl  int32 // this round's verdict, thread 0 -> all (endRound)
 }
 
+// pushBuf is one thread's push buffer. Every push rewrites its slice
+// header, so the pad keeps two threads' headers off one cache line.
+type pushBuf struct {
+	v []int32
+	_ [exec.LineSize - 24]byte
+}
+
 func newWorklist(threads int, seed []int32) *worklist {
 	return &worklist{
 		cur:  seed,
-		next: make([][]int32, threads),
+		next: make([]pushBuf, threads),
 		off:  make([]int, threads),
 	}
 }
@@ -55,11 +62,11 @@ func newWorklist(threads int, seed []int32) *worklist {
 // distinct — the non-aliasing invariant seal relies on.
 func (w *worklist) prepare(threads, seedLen int) {
 	for len(w.next) < threads {
-		w.next = append(w.next, nil)
+		w.next = append(w.next, pushBuf{})
 	}
 	w.next = w.next[:threads]
 	for t := range w.next {
-		w.next[t] = w.next[t][:0]
+		w.next[t].v = w.next[t].v[:0]
 	}
 	if cap(w.off) < threads {
 		w.off = make([]int, threads)
@@ -96,20 +103,20 @@ func (w *worklist) seed(v int32) { w.cur = append(w.cur, v) }
 func (w *worklist) frontier() []int32 { return w.cur }
 
 // push records a discovered vertex in tid's private buffer.
-func (w *worklist) push(tid int, v int32) { w.next[tid] = append(w.next[tid], v) }
+func (w *worklist) push(tid int, v int32) { w.next[tid].v = append(w.next[tid].v, v) }
 
 // adopt swaps *buf with thread t's push buffer. A kernel that keeps its
 // discoveries elsewhere lends one batch of them to the merge this way,
 // without copying: thread 0 adopts in decide, between the pushes and the
 // seal, and after endRound thread t adopts again to take its emptied
 // array back.
-func (w *worklist) adopt(t int, buf *[]int32) { w.next[t], *buf = *buf, w.next[t] }
+func (w *worklist) adopt(t int, buf *[]int32) { w.next[t].v, *buf = *buf, w.next[t].v }
 
 // pending returns the number of vertices pushed this round.
 func (w *worklist) pending() int {
 	total := 0
 	for _, b := range w.next {
-		total += len(b)
+		total += len(b.v)
 	}
 	return total
 }
@@ -122,7 +129,7 @@ func (w *worklist) seal() {
 	total := 0
 	for t := range w.next {
 		w.off[t] = total
-		total += len(w.next[t])
+		total += len(w.next[t].v)
 	}
 	old := w.cur
 	if cap(w.spare) >= total {
@@ -137,10 +144,10 @@ func (w *worklist) seal() {
 // frontier and resets the buffer.
 func (w *worklist) copyOut(ctx exec.Ctx, r exec.Region) {
 	tid := ctx.TID()
-	if n := len(w.next[tid]); n > 0 {
-		copy(w.cur[w.off[tid]:], w.next[tid])
+	if n := len(w.next[tid].v); n > 0 {
+		copy(w.cur[w.off[tid]:], w.next[tid].v)
 		ctx.StoreSpan(r.At(w.off[tid]), n, 4)
-		w.next[tid] = w.next[tid][:0]
+		w.next[tid].v = w.next[tid].v[:0]
 	}
 }
 

@@ -63,13 +63,16 @@ const (
 // vertices it queued in bucket b, for b from the current bucket up to
 // ringBins-1 ahead; far holds (vertex, bucket) pairs beyond that. Every
 // bin keeps its own array from run to run, so a warm run allocates
-// nothing.
+// nothing. relax is bumped on every relaxation, so the trailing pad
+// keeps it off the line of the next thread's ring[0].
 type ssspBins struct {
 	ring   [ringBins][]int32
 	far    []int32
 	farMin int32 // lowest bucket in far, noBucket when far is empty
 	next   int32 // lowest non-empty bucket, published for the verdict
 	relax  int64 // successful distance updates
+
+	_ [exec.LineSize]byte // false-sharing guard
 }
 
 // add queues v in bucket bk, which is at or after cur.

@@ -11,17 +11,12 @@ package dram
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"crono/internal/noc"
 )
 
-// Controller is one memory controller. Access is safe for concurrent
-// use: channel occupancy and horizon live in atomics, so simulated cores
-// on different host threads reach DRAM without a shared lock. Like the
-// NoC links, the utilization model tolerates any presentation order,
-// which makes lock-free accumulation equivalent to the old serialized
-// updates.
+// Controller is one memory controller. It is not safe for concurrent
+// use: the simulator runs one simulated thread at a time.
 type Controller struct {
 	// LatencyCycles is the DRAM access latency in core cycles.
 	LatencyCycles uint64
@@ -29,8 +24,8 @@ type Controller struct {
 	// 5 GB/s is 0.2 cycles per byte).
 	CyclesPerByte float64
 
-	busy    atomic.Uint64 // cumulative channel occupancy
-	horizon atomic.Uint64 // latest virtual time observed
+	busy    uint64 // cumulative channel occupancy
+	horizon uint64 // latest virtual time observed
 }
 
 // New builds a controller from a clock (Hz), bandwidth (bytes/s) and
@@ -53,20 +48,12 @@ func (c *Controller) Access(start uint64, bytes int) (done, queued uint64) {
 	if occupancy == 0 {
 		occupancy = 1
 	}
-	// Same arithmetic as the serialized model: raise the horizon, price
-	// the delay against the occupancy *before* this transfer's
-	// reservation, then reserve (Add returns the post-add value).
-	horizon := noc.MaxTo(&c.horizon, start)
-	busy := c.busy.Add(occupancy) - occupancy
-	queued = noc.QueueDelay(busy, horizon, occupancy)
-	return start + queued + occupancy + c.LatencyCycles, queued
-}
-
-// Utilization returns the cumulative channel utilization observed.
-func (c *Controller) Utilization() float64 {
-	horizon := c.horizon.Load()
-	if horizon == 0 {
-		return 0
+	// Raise the horizon, price the delay against the occupancy *before*
+	// this transfer's reservation, then reserve.
+	if start > c.horizon {
+		c.horizon = start
 	}
-	return float64(c.busy.Load()) / float64(horizon)
+	queued = noc.QueueDelay(c.busy, c.horizon, occupancy)
+	c.busy += occupancy
+	return start + queued + occupancy + c.LatencyCycles, queued
 }

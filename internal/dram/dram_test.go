@@ -57,7 +57,7 @@ func TestBandwidthQueueing(t *testing.T) {
 	if lastQueued == 0 {
 		t.Fatal("saturated controller charged no queueing")
 	}
-	if u := c.Utilization(); u < 0.9 {
+	if u := float64(c.busy) / float64(c.horizon); u < 0.9 {
 		t.Fatalf("utilization %g under saturating load", u)
 	}
 }

@@ -75,9 +75,10 @@ func RunAblationLocality(cfg *Config) error {
 }
 
 // RunAblationWindow demonstrates why the lax-synchronization window
-// exists: with it disabled, the real Go scheduler decides who wins races
-// for dynamically distributed work (vertex capture), and the simulated
-// load balance of capture-based kernels collapses.
+// exists: with it disabled, a simulated thread runs until it blocks, so
+// the first threads to run win the races for dynamically distributed
+// work (vertex capture), and the simulated load balance of capture-based
+// kernels collapses.
 func RunAblationWindow(cfg *Config) error {
 	t := stats.NewTable(
 		"Ablation: lax-synchronization window (APSP vertex capture, 64 threads)",
@@ -99,7 +100,7 @@ func RunAblationWindow(cfg *Config) error {
 	if err := cfg.emit("abl-window", t); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintln(cfg.Out, "\nWindow=0 disables the throttle; expect far higher variability there.")
+	_, err = fmt.Fprintln(cfg.Out, "\nWindow=0 lets a thread run until it blocks; expect far higher variability there.")
 	return err
 }
 

@@ -333,3 +333,27 @@ func TestCSVExport(t *testing.T) {
 		t.Fatalf("csv incomplete: %s", data)
 	}
 }
+
+// TestAblationWindowRepeats: the simulator's scheduler makes
+// multi-thread simulations repeat bit for bit, so an experiment's
+// printed table does too. abl-window runs APSP's vertex capture at
+// several windows, the output most sensitive to the interleaving. CI
+// runs it at several GOMAXPROCS (-cpu 1,2,4).
+func TestAblationWindowRepeats(t *testing.T) {
+	e, err := ByID("abl-window")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [2]bytes.Buffer
+	for i := range out {
+		cfg := tinyConfig(&out[i])
+		cfg.Scale = 0.1
+		cfg.Threads = []int{16}
+		if err := e.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := out[0].String(), out[1].String(); a != b {
+		t.Fatalf("two runs print different tables\n%s\n%s", a, b)
+	}
+}

@@ -34,7 +34,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // maxRho caps the utilization used in the queueing formula so a saturated
@@ -72,13 +71,9 @@ func (r Routing) String() string {
 	return "XY"
 }
 
-// Mesh is a W x H mesh of tiles. Traverse is safe for concurrent use:
-// per-link utilization state is kept in atomics, so simulated cores on
-// different host threads inject packets without any shared lock. The
-// utilization model was already insensitive to packet presentation order
-// (see the package comment), which is what makes lock-free accumulation
-// semantically equivalent to the old serialized updates. SetRouting is
-// configuration-time only.
+// Mesh is a W x H mesh of tiles. It is not safe for concurrent use: the
+// simulator runs one simulated thread at a time, so link state is plain
+// fields. SetRouting is configuration-time only.
 type Mesh struct {
 	// Width and Height are the mesh dimensions.
 	Width, Height int
@@ -87,13 +82,17 @@ type Mesh struct {
 	// FlitBits is the link width.
 	FlitBits int
 
-	// linkBusy[tile*4+dir] accumulates reserved flit-cycles on the
-	// directed link out of tile in direction dir; linkHorizon is the
-	// latest virtual time the link has observed.
-	linkBusy    []atomic.Uint64
-	linkHorizon []atomic.Uint64
-	policy      Routing
-	packets     atomic.Uint64 // packets routed under RouteOblivious, which alternates on it
+	// links[tile*4+dir] is the directed link out of tile in direction
+	// dir.
+	links   []link
+	policy  Routing
+	packets uint64 // packets routed under RouteOblivious, which alternates on it
+}
+
+// link is one directed mesh link's utilization state.
+type link struct {
+	busy    uint64 // reserved flit-cycles
+	horizon uint64 // latest virtual time observed
 }
 
 // Directions of mesh links.
@@ -115,30 +114,12 @@ func New(tiles int, hopCycles uint64, flitBits int) (*Mesh, error) {
 		return nil, fmt.Errorf("noc: flit width %d", flitBits)
 	}
 	return &Mesh{
-		Width:       w,
-		Height:      w,
-		HopCycles:   hopCycles,
-		FlitBits:    flitBits,
-		linkBusy:    make([]atomic.Uint64, tiles*4),
-		linkHorizon: make([]atomic.Uint64, tiles*4),
+		Width:     w,
+		Height:    w,
+		HopCycles: hopCycles,
+		FlitBits:  flitBits,
+		links:     make([]link, tiles*4),
 	}, nil
-}
-
-// MaxTo atomically raises *a to at least v and returns the resulting
-// value, max(previous, v) — the lock-free equivalent of the horizon
-// updates the utilization models perform ("if t > horizon { horizon = t }"
-// followed by a read). Exported for the sibling analytical models that
-// share the same horizon discipline (dram, the simulator's MCP).
-func MaxTo(a *atomic.Uint64, v uint64) uint64 {
-	for {
-		old := a.Load()
-		if v <= old {
-			return old
-		}
-		if a.CompareAndSwap(old, v) {
-			return v
-		}
-	}
 }
 
 func intSqrt(n int) int {
@@ -217,7 +198,8 @@ func (m *Mesh) Traverse(a, b int, bits int, start uint64) (arrival uint64, flitH
 	flits := uint64(m.Flits(bits))
 	yFirst := m.policy == RouteYX
 	if m.policy == RouteOblivious {
-		yFirst = m.packets.Add(1)%2 == 1
+		m.packets++
+		yFirst = m.packets%2 == 1
 	}
 	// A dimension-ordered route is two straight legs, so the coordinates
 	// are worked out once and each hop is an add on the tile index.
@@ -239,14 +221,12 @@ func (m *Mesh) Traverse(a, b int, bits int, start uint64) (arrival uint64, flitH
 	cur := a
 	for n, l := 0, first; n < 2; n, l = n+1, second {
 		for i := 0; i < l.hops; i++ {
-			idx := cur*4 + l.dir
-			// Same arithmetic as the serialized model: raise the horizon,
-			// price the queueing delay against the utilization *before* this
-			// packet's reservation, then reserve. Add returns the post-add
-			// value, so subtracting flits recovers the pre-reservation busy.
-			horizon := MaxTo(&m.linkHorizon[idx], t)
-			busy := m.linkBusy[idx].Add(flits) - flits
-			t += QueueDelay(busy, horizon, flits) + m.HopCycles
+			// Raise the horizon, price the queueing delay against the
+			// utilization *before* this packet's reservation, then reserve.
+			lk := &m.links[cur*4+l.dir]
+			lk.horizon = max(lk.horizon, t)
+			t += QueueDelay(lk.busy, lk.horizon, flits) + m.HopCycles
+			lk.busy += flits
 			cur += l.step
 		}
 	}
@@ -261,16 +241,4 @@ type leg struct{ hops, step, dir int }
 // (used for invalidation estimates): two traversals at hop latency.
 func (m *Mesh) RoundTrip(a, b int) uint64 {
 	return 2 * uint64(m.Hops(a, b)) * m.HopCycles
-}
-
-// DebugStats reports the busiest link's reserved flit-cycles and that
-// link's index (tile*4 + direction).
-func (m *Mesh) DebugStats() (busiestBusy uint64, busiest int) {
-	for i := range m.linkBusy {
-		if v := m.linkBusy[i].Load(); v > busiestBusy {
-			busiestBusy = v
-			busiest = i
-		}
-	}
-	return busiestBusy, busiest
 }

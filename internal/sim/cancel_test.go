@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,5 +227,36 @@ func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
 	}
 	if fail.Load() {
 		t.Fatal("thread escaped a reused barrier early")
+	}
+}
+
+// TestDeadlockEndsRun: when every thread left is blocked — here thread 1
+// waits for a lock that thread 0 took and never released before ending
+// — the run ends with an error naming the blocked threads instead of
+// hanging, and leaves no goroutine behind.
+func TestDeadlockEndsRun(t *testing.T) {
+	m := mustMachine(t, smallConfig())
+	l := m.NewLock()
+	bar := m.NewBarrier(2)
+	before := runtime.NumGoroutine()
+	_, err := m.RunCtx(context.Background(), 2, func(c exec.Ctx) {
+		if c.TID() == 0 {
+			c.Lock(l)
+			c.Barrier(bar)
+			return
+		}
+		c.Barrier(bar)
+		c.Lock(l)
+		t.Error("Lock returned a lock its holder never released")
+	})
+	if err == nil || !strings.Contains(err.Error(), "deadlock: threads [1]") {
+		t.Fatalf("err = %v, want a deadlock of thread 1", err)
+	}
+	deadline := time.Now().Add(5 * time.Second) // the last thread's deferred exit
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d: the blocked thread leaked", before, after)
 	}
 }

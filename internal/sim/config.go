@@ -82,8 +82,11 @@ type Config struct {
 
 	// WindowCycles bounds how far any thread's virtual clock may run
 	// ahead of the slowest runnable thread (Graphite's lax-synchronization
-	// quantum). Without it, real-time goroutine scheduling lets one
-	// simulated thread grab most dynamically distributed work (vertex
+	// quantum): the scheduler runs one simulated thread at a time and
+	// passes the baton on once its clock is more than WindowCycles past
+	// the lowest clock of the other runnable threads. 0 means unbounded:
+	// a thread runs until it blocks on a lock or barrier or ends, so one
+	// simulated thread can grab most dynamically distributed work (vertex
 	// capture, shared stacks) before its virtually-concurrent peers run.
 	WindowCycles uint64
 
@@ -116,15 +119,6 @@ type Config struct {
 	// [1, 255] (Validate enforces this).
 	LocalityAware     bool
 	LocalityThreshold int
-
-	// SerialMemory reinstates the pre-sharding global memory-system lock:
-	// every simulated memory reference and MCP transaction serializes
-	// behind one mutex, regardless of which core or home tile it touches.
-	// Model outputs are unchanged — only host-side parallelism is lost.
-	// It exists as the in-tree reference the sharded memory system is
-	// tested against (TestSerialMemoryMatchesSharded); leave it off
-	// otherwise.
-	SerialMemory bool
 
 	// Energy is the 11 nm per-event energy model.
 	Energy energy.Model

@@ -37,14 +37,15 @@
 //     barrier releases every party at max(arrival) plus a cost linear in
 //     the party count (a centralized barrier serializes one counter RMW
 //     per arrival).
-//  3. A window throttle (Config.WindowCycles) bounds how far any thread
-//     may run ahead of the slowest runnable thread, so races for
-//     dynamically distributed work (vertex capture, shared stacks) are
-//     decided approximately in virtual-time order rather than by the
-//     host's goroutine scheduler. Throttled threads wait with
-//     exponential backoff: at 256 simulated threads on a small host,
-//     fine-grained polling by hundreds of waiters would starve the very
-//     laggard they wait for.
+//  3. One simulated thread runs at a time (sched.go). The baton passes
+//     to the runnable thread with the lowest virtual clock (ties to the
+//     lower tid) when the holder runs more than Config.WindowCycles past
+//     the lowest clock of the other runnable threads, blocks on a held
+//     lock or an incomplete barrier, or ends. Races for dynamically
+//     distributed work (vertex capture, shared stacks) are therefore
+//     decided in virtual-time order within one window, never by the
+//     host's goroutine scheduler, and a run's result depends on its
+//     inputs alone.
 //
 // # Synchronization cost model
 //
@@ -70,21 +71,24 @@
 //
 // # Host cost of a reference
 //
-// What a simulated reference costs the host is arithmetic, not
-// scheduling: goroutine hand-off, the window throttle and selects are
-// under 3% of a run. An L1 hit takes the core lock and one tag lookup. A
-// miss adds two mesh traversals (noc.Traverse: two atomics and one
-// noc.QueueDelay per hop, most of them answered by its integer pre-test),
-// the home lock, and per-line state kept in two dense tables indexed by
-// line number (tables.go): a core's 2-bit miss dispositions in 4,096-line
-// pages and a home's lineStat slots in 512-entry chunks at the slice-local
-// index the L2 tag array uses. Both allocate on first touch and read as
-// zero until then, so a warm hit or miss allocates nothing
+// What a simulated reference costs the host is arithmetic: with one
+// writer at a time, the model's state is plain fields, so an L1 hit is
+// one window compare and one tag lookup, with no lock or atomic. A miss
+// adds two mesh traversals (noc.Traverse: one noc.QueueDelay per hop,
+// most of them answered by its integer pre-test) and per-line state kept
+// in two dense tables indexed by line number (tables.go): a core's 2-bit
+// miss dispositions in 4,096-line pages and a home's lineStat slots in
+// 64-entry chunks at the slice-local index the L2 tag array uses. Both,
+// like the L1 and L2 tag arrays, allocate on first touch and read as
+// zero (or Invalid) until then, so building a machine costs its page
+// directories and a warm hit or miss allocates nothing
 // (TestWarmAccessDoesNotAllocate). A Lock/Unlock pair is four traversals
 // to and from tile 0 over the most loaded links plus two futex-line
 // accesses, and only the two accesses count as instructions, which is why
 // lock-per-edge PageRank costs several times more host time per simulated
-// instruction than the other kernels. DESIGN.md section 4 has the
+// instruction than the other kernels. Passing the baton is a channel
+// hand-off between two goroutines; it happens at blocking points and
+// once per window, not per reference. DESIGN.md section 4 has the
 // measured shares.
 //
 // # Known simplifications
@@ -94,11 +98,13 @@
 //     code footprints are a few hundred bytes).
 //   - Store visibility is modeled at line granularity with no write
 //     buffers or memory-consistency stalls beyond home serialization.
-//   - Timing under real parallel execution is approximate: state such as
-//     LRU order and utilization statistics evolves in host-scheduler
-//     order. Single-threaded runs are bit-deterministic; multi-threaded
-//     runs vary by a few percent, which the harness treats as noise
-//     (the paper itself reports nondeterminism in graph analytics).
+//   - Timing under lax synchronization is approximate: within a window
+//     a thread's references reach shared state (LRU order, utilization
+//     statistics, directory state) ahead of references that other
+//     threads issue earlier in virtual time. The order is the
+//     scheduler's, not the host's, so every run, single- or
+//     multi-threaded, is bit-deterministic; a different window or thread
+//     count moves the timing by the lax-synchronization drift.
 //   - The SMT/context-switch behavior of the paper's real machine
 //     (Figure 9 at 16 threads on 8 hardware threads) is not modeled.
 package sim

@@ -187,7 +187,7 @@ func TestHierarchyInclusionInvariant(t *testing.T) {
 				holders++
 			}
 		}
-		if holders > 0 && m.dirs.Stripe(l).Sharers(l) == 0 {
+		if holders > 0 && m.homeShardOf(l).dir.Sharers(m.l2Index(l)) == 0 {
 			t.Fatalf("line %d cached by %d cores but idle in directory", l, holders)
 		}
 	}

@@ -181,8 +181,8 @@ func TestLockTransfersWaitInVirtualTime(t *testing.T) {
 	r := m.Alloc("shared", 16, 4)
 	bar := m.NewBarrier(4)
 	// Barrier-paced rounds guarantee the critical section transfers
-	// between cores every round (an unpaced loop can be serialized by
-	// goroutine scheduling with no hand-offs at all).
+	// between cores every round (an unpaced loop can run whole on one
+	// thread within a window, with no hand-offs at all).
 	rep := m.Run(4, func(c exec.Ctx) {
 		for i := 0; i < 25; i++ {
 			c.Barrier(bar)
@@ -410,7 +410,7 @@ func TestRunPanicsOnTooManyThreads(t *testing.T) {
 
 func TestForeignHandlesPanic(t *testing.T) {
 	m := mustMachine(t, smallConfig())
-	c := &ctx{m: m, threads: 1}
+	c := &ctx{m: m}
 	check := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -527,7 +527,7 @@ func TestThreadPlacementSpreads(t *testing.T) {
 
 func TestWindowThrottleBalancesCapture(t *testing.T) {
 	// A shared work counter distributed via a lock: without the window,
-	// the host scheduler could hand most units to one simulated thread.
+	// the first thread to run could take most units.
 	cfg := smallConfig()
 	m := mustMachine(t, cfg)
 	l := m.NewLock()

@@ -79,7 +79,7 @@ func (d *dispTable) set(line uint64, v byte) {
 // lineStatChunk is the lineStatTable page size: large enough to amortize
 // allocation over a graph-sized working set, small enough not to waste
 // memory on tiny runs.
-const lineStatChunk = 512
+const lineStatChunk = 64
 
 // lineStatTable holds the lineStat of every line homed on one tile,
 // indexed by the slice-local l2Index(line) the L2 tag array uses, so two
