@@ -39,5 +39,5 @@ func derived(ctx exec.Ctx, r exec.Region) {
 // result is not a compile-time constant, so it passes.
 func computedOffset(ctx exec.Ctx, r exec.Region, i int) {
 	ctx.Load(r.At(i))
-	ctx.Store(r.Base + uint64(i)*r.ElemSize)
+	ctx.Store(r.Base + uint64(i)*uint64(r.ElemSize))
 }

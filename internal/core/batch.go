@@ -19,7 +19,9 @@ const BFSBatchWidth = 64
 type BFSBatchResult struct {
 	// Sources echoes the request order; Level[i], Visited[i] and
 	// Levels[i] describe the traversal from Sources[i], with exactly the
-	// values a standalone BFS from that source produces.
+	// values a standalone BFS from that source produces. The Level rows
+	// are consecutive windows of one array, so keeping any row keeps
+	// them all: copy a row that must outlive the others.
 	Sources []int
 	Level   [][]int32
 	Visited []int
@@ -69,12 +71,16 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 	// exhausted drops out, so pulls stop waiting for its bit.
 	moved := make([]uint64, threads)
 	moved[0] = ^uint64(0) >> uint(BFSBatchWidth-k)
+	// Level of vertex v from source s is lvl[s*n+v], the layout rLvl
+	// describes: settling a bit stores at a computed index, with no
+	// per-source row header to load first (DESIGN §5b).
+	lvl := make([]int32, k*n)
+	for i := range lvl {
+		lvl[i] = -1
+	}
 	levels := make([][]int32, k)
 	for i := range levels {
-		levels[i] = make([]int32, n)
-		for v := range levels[i] {
-			levels[i][v] = -1
-		}
+		levels[i] = lvl[i*n : (i+1)*n : (i+1)*n]
 	}
 
 	// Seed: distinct source vertices enter the worklist once; duplicate
@@ -212,7 +218,7 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 				ctx.Store(rVis.At(u)) //crono:vet-ignore unguardedstore
 				for b := bitsU; b != 0; b &= b - 1 {
 					s := bits.TrailingZeros64(b)
-					levels[s][u] = cur + 1
+					lvl[s*n+u] = cur + 1
 					ctx.Store(rLvl.At(s*n + u)) //crono:vet-ignore unguardedstore
 				}
 			}

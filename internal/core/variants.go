@@ -194,8 +194,10 @@ type pageRankPullRun struct {
 	threads int
 	iters   int
 	pr      []float64
+	// contrib and next hold pr[v]/outdeg(v): an iteration pulls from
+	// one and publishes the next iteration's into the other.
+	contrib []float64
 	next    []float64
-	contrib []float64 // pr[v]/outdeg(v), published per iteration
 
 	rPR, rNext, rCon, rOff, rTgt exec.Region
 	bar                          exec.Barrier
@@ -213,6 +215,11 @@ type pageRankPullRun struct {
 // On directed graphs this now matches PageRankRef exactly; earlier
 // revisions pulled over the out-CSR, which was only correct for the
 // symmetric generator graphs. A canceled run ends at its next barrier.
+//
+// An iteration is one pass and one barrier: the pull writes pr[v] and
+// publishes v's next contribution, double-buffered by iteration parity
+// in contrib and next, so only a first pass before the loop publishes
+// the initial contributions.
 func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads, iters int, s *Scratch) (*PageRankResult, error) {
 	if err := validate(g, 0, threads); err != nil {
 		return nil, err
@@ -256,26 +263,27 @@ func pageRankPull(goCtx context.Context, pl exec.Platform, g *graph.CSR, threads
 }
 
 func (k *pageRankPullRun) run(ctx exec.Ctx) {
-	g, in, pr, next, contrib := k.g, k.in, k.pr, k.next, k.contrib
+	g, in, pr := k.g, k.in, k.pr
 	threads, iters, n := k.threads, k.iters, k.g.N
-	rPR, rNext, rCon, rOff, rTgt, bar := k.rPR, k.rNext, k.rCon, k.rOff, k.rTgt, k.bar
+	rPR, rOff, rTgt, bar := k.rPR, k.rOff, k.rTgt, k.bar
+	buf := [2][]float64{k.contrib, k.next}
+	rBuf := [2]exec.Region{k.rCon, k.rNext}
 	tid := ctx.TID()
 	lo, hi := chunk(tid, threads, n)
+	// Publish the first iteration's contributions. The divisor is the
+	// out-degree of the contributor, from the forward graph.
+	for v := lo; v < hi; v++ {
+		ctx.Load(rPR.At(v))
+		buf[0][v] = contribution(g, v, pr[v])
+		ctx.Compute(1)
+		ctx.Store(rBuf[0].At(v))
+	}
+	ctx.Barrier(bar)
 	for it := 0; it < iters; it++ {
-		// Publish contributions for this iteration. The divisor is
-		// the out-degree of the contributor, from the forward graph.
-		for v := lo; v < hi; v++ {
-			ctx.Load(rPR.At(v))
-			if d := g.Degree(v); d > 0 {
-				contrib[v] = pr[v] / float64(d)
-			} else {
-				contrib[v] = 0
-			}
-			ctx.Compute(1)
-			ctx.Store(rCon.At(v))
-		}
-		ctx.Barrier(bar)
-		// Pull: sum in-neighbor contributions, no locks.
+		contrib, rCon := buf[it&1], rBuf[it&1]
+		out, rOut := buf[(it+1)&1], rBuf[(it+1)&1]
+		// Pull: sum in-neighbor contributions, no locks, and publish
+		// the next iteration's. The other threads read only contrib.
 		ctx.Active(hi - lo)
 		for v := lo; v < hi; v++ {
 			sum := 0.0
@@ -286,16 +294,23 @@ func (k *pageRankPullRun) run(ctx exec.Ctx) {
 			for _, u := range ts {
 				sum += contrib[u]
 			}
-			next[v] = DampingR + (1-DampingR)*sum
-			ctx.Store(rNext.At(v))
+			x := DampingR + (1-DampingR)*sum
+			pr[v] = x
+			ctx.Store(rPR.At(v))
+			out[v] = contribution(g, v, x)
+			ctx.Compute(1)
+			ctx.Store(rOut.At(v))
 			ctx.Active(-1)
 		}
 		ctx.Barrier(bar)
-		for v := lo; v < hi; v++ {
-			pr[v] = next[v]
-			ctx.Load(rNext.At(v))
-			ctx.Store(rPR.At(v))
-		}
-		ctx.Barrier(bar)
 	}
+}
+
+// contribution is what v of rank x gives each out-neighbor: x over its
+// out-degree, or nothing from a sink.
+func contribution(g *graph.CSR, v int, x float64) float64 {
+	if d := g.Degree(v); d > 0 {
+		return x / float64(d)
+	}
+	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
 )
@@ -59,6 +60,68 @@ func TestPageRankPullMatchesPush(t *testing.T) {
 			for v := range push {
 				if math.Abs(pull.Ranks[v]-push[v]) > 1e-9*(1+math.Abs(push[v])) {
 					t.Fatalf("%s p=%d: rank[%d]=%g want %g", name, p, v, pull.Ranks[v], push[v])
+				}
+			}
+		}
+	}
+}
+
+// pageRankPullThreePass is pageRankPull's loop as it was before an
+// iteration became one pass: publish every contribution, barrier, pull
+// into next, barrier, copy next into the ranks, barrier. It is the
+// reference the one-pass loop must match bit for bit.
+func pageRankPullThreePass(g *graph.CSR, threads, iters int) []float64 {
+	n, in := g.N, g.InCSR()
+	pr, next, contrib := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range pr {
+		pr[i] = 1 / float64(n)
+	}
+	pl := native.New()
+	bar := pl.NewBarrier(threads)
+	pl.Run(threads, func(ctx exec.Ctx) {
+		lo, hi := chunk(ctx.TID(), threads, n)
+		for it := 0; it < iters; it++ {
+			for v := lo; v < hi; v++ {
+				if d := g.Degree(v); d > 0 {
+					contrib[v] = pr[v] / float64(d)
+				} else {
+					contrib[v] = 0
+				}
+			}
+			ctx.Barrier(bar)
+			for v := lo; v < hi; v++ {
+				sum := 0.0
+				ts, _ := in.Neighbors(v)
+				for _, u := range ts {
+					sum += contrib[u]
+				}
+				next[v] = DampingR + (1-DampingR)*sum
+			}
+			ctx.Barrier(bar)
+			for v := lo; v < hi; v++ {
+				pr[v] = next[v]
+			}
+			ctx.Barrier(bar)
+		}
+	})
+	return pr
+}
+
+// TestPageRankPullMatchesThreePass: the one-pass iteration performs the
+// same float operations as the three-pass one, so the ranks are the same
+// bits at every thread count.
+func TestPageRankPullMatchesThreePass(t *testing.T) {
+	for _, kind := range []graph.Kind{graph.KindRoadCA, graph.KindSocial, graph.KindSparse} {
+		g := graph.Generate(kind, 4096, 7)
+		for _, threads := range []int{1, 2, 4} {
+			want := pageRankPullThreePass(g, threads, 10)
+			got, err := pageRankPull(context.Background(), native.New(), g, threads, 10, NewScratch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if math.Float64bits(got.Ranks[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s t=%d: rank[%d] = %v, three-pass loop %v", kind, threads, v, got.Ranks[v], want[v])
 				}
 			}
 		}

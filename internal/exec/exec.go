@@ -18,6 +18,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // Addr is a logical byte address in the platform's address space. The
@@ -32,11 +33,30 @@ const LineSize = 64
 // Region describes a logical array placed in the platform address space.
 // All regions are cache-line aligned, mirroring CRONO's cache-line aligned
 // data structures.
+//
+// A Region is passed by value into every inlined annotation, so it must
+// stay within the compiler's limit for keeping a struct in registers: at
+// most four fields and four pointer words (cmd/compile's SSA form, see
+// canSSAType). Past it, every inlined At copies the struct through the
+// stack, which made an annotated union-find loop 1.6 times as slow
+// (DESIGN §2). Hence the 32-bit element size and count; NewRegion
+// refuses a region they cannot describe.
 type Region struct {
 	Name     string
 	Base     Addr
-	ElemSize uint64
-	Elems    uint64
+	ElemSize uint32
+	Elems    uint32
+}
+
+// NewRegion is the Region of elems elements of elemSize bytes at base,
+// the one constructor the platforms' Alloc methods share. It panics
+// when either count is negative or does not fit the 32-bit field, so
+// nothing truncates silently.
+func NewRegion(name string, base Addr, elems, elemSize int) Region {
+	if elems < 0 || elemSize < 0 || uint64(elems) > math.MaxUint32 || uint64(elemSize) > math.MaxUint32 {
+		panic(fmt.Sprintf("exec: region %q of %d elements of %d bytes is out of range", name, elems, elemSize))
+	}
+	return Region{Name: name, Base: base, ElemSize: uint32(elemSize), Elems: uint32(elems)}
 }
 
 // At returns the address of element i. A negative index panics: the
@@ -50,7 +70,7 @@ func (r Region) At(i int) Addr {
 	if i < 0 {
 		negativeIndex(i, r.Name)
 	}
-	return r.Base + uint64(i)*r.ElemSize
+	return r.Base + uint64(i)*uint64(r.ElemSize)
 }
 
 //go:noinline
@@ -59,7 +79,7 @@ func negativeIndex(i int, region string) {
 }
 
 // Bytes returns the total size of the region in bytes.
-func (r Region) Bytes() uint64 { return r.ElemSize * r.Elems }
+func (r Region) Bytes() uint64 { return uint64(r.ElemSize) * uint64(r.Elems) }
 
 // Lock is an opaque platform lock handle created by Platform.NewLock.
 // Kernels treat locks as the "atomic locks" of the paper: short critical

@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"math"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegionAddressing(t *testing.T) {
@@ -23,6 +27,43 @@ func TestRegionAtNegativePanics(t *testing.T) {
 		}
 	}()
 	r.At(-1)
+}
+
+// TestRegionFitsInRegisters guards Region's size. The compiler keeps a
+// struct in registers (SSA form) only while it has at most four fields
+// of at most four pointer words in all; a Region past that is copied
+// through the stack at every inlined At, on every edge of every kernel.
+func TestRegionFitsInRegisters(t *testing.T) {
+	const word = unsafe.Sizeof(uintptr(0))
+	if size := unsafe.Sizeof(Region{}); size > 4*word {
+		t.Errorf("Region is %d bytes, over the compiler's %d-byte register limit", size, 4*word)
+	}
+	if n := reflect.TypeOf(Region{}).NumField(); n > 4 {
+		t.Errorf("Region has %d fields, over the compiler's 4-field register limit", n)
+	}
+}
+
+// TestNewRegionRefusesWhatDoesNotFit: a size that the 32-bit fields
+// cannot hold panics instead of truncating.
+func TestNewRegionRefusesWhatDoesNotFit(t *testing.T) {
+	if r := NewRegion("x", 128, 10, 4); r != (Region{Name: "x", Base: 128, ElemSize: 4, Elems: 10}) {
+		t.Fatalf("NewRegion = %+v", r)
+	}
+	bad := [][2]int{{-1, 4}, {10, -1}}
+	if strconv.IntSize == 64 {
+		big := int(uint64(math.MaxUint32) + 1)
+		bad = append(bad, [2]int{big, 1}, [2]int{1, big})
+	}
+	for _, c := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRegion(%d elements, %d bytes) did not panic", c[0], c[1])
+				}
+			}()
+			NewRegion("x", 128, c[0], c[1])
+		}()
+	}
 }
 
 func TestBreakdownTotalAndFractions(t *testing.T) {

@@ -44,7 +44,7 @@ func (t *RegionTable) Resolve(addr Addr) (Region, int, bool) {
 	if r.ElemSize == 0 || addr >= r.Base+r.Bytes() {
 		return Region{}, 0, false
 	}
-	return r, int((addr - r.Base) / r.ElemSize), true
+	return r, int((addr - r.Base) / uint64(r.ElemSize)), true
 }
 
 // Describe formats addr as "name[elem]" when a registered region owns

@@ -117,17 +117,19 @@ func (c *Config) simConfig(ct sim.CoreType) sim.Config {
 
 // BestThreads is the per-benchmark thread count giving the highest
 // simulated speedup under the default configuration; the "best thread
-// count" experiments (Figures 2-4 and 6-8) run there.
+// count" experiments (Table IV, Figures 2-4 and 6-8) run there. It is
+// Figure 1's "best speedup" line of the checked-in experiments_output.txt
+// (TestBestThreadsMatchFigure1).
 var BestThreads = map[string]int{
 	"SSSP_DIJK": 64,
 	"APSP":      256,
 	"BETW_CENT": 256,
 	"BFS":       256,
-	"DFS":       128,
-	"TSP":       128,
+	"DFS":       256,
+	"TSP":       256,
 	"CONN_COMP": 256,
 	"TRI_CNT":   256,
-	"PageRank":  128,
+	"PageRank":  256,
 	"COMM":      256,
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,6 +87,33 @@ func TestBestThreadsClamped(t *testing.T) {
 	}
 	if got := DefaultConfig(nil).bestThreads("unknown"); got != 64 {
 		t.Fatalf("fallback best threads %d", got)
+	}
+}
+
+// TestBestThreadsMatchFigure1: the best-thread experiments must run
+// where Figure 1 of the checked-in full run peaks, or they describe a
+// configuration Figure 1 does not call best.
+func TestBestThreadsMatchFigure1(t *testing.T) {
+	out, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`(?m)^Figure 1 \[(\w+)\]:`)
+	best := regexp.MustCompile(`(?m)^best speedup: [0-9.]+x at (\d+) threads$`)
+	seen := 0
+	for _, loc := range head.FindAllSubmatchIndex(out, -1) {
+		name := string(out[loc[2]:loc[3]])
+		m := best.FindSubmatch(out[loc[1]:])
+		if m == nil {
+			t.Fatalf("Figure 1 [%s] has no best speedup line", name)
+		}
+		if got := string(m[1]); got != strconv.Itoa(BestThreads[name]) {
+			t.Errorf("BestThreads[%q] = %d, Figure 1 peaks at %s threads", name, BestThreads[name], got)
+		}
+		seen++
+	}
+	if seen != len(BestThreads) {
+		t.Errorf("Figure 1 shows %d benchmarks, BestThreads names %d", seen, len(BestThreads))
 	}
 }
 

@@ -53,6 +53,11 @@ type Platform struct {
 	cause   context.Context
 	threads int
 	aborted atomic.Bool
+	// spin is how long the run's barrier waiters spin before they park:
+	// spinBound when the run has the process to itself, else 0. started
+	// counts the run's threads that have begun.
+	spin    time.Duration
+	started atomic.Int32
 }
 
 var _ exec.Platform = (*Platform)(nil)
@@ -75,7 +80,7 @@ func (p *Platform) Alloc(name string, elems, elemSize int) exec.Region {
 	bytes := uint64(elems) * uint64(elemSize)
 	bytes = (bytes + exec.LineSize - 1) &^ uint64(exec.LineSize-1)
 	p.next += bytes
-	return exec.Region{Name: name, Base: base, ElemSize: uint64(elemSize), Elems: uint64(elems)}
+	return exec.NewRegion(name, base, elems, elemSize)
 }
 
 type nativeLock struct{ mu sync.Mutex }
@@ -104,7 +109,13 @@ type barrier struct {
 	cond    sync.Cond
 	parties int
 	waiting int
-	gen     uint64
+	// gen counts completed generations. It is written under mu and read
+	// without it by a spinning waiter, so it has a cache line of its own:
+	// sharing mu's, the spinners' polls slowed every arrival's Lock
+	// (a tight two-thread crossing took ~1.1 µs against ~0.6 µs).
+	_   [exec.LineSize]byte
+	gen atomic.Uint64
+	_   [exec.LineSize - 8]byte
 }
 
 // NewBarrier implements exec.Platform.
@@ -114,20 +125,30 @@ func (p *Platform) NewBarrier(parties int) exec.Barrier {
 	return b
 }
 
+// spinBound is how long a waiter of a run that has the process to itself
+// spins before it parks (see RunInto). A park and its wake-up cost 12–50
+// µs on a 2-vCPU host, and most rounds of a road-graph kernel end within
+// that; spins of 1–10 µs ended too few waits to gain anything.
+const spinBound = 100 * time.Microsecond
+
 // wait is the run's cancellation point. The last arriver of a generation
 // polls the run context before releasing it; in an aborted run the barrier
 // never returns but ends the calling thread, after withdrawing its arrival
 // so a barrier reused by a later run still needs a full complement of
 // parties. A thread returns only from a completed generation, so every
 // thread that runs on is ordered by the barrier it passed.
-func (b *barrier) wait(c *thread) {
+//
+// A waiter first spins on the generation word for up to spin (none when
+// spin is 0), then parks on the condition variable. The run chooses spin;
+// tests pass it directly to drive either path.
+func (b *barrier) wait(c *thread, spin time.Duration) {
 	p := c.p
 	b.mu.Lock()
 	if p.aborted.Load() {
 		b.mu.Unlock()
 		runtime.Goexit()
 	}
-	gen := b.gen
+	gen := b.gen.Load()
 	b.waiting++
 	if b.waiting == b.parties {
 		if p.cause.Err() != nil {
@@ -137,25 +158,48 @@ func (b *barrier) wait(c *thread) {
 			runtime.Goexit()
 		}
 		b.waiting = 0
-		b.gen++
+		b.gen.Add(1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
 		return
+	}
+	if spin > 0 {
+		b.mu.Unlock()
+		if b.spin(p, gen, spin) {
+			return
+		}
+		// Timed out or aborted: park, which sees the abort at once.
+		b.mu.Lock()
 	}
 	// Publish before reading aborted: trip sets aborted and then reads
 	// parked, so either this thread sees the abort or trip sees b, and
 	// trip's broadcast needs b.mu, which is free only once Wait parked.
 	c.parked.Store(b)
-	for b.gen == gen && !p.aborted.Load() {
+	for b.gen.Load() == gen && !p.aborted.Load() {
 		b.cond.Wait()
 	}
 	c.parked.Store(nil)
-	if b.gen == gen {
+	if b.gen.Load() == gen {
 		b.waiting--
 		b.mu.Unlock()
 		runtime.Goexit()
 	}
 	b.mu.Unlock()
+}
+
+// spin busy-waits, holding no lock and never yielding, until generation
+// gen completes (true) or the run aborts or d passes (false). The clock
+// is read once every 64 polls of the generation word.
+func (b *barrier) spin(p *Platform, gen uint64, d time.Duration) bool {
+	start := time.Now()
+	for i := 1; ; i++ {
+		if b.gen.Load() != gen {
+			return true
+		}
+		if p.aborted.Load() || i%64 == 0 && time.Since(start) > d {
+			return false
+		}
+	}
 }
 
 // trip marks the run aborted and wakes every thread parked at a barrier.
@@ -198,8 +242,20 @@ func (c *thread) Unlock(l exec.Lock) { l.(*nativeLock).mu.Unlock() }
 
 func (c *thread) Barrier(b exec.Barrier) {
 	t0 := time.Now()
-	b.(*barrier).wait(c)
+	b.(*barrier).wait(c, c.p.spinFor())
 	c.syncNs += uint64(time.Since(t0))
+}
+
+// spinFor is how long a waiter spins: the run's spin once all its
+// threads have begun, none before, since a thread not yet begun may be
+// queued on the very processor the waiter would spin on (an empty
+// two-thread run took 4 to 20 times as long when its first waiter
+// spun).
+func (p *Platform) spinFor() time.Duration {
+	if int(p.started.Load()) < p.threads {
+		return 0
+	}
+	return p.spin
 }
 
 // Checkpoint implements exec.Sync: a non-blocking poll of the run context.
@@ -221,6 +277,7 @@ func (p *Platform) ensure(threads int) {
 		c.t = exec.NewThread(tid, threads, nil, c)
 		p.thr = append(p.thr, c)
 		p.thunks = append(p.thunks, func() {
+			p.started.Add(1)
 			t0 := time.Now()
 			// Deferred: a barrier of an aborted run ends the thread.
 			defer func() {
@@ -278,6 +335,16 @@ func (p *Platform) RunInto(goCtx context.Context, threads int, body func(exec.Ct
 	}
 	p.body, p.cause, p.threads = body, goCtx, threads
 	p.aborted.Store(false)
+	// A spinning waiter holds its processor, which a server needs for
+	// its network poller and its other requests. So waiters spin only
+	// when every thread has a processor of its own and no goroutine but
+	// the caller exists, as in a benchmark loop; a process that serves
+	// never meets this, and its waiters always park.
+	p.spin = 0
+	if threads <= runtime.GOMAXPROCS(0) && runtime.NumGoroutine() == 1 {
+		p.spin = spinBound
+	}
+	p.started.Store(0)
 
 	start := time.Now()
 	p.wg.Add(threads)

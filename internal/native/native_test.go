@@ -102,40 +102,98 @@ func TestLocksProvideMutualExclusion(t *testing.T) {
 	}
 }
 
+// waitPaths are a barrier waiter's two ways to wait. A run picks one
+// for all its waits (RunInto): it parks at once when other goroutines
+// exist, as they always do in a test binary, and spins first when it has
+// the process to itself. The tests cross barriers through cross to run
+// either.
+var waitPaths = []waitPath{{"park", 0}, {"spin", spinBound}}
+
+type waitPath struct {
+	name string
+	spin time.Duration
+}
+
+// cross is thread.Barrier on a chosen path.
+func cross(p *Platform, c exec.Ctx, bar exec.Barrier, spin time.Duration) {
+	bar.(*barrier).wait(p.thr[c.TID()], spin)
+}
+
+// arrived reports whether n waiters are held at b: parked on it, or, on
+// the spinning path, counted in (a spinner holds no lock and publishes
+// nothing else).
+func arrived(p *Platform, b exec.Barrier, n int, spin time.Duration) bool {
+	bb := b.(*barrier)
+	if spin == 0 {
+		parked := 0
+		for _, c := range p.thr {
+			if c.parked.Load() == bb {
+				parked++
+			}
+		}
+		return parked == n
+	}
+	bb.mu.Lock()
+	defer bb.mu.Unlock()
+	return bb.waiting == n
+}
+
 // crossPhases runs ten two-barrier rounds on bar's four parties and
 // reports whether any thread saw a phase other than its own.
-func crossPhases(p *Platform, bar exec.Barrier) (escaped bool) {
+func crossPhases(p *Platform, bar exec.Barrier, spin time.Duration) (escaped bool) {
 	var phase atomic.Int32
 	var fail atomic.Bool
 	p.Run(4, func(c exec.Ctx) {
 		for round := int32(1); round <= 10; round++ {
 			phase.Store(round)
-			c.Barrier(bar)
+			cross(p, c, bar, spin)
 			if phase.Load() != round {
 				fail.Store(true)
 			}
-			c.Barrier(bar)
+			cross(p, c, bar, spin)
 		}
 	})
 	return fail.Load()
 }
 
 func TestBarrierSynchronizesPhases(t *testing.T) {
-	p := New()
-	if crossPhases(p, p.NewBarrier(4)) {
-		t.Fatal("thread escaped a barrier early")
+	for _, path := range waitPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := New()
+			if crossPhases(p, p.NewBarrier(4), path.spin) {
+				t.Fatal("thread escaped a barrier early")
+			}
+		})
 	}
 }
 
 // TestReusableBarrierSynchronizesPhases: a barrier outlives the run
 // that made it (core.Scratch caches one per platform and thread count).
 func TestReusableBarrierSynchronizesPhases(t *testing.T) {
+	for _, path := range waitPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := New()
+			bar := p.NewBarrier(4)
+			for run := 0; run < 3; run++ {
+				if crossPhases(p, bar, path.spin) {
+					t.Fatalf("run %d: thread escaped a reused barrier early", run)
+				}
+			}
+		})
+	}
+}
+
+// TestRunSpinsOnlyWithTheProcessToItself: a test binary always has a
+// goroutine beside the run's caller, as a server has, so its runs park;
+// so do runs with more threads than processors.
+func TestRunSpinsOnlyWithTheProcessToItself(t *testing.T) {
 	p := New()
-	bar := p.NewBarrier(4)
-	for run := 0; run < 3; run++ {
-		if crossPhases(p, bar) {
-			t.Fatalf("run %d: thread escaped a reused barrier early", run)
-		}
+	for _, threads := range []int{1, 2, runtime.GOMAXPROCS(0) + 1} {
+		p.Run(threads, func(c exec.Ctx) {
+			if c.TID() == 0 && p.spin != 0 {
+				t.Errorf("%d-thread run beside %d goroutines spins for %v", threads, runtime.NumGoroutine(), p.spin)
+			}
+		})
 	}
 }
 
@@ -216,39 +274,47 @@ func TestRunDelegatesToNeverCanceledRunCtx(t *testing.T) {
 // cross one barrier in a tight loop, so the abort lands on every mix of
 // parked, arriving and departing threads.
 func TestRunCtxCancelReleasesBarrierWaiters(t *testing.T) {
-	p := New()
-	bar := p.NewBarrier(8)
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
+	for _, path := range waitPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := New()
+			bar := p.NewBarrier(8)
+			ctx, cancel := context.WithCancel(context.Background())
+			started := make(chan struct{})
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.RunCtx(ctx, 8, func(c exec.Ctx) {
-			if c.TID() == 0 {
-				close(started)
-			}
-			for {
-				c.Compute(1)
-				c.Barrier(bar)
-				if c.Checkpoint() != nil {
-					return
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.RunCtx(ctx, 8, func(c exec.Ctx) {
+					if c.TID() == 0 {
+						close(started)
+					}
+					for {
+						c.Compute(1)
+						cross(p, c, bar, path.spin)
+						if c.Checkpoint() != nil {
+							return
+						}
+					}
+				})
+				done <- err
+			}()
+
+			<-started
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
 				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not abort within 10s: barrier waiters not released")
 			}
 		})
-		done <- err
-	}()
-
-	<-started
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not abort within 10s: barrier waiters not released")
 	}
 }
+
+// abortPaths are waitPaths with a spin that only the generation or the
+// abort ends, so the abort lands on a waiter that is still spinning.
+var abortPaths = []waitPath{{"park", 0}, {"spin", time.Hour}}
 
 // TestReusableCancellationReleasesBarrierWaiters: after thousands of
 // runs that each made their own barrier (nothing may accumulate per
@@ -258,96 +324,105 @@ func TestRunCtxCancelReleasesBarrierWaiters(t *testing.T) {
 // barrier usable by the next run.
 func TestReusableCancellationReleasesBarrierWaiters(t *testing.T) {
 	const threads = 4
-	p := New()
-	for i := 0; i < 2000; i++ {
-		bar := p.NewBarrier(threads)
-		p.Run(threads, func(c exec.Ctx) { c.Barrier(bar) })
-	}
-
-	bar := p.NewBarrier(threads)
-	goCtx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.RunCtx(goCtx, threads, func(c exec.Ctx) {
-			if c.TID() != 0 {
-				c.Barrier(bar)
-				return
+	for _, path := range abortPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := New()
+			for i := 0; i < 2000; i++ {
+				bar := p.NewBarrier(threads)
+				p.Run(threads, func(c exec.Ctx) { c.Barrier(bar) })
 			}
-			for c.Checkpoint() == nil {
+
+			bar := p.NewBarrier(threads)
+			goCtx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.RunCtx(goCtx, threads, func(c exec.Ctx) {
+					if c.TID() != 0 {
+						cross(p, c, bar, path.spin)
+						return
+					}
+					for c.Checkpoint() == nil {
+						runtime.Gosched()
+					}
+				})
+				done <- err
+			}()
+			for !arrived(p, bar, threads-1, path.spin) {
 				runtime.Gosched()
 			}
-		})
-		done <- err
-	}()
-	for _, c := range p.thr[1:threads] {
-		for c.parked.Load() == nil {
-			runtime.Gosched()
-		}
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release the barrier waiters")
-	}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancellation did not release the barrier waiters")
+			}
 
-	var ran atomic.Int32
-	p.Run(threads, func(c exec.Ctx) {
-		c.Barrier(bar)
-		ran.Add(1)
-	})
-	if ran.Load() != threads {
-		t.Fatalf("post-abort run executed %d bodies, want %d", ran.Load(), threads)
+			var ran atomic.Int32
+			p.Run(threads, func(c exec.Ctx) {
+				cross(p, c, bar, path.spin)
+				ran.Add(1)
+			})
+			if ran.Load() != threads {
+				t.Fatalf("post-abort run executed %d bodies, want %d", ran.Load(), threads)
+			}
+		})
 	}
 }
 
 // TestBarrierAbortedWaiterDoesNotCorruptReuse pins the withdrawal at the
 // barrier itself, without a schedule to get lucky on: a lone arrival
-// ended by an abort must not stay counted, or the reused two-party
-// barrier releases with one arrival. The ended thread leaves no goroutine
-// behind.
+// ended by an abort, parked or still spinning, must not stay counted, or
+// the reused two-party barrier releases with one arrival. The ended
+// thread leaves no goroutine behind.
 func TestBarrierAbortedWaiterDoesNotCorruptReuse(t *testing.T) {
-	p := New()
-	b := p.NewBarrier(2)
-	base := runtime.NumGoroutine()
-	goCtx, cancel := context.WithCancel(context.Background())
-	_, err := p.RunCtx(goCtx, 2, func(c exec.Ctx) {
-		if c.TID() == 1 {
-			c.Barrier(b) // lone arrival, ended by the abort
-			t.Error("Barrier returned in an aborted run")
-			return
-		}
-		for p.thr[1].parked.Load() == nil {
-			runtime.Gosched()
-		}
-		cancel()
-		if c.Checkpoint() == nil {
-			t.Error("Checkpoint missed the cancellation")
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	goroutinesSettle(t, base)
+	for _, path := range abortPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := New()
+			b := p.NewBarrier(2)
+			base := runtime.NumGoroutine()
+			goCtx, cancel := context.WithCancel(context.Background())
+			_, err := p.RunCtx(goCtx, 2, func(c exec.Ctx) {
+				if c.TID() == 1 {
+					cross(p, c, b, path.spin) // lone arrival, ended by the abort
+					t.Error("Barrier returned in an aborted run")
+					return
+				}
+				for !arrived(p, b, 1, path.spin) {
+					runtime.Gosched()
+				}
+				if path.spin != 0 && p.thr[1].parked.Load() != nil {
+					t.Error("spinning waiter parked before the abort")
+				}
+				cancel()
+				if c.Checkpoint() == nil {
+					t.Error("Checkpoint missed the cancellation")
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			goroutinesSettle(t, base)
 
-	released := make(chan struct{})
-	p.Run(2, func(c exec.Ctx) {
-		if c.TID() == 1 {
-			c.Barrier(b)
-			close(released)
-			return
-		}
-		select {
-		case <-released:
-			t.Error("reused barrier released with one arrival out of two")
-			return
-		case <-time.After(50 * time.Millisecond):
-		}
-		c.Barrier(b) // second arrival completes the generation
-	})
+			released := make(chan struct{})
+			p.Run(2, func(c exec.Ctx) {
+				if c.TID() == 1 {
+					cross(p, c, b, path.spin)
+					close(released)
+					return
+				}
+				select {
+				case <-released:
+					t.Error("reused barrier released with one arrival out of two")
+					return
+				case <-time.After(50 * time.Millisecond):
+				}
+				cross(p, c, b, path.spin) // second arrival completes the generation
+			})
+		})
+	}
 }
 
 // goroutinesSettle fails t unless the goroutine count falls back to base:
@@ -397,11 +472,20 @@ func TestConcurrentRunRefused(t *testing.T) {
 // over the repository (one per service run), so a run must leave no
 // goroutine behind.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		New().Run(4, func(c exec.Ctx) { c.Compute(1) })
+	for _, path := range waitPaths {
+		t.Run(path.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ {
+				p := New()
+				bar := p.NewBarrier(4)
+				p.Run(4, func(c exec.Ctx) {
+					c.Compute(1)
+					cross(p, c, bar, path.spin)
+				})
+			}
+			goroutinesSettle(t, base)
+		})
 	}
-	goroutinesSettle(t, base)
 }
 
 func TestReusableClosedRejectsRuns(t *testing.T) {

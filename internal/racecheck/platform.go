@@ -47,12 +47,7 @@ func (p *Platform) Alloc(name string, elems, elemSize int) exec.Region {
 	if elems < 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("racecheck: bad Alloc(%q, %d, %d)", name, elems, elemSize))
 	}
-	r := exec.Region{
-		Name:     name,
-		Base:     p.nextAddr,
-		ElemSize: uint64(elemSize),
-		Elems:    uint64(elems),
-	}
+	r := exec.NewRegion(name, p.nextAddr, elems, elemSize)
 	size := r.Bytes()
 	size = (size + exec.LineSize - 1) / exec.LineSize * exec.LineSize
 	if size == 0 {

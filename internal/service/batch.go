@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,7 +186,13 @@ func (s *Server) runPass(members []*pending, plan string) {
 		resp := newRunResponse(m.spec, graph.OrderNone, res.Report, wall, start.Sub(m.accepted))
 		resp.Batched, resp.Plan = true, plan
 		s.m.queueWait(name).Observe(resp.QueueWaitSeconds)
-		bfs := &core.BFSResult{Level: res.Level[i], Visited: res.Visited[i], Levels: res.Levels[i], Report: res.Report}
+		level := res.Level[i]
+		if m.rp.keep {
+			// A repair seed outlives the reply; a row of the pass's one
+			// level array would keep every member's rows alive with it.
+			level = slices.Clone(level)
+		}
+		bfs := &core.BFSResult{Level: level, Visited: res.Visited[i], Levels: res.Levels[i], Report: res.Report}
 		s.settle(m, &core.Result{Report: res.Report, BFS: bfs})
 		m.ch <- runOut{resp: resp}
 	}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"crono/internal/core"
 	"crono/internal/graph"
@@ -290,6 +291,17 @@ func TestBatchedRunMatchesUnbatched(t *testing.T) {
 		}
 		if !slices.Equal(servedLevels(t, rec, gr.Version, "frontier", src), servedLevels(t, idleRec, gr.Version, "frontier", src)) {
 			t.Fatalf("source %d: batched levels differ from the unbatched run", src)
+		}
+	}
+	// A batched payload is kept as the lineage's repair seed, so no row
+	// may be a window of the pass's one level array, which would keep
+	// every member's rows alive: no row may start where another ends.
+	for _, a := range sources {
+		for _, b := range sources {
+			ra, rb := servedLevels(t, rec, gr.Version, "frontier", a), servedLevels(t, rec, gr.Version, "frontier", b)
+			if unsafe.Add(unsafe.Pointer(unsafe.SliceData(ra)), 4*len(ra)) == unsafe.Pointer(unsafe.SliceData(rb)) {
+				t.Fatalf("the levels of sources %d and %d are adjacent windows of one array", a, b)
+			}
 		}
 	}
 }

@@ -173,7 +173,7 @@ func (m *Machine) Alloc(name string, elems, elemSize int) exec.Region {
 	lb := uint64(m.cfg.LineBytes)
 	bytes = (bytes + lb - 1) &^ (lb - 1)
 	m.allocNext += bytes
-	return exec.Region{Name: name, Base: base, ElemSize: uint64(elemSize), Elems: uint64(elems)}
+	return exec.NewRegion(name, base, elems, elemSize)
 }
 
 func (m *Machine) home(line uint64) int { return int(line % uint64(m.cfg.Cores)) }
