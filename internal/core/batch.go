@@ -19,9 +19,10 @@ const BFSBatchWidth = 64
 type BFSBatchResult struct {
 	// Sources echoes the request order; Level[i], Visited[i] and
 	// Levels[i] describe the traversal from Sources[i], with exactly the
-	// values a standalone BFS from that source produces. The Level rows
-	// are consecutive windows of one array, so keeping any row keeps
-	// them all: copy a row that must outlive the others.
+	// values a standalone BFS from that source produces. Each Level row
+	// is an n-element window (cap n) of one array, the rows an odd number
+	// of cache lines apart, so keeping any row keeps them all: copy a row
+	// that must outlive the others.
 	Sources []int
 	Level   [][]int32
 	Visited []int
@@ -66,22 +67,28 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 	// reads the previous round's array as its front and collects into the
 	// other, and each array is zero off its own frontier.
 	arrived := [2][]uint64{make([]uint64, n), make([]uint64, n)}
+	all := ^uint64(0) >> uint(BFSBatchWidth-k) // one bit per source
 	// moved[t] is the union of the bits thread t settled last round: only
 	// those can travel one more edge. A source whose component is
 	// exhausted drops out, so pulls stop waiting for its bit.
 	moved := make([]uint64, threads)
-	moved[0] = ^uint64(0) >> uint(BFSBatchWidth-k)
-	// Level of vertex v from source s is lvl[s*n+v], the layout rLvl
+	moved[0] = all
+	// Level of vertex v from source s is lvl[s*stride+v], the layout rLvl
 	// describes: settling a bit stores at a computed index, with no
-	// per-source row header to load first (DESIGN §5b).
-	lvl := make([]int32, k*n)
-	for i := range lvl {
-		lvl[i] = -1
-	}
+	// per-source row header to load first. The rows are an odd number of
+	// cache lines apart, so the lines the settle loop writes in turn fall
+	// in different cache sets (DESIGN §5b). Every cell of a row is written
+	// once: a source's here, a settled bit's in the run, and -1 after it
+	// where the bit never arrived.
+	stride := levelStride(n)
+	lvl := make([]int32, k*stride)
 	levels := make([][]int32, k)
 	for i := range levels {
-		levels[i] = lvl[i*n : (i+1)*n : (i+1)*n]
+		levels[i] = lvl[i*stride : i*stride+n : i*stride+n]
 	}
+	// depth[i] is one more than the deepest level bit i has settled at,
+	// kept by thread 0 from the moved unions.
+	depth := make([]int, k)
 
 	// Seed: distinct source vertices enter the worklist once; duplicate
 	// sources just share a vertex's bits.
@@ -101,7 +108,7 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 
 	rVis := pl.Alloc("bfsb.visited", n, 8)
 	rArr := [2]exec.Region{pl.Alloc("bfsb.arrived0", n, 8), pl.Alloc("bfsb.arrived1", n, 8)}
-	rLvl := pl.Alloc("bfsb.levels", k*n, 4)
+	rLvl := pl.Alloc("bfsb.levels", k*stride, 4)
 	rOff := pl.Alloc("bfsb.offsets", n+1, 8)
 	rTgt := pl.Alloc("bfsb.targets", g.M(), 4)
 	rFront := pl.Alloc("bfsb.frontier", n, 4)
@@ -118,6 +125,16 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 			f := wl.frontier()
 			flo, fhi := chunk(tid, threads, len(f))
 			found, deg := 0, int64(0)
+			live := uint64(0)
+			for _, b := range moved {
+				live |= b
+			}
+			if tid == 0 {
+				// live holds the bits settled at level cur.
+				for b := live; b != 0; b &= b - 1 {
+					depth[bits.TrailingZeros64(b)] = int(cur) + 1
+				}
+			}
 			if d.dir == dirPush {
 				// Push every frontier vertex's new bits to its
 				// neighbors; the CAS winner that turns a pending word
@@ -161,10 +178,7 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 				// in-neighbors received, stopping once it has every one it
 				// was missing. It is the only writer of its own word, so
 				// no CAS.
-				in, live := d.in, uint64(0)
-				for _, b := range moved {
-					live |= b
-				}
+				in := d.in
 				lo, hi := chunk(tid, threads, n)
 				for v := lo; v < hi; v++ {
 					ctx.Load(rVis.At(v))
@@ -218,8 +232,8 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 				ctx.Store(rVis.At(u)) //crono:vet-ignore unguardedstore
 				for b := bitsU; b != 0; b &= b - 1 {
 					s := bits.TrailingZeros64(b)
-					lvl[s*n+u] = cur + 1
-					ctx.Store(rLvl.At(s*n + u)) //crono:vet-ignore unguardedstore
+					lvl[s*stride+u] = cur + 1
+					ctx.Store(rLvl.At(s*stride + u)) //crono:vet-ignore unguardedstore
 				}
 			}
 			moved[tid] = settled
@@ -234,15 +248,31 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 		return nil, err
 	}
 
-	res := &BFSBatchResult{
+	// Mark the bits that never arrived: visited holds every settled bit,
+	// so this touches only the unreached cells, and counts them.
+	reached := make([]int, k)
+	for i := range reached {
+		reached[i] = n
+	}
+	for v, w := range visited {
+		for b := all &^ w; b != 0; b &= b - 1 {
+			s := bits.TrailingZeros64(b)
+			lvl[s*stride+v] = -1
+			reached[s]--
+		}
+	}
+	return &BFSBatchResult{
 		Sources: append([]int(nil), sources...),
 		Level:   levels,
-		Visited: make([]int, k),
-		Levels:  make([]int, k),
+		Visited: reached,
+		Levels:  depth,
 		Report:  rep,
-	}
-	for i := 0; i < k; i++ {
-		res.Visited[i], res.Levels[i] = bfsSummary(levels[i])
-	}
-	return res, nil
+	}, nil
+}
+
+// levelStride is the distance in int32s between consecutive BFSBatch
+// level rows: n rounded up to a whole, odd number of 64-byte lines.
+func levelStride(n int) int {
+	const perLine = 64 / 4
+	return ((n+perLine-1)/perLine | 1) * perLine
 }

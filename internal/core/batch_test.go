@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"crono/internal/graph"
 	"crono/internal/native"
@@ -151,6 +152,142 @@ func TestBFSBatchRaceSweepCellsPull(t *testing.T) {
 		}
 		if races := pl.Races(); len(races) != 0 {
 			t.Errorf("t%d: %d races, first %v", threads, len(races), races[0])
+		}
+	}
+}
+
+// componentGraph lays a social graph, a random digraph and a path side by
+// side over n vertices and leaves the last tenth isolated: several
+// components, some with vertices no source reaches.
+func componentGraph(n int, seed int64) *graph.CSR {
+	var edges []graph.Edge
+	off := int32(0)
+	for _, part := range []*graph.CSR{graph.Generate(graph.KindSocial, n/2, seed), randomDigraph(n/4, 3, seed)} {
+		for v := 0; v < part.N; v++ {
+			ts, _ := part.Neighbors(v)
+			for _, u := range ts {
+				edges = append(edges, graph.Edge{From: off + int32(v), To: off + u, Weight: 1})
+			}
+		}
+		off += int32(part.N)
+	}
+	for v := off + 1; v < off+int32(n/10); v++ {
+		edges = append(edges, graph.Edge{From: v - 1, To: v, Weight: 1}, graph.Edge{From: v, To: v - 1, Weight: 1})
+	}
+	return graph.FromEdges(n, edges, false)
+}
+
+// TestBFSBatchMatchesRefAcrossComponents: on a graph of several
+// components and isolated vertices, every row is BFSRef's, -1 wherever
+// its source does not reach, and each source's Visited and Levels are
+// the summary of that row. n = 2048 fills whole cache lines and rows of
+// a power-of-two size; n = 1001 ends each row mid-line.
+func TestBFSBatchMatchesRefAcrossComponents(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, g *graph.CSR, sources []int, res *BFSBatchResult) {
+		t.Helper()
+		for i, src := range sources {
+			ref := BFSRef(g, src)
+			if !slices.Equal(res.Level[i], ref) {
+				t.Fatalf("%s: levels from source %d (#%d) differ from BFSRef", name, src, i)
+			}
+			if vis, lv := bfsSummary(ref); res.Visited[i] != vis || res.Levels[i] != lv {
+				t.Fatalf("%s: source %d (#%d) summary %d/%d, want %d/%d",
+					name, src, i, res.Visited[i], res.Levels[i], vis, lv)
+			}
+		}
+	}
+	for _, n := range []int{2048, 1001} {
+		g := componentGraph(n, 5)
+		if g.Degree(n-1) != 0 {
+			t.Fatalf("n=%d: vertex %d is not isolated", n, n-1)
+		}
+		for _, k := range []int{1, 7, BFSBatchWidth} {
+			for _, isolated := range []bool{false, true} {
+				sources := dupSources(n, k)
+				if isolated {
+					sources[k-1] = n - 1
+				}
+				for _, threads := range []int{1, 2, 4} {
+					name := fmt.Sprintf("n=%d/k=%d/isolated=%v/t%d", n, k, isolated, threads)
+					res, err := BFSBatch(ctx, native.New(), g, sources, threads)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					check(name, g, sources, res)
+				}
+			}
+		}
+	}
+	g := componentGraph(1001, 5)
+	sources := append(dupSources(g.N, 6), g.N-1)
+	pl := racecheck.New()
+	res, err := BFSBatch(ctx, pl, g, sources, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("racecheck", g, sources, res)
+	if races := pl.Races(); len(races) != 0 {
+		t.Fatalf("racecheck: %d races, first %v", len(races), races[0])
+	}
+}
+
+// TestBFSBatchLevelRowsDoNotAlias pins the level layout: each row is an
+// n-element window, and consecutive rows start a whole, odd number of
+// 64-byte lines apart, so the lines a settle writes in turn do not share
+// a cache set even when n is a power of two.
+func TestBFSBatchLevelRowsDoNotAlias(t *testing.T) {
+	for _, n := range []int{32768, 1001, 40, 16, 1} {
+		g := randomDigraph(n, 2, 1)
+		sources := make([]int, BFSBatchWidth)
+		for i := range sources {
+			sources[i] = i * 7 % n
+		}
+		res, err := BFSBatch(context.Background(), native.New(), g, sources, 2)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, row := range res.Level {
+			if len(row) != n || cap(row) != n {
+				t.Fatalf("n=%d: row %d has len %d cap %d, want %d", n, i, len(row), cap(row), n)
+			}
+			if i == 0 {
+				continue
+			}
+			gap := uintptr(unsafe.Pointer(unsafe.SliceData(row))) - uintptr(unsafe.Pointer(unsafe.SliceData(res.Level[i-1])))
+			if gap%64 != 0 || gap/64%2 != 1 || gap < uintptr(4*n) {
+				t.Fatalf("n=%d: rows %d and %d start %d bytes apart, want an odd number of whole lines of at least %d bytes", n, i-1, i, gap, 4*n)
+			}
+		}
+	}
+}
+
+// BenchmarkBFSBatch times one 64-source pass over social n=32768 at two
+// threads on a warm native platform, the sources spread over the largest
+// component: the shape of the batch arm of the kernel-social benchmark.
+func BenchmarkBFSBatch(b *testing.B) {
+	g := graph.Generate(graph.KindSocial, 32768, 1)
+	labels := ComponentsRef(g)
+	root := int32(largestComponentSource(g))
+	var comp []int
+	for v, l := range labels {
+		if l == root {
+			comp = append(comp, v)
+		}
+	}
+	sources := make([]int, BFSBatchWidth)
+	for i := range sources {
+		sources[i] = comp[i*len(comp)/len(sources)]
+	}
+	ctx, pl := context.Background(), native.New()
+	if _, err := BFSBatch(ctx, pl, g, sources, 2); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BFSBatch(ctx, pl, g, sources, 2); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
