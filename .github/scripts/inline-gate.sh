@@ -14,6 +14,7 @@ for fn in 'Region.At' \
 	'(*Thread).Load' '(*Thread).Store' \
 	'(*Thread).AtomicLoad' '(*Thread).AtomicStore' '(*Thread).AtomicRMW' \
 	'(*Thread).LoadSpan' '(*Thread).StoreSpan' '(*Thread).LoadGather' \
+	'(*Thread).AtomicLoadSweep' '(*Thread).LoadSweep' \
 	'(*Thread).Compute' '(*Thread).Active'; do
 	line=$(grep -F "can inline $fn with cost" <<<"$exec_m" || true)
 	if [ -z "$line" ]; then

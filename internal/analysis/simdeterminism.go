@@ -12,7 +12,8 @@ import (
 var annotationMethods = map[string]bool{
 	"Load": true, "Store": true, "LoadSpan": true, "StoreSpan": true,
 	"AtomicLoad": true, "AtomicStore": true, "AtomicRMW": true,
-	"LoadGather": true, "Compute": true, "Active": true,
+	"LoadGather": true, "AtomicLoadSweep": true, "LoadSweep": true,
+	"Compute": true, "Active": true,
 	"Lock": true, "Unlock": true, "Barrier": true,
 }
 

@@ -61,6 +61,14 @@ func mapFeedsGather(ctx exec.Ctx, r exec.Region, adj map[int32][]int32) {
 	}
 }
 
+// mapFeedsSweep flushes one skipped stretch per map entry: the
+// per-element stream a Model replays follows the map's order.
+func mapFeedsSweep(ctx exec.Ctx, r exec.Region, stretches map[int]int) {
+	for lo, hi := range stretches { // want `issues Ctx\.AtomicLoadSweep annotations`
+		ctx.AtomicLoadSweep(r, lo, hi)
+	}
+}
+
 // mapPure ranges over a map without annotating, which is fine: the
 // result is order-independent and nothing reaches the simulator.
 func mapPure(weights map[int32]int64) int64 {

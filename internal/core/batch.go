@@ -177,16 +177,19 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 				// bit that moved last round ORs together the bits its
 				// in-neighbors received, stopping once it has every one it
 				// was missing. It is the only writer of its own word, so
-				// no CAS.
+				// no CAS. visited changes only in the settle phase, so
+				// the test is made unannotated and the skipped stretch
+				// flushed with one sweep.
 				in := d.in
 				lo, hi := chunk(tid, threads, n)
+				skip := lo
 				for v := lo; v < hi; v++ {
-					ctx.Load(rVis.At(v))
-					ctx.Compute(1)
 					need := live &^ visited[v]
 					if need == 0 {
 						continue
 					}
+					ctx.LoadSweep(rVis, skip, v+1)
+					skip = v + 1
 					ctx.Load(rInOff.At(v))
 					ts, _ := in.Neighbors(v)
 					acc, j := uint64(0), 0
@@ -204,6 +207,7 @@ func bfsBatch(goCtx context.Context, pl exec.Platform, g *graph.CSR, sources []i
 						wl.push(tid, int32(v))
 					}
 				}
+				ctx.LoadSweep(rVis, skip, hi)
 			}
 			ctx.Active(found - (fhi - flo))
 			d.frontDeg[tid] = deg

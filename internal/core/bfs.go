@@ -27,6 +27,10 @@ type BFSResult struct {
 // division) for vertices on the current level, claims their unvisited
 // neighbors under per-vertex atomic locks, and a barrier separates
 // levels. A canceled run ends at its next barrier.
+//
+// The scan tests each level unannotated and flushes the skipped stretch
+// with one AtomicLoadSweep: a round writes only level cur+1, so no thread
+// changes the outcome of another's "== cur" test during the sweep.
 func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int) (*BFSResult, error) {
 	if err := validate(g, src, threads); err != nil {
 		return nil, err
@@ -54,12 +58,13 @@ func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int
 		cur := int32(0)
 		for {
 			changed[tid] = 0
+			skip := lo
 			for v := lo; v < hi; v++ {
-				ctx.AtomicLoad(rLvl.At(v))
-				ctx.Compute(1)
 				if atomic.LoadInt32(&level[v]) != cur {
 					continue
 				}
+				ctx.AtomicLoadSweep(rLvl, skip, v+1)
+				skip = v + 1
 				ctx.Load(rOff.At(v))
 				ts, _ := g.Neighbors(v)
 				ctx.LoadSpan(rTgt.At(int(g.Offsets[v])), len(ts), 4)
@@ -81,6 +86,7 @@ func BFS(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads int
 				}
 				ctx.Active(-1) // vertex explored, leaves the frontier
 			}
+			ctx.AtomicLoadSweep(rLvl, skip, hi)
 			ctx.Store(rChg.At(tid))
 			ctx.Barrier(bar)
 			if tid == 0 {

@@ -411,16 +411,19 @@ func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 			// its in-neighbors for a parent on the current level, stopping
 			// at the first hit. My chunk is mine alone, so the level store
 			// needs no CAS — but it stays atomic because other threads'
-			// probes read it.
+			// probes read it. For the same reason the visited test is
+			// made unannotated and the skipped stretch flushed with one
+			// sweep.
 			in, rInOff, rInTgt := k.in, k.rInOff, k.rInTgt
 			flo, fhi := chunk(tid, threads, len(wl.frontier()))
 			lo, hi := chunk(tid, threads, g.N)
+			skip := lo
 			for v := lo; v < hi; v++ {
-				ctx.AtomicLoad(rLvl.At(v))
-				ctx.Compute(1)
 				if atomic.LoadInt32(&level[v]) != -1 {
 					continue
 				}
+				ctx.AtomicLoadSweep(rLvl, skip, v+1)
+				skip = v + 1
 				ctx.Load(rInOff.At(v))
 				ts, _ := in.Neighbors(v)
 				for j, u := range ts {
@@ -437,6 +440,7 @@ func (k *bfsFrontierRun) run(ctx exec.Ctx) {
 					}
 				}
 			}
+			ctx.AtomicLoadSweep(rLvl, skip, hi)
 			ctx.Active(found - (fhi - flo))
 		}
 		k.frontDeg[tid] = deg

@@ -64,19 +64,23 @@ func SSSP(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads in
 		lo, hi := chunk(tid, threads, n)
 		for {
 			// Phase 1: find the next pareto front (minimum tentative
-			// distance among marked vertices).
+			// distance among marked vertices). exist is written only in
+			// phase 2, so the test is made unannotated and the skipped
+			// stretch flushed with one sweep.
 			local := graph.Inf
+			skip := lo
 			for v := lo; v < hi; v++ {
-				ctx.AtomicLoad(rExist.At(v))
-				ctx.Compute(1)
 				if atomic.LoadInt32(&exist[v]) == 0 {
 					continue
 				}
+				ctx.AtomicLoadSweep(rExist, skip, v+1)
+				skip = v + 1
 				ctx.AtomicLoad(rDist.At(v))
 				if d := atomic.LoadInt32(&dist[v]); d < local {
 					local = d
 				}
 			}
+			ctx.AtomicLoadSweep(rExist, skip, hi)
 			mins[tid] = local
 			ctx.Store(rMins.At(tid))
 			ctx.Barrier(bar)
@@ -96,7 +100,8 @@ func SSSP(goCtx context.Context, pl exec.Platform, g *graph.CSR, src, threads in
 			if gmin >= graph.Inf {
 				return
 			}
-			// Phase 2: settle and expand the front.
+			// Phase 2: settle and expand the front. It stays annotated per
+			// vertex: other threads' relaxations Swap exist[u] during it.
 			for v := lo; v < hi; v++ {
 				ctx.AtomicLoad(rExist.At(v))
 				ctx.Compute(1)

@@ -119,6 +119,42 @@ func TestLoadGatherReplaysPerElement(t *testing.T) {
 	}
 }
 
+// TestSweepReplaysPerElement: a Model sees each sweep as exactly the
+// AtomicLoad (or Load) of r.At(i) and Compute(1) pairs a kernel issued
+// before it had sweeps, for i in [lo, hi) in order; an empty range emits
+// nothing; natively each sweep counts 2·(hi−lo).
+func TestSweepReplaysPerElement(t *testing.T) {
+	r := Region{Name: "s", Base: 64, ElemSize: 4, Elems: 16}
+	for _, tc := range []struct {
+		name  string
+		sweep func(Ctx, Region, int, int)
+		load  func(Ctx, Addr)
+	}{
+		{"AtomicLoadSweep", Ctx.AtomicLoadSweep, Ctx.AtomicLoad},
+		{"LoadSweep", Ctx.LoadSweep, Ctx.Load},
+	} {
+		for _, rg := range [][2]int{{3, 7}, {0, 1}, {15, 16}, {5, 5}} {
+			lo, hi := rg[0], rg[1]
+			per := &logHooks{}
+			th := NewThread(0, 1, per, per)
+			for i := lo; i < hi; i++ {
+				tc.load(th, r.At(i))
+				th.Compute(1)
+			}
+			h := &logHooks{}
+			tc.sweep(NewThread(0, 1, h, h), r, lo, hi)
+			if len(h.calls) != 2*(hi-lo) || !reflect.DeepEqual(h.calls, per.calls) {
+				t.Errorf("%s [%d,%d): Model saw\n%v\nwant\n%v", tc.name, lo, hi, h.calls, per.calls)
+			}
+			native := NewThread(0, 1, nil, h)
+			tc.sweep(native, r, lo, hi)
+			if n, want := native.Instructions(), uint64(2*(hi-lo)); n != want {
+				t.Errorf("%s [%d,%d): counted %d instructions natively, want %d", tc.name, lo, hi, n, want)
+			}
+		}
+	}
+}
+
 // lockMaker is a Platform as far as NewLocks is concerned.
 type lockMaker struct {
 	Platform

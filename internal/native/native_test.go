@@ -598,6 +598,12 @@ func BenchmarkAnnotate(b *testing.B) {
 				c.LoadGather(r, idx[:i&15], 1)
 			}
 		}},
+		{"Sweep", func(c exec.Ctx, n int) {
+			for i := 0; i < n; i++ {
+				lo := i & 0xfff
+				c.AtomicLoadSweep(r, lo, lo+(i&15))
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p.Run(1, func(c exec.Ctx) {

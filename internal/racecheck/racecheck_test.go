@@ -88,16 +88,7 @@ func TestMissingBarrierGolden(t *testing.T) {
 // through exec's out-of-line replay loop as well as the inlined Thread
 // method, and its site must still be the fixture's LoadGather line.
 func TestGatherSiteNamesTheKernelLine(t *testing.T) {
-	src, err := os.ReadFile("testdata/racykernels/racykernels.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gatherLine := 0
-	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, "ctx.LoadGather(") {
-			gatherLine = i + 1
-		}
-	}
+	gatherLine := fixtureLine(t, "ctx.LoadGather(")
 	pl := New()
 	if _, _, err := racykernels.GatherMissingBarrier(pl, 2, 2); err != nil {
 		t.Fatal(err)
@@ -115,6 +106,47 @@ func TestGatherSiteNamesTheKernelLine(t *testing.T) {
 			t.Errorf("gathered read at %s, want %s", race.Current.Site, want)
 		}
 	}
+}
+
+// TestSweepSiteNamesTheKernelLine: a swept read reaches the detector
+// through exec's out-of-line replay loop, as a gathered one does, and
+// its site must still be the fixture's LoadSweep line.
+func TestSweepSiteNamesTheKernelLine(t *testing.T) {
+	sweepLine := fixtureLine(t, "ctx.LoadSweep(")
+	pl := New()
+	if _, _, err := racykernels.SweepMissingBarrier(pl, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	races := pl.Races()
+	pinRaces(t, races, []Race{
+		{Location: "racy.swept[0]", Prior: RaceAccess{TID: 0, Kind: "write"}, Current: RaceAccess{TID: 1, Kind: "read"}},
+		{Location: "racy.swept[1]", Prior: RaceAccess{TID: 0, Kind: "write"}, Current: RaceAccess{TID: 1, Kind: "read"}},
+		{Location: "racy.swept[2]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
+		{Location: "racy.swept[3]", Prior: RaceAccess{TID: 1, Kind: "write"}, Current: RaceAccess{TID: 0, Kind: "read"}},
+	})
+	want := fmt.Sprintf("racykernels.go:%d", sweepLine)
+	for _, race := range races {
+		if race.Current.Site != want {
+			t.Errorf("swept read at %s, want %s", race.Current.Site, want)
+		}
+	}
+}
+
+// fixtureLine returns the line of the racy fixtures that holds substr,
+// the last one if several do.
+func fixtureLine(t *testing.T, substr string) int {
+	t.Helper()
+	src, err := os.ReadFile("testdata/racykernels/racykernels.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := 0
+	for i, l := range strings.Split(string(src), "\n") {
+		if strings.Contains(l, substr) {
+			line = i + 1
+		}
+	}
+	return line
 }
 
 func TestFixedFixturesReportNothing(t *testing.T) {

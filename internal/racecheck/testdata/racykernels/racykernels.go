@@ -90,6 +90,37 @@ func GatherMissingBarrier(pl exec.Platform, threads, perThread int) ([]int32, *e
 	return out, rep, err
 }
 
+// SweepMissingBarrier is MissingBarrier with the cross-chunk reads
+// issued as one LoadSweep, each element tested as a sweeping kernel
+// tests its vertices. Every swept read races with the owning thread's
+// write, and the report must name the LoadSweep line below, not the exec
+// code that replays the sweep element by element.
+func SweepMissingBarrier(pl exec.Platform, threads, perThread int) (int, *exec.Report, error) {
+	n := threads * perThread
+	data := make([]int32, n)
+	seen := make([]int, threads)
+	r := pl.Alloc("racy.swept", n, 4)
+	rep, err := pl.RunCtx(context.Background(), threads, func(ctx exec.Ctx) {
+		tid := ctx.TID()
+		lo := tid * perThread
+		for i := 0; i < perThread; i++ {
+			data[lo+i] = 1
+			ctx.Store(r.At(lo + i))
+		}
+		// BUG: a ctx.Barrier belongs here.
+		nlo := ((tid + 1) % threads) * perThread
+		for i := nlo; i < nlo+perThread; i++ {
+			seen[tid] += int(data[i])
+		}
+		ctx.LoadSweep(r, nlo, nlo+perThread)
+	})
+	total := 0
+	for _, s := range seen {
+		total += s
+	}
+	return total, rep, err
+}
+
 // FixedCounter is SharedCounter with the lock it was missing; the
 // detector must report nothing for it.
 func FixedCounter(pl exec.Platform, threads, incs int) (int, *exec.Report, error) {
