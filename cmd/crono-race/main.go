@@ -1,6 +1,7 @@
-// Command crono-race runs kernels on the racecheck platform — a
-// deterministic cooperative scheduler plus a FastTrack-style
-// happens-before engine observing every exec.Ctx annotation — and
+// Command crono-race runs kernels on the racecheck platform — the
+// simulator's deterministic baton scheduler (exec.Sched) under its
+// round-robin rule, plus a FastTrack-style happens-before engine
+// observing every exec.Ctx annotation — and
 // reports conflicting access pairs no lock, barrier or atomic operation
 // orders. Reports name the accessed datum through the region registry
 // ("bfs.level[42]", not a raw address) and give both annotation call

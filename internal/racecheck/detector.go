@@ -48,7 +48,7 @@ type shadowWord struct {
 const defaultMaxRaces = 100
 
 // detector is the FastTrack-style happens-before engine. It is not
-// safe for concurrent use: the standalone scheduler serializes calls by
+// safe for concurrent use: the baton scheduler serializes calls by
 // construction.
 //
 // Clock state (threads, locks, barrier and address synchronization
@@ -67,12 +67,12 @@ type detector struct {
 	races []rawRace
 	seen  map[raceKey]bool
 
-	// aborted is set when a run is cooperatively canceled. From then on
-	// accesses are not recorded and races are not reported: an abort
-	// releases barrier waiters without the barrier's clock join, so
-	// accesses made while unwinding are unordered by construction and
-	// would otherwise surface as phantom races.
-	aborted bool
+	// run is the run in progress. Once it is aborted accesses are not
+	// recorded and races are not reported: an abort releases barrier
+	// waiters without the barrier's clock join, so accesses made while
+	// unwinding are unordered by construction and would otherwise
+	// surface as phantom races.
+	run *exec.Sched
 }
 
 func newDetector(table *exec.RegionTable) *detector {
@@ -83,9 +83,9 @@ func newDetector(table *exec.RegionTable) *detector {
 	}
 }
 
-// beginRun resets per-run clock state for a run of the given width.
+// beginRun resets per-run clock state for run, of the given width.
 // Thread clocks start at 1 so a zero epoch always means "never".
-func (d *detector) beginRun(threads int) {
+func (d *detector) beginRun(threads int, run *exec.Sched) {
 	d.threads = threads
 	d.clocks = make([]vclock, threads)
 	for t := range d.clocks {
@@ -96,7 +96,7 @@ func (d *detector) beginRun(threads int) {
 	d.locks = make(map[exec.Lock]*vclock)
 	d.sync = make(map[exec.Addr]*vclock)
 	d.shadow = make(map[exec.Addr]*shadowWord)
-	d.aborted = false
+	d.run = run
 }
 
 func (d *detector) word(a exec.Addr) *shadowWord {
@@ -135,7 +135,7 @@ func (d *detector) ordered(tid int, rec accessRec) bool {
 
 // read checks and records a read of a by tid.
 func (d *detector) read(tid int, a exec.Addr, pc uintptr, atomic bool) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	w := d.word(a)
@@ -150,7 +150,7 @@ func (d *detector) read(tid int, a exec.Addr, pc uintptr, atomic bool) {
 // the write are cleared: later conflicts are checked against the write,
 // which dominates them.
 func (d *detector) write(tid int, a exec.Addr, pc uintptr, atomic bool) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	w := d.word(a)
@@ -170,7 +170,7 @@ func (d *detector) write(tid int, a exec.Addr, pc uintptr, atomic bool) {
 
 // span applies read or write to each element of a span annotation.
 func (d *detector) span(tid int, a exec.Addr, elems, elemSize int, pc uintptr, isWrite bool) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	for i := 0; i < elems; i++ {
@@ -186,7 +186,7 @@ func (d *detector) span(tid int, a exec.Addr, elems, elemSize int, pc uintptr, i
 // acquireAddr merges the address synchronization clock into tid's clock:
 // the acquire half of an atomic operation on a.
 func (d *detector) acquireAddr(tid int, a exec.Addr) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	if ac := d.sync[a]; ac != nil {
@@ -197,7 +197,7 @@ func (d *detector) acquireAddr(tid int, a exec.Addr) {
 // releaseAddr merges tid's clock into the address synchronization clock
 // and ticks tid: the release half of an atomic operation on a.
 func (d *detector) releaseAddr(tid int, a exec.Addr) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	ac := d.sync[a]
@@ -211,7 +211,7 @@ func (d *detector) releaseAddr(tid int, a exec.Addr) {
 
 // lockAcquire merges the lock's release clock into tid's clock.
 func (d *detector) lockAcquire(tid int, l exec.Lock) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	if lc := d.locks[l]; lc != nil {
@@ -222,7 +222,7 @@ func (d *detector) lockAcquire(tid int, l exec.Lock) {
 // lockRelease copies tid's clock into the lock's release clock and
 // ticks tid.
 func (d *detector) lockRelease(tid int, l exec.Lock) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	lc := d.locks[l]
@@ -247,13 +247,10 @@ func (d *detector) barrierJoin(parties []int) vclock {
 // participant and ticks it. Not called on the abort path: aborted
 // barrier generations contribute no happens-before edges.
 func (d *detector) barrierLeave(tid int, joined vclock) {
-	if d.aborted {
+	if d.run.Aborted() {
 		return
 	}
 	d.clocks[tid].assign(joined)
 	d.clocks[tid].grow(tid + 1)
 	d.clocks[tid][tid]++
 }
-
-// abort stops recording: see the aborted field.
-func (d *detector) abort() { d.aborted = true }

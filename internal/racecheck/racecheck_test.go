@@ -201,9 +201,13 @@ func TestDeterministicReports(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetected: a two-thread lock-order inversion blocks both
+// threads. The run ends with an error naming them and leaves no
+// goroutine behind.
 func TestDeadlockDetected(t *testing.T) {
 	pl := New()
 	a, b := pl.NewLock(), pl.NewLock()
+	before := runtime.NumGoroutine()
 	_, err := pl.RunCtx(context.Background(), 2, func(ctx exec.Ctx) {
 		first, second := a, b
 		if ctx.TID() == 1 {
@@ -215,8 +219,15 @@ func TestDeadlockDetected(t *testing.T) {
 		ctx.Unlock(second)
 		ctx.Unlock(first)
 	})
-	if err == nil {
-		t.Fatal("lock-order inversion did not report a deadlock")
+	if err == nil || !strings.Contains(err.Error(), "threads [0 1]") {
+		t.Fatalf("err = %v, want a deadlock of threads 0 and 1", err)
+	}
+	deadline := time.Now().Add(5 * time.Second) // the threads' deferred exits
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d: the blocked threads leaked", before, after)
 	}
 }
 

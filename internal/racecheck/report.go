@@ -16,10 +16,11 @@
 // edges through that address's synchronization clock. A conflicting
 // unordered pair where only one side is atomic is still a race.
 //
-// New returns the package's one platform, a deterministic checker: a
-// cooperative round-robin scheduler runs one thread at a time, yielding
-// at every annotation, so a given kernel, input and thread count always
-// produce the same interleaving and the same report.
+// New returns the package's one platform, a deterministic checker: the
+// simulator's baton scheduler (exec.Sched) runs one thread at a time
+// under its round-robin rule, yielding at every annotation, so a given
+// kernel, input and thread count always produce the same interleaving
+// and the same report.
 package racecheck
 
 import (

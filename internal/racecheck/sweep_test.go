@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"crono/internal/core"
@@ -184,4 +185,135 @@ func TestKernelSweepZeroRaces(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepInstrPinned holds each sweep cell's per-thread instruction counts
+// on New(). The round-robin scheduler decides which thread claims which
+// work in the frontier and lock-heavy kernels, so these vectors pin the
+// interleaving, not only the kernels' totals. Run with
+// CRONO_RACE_PIN_GEN=1 to print the table instead.
+var sweepInstrPinned = map[string]string{
+	"SSSP_DIJK/scan/sparse/t2":                  "[4120 4103]",
+	"SSSP_DIJK/scan/sparse/t3":                  "[2964 2611 2699]",
+	"SSSP_DIJK/scan/road-tx/t2":                 "[130 122]",
+	"SSSP_DIJK/scan/road-tx/t3":                 "[96 80 80]",
+	"SSSP_DIJK/frontier/sparse/t2":              "[3329 1]",
+	"SSSP_DIJK/frontier/sparse/t3":              "[3330 1 1]",
+	"SSSP_DIJK/frontier/road-tx/t2":             "[7 1]",
+	"SSSP_DIJK/frontier/road-tx/t3":             "[8 1 1]",
+	"APSP/scan/sparse/t2":                       "[4777 4763]",
+	"APSP/scan/sparse/t3":                       "[3183 3176 3185]",
+	"APSP/scan/road-tx/t2":                      "[4548 3930]",
+	"APSP/scan/road-tx/t3":                      "[3034 2413 3035]",
+	"BETW_CENT/scan/sparse/t2":                  "[7375 7333]",
+	"BETW_CENT/scan/sparse/t3":                  "[4915 4900 4897]",
+	"BETW_CENT/scan/road-tx/t2":                 "[6538 6292]",
+	"BETW_CENT/scan/road-tx/t3":                 "[4238 3985 4611]",
+	"BFS/scan/sparse/t2":                        "[998 992]",
+	"BFS/scan/sparse/t3":                        "[724 608 658]",
+	"BFS/scan/road-tx/t2":                       "[44 41]",
+	"BFS/scan/road-tx/t3":                       "[33 27 27]",
+	"BFS/frontier/sparse/t2":                    "[273 155]",
+	"BFS/frontier/sparse/t3":                    "[198 136 94]",
+	"BFS/frontier/road-tx/t2":                   "[2 0]",
+	"BFS/frontier/road-tx/t3":                   "[2 0 0]",
+	"DFS/scan/sparse/t2":                        "[1741 1391]",
+	"DFS/scan/sparse/t3":                        "[1741 1391 1391]",
+	"DFS/scan/road-tx/t2":                       "[10 7]",
+	"DFS/scan/road-tx/t3":                       "[10 7 7]",
+	"TSP/scan/sparse/t2":                        "[1401 1288]",
+	"TSP/scan/sparse/t3":                        "[949 852 885]",
+	"TSP/scan/road-tx/t2":                       "[1401 1288]",
+	"TSP/scan/road-tx/t3":                       "[949 852 885]",
+	"CONN_COMP/scan/sparse/t2":                  "[2430 2638]",
+	"CONN_COMP/scan/sparse/t3":                  "[1728 1608 1730]",
+	"CONN_COMP/scan/road-tx/t2":                 "[1017 1081]",
+	"CONN_COMP/scan/road-tx/t3":                 "[842 833 865]",
+	"CONN_COMP/frontier/sparse/t2":              "[634 524]",
+	"CONN_COMP/frontier/sparse/t3":              "[474 347 341]",
+	"CONN_COMP/frontier/road-tx/t2":             "[593 559]",
+	"CONN_COMP/frontier/road-tx/t3":             "[434 367 366]",
+	"TRI_CNT/scan/sparse/t2":                    "[11985 3163]",
+	"TRI_CNT/scan/sparse/t3":                    "[9331 4469 1348]",
+	"TRI_CNT/scan/road-tx/t2":                   "[344 301]",
+	"TRI_CNT/scan/road-tx/t3":                   "[245 201 199]",
+	"PageRank/scan/sparse/t2":                   "[13650 14750]",
+	"PageRank/scan/sparse/t3":                   "[9680 9010 9710]",
+	"PageRank/scan/road-tx/t2":                  "[3660 3580]",
+	"PageRank/scan/road-tx/t3":                  "[2540 2360 2340]",
+	"PageRank/frontier/sparse/t2":               "[8210 8870]",
+	"PageRank/frontier/sparse/t3":               "[5822 5419 5839]",
+	"PageRank/frontier/road-tx/t2":              "[2240 2180]",
+	"PageRank/frontier/road-tx/t3":              "[1562 1429 1429]",
+	"COMM/scan/sparse/t2":                       "[9412 9579]",
+	"COMM/scan/sparse/t3":                       "[13605 11803 12626]",
+	"COMM/scan/road-tx/t2":                      "[1920 1554]",
+	"COMM/scan/road-tx/t3":                      "[1434 1008 1017]",
+	"COMM/frontier/sparse/t2":                   "[6302 6255]",
+	"COMM/frontier/sparse/t3":                   "[6416 6030 5788]",
+	"COMM/frontier/road-tx/t2":                  "[1023 995]",
+	"COMM/frontier/road-tx/t3":                  "[596 584 590]",
+	"BETW_BRANDES/scan/sparse/t2":               "[82324 82740]",
+	"BETW_BRANDES/scan/sparse/t3":               "[53641 57590 53837]",
+	"BETW_BRANDES/scan/road-tx/t2":              "[20288 19368]",
+	"BETW_BRANDES/scan/road-tx/t3":              "[14038 12874 12748]",
+	"BFSBatch/frontier/sparse/t2":               "[617 516]",
+	"BFSBatch/frontier/sparse/t3":               "[391 380 362]",
+	"BFSBatch/frontier/road-tx/t2":              "[307 295]",
+	"BFSBatch/frontier/road-tx/t3":              "[260 187 155]",
+	"BFSIncremental/frontier/sparse/t2":         "[268 167]",
+	"BFSIncremental/frontier/sparse/t3":         "[193 136 106]",
+	"BFSIncremental/frontier/road-tx/t2":        "[0 0]",
+	"BFSIncremental/frontier/road-tx/t3":        "[0 0 0]",
+	"ComponentsIncremental/frontier/sparse/t2":  "[12 6]",
+	"ComponentsIncremental/frontier/sparse/t3":  "[6 6 6]",
+	"ComponentsIncremental/frontier/road-tx/t2": "[108 110]",
+	"ComponentsIncremental/frontier/road-tx/t3": "[66 80 72]",
+}
+
+// TestSweepInstructionsPinned runs every sweepCases cell on the
+// deterministic checker and compares its Report.Instructions with
+// sweepInstrPinned.
+func TestSweepInstructionsPinned(t *testing.T) {
+	gen := os.Getenv("CRONO_RACE_PIN_GEN") != ""
+	cases := sweepCases()
+	got := make([]string, len(cases))
+	t.Run("cells", func(t *testing.T) {
+		for i, tc := range cases {
+			i, tc := i, tc
+			t.Run(sweepName(tc), func(t *testing.T) {
+				t.Parallel()
+				req := core.Request{Threads: tc.threads, Strategy: tc.strategy}
+				req.G = graph.Generate(tc.kind, 40, 1)
+				switch {
+				case tc.bench.UsesMatrix:
+					req.D = graph.DenseFromCSR(graph.Generate(tc.kind, 12, 1))
+				case tc.bench.UsesCities:
+					req.Cities = graph.Cities(7, 3)
+				}
+				res, err := tc.bench.Run(context.Background(), New(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = fmt.Sprint(res.Report.Instructions)
+			})
+		}
+	})
+	for i, tc := range cases {
+		name := sweepName(tc)
+		if gen {
+			fmt.Printf("\t%q: %q,\n", name, got[i])
+			continue
+		}
+		if want := sweepInstrPinned[name]; got[i] != want {
+			t.Errorf("%s: per-thread instructions %s, want %s", name, got[i], want)
+		}
+	}
+	if len(cases) != len(sweepInstrPinned) && !gen {
+		t.Errorf("%d cells, %d pinned", len(cases), len(sweepInstrPinned))
+	}
+}
+
+func sweepName(tc sweepCase) string {
+	return fmt.Sprintf("%s/%s/%s/t%d", tc.bench.Name, tc.strategy, tc.kind, tc.threads)
 }

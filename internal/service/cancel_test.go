@@ -321,3 +321,31 @@ func TestGroupMemberDoneAtDequeueIsNotRun(t *testing.T) {
 		t.Fatalf("%d BFS runs completed, want 1 (the member that went away must not run)", n)
 	}
 }
+
+// TestAwaitDeliveredResultWins pins the rule "a delivered result wins":
+// a run whose result is already delivered when its context has ended
+// answers with that result (the handler's 200), not the context's error,
+// whichever ready case select draws — so it is checked many times. With
+// nothing delivered, the context's error stands.
+func TestAwaitDeliveredResultWins(t *testing.T) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	bench, err := core.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &runSpec{bench: bench}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	want := &runResponse{}
+	for i := 0; i < 100; i++ {
+		p := newPending(ctx, spec, runPlan{})
+		p.ch <- runOut{resp: want}
+		if got, err := s.await(p); err != nil || got != want {
+			t.Fatalf("delivered result on a canceled context: got (%v, %v), want the result", got, err)
+		}
+	}
+	if _, err := s.await(newPending(ctx, spec, runPlan{})); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nothing delivered on a canceled context: err %v, want context.Canceled", err)
+	}
+}

@@ -648,19 +648,26 @@ func (s *Server) settle(p *pending, res *core.Result) {
 
 // await blocks until the worker delivers p's result or p's context ends,
 // and accounts a run that produced none (a failed pool admission is a
-// shed, which the handler counts). A context that ends first stops no
-// shared pass; this result is just not cached (Do drops errored computes).
+// shed, which the handler counts). A delivered result wins: when the
+// context has ended too, a result already in p.ch is still the answer,
+// so a run that beat its deadline never depends on which ready case
+// select draws. A context that ends first stops no shared pass; this
+// result is just not cached (Do drops errored computes).
 func (s *Server) await(p *pending) (any, error) {
-	var err error
+	var out runOut
 	select {
-	case out := <-p.ch:
-		if out.err == nil {
-			return out.resp, nil
-		}
-		err = out.err
+	case out = <-p.ch:
 	case <-p.ctx.Done():
-		err = p.ctx.Err()
+		select {
+		case out = <-p.ch:
+		default:
+			out.err = p.ctx.Err()
+		}
 	}
+	if out.err == nil {
+		return out.resp, nil
+	}
+	err := out.err
 	if !errors.Is(err, ErrSaturated) && !errors.Is(err, ErrPoolClosed) {
 		s.m.runErrors(p.spec.bench.Name, errReason(err)).Inc()
 	}

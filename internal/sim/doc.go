@@ -37,15 +37,16 @@
 //     barrier releases every party at max(arrival) plus a cost linear in
 //     the party count (a centralized barrier serializes one counter RMW
 //     per arrival).
-//  3. One simulated thread runs at a time (sched.go). The baton passes
-//     to the runnable thread with the lowest virtual clock (ties to the
-//     lower tid) when the holder runs more than Config.WindowCycles past
-//     the lowest clock of the other runnable threads, blocks on a held
-//     lock or an incomplete barrier, or ends. Races for dynamically
-//     distributed work (vertex capture, shared stacks) are therefore
-//     decided in virtual-time order within one window, never by the
-//     host's goroutine scheduler, and a run's result depends on its
-//     inputs alone.
+//  3. One simulated thread runs at a time (exec.Sched under its
+//     LowestClock rule; the race checker runs on the same scheduler).
+//     The baton passes to the runnable thread with the lowest virtual
+//     clock (ties to the lower tid) when the holder runs more than
+//     Config.WindowCycles past the lowest clock of the other runnable
+//     threads, blocks on a held lock or an incomplete barrier, or ends.
+//     Races for dynamically distributed work (vertex capture, shared
+//     stacks) are therefore decided in virtual-time order within one
+//     window, never by the host's goroutine scheduler, and a run's
+//     result depends on its inputs alone.
 //
 // # Synchronization cost model
 //

@@ -174,7 +174,7 @@ func warmThread(tb testing.TB, lines int) (*ctx, exec.Region) {
 		tb.Fatal(err)
 	}
 	r := m.Alloc("ws", lines*16, 4)
-	c := &ctx{m: m, limit: noLimit}
+	c := &ctx{m: m, limit: exec.NoLimit}
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < lines; i++ {
 			c.Load(r.At(i * 16))

@@ -99,11 +99,14 @@ func TestClientFaultDupUpload(t *testing.T) {
 
 func TestClientFaultDeadline(t *testing.T) {
 	_, c := startServer(t, testScenario())
-	// A 1ms budget on a simulated run cannot finish: the server must
-	// answer 504, not hang or 500.
+	// A 1ms budget on a run that needs far longer: the server must
+	// answer 504, not hang or 500. The simulated scan PageRank takes
+	// 85–110 ms uncanceled on a 2-vCPU host, about 85 times the budget.
+	// A run near the budget cannot serve: a frontier BFS on this graph
+	// takes 1.4–2.3 ms, and a delivered result wins (Server.await).
 	op := &Op{
-		Seq: 0, Fault: FaultDeadline, Kernel: "BFS", Graph: "g",
-		Platform: "sim", Strategy: "frontier", Threads: 2, SimCores: 16,
+		Seq: 0, Fault: FaultDeadline, Kernel: "PageRank", Graph: "g",
+		Platform: "sim", Strategy: "scan", Threads: 2, SimCores: 16,
 		TimeoutMs: 1,
 	}
 	obs := c.Do(context.Background(), "p", 0, op)
