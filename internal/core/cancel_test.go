@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"crono/internal/exec"
 	"crono/internal/graph"
@@ -231,20 +230,21 @@ func TestKernelCancelMidFlight(t *testing.T) {
 
 // TestKernelDeadlineMidFlight is the same table under an expiring
 // deadline, plus TSP, whose recursive search unwinds through the aborted
-// flag rather than a barrier.
+// flag rather than a barrier. TSP's deadline expires at its ninth poll:
+// the first is the platform's before the threads start, and the next
+// ones are the search's Checkpoint polls, one per tspBoundCheckEvery
+// nodes a thread visits, so the deadline lands inside the search by
+// construction. The search of 16 cities visits millions of nodes.
 func TestKernelDeadlineMidFlight(t *testing.T) {
 	testMidFlight(t, context.DeadlineExceeded)
 
-	cities := graph.Cities(16, 9) // several seconds of search uncanceled
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := TSP(ctx, native.New(), cities, 4)
+	ctx := cancelAtPoll(8, context.DeadlineExceeded)
+	res, err := TSP(ctx, native.New(), graph.Cities(16, 9), 4)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if e := time.Since(start); e > 10*time.Second {
-		t.Fatalf("TSP took %s to honor a 20ms deadline", e)
+	if res != nil {
+		t.Fatalf("partial result %+v returned for a deadlined run", res)
 	}
 }
 

@@ -286,21 +286,83 @@ func TestDeterministicSingleThread(t *testing.T) {
 	}
 }
 
-// TestInstructionCountsIndependentOfPlatform: the same kernel on the
-// same input issues the same total annotated instructions natively and
-// on the simulator at one thread.
+// TestInstructionCountsIndependentOfPlatform: at one thread every
+// annotation stream issues the same total instructions natively and on
+// the simulator: each Suite and Variants entry under scan, and under
+// frontier where it has one, the batched BFS and both repairs, on sparse,
+// road-ca and social graphs. A native fold of an annotation stream must
+// keep it so.
 func TestInstructionCountsIndependentOfPlatform(t *testing.T) {
-	g := graph.UniformSparse(200, 4, 30, 11)
-	nat, err := BFS(context.Background(), native.New(), g, 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	report := func(res *Result, err error) (*exec.Report, error) {
+		if err != nil {
+			return nil, err
+		}
+		return res.Report, nil
 	}
-	simr, err := BFS(context.Background(), simMachine(t, 16), g, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nat.Report.TotalInstructions() != simr.Report.TotalInstructions() {
-		t.Fatalf("instruction counts diverge: native %d vs sim %d",
-			nat.Report.TotalInstructions(), simr.Report.TotalInstructions())
+	for _, kind := range []graph.Kind{graph.KindSparse, graph.KindRoadCA, graph.KindSocial} {
+		g := graph.Generate(kind, 256, 11)
+		small := graph.Generate(kind, 48, 11) // the matrix and branch-and-bound kernels
+		cells := map[string]func(exec.Platform) (*exec.Report, error){}
+		for _, b := range append(Suite(), Variants()...) {
+			strategies := []Strategy{StrategyScan}
+			if b.Frontier {
+				strategies = append(strategies, StrategyFrontier)
+			}
+			for _, s := range strategies {
+				req := Request{Threads: 1, Strategy: s, Iters: 3}
+				req.G = g
+				switch {
+				case b.UsesMatrix:
+					req.D = graph.DenseFromCSR(small)
+				case b.UsesCities:
+					req.Cities = graph.Cities(7, 7)
+				case b.Name == "DFS" || b.Name == "BETW_BRANDES":
+					req.G = small
+				}
+				cells[b.Name+"/"+string(s)] = func(pl exec.Platform) (*exec.Report, error) {
+					return report(b.Run(ctx, pl, req))
+				}
+			}
+		}
+		cells["BFSBatch"] = func(pl exec.Platform) (*exec.Report, error) {
+			batch, err := BFSBatch(ctx, pl, g, []int{0, 1, 2, 3, 5, 8, 13, 21, 34, 55}, 1)
+			if err != nil {
+				return nil, err
+			}
+			return batch.Report, nil
+		}
+		d := randomDelta(g, rand.New(rand.NewSource(11)), 12, 8)
+		if err := d.Canonicalize(g.N); err != nil {
+			t.Fatal(err)
+		}
+		ins := &graph.EdgeDelta{Inserts: d.Inserts} // the components repair takes insert-only deltas
+		repair := func(name string, d *graph.EdgeDelta, prev func() *Result) func(exec.Platform) (*exec.Report, error) {
+			b, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := graph.ApplyDelta(g, d)
+			return func(pl exec.Platform) (*exec.Report, error) {
+				return report(b.Repair(ctx, pl, Request{Input: Input{G: next}, Threads: 1, Strategy: StrategyFrontier}, prev(), d))
+			}
+		}
+		cells["BFSIncremental"] = repair("BFS", d, func() *Result { return &Result{BFS: &BFSResult{Level: BFSRef(g, 0)}} })
+		cells["ComponentsIncremental"] = repair("CONN_COMP", ins, func() *Result {
+			return &Result{Components: &ComponentsResult{Labels: ComponentsRef(g)}}
+		})
+		for name, cell := range cells {
+			nat, err := cell(native.New())
+			if err != nil {
+				t.Fatalf("%s/%s native: %v", name, kind, err)
+			}
+			simr, err := cell(simMachine(t, 16))
+			if err != nil {
+				t.Fatalf("%s/%s sim: %v", name, kind, err)
+			}
+			if a, b := nat.TotalInstructions(), simr.TotalInstructions(); a != b {
+				t.Errorf("%s/%s: instruction counts diverge: native %d vs sim %d", name, kind, a, b)
+			}
+		}
 	}
 }

@@ -342,6 +342,43 @@ func TestReorderMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// The generator graphs are all symmetric, so their relabels read the
+	// graph itself as its in-adjacency. A directed graph's relabel reads
+	// its transpose: random directed graphs, weighted and unit, with
+	// every fourth vertex isolated, under random permutations.
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		vertex := func() int32 {
+			for {
+				if v := int32(rng.Intn(n)); v%4 != 3 {
+					return v
+				}
+			}
+		}
+		edges := make([]Edge, rng.Intn(4*n))
+		for i := range edges {
+			edges[i] = Edge{From: vertex(), To: vertex(), Weight: 1}
+			if trial%2 == 1 {
+				edges[i].Weight = int32(rng.Intn(5))
+			}
+		}
+		g := FromEdges(n, edges, false)
+		perm := make([]int32, n)
+		for i, p := range rng.Perm(n) {
+			perm[i] = int32(p)
+		}
+		r := applyPermutation(g, perm)
+		if d := diffCSR(r.G, applyPermutationRef(g, perm)); d != "" {
+			t.Fatalf("directed trial %d (n=%d, m=%d): %s", trial, n, g.M(), d)
+		}
+		for v, w := range perm {
+			if r.Inv[w] != int32(v) {
+				t.Fatalf("directed trial %d: Inv[%d] = %d, want %d", trial, w, r.Inv[w], v)
+			}
+		}
+	}
 }
 
 // readEdgeListRef is the fmt.Sscanf reader ReadEdgeList replaced, built
@@ -529,9 +566,10 @@ func TestReadersRefuseCountsOverTheBound(t *testing.T) {
 	}
 }
 
-// buildAllocs is the allocation count of a counting-sort build, whatever
-// its size and weight form: Offsets, the packed edge keys, Targets,
-// Weights or a unit graph's row of ones, and the CSR.
+// buildAllocs is the allocation count of a build, whatever its size and
+// weight form: Offsets, Targets, Weights or a unit graph's row of ones,
+// the CSR, and one more: FromEdges's packed edge keys, or a relabel's
+// inverse permutation (of a symmetric graph, which is its own transpose).
 const buildAllocs = 5
 
 func TestBuildAllocationsIndependentOfSize(t *testing.T) {
@@ -611,4 +649,26 @@ func BenchmarkReadEdgeList(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
+}
+
+// BenchmarkReorder relabels the graphs the kernel-* workloads reorder:
+// social at n=32768 and road-ca at n=131072, under degree and RCM.
+func BenchmarkReorder(b *testing.B) {
+	for _, c := range []struct {
+		kind Kind
+		n    int
+	}{{KindSocial, 32768}, {KindRoadCA, 131072}} {
+		g := Generate(c.kind, c.n, 1)
+		for _, o := range Orders() {
+			b.Run(string(c.kind)+"/"+string(o), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Reorder(g, o); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
+			})
+		}
+	}
 }

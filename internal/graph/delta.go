@@ -229,5 +229,20 @@ func ApplyDelta(base *CSR, d *EdgeDelta) *CSR {
 		out.Offsets[v+1] = int64(len(out.Targets))
 	}
 	out.setWeights(ws)
-	return out
+	return out.ownTranspose(base.tr.Load() == base && d.mirrored())
+}
+
+// mirrored reports whether the canonical delta d is its own reverse, under
+// which ApplyDelta keeps a base's self-transpose mark (see ownTranspose).
+func (d *EdgeDelta) mirrored() bool {
+	for k, es := range [][]Edge{d.Inserts, d.Deletes} {
+		for _, e := range es {
+			r := Edge{From: e.To, To: e.From}
+			i := sort.Search(len(es), func(i int) bool { return !lessByEndpoints(es[i], r) })
+			if i == len(es) || !sameEdge(es[i], r) || (k == 0 && es[i].Weight != e.Weight) {
+				return false
+			}
+		}
+	}
+	return true
 }

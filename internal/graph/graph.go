@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Inf is the "no path" distance. It is small enough that Inf+Inf does not
@@ -50,11 +51,11 @@ type CSR struct {
 	wview []int32
 	wmask int64
 
-	// trMu guards tr, the lazily built cached transpose (see InCSR).
-	// Graphs are immutable once constructed, so the cache never goes
+	// tr is the cached transpose, or g itself (see InCSR), built once
+	// under trMu. Graphs are immutable once constructed, so it never goes
 	// stale; it is deliberately excluded from Validate and Fingerprint.
 	trMu sync.Mutex
-	tr   *CSR
+	tr   atomic.Pointer[CSR]
 }
 
 // M returns the number of stored (directed) edges.
@@ -197,7 +198,7 @@ func (g *CSR) IsSymmetric() bool {
 // with an endpoint outside [0, n) are dropped, duplicate edges are merged
 // keeping the minimum weight, and neighbor lists come out strictly
 // sorted. If undirected is set, the reverse of every edge is added before
-// building.
+// building, and the graph is its own transpose from birth (InCSR).
 //
 // The build is a counting sort by source vertex: count each row's
 // degree, prefix-sum the counts into row starts, scatter the edges into
@@ -229,7 +230,7 @@ func FromEdges(n int, edges []Edge, undirected bool) *CSR {
 			}
 		}
 	}
-	return packRows(n, off, keys)
+	return packRows(n, off, keys).ownTranspose(undirected)
 }
 
 // prefixSum turns per-row counts stored at off[v+1] into row starts:

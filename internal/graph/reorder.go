@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -66,27 +65,24 @@ func Reorder(g *CSR, o Order) (*Reordered, error) {
 		return nil, fmt.Errorf("graph: reorder of nil graph")
 	}
 	var perm []int32
-	var pg *CSR
 	switch o {
 	case OrderNone:
 		perm = make([]int32, g.N)
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		pg = g
+		return &Reordered{G: g, Order: o, Perm: perm, Inv: slices.Clone(perm)}, nil
 	case OrderDegree:
-		pg, perm = ReorderByDegree(g)
+		perm = degreePerm(g)
 	case OrderRCM:
-		pg, perm = ReorderRCM(g)
+		perm = rcmPerm(g)
 	default:
 		return nil, fmt.Errorf("graph: unknown order %q (want %q, %q or %q)",
 			o, OrderNone, OrderDegree, OrderRCM)
 	}
-	inv := make([]int32, g.N)
-	for old, neu := range perm {
-		inv[neu] = int32(old)
-	}
-	return &Reordered{G: pg, Order: o, Perm: perm, Inv: inv}, nil
+	r := applyPermutation(g, perm)
+	r.Order = o
+	return &r, nil
 }
 
 // ReorderRCM relabels g's vertices in reverse Cuthill-McKee order:
@@ -97,12 +93,18 @@ func Reorder(g *CSR, o Order) (*Reordered, error) {
 // bandwidth reduction that packs road/mesh neighborhoods into nearby
 // ids. It returns the relabeled graph and the old->new mapping.
 func ReorderRCM(g *CSR) (*CSR, []int32) {
+	r := applyPermutation(g, rcmPerm(g))
+	return r.G, r.Perm
+}
+
+// rcmPerm is ReorderRCM's old->new mapping.
+func rcmPerm(g *CSR) []int32 {
 	n := g.N
 	seq := make([]int32, 0, n) // discovery order (new -> old, pre-reversal)
 	seen := make([]bool, n)
 	comp := make([]int32, 0, 64)
 	queue := make([]int32, 0, 64)
-	nbuf := make([]int32, 0, 64)
+	nbuf := make([]uint64, 0, 64)
 	for v := 0; v < n; v++ {
 		if seen[v] {
 			continue
@@ -141,23 +143,20 @@ func ReorderRCM(g *CSR) (*CSR, []int32) {
 			for _, u := range ts {
 				if !seen[u] {
 					seen[u] = true
-					nbuf = append(nbuf, u)
+					nbuf = append(nbuf, uint64(g.Degree(int(u)))<<32|uint64(u)) // (degree, id) order
 				}
 			}
-			slices.SortFunc(nbuf, func(a, b int32) int {
-				if c := cmp.Compare(g.Degree(int(a)), g.Degree(int(b))); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-			queue = append(queue, nbuf...)
+			slices.Sort(nbuf)
+			for _, k := range nbuf {
+				queue = append(queue, int32(uint32(k)))
+			}
 		}
 	}
 	perm := make([]int32, n) // old -> new
 	for i, old := range seq {
 		perm[old] = int32(n - 1 - i) // the "reverse" in RCM
 	}
-	return applyPermutation(g, perm), perm
+	return perm
 }
 
 // DegreeSkewThreshold is the max-degree/average-degree ratio above which
@@ -221,7 +220,8 @@ func ReorderBFS(g *CSR, root int) (*CSR, []int32) {
 			visit(int32(v))
 		}
 	}
-	return applyPermutation(g, perm), perm
+	r := applyPermutation(g, perm)
+	return r.G, r.Perm
 }
 
 // ReorderByDegree relabels vertices by descending degree (hubs first,
@@ -229,6 +229,12 @@ func ReorderBFS(g *CSR, root int) (*CSR, []int32) {
 // hot hub rows pack into few cache lines. The order is a stable counting
 // sort by degree.
 func ReorderByDegree(g *CSR) (*CSR, []int32) {
+	r := applyPermutation(g, degreePerm(g))
+	return r.G, r.Perm
+}
+
+// degreePerm is ReorderByDegree's old->new mapping.
+func degreePerm(g *CSR) []int32 {
 	n := g.N
 	next := make([]int32, g.MaxDegree()+1) // per degree: its next new id
 	for v := 0; v < n; v++ {
@@ -244,30 +250,42 @@ func ReorderByDegree(g *CSR) (*CSR, []int32) {
 		perm[v] = next[d]
 		next[d]++
 	}
-	return applyPermutation(g, perm), perm
+	return perm
 }
 
-// applyPermutation rebuilds g with vertex ids mapped through perm
-// (old -> new). Each relabeled row is copied straight into its new slot
-// (new degrees, prefix sum, mapped copy); only the per-row sort of the
-// counting-sort build remains.
-func applyPermutation(g *CSR, perm []int32) *CSR {
-	n := g.N
+// applyPermutation relabels g through perm (old -> new) into a Reordered
+// with Order unset. It is one scatter in new-id order: new id w joins
+// row perm[x] for each in-neighbor x of inv[w] (from InCSR: g itself if
+// symmetric, else g's transpose, kept on g), so rows are born sorted. A
+// symmetric g's relabel is its own transpose and takes five allocations:
+// Offsets, Targets, Weights or a unit graph's row of ones, Inv, the CSR.
+func applyPermutation(g *CSR, perm []int32) Reordered {
+	n, in := g.N, g.InCSR()
+	inv := make([]int32, n)
 	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		off[perm[v]+1] = int64(g.Degree(v))
+	for v, w := range perm {
+		inv[w] = int32(v)
+		off[w+1] = int64(g.Degree(v))
 	}
 	prefixSum(off)
-	keys := make([]uint64, g.M())
-	for v := 0; v < n; v++ {
-		ts, ws := g.Neighbors(v)
-		p := off[perm[v]]
-		for i, t := range ts {
-			keys[p+int64(i)] = edgeKey(perm[t], ws[i])
+	pg := &CSR{N: n, Offsets: off, Targets: make([]int32, g.M())}
+	ws := make([]int32, len(g.Weights)) // empty for a unit graph
+	for w, v := range inv {
+		xs, xws := in.Neighbors(int(v))
+		for i, x := range xs {
+			p := off[perm[x]] // the next free slot of row perm[x]
+			off[perm[x]]++
+			pg.Targets[p] = int32(w)
+			if len(ws) > 0 {
+				ws[p] = xws[i]
+			}
 		}
-		off[perm[v]] = p + int64(len(ts))
 	}
-	return packRows(n, off, keys)
+	// Each off[r] now ends row r: shift the ends into row starts.
+	copy(off[1:], off[:n])
+	off[0] = 0
+	pg.setWeights(ws)
+	return Reordered{G: pg.ownTranspose(in == g), Perm: perm, Inv: inv}
 }
 
 // ApplyVertexPermutation maps per-vertex data through a permutation so

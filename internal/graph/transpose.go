@@ -15,24 +15,33 @@ import "slices"
 // Safe for concurrent use. The returned graph must not be modified.
 //
 // An undirected graph (every edge stored in both directions with one
-// weight) is its own transpose, and InCSR returns g itself: the freshly
-// built transpose is compared with g array by array — neighbor lists are
-// sorted, so equal arrays are exactly symmetry — and dropped when they
-// match, so a symmetric graph never holds a second copy of its edges.
-// Both graphs store their weights in the canonical form, so equal
-// Weights (nil for two unit graphs) are equal weights. The compare is
-// linear; an IsSymmetric probe would cost O(M log deg).
+// weight) is its own transpose, and InCSR returns g itself: at once if g
+// is symmetric by construction (ownTranspose), else once a fresh
+// transpose compares equal to g array by array and is dropped. Sorted
+// neighbor lists make equal arrays exactly symmetry, and canonical weight
+// forms make equal Weights equal weights. A symmetric graph never holds a
+// second copy of its edges. An IsSymmetric probe would cost O(M log deg).
 func (g *CSR) InCSR() *CSR {
 	g.trMu.Lock()
 	defer g.trMu.Unlock()
-	if g.tr == nil {
+	if g.tr.Load() == nil {
 		t := transpose(g)
 		if slices.Equal(t.Offsets, g.Offsets) && slices.Equal(t.Targets, g.Targets) && slices.Equal(t.Weights, g.Weights) {
 			t = g
 		}
-		g.tr = t
+		g.tr.Store(t)
 	}
-	return g.tr
+	return g.tr.Load()
+}
+
+// ownTranspose marks g as its own transpose when sym says it is symmetric
+// by construction (an undirected FromEdges, a relabel or mirrored delta
+// of such a graph), and returns g.
+func (g *CSR) ownTranspose(sym bool) *CSR {
+	if sym {
+		g.tr.Store(g)
+	}
+	return g
 }
 
 // ResidentBytes is the memory held by g's arrays plus, once built and
@@ -40,10 +49,7 @@ func (g *CSR) InCSR() *CSR {
 // its row of ones, a weighted graph's is Weights.
 func (g *CSR) ResidentBytes() int64 {
 	b := 8*int64(len(g.Offsets)) + 4*int64(len(g.Targets)+len(g.wview))
-	g.trMu.Lock()
-	tr := g.tr
-	g.trMu.Unlock()
-	if tr != nil && tr != g {
+	if tr := g.tr.Load(); tr != nil && tr != g {
 		b += tr.ResidentBytes()
 	}
 	return b

@@ -56,6 +56,85 @@ func TestInCSRSymmetric(t *testing.T) {
 	}
 }
 
+// TestSelfTransposeMarks: a graph symmetric by construction is its own
+// transpose from birth, so InCSR returns it at once and allocates
+// nothing: every generator's output, its degree and RCM relabels, and the
+// child of a delta that is its own reverse. The child of any other delta
+// is not marked: its transpose is built and compared with it, and it is
+// a distinct graph whenever the child is not symmetric.
+func TestSelfTransposeMarks(t *testing.T) {
+	self := func(name string, g *CSR) {
+		t.Helper()
+		var in *CSR
+		if a := testing.AllocsPerRun(10, func() { in = g.InCSR() }); a != 0 || in != g {
+			t.Errorf("%s: InCSR made %v allocations, returned g itself = %t; want 0 and g", name, a, in == g)
+		}
+	}
+	graphs := map[string]*CSR{
+		"rmat":        RMAT(8, 6, 3),
+		"small-world": SmallWorld(300, 6, 0.1, 3),
+		"grid":        Grid(13, 17),
+		"torus":       Torus(13, 17),
+		"uniform":     UniformSparse(300, 4, 9, 3),
+		"road-net":    RoadNet(300, 3),
+		"social-net":  SocialNet(300, 6, 3),
+	}
+	for _, kind := range []Kind{KindSparse, KindRoadTX, KindRoadPA, KindRoadCA, KindSocial, KindSocialDense} {
+		graphs[string(kind)] = Generate(kind, 300, 5)
+	}
+	for name, g := range graphs {
+		self(name, g)
+		for _, o := range Orders() {
+			r, err := Reorder(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			self(name+"/"+string(o), r.G)
+		}
+
+		// An edge to delete, and a pair of vertices with no edge between.
+		e := g.Edges()[0]
+		a, b := int32(0), int32(1)
+		for g.HasEdge(int(a), int(b)) { // vertex 0 has few of the others as neighbors
+			b++
+		}
+		for _, c := range []struct {
+			name     string
+			d        EdgeDelta
+			mirrored bool
+		}{
+			{"mirrored", EdgeDelta{
+				Inserts: []Edge{{From: a, To: b, Weight: 3}, {From: b, To: a, Weight: 3}},
+				Deletes: []Edge{{From: e.From, To: e.To}, {From: e.To, To: e.From}},
+			}, true},
+			{"one-way insert", EdgeDelta{Inserts: []Edge{{From: a, To: b, Weight: 3}}}, false},
+			{"uneven weights", EdgeDelta{Inserts: []Edge{{From: a, To: b, Weight: 3}, {From: b, To: a, Weight: 4}}}, false},
+			{"one-way delete", EdgeDelta{Deletes: []Edge{{From: e.From, To: e.To}}}, false},
+		} {
+			if err := c.d.Canonicalize(g.N); err != nil {
+				t.Fatal(err)
+			}
+			child := ApplyDelta(g, &c.d)
+			if c.mirrored {
+				self(name+"/"+c.name, child)
+				continue
+			}
+			in := child.InCSR()
+			if in == child {
+				t.Errorf("%s/%s: an asymmetric child is its own transpose", name, c.name)
+				continue
+			}
+			rev := child.Edges()
+			for i := range rev {
+				rev[i].From, rev[i].To = rev[i].To, rev[i].From
+			}
+			if d := diffCSR(in, fromEdgesRef(child.N, rev, false)); d != "" {
+				t.Errorf("%s/%s: transpose: %s", name, c.name, d)
+			}
+		}
+	}
+}
+
 // TestInCSRAsymmetricWeights checks a graph that is symmetric in
 // structure but not in weights: its transpose carries the reversed
 // weights, so it must be a distinct CSR.

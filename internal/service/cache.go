@@ -79,7 +79,9 @@ func (c *Cache) Len() int {
 // coalesce onto that computation. started reports whether this call ran
 // the computation (i.e. the result was not served from cache or a
 // coalesced wait). If ctx expires while waiting on another caller's
-// computation, Do returns ctx.Err().
+// computation, Do returns ctx.Err(), unless that computation has
+// completed too: a delivered result wins, so the answer never depends
+// on which ready case select draws.
 func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error)) (val any, started bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -96,7 +98,12 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 		case <-e.done:
 			return e.val, false, e.err
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			select {
+			case <-e.done:
+				return e.val, false, e.err
+			default:
+				return nil, false, ctx.Err()
+			}
 		}
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}

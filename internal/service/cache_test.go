@@ -168,6 +168,28 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 	close(gate)
 }
 
+// TestCacheDeliveredResultWins pins the rule "a delivered result wins"
+// for a coalesced waiter: when the computation it waits on has completed
+// and its own context has ended too, it gets the result, whichever ready
+// case select draws, so the call is checked many times. The entry
+// stands as a waiter finds it, in flight (no list element), but with
+// done already closed: the computation completed after the waiter
+// joined it.
+func TestCacheDeliveredResultWins(t *testing.T) {
+	c := NewCache(4)
+	e := &cacheEntry{key: "k", done: make(chan struct{}), val: 7}
+	close(e.done)
+	c.entries["k"] = e
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		v, started, err := c.Do(ctx, "k", func() (any, error) { return 2, nil })
+		if err != nil || started || v != 7 {
+			t.Fatalf("call %d: got (%v, %v, %v), want the delivered (7, false, nil)", i, v, started, err)
+		}
+	}
+}
+
 // TestCachePanicCompletesWaiters regression: a panic inside compute must
 // complete the in-flight entry with an error (so coalesced waiters are
 // released instead of blocking forever) and free the key for retry. On
