@@ -11,8 +11,8 @@ import (
 )
 
 // experiments regenerates the paper's tables and figures, as in
-// `crono experiments -exp all -scale 0.5`. SIGINT cancels the in-flight
-// kernel at its next barrier; -timeout bounds the whole invocation.
+// `crono experiments -exp all -scale 0.5`. -timeout bounds the whole
+// invocation.
 func experiments(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("crono experiments", stderr)
 	var (
@@ -36,7 +36,7 @@ func experiments(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	ctx, stop := interruptible(*timeout)
+	ctx, stop := bounded(*timeout)
 	defer stop()
 	cfg := harness.DefaultConfig(stdout)
 	cfg.Ctx = ctx

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -90,24 +89,21 @@ func newFlags(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
-// interruptible returns the invocation's context: SIGINT cancels the
-// in-flight kernel at its next barrier and a positive timeout bounds the
-// whole invocation.
-func interruptible(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+// bounded returns the invocation's context: a positive timeout bounds the
+// whole invocation. It starts no goroutine (the deadline is a runtime
+// timer), so a native run keeps the process to one goroutine and its
+// barrier waits may spin (DESIGN §2, The native platform). Ctrl-C is left
+// to the default disposition, which ends the process at once.
+func bounded(timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout <= 0 {
-		return ctx, stop
+		return context.Background(), func() {}
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	return ctx, func() { cancel(); stop() }
+	return context.WithTimeout(context.Background(), timeout)
 }
 
-// explain says which of SIGINT and the timeout ended a canceled run.
+// explain names the timeout when it ended a run.
 func explain(err error, timeout time.Duration) error {
-	switch {
-	case errors.Is(err, context.Canceled):
-		return errors.New("interrupted")
-	case errors.Is(err, context.DeadlineExceeded):
+	if errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("run exceeded the %s timeout", timeout)
 	}
 	return err

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"crono/internal/core"
 	"crono/internal/graph"
@@ -145,5 +147,20 @@ func TestBadFlagIsAUsageError(t *testing.T) {
 	}
 	if code, _, _ := crono(t, "graphgen", "-help"); code != 0 {
 		t.Fatalf("-help: exit %d, want 0", code)
+	}
+}
+
+// TestInvocationContextStartsNoGoroutine: building a run's context, with
+// or without a timeout, starts no goroutine, so a native run from the CLI
+// can meet the platform's one-goroutine spin rule at its barriers.
+func TestInvocationContextStartsNoGoroutine(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		before := runtime.NumGoroutine()
+		_, stop := bounded(timeout)
+		after := runtime.NumGoroutine()
+		stop()
+		if after > before {
+			t.Errorf("timeout %v: %d goroutines after building the context, %d before", timeout, after, before)
+		}
 	}
 }

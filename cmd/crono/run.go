@@ -15,9 +15,8 @@ import (
 
 // run runs one benchmark on the native platform (real machine) or the
 // futuristic-multicore simulator and prints its report, as in
-// `crono -bench BFS -platform sim -input graph.el -threads 16`. SIGINT
-// cancels the in-flight kernel at its next barrier; -timeout bounds the
-// whole run.
+// `crono -bench BFS -platform sim -input graph.el -threads 16`. -timeout
+// bounds the whole run.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("crono", stderr)
 	var (
@@ -49,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	ctx, stop := interruptible(*timeout)
+	ctx, stop := bounded(*timeout)
 	defer stop()
 	b, err := core.ByName(*benchName)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -48,8 +49,6 @@ func sweep(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	ctx, stop := interruptible(0)
-	defer stop()
 
 	b, err := core.ByName(*benchName)
 	if err != nil {
@@ -90,7 +89,7 @@ func sweep(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s=%d: %v", *dimName, v, err)
 		}
-		res, err := b.Run(ctx, m, core.Request{Input: in, Threads: p})
+		res, err := b.Run(context.Background(), m, core.Request{Input: in, Threads: p})
 		if err != nil {
 			return fmt.Errorf("%s=%d: %v", *dimName, v, err)
 		}

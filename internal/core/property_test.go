@@ -10,6 +10,7 @@ import (
 	"crono/internal/exec"
 	"crono/internal/graph"
 	"crono/internal/native"
+	"crono/internal/racecheck"
 )
 
 // randomGraph builds a random undirected graph from a seed, varying the
@@ -287,8 +288,8 @@ func TestDeterministicSingleThread(t *testing.T) {
 }
 
 // TestInstructionCountsIndependentOfPlatform: at one thread every
-// annotation stream issues the same total instructions natively and on
-// the simulator: each Suite and Variants entry under scan, and under
+// annotation stream issues the same total instructions natively, on the
+// simulator and on the race checker: each Suite and Variants entry under scan, and under
 // frontier where it has one, the batched BFS and both repairs, on sparse,
 // road-ca and social graphs. A native fold of an annotation stream must
 // keep it so.
@@ -362,6 +363,13 @@ func TestInstructionCountsIndependentOfPlatform(t *testing.T) {
 			}
 			if a, b := nat.TotalInstructions(), simr.TotalInstructions(); a != b {
 				t.Errorf("%s/%s: instruction counts diverge: native %d vs sim %d", name, kind, a, b)
+			}
+			rc, err := cell(racecheck.New())
+			if err != nil {
+				t.Fatalf("%s/%s racecheck: %v", name, kind, err)
+			}
+			if a, b := nat.TotalInstructions(), rc.TotalInstructions(); a != b {
+				t.Errorf("%s/%s: instruction counts diverge: native %d vs racecheck %d", name, kind, a, b)
 			}
 		}
 	}

@@ -5,9 +5,10 @@ package exec
 // an interface, so every annotation a kernel issues is a direct call the
 // compiler inlines into the kernel's loop.
 //
-// Instruction accounting (feeds the paper's Variability metric, Eq. 2):
-// Load, Store, AtomicLoad, AtomicStore, AtomicRMW, Lock and Unlock each
-// count as one instruction, Compute(n) counts as n instructions, and
+// Instruction accounting (feeds the paper's Variability metric, Eq. 2) is
+// the Thread's, on every platform: Load, Store, AtomicLoad, AtomicStore,
+// AtomicRMW, Lock and Unlock each count as one instruction, Compute(n)
+// counts as n instructions, a span of elems elements as elems, and
 // LoadGather, AtomicLoadSweep and LoadSweep count what their per-element
 // Load (or AtomicLoad) and Compute calls would: a sweep of [lo, hi)
 // counts 2·(hi−lo).
@@ -15,9 +16,9 @@ type Ctx = *Thread
 
 // Model is the memory and compute half of what a platform plugs in behind
 // a Thread: the simulator's timing model or the race detector. Its methods
-// receive exactly the annotation stream the kernel issues, in order, and
-// do their own instruction accounting. The native platform attaches no
-// Model; see Thread.
+// receive exactly the annotation stream the kernel issues, in order; the
+// Thread has already counted each call's instructions, so a Model counts
+// none. The native platform attaches no Model; see Thread.
 type Model interface {
 	// Load annotates a read of the datum at addr.
 	Load(addr Addr)
@@ -81,12 +82,13 @@ type Sync interface {
 // Thread is one thread of a run. A platform builds one per thread from
 // the hooks it implements and passes its address to the kernel body.
 //
-// With a Model attached every annotation is forwarded to it, after one
-// predictable nil test. With none — the native platform — an annotation
-// is the instruction accounting and nothing else: a counter bump inlined
-// into the kernel loop, 1 per access, atomic or lock operation, n per
+// Every annotation first bumps the Thread's instruction counter, inlined
+// into the kernel loop — 1 per access, atomic or lock operation, n per
 // Compute(n), elems per span with elems > 0, len(idx)·(1+computePer) per
-// LoadGather, 2·(hi−lo) per sweep of [lo, hi), nothing for Active. That is
+// LoadGather, 2·(hi−lo) per sweep of [lo, hi), nothing for Active — and
+// then, after one predictable nil test, forwards the call to the Model.
+// The count is therefore the same on every platform by construction. With
+// no Model — the native platform — the bump is all an annotation does:
 // the paper's real-machine setup, where the instrumentation exists only
 // under the simulator.
 //
@@ -108,11 +110,11 @@ func NewThread(tid, threads int, model Model, sync Sync) *Thread {
 }
 
 // Begin readies a Thread kept across runs for a run of the given
-// parallelism: the model-free instruction count restarts at zero.
+// parallelism: the instruction count restarts at zero.
 func (t *Thread) Begin(threads int) { t.threads, t.instr = threads, 0 }
 
-// Instructions returns what the Thread has counted since Begin. It is
-// zero for a Thread with a Model, which keeps its own count.
+// Instructions returns the instructions the Thread has counted since
+// Begin (or since NewThread), with or without a Model.
 func (t *Thread) Instructions() uint64 { return t.instr }
 
 // Model returns the attached Model, nil on the native platform.
@@ -126,80 +128,72 @@ func (t *Thread) Threads() int { return t.threads }
 
 // Load annotates a read of the datum at addr.
 func (t *Thread) Load(addr Addr) {
+	t.instr++
 	if t.model != nil {
 		t.model.Load(addr)
-		return
 	}
-	t.instr++
 }
 
 // Store annotates a write of the datum at addr.
 func (t *Thread) Store(addr Addr) {
+	t.instr++
 	if t.model != nil {
 		t.model.Store(addr)
-		return
 	}
-	t.instr++
 }
 
 // AtomicLoad annotates an atomic read; see Model.
 func (t *Thread) AtomicLoad(addr Addr) {
+	t.instr++
 	if t.model != nil {
 		t.model.AtomicLoad(addr)
-		return
 	}
-	t.instr++
 }
 
 // AtomicStore annotates an atomic write; see Model.
 func (t *Thread) AtomicStore(addr Addr) {
+	t.instr++
 	if t.model != nil {
 		t.model.AtomicStore(addr)
-		return
 	}
-	t.instr++
 }
 
 // AtomicRMW annotates a successful atomic read-modify-write; see Model.
 func (t *Thread) AtomicRMW(addr Addr) {
+	t.instr++
 	if t.model != nil {
 		t.model.AtomicRMW(addr)
-		return
 	}
-	t.instr++
 }
 
 // LoadSpan annotates a sequential read of elems elements; see Model.
 func (t *Thread) LoadSpan(addr Addr, elems, elemSize int) {
+	t.instr += uint64(max(elems, 0))
 	if t.model != nil {
 		t.model.LoadSpan(addr, elems, elemSize)
-		return
 	}
-	t.instr += uint64(max(elems, 0))
 }
 
 // StoreSpan annotates a sequential write, as LoadSpan.
 func (t *Thread) StoreSpan(addr Addr, elems, elemSize int) {
+	t.instr += uint64(max(elems, 0))
 	if t.model != nil {
 		t.model.StoreSpan(addr, elems, elemSize)
-		return
 	}
-	t.instr += uint64(max(elems, 0))
 }
 
 // LoadGather annotates a gather: for each i of idx in order, a read of
 // r.At(i) followed by Compute(computePer), or no Compute when computePer
-// is 0. A Model receives exactly that per-element stream. Natively it is
-// one bump of len(idx)·(1+computePer) that never walks idx: no address is
-// formed, so there is no sign test either, and a kernel's own indexing
-// still panics on a negative id.
+// is 0. A Model receives exactly that per-element stream. The count is
+// one bump of len(idx)·(1+computePer), and natively that is all: idx is
+// never walked and no address is formed, so there is no sign test either,
+// and a kernel's own indexing still panics on a negative id.
 //
-// Its inline cost is 78 of 80 (go1.24). The branch order and gather's
-// *Thread parameter each save a point over the other methods' idiom.
+// Its inline cost is 78 of 80 (go1.24). gather's *Thread parameter saves
+// a point over passing the Model.
 func (t *Thread) LoadGather(r Region, idx []int32, computePer int) {
-	if t.model == nil {
-		t.instr += uint64(len(idx) * (1 + computePer))
-	} else {
+	t.instr += uint64(len(idx) * (1 + computePer))
+	if t.model != nil {
 		gather(t, r, idx, computePer)
 	}
 }
@@ -222,32 +216,32 @@ func gather(t *Thread, r Region, idx []int32, computePer int) {
 // AtomicLoadSweep annotates the skipped stretch of a sweep: for each i of
 // [lo, hi) in order, an atomic read of r.At(i) followed by Compute(1) —
 // the test a kernel makes of each vertex of its static range before
-// skipping it. A Model receives exactly that per-element stream.
-// Natively it is one bump of 2·(hi−lo) with no address formed, so a
-// kernel that tests its vertices unannotated pays one add per flushed
-// stretch instead of two per vertex. The kernel must flush in order: the
-// stretch up to and including each vertex that passes its test, before
-// that vertex's own annotations, and the rest after the loop. That is
-// sound only while no other thread writes the tested datum during the
-// sweep, since the Model sees the read after the kernel made it.
+// skipping it. A Model receives exactly that per-element stream. The
+// count is one bump of 2·(hi−lo), and natively that is all, with no
+// address formed, so a kernel that tests its vertices unannotated pays
+// one add per flushed stretch instead of two per vertex. The kernel must
+// flush in order: the stretch up to and including each vertex that
+// passes its test, before that vertex's own annotations, and the rest
+// after the loop. That is sound only while no other thread writes the
+// tested datum during the sweep, since the Model sees the read after the
+// kernel made it.
 //
-// lo must not exceed hi. An inverted range emits nothing on a Model but
-// is not tested natively: a test would not fit the inlining budget.
+// lo must not exceed hi. An inverted range emits nothing on a Model, but
+// the count is not tested for it: a test would not fit the inlining
+// budget.
 //
 // Its inline cost is 78 of 80 (go1.24), as LoadGather's.
 func (t *Thread) AtomicLoadSweep(r Region, lo, hi int) {
-	if t.model == nil {
-		t.instr += uint64(2 * (hi - lo))
-	} else {
+	t.instr += uint64(2 * (hi - lo))
+	if t.model != nil {
 		sweep(t, r, lo, hi, true)
 	}
 }
 
 // LoadSweep is AtomicLoadSweep with a plain read of each element.
 func (t *Thread) LoadSweep(r Region, lo, hi int) {
-	if t.model == nil {
-		t.instr += uint64(2 * (hi - lo))
-	} else {
+	t.instr += uint64(2 * (hi - lo))
+	if t.model != nil {
 		sweep(t, r, lo, hi, false)
 	}
 }
@@ -269,11 +263,10 @@ func sweep(t *Thread, r Region, lo, hi int, atomic bool) {
 
 // Compute annotates n units of pure computation (ALU work).
 func (t *Thread) Compute(n int) {
+	t.instr += uint64(n)
 	if t.model != nil {
 		t.model.Compute(n)
-		return
 	}
-	t.instr += uint64(n)
 }
 
 // Active adjusts the global count of active vertices by delta.
@@ -285,17 +278,13 @@ func (t *Thread) Active(delta int) {
 
 // Lock acquires l.
 func (t *Thread) Lock(l Lock) {
-	if t.model == nil {
-		t.instr++
-	}
+	t.instr++
 	t.sync.Lock(l)
 }
 
 // Unlock releases l.
 func (t *Thread) Unlock(l Lock) {
-	if t.model == nil {
-		t.instr++
-	}
+	t.instr++
 	t.sync.Unlock(l)
 }
 

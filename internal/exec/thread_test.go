@@ -47,8 +47,8 @@ func everyCall(c Ctx) error {
 }
 
 // TestThreadForwardsToModel: with a Model attached the hooks see the
-// kernel's call stream verbatim, in order, and the Thread counts nothing
-// of its own.
+// kernel's call stream verbatim, in order, and the Thread counts the same
+// instructions it does with none.
 func TestThreadForwardsToModel(t *testing.T) {
 	h := &logHooks{}
 	th := NewThread(2, 5, h, h)
@@ -66,8 +66,8 @@ func TestThreadForwardsToModel(t *testing.T) {
 	if !reflect.DeepEqual(h.calls, want) {
 		t.Fatalf("hooks saw\n%v\nwant\n%v", h.calls, want)
 	}
-	if n := th.Instructions(); n != 0 {
-		t.Fatalf("Thread with a Model counted %d instructions itself", n)
+	if n := th.Instructions(); n != 5+10+0+5+2 {
+		t.Fatalf("Thread with a Model counted %d instructions, want 22", n)
 	}
 }
 

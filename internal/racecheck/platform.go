@@ -78,8 +78,7 @@ func (p *Platform) Run(threads int, body func(exec.Ctx)) *exec.Report {
 // sctx is one thread's exec.Model and exec.Sync on the scheduler.
 type sctx struct {
 	exec.Seat
-	det   *detector
-	instr uint64
+	det *detector
 }
 
 var (
@@ -118,20 +117,19 @@ func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx
 	p.det.beginRun(threads, s)
 	ctxs := make([]sctx, threads)
 	seats := make([]*exec.Seat, threads)
+	ths := make([]*exec.Thread, threads)
 	for t := range ctxs {
-		ctxs[t].det, seats[t] = p.det, &ctxs[t].Seat
+		c := &ctxs[t]
+		c.det, seats[t], ths[t] = p.det, &c.Seat, exec.NewThread(t, threads, c, c)
 	}
 	start := time.Now()
-	if err := s.Run(seats, func(t int) {
-		c := &ctxs[t]
-		body(exec.NewThread(t, threads, c, c))
-	}); err != nil {
+	if err := s.Run(seats, func(t int) { body(ths[t]) }); err != nil {
 		return nil, err
 	}
 	elapsed := uint64(time.Since(start))
 	instr := make([]uint64, threads)
-	for t := range ctxs {
-		instr[t] = ctxs[t].instr
+	for t, th := range ths {
+		instr[t] = th.Instructions()
 	}
 	return &exec.Report{
 		Platform:     p.Name(),
@@ -144,26 +142,22 @@ func (p *Platform) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx
 }
 
 func (c *sctx) Load(a exec.Addr) {
-	c.instr++
 	c.det.read(c.TID(), a, callerPC(), false)
 	c.Yield(0)
 }
 
 func (c *sctx) Store(a exec.Addr) {
-	c.instr++
 	c.det.write(c.TID(), a, callerPC(), false)
 	c.Yield(0)
 }
 
 func (c *sctx) AtomicLoad(a exec.Addr) {
-	c.instr++
 	c.det.acquireAddr(c.TID(), a)
 	c.det.read(c.TID(), a, callerPC(), true)
 	c.Yield(0)
 }
 
 func (c *sctx) AtomicStore(a exec.Addr) {
-	c.instr++
 	// A sequentially consistent atomic store is ordered after every
 	// earlier atomic operation on the address, so it acquires as well
 	// as releases.
@@ -174,7 +168,6 @@ func (c *sctx) AtomicStore(a exec.Addr) {
 }
 
 func (c *sctx) AtomicRMW(a exec.Addr) {
-	c.instr++
 	c.det.acquireAddr(c.TID(), a)
 	c.det.write(c.TID(), a, callerPC(), true)
 	c.det.releaseAddr(c.TID(), a)
@@ -185,7 +178,6 @@ func (c *sctx) LoadSpan(a exec.Addr, elems, elemSize int) {
 	if elems <= 0 {
 		return
 	}
-	c.instr += uint64(elems)
 	c.det.span(c.TID(), a, elems, elemSize, callerPC(), false)
 	c.Yield(0)
 }
@@ -194,17 +186,11 @@ func (c *sctx) StoreSpan(a exec.Addr, elems, elemSize int) {
 	if elems <= 0 {
 		return
 	}
-	c.instr += uint64(elems)
 	c.det.span(c.TID(), a, elems, elemSize, callerPC(), true)
 	c.Yield(0)
 }
 
-func (c *sctx) Compute(n int) {
-	if n > 0 {
-		c.instr += uint64(n)
-	}
-	c.Yield(0)
-}
+func (c *sctx) Compute(int) { c.Yield(0) }
 
 // Lock acquires at grant: immediately when l is free, else when the
 // holder's Unlock hands it over. A thread that waited already gave up
@@ -214,7 +200,6 @@ func (c *sctx) Lock(l exec.Lock) {
 	if !ok {
 		panic("racecheck: foreign lock handle")
 	}
-	c.instr++
 	waited := c.Acquire(sl, 0)
 	c.det.lockAcquire(c.TID(), l)
 	if !waited {
@@ -227,7 +212,6 @@ func (c *sctx) Unlock(l exec.Lock) {
 	if !ok {
 		panic("racecheck: foreign lock handle")
 	}
-	c.instr++
 	c.det.lockRelease(c.TID(), l)
 	c.Release(sl)
 	c.Yield(0)

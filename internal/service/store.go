@@ -184,9 +184,6 @@ func (f *forms) Dense() *graph.Dense {
 // discipline as Dense. Concurrent first callers share one permutation
 // build.
 func (f *forms) Ordered(o graph.Order) (*graph.Reordered, error) {
-	if o == graph.OrderNone {
-		return graph.Reorder(f.g, graph.OrderNone)
-	}
 	f.orderMu.Lock()
 	if f.orders == nil {
 		f.orders = make(map[graph.Order]*orderedVersion, 2)

@@ -49,15 +49,12 @@ type Config struct {
 
 	// Core model.
 	CoreType CoreType
-	// ROBSize and load/store queue sizes document the OOO setup.
-	ROBSize, LoadQueue, StoreQueue int
 	// OOOHideFraction is the fraction of L1Cache-L2Home and
 	// L2Home-OffChip stall cycles the OOO pipeline overlaps with
 	// execution.
 	OOOHideFraction float64
 
 	// Memory subsystem.
-	L1ISizeB, L1IWays    int
 	L1DSizeB, L1DWays    int
 	L1LatencyCycles      uint64
 	L2SliceSizeB, L2Ways int
@@ -130,12 +127,8 @@ func Default() Config {
 		Cores:           256,
 		ClockHz:         1e9,
 		CoreType:        InOrder,
-		ROBSize:         168,
-		LoadQueue:       64,
-		StoreQueue:      48,
 		OOOHideFraction: 0.7,
-		L1ISizeB:        32 << 10, L1IWays: 4,
-		L1DSizeB: 32 << 10, L1DWays: 4,
+		L1DSizeB:        32 << 10, L1DWays: 4,
 		L1LatencyCycles: 1,
 		L2SliceSizeB:    256 << 10, L2Ways: 8,
 		L2LatencyCycles:   8,

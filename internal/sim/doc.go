@@ -85,12 +85,12 @@
 // directories and a warm hit or miss allocates nothing
 // (TestWarmAccessDoesNotAllocate). A Lock/Unlock pair is four traversals
 // to and from tile 0 over the most loaded links plus two futex-line
-// accesses, and only the two accesses count as instructions, which is why
-// lock-per-edge PageRank costs several times more host time per simulated
-// instruction than the other kernels. Passing the baton is a channel
-// hand-off between two goroutines; it happens at blocking points and
-// once per window, not per reference. DESIGN.md section 4 has the
-// measured shares.
+// accesses, and counts two instructions, one per exec.Thread call (the
+// model counts none), which is why lock-per-edge PageRank costs several
+// times more host time per simulated instruction than the other kernels.
+// Passing the baton is a channel hand-off between two goroutines; it
+// happens at blocking points and once per window, not per reference.
+// DESIGN.md section 4 has the measured shares.
 //
 // # Known simplifications
 //

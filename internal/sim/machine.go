@@ -235,8 +235,10 @@ func (c *ctx) Active(delta int) {
 }
 
 // report assembles the report of a finished run from its threads'
-// contexts.
-func (m *Machine) report(ctxs []*ctx, hostNs uint64) *exec.Report {
+// contexts and the Threads that counted their instructions. The energy
+// model's instruction and L1-D access counts are those totals, not
+// counted a second time.
+func (m *Machine) report(ctxs []*ctx, ths []*exec.Thread, hostNs uint64) *exec.Report {
 	threads := len(ctxs)
 	rep := &exec.Report{
 		Platform:     m.Name(),
@@ -254,7 +256,7 @@ func (m *Machine) report(ctxs []*ctx, hostNs uint64) *exec.Report {
 			rep.Time = c.now
 		}
 		rep.Breakdown.Add(c.brk)
-		rep.Instructions[t] = c.instr
+		rep.Instructions[t] = ths[t].Instructions()
 		rep.ThreadTime[t] = c.now
 		events.Add(c.energy)
 		rep.Cache.L1DAccesses += c.stats.L1DAccesses
@@ -265,6 +267,7 @@ func (m *Machine) report(ctxs []*ctx, hostNs uint64) *exec.Report {
 		rep.Cache.L2Misses += c.stats.L2Misses
 		trace = append(trace, c.samples...)
 	}
+	events.Instructions, events.L1DAccesses = rep.TotalInstructions(), rep.Cache.L1DAccesses
 	rep.ActiveTrace = reconstructTrace(trace, activeTracePoints)
 	rep.Energy = m.cfg.Energy.Breakdown(events)
 	rep.NetworkFlitHops = events.FlitHops

@@ -16,8 +16,6 @@ func (c *ctx) Compute(n int) {
 		return
 	}
 	c.tick()
-	c.instr += uint64(n)
-	c.energy.Instructions += uint64(n)
 	c.now += uint64(n)
 	c.brk[exec.CompCompute] += uint64(n)
 }
@@ -60,9 +58,6 @@ func (c *ctx) span(a exec.Addr, elems, elemSize int, write bool) {
 		c.access(cur, write) // full model once per line
 		if n > 1 {
 			extra := uint64(n - 1)
-			c.instr += extra
-			c.energy.Instructions += extra
-			c.energy.L1DAccesses += extra
 			c.stats.L1DAccesses += extra
 			c.now += extra * m.cfg.L1LatencyCycles
 			c.brk[exec.CompCompute] += extra * m.cfg.L1LatencyCycles
@@ -78,11 +73,8 @@ func (c *ctx) access(addr exec.Addr, write bool) {
 	m := c.m
 	c.tick()
 	// Base pipeline cycle (includes the 1-cycle L1 hit, Table II).
-	c.instr++
-	c.energy.Instructions++
 	c.now += m.cfg.L1LatencyCycles
 	c.brk[exec.CompCompute] += m.cfg.L1LatencyCycles
-	c.energy.L1DAccesses++
 	c.stats.L1DAccesses++
 
 	line := addr >> m.lineBits

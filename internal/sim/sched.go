@@ -27,7 +27,6 @@ type ctx struct {
 	now     uint64
 	limit   uint64 // the clock past which this thread passes the baton on
 	brk     exec.Breakdown
-	instr   uint64
 	energy  energy.Counter
 	stats   exec.CacheStats
 	samples []exec.ActiveSample
@@ -95,8 +94,6 @@ func (m *Machine) NewBarrier(parties int) exec.Barrier { return exec.NewSchedBar
 // reservation.
 func (c *ctx) mcpTransact() {
 	m := c.m
-	// Not counted as an instruction: the lock's futex-word access is the
-	// instruction; this is the system half of the same operation.
 	start := c.now
 	t, fh := m.mesh.Traverse(c.core, 0, m.cfg.CtrlPacketBits, start)
 	c.energy.FlitHops += uint64(fh)
@@ -223,9 +220,10 @@ func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 	}
 	ctxs := make([]*ctx, threads)
 	seats := make([]*exec.Seat, threads)
+	ths := make([]*exec.Thread, threads)
 	for t := range ctxs {
 		c := &ctx{m: m, peers: ctxs, core: m.placeThread(t, threads)}
-		ctxs[t], seats[t] = c, &c.Seat
+		ctxs[t], seats[t], ths[t] = c, &c.Seat, exec.NewThread(t, threads, c, c)
 	}
 	// Host wall-clock of the parallel region, reported out of band for
 	// simulator-throughput measurements; it never feeds the model.
@@ -233,7 +231,7 @@ func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 	err := exec.NewSched("sim", goCtx, exec.LowestClock, m.cfg.WindowCycles).Run(seats, func(t int) {
 		c := ctxs[t]
 		c.limit = c.Limit()
-		body(exec.NewThread(t, threads, c, c))
+		body(ths[t])
 	})
 	hostNs := uint64(time.Since(hostStart)) //crono:vet-ignore simdeterminism
 	if cerr := goCtx.Err(); cerr != nil {
@@ -243,5 +241,5 @@ func (m *Machine) RunCtx(goCtx context.Context, threads int, body func(exec.Ctx)
 		m.extra = energy.Counter{}
 		return nil, err
 	}
-	return m.report(ctxs, hostNs), nil
+	return m.report(ctxs, ths, hostNs), nil
 }
